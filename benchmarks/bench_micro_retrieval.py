@@ -10,7 +10,7 @@ import pytest
 from conftest import emit
 
 from repro.retrieval import (
-    BatchExecutor,
+    ParallelExecutor,
     SerialExecutor,
     block_max_wand_search,
     block_max_wand_search_kernel,
@@ -93,7 +93,7 @@ def test_micro_kernel_vs_reference(benchmark, testbed, strategy):
 def test_fanout_speedup(benchmark, testbed):
     """Parallel shard fan-out: >= 2x over serial at 8 workers, 16 shards.
 
-    A whole query batch is pipelined through a ``BatchExecutor`` — one
+    A whole query batch is pipelined through a ``ParallelExecutor`` — one
     retrieval task per (query, shard), no per-query barrier.  The speedup
     reported is the fan-out *critical path* from the measured per-task
     service times (FIFO makespan at the worker count): the completion
@@ -116,7 +116,7 @@ def test_fanout_speedup(benchmark, testbed):
     flat_serial = serial.map(tasks)
     serial_stats = serial.last_stats
 
-    with BatchExecutor(8) as executor:
+    with ParallelExecutor(8) as executor:
         flat_parallel = benchmark.pedantic(
             lambda: executor.map(tasks), rounds=3, iterations=1
         )

@@ -310,8 +310,7 @@ class ParPickleFlowRule(ProjectRule):
                         message=(
                             f"{described} passed to {site.callee}() flows "
                             f"into a process-pool submit/map via {chain}; "
-                            "pass a picklable module-level callable or "
-                            "descriptor (e.g. ShardSearchTask) instead"
+                            "pass a picklable module-level callable instead"
                         ),
                     )
 

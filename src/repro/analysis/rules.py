@@ -640,13 +640,12 @@ def _under_lock(node: ast.AST, closure: ast.AST) -> bool:
 class ParPickleRule(Rule):
     """Process pools must receive picklable module-level callables.
 
-    A ``ProcessExecutor`` (or raw ``ProcessPoolExecutor``) pickles every
-    submitted task into the worker; lambdas and nested functions fail at
-    pickle time with an error far from the submission site — or worse,
-    a closure over a live shard would ship a full copy of the index to
-    every worker if it *did* pickle.  The sanctioned pattern is a
-    descriptor dataclass (``ShardSearchTask``) resolved against the
-    worker's attach registry.
+    A ``ProcessPoolExecutor`` (simlint's own ``--jobs`` pool is one)
+    pickles every submitted task into the worker; lambdas and nested
+    functions fail at pickle time with an error far from the submission
+    site — or worse, a closure over a live shard would ship a full copy
+    of the index to every worker if it *did* pickle.  The sanctioned
+    pattern is a module-level function taking plain-data arguments.
 
     Detection is lexical, like every simlint rule: ``.map``/``.submit``
     calls whose receiver expression mentions "process" are checked for
@@ -697,7 +696,7 @@ class ParPickleRule(Rule):
                 yield ctx.finding(
                     self.id, node,
                     "lambda submitted to a process pool cannot pickle; "
-                    "pass a module-level descriptor (e.g. ShardSearchTask)",
+                    "pass a module-level function",
                 )
             elif (
                 isinstance(node, ast.Name)
@@ -707,6 +706,5 @@ class ParPickleRule(Rule):
                 yield ctx.finding(
                     self.id, node,
                     f"nested function {node.id!r} submitted to a process "
-                    "pool cannot pickle; hoist it to module level or pass "
-                    "a descriptor (e.g. ShardSearchTask)",
+                    "pool cannot pickle; hoist it to module level",
                 )

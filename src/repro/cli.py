@@ -207,7 +207,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         except (ValueError, KeyError, OSError) as exc:
             print(f"cannot load selector: {exc}", file=sys.stderr)
             return 1
-    with make_executor(args.workers, backend=args.backend) as executor:
+    with make_executor(args.workers) as executor:
         searcher = DistributedSearcher(
             shards, k=args.k, strategy=args.strategy, executor=executor
         )
@@ -476,8 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool,
         config,
         on_point=_show,
-        workers=args.workers,
-        backend=args.backend,
     )
     print()
     print(
@@ -721,11 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shard fan-out worker threads (default 1 = serial; results are "
         "bit-identical at any worker count)"
     )
-    backend_help = (
-        "fan-out mechanism: thread (default), process (workers attach "
-        "shards via mmap/shared memory), or serial; results are "
-        "bit-identical for every backend"
-    )
 
     search = sub.add_parser("search", help="query a saved index")
     search.add_argument("index", help="directory written by build-index or index pack")
@@ -733,10 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("-k", type=int, default=10)
     search.add_argument("--strategy", default="maxscore")
     search.add_argument("--workers", type=int, default=1, help=workers_help)
-    search.add_argument(
-        "--backend", default="thread", choices=("thread", "process", "serial"),
-        help=backend_help,
-    )
     search.add_argument(
         "--raw-terms", action="store_true",
         help="skip English analysis (synthetic 'tNNN' vocabularies)",
@@ -889,10 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tolerance of the model prediction (e.g. 0.25)",
     )
     serve.add_argument("--workers", type=int, default=1, help=workers_help)
-    serve.add_argument(
-        "--backend", default="thread", choices=("thread", "process", "serial"),
-        help=backend_help,
-    )
     serve.set_defaults(fn=_cmd_serve)
 
     select = sub.add_parser(
@@ -1006,6 +991,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        print(f"--workers must be positive, got {args.workers}", file=sys.stderr)
+        return 1
     fn: Callable[[argparse.Namespace], int] = args.fn
     return fn(args)
 

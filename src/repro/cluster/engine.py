@@ -8,10 +8,8 @@ the same trace costs retrieval only once.
 
 from __future__ import annotations
 
-import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.cluster.cache import CacheStats, ResultCache
 from repro.cluster.cpu import CostModel, FrequencyScale
@@ -26,7 +24,6 @@ from repro.index.shard import IndexShard
 from repro.retrieval.executor import (
     SerialExecutor,
     ShardExecutor,
-    make_executor,
     prewarm_searchers,
 )
 from repro.retrieval.query import Query, QueryTrace
@@ -122,14 +119,6 @@ class RunResult:
         return self.completed_queries / (self.elapsed_ms / 1000.0)
 
 
-def _close_pooled(pooled: dict[tuple[int, str], ShardExecutor]) -> None:
-    """Close every pooled executor (module-level so a weakref finalizer
-    can run it without keeping the cluster alive)."""
-    for key in sorted(pooled):
-        pooled[key].close()
-    pooled.clear()
-
-
 class SearchCluster:
     """A partition-aggregate search engine over simulated hardware.
 
@@ -166,70 +155,10 @@ class SearchCluster:
             shards, k=k, strategy=strategy, executor=self.executor
         )
         self.shards = shards
-        # Per-run executor overrides are served from this pool so worker
-        # processes (and their attach registries / shm segments) persist
-        # across successive run_trace/serve calls instead of re-spawning.
-        # The finalizer releases them at GC / interpreter exit even if the
-        # owner never calls close().
-        self._pooled_executors: dict[tuple[int, str], ShardExecutor] = {}
-        self._pool_finalizer = weakref.finalize(
-            self, _close_pooled, self._pooled_executors
-        )
 
     @property
     def n_shards(self) -> int:
         return len(self.shards)
-
-    def pooled_executor(self, workers: int, backend: str = "thread") -> ShardExecutor:
-        """The persistent executor for ``(workers, backend)``.
-
-        Created on first use, then reused by every later override with
-        the same shape — a process pool keeps its workers (and their
-        attached shards) warm across runs.  Owned by the cluster:
-        released by :meth:`close`, never by the per-run override path.
-        """
-        key = (workers, backend)
-        executor = self._pooled_executors.get(key)
-        if executor is None:
-            executor = make_executor(workers, backend=backend)
-            self._pooled_executors[key] = executor
-        return executor
-
-    def close(self) -> None:
-        """Release pooled executors (worker processes, shm segments).
-
-        The cluster's own ``executor`` (passed in or the default serial
-        one) is the caller's to manage, exactly as before pooling.
-        Idempotent; the cluster remains usable and will lazily rebuild
-        pools on the next override.
-        """
-        _close_pooled(self._pooled_executors)
-
-    def __enter__(self) -> SearchCluster:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    @contextmanager
-    def _executor_override(
-        self, workers: int | None, backend: str | None
-    ) -> Iterator[None]:
-        """Temporarily swap in a pooled executor for one run."""
-        if workers is None and backend is None:
-            yield
-            return
-        override = self.pooled_executor(
-            workers if workers is not None else self.executor.workers,
-            backend or "thread",
-        )
-        previous = self.executor
-        self.executor = self.searcher.executor = override
-        try:
-            yield
-        finally:
-            self.executor = previous
-            self.searcher.executor = previous
 
     def run_trace(
         self,
@@ -243,10 +172,7 @@ class SearchCluster:
         prewarm: bool | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
         selector: StrategySelector | None = None,
-        decode_cache_size: int | None = None,
     ) -> RunResult:
         """Replay ``trace`` under ``policy`` and report latency + power.
 
@@ -288,24 +214,12 @@ class SearchCluster:
         simulation outcome — runs are bit-identical with it on or off
         (pinned by ``tests/test_telemetry_integration.py``).
 
-        ``workers``/``backend`` override the cluster executor for this
-        run only: a *pooled* executor (see :meth:`pooled_executor`) fans
-        the prewarm out — ``backend="process"`` ships shard searches to
-        worker processes that attach the shards via mmap/shared memory —
-        and is swapped back afterwards but kept warm for the next run
-        with the same shape (release with :meth:`close`).  Outcomes stay
-        bit-identical; only where the retrieval CPU time is spent
-        changes.
-
         ``selector`` enables per-(query, shard) adaptive traversal
         selection (see :class:`repro.retrieval.searcher.StrategySelector`):
         the aggregator consults it at dispatch, after the policy assigned
         the time budget, and the chosen strategy's cost drives service
         time and energy.  ``None`` — the default — is bit-identical to
-        the static dispatch path.  ``decode_cache_size`` re-budgets every
-        compressed shard's decode LRU (bytes) for this run and onwards;
-        shards without a built compressed arena are untouched (and never
-        force-built).
+        the static dispatch path.
 
         The run itself is executed by the serving plane
         (:class:`repro.serving.orchestrator.ServingPlane`): a closed-loop
@@ -315,21 +229,19 @@ class SearchCluster:
         """
         from repro.serving.orchestrator import ServingPlane  # no import cycle
 
-        with self._executor_override(workers, backend):
-            return ServingPlane(self).run(
-                trace,
-                policy,
-                governor=governor,
-                cache=cache,
-                faults=faults,
-                response_timeout_ms=response_timeout_ms,
-                sleep=sleep,
-                prewarm=prewarm,
-                telemetry=telemetry,
-                replication=replication,
-                selector=selector,
-                decode_cache_size=decode_cache_size,
-            )
+        return ServingPlane(self).run(
+            trace,
+            policy,
+            governor=governor,
+            cache=cache,
+            faults=faults,
+            response_timeout_ms=response_timeout_ms,
+            sleep=sleep,
+            prewarm=prewarm,
+            telemetry=telemetry,
+            replication=replication,
+            selector=selector,
+        )
 
     def serve(
         self,
@@ -346,10 +258,7 @@ class SearchCluster:
         prewarm: bool | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
         selector: StrategySelector | None = None,
-        decode_cache_size: int | None = None,
     ) -> RunResult:
         """Open-loop serving: drive a lazy query stream through the cluster.
 
@@ -363,23 +272,21 @@ class SearchCluster:
         """
         from repro.serving.orchestrator import ServingPlane  # no import cycle
 
-        with self._executor_override(workers, backend):
-            return ServingPlane(self).run(
-                source,
-                policy,
-                governor=governor,
-                cache=cache,
-                faults=faults,
-                response_timeout_ms=response_timeout_ms,
-                sleep=sleep,
-                prewarm=prewarm,
-                telemetry=telemetry,
-                replication=replication,
-                admission=admission,
-                retain_records=retain_records,
-                selector=selector,
-                decode_cache_size=decode_cache_size,
-            )
+        return ServingPlane(self).run(
+            source,
+            policy,
+            governor=governor,
+            cache=cache,
+            faults=faults,
+            response_timeout_ms=response_timeout_ms,
+            sleep=sleep,
+            prewarm=prewarm,
+            telemetry=telemetry,
+            replication=replication,
+            admission=admission,
+            retain_records=retain_records,
+            selector=selector,
+        )
 
     def _searcher_totals(self) -> tuple[int, int]:
         """Cluster-wide (hits, computations) sums of the searcher memos."""
@@ -425,7 +332,7 @@ class SearchCluster:
         return touched
 
     def prewarm_trace(
-        self, trace: QueryTrace, selector: StrategySelector | None = None
+        self, trace: Iterable[Query], selector: StrategySelector | None = None
     ) -> int:
         """Fill every shard searcher's memo cache for ``trace``.
 

@@ -1,8 +1,7 @@
-"""Storage-plane benchmark: compressed mmap stores + multiprocess fan-out.
+"""Storage-plane benchmark: compressed mmap stores under shard fan-out.
 
-Measures the three claims the compressed ``.store`` format and the
-``ProcessExecutor`` make, at a scale (hundreds of thousands of docs per
-shard) where they matter:
+Measures the three claims the compressed ``.store`` format makes, at a
+scale (hundreds of thousands of docs per shard) where they matter:
 
 * **Compression** — delta/bit-packed doc ids, packed tfs and
   codebook-coded scores shrink the posting columns by >=2x versus the raw
@@ -10,15 +9,14 @@ shard) where they matter:
 * **O(1) open** — ``open_stores`` memory-maps the packed columns and
   materializes nothing per term; cold-open time is independent of corpus
   size, versus the eager npz loader's full decode.
-* **Bit-identity under compression and process fan-out** — every kernel
+* **Bit-identity under compression and fan-out** — every kernel
   strategy over the lazy compressed shards fingerprints identically to
-  the in-memory uncompressed shards, and the merged results of
-  serial/thread/process executors are byte-equal.
+  the in-memory uncompressed shards, and the merged results of the
+  serial and thread executors are byte-equal.
 
 ``benchmarks/run_bench_storage.py`` drives this, pins seeds and records
 the machine fingerprint into ``BENCH_storage.json``; CI gates on the
-compression ratio, bit-identity, and — on multi-core hosts only — the
-process-beats-thread wall clock.
+compression ratio and bit-identity.
 
 The corpus is built by direct column construction (no text analysis):
 per-term document frequencies follow a Zipf-like power law, membership
@@ -117,12 +115,8 @@ class StorageBenchResult:
     executor_workers: int = 0
     serial_wall_ms: float = 0.0
     thread_wall_ms: float = 0.0
-    process_wall_ms: float = 0.0
     thread_makespan_ms: float = 0.0
-    process_makespan_ms: float = 0.0
     executors_bit_identical: bool = False
-    process_beats_thread: bool | None = None
-    wall_gate: str = "enforced"
 
     @property
     def bit_identical(self) -> bool:
@@ -231,22 +225,21 @@ def _executor_sweep_ms(
     queries: list[Query],
     k: int,
     workers: int,
-    backend: str,
 ) -> tuple[float, float, list[str]]:
     """(wall_ms, worker-measured makespan_ms, merged fingerprints).
 
-    Opens the stores fresh so every backend starts from cold parent-side
-    decode caches and empty searcher memos — queries are distinct, so the
+    Opens the stores fresh so every executor starts from cold decode
+    caches and empty searcher memos — queries are distinct, so the
     timing is pure fan-out, not memo replay.
     """
     shards = open_stores(store_dir)
     makespan = 0.0
-    with make_executor(workers, backend=backend) as executor:
+    with make_executor(workers) as executor:
         searcher = DistributedSearcher(shards, k=k, executor=executor)
         t0 = time.perf_counter()
         fingerprints = [searcher.search(q).fingerprint() for q in queries]
         wall_ms = (time.perf_counter() - t0) * 1e3
-        if executor.last_stats is not None and backend != "serial":
+        if executor.last_stats is not None and workers > 1:
             makespan = executor.last_stats.makespan_ms(workers)
     return wall_ms, makespan, fingerprints
 
@@ -333,31 +326,15 @@ def run(
             result.decode_hits / touched if touched else 0.0
         )
 
-        # Executor comparison: fresh stores per backend, distinct queries.
+        # Executor comparison: fresh stores per executor, distinct queries.
         result.executor_workers = workers
         result.serial_wall_ms, _, serial_fps = _executor_sweep_ms(
-            directory, queries, k, workers=1, backend="serial"
+            directory, queries, k, workers=1
         )
         result.thread_wall_ms, result.thread_makespan_ms, thread_fps = (
-            _executor_sweep_ms(directory, queries, k, workers, "thread")
+            _executor_sweep_ms(directory, queries, k, workers)
         )
-        result.process_wall_ms, result.process_makespan_ms, process_fps = (
-            _executor_sweep_ms(directory, queries, k, workers, "process")
-        )
-        result.executors_bit_identical = (
-            serial_fps == thread_fps == process_fps
-        )
-        if result.machine.cpu_count > 1:
-            result.process_beats_thread = (
-                result.process_wall_ms < result.thread_wall_ms
-            )
-            result.wall_gate = "enforced"
-        else:
-            # One core: neither backend can physically beat the other's
-            # wall clock, so the gate would measure scheduler noise.  The
-            # worker-measured makespans stay recorded either way.
-            result.process_beats_thread = None
-            result.wall_gate = "skipped-single-core"
+        result.executors_bit_identical = serial_fps == thread_fps
     finally:
         if tmp is not None:
             tmp.cleanup()
@@ -366,7 +343,7 @@ def run(
 
 def format_report(result: StorageBenchResult) -> str:
     lines = [
-        "Storage plane — compressed mmap stores + multiprocess fan-out",
+        "Storage plane — compressed mmap stores under shard fan-out",
         (
             f"  corpus: {result.n_shards} shards x {result.docs_per_shard} docs"
             f"   queries: {result.n_queries} (k={result.k})"
@@ -396,22 +373,12 @@ def format_report(result: StorageBenchResult) -> str:
             f"  executors (x{result.executor_workers}): "
             f"serial {result.serial_wall_ms:.1f} ms   "
             f"thread {result.thread_wall_ms:.1f} ms "
-            f"(makespan {result.thread_makespan_ms:.1f})   "
-            f"process {result.process_wall_ms:.1f} ms "
-            f"(makespan {result.process_makespan_ms:.1f})"
+            f"(makespan {result.thread_makespan_ms:.1f})"
         ),
     ]
     for name, ok in result.strategies_bit_identical.items():
         lines.append(f"  bit-identical[{name}]: {ok}")
     lines.append(f"  bit-identical[executors]: {result.executors_bit_identical}")
-    lines.append(
-        f"  wall gate: {result.wall_gate}"
-        + (
-            f" (process beats thread: {result.process_beats_thread})"
-            if result.process_beats_thread is not None
-            else ""
-        )
-    )
     return "\n".join(lines)
 
 

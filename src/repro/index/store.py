@@ -17,12 +17,10 @@ Opening a store (:func:`open_store`) builds a :class:`LazyIndexShard`
 whose columns are ``np.memmap`` views at the TOC offsets: no postings
 are materialized, no pages are read beyond the header, and a term's
 postings are only decoded (through the arena's LRU) when a query first
-touches the term.  The identical byte layout can instead live in a
-``multiprocessing.shared_memory`` segment — :func:`serialize_shard`
-produces the bytes, :func:`open_store_buffer` attaches to them with
-zero-copy ``np.frombuffer`` views — which is how :class:`~repro.
-retrieval.executor.ProcessExecutor` workers attach in-memory shards
-without pickling arenas.
+touches the term.  The identical byte layout can instead live in any
+in-memory buffer — :func:`serialize_shard` produces the bytes,
+:func:`open_store_buffer` attaches to them with zero-copy
+``np.frombuffer`` views.
 """
 
 from __future__ import annotations
@@ -318,9 +316,8 @@ def open_store_buffer(
 ) -> "LazyIndexShard":
     """Attach to a serialized store living in a buffer (zero-copy views).
 
-    The buffer is typically a ``multiprocessing.shared_memory`` segment:
-    the producing process writes :func:`serialize_shard` bytes once, and
-    every worker attaches ``np.frombuffer`` views over the same pages.
+    The in-memory inverse of :func:`serialize_shard`; the arrays are
+    ``np.frombuffer`` views, so ``buf`` must outlive the shard.
     """
     head = bytes(memoryview(buf)[: len(MAGIC) + 8])
     if len(head) < len(MAGIC) + 8:
@@ -399,9 +396,7 @@ class LazyIndexShard(IndexShard):
     of the same decoded arrays, so the benign race never changes a
     result.
 
-    ``store_path`` is the backing file (None for shared-memory buffers);
-    ``ProcessExecutor`` uses it to hand workers an attach spec instead of
-    pickling the shard.
+    ``store_path`` is the backing file (None for in-memory buffers).
     """
 
     def __init__(

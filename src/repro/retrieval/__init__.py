@@ -13,13 +13,10 @@ default) that is bit-identical to it in hits, scores, tie order and
 from repro.retrieval.block_max_wand import block_max_wand_search
 from repro.retrieval.conjunctive import conjunctive_search
 from repro.retrieval.executor import (
-    BatchExecutor,
     FanoutStats,
     ParallelExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ShardExecutor,
-    ShardSearchTask,
     make_executor,
     prewarm_searchers,
 )
@@ -78,9 +75,6 @@ __all__ = [
     "ShardExecutor",
     "SerialExecutor",
     "ParallelExecutor",
-    "ProcessExecutor",
-    "BatchExecutor",
-    "ShardSearchTask",
     "FanoutStats",
     "make_executor",
     "prewarm_searchers",

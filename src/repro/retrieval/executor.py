@@ -2,7 +2,7 @@
 
 Every layer that touches more than one shard — ``DistributedSearcher``
 broadcast, trace prewarming in the cluster engine, the benchmarks — runs
-its per-shard work through a ``ShardExecutor``.  Three strategies are
+its per-shard work through a ``ShardExecutor``.  Two strategies are
 provided:
 
 * ``SerialExecutor`` — runs tasks in submission order on the calling
@@ -10,19 +10,6 @@ provided:
   bit for bit.
 * ``ParallelExecutor`` — fans tasks out over a ``ThreadPoolExecutor``
   with a configurable worker count.
-* ``BatchExecutor`` — a ``ParallelExecutor`` that additionally knows how
-  to pipeline a whole query trace through the pool: it deduplicates
-  (searcher, cache-key) pairs and submits every remaining retrieval task
-  at once, so shards of query *i+1* overlap with stragglers of query *i*
-  instead of waiting on a per-query barrier.
-* ``ProcessExecutor`` — fans shard searches out over a
-  ``ProcessPoolExecutor``.  Workers never receive pickled shards: they
-  attach the shard's ``.store`` bytes in place, either by ``mmap`` of the
-  on-disk store file or from a ``multiprocessing.shared_memory`` segment
-  the parent publishes, and keep the attached searcher alive across
-  tasks.  Tasks must therefore be picklable *descriptors*
-  (:class:`ShardSearchTask`), not closures — ``map`` rejects lambdas and
-  nested functions up front rather than letting pickle fail obscurely.
 
 Determinism contract
 --------------------
@@ -49,32 +36,18 @@ charges, versus the ``sum`` a serial scan pays.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import multiprocessing
-import tempfile
 import threading
 import time
 from concurrent import futures as _futures
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.index.shard import IndexShard
     from repro.retrieval.query import Query
-    from repro.retrieval.result import SearchResult
-    from repro.retrieval.searcher import (
-        ShardSearcher,
-        StrategyChoice,
-        StrategySelector,
-    )
+    from repro.retrieval.searcher import ShardSearcher, StrategySelector
     from repro.telemetry import Telemetry
     from repro.telemetry.trace import Tracer
-
-#: How a worker process reaches a shard without unpickling it:
-#: ``("mmap", <store file path>)`` or ``("shm", <shared-memory name>)``.
-AttachSpec = tuple[str, str]
 
 T = TypeVar("T")
 
@@ -104,7 +77,8 @@ class FanoutStats:
         this is the fan-out completion time the worker count buys,
         independent of how many cores the host happens to have free.
         """
-        workers = workers or self.workers
+        if workers is None:
+            workers = self.workers
         if workers < 1:
             raise ValueError("workers must be positive")
         if not self.task_ms:
@@ -135,9 +109,6 @@ class ShardExecutor:
     """
 
     name = "abstract"
-    #: True when tasks run in another process: callers must hand ``map``
-    #: picklable descriptors instead of closures over live objects.
-    remote = False
 
     def __init__(self) -> None:
         self.last_stats: FanoutStats | None = None
@@ -264,264 +235,6 @@ class ParallelExecutor(ShardExecutor):
             pool.shutdown(wait=True)
 
 
-class BatchExecutor(ParallelExecutor):
-    """Pipeline a whole query trace through the pool.
-
-    ``prewarm`` fills the shard searchers' memo caches for every
-    (searcher, query) pair a trace replay can touch.  All tasks enter
-    the pool at once — no barrier between queries — and duplicates
-    (repeated trace queries, or keys already cached) are skipped, so
-    the pool only ever sees the unique retrieval work.  Correctness
-    under concurrent cache fills is the searcher's exactly-once memo
-    contract (see ``ShardSearcher``).
-    """
-
-    name = "batch"
-
-    def prewarm(
-        self,
-        searchers: Sequence["ShardSearcher"],
-        queries: Iterable["Query"],
-    ) -> int:
-        """Compute every uncached (searcher, query) pair; return the count."""
-        tasks = plan_prewarm(searchers, queries)
-        self.map(tasks)
-        return len(tasks)
-
-
-# --------------------------------------------------------------- processes
-# Worker-side attach registries.  Keyed by AttachSpec so that every task
-# hitting the same shard inside one worker process reuses a single
-# attached (mmap/shm) shard and its memoizing searcher.  With the default
-# ``fork`` start method children inherit these dicts empty (the parent
-# never populates them); under ``spawn`` each worker imports this module
-# fresh.  Worker pools are single-threaded per process, so plain dicts
-# suffice.
-_ATTACHED_SHARDS: dict[AttachSpec, "IndexShard"] = {}
-_ATTACHED_SEARCHERS: dict[tuple[AttachSpec, int, str], "ShardSearcher"] = {}
-_ATTACHED_SEGMENTS: list[object] = []
-
-
-def _attached_searcher(spec: AttachSpec, k: int, strategy: str) -> "ShardSearcher":
-    """The worker-process searcher for ``spec``, attached on first use."""
-    key = (spec, k, strategy)
-    searcher = _ATTACHED_SEARCHERS.get(key)
-    if searcher is not None:
-        return searcher
-    shard = _ATTACHED_SHARDS.get(spec)
-    if shard is None:
-        kind, ref = spec
-        if kind == "mmap":
-            from repro.index.store import open_store
-
-            shard = open_store(ref)
-        elif kind == "shm":
-            from multiprocessing import shared_memory
-
-            from repro.index.store import open_store_buffer
-
-            segment = shared_memory.SharedMemory(name=ref)
-            # Keep the segment object alive for the life of the worker:
-            # the attached arrays are zero-copy views into its buffer.
-            _ATTACHED_SEGMENTS.append(segment)
-            shard = open_store_buffer(segment.buf)
-        else:  # pragma: no cover - specs are built by spec_for
-            raise ValueError(f"unknown attach spec kind {kind!r}")
-        _ATTACHED_SHARDS[spec] = shard
-    from repro.retrieval.searcher import ShardSearcher
-
-    searcher = ShardSearcher(shard, k=k, strategy=strategy)
-    _ATTACHED_SEARCHERS[key] = searcher
-    return searcher
-
-
-@dataclass(frozen=True)
-class ShardSearchTask:
-    """A picklable description of one shard search.
-
-    This is what crosses the process boundary instead of a closure over a
-    live ``ShardSearcher``: a few strings naming *where* the shard lives
-    (:data:`AttachSpec`) and *what* to run on it.  Workers resolve the
-    spec through their process-local attach registry, so repeated tasks
-    against one shard pay the attach (and any decode) exactly once per
-    worker.
-    """
-
-    spec: AttachSpec
-    terms: tuple[str, ...]
-    k: int
-    strategy: str
-
-    def __call__(self) -> "SearchResult":
-        from repro.retrieval.query import Query
-
-        searcher = _attached_searcher(self.spec, self.k, self.strategy)
-        return searcher.search(Query(query_id=-1, terms=self.terms))
-
-
-def _run_task_timed(task: Callable[[], T]) -> tuple[T, float]:
-    """Worker-side entry point: run ``task``, return (result, duration_ms).
-
-    Durations are measured inside the worker so ``FanoutStats`` reflects
-    actual shard-search time, not queueing or result-pickling overhead.
-    """
-    t0 = time.perf_counter()
-    result = task()
-    return result, (time.perf_counter() - t0) * 1000.0
-
-
-def _reject_unpicklable(task: object) -> None:
-    """Fail fast on closures/lambdas that pickle would reject obscurely."""
-    fn = task
-    while isinstance(fn, functools.partial):
-        fn = fn.func
-    qualname = getattr(fn, "__qualname__", "")
-    if (
-        getattr(fn, "__closure__", None)
-        or "<lambda>" in qualname
-        or "<locals>" in qualname
-    ):
-        raise TypeError(
-            "ProcessExecutor tasks must be picklable module-level callables "
-            f"(got {qualname or fn!r}); pass ShardSearchTask descriptors, "
-            "not lambdas or closures over live objects"
-        )
-
-
-class ProcessExecutor(ShardExecutor):
-    """Process-pool fan-out with shared-memory shard attachment.
-
-    Shards are never pickled to workers.  ``spec_for`` turns a shard into
-    an :data:`AttachSpec`: shards opened from a ``.store`` file advertise
-    their path (workers ``mmap`` it), in-memory shards are serialized
-    once into a ``multiprocessing.shared_memory`` segment (workers map
-    the same physical pages).  Where POSIX shared memory is unavailable
-    the segment silently degrades to a temporary store file.
-
-    The start method defaults to ``fork`` where the platform offers it —
-    workers then share the parent's page cache for mmap'd stores — and
-    falls back to ``spawn`` elsewhere.  ``close`` shuts the pool down and
-    unlinks every published segment; like the thread executors, a closed
-    instance lazily re-creates its pool on next use (the published
-    segments are gone, though, so ``spec_for`` re-publishes on demand).
-    """
-
-    name = "process"
-    remote = True
-
-    def __init__(self, workers: int, start_method: str | None = None) -> None:
-        super().__init__()
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        self._workers = workers
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._start_method = start_method
-        self._pool: _futures.ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        # How many times a worker pool was created — 1 across any number
-        # of runs that reuse this executor (the pool-persistence contract
-        # tests/test_serving_plane.py pins); +1 after each close().
-        self.spawn_count = 0
-        # id(shard) -> spec for shards this executor published itself,
-        # plus the backing segments/files to unlink on close.
-        self._published: dict[int, AttachSpec] = {}
-        self._segments: list[object] = []
-        self._spill_files: list[Path] = []
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    @property
-    def start_method(self) -> str:
-        return self._start_method
-
-    def spec_for(self, shard: "IndexShard") -> AttachSpec:
-        """How workers should attach ``shard`` (publishing it if needed)."""
-        store_path = getattr(shard, "store_path", None)
-        if store_path is not None:
-            return ("mmap", str(store_path))
-        key = id(shard)
-        spec = self._published.get(key)
-        if spec is None:
-            spec = self._publish(shard)
-            self._published[key] = spec
-        return spec
-
-    def _publish(self, shard: "IndexShard") -> AttachSpec:
-        from repro.index.store import serialize_shard
-
-        blob = serialize_shard(shard)
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(create=True, size=len(blob))
-        except (ImportError, OSError, FileNotFoundError):
-            # No POSIX shm (exotic container): spill to a temp store file
-            # and let workers mmap that instead.
-            handle = tempfile.NamedTemporaryFile(
-                prefix=f"repro_shard_{shard.shard_id}_",
-                suffix=".store",
-                delete=False,
-            )
-            with handle:
-                handle.write(blob)
-            path = Path(handle.name)
-            self._spill_files.append(path)
-            return ("mmap", str(path))
-        segment.buf[: len(blob)] = blob
-        self._segments.append(segment)
-        return ("shm", segment.name)
-
-    def _ensure_pool(self) -> _futures.ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = _futures.ProcessPoolExecutor(
-                    max_workers=self._workers,
-                    mp_context=multiprocessing.get_context(self._start_method),
-                )
-                self.spawn_count += 1
-            return self._pool
-
-    def _run(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
-        for task in tasks:
-            _reject_unpicklable(task)
-        pool = self._ensure_pool()
-        stats = FanoutStats(workers=self._workers)
-        start = time.perf_counter()
-        pending = [pool.submit(_run_task_timed, task) for task in tasks]
-        results: list[T] = []
-        for future in pending:  # submission order, same as the thread pools
-            result, duration_ms = future.result()
-            results.append(result)
-            stats.task_ms.append(duration_ms)
-        stats.wall_ms = (time.perf_counter() - start) * 1000.0
-        self.last_stats = stats
-        return results
-
-    def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        segments, self._segments = self._segments, []
-        for segment in segments:
-            for release in ("close", "unlink"):
-                try:
-                    getattr(segment, release)()
-                except (FileNotFoundError, OSError):  # pragma: no cover
-                    pass
-        spills, self._spill_files = self._spill_files, []
-        for path in spills:
-            try:
-                path.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        self._published.clear()
-
-
 def plan_prewarm(
     searchers: Sequence["ShardSearcher"],
     queries: Iterable["Query"],
@@ -557,89 +270,22 @@ def plan_prewarm(
     return tasks
 
 
-def plan_prewarm_remote(
-    searchers: Sequence["ShardSearcher"],
-    queries: Iterable["Query"],
-    executor: "ProcessExecutor",
-    selector: "StrategySelector | None" = None,
-) -> tuple[
-    list[ShardSearchTask],
-    list[tuple["ShardSearcher", "Query", "StrategyChoice | None"]],
-]:
-    """The remote analogue of :func:`plan_prewarm`.
-
-    Returns parallel lists: picklable tasks for the process pool, and the
-    (searcher, query, choice) triple each result must be seeded back
-    into.  The dedup rule is identical to the closure planner, so the set
-    of computed keys — and therefore the replayed run — matches the
-    thread path exactly.
-    """
-    seen: set[tuple[int, object]] = set()
-    tasks: list[ShardSearchTask] = []
-    seeds: list[tuple["ShardSearcher", "Query", "StrategyChoice | None"]] = []
-    for query in queries:
-        for searcher in searchers:
-            choice = (
-                selector.choose(query, searcher.shard.shard_id, None)
-                if selector is not None
-                else None
-            )
-            cache_key = searcher.cache_key(query, choice)
-            key = (id(searcher), cache_key)
-            if key in seen or searcher.is_cached(query, choice):
-                continue
-            seen.add(key)
-            tasks.append(
-                ShardSearchTask(
-                    spec=executor.spec_for(searcher.shard),
-                    terms=query.terms,
-                    k=cache_key[1],
-                    strategy=cache_key[2],
-                )
-            )
-            seeds.append((searcher, query, choice))
-    return tasks, seeds
-
-
 def prewarm_searchers(
     searchers: Sequence["ShardSearcher"],
     queries: Iterable["Query"],
     executor: ShardExecutor,
     selector: "StrategySelector | None" = None,
 ) -> int:
-    """Run the prewarm plan on an existing executor; return the task count.
-
-    Remote executors get descriptor tasks and have their results seeded
-    back into the parent-side memo caches, so replay afterwards is pure
-    cache hits either way.
-    """
-    if executor.remote:
-        tasks, seeds = plan_prewarm_remote(searchers, queries, executor, selector)  # type: ignore[arg-type]
-        results = executor.map(tasks)
-        for (searcher, query, choice), result in zip(seeds, results):
-            searcher.seed(query, result, choice)
-        return len(tasks)
+    """Run the prewarm plan on an existing executor; return the task count."""
     tasks = plan_prewarm(searchers, queries, selector)
     executor.map(tasks)
     return len(tasks)
 
 
-def make_executor(workers: int | None, backend: str = "thread") -> ShardExecutor:
-    """Executor for a worker count and backend (``None``/``<=1`` → serial).
-
-    ``backend`` selects the fan-out mechanism: ``"thread"`` (default,
-    serial when ``workers`` is ``None`` or 1), ``"process"`` (always a
-    :class:`ProcessExecutor`, even single-worker — useful for isolating
-    memory), or ``"serial"``.
-    """
-    if backend == "thread":
-        if workers is None or workers <= 1:
-            return SerialExecutor()
-        return ParallelExecutor(workers)
-    if backend == "serial":
+def make_executor(workers: int | None) -> ShardExecutor:
+    """Executor for a worker count: serial for ``None``/1, threads above."""
+    if workers is None or workers == 1:
         return SerialExecutor()
-    if backend == "process":
-        return ProcessExecutor(max(workers or 1, 1))
-    raise ValueError(
-        f"unknown executor backend {backend!r}; options: serial, thread, process"
-    )
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    return ParallelExecutor(workers)

@@ -340,27 +340,6 @@ class ShardSearcher:
         self._m_restarts.add(kstats.threshold_restarts)
         return result
 
-    def seed(
-        self,
-        query: Query,
-        result: SearchResult,
-        choice: StrategyChoice | None = None,
-    ) -> None:
-        """Install an externally computed result under ``query``'s key.
-
-        Used by remote executors: a worker process ran the search against
-        its own attached copy of this searcher's shard, and the parent
-        adopts the result so replay here is pure cache hits.  Seeding
-        counts as a computation — the work happened, just elsewhere — so
-        cache-stat totals match the local execution paths.  First write
-        wins, same as the memo contract.
-        """
-        key = self.cache_key(query, choice)
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = result
-                self._computations += 1
-
     def search_terms(self, terms: list[str]) -> SearchResult:
         return self.search(Query(query_id=-1, terms=tuple(dict.fromkeys(terms))))
 
@@ -409,12 +388,6 @@ class DistributedSearcher:
     ) -> SearchResult:
         """Search a subset of shards (default: all) and merge.
 
-        With a remote executor the fan-out ships picklable
-        ``ShardSearchTask`` descriptors instead of closures; workers
-        attach the shards via mmap/shared memory and the parent seeds the
-        results into its memo caches, so repeats are local cache hits and
-        the merged result is bit-identical to every local backend.
-
         ``selector`` picks a per-shard :class:`StrategyChoice` (consulted
         with no budget — this is the timing-free view); ``None`` is the
         static default on every shard.
@@ -425,52 +398,12 @@ class DistributedSearcher:
             sid: selector.choose(query, sid, None) if selector is not None else None
             for sid in shard_ids
         }
-        if self.executor.remote:
-            return self._search_remote(query, shard_ids, choices)
         per_shard = self.executor.map(
             [
                 lambda s=self.searchers[sid], c=choices[sid]: s.search(query, c)
                 for sid in shard_ids
             ]
         )
-        return merge_results(per_shard, self.k)
-
-    def _search_remote(
-        self,
-        query: Query,
-        shard_ids: list[int],
-        choices: dict[int, StrategyChoice | None],
-    ) -> SearchResult:
-        from repro.retrieval.executor import ShardSearchTask
-
-        per_shard: list[SearchResult | None] = [None] * len(shard_ids)
-        tasks: list[ShardSearchTask] = []
-        misses: list[int] = []
-        for position, sid in enumerate(shard_ids):
-            searcher = self.searchers[sid]
-            choice = choices.get(sid)
-            if searcher.is_cached(query, choice):
-                per_shard[position] = searcher.search(query, choice)
-                continue
-            key = searcher.cache_key(query, choice)
-            tasks.append(
-                ShardSearchTask(
-                    spec=self.executor.spec_for(searcher.shard),  # type: ignore[attr-defined]
-                    terms=query.terms,
-                    k=key[1],
-                    strategy=key[2],
-                )
-            )
-            misses.append(position)
-        if tasks:
-            for position, result in zip(misses, self.executor.map(tasks)):
-                sid = shard_ids[position]
-                searcher = self.searchers[sid]
-                choice = choices.get(sid)
-                searcher.seed(query, result, choice)
-                # Read back through the memo so concurrent seeders agree
-                # on one canonical object (first write wins).
-                per_shard[position] = searcher.search(query, choice)
         return merge_results(per_shard, self.k)
 
     def cache_stats(self) -> list[SearcherCacheStats]:

@@ -195,17 +195,13 @@ def run_campaign(
     config: CampaignConfig | None = None,
     telemetry: Telemetry | None = None,
     on_point: Callable[[SweepPoint], None] | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> CampaignResult:
     """Sweep offered QPS over ``pool`` and locate the saturation knee.
 
     ``policy_factory`` must return a *fresh* policy per call — one is
     consumed to close the queueing model, then one per sweep point.
     ``on_point`` (when given) observes each point as it lands, for
-    progress reporting.  ``workers``/``backend`` select the shard
-    fan-out executor exactly as in :meth:`SearchCluster.run_trace`; the
-    pooled executor is reused across every sweep point.
+    progress reporting.
     """
     config = config or CampaignConfig()
     weights = zipf_weights(len(pool), config.popularity_exponent)
@@ -247,8 +243,6 @@ def run_campaign(
             retain_records=False,
             cache=cache,
             telemetry=telemetry,
-            workers=workers,
-            backend=backend,
         )
         stats = run.serving
         assert stats is not None  # retain_records=False guarantees the sink

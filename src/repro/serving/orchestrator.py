@@ -39,7 +39,6 @@ from repro.cluster.replicas import ReplicationConfig, make_selector
 from repro.cluster.sleep import SleepPolicy
 from repro.cluster.types import QueryRecord, SelectionPolicy
 from repro.cluster.cache import ResultCache
-from repro.retrieval.executor import prewarm_searchers
 from repro.retrieval.query import Query, QueryTrace
 from repro.retrieval.searcher import StrategySelector
 from repro.serving.admission import AdmissionController
@@ -137,7 +136,6 @@ class ServingPlane:
         admission: AdmissionController | None = None,
         retain_records: bool = True,
         selector: StrategySelector | None = None,
-        decode_cache_size: int | None = None,
     ) -> RunResult:
         """One run: ``source`` arrivals through ``policy`` on the cluster.
 
@@ -150,15 +148,11 @@ class ServingPlane:
         stays O(pool), not O(queries).  ``selector`` is handed to the
         aggregator for per-(query, shard) adaptive traversal dispatch
         (and to the retrieval prewarm, which warms the keys it will
-        choose); ``decode_cache_size`` re-budgets the compressed shards'
-        decode LRUs before any retrieval runs.  All other parameters
-        keep their ``run_trace`` meaning.
+        choose).  All other parameters keep their ``run_trace`` meaning.
         """
         from repro.cluster.engine import RunResult  # runtime import: no cycle
 
         cluster = self.cluster
-        if decode_cache_size is not None:
-            cluster.set_decode_cache(decode_cache_size)
         closed_loop = isinstance(source, QueryTrace)
         if closed_loop:
             prewarm_queries: list[Query] | None = source.queries
@@ -166,12 +160,8 @@ class ServingPlane:
             distinct = getattr(source, "distinct_queries", None)
             prewarm_queries = distinct() if distinct is not None else None
         if prewarm is None:
-            # Remote executors only move retrieval off-process during the
-            # prewarm fan-out (replay hits the ISNs' local memos), so they
-            # always prewarm; threads prewarm iff they can pipeline.
-            prewarm_retrieval = (
-                cluster.executor.workers > 1 or cluster.executor.remote
-            )
+            # Retrieval prewarm only helps by pipelining over threads.
+            prewarm_retrieval = cluster.executor.workers > 1
             prewarm_policy = True
         else:
             prewarm_retrieval = prewarm_policy = prewarm
@@ -207,13 +197,13 @@ class ServingPlane:
                             selector_prewarm(prewarm_queries)
             if prewarm_retrieval and prewarm_queries is not None:
                 if tracer is None:
-                    self._prewarm(prewarm_queries, selector)
+                    cluster.prewarm_trace(prewarm_queries, selector)
                 else:
                     with tracer.span(
                         "cluster.prewarm_retrieval", track="cluster",
                         n_queries=len(prewarm_queries),
                     ):
-                        self._prewarm(prewarm_queries, selector)
+                        cluster.prewarm_trace(prewarm_queries, selector)
             if prewarm_policy and prewarm_queries is not None:
                 # Optional hook: minimal duck-typed policies may omit it.
                 policy_prewarm = getattr(policy, "prewarm", None)
@@ -373,12 +363,4 @@ class ServingPlane:
             shed_queue_depth=aggregator.shed_queue_depth,
             shed_deadline=aggregator.shed_deadline,
             serving=stats,
-        )
-
-    def _prewarm(
-        self, queries: list[Query], selector: StrategySelector | None = None
-    ) -> int:
-        """Pipeline all uncached (shard, query) retrievals (deduplicated)."""
-        return prewarm_searchers(
-            self.cluster.searcher.searchers, queries, self.cluster.executor, selector
         )

@@ -52,6 +52,20 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["figure", "fig04", "--scale", "enormous"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "nowhere", "t1", "--workers", "-3"],
+            ["serve", "--workers", "0"],
+            ["compare", "--workers", "0"],
+        ],
+    )
+    def test_nonpositive_workers_exit_one_with_one_line(self, argv, capsys):
+        # Rejected before any index is loaded or testbed built.
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--workers must be positive" in err
+
 
 class TestFaultsCommand:
     def test_faults_args(self):

@@ -1,9 +1,10 @@
 """The shard fan-out executors and their determinism guarantee.
 
-The contract under test: running any workload through ``SerialExecutor``,
-``ParallelExecutor`` or ``BatchExecutor`` — at any worker count, under any
-thread interleaving — produces **byte-identical** outputs: merged top-k
-results, aggregator cache stats, and full ``RunResult.records``.
+The contract under test: running any workload through ``SerialExecutor``
+or ``ParallelExecutor`` — at any worker count, under any thread
+interleaving, over in-memory or ``.store``-backed shards — produces
+**byte-identical** outputs: merged top-k results, aggregator cache stats,
+and full ``RunResult.records``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from repro.cluster.cache import ResultCache
 from repro.cluster.engine import RunResult, SearchCluster
+from repro.index import open_stores, pack_shards
 from repro.policies.exhaustive import ExhaustivePolicy
 from repro.retrieval import (
-    BatchExecutor,
     DistributedSearcher,
     ParallelExecutor,
     Query,
@@ -27,10 +28,11 @@ from repro.retrieval import (
     SerialExecutor,
     make_executor,
     merge_results,
+    prewarm_searchers,
 )
 from repro.retrieval.executor import FanoutStats
 
-WORKER_COUNTS = (1, 2, 8)
+WORKER_COUNTS = (1, 2, 4, 8)
 
 
 def make_trace(n_queries: int = 48, n_distinct: int = 16, seed: int = 7) -> QueryTrace:
@@ -83,6 +85,9 @@ class TestExecutorBasics:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             ParallelExecutor(0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="positive"):
+                make_executor(workers)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_map_preserves_submission_order(self, workers):
@@ -135,6 +140,13 @@ class TestFanoutStats:
     def test_makespan_empty(self):
         assert FanoutStats(workers=4).critical_path_ms == 0.0
 
+    @pytest.mark.parametrize("workers", (0, -2))
+    def test_makespan_rejects_nonpositive_workers(self, workers):
+        # An explicit 0 must be rejected, not read as "use the default".
+        stats = FanoutStats(task_ms=[1.0, 2.0], workers=4)
+        with pytest.raises(ValueError, match="positive"):
+            stats.makespan_ms(workers)
+
 
 # ------------------------------------------------------- searcher-level merge
 class TestDistributedDeterminism:
@@ -151,15 +163,17 @@ class TestDistributedDeterminism:
             for i in range(20)
         ]
 
-    def test_search_identical_across_worker_counts(self, shards, queries):
-        reference = None
+    def test_search_identical_across_worker_counts(self, shards, queries, tmp_path):
+        pack_shards(shards, tmp_path)
+        serial = DistributedSearcher(shards, k=10)
+        reference = [serial.search(q).fingerprint() for q in queries]
         for workers in WORKER_COUNTS:
-            with make_executor(workers) as executor:
-                searcher = DistributedSearcher(shards, k=10, executor=executor)
-                fingerprints = [searcher.search(q).fingerprint() for q in queries]
-            if reference is None:
-                reference = fingerprints
-            else:
+            # Stores reopened per worker count: threads race on cold lazy
+            # decodes and cold memos every time, not on a warmed cache.
+            for backing in (shards, open_stores(tmp_path)):
+                with make_executor(workers) as executor:
+                    searcher = DistributedSearcher(backing, k=10, executor=executor)
+                    fingerprints = [searcher.search(q).fingerprint() for q in queries]
                 assert fingerprints == reference
 
     def test_merge_is_completion_order_independent(self, shards, queries):
@@ -182,9 +196,11 @@ class TestDistributedDeterminism:
         assert merge_results(permuted, 10).fingerprint() == expected
 
     def test_batch_prewarm_dedupes_and_makes_replay_hit_only(self, shards, queries):
-        with BatchExecutor(4) as executor:
+        with ParallelExecutor(4) as executor:
             searcher = DistributedSearcher(shards, k=10, executor=executor)
-            n_tasks = executor.prewarm(searcher.searchers, queries + queries)
+            n_tasks = prewarm_searchers(
+                searcher.searchers, queries + queries, executor
+            )
             distinct = len({q.terms for q in queries})
             assert n_tasks == distinct * len(shards)
             before = [s.cache_stats for s in searcher.searchers]

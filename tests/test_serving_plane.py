@@ -1,4 +1,4 @@
-"""Serving plane: closed-loop bit-identity, admission, stats, pooled executors."""
+"""Serving plane: closed-loop bit-identity, admission, stats."""
 
 import pytest
 
@@ -53,77 +53,12 @@ class TestClosedLoopBitIdentity:
         )
         assert run_fingerprint(baseline) == run_fingerprint(replayed)
 
-    def test_run_trace_worker_override_stays_bit_identical(self, unit_testbed):
-        trace = unit_testbed.wikipedia_trace
-        serial = unit_testbed.cluster.run_trace(
-            trace, unit_testbed.make_policy("exhaustive")
-        )
-        threaded = unit_testbed.cluster.run_trace(
-            trace, unit_testbed.make_policy("exhaustive"), workers=2
-        )
-        assert run_fingerprint(serial) == run_fingerprint(threaded)
-
     def test_closed_loop_has_no_serving_sink_by_default(self, unit_testbed):
         run = unit_testbed.cluster.run_trace(
             unit_testbed.wikipedia_trace, unit_testbed.make_policy("exhaustive")
         )
         assert run.serving is None
         assert run.records
-
-
-class TestPooledExecutors:
-    def test_pooled_executor_is_reused(self, unit_testbed):
-        cluster = unit_testbed.cluster
-        first = cluster.pooled_executor(2, backend="thread")
-        second = cluster.pooled_executor(2, backend="thread")
-        assert first is second
-        assert cluster.pooled_executor(3, backend="thread") is not first
-
-    def test_process_pool_survives_across_runs(self, unit_testbed):
-        """Two process-backend runs reuse one spawned pool, bit-identically.
-
-        The regression this pins: the pooled ProcessExecutor keeps its
-        worker processes (and their shard attach registries) alive between
-        run_trace calls — a second run must not respawn or re-attach.
-        """
-        cluster = unit_testbed.cluster
-        trace = unit_testbed.wikipedia_trace
-        executor = cluster.pooled_executor(2, backend="process")
-        assert executor.spawn_count == 0  # lazy: nothing spawned yet
-        first = cluster.run_trace(
-            trace, unit_testbed.make_policy("exhaustive"),
-            workers=2, backend="process",
-        )
-        assert cluster.pooled_executor(2, backend="process") is executor
-        assert executor.spawn_count == 1
-        second = cluster.run_trace(
-            trace, unit_testbed.make_policy("exhaustive"),
-            workers=2, backend="process",
-        )
-        assert executor.spawn_count == 1  # reused, not respawned
-        assert run_fingerprint(first) == run_fingerprint(second)
-        serial = cluster.run_trace(trace, unit_testbed.make_policy("exhaustive"))
-        assert run_fingerprint(first) == run_fingerprint(serial)
-        cluster.close()
-        assert not cluster._pooled_executors
-
-    def test_close_is_idempotent_and_context_manager(self, unit_testbed):
-        cluster = unit_testbed.cluster
-        with cluster:
-            cluster.pooled_executor(2, backend="thread")
-        assert not cluster._pooled_executors
-        cluster.close()  # second close is a no-op
-
-    def test_override_restores_base_executor(self, unit_testbed):
-        cluster = unit_testbed.cluster
-        base = cluster.executor
-        cluster.run_trace(
-            unit_testbed.wikipedia_trace,
-            unit_testbed.make_policy("exhaustive"),
-            workers=2,
-        )
-        assert cluster.executor is base
-        cluster.close()
 
 
 class TestOpenLoopServing:

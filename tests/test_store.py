@@ -16,11 +16,14 @@ Three layers under test, bottom up:
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster.engine import RunResult, SearchCluster
 from repro.index import (
     CompressedPostingsArena,
     Document,
@@ -40,7 +43,13 @@ from repro.index import (
     write_store,
 )
 from repro.index.postings import PostingList
-from repro.retrieval import maxscore_search, maxscore_search_kernel
+from repro.policies.exhaustive import ExhaustivePolicy
+from repro.retrieval import (
+    Query,
+    QueryTrace,
+    maxscore_search,
+    maxscore_search_kernel,
+)
 from repro.scoring.similarity import BM25Similarity
 from repro.text import WhitespaceAnalyzer
 
@@ -363,6 +372,74 @@ class TestStoreRoundTrip:
         assert info["file_bytes"] == path.stat().st_size
         assert info["raw_column_bytes"] == info["meta"]["n_postings"] * 20
         assert info["compression_ratio"] > 0
+
+
+# ------------------------------------------------- store-backed cluster runs
+def make_trace() -> QueryTrace:
+    rng = random.Random(23)
+    return QueryTrace(
+        "store-backed",
+        [
+            Query(
+                query_id=i,
+                terms=tuple(
+                    dict.fromkeys(f"t{rng.randint(0, 50)}" for _ in range(3))
+                ),
+                arrival_time=i * 0.01,
+            )
+            for i in range(12)
+        ],
+    )
+
+
+def run_fingerprint(run: RunResult) -> str:
+    lines = [run.policy_name, repr(run.power)]
+    for record in run.records:
+        lines.append(
+            f"{record.query.query_id}|{record.latency_ms!r}|"
+            f"{record.result.fingerprint()}"
+        )
+    return "\n".join(lines)
+
+
+class TestStoreBackedCluster:
+    def test_store_backed_cluster_decode_counters(self, shards, tmp_path):
+        pack_shards(shards, tmp_path)
+        lazy = open_stores(tmp_path)
+        run = SearchCluster(lazy, k=10).run_trace(make_trace(), ExhaustivePolicy())
+        assert run.decode_misses > 0  # compressed shards actually decoded
+        reference = SearchCluster(shards, k=10).run_trace(
+            make_trace(), ExhaustivePolicy()
+        )
+        assert run_fingerprint(run) == run_fingerprint(reference)
+        assert reference.decode_hits == reference.decode_misses == 0
+
+    def test_decode_cache_size_squeezes_without_changing_results(
+        self, shards, tmp_path
+    ):
+        """A 1-byte budget pins every compressed shard's decode LRU at its
+        one-entry floor — evictions happen and are surfaced on the run,
+        while the merged results stay bit-identical (the cache is purely
+        a wall-clock artifact)."""
+        pack_shards(shards, tmp_path)
+        cluster = SearchCluster(open_stores(tmp_path), k=10)
+        cluster.set_decode_cache(1)
+        squeezed = cluster.run_trace(make_trace(), ExhaustivePolicy())
+        assert squeezed.decode_evictions > 0
+        reference = SearchCluster(shards, k=10).run_trace(
+            make_trace(), ExhaustivePolicy()
+        )
+        assert run_fingerprint(squeezed) == run_fingerprint(reference)
+        assert reference.decode_evictions == 0
+
+    def test_set_decode_cache_touches_only_compressed_shards(
+        self, shards, tmp_path
+    ):
+        pack_shards(shards, tmp_path)
+        lazy = open_stores(tmp_path)
+        assert SearchCluster(lazy, k=10).set_decode_cache(4096) == len(shards)
+        # In-memory shards have no decode cache and must not grow one.
+        assert SearchCluster(shards, k=10).set_decode_cache(4096) == 0
 
 
 # -------------------------------------------------- property-based sweep
