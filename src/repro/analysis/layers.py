@@ -40,9 +40,7 @@ LAYERS: tuple[tuple[int, str, tuple[str, ...]], ...] = (
     (2, "retrieval", ("retrieval/",)),
     (3, "workloads", ("workloads/",)),
     (4, "cluster", ("cluster/",)),
-    (5, "coordination", (
-        "core/", "policies/", "predictors/", "metrics/", "personalization/",
-    )),
+    (5, "coordination", ("core/", "policies/", "predictors/", "metrics/")),
     (6, "serving", ("serving/",)),
     (7, "app", (
         "experiments/", "cli.py", "__main__.py", "__init__.py",

@@ -11,8 +11,6 @@ Four subcommands cover the common workflows::
     repro faults --scale unit --replicas 2             # fault scenario matrix
     repro serve --scale unit --policy cottage          # open-loop QPS sweep
     repro select sweep --out SWEEP_selection.json      # oracle traversal sweep
-    repro select train --dataset sweep.npz --out m.npz # train the selector
-    repro select bench --out BENCH_selection.json      # selection ablation
     repro lint src/repro                               # determinism linter
 
 ``python -m repro ...`` works identically.
@@ -118,7 +116,11 @@ def _cmd_index_pack(args: argparse.Namespace) -> int:
     """Re-pack a saved npz index into compressed mmap-backed stores."""
     from repro.index import load_shards, pack_shards, store_info
 
-    shards = load_shards(args.index)
+    try:
+        shards = load_shards(args.index)
+    except FileNotFoundError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     paths = pack_shards(shards, args.out)
     total_file = total_raw = 0
     for path in paths:
@@ -175,17 +177,35 @@ def _load_index(path: str):
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.retrieval import DistributedSearcher, Query, make_executor
+    from repro.retrieval import STRATEGIES, DistributedSearcher, Query, make_executor
     from repro.text import StandardAnalyzer, WhitespaceAnalyzer
 
-    shards = _load_index(args.index)
+    if args.k < 1:
+        print(f"-k must be positive, got {args.k}", file=sys.stderr)
+        return 1
+    if args.strategy not in STRATEGIES:
+        print(
+            f"unknown strategy {args.strategy!r}; "
+            f"options: {', '.join(sorted(STRATEGIES))}",
+            file=sys.stderr,
+        )
+        return 1
+    try:
+        shards = _load_index(args.index)
+    except FileNotFoundError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     if args.decode_cache is not None:
         touched = 0
         for shard in shards:
             arena = getattr(shard, "_arena", None)
             resize = getattr(arena, "set_cache_budget", None)
             if resize is not None:
-                resize(args.decode_cache)
+                try:
+                    resize(args.decode_cache)
+                except ValueError as exc:
+                    print(exc, file=sys.stderr)
+                    return 1
                 touched += 1
         print(f"decode LRU budget {args.decode_cache} B on {touched} shard(s)")
     analyzer = WhitespaceAnalyzer() if args.raw_terms else StandardAnalyzer()
@@ -193,38 +213,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if not query.terms:
         print("query analyzed to no terms", file=sys.stderr)
         return 1
-    selector = None
-    if args.selector:
-        from repro.index.term_stats import TermStatsIndex
-        from repro.predictors.features import TermFeatureCache
-        from repro.predictors.selector import LearnedSelector
-
-        cache = TermFeatureCache(
-            [TermStatsIndex(shard, k=args.k) for shard in shards]
-        )
-        try:
-            selector = LearnedSelector.load(args.selector, cache)
-        except (ValueError, KeyError, OSError) as exc:
-            print(f"cannot load selector: {exc}", file=sys.stderr)
-            return 1
     with make_executor(args.workers) as executor:
         searcher = DistributedSearcher(
             shards, k=args.k, strategy=args.strategy, executor=executor
         )
-        result = searcher.search(query, selector=selector)
+        result = searcher.search(query)
         stats = executor.last_stats
     print(f"terms: {list(query.terms)}  ({result.cost.docs_evaluated} docs evaluated)")
-    if selector is not None:
-        picks = [
-            (selector.choose(query, shard.shard_id, None) or object())
-            for shard in shards
-        ]
-        chosen = [getattr(choice, "strategy", None) or args.strategy for choice in picks]
-        counts: dict[str, int] = {}
-        for name in chosen:
-            counts[name] = counts.get(name, 0) + 1
-        summary = ", ".join(f"{name} x{n}" for name, n in sorted(counts.items()))
-        print(f"selector picks: {summary}")
     if args.decode_cache is not None:
         hits = misses = evictions = 0
         for shard in shards:
@@ -250,8 +245,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    testbed = Testbed.build(_scale(args.scale), workers=args.workers)
     names = tuple(args.policies) if args.policies else ALL_POLICIES
+    unknown = [name for name in names if name not in ALL_POLICIES]
+    if unknown:
+        print(
+            f"unknown policy {unknown[0]!r}; options: {', '.join(ALL_POLICIES)}",
+            file=sys.stderr,
+        )
+        return 1
+    testbed = Testbed.build(_scale(args.scale), workers=args.workers)
     traces = {
         "wikipedia": (testbed.wikipedia_trace,),
         "lucene": (testbed.lucene_trace,),
@@ -506,7 +508,7 @@ def _cmd_select_sweep(args: argparse.Namespace) -> int:
     """Exhaustive (strategy, k-clamp, dispatch-floor) oracle sweep."""
     from repro.experiments import oracle_sweep
 
-    dataset, summary = oracle_sweep.run(
+    _, summary = oracle_sweep.run(
         n_shards=args.n_shards or oracle_sweep.N_SHARDS,
         docs_per_shard=args.docs_per_shard or oracle_sweep.DOCS_PER_SHARD,
         vocab_size=args.vocab_size or oracle_sweep.VOCAB_SIZE,
@@ -515,94 +517,10 @@ def _cmd_select_sweep(args: argparse.Namespace) -> int:
         seed=args.seed if args.seed is not None else oracle_sweep.SEED,
     )
     print(oracle_sweep.format_report(summary))
-    if args.dataset:
-        dataset.save(args.dataset)
-        print(f"wrote labeled dataset {args.dataset}")
     if args.out:
         oracle_sweep.write_json(summary, args.out)
         print(f"wrote {args.out}")
     return 0 if summary.rank_safe else 1
-
-
-def _cmd_select_train(args: argparse.Namespace) -> int:
-    """Train the learned selector from a saved oracle-sweep dataset."""
-    import numpy as np
-
-    from repro.experiments import bench_selection, oracle_sweep
-    from repro.experiments.bench_retrieval import build_corpus
-    from repro.experiments.oracle_sweep import SweepDataset
-    from repro.index.term_stats import TermStatsIndex
-    from repro.predictors.features import TermFeatureCache
-    from repro.predictors.selector import LearnedSelector
-
-    seed = args.seed if args.seed is not None else oracle_sweep.SEED
-    dataset = SweepDataset.load(args.dataset)
-    shards = build_corpus(
-        dataset.n_shards,
-        args.docs_per_shard or oracle_sweep.DOCS_PER_SHARD,
-        args.vocab_size or oracle_sweep.VOCAB_SIZE,
-        seed,
-    )
-    cache = TermFeatureCache(
-        [TermStatsIndex(shard, k=dataset.k) for shard in shards]
-    )
-    selector = LearnedSelector(
-        cache,
-        hidden_units=args.hidden_units or bench_selection.HIDDEN_UNITS,
-        seed=seed,
-    )
-    accuracies = selector.fit(
-        dataset.term_tuples,
-        dataset.labels(),
-        iterations=args.iterations or bench_selection.ITERATIONS,
-        seed=seed,
-    )
-    print(
-        f"trained {dataset.n_shards} shard models on "
-        f"{dataset.n_queries} queries: mean train accuracy "
-        f"{100 * float(np.mean(accuracies)):.1f}%"
-    )
-    selector.save(args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_select_bench(args: argparse.Namespace) -> int:
-    """Static-vs-learned-vs-oracle ablation with the CI gates."""
-    from repro.experiments import bench_selection
-
-    result = bench_selection.run(
-        n_shards=args.n_shards or bench_selection.N_SHARDS,
-        docs_per_shard=args.docs_per_shard or bench_selection.DOCS_PER_SHARD,
-        vocab_size=args.vocab_size or bench_selection.VOCAB_SIZE,
-        n_queries=args.n_queries or bench_selection.N_QUERIES,
-        k=args.k or bench_selection.K,
-        seed=args.seed if args.seed is not None else bench_selection.SEED,
-        iterations=args.iterations or bench_selection.ITERATIONS,
-        with_sim=not args.no_sim,
-    )
-    print(bench_selection.format_report(result))
-    if args.out:
-        bench_selection.write_json(result, args.out)
-        print(f"wrote {args.out}")
-    if not result.rank_safe or not result.bit_identical:
-        print("FAIL: equivalence contract violated", file=sys.stderr)
-        return 1
-    if result.learned_mean_ms > result.best_static_mean_ms:
-        print(
-            f"FAIL: learned mean {result.learned_mean_ms:.3f} ms exceeds "
-            f"best static {result.best_static_mean_ms:.3f} ms",
-            file=sys.stderr,
-        )
-        return 1
-    if result.gap_closed_pct < args.min_gap_closed:
-        print(
-            f"FAIL: {result.gap_closed_pct:.1f}% of the oracle gap closed, "
-            f"gate requires >= {args.min_gap_closed:.1f}%",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -729,11 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--raw-terms", action="store_true",
         help="skip English analysis (synthetic 'tNNN' vocabularies)",
-    )
-    search.add_argument(
-        "--selector", default="",
-        help="trained strategy-selector file (repro select train); picks "
-        "the traversal per shard instead of --strategy",
     )
     search.add_argument(
         "--decode-cache", type=int, default=None, metavar="BYTES",
@@ -882,61 +795,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     select = sub.add_parser(
         "select",
-        help="per-(query, shard) adaptive traversal selection workflows",
+        help="per-(query, shard) traversal experiments",
     )
     select_sub = select.add_subparsers(dest="select_command", required=True)
-
-    def _select_workload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n-shards", type=int, default=None)
-        p.add_argument("--docs-per-shard", type=int, default=None)
-        p.add_argument("--vocab-size", type=int, default=None)
-        p.add_argument("--n-queries", type=int, default=None)
-        p.add_argument("-k", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     select_sweep = select_sub.add_parser(
         "sweep",
         help="run every (strategy, k, floor) combination per (query, shard)",
     )
-    _select_workload_args(select_sweep)
-    select_sweep.add_argument(
-        "--dataset", default="",
-        help="write the labeled .npz dataset (input to 'select train')",
-    )
+    select_sweep.add_argument("--n-shards", type=int, default=None)
+    select_sweep.add_argument("--docs-per-shard", type=int, default=None)
+    select_sweep.add_argument("--vocab-size", type=int, default=None)
+    select_sweep.add_argument("--n-queries", type=int, default=None)
+    select_sweep.add_argument("-k", type=int, default=None)
+    select_sweep.add_argument("--seed", type=int, default=None)
     select_sweep.add_argument("--out", default="",
                               help="write the sweep summary JSON")
     select_sweep.set_defaults(fn=_cmd_select_sweep)
-
-    select_train = select_sub.add_parser(
-        "train", help="train the learned selector from a sweep dataset"
-    )
-    select_train.add_argument(
-        "--dataset", required=True, help=".npz written by 'select sweep'"
-    )
-    select_train.add_argument("--docs-per-shard", type=int, default=None)
-    select_train.add_argument("--vocab-size", type=int, default=None)
-    select_train.add_argument("--seed", type=int, default=None)
-    select_train.add_argument("--hidden-units", type=int, default=None)
-    select_train.add_argument("--iterations", type=int, default=None)
-    select_train.add_argument(
-        "--out", required=True, help="selector .npz output path"
-    )
-    select_train.set_defaults(fn=_cmd_select_train)
-
-    select_bench = select_sub.add_parser(
-        "bench", help="static-vs-learned-vs-oracle ablation (gated)"
-    )
-    _select_workload_args(select_bench)
-    select_bench.add_argument("--iterations", type=int, default=None)
-    select_bench.add_argument(
-        "--min-gap-closed", type=float, default=10.0,
-        help="gate: minimum percent of the static-to-oracle gap closed",
-    )
-    select_bench.add_argument("--no-sim", action="store_true",
-                              help="skip the simulated replay ablation")
-    select_bench.add_argument("--out", default="",
-                              help="write BENCH_selection.json here")
-    select_bench.set_defaults(fn=_cmd_select_bench)
 
     lint = sub.add_parser(
         "lint",

@@ -49,7 +49,6 @@ from repro.cluster.types import (
 )
 from repro.retrieval.query import Query
 from repro.retrieval.result import SearchResult, merge_results
-from repro.retrieval.searcher import StrategyChoice, StrategySelector
 from repro.telemetry import NO_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # avoids a runtime cluster <-> serving import cycle
@@ -92,7 +91,6 @@ class _PendingQuery:
     dispatch_ms: float
     deadline_ms: float | None
     expected: set[int]
-    choices: dict[int, StrategyChoice | None] = field(default_factory=dict)
     requests: dict[int, _ShardRequest] = field(default_factory=dict)
     responses: dict[int, SearchResult] = field(default_factory=dict)
     outcomes: dict[tuple[int, int], ShardOutcome] = field(default_factory=dict)
@@ -117,7 +115,6 @@ class Aggregator:
         selector: ReplicaSelector | None = None,
         admission: AdmissionController | None = None,
         record_sink: Callable[[QueryRecord], None] | None = None,
-        strategy_selector: StrategySelector | None = None,
     ) -> None:
         """``isns`` is one entry per shard: either a bare :class:`ISNServer`
         (single replica, the pre-replication form) or that shard's replica
@@ -134,16 +131,7 @@ class Aggregator:
         ``observe``.  ``record_sink`` replaces the ``records`` list with a
         streaming consumer, so million-query open-loop campaigns retain
         no per-query state.  Both default to ``None``, which is
-        bit-identical to the pre-serving-plane aggregator.
-
-        ``strategy_selector`` picks a per-(query, shard) traversal at
-        dispatch time (see :class:`repro.retrieval.searcher.
-        StrategySelector`).  It is consulted once per selected shard,
-        *after* the policy's decision, with the assigned time budget — so
-        a tight budget can downshift the traversal — and the same choice
-        is issued to every replica attempt of that shard (hedged/tied
-        attempts must race identical work).  ``None`` keeps every shard's
-        static default, bit-identical to the pre-selection aggregator."""
+        bit-identical to the pre-serving-plane aggregator."""
         if not isns:
             raise ValueError("cluster needs at least one ISN")
         if response_timeout_ms is not None and response_timeout_ms <= 0:
@@ -162,11 +150,6 @@ class Aggregator:
         self.response_timeout_ms = response_timeout_ms
         self.admission = admission
         self._record_sink = record_sink
-        self.strategy_selector = strategy_selector
-        #: Dispatch-composition accounting: effective strategy name ->
-        #: number of shard requests dispatched with it (selector runs
-        #: only; empty without one).
-        self.strategy_choices: dict[str, int] = {}
         self.records: list[QueryRecord] = []
         self._default_freq = self.groups[0][0].freq_scale.default_ghz
         self._max_freq = self.groups[0][0].freq_scale.max_ghz
@@ -197,7 +180,6 @@ class Aggregator:
         self._m_hedge_wins = metrics.counter("aggregator.hedge_wins")
         self._m_cancels = metrics.counter("aggregator.cancels_sent")
         self._m_duplicates = metrics.counter("aggregator.duplicates_dropped")
-        self._m_selector = metrics.counter("aggregator.selector_choices")
         self._m_latency = metrics.histogram("aggregator.latency_ms")
         self._m_budget = metrics.histogram("aggregator.time_budget_ms")
         self._m_slack = metrics.histogram("aggregator.budget_slack_ms")
@@ -316,26 +298,6 @@ class Aggregator:
             if decision.time_budget_ms is not None:
                 self._m_budget.observe(decision.time_budget_ms)
 
-        if self.strategy_selector is not None:
-            # One choice per selected shard, made with the assigned budget
-            # in hand and shared by every replica attempt of that shard.
-            for sid in decision.shard_ids:
-                choice = self.strategy_selector.choose(
-                    query, sid, decision.time_budget_ms
-                )
-                pending.choices[sid] = choice
-                searcher = self.groups[sid][0].searcher
-                effective = (
-                    choice.strategy
-                    if choice is not None and choice.strategy is not None
-                    else searcher.strategy
-                )
-                self.strategy_choices[effective] = (
-                    self.strategy_choices.get(effective, 0) + 1
-                )
-                if qspan is not None and choice is not None:
-                    self._m_selector.add()
-
         mode = self.replication.mode
         for sid in decision.shard_ids:
             group = self.groups[sid]
@@ -406,7 +368,6 @@ class Aggregator:
             on_done=lambda job, ok, busy, p=pending, s=sid, r=replica_id: (
                 self._on_isn_done(p, s, r, job, ok, busy)
             ),
-            choice=pending.choices.get(sid),
         )
         attempt = _Attempt(
             replica_id=replica_id,

@@ -8,7 +8,7 @@ the same trace costs retrieval only once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.cluster.cache import CacheStats, ResultCache
@@ -27,11 +27,7 @@ from repro.retrieval.executor import (
     prewarm_searchers,
 )
 from repro.retrieval.query import Query, QueryTrace
-from repro.retrieval.searcher import (
-    DistributedSearcher,
-    SearcherCacheStats,
-    StrategySelector,
-)
+from repro.retrieval.searcher import DistributedSearcher, SearcherCacheStats
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # the serving plane imports this module at runtime
@@ -70,9 +66,6 @@ class RunResult:
     decode_hits: int = 0
     decode_misses: int = 0
     decode_evictions: int = 0
-    # Adaptive-dispatch composition: effective strategy name -> shard
-    # requests dispatched with it.  Empty without a strategy selector.
-    strategy_choices: dict[str, int] = field(default_factory=dict)
     # Serving-plane accounting.  The result-cache counters are per-run
     # deltas (the cache object persists across runs, like the memos);
     # shed/admitted are zero without admission control, and ``serving``
@@ -172,7 +165,6 @@ class SearchCluster:
         prewarm: bool | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
-        selector: StrategySelector | None = None,
     ) -> RunResult:
         """Replay ``trace`` under ``policy`` and report latency + power.
 
@@ -214,13 +206,6 @@ class SearchCluster:
         simulation outcome — runs are bit-identical with it on or off
         (pinned by ``tests/test_telemetry_integration.py``).
 
-        ``selector`` enables per-(query, shard) adaptive traversal
-        selection (see :class:`repro.retrieval.searcher.StrategySelector`):
-        the aggregator consults it at dispatch, after the policy assigned
-        the time budget, and the chosen strategy's cost drives service
-        time and energy.  ``None`` — the default — is bit-identical to
-        the static dispatch path.
-
         The run itself is executed by the serving plane
         (:class:`repro.serving.orchestrator.ServingPlane`): a closed-loop
         trace is its degenerate configuration — all arrivals scheduled up
@@ -240,7 +225,6 @@ class SearchCluster:
             prewarm=prewarm,
             telemetry=telemetry,
             replication=replication,
-            selector=selector,
         )
 
     def serve(
@@ -258,7 +242,6 @@ class SearchCluster:
         prewarm: bool | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
-        selector: StrategySelector | None = None,
     ) -> RunResult:
         """Open-loop serving: drive a lazy query stream through the cluster.
 
@@ -285,7 +268,6 @@ class SearchCluster:
             replication=replication,
             admission=admission,
             retain_records=retain_records,
-            selector=selector,
         )
 
     def _searcher_totals(self) -> tuple[int, int]:
@@ -331,21 +313,15 @@ class SearchCluster:
                 touched += 1
         return touched
 
-    def prewarm_trace(
-        self, trace: Iterable[Query], selector: StrategySelector | None = None
-    ) -> int:
+    def prewarm_trace(self, trace: Iterable[Query]) -> int:
         """Fill every shard searcher's memo cache for ``trace``.
 
         All uncached (shard, query) retrieval tasks are pipelined through
         the cluster executor at once — query *i+1* overlaps stragglers of
         query *i* — and deduplicated first, so repeated trace queries cost
-        nothing.  ``selector`` warms the keys adaptive dispatch will ask
-        for instead of the static defaults.  Returns the number of
-        evaluations performed.
+        nothing.  Returns the number of evaluations performed.
         """
-        return prewarm_searchers(
-            self.searcher.searchers, trace, self.executor, selector
-        )
+        return prewarm_searchers(self.searcher.searchers, trace, self.executor)
 
     def searcher_cache_stats(self) -> list[SearcherCacheStats]:
         """Per-shard memo counters (hits / computations / size)."""

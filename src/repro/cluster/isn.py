@@ -21,7 +21,7 @@ from repro.cluster.power import EnergyMeter
 from repro.cluster.sleep import SleepPolicy
 from repro.retrieval.query import Query
 from repro.retrieval.result import SearchResult
-from repro.retrieval.searcher import ShardSearcher, StrategyChoice
+from repro.retrieval.searcher import ShardSearcher
 from repro.telemetry import NO_TELEMETRY, Telemetry
 
 
@@ -101,16 +101,10 @@ class ISNServer:
         freq_ghz: float,
         deadline_ms: float | None,
         on_done: Callable[[Job, bool, float], None],
-        choice: StrategyChoice | None = None,
     ) -> Job:
-        """Run retrieval (timing-free, memoized) and wrap it as a job.
-
-        ``choice`` is the aggregator's per-(query, shard) traversal
-        selection; the job's cost — and therefore its simulated service
-        time and energy — follows whatever strategy actually ran.
-        """
+        """Run retrieval (timing-free, memoized) and wrap it as a job."""
         freq_ghz = self.freq_scale.clamp(freq_ghz)
-        result = self.searcher.search(query, choice)
+        result = self.searcher.search(query)
         service_default = self.cost_model.service_ms(
             result.cost, self.freq_scale.default_ghz
         )

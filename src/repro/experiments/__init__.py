@@ -6,12 +6,7 @@ Each ``figNN_*`` module exposes ``run(testbed) -> Result`` and
 ``paper`` holds the paper's reported values.
 """
 
-from repro.experiments import (
-    bench_inference,
-    bench_retrieval,
-    bench_selection,
-    oracle_sweep,
-)
+from repro.experiments import bench_inference, bench_retrieval, oracle_sweep
 from repro.experiments.testbed import Scale, Testbed
 
 __all__ = [
@@ -19,6 +14,5 @@ __all__ = [
     "Testbed",
     "bench_inference",
     "bench_retrieval",
-    "bench_selection",
     "oracle_sweep",
 ]

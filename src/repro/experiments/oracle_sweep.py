@@ -1,19 +1,18 @@
 """Oracle traversal sweep: every strategy on every (query, shard).
 
-The ground-truth harness behind the learned strategy selector
-(:mod:`repro.predictors.selector`).  For a seeded zipf workload it runs
-**every** combination of traversal strategy, k-clamp and MaxScore kernel
-``min_postings`` floor on every (query, shard) pair, recording the
-modeled :class:`~repro.cluster.cpu.CostModel` service time and the host
-wall-clock of each run.  From that table it derives:
+A stand-alone experiment: how much fan-out latency does running one
+static traversal everywhere leave on the table?  For a seeded zipf
+workload it runs **every** combination of traversal strategy, k-clamp
+and MaxScore kernel ``min_postings`` floor on every (query, shard) pair,
+recording the modeled :class:`~repro.cluster.cpu.CostModel` service time
+and the host wall-clock of each run.  From that table it derives:
 
-* a **labeled dataset** — the per-(query, shard) cheapest *rank-safe*
-  strategy at the base k, the selector's training target;
 * the **oracle upper bound** — per-query fan-out latency if every shard
-  always ran its cheapest rank-safe traversal, the ceiling any learned
-  selector is graded against;
+  always ran its cheapest rank-safe traversal, the ceiling any per-query
+  traversal choice is graded against;
 * the **static baselines** — the fan-out latency of running each single
-  strategy everywhere, whose best member is the bar a selector must beat.
+  strategy everywhere, whose best member is the bar such a choice must
+  beat.
 
 Rank-safety is verified, not assumed: the sweep checks the safe
 strategies return the same top-k per (query, shard) under the repo's
@@ -21,12 +20,11 @@ equivalence contract (same documents in the same order, scores equal up
 to float-summation order, ties permutable — what
 ``tests/test_strategy_equivalence.py`` asserts).  Query terms are
 deduplicated first, matching :class:`~repro.retrieval.query.Query`'s own
-normalization.  Strict *bit*-identity holds within one strategy — the
-property the selector's dispatch path is graded on — not across
-strategies, whose differing accumulation order moves last-ulp score
-bits.  ``min_postings`` never changes modeled cost — both sides of the
-floor are bit-identical by contract — so the floor dimension exists to
-expose its host wall-clock effect, not to create labels.
+normalization.  Strict *bit*-identity holds within one strategy, not
+across strategies, whose differing accumulation order moves last-ulp
+score bits.  ``min_postings`` never changes modeled cost — both sides of
+the floor are bit-identical by contract — so the floor dimension exists
+to expose its host wall-clock effect, not to move the oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import numpy as np
 from repro.cluster.cpu import CostModel, FrequencyScale
 from repro.experiments.bench_retrieval import build_corpus, sample_queries
 from repro.index.shard import IndexShard
-from repro.predictors.selector import SAFE_STRATEGIES
 from repro.retrieval.searcher import STRATEGIES
 
 #: Score tolerance of the cross-strategy equivalence check — the same
@@ -56,12 +53,14 @@ N_QUERIES = 240
 K = 10
 SEED = 7
 
-#: The full sweep grid includes the unsafe conjunctive arm: it is never a
-#: label (not rank-safe) but its measured cost is what justifies the
-#: budget-downshift knob.
-SWEEP_STRATEGIES: tuple[str, ...] = SAFE_STRATEGIES + ("conjunctive",)
+#: The rank-safe traversals, in argmin tie-break order: each returns the
+#: exact top-k, so choosing between them is invisible to result quality.
+SAFE_STRATEGIES: tuple[str, ...] = ("maxscore", "wand", "block_max_wand")
 
-_FORMAT_VERSION = 1
+#: The full sweep grid includes the unsafe conjunctive arm: it is never an
+#: oracle candidate (not rank-safe) but its measured cost is reported
+#: next to the safe arms.
+SWEEP_STRATEGIES: tuple[str, ...] = SAFE_STRATEGIES + ("conjunctive",)
 
 
 @dataclass(frozen=True)
@@ -115,66 +114,8 @@ class SweepDataset:
         return [self.combo_index(name) for name in SAFE_STRATEGIES]
 
     def safe_service_ms(self) -> np.ndarray:
-        """``[NQ, S, len(SAFE_STRATEGIES)]`` service of the label space."""
+        """``[NQ, S, len(SAFE_STRATEGIES)]`` service of the oracle's arms."""
         return self.service_ms[:, :, self._safe_indices()]
-
-    def labels(self) -> np.ndarray:
-        """Selector training target: ``[NQ, S]`` winner indices.
-
-        ``labels[q, s]`` indexes :data:`SAFE_STRATEGIES` — the cheapest
-        rank-safe traversal for query ``q`` on shard ``s``; ties break
-        toward the earlier strategy (argmin order), deterministically.
-        """
-        return np.argmin(self.safe_service_ms(), axis=2)
-
-    # ----------------------------------------------------------- persistence
-    def save(self, path: str | Path) -> None:
-        """Write the labeled dataset to one ``.npz`` file."""
-        meta = {
-            "n_shards": self.n_shards,
-            "k": self.k,
-            "combos": [
-                [c.strategy, c.k, c.min_postings] for c in self.combos
-            ],
-            "term_tuples": [list(t) for t in self.term_tuples],
-            "rank_safe": self.rank_safe,
-            "format_version": _FORMAT_VERSION,
-        }
-        np.savez_compressed(
-            path,
-            service_ms=self.service_ms,
-            wall_us=self.wall_us,
-            docs_evaluated=self.docs_evaluated,
-            postings_scored=self.postings_scored,
-            postings_skipped=self.postings_skipped,
-            meta=np.asarray(json.dumps(meta)),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SweepDataset":
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta.get("format_version") != _FORMAT_VERSION:
-                raise ValueError(f"unsupported sweep dataset format in {path}")
-            return cls(
-                term_tuples=[tuple(t) for t in meta["term_tuples"]],
-                n_shards=int(meta["n_shards"]),
-                k=int(meta["k"]),
-                combos=tuple(
-                    SweepCombo(
-                        strategy=str(s),
-                        k=int(k),
-                        min_postings=None if floor is None else int(floor),
-                    )
-                    for s, k, floor in meta["combos"]
-                ),
-                service_ms=data["service_ms"],
-                wall_us=data["wall_us"],
-                docs_evaluated=data["docs_evaluated"],
-                postings_scored=data["postings_scored"],
-                postings_skipped=data["postings_skipped"],
-                rank_safe=bool(meta["rank_safe"]),
-            )
 
 
 @dataclass

@@ -575,8 +575,12 @@ class CompressedPostingsArena:
         to "cache exactly the last decoded term", never to thrashing on
         the entry being returned.
         """
+        if cache_bytes < 0:
+            raise ValueError(
+                f"decode cache budget must be non-negative, got {cache_bytes}"
+            )
         with self._lock:
-            self._cache_budget = max(int(cache_bytes), 0)
+            self._cache_budget = int(cache_bytes)
             while self._cache_bytes > self._cache_budget and len(self._cache) > 1:
                 _, evicted = self._cache.popitem(last=False)
                 self._cache_bytes -= evicted[3]

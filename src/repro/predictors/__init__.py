@@ -34,12 +34,6 @@ from repro.predictors.fused import FusedLatencyModels, FusedQualityModels
 from repro.predictors.gamma_quality import TailyEstimate, TailyQualityEstimator
 from repro.predictors.latency import LatencyBinning, LatencyPredictor
 from repro.predictors.quality import QualityPredictor
-from repro.predictors.selector import (
-    N_SELECTOR_FEATURES,
-    SAFE_STRATEGIES,
-    LearnedSelector,
-    selector_feature_tensor,
-)
 
 __all__ = [
     "QUALITY_FEATURE_NAMES",
@@ -65,10 +59,6 @@ __all__ = [
     "PredictorBank",
     "ISNPrediction",
     "TrainingReport",
-    "LearnedSelector",
-    "SAFE_STRATEGIES",
-    "N_SELECTOR_FEATURES",
-    "selector_feature_tensor",
     "CalibrationReport",
     "ReliabilityBin",
     "reliability",

@@ -36,11 +36,8 @@ from repro.retrieval.searcher import (
     KERNEL_STRATEGIES,
     STRATEGIES,
     DistributedSearcher,
-    FixedSelector,
     SearcherCacheStats,
     ShardSearcher,
-    StrategyChoice,
-    StrategySelector,
 )
 from repro.retrieval.topk import TopKCollector
 from repro.retrieval.wand import wand_search
@@ -68,9 +65,6 @@ __all__ = [
     "ShardSearcher",
     "SearcherCacheStats",
     "DistributedSearcher",
-    "StrategyChoice",
-    "StrategySelector",
-    "FixedSelector",
     "STRATEGIES",
     "ShardExecutor",
     "SerialExecutor",

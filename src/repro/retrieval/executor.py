@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.retrieval.query import Query
-    from repro.retrieval.searcher import ShardSearcher, StrategySelector
+    from repro.retrieval.searcher import ShardSearcher
     from repro.telemetry import Telemetry
     from repro.telemetry.trace import Tracer
 
@@ -238,7 +238,6 @@ class ParallelExecutor(ShardExecutor):
 def plan_prewarm(
     searchers: Sequence["ShardSearcher"],
     queries: Iterable["Query"],
-    selector: "StrategySelector | None" = None,
 ) -> list[Callable[[], object]]:
     """Deduplicated retrieval closures covering ``queries`` on ``searchers``.
 
@@ -246,27 +245,16 @@ def plan_prewarm(
     tasks only touch the searchers' memo caches through ``search``, so
     running them through any executor leaves behavior unchanged — replay
     afterwards is pure cache hits.
-
-    ``selector`` warms the keys an adaptive dispatcher will ask for
-    (consulted with no budget, the only view that exists before the
-    policy runs); replay under a *budget-sensitive* selector may still
-    downshift some queries, which then compute lazily at dispatch —
-    retrieval is pure and memoized, so that never changes an outcome.
     """
     seen: set[tuple[int, object]] = set()
     tasks: list[Callable[[], object]] = []
     for query in queries:
         for searcher in searchers:
-            choice = (
-                selector.choose(query, searcher.shard.shard_id, None)
-                if selector is not None
-                else None
-            )
-            key = (id(searcher), searcher.cache_key(query, choice))
-            if key in seen or searcher.is_cached(query, choice):
+            key = (id(searcher), searcher.cache_key(query))
+            if key in seen or searcher.is_cached(query):
                 continue
             seen.add(key)
-            tasks.append(lambda s=searcher, q=query, c=choice: s.search(q, c))
+            tasks.append(lambda s=searcher, q=query: s.search(q))
     return tasks
 
 
@@ -274,10 +262,9 @@ def prewarm_searchers(
     searchers: Sequence["ShardSearcher"],
     queries: Iterable["Query"],
     executor: ShardExecutor,
-    selector: "StrategySelector | None" = None,
 ) -> int:
     """Run the prewarm plan on an existing executor; return the task count."""
-    tasks = plan_prewarm(searchers, queries, selector)
+    tasks = plan_prewarm(searchers, queries)
     executor.map(tasks)
     return len(tasks)
 

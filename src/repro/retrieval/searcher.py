@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 from repro.index.shard import IndexShard
 from repro.retrieval.block_max_wand import block_max_wand_search
@@ -56,78 +56,6 @@ KERNEL_STRATEGIES = frozenset(
 )
 
 CacheKey = tuple[tuple[str, ...], int, str]
-
-
-@dataclass(frozen=True)
-class StrategyChoice:
-    """One dispatch decision: which traversal to run for one (query, shard).
-
-    ``None`` fields fall back to the searcher's configured default, so
-    ``StrategyChoice("wand")`` only swaps the strategy and
-    ``StrategyChoice("maxscore", min_postings=0)`` forces the vectorized
-    MaxScore kernel regardless of posting count.  ``min_postings`` is the
-    kernel's scalar-dispatch floor: both sides of that floor are
-    bit-identical by contract, so it deliberately does **not** enter the
-    memo cache key — only ``strategy`` and ``k`` can change observable
-    results.
-    """
-
-    strategy: str | None = None
-    k: int | None = None
-    min_postings: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.strategy is not None and self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; options: {sorted(STRATEGIES)}"
-            )
-        if self.k is not None and self.k < 1:
-            raise ValueError("k override must be positive")
-        if self.min_postings is not None and self.min_postings < 0:
-            raise ValueError("min_postings override must be non-negative")
-
-
-@runtime_checkable
-class StrategySelector(Protocol):
-    """Per-(query, shard) traversal selection — the adaptive dispatch hook.
-
-    ``choose`` runs at aggregator dispatch time, *after* the selection
-    policy decided the query's time budget, so a budget-aware selector
-    can downshift to a cheaper traversal when the budget is tight.
-    ``budget_ms`` is ``None`` for unbudgeted policies (and during
-    prewarming, where no budget exists yet).  Returning ``None`` keeps
-    the searcher's static default — an always-``None`` selector is
-    bit-identical to running without one.
-
-    Implementations must be **pure and deterministic** per
-    ``(query.terms, shard_id, budget_ms)``: the same inputs must yield
-    the same choice on every call (the memo caches and the replica plane
-    both rely on it).
-    """
-
-    name: str
-
-    def choose(
-        self, query: Query, shard_id: int, budget_ms: float | None
-    ) -> StrategyChoice | None:
-        ...
-
-
-@dataclass(frozen=True)
-class FixedSelector:
-    """Selects one fixed :class:`StrategyChoice` for every (query, shard).
-
-    The simplest selector — used to force a single strategy through the
-    full dispatch path (benchmarks' static arms, bit-identity tests).
-    """
-
-    choice: StrategyChoice
-    name: str = "fixed"
-
-    def choose(
-        self, query: Query, shard_id: int, budget_ms: float | None
-    ) -> StrategyChoice | None:
-        return self.choice
 
 
 @dataclass(frozen=True)
@@ -192,7 +120,6 @@ class ShardSearcher:
         self.shard = shard
         self.k = k
         self.strategy = strategy
-        self._search = STRATEGIES[strategy]
         self._cache: dict[CacheKey, SearchResult] = {}
         self._pending: dict[CacheKey, _Pending] = {}
         self._lock = threading.Lock()
@@ -224,17 +151,11 @@ class ShardSearcher:
             self._tracer = None
             self._m_chunks = self._m_offers = self._m_restarts = None
 
-    def cache_key(self, query: Query, choice: StrategyChoice | None = None) -> CacheKey:
-        if choice is None:
-            return (query.terms, self.k, self.strategy)
-        return (
-            query.terms,
-            choice.k if choice.k is not None else self.k,
-            choice.strategy if choice.strategy is not None else self.strategy,
-        )
+    def cache_key(self, query: Query) -> CacheKey:
+        return (query.terms, self.k, self.strategy)
 
-    def is_cached(self, query: Query, choice: StrategyChoice | None = None) -> bool:
-        return self.cache_key(query, choice) in self._cache
+    def is_cached(self, query: Query) -> bool:
+        return self.cache_key(query) in self._cache
 
     @property
     def cache_stats(self) -> SearcherCacheStats:
@@ -244,15 +165,8 @@ class ShardSearcher:
             size=len(self._cache),
         )
 
-    def search(self, query: Query, choice: StrategyChoice | None = None) -> SearchResult:
-        """Evaluate ``query``, optionally under a per-call dispatch ``choice``.
-
-        ``choice`` overrides strategy/k for this call only (the memo key
-        follows, so an overridden call can never collide with the default
-        key) — the hook adaptive selectors dispatch through.  ``None`` is
-        byte-for-byte the static path.
-        """
-        key = self.cache_key(query, choice)
+    def search(self, query: Query) -> SearchResult:
+        key = self.cache_key(query)
         cached = self._cache.get(key)  # lock-free hot path
         if cached is not None:
             self._hits += 1
@@ -272,7 +186,7 @@ class ShardSearcher:
             return pending.wait()
         strategy = STRATEGIES[key[2]]
         try:
-            result = self._evaluate(strategy, key, query, choice)
+            result = self._evaluate(strategy, key, query)
         except BaseException as exc:
             pending.publish(None, exc)
             with self._lock:
@@ -292,27 +206,16 @@ class ShardSearcher:
         strategy: Callable[[IndexShard, list[str], int], SearchResult],
         key: CacheKey,
         query: Query,
-        choice: StrategyChoice | None = None,
     ) -> SearchResult:
         """Run the strategy, recording kernel telemetry when bound.
 
         Kernel executions get a ``retrieval.kernel`` span on the shard's
         ``retrieval.<id>`` track plus chunk/offer/restart counters;
         everything is skipped (one attribute test) when telemetry is off.
-        A ``choice`` carrying ``min_postings`` forwards it to the MaxScore
-        kernel (the only strategy with a scalar-dispatch floor); both
-        sides of the floor are bit-identical, so the memo key ignores it.
         """
-        extra: dict[str, int] = {}
-        if (
-            choice is not None
-            and choice.min_postings is not None
-            and key[2] == "maxscore"
-        ):
-            extra["min_postings"] = choice.min_postings
         tracer = self._tracer
         if tracer is None or key[2] not in KERNEL_STRATEGIES:
-            return strategy(self.shard, list(query.terms), key[1], **extra)
+            return strategy(self.shard, list(query.terms), key[1])
         kstats = KernelStats()
         if threading.get_ident() == self._telemetry_thread:
             with tracer.span(
@@ -321,14 +224,12 @@ class ShardSearcher:
                 strategy=key[2], k=key[1], n_terms=len(query.terms),
             ) as span:
                 result = strategy(
-                    self.shard, list(query.terms), key[1], stats=kstats, **extra
+                    self.shard, list(query.terms), key[1], stats=kstats
                 )
                 span.attrs["chunks"] = kstats.chunks
                 span.attrs["offers"] = kstats.offers
         else:
-            result = strategy(
-                self.shard, list(query.terms), key[1], stats=kstats, **extra
-            )
+            result = strategy(self.shard, list(query.terms), key[1], stats=kstats)
         # The counters are bound iff the tracer is (see bind_telemetry).
         assert (
             self._m_chunks is not None
@@ -375,34 +276,15 @@ class DistributedSearcher:
         for searcher in self.searchers:
             searcher.bind_telemetry(telemetry)
 
-    def search_shard(
-        self, shard_id: int, query: Query, choice: StrategyChoice | None = None
-    ) -> SearchResult:
-        return self.searchers[shard_id].search(query, choice)
+    def search_shard(self, shard_id: int, query: Query) -> SearchResult:
+        return self.searchers[shard_id].search(query)
 
-    def search(
-        self,
-        query: Query,
-        shard_ids: list[int] | None = None,
-        selector: StrategySelector | None = None,
-    ) -> SearchResult:
-        """Search a subset of shards (default: all) and merge.
-
-        ``selector`` picks a per-shard :class:`StrategyChoice` (consulted
-        with no budget — this is the timing-free view); ``None`` is the
-        static default on every shard.
-        """
+    def search(self, query: Query, shard_ids: list[int] | None = None) -> SearchResult:
+        """Search a subset of shards (default: all) and merge."""
         if shard_ids is None:
             shard_ids = list(range(self.n_shards))
-        choices: dict[int, StrategyChoice | None] = {
-            sid: selector.choose(query, sid, None) if selector is not None else None
-            for sid in shard_ids
-        }
         per_shard = self.executor.map(
-            [
-                lambda s=self.searchers[sid], c=choices[sid]: s.search(query, c)
-                for sid in shard_ids
-            ]
+            [lambda s=self.searchers[sid]: s.search(query) for sid in shard_ids]
         )
         return merge_results(per_shard, self.k)
 

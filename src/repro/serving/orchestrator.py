@@ -4,7 +4,7 @@ This is ``SearchCluster.run_trace``'s event-loop body refactored into a
 reusable plane, split the way a production engine is layered:
 
 * **executors** (:mod:`repro.retrieval.executor`) fan retrieval work over
-  shards — serial, thread, or attached worker processes;
+  shards — serial or a thread pool;
 * **orchestrator** (this module) owns the run lifecycle: prewarm, build
   the ISN groups and aggregator, schedule arrivals, drive the event loop,
   and account the results;
@@ -40,7 +40,6 @@ from repro.cluster.sleep import SleepPolicy
 from repro.cluster.types import QueryRecord, SelectionPolicy
 from repro.cluster.cache import ResultCache
 from repro.retrieval.query import Query, QueryTrace
-from repro.retrieval.searcher import StrategySelector
 from repro.serving.admission import AdmissionController
 from repro.telemetry import NO_TELEMETRY, Telemetry
 from repro.telemetry.metrics import StreamingHistogram
@@ -135,7 +134,6 @@ class ServingPlane:
         replication: ReplicationConfig | None = None,
         admission: AdmissionController | None = None,
         retain_records: bool = True,
-        selector: StrategySelector | None = None,
     ) -> RunResult:
         """One run: ``source`` arrivals through ``policy`` on the cluster.
 
@@ -145,10 +143,8 @@ class ServingPlane:
         open-loop.  ``admission`` turns on load shedding;
         ``retain_records=False`` swaps the per-query record list for a
         :class:`ServingStats` sink (``RunResult.serving``) so memory
-        stays O(pool), not O(queries).  ``selector`` is handed to the
-        aggregator for per-(query, shard) adaptive traversal dispatch
-        (and to the retrieval prewarm, which warms the keys it will
-        choose).  All other parameters keep their ``run_trace`` meaning.
+        stays O(pool), not O(queries).  All other parameters keep their
+        ``run_trace`` meaning.
         """
         from repro.cluster.engine import RunResult  # runtime import: no cycle
 
@@ -181,29 +177,15 @@ class ServingPlane:
             (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
         )
         try:
-            if prewarm_queries is not None and selector is not None:
-                # Batch the selector's own inference (one fused pass over
-                # the whole workload) before retrieval prewarm consults it
-                # per (query, shard).  Optional hook, like the policy's.
-                selector_prewarm = getattr(selector, "prewarm", None)
-                if selector_prewarm is not None:
-                    if tracer is None:
-                        selector_prewarm(prewarm_queries)
-                    else:
-                        with tracer.span(
-                            "cluster.prewarm_selector", track="cluster",
-                            n_queries=len(prewarm_queries),
-                        ):
-                            selector_prewarm(prewarm_queries)
             if prewarm_retrieval and prewarm_queries is not None:
                 if tracer is None:
-                    cluster.prewarm_trace(prewarm_queries, selector)
+                    cluster.prewarm_trace(prewarm_queries)
                 else:
                     with tracer.span(
                         "cluster.prewarm_retrieval", track="cluster",
                         n_queries=len(prewarm_queries),
                     ):
-                        cluster.prewarm_trace(prewarm_queries, selector)
+                        cluster.prewarm_trace(prewarm_queries)
             if prewarm_policy and prewarm_queries is not None:
                 # Optional hook: minimal duck-typed policies may omit it.
                 policy_prewarm = getattr(policy, "prewarm", None)
@@ -250,7 +232,6 @@ class ServingPlane:
                 selector=make_selector(repl),
                 admission=admission,
                 record_sink=stats.observe if stats is not None else None,
-                strategy_selector=selector,
             )
             last_arrival_ms = 0.0
             if closed_loop:
@@ -354,7 +335,6 @@ class ServingPlane:
             decode_hits=decode_after[0] - decode_before[0],
             decode_misses=decode_after[1] - decode_before[1],
             decode_evictions=decode_after[2] - decode_before[2],
-            strategy_choices=dict(aggregator.strategy_choices),
             result_cache_hits=result_cache_after[0] - result_cache_before[0],
             result_cache_misses=result_cache_after[1] - result_cache_before[1],
             offered_queries=aggregator.queries_seen,

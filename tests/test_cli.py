@@ -66,6 +66,45 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--workers must be positive" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["search", "{missing}", "foo"], "no shard files"),
+            (["search", "{empty}", "foo"], "no shard files"),
+            (["index", "pack", "{missing}", "--out", "{empty}"], "no shard files"),
+            (["search", "{missing}", "t1", "-k", "0"], "-k must be positive"),
+            (
+                ["search", "{missing}", "t1", "--strategy", "bogus"],
+                "unknown strategy 'bogus'",
+            ),
+            (
+                ["compare", "--scale", "unit", "--policies", "cottage", "bogus"],
+                "unknown policy 'bogus'",
+            ),
+        ],
+    )
+    def test_hostile_input_exits_one_with_one_line(
+        self, argv, message, tmp_path, capsys
+    ):
+        # Option values are checked before the index is read or a testbed
+        # built, so a missing directory never gets the chance to mask them.
+        paths = {"missing": tmp_path / "missing", "empty": tmp_path}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_negative_decode_cache_exits_one_with_one_line(self, tmp_path, capsys):
+        from repro.experiments.bench_retrieval import build_corpus
+        from repro.index import pack_shards
+
+        pack_shards(build_corpus(2, 50, 30, seed=3), tmp_path)
+        argv = ["search", str(tmp_path), "t001", "--raw-terms", "--decode-cache"]
+        assert main(argv + ["-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "non-negative" in captured.err
+        assert "decode LRU budget" not in captured.out
+        assert main(argv + ["0"]) == 0
+
 
 class TestFaultsCommand:
     def test_faults_args(self):

@@ -275,6 +275,14 @@ class TestCompressedArena:
         for term, want in decoded.items():
             assert packed.run(term).scores.tolist() == want
 
+    def test_negative_cache_budget_rejected(self):
+        shard = build_shard([[VOCAB[i % 12]] * 3 for i in range(60)])
+        packed = CompressedPostingsArena.from_arena(
+            PostingsArena.from_shard(shard)
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            packed.set_cache_budget(-5)
+
 
 # ------------------------------------------------------------ persistence
 class TestStoreRoundTrip:
