@@ -4,78 +4,49 @@ The evaluation only means something because every run is a pure function
 of (seed, configuration): kernel variants are bit-identical to their
 references, the sim-clock never sees wall time, and tie-order is total.
 ``repro.analysis`` turns those conventions into machine-checked rules —
-a per-file ``ast``-visitor pass (:mod:`repro.analysis.rules`), a
-whole-program pass over the import/call graph
-(:mod:`repro.analysis.graph`, :mod:`repro.analysis.dataflow`,
-:mod:`repro.analysis.layers`), a rule registry, a dependency-aware
-incremental cache, statement-scoped pragma suppression, and a committed
-baseline for grandfathered findings.
+one ``ast`` pass per file (:mod:`repro.analysis.rules` plus the layer
+contract in :mod:`repro.analysis.layers`), a rule registry, and
+statement-scoped pragma suppression.  A finding is fixed or pragma'd in
+place; nothing is cached or grandfathered.
 
 Run it as ``repro lint src/repro`` (exit 0 clean / 1 findings /
-2 internal error), export the project graph with
-``repro lint --graph dot``, or call :func:`run_lint` directly.
+2 internal error), or call :func:`run_lint` directly.
 """
 
 from __future__ import annotations
 
-from repro.analysis import dataflow as _dataflow  # noqa: F401  (registers flow rules)
 from repro.analysis import layers as _layers  # noqa: F401  (registers ARCH-LAYER)
 from repro.analysis import rules as _rules  # noqa: F401  (registers the catalogue)
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import (
-    DEFAULT_BASELINE_NAME,
-    DEFAULT_CACHE_NAME,
     LintEngine,
-    build_graph,
     discover_files,
     module_path_of,
     run_lint,
 )
-from repro.analysis.findings import (
-    Finding,
-    LintError,
-    LintReport,
-    LintWarning,
-    to_sarif,
-)
-from repro.analysis.graph import ModuleFacts, ProjectContext, extract_facts
+from repro.analysis.findings import Finding, LintError, LintReport, LintWarning
 from repro.analysis.pragmas import expand_pragmas, parse_pragmas
 from repro.analysis.registry import (
     FileContext,
-    ProjectRule,
     Rule,
     all_rules,
-    analysis_source_digest,
     get_rules,
     register,
-    rules_signature,
 )
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
-    "DEFAULT_CACHE_NAME",
     "FileContext",
     "Finding",
     "LintEngine",
     "LintError",
     "LintReport",
     "LintWarning",
-    "ModuleFacts",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
     "all_rules",
-    "analysis_source_digest",
-    "build_graph",
     "discover_files",
     "expand_pragmas",
-    "extract_facts",
     "get_rules",
     "module_path_of",
     "parse_pragmas",
     "register",
-    "rules_signature",
     "run_lint",
-    "to_sarif",
 ]

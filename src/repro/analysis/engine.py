@@ -1,28 +1,11 @@
-"""The simlint engine: discovery, facts, per-file rules, project rules.
+"""The simlint engine: discover files, parse each once, run the rules.
 
-The run is three phases:
+One phase, one file at a time::
 
-**Phase A (per file, parallelizable).**  Read, hash, cache lookup.  On a
-miss, parse once and extract both the per-file findings and the
-:class:`~repro.analysis.graph.ModuleFacts` record (imports, function
-table, call sites, taint sources, expanded pragmas) the whole-program
-passes need.  Facts are JSON round-trippable, so a warm run rebuilds
-them from the cache without touching ``ast`` at all —
-``report.files_parsed`` counts actual parses and is 0 on a fully warm
-run.
+    read -> ast.parse -> run applicable rules -> drop pragma-suppressed
 
-**Phase B (graph).**  Assemble every module's facts into a
-:class:`~repro.analysis.graph.ProjectContext` (import edges, name
-bindings, call resolution) and compute each file's dependency-closure
-hash.
-
-**Phase C (project rules).**  If *every* file's dependency hash matches
-its cached value, the cached project findings are served and the
-fixpoints never run.  Otherwise the whole-program rules
-(``DET-*-FLOW``, ``PAR-PICKLE-FLOW``, ``ARCH-LAYER``) run over the
-graph and every entry is refreshed.  Project findings anchor to one
-line in one file, so pragma suppression and the baseline treat them
-exactly like per-file findings.
+and per run: the findings of every file, sorted.  Nothing is carried
+from one file to the next and nothing is kept between runs.
 
 Pragma semantics live in :mod:`repro.analysis.pragmas`: a pragma governs
 the smallest enclosing *statement* (header-only for compound
@@ -32,38 +15,20 @@ statements), and pragmas naming unknown rule ids produce warnings.
 from __future__ import annotations
 
 import ast
-import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import ResultCache, content_hash
-from repro.analysis.findings import Finding, LintError, LintReport, LintWarning
-from repro.analysis.graph import (
-    ModuleFacts,
-    ProjectContext,
-    dotted_module_name,
-    extract_facts,
-)
+from repro.analysis.findings import Finding, LintError, LintReport
 from repro.analysis.pragmas import (
     expand_pragmas,
     parse_pragmas,
     unknown_rule_warnings,
 )
-from repro.analysis.registry import (
-    FileContext,
-    ProjectRule,
-    Rule,
-    all_rules,
-    rules_signature,
-)
+from repro.analysis.registry import FileContext, Rule, all_rules
 
 #: directories never worth descending into
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis"})
-
-DEFAULT_CACHE_NAME = ".simlint-cache.json"
-DEFAULT_BASELINE_NAME = "simlint-baseline.json"
 
 
 def _suppressed(finding: Finding, pragmas: dict[int, frozenset[str]]) -> bool:
@@ -104,92 +69,20 @@ def discover_files(paths: Iterable[Path]) -> list[Path]:
 
 
 @dataclass
-class _FileState:
-    """Everything phase A produced for one file."""
-
-    rel: str
-    module_path: str
-    source_hash: str
-    facts: ModuleFacts | None = None
-    findings: list[Finding] = field(default_factory=list)
-    warnings: list[LintWarning] = field(default_factory=list)
-    suppressed: int = 0
-    error: LintError | None = None
-    parsed: bool = False
-    from_cache: bool = False
-    # project-phase slots (phase C fills these in)
-    dep_hash: str | None = None
-    cached_dep_hash: str | None = None
-    project_findings: list[Finding] | None = None
-    project_suppressed: int = 0
-
-
-def _analyze_source(
-    rel: str, module_path: str, source: str, rules: Sequence[Rule]
-) -> _FileState:
-    """Parse one file and run the per-file rules (pure; process-safe)."""
-    state = _FileState(
-        rel=rel, module_path=module_path, source_hash=content_hash(source)
-    )
-    try:
-        tree = ast.parse(source, filename=rel)
-    except SyntaxError as exc:
-        lineno = exc.lineno or 1
-        state.error = LintError(rel, f"syntax error at line {lineno}: {exc.msg}")
-        return state
-    state.parsed = True
-    lines = source.splitlines()
-    raw_pragmas = parse_pragmas(lines)
-    pragmas = expand_pragmas(tree, raw_pragmas)
-    state.warnings = unknown_rule_warnings(
-        rel, raw_pragmas, [rule.id for rule in all_rules()]
-    )
-    ctx = FileContext(
-        path=rel, module_path=module_path, source=source, tree=tree, lines=lines
-    )
-    raw: list[Finding] = []
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            continue
-        if rule.applies_to(module_path):
-            raw.extend(rule.check(ctx))
-    state.findings = sorted(f for f in raw if not _suppressed(f, pragmas))
-    state.suppressed = len(raw) - len(state.findings)
-    state.facts = extract_facts(tree, rel, module_path, pragmas)
-    return state
-
-
-def _worker_analyze(payload: tuple[str, str, str, tuple[str, ...]]) -> _FileState:
-    """Module-level worker so states pickle across the pool boundary."""
-    rel, module_path, source, rule_ids = payload
-    from repro.analysis.registry import get_rules
-
-    return _analyze_source(rel, module_path, source, get_rules(rule_ids))
-
-
-@dataclass
 class LintEngine:
     """One configured analysis run.
 
-    ``root`` anchors the repo-relative paths findings report (and the
-    default cache/baseline locations); ``rules`` defaults to the full
-    registry; ``jobs`` > 1 parses cache misses in a process pool.
+    ``root`` anchors the repo-relative paths findings report; ``rules``
+    defaults to the full registry.
     """
 
     root: Path
     rules: tuple[Rule, ...] = ()
-    cache_path: Path | None = None
-    baseline: Baseline | None = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         self.root = self.root.resolve()
         if not self.rules:
             self.rules = all_rules()
-        self.project_rules = tuple(
-            rule for rule in self.rules if isinstance(rule, ProjectRule)
-        )
-        self._cache = ResultCache(self.cache_path, rules_signature(self.rules))
 
     def rel_path(self, path: Path) -> str:
         resolved = path.resolve()
@@ -198,214 +91,50 @@ class LintEngine:
         except ValueError:
             return resolved.as_posix()
 
-    # -- phase A: per-file -------------------------------------------------
-
-    def _load_states(self, paths: Iterable[Path]) -> list[_FileState]:
-        states: list[_FileState] = []
-        misses: list[tuple[int, str]] = []  # (state index, source)
-        for path in discover_files(paths):
-            rel = self.rel_path(path)
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                state = _FileState(rel=rel, module_path=module_path_of(rel),
-                                   source_hash="")
-                state.error = LintError(rel, f"unreadable: {exc}")
-                states.append(state)
-                continue
-            digest = content_hash(source)
-            entry = self._cache.get_entry(rel, digest)
-            state = self._state_from_entry(rel, digest, entry)
-            if state is None:
-                state = _FileState(
-                    rel=rel, module_path=module_path_of(rel), source_hash=digest
-                )
-                misses.append((len(states), source))
-            states.append(state)
-        self._analyze_misses(states, misses)
-        return states
-
-    def _state_from_entry(
-        self, rel: str, digest: str, entry: dict[str, object] | None
-    ) -> _FileState | None:
-        if entry is None:
-            return None
-        try:
-            facts_json = entry.get("facts")
-            facts = (
-                ModuleFacts.from_json(facts_json)  # type: ignore[arg-type]
-                if facts_json is not None
-                else None
-            )
-            findings = [
-                Finding.from_json(item)
-                for item in entry["findings"]  # type: ignore[union-attr]
-            ]
-            warnings = [
-                LintWarning.from_json(item)
-                for item in entry["warnings"]  # type: ignore[union-attr]
-            ]
-            project_json = entry.get("project")
-            project = (
-                [Finding.from_json(item) for item in project_json]  # type: ignore[union-attr]
-                if project_json is not None
-                else None
-            )
-            state = _FileState(
-                rel=rel,
-                module_path=module_path_of(rel),
-                source_hash=digest,
-                facts=facts,
-                findings=findings,
-                warnings=warnings,
-                suppressed=int(entry.get("suppressed", 0)),  # type: ignore[arg-type]
-                from_cache=True,
-            )
-            dep_hash = entry.get("dep_hash")
-            state.cached_dep_hash = str(dep_hash) if dep_hash is not None else None
-            state.project_findings = project
-            state.project_suppressed = int(entry.get("project_suppressed", 0))  # type: ignore[arg-type]
-            return state
-        except (KeyError, TypeError, ValueError, IndexError):
-            return None
-
-    def _analyze_misses(
-        self, states: list[_FileState], misses: list[tuple[int, str]]
-    ) -> None:
-        if not misses:
-            return
-        if self.jobs > 1 and len(misses) > 1:
-            rule_ids = tuple(rule.id for rule in self.rules)
-            payloads = [
-                (states[index].rel, states[index].module_path, source, rule_ids)
-                for index, source in misses
-            ]
-            workers = min(self.jobs, len(misses))
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                results = list(pool.map(_worker_analyze, payloads))
-            for (index, _source), result in zip(misses, results):
-                states[index] = result
-        else:
-            for index, source in misses:
-                state = states[index]
-                states[index] = _analyze_source(
-                    state.rel, state.module_path, source, self.rules
-                )
-
-    # -- phase B: the project graph ---------------------------------------
-
-    def build_project(self, states: Sequence[_FileState]) -> ProjectContext:
-        facts: dict[str, ModuleFacts] = {}
-        hashes: dict[str, str] = {}
-        for state in states:
-            if state.facts is None:
-                continue
-            module = dotted_module_name(state.module_path)
-            facts[module] = state.facts
-            hashes[module] = state.source_hash
-        return ProjectContext.build(facts, hashes)
-
-    def graph(self, paths: Iterable[Path]) -> ProjectContext:
-        """Phase A + B only: the project graph for ``--graph`` exports."""
-        project = self.build_project(self._load_states(paths))
-        self._cache.save()
-        return project
-
-    # -- phase C: project rules --------------------------------------------
-
-    def _run_project_rules(
-        self, states: list[_FileState], report: LintReport
-    ) -> None:
-        if not self.project_rules:
-            for state in states:
-                state.project_findings = []
-            return
-        project = self.build_project(states)
-        for state in states:
-            if state.facts is not None:
-                state.dep_hash = project.dependency_hash(state.facts.module)
-        analyzable = [s for s in states if s.facts is not None]
-        warm = all(
-            s.project_findings is not None and s.cached_dep_hash == s.dep_hash
-            for s in analyzable
-        )
-        if warm and analyzable:
-            report.project_cache_hits = len(analyzable)
-            return
-        by_rel: dict[str, list[Finding]] = {s.rel: [] for s in analyzable}
-        raw_count = 0
-        for rule in self.project_rules:
-            for finding in rule.check_project(project):
-                raw_count += 1
-                by_rel.setdefault(finding.path, []).append(finding)
-        for state in analyzable:
-            raw = by_rel.get(state.rel, [])
-            assert state.facts is not None
-            kept = sorted(
-                f for f in raw if not _suppressed(f, state.facts.pragmas)
-            )
-            state.project_findings = kept
-            state.project_suppressed = len(raw) - len(kept)
-
-    # -- the run ------------------------------------------------------------
-
-    def run(self, paths: Iterable[Path]) -> LintReport:
-        """Lint ``paths`` (files or directory trees) and filter baselines."""
-        report = LintReport()
-        states = self._load_states(paths)
-        self._run_project_rules(states, report)
-        collected: list[Finding] = []
-        for state in states:
-            report.files_scanned += 1
-            if state.parsed:
-                report.files_parsed += 1
-            if state.from_cache:
-                report.cache_hits += 1
-            report.pragma_suppressed += state.suppressed + state.project_suppressed
-            report.warnings.extend(state.warnings)
-            if state.error is not None:
-                report.errors.append(state.error)
-            collected.extend(state.findings)
-            collected.extend(state.project_findings or [])
-            if state.error is None and state.facts is not None:
-                self._cache.put_entry(state.rel, _entry_for(state))
-        collected.sort()
-        if self.baseline is not None and len(self.baseline):
-            collected, suppressed = self.baseline.filter(collected)
-            report.baseline_suppressed = suppressed
-        report.findings = collected
-        report.warnings.sort(key=lambda w: (w.path, w.line, w.message))
-        self._cache.save()
-        return report
-
-    def check_file(self, path: Path) -> tuple[list[Finding], int, LintError | None]:
-        """Single-file per-file analysis (no project phase); kept for tests."""
+    def check_file(self, path: Path, report: LintReport) -> None:
+        """Analyze one file and add what it produced to ``report``."""
         rel = self.rel_path(path)
+        report.files_scanned += 1
         try:
             source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            return [], 0, LintError(rel, f"unreadable: {exc}")
-        state = _analyze_source(rel, module_path_of(rel), source, self.rules)
-        return state.findings, state.suppressed, state.error
+            report.errors.append(LintError(rel, f"unreadable: {exc}"))
+            return
+        try:
+            tree = ast.parse(source, filename=rel)
+        except SyntaxError as exc:
+            lineno = exc.lineno or 1
+            report.errors.append(
+                LintError(rel, f"syntax error at line {lineno}: {exc.msg}")
+            )
+            return
+        lines = source.splitlines()
+        raw_pragmas = parse_pragmas(lines)
+        pragmas = expand_pragmas(tree, raw_pragmas)
+        report.warnings.extend(
+            unknown_rule_warnings(rel, raw_pragmas, [rule.id for rule in all_rules()])
+        )
+        module_path = module_path_of(rel)
+        ctx = FileContext(
+            path=rel, module_path=module_path, source=source, tree=tree, lines=lines
+        )
+        for rule in self.rules:
+            if not rule.applies_to(module_path):
+                continue
+            for finding in rule.check(ctx):
+                if _suppressed(finding, pragmas):
+                    report.pragma_suppressed += 1
+                else:
+                    report.findings.append(finding)
 
-
-def _entry_for(state: _FileState) -> dict[str, object]:
-    """The cache schema: facts + both finding sets + the dependency key."""
-    assert state.facts is not None
-    return {
-        "hash": state.source_hash,
-        "facts": state.facts.to_json(),
-        "findings": [f.to_json() for f in state.findings],
-        "warnings": [w.to_json() for w in state.warnings],
-        "suppressed": state.suppressed,
-        "dep_hash": state.dep_hash,
-        "project": (
-            [f.to_json() for f in state.project_findings]
-            if state.project_findings is not None
-            else None
-        ),
-        "project_suppressed": state.project_suppressed,
-    }
+    def run(self, paths: Iterable[Path]) -> LintReport:
+        """Lint ``paths`` (files or directory trees)."""
+        report = LintReport()
+        for path in discover_files(paths):
+            self.check_file(path, report)
+        report.findings.sort()
+        report.warnings.sort(key=lambda w: (w.path, w.line, w.message))
+        return report
 
 
 def run_lint(
@@ -413,47 +142,9 @@ def run_lint(
     *,
     root: Path | str | None = None,
     rules: tuple[Rule, ...] | None = None,
-    use_cache: bool = True,
-    cache_path: Path | str | None = None,
-    baseline_path: Path | str | None = None,
-    jobs: int = 1,
 ) -> LintReport:
-    """One-call API: lint ``paths`` with repo-default cache and baseline.
-
-    ``root`` defaults to the current directory; the cache lives at
-    ``<root>/.simlint-cache.json`` and the baseline (when present) at
-    ``<root>/simlint-baseline.json``.
-    """
-    root_path = Path(root) if root is not None else Path.cwd()
-    resolved_cache: Path | None = None
-    if use_cache:
-        resolved_cache = (
-            Path(cache_path) if cache_path is not None else root_path / DEFAULT_CACHE_NAME
-        )
-    baseline_file = (
-        Path(baseline_path) if baseline_path is not None else root_path / DEFAULT_BASELINE_NAME
-    )
-    baseline = Baseline.load(baseline_file) if baseline_file.exists() else None
+    """One-call API: lint ``paths``; ``root`` defaults to the current directory."""
     engine = LintEngine(
-        root=root_path,
-        rules=rules or (),
-        cache_path=resolved_cache,
-        baseline=baseline,
-        jobs=jobs,
+        root=Path(root) if root is not None else Path.cwd(), rules=rules or ()
     )
     return engine.run([Path(p) for p in paths])
-
-
-def build_graph(
-    paths: Sequence[Path | str],
-    *,
-    root: Path | str | None = None,
-    cache_path: Path | str | None = None,
-) -> ProjectContext:
-    """One-call API for ``repro lint --graph``: the resolved project graph."""
-    root_path = Path(root) if root is not None else Path.cwd()
-    engine = LintEngine(
-        root=root_path,
-        cache_path=Path(cache_path) if cache_path is not None else None,
-    )
-    return engine.graph([Path(p) for p in paths])

@@ -1,24 +1,12 @@
 """Finding: one rule violation at one source location.
 
 Findings are value objects — frozen, hashable, order-comparable — so the
-engine can cache them per file, diff them against a baseline, and render
-them in any output format without ever re-running a rule.
-
-The **fingerprint** deliberately excludes the line/column: a baseline
-entry keyed on ``(rule, path, message)`` survives unrelated edits that
-shift code up or down, which is the property that makes a committed
-baseline file workable at all.  Identical findings in one file (same
-rule, same message, different lines) are disambiguated by multiset
-counting at baseline-filter time, not by the fingerprint itself.
+engine can sort them and render them in either output format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # registry imports findings; annotations only here
-    from repro.analysis.registry import Rule
 
 
 @dataclass(frozen=True, order=True)
@@ -31,10 +19,6 @@ class Finding:
     rule: str  # rule identifier, e.g. ``DET-RNG``
     message: str  # human-readable explanation with the offending construct
 
-    def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        return f"{self.path}::{self.rule}::{self.message}"
-
     def render(self) -> str:
         """The classic compiler one-liner: ``path:line:col: RULE message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -46,25 +30,6 @@ class Finding:
         return (
             f"::error file={self.path},line={self.line},"
             f"col={self.col + 1},title=simlint {self.rule}::{safe}"
-        )
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, object]) -> "Finding":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            rule=str(data["rule"]),
-            message=str(data["message"]),
         )
 
 
@@ -82,17 +47,6 @@ class LintWarning:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: warning: {self.message}"
-
-    def to_json(self) -> dict[str, object]:
-        return {"path": self.path, "line": self.line, "message": self.message}
-
-    @classmethod
-    def from_json(cls, data: dict[str, object]) -> "LintWarning":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -112,17 +66,13 @@ class LintError:
 
 @dataclass
 class LintReport:
-    """Everything one engine run produced, already baseline-filtered."""
+    """Everything one engine run produced."""
 
     findings: list[Finding] = field(default_factory=list)
     errors: list[LintError] = field(default_factory=list)
     warnings: list[LintWarning] = field(default_factory=list)
     files_scanned: int = 0
-    files_parsed: int = 0
-    cache_hits: int = 0
-    project_cache_hits: int = 0
     pragma_suppressed: int = 0
-    baseline_suppressed: int = 0
 
     @property
     def clean(self) -> bool:
@@ -133,95 +83,3 @@ class LintReport:
         if self.errors:
             return 2
         return 1 if self.findings else 0
-
-
-#: Published with every SARIF log so code-scanning UIs can link back.
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def to_sarif(report: LintReport, rules: Sequence["Rule"]) -> dict[str, object]:
-    """Render a report as a SARIF 2.1.0 log (one run, driver ``simlint``).
-
-    ``rules`` is the sequence of Rule objects that ran; their
-    summary/rationale become the SARIF rule metadata that code-scanning
-    UIs show next to each alert.  Engine errors map to tool-execution
-    notifications so a syntax error is visible but not a "result".
-    """
-    rule_meta: list[dict[str, object]] = [
-        {
-            "id": rule.id,
-            "shortDescription": {"text": rule.summary},
-            "fullDescription": {"text": rule.rationale},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for rule in rules
-    ]
-    rule_index = {meta["id"]: index for index, meta in enumerate(rule_meta)}
-    results: list[dict[str, object]] = []
-    for finding in report.findings:
-        result: dict[str, object] = {
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path,
-                            "uriBaseId": "%SRCROOT%",
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-            "partialFingerprints": {"simlint/v1": finding.fingerprint()},
-        }
-        if finding.rule in rule_index:
-            result["ruleIndex"] = rule_index[finding.rule]
-        results.append(result)
-    notifications = [
-        {
-            "level": "error",
-            "message": {"text": error.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": error.path,
-                            "uriBaseId": "%SRCROOT%",
-                        }
-                    }
-                }
-            ],
-        }
-        for error in report.errors
-    ]
-    return {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "simlint",
-                        "informationUri": "https://example.invalid/simlint",
-                        "rules": rule_meta,
-                    }
-                },
-                "results": results,
-                "invocations": [
-                    {
-                        "executionSuccessful": not report.errors,
-                        "toolExecutionNotifications": notifications,
-                    }
-                ],
-                "columnKind": "utf16CodeUnits",
-            }
-        ],
-    }

@@ -16,18 +16,18 @@ Two escape hatches are deliberate and documented:
   body is the sanctioned pattern for optional integration points (e.g.
   ``cluster/engine.py`` lazily importing the serving plane).
 
-Both arrive in the graph as ``top_level=False`` edges and are skipped.
-Same-rank imports are unchecked: layers constrain the *stack*, not
-siblings within a band.
+Neither is a direct statement of the module body, which is all the rule
+reads.  Same-rank imports are unchecked: layers constrain the *stack*,
+not siblings within a band.
 """
 
 from __future__ import annotations
 
+import ast
 from typing import Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.graph import ProjectContext, module_path_from_dotted
-from repro.analysis.registry import ProjectRule, register
+from repro.analysis.registry import FileContext, Rule, dotted_name, register
 
 #: (rank, layer name, module-path prefixes) — longest prefix wins, so the
 #: ``cluster/scenarios.py`` override beats the ``cluster/`` band.  Keep in
@@ -64,8 +64,51 @@ def layer_of(module_path: str) -> tuple[int, str] | None:
     return best[1] if best is not None else None
 
 
+def _layer_of_import(target: str) -> tuple[int, str] | None:
+    """Layer of an absolute ``repro...`` import target, module or package."""
+    if target == "repro":
+        return layer_of("__init__.py")
+    if not target.startswith("repro."):
+        return None
+    inner = target[len("repro."):].replace(".", "/")
+    return layer_of(inner + ".py") or layer_of(inner + "/")
+
+
+def _top_level_imports(body: list[ast.stmt]) -> Iterator[ast.Import | ast.ImportFrom]:
+    """Imports that run when the module is imported."""
+    for stmt in body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            yield stmt
+        elif isinstance(stmt, ast.If):
+            name = dotted_name(stmt.test)
+            if name is not None and name.split(".")[-1] == "TYPE_CHECKING":
+                yield from _top_level_imports(stmt.orelse)
+
+
+def _import_targets(
+    node: ast.Import | ast.ImportFrom, package: list[str]
+) -> Iterator[str]:
+    """The dotted modules one import statement may load.
+
+    ``from pkg import name`` yields both ``pkg`` and ``pkg.name``: the
+    file alone cannot tell a submodule from a member, and the table may
+    rank a submodule above its package.
+    """
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            yield alias.name
+        return
+    base = node.module or ""
+    if node.level:
+        anchor = package[: len(package) - (node.level - 1)]
+        base = ".".join(anchor + ([base] if base else []))
+    yield base
+    for alias in node.names:
+        yield f"{base}.{alias.name}"
+
+
 @register
-class ArchLayerRule(ProjectRule):
+class ArchLayerRule(Rule):
     """No top-level runtime import may point up the layer stack."""
 
     id = "ARCH-LAYER"
@@ -79,45 +122,35 @@ class ArchLayerRule(ProjectRule):
         "function-local import for sanctioned upward references."
     )
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for module in sorted(project.edges):
-            facts = project.modules.get(module)
-            if facts is None:
-                continue
-            source_layer = layer_of(facts.module_path)
-            if source_layer is None:
-                continue
-            # a package facade re-exports its own submodules, including
-            # ones the table promotes (cluster/scenarios.py -> app).
-            own_prefix = (
-                module + "."
-                if facts.module_path.endswith("__init__.py")
-                else None
-            )
-            for edge in project.edges[module]:
-                if not edge.top_level:
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        source_layer = layer_of(ctx.module_path)
+        if source_layer is None:
+            return
+        # the package this file's relative imports resolve against; a
+        # package facade re-exports its own submodules, including ones the
+        # table promotes (cluster/scenarios.py -> app).
+        package = ["repro", *ctx.module_path.split("/")[:-1]]
+        facade_prefix = (
+            ".".join(package) + "."
+            if ctx.module_path.endswith("__init__.py")
+            else None
+        )
+        for node in _top_level_imports(ctx.tree.body):
+            flagged: list[str] = []
+            for target in _import_targets(node, package):
+                if facade_prefix is not None and target.startswith(facade_prefix):
                     continue
-                if own_prefix is not None and edge.target.startswith(own_prefix):
-                    continue
-                target_facts = project.modules.get(edge.target)
-                target_path = (
-                    target_facts.module_path
-                    if target_facts is not None
-                    else module_path_from_dotted(edge.target)
-                )
-                target_layer = layer_of(target_path)
+                target_layer = _layer_of_import(target)
                 if target_layer is None or target_layer[0] <= source_layer[0]:
                     continue
-                yield Finding(
-                    path=facts.rel_path,
-                    line=edge.lineno,
-                    col=edge.col,
-                    rule=self.id,
-                    message=(
-                        f"{source_layer[1]}-layer module imports "
-                        f"{edge.target} from the higher {target_layer[1]} "
-                        "layer; invert the dependency, or make it a "
-                        "TYPE_CHECKING/function-local import if it is an "
-                        "annotation or optional integration point"
-                    ),
+                if any(target.startswith(seen + ".") for seen in flagged):
+                    continue  # a name under an already-flagged package adds nothing
+                flagged.append(target)
+                yield ctx.finding(
+                    self.id, node,
+                    f"{source_layer[1]}-layer module imports "
+                    f"{target} from the higher {target_layer[1]} "
+                    "layer; invert the dependency, or make it a "
+                    "TYPE_CHECKING/function-local import if it is an "
+                    "annotation or optional integration point",
                 )

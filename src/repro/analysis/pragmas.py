@@ -1,6 +1,6 @@
 """Pragma parsing and statement-aware expansion.
 
-Suppression is part of the file content (hash-stable, cacheable)::
+Suppression is part of the file content::
 
     expr_using_wall_clock()  # simlint: disable=DET-CLOCK -- why it is ok
     another()                # simlint: disable=DET-RNG,MUT-DEFAULT

@@ -3,26 +3,19 @@
 A rule is a small object with an identifier, a rationale, and a
 ``check`` method that walks one parsed file and yields findings.  Rules
 self-register via the :func:`register` decorator, which makes the
-registry the extension point for future passes (an event-loop ordering
-checker for ``cluster/events.py``, say): drop a new class in
-``rules.py`` — or any imported module — and the engine, the CLI's
-``--rules`` filter, the docs table, and the cache signature all pick it
-up without further wiring.
+registry the one list the engine and the CLI's ``--rules`` filter read:
+drop a new class in ``rules.py`` — or any imported module — and both
+pick it up without further wiring.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from repro.analysis.findings import Finding
-
-if TYPE_CHECKING:  # graph imports registry; annotation-only here
-    from repro.analysis.graph import ProjectContext
 
 
 @dataclass
@@ -76,26 +69,6 @@ class Rule:
         return f"<Rule {self.id}>"
 
 
-class ProjectRule(Rule):
-    """A whole-program rule: checked once per run over the project graph.
-
-    Per-file rules see one parsed file; project rules see every scanned
-    module's extracted facts plus the import/call graph
-    (:class:`repro.analysis.graph.ProjectContext`) and can therefore
-    follow a value across module boundaries.  Their findings still
-    anchor to one source line in one file, so pragma suppression and the
-    baseline work unchanged — but their *cache* entries are keyed on the
-    file's dependency-closure hash, not its content hash alone.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Project rules never run in the per-file phase."""
-        return iter(())
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 def _matches_any(module_path: str, patterns: Sequence[str]) -> bool:
     for pattern in patterns:
         if "*" in pattern:
@@ -141,58 +114,6 @@ def get_rules(ids: Iterable[str] | None = None) -> tuple[Rule, ...]:
     return tuple(sorted(selected, key=lambda r: r.id))
 
 
-def analysis_source_digest(package_dir: Path | None = None) -> str:
-    """Content hash of the analyzer's own source files.
-
-    This replaces the old manually-bumped ``ANALYZER_VERSION``: editing
-    *any* rule or engine logic changes the digest, which changes the
-    cache signature, which invalidates every on-disk entry — no human
-    has to remember the bump, so stale findings can never be served
-    after a rule edit.  ``package_dir`` is overridable for tests.
-    """
-    directory = package_dir if package_dir is not None else Path(__file__).parent
-    if package_dir is None and _SOURCE_DIGEST_CACHE:
-        return _SOURCE_DIGEST_CACHE[0]
-    hasher = hashlib.sha256()
-    for source in sorted(directory.glob("*.py")):
-        hasher.update(source.name.encode("utf-8"))
-        hasher.update(b"\0")
-        hasher.update(source.read_bytes())
-        hasher.update(b"\0")
-    digest = hasher.hexdigest()[:16]
-    if package_dir is None:
-        _SOURCE_DIGEST_CACHE.append(digest)
-    return digest
-
-
-#: process-lifetime memo; analyzer sources cannot change under a run.
-_SOURCE_DIGEST_CACHE: list[str] = []
-
-
-def rules_signature(rules: Sequence[Rule]) -> str:
-    """Cache-key component: which rules ran, under which analyzer code.
-
-    The signature embeds :func:`analysis_source_digest`, so *any* edit
-    to the ``repro.analysis`` package invalidates every cache entry at
-    once; enabling a different rule subset does the same.
-    """
-    return analysis_source_digest() + ":" + ",".join(rule.id for rule in rules)
-
-
-def walk_scopes(tree: ast.Module) -> Iterator[tuple[ast.AST, list[ast.stmt]]]:
-    """Yield ``(scope_node, body)`` for the module and every function."""
-    yield tree, tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, node.body
-
-
-def iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
-
-
 def dotted_name(node: ast.expr) -> str | None:
     """``np.random.default_rng`` -> that string; None for non-name chains."""
     parts: list[str] = []
@@ -205,5 +126,3 @@ def dotted_name(node: ast.expr) -> str | None:
         return ".".join(reversed(parts))
     return None
 
-
-CallPredicate = Callable[[ast.Call], bool]

@@ -38,8 +38,32 @@ __all__ = [
     "TelBindRule",
     "MutDefaultRule",
     "ParSharedRule",
-    "ParPickleRule",
 ]
+
+
+def _import_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local name -> the dotted name the file's own imports bound it to.
+
+    ``import time as _t`` gives ``{"_t": "time"}``; ``from numpy import
+    random as nr`` gives ``{"nr": "numpy.random"}``; ``from time import
+    perf_counter`` gives ``{"perf_counter": "time.perf_counter"}``.
+    """
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def _resolve_alias(name: str, aliases: dict[str, str]) -> str:
+    """Rewrite the head of a dotted name through the file's import aliases."""
+    head, dot, rest = name.partition(".")
+    return aliases[head] + dot + rest if head in aliases else name
 
 
 # --------------------------------------------------------------------------
@@ -88,34 +112,32 @@ class DetRngRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        aliases = _import_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
             if name is None:
                 continue
-            if name.startswith("random.") and name.split(".", 1)[1] in _GLOBAL_RANDOM_FNS:
+            head, _, tail = _resolve_alias(name, aliases).rpartition(".")
+            if head == "random" and tail in _GLOBAL_RANDOM_FNS:
                 yield ctx.finding(
                     self.id, node,
                     f"{name}() uses the process-global RNG; thread a seeded "
                     "random.Random / np.random.Generator parameter through instead",
                 )
-                continue
-            head, _, tail = name.rpartition(".")
-            if head in ("np.random", "numpy.random") and tail in _NP_GLOBAL_RANDOM_FNS:
+            elif head in ("np.random", "numpy.random") and tail in _NP_GLOBAL_RANDOM_FNS:
                 yield ctx.finding(
                     self.id, node,
                     f"{name}() mutates numpy's global RandomState; use a "
                     "seeded np.random.default_rng(seed) Generator instead",
                 )
-                continue
-            if tail == "default_rng" or name == "default_rng":
-                if not node.args and not node.keywords:
-                    yield ctx.finding(
-                        self.id, node,
-                        "default_rng() without a seed draws OS entropy; pass "
-                        "an explicit seed (or accept a Generator parameter)",
-                    )
+            elif tail == "default_rng" and not node.args and not node.keywords:
+                yield ctx.finding(
+                    self.id, node,
+                    "default_rng() without a seed draws OS entropy; pass "
+                    "an explicit seed (or accept a Generator parameter)",
+                )
 
 
 # --------------------------------------------------------------------------
@@ -162,38 +184,24 @@ class DetClockRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        bare_clock_imports = _bare_imports_from(ctx.tree, "time", _WALL_CLOCK_TIME_FNS)
+        aliases = _import_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
             if name is None:
                 continue
-            flagged = (
-                (name.startswith("time.") and name.split(".", 1)[1] in _WALL_CLOCK_TIME_FNS)
-                or name in _WALL_CLOCK_DATETIME
-                or name in bare_clock_imports
-            )
-            if flagged:
+            resolved = _resolve_alias(name, aliases)
+            head, _, tail = resolved.rpartition(".")
+            if (
+                head == "time" and tail in _WALL_CLOCK_TIME_FNS
+            ) or resolved in _WALL_CLOCK_DATETIME:
                 yield ctx.finding(
                     self.id, node,
                     f"{name}() reads the wall clock; simulation code must "
                     "use the sim-clock, and measurement code belongs in the "
                     "telemetry/executor/bench_* allowlist",
                 )
-
-
-def _bare_imports_from(
-    tree: ast.Module, module: str, wanted: frozenset[str]
-) -> frozenset[str]:
-    """Names imported via ``from <module> import x`` that we care about."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for alias in node.names:
-                if alias.name in wanted:
-                    names.add(alias.asname or alias.name)
-    return frozenset(names)
 
 
 # --------------------------------------------------------------------------
@@ -205,12 +213,12 @@ def _bare_imports_from(
 class DetOrderRule(Rule):
     """Iteration over unordered collections must pass through sorted().
 
-    In ``retrieval/``, ``cluster/`` and ``core/``, anything iterated can
-    feed result construction (merge order, event scheduling, budget
-    walks), where tie-order is part of the bit-identity contract.  Set
-    iteration order depends on hash seeding; ``dict.keys`` order is
-    insertion order, i.e. whatever construction path ran first — both
-    leak incidental order into results.
+    In ``retrieval/``, ``cluster/``, ``core/`` and ``serving/``, anything
+    iterated can feed result construction (merge order, event scheduling,
+    budget walks, admission), where tie-order is part of the bit-identity
+    contract.  Set iteration order depends on hash seeding; ``dict.keys``
+    order is insertion order, i.e. whatever construction path ran first —
+    both leak incidental order into results.
     """
 
     id = "DET-ORDER"
@@ -219,7 +227,7 @@ class DetOrderRule(Rule):
         "Hash/insertion order leaking into result construction breaks "
         "tie-order bit-identity between strategies and runs."
     )
-    scope = ("retrieval/", "cluster/", "core/")
+    scope = ("retrieval/", "cluster/", "core/", "serving/")
 
     #: one wrapper level that preserves (arbitrary) element order and is
     #: therefore just as unordered as the collection itself.
@@ -629,82 +637,3 @@ def _under_lock(node: ast.AST, closure: ast.AST) -> bool:
             if sub is node:
                 return True
     return False
-
-
-# --------------------------------------------------------------------------
-# PAR-PICKLE
-# --------------------------------------------------------------------------
-
-
-@register
-class ParPickleRule(Rule):
-    """Process pools must receive picklable module-level callables.
-
-    A ``ProcessPoolExecutor`` (simlint's own ``--jobs`` pool is one)
-    pickles every submitted task into the worker; lambdas and nested
-    functions fail at pickle time with an error far from the submission
-    site — or worse, a closure over a live shard would ship a full copy
-    of the index to every worker if it *did* pickle.  The sanctioned
-    pattern is a module-level function taking plain-data arguments.
-
-    Detection is lexical, like every simlint rule: ``.map``/``.submit``
-    calls whose receiver expression mentions "process" are checked for
-    lambda arguments (including lambdas inside list/generator argument
-    expressions) and for references to functions defined in the
-    enclosing function body.
-    """
-
-    id = "PAR-PICKLE"
-    summary = "lambda/closure handed to a process pool"
-    rationale = (
-        "Closures do not pickle across the process boundary; workers "
-        "need importable descriptors, not captured live objects."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            nested = {
-                node.name
-                for node in ast.walk(func)
-                if node is not func
-                and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            for node in ast.walk(func):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("submit", "map")
-                    and self._process_receiver(node.func.value)
-                ):
-                    continue
-                for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    yield from self._unpicklable_args(ctx, arg, nested)
-
-    def _process_receiver(self, expr: ast.expr) -> bool:
-        """Does the receiver expression lexically mention a process pool?"""
-        target = expr.func if isinstance(expr, ast.Call) else expr
-        text = dotted_name(target) or _name_base(target) or ""
-        return "process" in text.lower()
-
-    def _unpicklable_args(
-        self, ctx: FileContext, arg: ast.expr, nested: set[str]
-    ) -> Iterator[Finding]:
-        for node in ast.walk(arg):
-            if isinstance(node, ast.Lambda):
-                yield ctx.finding(
-                    self.id, node,
-                    "lambda submitted to a process pool cannot pickle; "
-                    "pass a module-level function",
-                )
-            elif (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and node.id in nested
-            ):
-                yield ctx.finding(
-                    self.id, node,
-                    f"nested function {node.id!r} submitted to a process "
-                    "pool cannot pickle; hoist it to module level",
-                )

@@ -525,59 +525,27 @@ def _cmd_select_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run simlint.  Exit-code contract: 0 clean, 1 findings, 2 internal error."""
-    import json as _json
     from pathlib import Path
 
-    from repro.analysis import Baseline, LintEngine, get_rules, to_sarif
+    from repro.analysis import LintEngine, get_rules
 
     try:
-        root = Path(args.root).resolve()
-        rules = get_rules(args.rules if args.rules else None)
-        cache_path = None if args.no_cache else (
-            Path(args.cache) if args.cache else root / ".simlint-cache.json"
-        )
-        baseline_path = (
-            Path(args.baseline) if args.baseline else root / "simlint-baseline.json"
-        )
-        baseline = Baseline.load(baseline_path) if baseline_path.exists() else None
         engine = LintEngine(
-            root=root,
-            rules=rules,
-            cache_path=cache_path,
-            baseline=None if args.write_baseline else baseline,
-            jobs=max(1, args.jobs),
+            root=Path(args.root), rules=get_rules(args.rules if args.rules else None)
         )
-        paths = [Path(p) for p in args.paths]
-        if args.graph:
-            project = engine.graph(paths)
-            if args.graph == "dot":
-                print(project.to_dot(), end="")
-            else:
-                print(_json.dumps(project.to_json(), indent=2))
-            return 0
-        report = engine.run(paths)
+        report = engine.run([Path(p) for p in args.paths])
     except Exception as exc:  # the contract: *any* analyzer failure is exit 2
         print(f"simlint: internal error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).save(baseline_path)
-        print(
-            f"simlint: wrote {len(report.findings)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    if args.format == "sarif":
-        print(_json.dumps(to_sarif(report, rules), indent=2))
-    else:
-        for finding in report.findings:
-            print(finding.render())
-            if args.format == "github":
-                print(finding.render_github())
-        for error in report.errors:
-            print(error.render(), file=sys.stderr)
-            if args.format == "github":
-                print(f"::error file={error.path}::{error.message}")
+    for finding in report.findings:
+        print(finding.render())
+        if args.format == "github":
+            print(finding.render_github())
+    for error in report.errors:
+        print(error.render(), file=sys.stderr)
+        if args.format == "github":
+            print(f"::error file={error.path}::{error.message}")
     for warning in report.warnings:
         print(warning.render(), file=sys.stderr)
     summary = (
@@ -587,15 +555,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     details = []
     if report.pragma_suppressed:
         details.append(f"{report.pragma_suppressed} pragma-suppressed")
-    if report.baseline_suppressed:
-        details.append(f"{report.baseline_suppressed} baselined")
     if report.warnings:
         details.append(f"{len(report.warnings)} warning(s)")
-    if report.cache_hits:
-        details.append(f"{report.cache_hits} cache hit(s)")
     if details:
         summary += " (" + ", ".join(details) + ")"
-    print(summary, file=sys.stderr if args.format == "sarif" else sys.stdout)
+    print(summary)
     return report.exit_code()
 
 
@@ -822,42 +786,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--root", default=".",
-        help="repo root for relative paths, cache and baseline (default: cwd)",
+        help="repo root that reported paths are relative to (default: cwd)",
     )
     lint.add_argument(
         "--rules", nargs="*", metavar="RULE",
         help="run only these rule ids (default: the full registry)",
     )
     lint.add_argument(
-        "--format", default="text", choices=("text", "github", "sarif"),
-        help="'github' additionally emits ::error workflow annotations; "
-        "'sarif' prints a SARIF 2.1.0 log on stdout (summary on stderr)",
-    )
-    lint.add_argument(
-        "--graph", default="", choices=("", "dot", "json"),
-        help="skip linting and export the project import/call graph "
-        "(GraphViz dot or JSON) on stdout",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parse cache misses in N worker processes (default 1 = serial; "
-        "findings are identical at any job count)",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the content-hash result cache",
-    )
-    lint.add_argument(
-        "--cache", default="",
-        help="cache file path (default <root>/.simlint-cache.json)",
-    )
-    lint.add_argument(
-        "--baseline", default="",
-        help="baseline file path (default <root>/simlint-baseline.json)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="snapshot current findings into the baseline and exit 0",
+        "--format", default="text", choices=("text", "github"),
+        help="'github' additionally emits ::error workflow annotations",
     )
     lint.set_defaults(fn=_cmd_lint)
 

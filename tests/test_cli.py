@@ -254,20 +254,10 @@ class TestLintCommand:
         out = capsys.readouterr().out
         assert "::error file=" in out and "title=simlint DET-RNG" in out
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        self.write(tmp_path, "dirty.py", "import random\nx = random.random()\n")
-        assert self.lint(tmp_path, "--write-baseline") == 0
-        assert (tmp_path / "simlint-baseline.json").exists()
-        capsys.readouterr()
-        # Grandfathered finding no longer fails; summary says it was baselined.
-        assert self.lint(tmp_path, "--no-cache") == 0
-        assert "1 baselined" in capsys.readouterr().out
-
     def test_rule_subset_filter(self, tmp_path):
         self.write(
             tmp_path, "dirty.py",
             "import random\nx = random.random()\ndef f(a=[]):\n    return a\n",
         )
         assert self.lint(tmp_path, "--rules", "MUT-DEFAULT") == 1
-        # The cache is keyed on the rule set, so the broader run re-analyzes.
         assert self.lint(tmp_path, "--rules", "DET-CLOCK") == 0

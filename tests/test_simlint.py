@@ -2,8 +2,8 @@
 
 Every rule gets at least one known-bad snippet it must fire on and one
 known-clean snippet it must stay silent on; plus engine-level coverage
-for pragma suppression, the content-hash cache, the baseline round-trip,
-and a meta-test asserting the tree as committed is lint-clean.
+for pragma suppression, the layer contract, and a meta-test asserting
+the tree as committed is lint-clean.
 """
 
 from pathlib import Path
@@ -11,24 +11,21 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    Finding,
     LintEngine,
     all_rules,
-    analysis_source_digest,
+    discover_files,
     get_rules,
     module_path_of,
     parse_pragmas,
-    rules_signature,
     run_lint,
 )
+from repro.analysis.layers import layer_of
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 RULE_IDS = {
     "DET-RNG", "DET-CLOCK", "DET-ORDER", "FLOAT-ORDER",
-    "TEL-BIND", "MUT-DEFAULT", "PAR-SHARED", "PAR-PICKLE",
-    "DET-CLOCK-FLOW", "DET-RNG-FLOW", "PAR-PICKLE-FLOW", "ARCH-LAYER",
+    "TEL-BIND", "MUT-DEFAULT", "PAR-SHARED", "ARCH-LAYER",
 }
 
 
@@ -37,11 +34,7 @@ def lint_snippet(tmp_path, source, module_path="core/snippet.py", rules=None):
     target = tmp_path / "repro" / module_path
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source)
-    engine = LintEngine(
-        root=tmp_path,
-        rules=get_rules(rules) if rules else (),
-        cache_path=None,
-    )
+    engine = LintEngine(root=tmp_path, rules=get_rules(rules) if rules else ())
     return engine.run([target])
 
 
@@ -51,7 +44,7 @@ def rule_hits(report, rule_id):
 
 class TestRegistry:
     def test_all_rules_registered(self):
-        assert {rule.id for rule in all_rules()} >= RULE_IDS
+        assert {rule.id for rule in all_rules()} == RULE_IDS
 
     def test_rules_have_docs(self):
         for rule in all_rules():
@@ -96,6 +89,18 @@ class TestDetRng:
         )
         assert len(rule_hits(report, "DET-RNG")) == 2
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import random as rnd\nx = rnd.random()\n",
+            "import numpy.random as npr\nx = npr.rand(3)\n",
+            "from numpy import random as nr\nx = nr.rand(3)\n",
+        ],
+    )
+    def test_fires_through_import_alias(self, tmp_path, source):
+        report = lint_snippet(tmp_path, source, module_path="cluster/jitter.py")
+        assert len(rule_hits(report, "DET-RNG")) == 1
+
     def test_clean_on_seeded_rngs(self, tmp_path):
         report = lint_snippet(
             tmp_path,
@@ -129,6 +134,15 @@ class TestDetClock:
         )
         assert len(rule_hits(report, "DET-CLOCK")) == 1
 
+    def test_fires_through_import_alias(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            "import time as _t\n"
+            "t0 = _t.perf_counter()\n",
+            module_path="cluster/engine2.py",
+        )
+        assert len(rule_hits(report, "DET-CLOCK")) == 1
+
     def test_clean_in_allowlisted_modules(self, tmp_path):
         source = "import time\nt = time.perf_counter()\n"
         for module in (
@@ -158,6 +172,15 @@ class TestDetOrder:
             "        out.append(s)\n"
             "    return out\n",
             module_path="retrieval/merge2.py",
+        )
+        assert len(rule_hits(report, "DET-ORDER")) == 1
+
+    def test_fires_in_serving(self, tmp_path):
+        report = lint_snippet(
+            tmp_path,
+            "def admit(pending):\n"
+            "    return [q for q in set(pending)]\n",
+            module_path="serving/admission2.py",
         )
         assert len(rule_hits(report, "DET-ORDER")) == 1
 
@@ -355,70 +378,6 @@ def serial(tasks):
 """
 
 
-PAR_PICKLE_LAMBDA = """\
-def fan_out(process_pool, searchers, query):
-    futures = [
-        process_pool.submit(lambda s=searcher: s.search(query))
-        for searcher in searchers
-    ]
-    return [f.result() for f in futures]
-"""
-
-PAR_PICKLE_NESTED = """\
-def fan_out(process_executor, tasks):
-    def worker(task):
-        return task()
-    return process_executor.map([worker for _ in tasks])
-"""
-
-PAR_PICKLE_DESCRIPTOR = """\
-def fan_out(process_pool, tasks):
-    futures = [process_pool.submit(run_task, task) for task in tasks]
-    return [f.result() for f in futures]
-
-
-def run_task(task):
-    return task()
-"""
-
-PAR_PICKLE_THREAD_POOL = """\
-def fan_out(thread_pool, tasks):
-    futures = [thread_pool.submit(lambda t=task: t()) for task in tasks]
-    return [f.result() for f in futures]
-"""
-
-PAR_PICKLE_DIRECT_CTOR = """\
-from concurrent.futures import ProcessPoolExecutor
-
-
-def fan_out(tasks):
-    with ProcessPoolExecutor(4) as pool:
-        return list(ProcessPoolExecutor(4).map(lambda t: t(), tasks))
-"""
-
-
-class TestParPickle:
-    def test_fires_on_lambda(self, tmp_path):
-        report = lint_snippet(tmp_path, PAR_PICKLE_LAMBDA)
-        assert len(rule_hits(report, "PAR-PICKLE")) == 1
-
-    def test_fires_on_nested_function(self, tmp_path):
-        report = lint_snippet(tmp_path, PAR_PICKLE_NESTED)
-        assert len(rule_hits(report, "PAR-PICKLE")) == 1
-
-    def test_clean_module_level_callable(self, tmp_path):
-        report = lint_snippet(tmp_path, PAR_PICKLE_DESCRIPTOR)
-        assert not rule_hits(report, "PAR-PICKLE")
-
-    def test_thread_pools_exempt(self, tmp_path):
-        report = lint_snippet(tmp_path, PAR_PICKLE_THREAD_POOL)
-        assert not rule_hits(report, "PAR-PICKLE")
-
-    def test_fires_on_direct_constructor_receiver(self, tmp_path):
-        report = lint_snippet(tmp_path, PAR_PICKLE_DIRECT_CTOR)
-        assert len(rule_hits(report, "PAR-PICKLE")) == 1
-
-
 class TestParShared:
     def test_fires_on_shared_mutation(self, tmp_path):
         report = lint_snippet(tmp_path, PAR_SHARED_BAD)
@@ -550,129 +509,94 @@ class TestPragmas:
         assert not report.warnings
 
 
-class TestRulesSignature:
-    def test_digest_is_stable_and_tracks_source_edits(self, tmp_path):
-        pkg = tmp_path / "analysis"
-        pkg.mkdir()
-        (pkg / "rules.py").write_text("THRESHOLD = 1\n")
-        first = analysis_source_digest(package_dir=pkg)
-        assert first == analysis_source_digest(package_dir=pkg)
-
-        (pkg / "rules.py").write_text("THRESHOLD = 2\n")
-        assert analysis_source_digest(package_dir=pkg) != first
-
-        # adding a file changes the digest too (the hash walks the dir)
-        (pkg / "extra.py").write_text("")
-        second = analysis_source_digest(package_dir=pkg)
-        assert second != first
-
-    def test_signature_embeds_source_digest(self):
-        signature = rules_signature(all_rules())
-        assert signature.startswith(analysis_source_digest() + ":")
-        # a different rule subset yields a different signature
-        assert signature != rules_signature(get_rules(["DET-RNG"]))
-
-    def test_signature_mismatch_drops_cache(self, tmp_path):
-        from repro.analysis.cache import ResultCache, content_hash
-
-        source_hash = content_hash("x = 1\n")
-        entry = {"hash": source_hash, "findings": []}
-        cache = ResultCache(tmp_path / "c.json", rules_signature="sig-a")
-        cache.put_entry("repro/core/m.py", entry)
-        cache.save()
-
-        stale = ResultCache(tmp_path / "c.json", rules_signature="sig-b")
-        assert stale.get_entry("repro/core/m.py", source_hash) is None
-
-        fresh = ResultCache(tmp_path / "c.json", rules_signature="sig-a")
-        assert fresh.get_entry("repro/core/m.py", source_hash) == entry
+def lint_tree(tmp_path, files):
+    """Write ``files`` (module path -> source) under ``repro/`` and lint it."""
+    for rel, source in files.items():
+        target = tmp_path / "repro" / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+    return run_lint([tmp_path / "repro"], root=tmp_path)
 
 
-class TestCache:
-    def make_engine(self, tmp_path):
-        return LintEngine(
-            root=tmp_path, cache_path=tmp_path / ".simlint-cache.json"
+LAYER_BAD = {
+    "__init__.py": "",
+    "index/__init__.py": "",
+    "index/store.py": "from repro.retrieval.kernels import score\n",
+    "retrieval/__init__.py": "",
+    "retrieval/kernels.py": "def score(x):\n    return x\n",
+}
+
+
+class TestArchLayer:
+    def test_back_edge_flagged(self, tmp_path):
+        report = lint_tree(tmp_path, LAYER_BAD)
+        hits = rule_hits(report, "ARCH-LAYER")
+        assert len(hits) == 1
+        finding = hits[0]
+        assert finding.path == "repro/index/store.py"
+        assert "retrieval" in finding.message
+
+    def test_relative_and_promoted_submodule_back_edges_flagged(self, tmp_path):
+        tree = dict(LAYER_BAD)
+        tree["index/store.py"] = "from ..retrieval import kernels\n"
+        # cluster/scenarios.py is ranked above its package: only the
+        # ``pkg.name`` reading of ``from pkg import name`` sees it.
+        tree["cluster/engine.py"] = "from repro.cluster import scenarios\n"
+        hits = rule_hits(lint_tree(tmp_path, tree), "ARCH-LAYER")
+        assert [f.path for f in hits] == [
+            "repro/cluster/engine.py", "repro/index/store.py",
+        ]
+        assert "repro.cluster.scenarios" in hits[0].message
+
+    def test_downward_edge_clean(self, tmp_path):
+        tree = {
+            "__init__.py": "",
+            "index/__init__.py": "",
+            "index/store.py": "def load():\n    return ()\n",
+            "retrieval/__init__.py": "",
+            "retrieval/kernels.py": "from repro.index.store import load\n",
+        }
+        report = lint_tree(tmp_path, tree)
+        assert not rule_hits(report, "ARCH-LAYER")
+
+    def test_type_checking_and_lazy_imports_sanctioned(self, tmp_path):
+        tree = dict(LAYER_BAD)
+        tree["index/store.py"] = (
+            "from typing import TYPE_CHECKING\n"
+            "\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.retrieval.kernels import score\n"
+            "\n"
+            "\n"
+            "def rescore(x):\n"
+            "    from repro.retrieval.kernels import score\n"
+            "    return score(x)\n"
         )
+        report = lint_tree(tmp_path, tree)
+        assert not rule_hits(report, "ARCH-LAYER")
 
-    def test_warm_run_hits_cache_with_same_findings(self, tmp_path):
-        target = tmp_path / "repro" / "core" / "mod.py"
-        target.parent.mkdir(parents=True)
-        target.write_text("import random\nx = random.random()\n")
+    def test_facade_self_import_sanctioned(self, tmp_path):
+        tree = {
+            "cluster/__init__.py": "from repro.cluster import scenarios\n",
+            "cluster/scenarios.py": "",
+        }
+        report = lint_tree(tmp_path, tree)
+        assert not rule_hits(report, "ARCH-LAYER")
 
-        cold = self.make_engine(tmp_path).run([target])
-        assert cold.cache_hits == 0 and len(cold.findings) == 1
+    def test_layer_contract_holds_on_src_repro(self):
+        engine = LintEngine(root=REPO_ROOT, rules=get_rules(["ARCH-LAYER"]))
+        report = engine.run([REPO_ROOT / "src" / "repro"])
+        assert not report.findings, [f.render() for f in report.findings]
 
-        warm = self.make_engine(tmp_path).run([target])
-        assert warm.cache_hits == 1
-        assert warm.findings == cold.findings
-
-    def test_content_change_invalidates(self, tmp_path):
-        target = tmp_path / "repro" / "core" / "mod.py"
-        target.parent.mkdir(parents=True)
-        target.write_text("import random\nx = random.random()\n")
-        self.make_engine(tmp_path).run([target])
-
-        target.write_text("import random\nr = random.Random(3)\n")
-        warm = self.make_engine(tmp_path).run([target])
-        assert warm.cache_hits == 0
-        assert not warm.findings
-
-    def test_rule_subset_change_invalidates(self, tmp_path):
-        target = tmp_path / "repro" / "core" / "mod.py"
-        target.parent.mkdir(parents=True)
-        target.write_text("import random\nx = random.random()\n")
-        self.make_engine(tmp_path).run([target])
-
-        engine = LintEngine(
-            root=tmp_path,
-            rules=get_rules(["MUT-DEFAULT"]),
-            cache_path=tmp_path / ".simlint-cache.json",
-        )
-        report = engine.run([target])
-        assert report.cache_hits == 0
-        assert not report.findings
-
-
-class TestBaseline:
-    def test_round_trip_suppresses_then_surfaces_new(self, tmp_path):
-        target = tmp_path / "repro" / "core" / "mod.py"
-        target.parent.mkdir(parents=True)
-        target.write_text("import random\nx = random.random()\n")
-
-        first = LintEngine(root=tmp_path, cache_path=None).run([target])
-        assert len(first.findings) == 1
-
-        baseline_path = tmp_path / "simlint-baseline.json"
-        Baseline.from_findings(first.findings).save(baseline_path)
-        reloaded = Baseline.load(baseline_path)
-        assert len(reloaded) == 1
-
-        engine = LintEngine(root=tmp_path, cache_path=None, baseline=reloaded)
-        second = engine.run([target])
-        assert not second.findings
-        assert second.baseline_suppressed == 1
-
-        # A *new* identical violation on another line is not grandfathered:
-        # the multiset budget covers exactly one occurrence.
-        target.write_text(
-            "import random\nx = random.random()\ny = random.random()\n"
-        )
-        third = LintEngine(
-            root=tmp_path, cache_path=None, baseline=reloaded
-        ).run([target])
-        assert len(third.findings) == 1
-        assert third.baseline_suppressed == 1
-
-    def test_stale_entries_reported(self, tmp_path):
-        finding = Finding(
-            path="repro/core/mod.py", line=2, col=0,
-            rule="DET-RNG", message="gone",
-        )
-        baseline = Baseline.from_findings([finding])
-        assert baseline.stale_entries([]) == [finding.fingerprint()]
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "nope.json")) == 0
+    def test_every_module_has_a_layer(self):
+        """A new top-level package must be added to LAYERS to be checked."""
+        package = REPO_ROOT / "src" / "repro"
+        unassigned = [
+            path.relative_to(package).as_posix()
+            for path in discover_files([package])
+            if layer_of(path.relative_to(package).as_posix()) is None
+        ]
+        assert not unassigned
 
 
 class TestErrors:
@@ -680,39 +604,28 @@ class TestErrors:
         target = tmp_path / "repro" / "core" / "broken.py"
         target.parent.mkdir(parents=True)
         target.write_text("def broken(:\n")
-        report = LintEngine(root=tmp_path, cache_path=None).run([target])
+        report = LintEngine(root=tmp_path).run([target])
         assert not report.findings
         assert len(report.errors) == 1
         assert report.exit_code() == 2
 
     def test_missing_path_raises(self, tmp_path):
-        engine = LintEngine(root=tmp_path, cache_path=None)
+        engine = LintEngine(root=tmp_path)
         with pytest.raises(FileNotFoundError):
             engine.run([tmp_path / "does-not-exist"])
 
 
 class TestTreeIsClean:
-    def test_repro_lint_src_repro_exits_zero(self, tmp_path):
-        """The tree as committed carries no findings and an empty baseline."""
+    def test_repro_lint_src_repro_exits_zero(self):
+        """The tree as committed carries no findings."""
         from repro.cli import main
 
-        assert (REPO_ROOT / "simlint-baseline.json").exists()
-        assert Baseline.load(REPO_ROOT / "simlint-baseline.json").counts == {}
         code = main(
-            [
-                "lint",
-                str(REPO_ROOT / "src" / "repro"),
-                "--root", str(REPO_ROOT),
-                "--cache", str(tmp_path / "cache.json"),
-            ]
+            ["lint", str(REPO_ROOT / "src" / "repro"), "--root", str(REPO_ROOT)]
         )
         assert code == 0
 
-    def test_run_lint_api_matches(self, tmp_path):
-        report = run_lint(
-            [REPO_ROOT / "src" / "repro"],
-            root=REPO_ROOT,
-            cache_path=tmp_path / "cache.json",
-        )
+    def test_run_lint_api_matches(self):
+        report = run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
         assert report.clean
         assert report.files_scanned > 100
