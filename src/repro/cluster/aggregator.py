@@ -7,7 +7,9 @@ ISN executes within the broadcast budget, and the aggregator merges
 whatever arrived by the deadline, dropping stragglers (step 7).
 
 With shard replicas (:mod:`repro.cluster.replicas`) each selected shard
-becomes a *request* that may spawn several *attempts*:
+becomes a *request* that may spawn several *attempts* — each attempt is
+one :class:`~repro.cluster.isn.Job`, the single per-attempt record the
+ISN queues and this module keeps its books on:
 
 * ``primary`` mode issues one attempt to the selector's first choice —
   the pre-replication behaviour, bit-identical to it at any replica
@@ -28,7 +30,8 @@ one record per query is committed — the invariants
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cluster.cache import ResultCache
 from repro.cluster.events import Simulator
@@ -55,47 +58,33 @@ if TYPE_CHECKING:  # avoids a runtime cluster <-> serving import cycle
     from repro.serving.admission import AdmissionController
 
 _TRACK = "aggregator"
+_OUTCOME_ORDER = attrgetter("shard_id", "replica_id")
 
 
-@dataclass
-class _Attempt:
-    """One job issued to one replica for one (query, shard) request."""
-
-    replica_id: int
-    job: Job
-    role: str  # "primary" | "hedge" | "tied"
-    issued_ms: float
-    done: bool = False  # the ISN reported back (finish, abort or recall)
-    completed: bool = False  # finished in time; its response is travelling
-
-
-@dataclass
-class _ShardRequest:
-    """Aggregator-side state for one selected shard of one query."""
-
-    shard_id: int
-    attempts: dict[int, _Attempt] = field(default_factory=dict)
-    won: bool = False  # a response for this shard was accepted
-    winner_replica: int = -1
-    hedge_scheduled: bool = False
-    backup_replica: int | None = None
-
-
-@dataclass
+@dataclass(slots=True, eq=False, repr=False)
 class _PendingQuery:
-    """Aggregator-side state for one in-flight query."""
+    """Aggregator-side state for one in-flight query.
+
+    ``expected`` holds the shards whose answer is still awaited: a shard
+    leaves it when a response is accepted (the attempt joins ``winners``,
+    in response order) or when no attempt can answer any more.  Per
+    selected shard, ``attempts[shard]`` lists the jobs issued so far (in
+    issue order) and ``hedges[shard]`` is the backup replica of a hedge
+    that is scheduled but has not fired.
+    """
 
     query: Query
     arrival_ms: float
     decision: Decision
     dispatch_ms: float
     deadline_ms: float | None
+    span: Any  # telemetry lifecycle span
     expected: set[int]
-    requests: dict[int, _ShardRequest] = field(default_factory=dict)
-    responses: dict[int, SearchResult] = field(default_factory=dict)
-    outcomes: dict[tuple[int, int], ShardOutcome] = field(default_factory=dict)
+    attempts: dict[int, list[Job]] = field(default_factory=dict)
+    winners: list[Job] = field(default_factory=list)
+    hedges: dict[int, int] = field(default_factory=dict)
+    outcomes: list[ShardOutcome] = field(default_factory=list)  # in report order
     finalized: bool = False
-    span: object | None = None  # telemetry lifecycle span
 
 
 class Aggregator:
@@ -140,6 +129,11 @@ class Aggregator:
             list(entry) if isinstance(entry, (list, tuple)) else [entry]
             for entry in isns
         ]
+        for sid, group in enumerate(self.groups):
+            for rid, isn in enumerate(group):
+                # Jobs carry the ids their ISN was built with.
+                if (isn.shard_id, isn.replica_id) != (sid, rid):
+                    raise ValueError("ISN ids must match their position in isns")
         self.replication = replication or ReplicationConfig()
         self.selector = selector or make_selector(self.replication)
         self.policy = policy
@@ -151,6 +145,7 @@ class Aggregator:
         self.admission = admission
         self._record_sink = record_sink
         self.records: list[QueryRecord] = []
+        self._net_ms = network.delay_ms()  # one-way hop; the model is frozen
         self._default_freq = self.groups[0][0].freq_scale.default_ghz
         self._max_freq = self.groups[0][0].freq_scale.max_ghz
         # Run-level tail-tolerance accounting (surfaced on RunResult).
@@ -192,19 +187,19 @@ class Aggregator:
 
     # ---------------------------------------------------------------- intake
     def view(self) -> ClusterView:
+        queue_view = self.selector.queue_view
         return ClusterView(
             now_ms=self.sim.now,
             n_shards=len(self.groups),
             default_freq_ghz=self._default_freq,
             max_freq_ghz=self._max_freq,
-            queued_predicted_ms=tuple(
-                self.selector.queue_view(group) for group in self.groups
-            ),
+            queued_predicted_ms=tuple([queue_view(group) for group in self.groups]),
         )
 
     def on_query(self, query: Query) -> None:
         """Entry point, fired by the engine at the query's arrival time."""
-        arrival = self.sim.now
+        sim = self.sim
+        arrival = sim.now
         self.queries_seen += 1
         tracer = self._tracer
         qspan = None
@@ -232,8 +227,11 @@ class Aggregator:
                 return
             if qspan is not None:
                 self._m_cache_misses.add()
+        # Nothing between admission and the policy touches an ISN queue,
+        # so both read the same snapshot.
+        view = self.view()
         if self.admission is not None:
-            reason = self.admission.admit(query, self.view(), arrival)
+            reason = self.admission.admit(query, view, arrival)
             if reason is not None:
                 if reason == "deadline":
                     self.shed_deadline += 1
@@ -258,11 +256,11 @@ class Aggregator:
         if qspan is not None:
             self._m_admitted.add()
         if tracer is None:
-            decision = self.policy.decide(query, self.view())
+            decision = self.policy.decide(query, view)
         else:
             # Policy-internal spans (predict, budget-assign) nest inside.
             with tracer.span("aggregator.decide", track=_TRACK, qid=query.query_id):
-                decision = self.policy.decide(query, self.view())
+                decision = self.policy.decide(query, view)
         if not decision.shard_ids:
             # A policy that selects nothing answers immediately and empty.
             if qspan is not None:
@@ -277,58 +275,42 @@ class Aggregator:
             self._commit(record)
             return
 
-        dispatch_delay = decision.coordination_delay_ms + self.network.delay_ms()
+        net_ms = self._net_ms
+        dispatch_delay = decision.coordination_delay_ms + net_ms
         dispatch_ms = arrival + dispatch_delay
-        deadline = (
-            dispatch_ms + decision.time_budget_ms
-            if decision.time_budget_ms is not None
-            else None
-        )
+        budget_ms = decision.time_budget_ms
+        deadline = dispatch_ms + budget_ms if budget_ms is not None else None
         pending = _PendingQuery(
-            query=query,
-            arrival_ms=arrival,
-            decision=decision,
-            dispatch_ms=dispatch_ms,
-            deadline_ms=deadline,
-            expected=set(decision.shard_ids),
-            span=qspan,
+            query, arrival, decision, dispatch_ms, deadline, qspan,
+            set(decision.shard_ids),
         )
         if qspan is not None:
             self._m_selected.observe(len(decision.shard_ids))
-            if decision.time_budget_ms is not None:
-                self._m_budget.observe(decision.time_budget_ms)
+            if budget_ms is not None:
+                self._m_budget.observe(budget_ms)
 
         mode = self.replication.mode
+        order_replicas = self.selector.order
+        launch = self._launch
         for sid in decision.shard_ids:
             group = self.groups[sid]
-            order = self.selector.order(sid, group, arrival)
-            request = _ShardRequest(shard_id=sid)
-            pending.requests[sid] = request
-            primary = self._launch(
-                pending, request, order[0], "primary", at_ms=dispatch_ms
-            )
+            order = order_replicas(sid, group, arrival)
+            primary = launch(pending, group[order[0]], "primary", dispatch_ms)
             if len(group) < 2:
                 continue  # hedged/tied degrade to primary-only
             if mode == "tied":
-                self._launch(pending, request, order[1], "tied", at_ms=dispatch_ms)
+                launch(pending, group[order[1]], "tied", dispatch_ms)
             elif mode == "hedged":
-                request.backup_replica = order[1]
-                request.hedge_scheduled = True
-                backup_queue = group[order[1]].queued_work_default_ms
-                predicted = decision.predicted_service_ms.get(
-                    sid, primary.job.service_default_ms
-                )
+                backup = group[order[1]]
+                pending.hedges[sid] = order[1]
                 delay = hedge_delay_ms(
-                    decision.time_budget_ms,
-                    predicted,
-                    backup_queue,
-                    self.network.delay_ms(),
+                    budget_ms,
+                    decision.predicted_service_ms.get(sid, primary.service_default_ms),
+                    backup.queued_work_default_ms,
+                    net_ms,
                     self.replication,
                 )
-                self.sim.schedule_at(
-                    dispatch_ms + delay,
-                    lambda p=pending, s=sid: self._fire_hedge(p, s),
-                )
+                sim.schedule_at(dispatch_ms + delay, self._fire_hedge, pending, sid)
 
         if deadline is not None:
             # Hard stop: merge whatever has arrived once responses from the
@@ -336,61 +318,47 @@ class Aggregator:
             # deadline inclusive: an ISN finishing exactly on the budget
             # would otherwise lose the same-timestamp tie against this
             # finalize event and be dropped.
-            self.sim.schedule_at(
-                deadline + self.network.delay_ms() + 1e-6,
-                lambda p=pending: self._finalize(p),
-            )
+            sim.schedule_at(deadline + net_ms + 1e-6, self._finalize, pending)
         elif self.response_timeout_ms is not None:
             # Unbudgeted policy: answer with whatever arrived by the safety
             # timeout (fail-silent ISNs never respond at all).
-            self.sim.schedule_at(
-                dispatch_ms + self.response_timeout_ms,
-                lambda p=pending: self._finalize(p),
+            sim.schedule_at(
+                dispatch_ms + self.response_timeout_ms, self._finalize, pending
             )
 
     # ---------------------------------------------------------------- dispatch
     def _launch(
-        self,
-        pending: _PendingQuery,
-        request: _ShardRequest,
-        replica_id: int,
-        role: str,
-        at_ms: float | None,
-    ) -> _Attempt:
+        self, pending: _PendingQuery, isn: ISNServer, role: str, at_ms: float | None
+    ) -> Job:
         """Create a job on one replica and submit it (now, or at ``at_ms``)."""
-        sid = request.shard_id
-        isn = self.groups[sid][replica_id]
-        freq = pending.decision.frequency_overrides.get(sid, self._default_freq)
+        sid = isn.shard_id
         job = isn.make_job(
             pending.query,
-            freq_ghz=freq,
-            deadline_ms=pending.deadline_ms,
-            on_done=lambda job, ok, busy, p=pending, s=sid, r=replica_id: (
-                self._on_isn_done(p, s, r, job, ok, busy)
-            ),
+            pending.decision.frequency_overrides.get(sid, self._default_freq),
+            pending.deadline_ms,
+            self._on_isn_done,
         )
-        attempt = _Attempt(
-            replica_id=replica_id,
-            job=job,
-            role=role,
-            issued_ms=at_ms if at_ms is not None else self.sim.now,
-        )
-        request.attempts[replica_id] = attempt
-        if at_ms is None:
-            isn.submit(job, self.sim)
+        job.pending = pending
+        job.role = role
+        attempts = pending.attempts.get(sid)
+        if attempts is None:
+            pending.attempts[sid] = [job]
         else:
-            self.sim.schedule_at(at_ms, lambda i=isn, j=job: i.submit(j, self.sim))
-        return attempt
+            attempts.append(job)
+        sim = self.sim
+        if at_ms is None:
+            job.issued_ms = sim.now
+            isn.submit(job, sim)
+        else:
+            job.issued_ms = at_ms
+            sim.schedule_at(at_ms, isn.submit, job, sim)
+        return job
 
     def _fire_hedge(self, pending: _PendingQuery, shard_id: int) -> None:
         """The hedge instant arrived: spend the backup iff still useful."""
-        request = pending.requests[shard_id]
-        request.hedge_scheduled = False
-        if pending.finalized or request.won:
+        replica = pending.hedges.pop(shard_id)
+        if pending.finalized or shard_id not in pending.expected:
             return  # the primary answered in time — no replica spent
-        replica = request.backup_replica
-        if replica is None or replica in request.attempts:
-            return
         self.hedges_issued += 1
         if self._tracer is not None:
             self._tracer.instant(
@@ -398,55 +366,44 @@ class Aggregator:
                 qid=pending.query.query_id, shard=shard_id, replica=replica,
             )
             self._m_hedges.add()
-        self._launch(pending, request, replica, "hedge", at_ms=None)
+        self._launch(pending, self.groups[shard_id][replica], "hedge", None)
 
     # ---------------------------------------------------------------- results
-    def _on_isn_done(
-        self,
-        pending: _PendingQuery,
-        shard_id: int,
-        replica_id: int,
-        job: Job,
-        completed: bool,
-        busy_ms: float,
-    ) -> None:
-        request = pending.requests[shard_id]
-        attempt = request.attempts[replica_id]
-        attempt.done = True
-        isn = self.groups[shard_id][replica_id]
+    def _on_isn_done(self, job: Job, completed: bool, busy_ms: float) -> None:
+        """An attempt reported back: finished, aborted or recalled."""
+        job.done = True
+        pending: _PendingQuery = job.pending
         partial_docs = job.result.cost.docs_evaluated
-        service = isn.cost_model.service_ms(job.result.cost, job.freq_ghz)
-        if not completed and service > 0:
-            partial_docs = int(round(partial_docs * min(busy_ms / service, 1.0)))
         if job.cancelled:
             partial_docs = 0
             self.cancelled_in_queue += 1
-        pending.outcomes[(shard_id, replica_id)] = ShardOutcome(
-            shard_id=shard_id,
-            service_ms=busy_ms,
-            queued_ms=max(job.started_ms - attempt.issued_ms, 0.0),
-            freq_ghz=job.freq_ghz,
-            completed=completed,
-            counted=False,
-            docs_evaluated=partial_docs,
-            replica_id=replica_id,
-            role=attempt.role,
-            cancelled=job.cancelled,
+        elif not completed:
+            service = job.cycles / (job.freq_ghz * 1e6)
+            if service > 0:
+                partial_docs = int(round(partial_docs * min(busy_ms / service, 1.0)))
+        queued_ms = job.started_ms - job.issued_ms
+        outcome = job.outcome = ShardOutcome(
+            job.shard_id,
+            busy_ms,
+            queued_ms if queued_ms >= 0.0 else 0.0,
+            job.freq_ghz,
+            completed,
+            False,
+            partial_docs,
+            job.replica_id,
+            job.role,
+            job.cancelled,
         )
+        pending.outcomes.append(outcome)
         self.total_service_ms += busy_ms
         if completed:
-            attempt.completed = True
+            job.completed = True
             # Response travels back; count it on arrival.
-            self.sim.schedule(
-                self.network.delay_ms(),
-                lambda p=pending, s=shard_id, r=replica_id, res=job.result: (
-                    self._on_response(p, s, r, res)
-                ),
-            )
+            self.sim.schedule(self._net_ms, self._on_response, job)
         else:
-            self._give_up_if_dead(pending, request)
+            self._give_up_if_dead(pending, job.shard_id)
 
-    def _give_up_if_dead(self, pending: _PendingQuery, request: _ShardRequest) -> None:
+    def _give_up_if_dead(self, pending: _PendingQuery, shard_id: int) -> None:
         """Stop waiting for a shard once no attempt can answer any more.
 
         A fail-silent (fault-dropped) attempt never reports back, so its
@@ -455,30 +412,24 @@ class Aggregator:
         dead ISN through its deadline or response timeout (unless a hedge
         is still to come and routes around it).
         """
-        if request.won or pending.finalized:
+        if shard_id not in pending.expected or pending.finalized:
             return
-        if request.hedge_scheduled:
+        if shard_id in pending.hedges:
             return  # a backup may still be issued
-        if any(
-            request.attempts[rid].completed for rid in sorted(request.attempts)
-        ):
-            # Another attempt finished in time and its response is still on
-            # the wire (e.g. a hedge that beat a primary aborting exactly at
-            # the deadline): not dead — the response decides this shard.
-            return
-        if all(
-            request.attempts[rid].done for rid in sorted(request.attempts)
-        ):
-            pending.expected.discard(request.shard_id)
-            self._maybe_finalize(pending)
+        for attempt in pending.attempts[shard_id]:
+            # ``completed``: another attempt finished in time and its
+            # response is still on the wire (e.g. a hedge that beat a
+            # primary aborting exactly at the deadline) — not dead, the
+            # response decides this shard.  ``not done``: still running.
+            if attempt.completed or not attempt.done:
+                return
+        pending.expected.discard(shard_id)
+        if not pending.expected:
+            self._finalize(pending)
 
-    def _on_response(
-        self,
-        pending: _PendingQuery,
-        shard_id: int,
-        replica_id: int,
-        result: SearchResult,
-    ) -> None:
+    def _on_response(self, job: Job) -> None:
+        pending: _PendingQuery = job.pending
+        shard_id = job.shard_id
         if pending.finalized:
             # Straggler: dropped at the aggregator (paper step 7).
             if self._tracer is not None:
@@ -488,8 +439,7 @@ class Aggregator:
                 )
                 self._m_stragglers.add()
             return
-        request = pending.requests[shard_id]
-        if request.won:
+        if shard_id not in pending.expected:
             # The shard already answered through another replica (the
             # tied loser was in service when the recall arrived, or both
             # hedge and primary completed): exactly-once merge drops it.
@@ -498,102 +448,87 @@ class Aggregator:
                 self._tracer.instant(
                     "aggregator.duplicate_dropped", track=_TRACK,
                     qid=pending.query.query_id, shard=shard_id,
-                    replica=replica_id,
+                    replica=job.replica_id,
                 )
                 self._m_duplicates.add()
             return
-        request.won = True
-        request.winner_replica = replica_id
-        if request.attempts[replica_id].role == "hedge":
+        pending.winners.append(job)
+        if job.role == "hedge":
             self.hedge_wins += 1
             if self._tracer is not None:
                 self._m_hedge_wins.add()
-        pending.responses[shard_id] = result
         # Recall the losers: the cancel message takes one network hop and
         # only reaches jobs still queued (cancel-after-finish is a no-op).
-        # Sorted so same-instant cancel deliveries tie-break identically
-        # across runs.
-        for other in sorted(
-            request.attempts.values(), key=lambda a: a.replica_id
-        ):
-            if other.replica_id != replica_id and not other.done:
+        # Issue order is deterministic, so same-instant cancel deliveries
+        # tie-break identically across runs.
+        for other in pending.attempts[shard_id]:
+            if other is not job and not other.done:
                 self.cancels_sent += 1
                 if self._tracer is not None:
                     self._m_cancels.add()
-                self.sim.schedule(
-                    self.network.delay_ms(),
-                    lambda s=shard_id, a=other: self._deliver_cancel(s, a),
-                )
+                self.sim.schedule(self._net_ms, self._deliver_cancel, other)
         pending.expected.discard(shard_id)
-        self._maybe_finalize(pending)
-
-    def _deliver_cancel(self, shard_id: int, attempt: _Attempt) -> None:
-        if attempt.done:
-            return  # finished or aborted while the recall was in flight
-        isn = self.groups[shard_id][attempt.replica_id]
-        isn.cancel(attempt.job, self.sim)
-
-    def _maybe_finalize(self, pending: _PendingQuery) -> None:
-        if not pending.finalized and not pending.expected:
+        if not pending.expected:
             self._finalize(pending)
+
+    def _deliver_cancel(self, job: Job) -> None:
+        if job.done:
+            return  # finished or aborted while the recall was in flight
+        self.groups[job.shard_id][job.replica_id].cancel(job, self.sim)
 
     def _finalize(self, pending: _PendingQuery) -> None:
         if pending.finalized:
             return
         pending.finalized = True
-        for sid in pending.responses:
-            request = pending.requests[sid]
-            outcome = pending.outcomes.get((sid, request.winner_replica))
-            if outcome is not None:
-                outcome.counted = True
-                self.counted_service_ms += outcome.service_ms
+        responses = []
+        for job in pending.winners:
+            outcome = job.outcome
+            outcome.counted = True
+            self.counted_service_ms += outcome.service_ms
+            responses.append(job.result)
         tracer = self._tracer
         if tracer is None:
-            merged = merge_results(list(pending.responses.values()), self.k)
+            merged = merge_results(responses, self.k)
         else:
             with tracer.span(
                 "aggregator.merge", track=_TRACK,
-                qid=pending.query.query_id, responses=len(pending.responses),
+                qid=pending.query.query_id, responses=len(responses),
             ):
-                merged = merge_results(list(pending.responses.values()), self.k)
+                merged = merge_results(responses, self.k)
+        now = self.sim.now
         if self.cache is not None:
-            self.cache.put(pending.query.terms, self.k, merged, self.sim.now)
+            self.cache.put(pending.query.terms, self.k, merged, now)
         if pending.span is not None:
-            latency = self.sim.now - pending.arrival_ms
+            latency = now - pending.arrival_ms
             self._m_latency.observe(latency)
             budget = pending.decision.time_budget_ms
             if budget is not None:
                 # How much of the broadcast budget (plus the return trip
                 # the finalize event waits for) was left when the query
                 # actually answered — 0 when the deadline itself fired.
-                return_deadline = (
-                    pending.dispatch_ms + budget + self.network.delay_ms() + 1e-6
-                )
-                self._m_slack.observe(max(return_deadline - self.sim.now, 0.0))
+                return_deadline = pending.dispatch_ms + budget + self._net_ms + 1e-6
+                self._m_slack.observe(max(return_deadline - now, 0.0))
             pending.span.attrs["latency_ms"] = latency
-            pending.span.attrs["counted"] = len(pending.responses)
+            pending.span.attrs["counted"] = len(responses)
             pending.span.finish()
-        record = QueryRecord(
-            query=pending.query,
-            arrival_ms=pending.arrival_ms,
-            latency_ms=self.sim.now - pending.arrival_ms,
-            result=merged,
-            decision=pending.decision,
-            outcomes=sorted(
-                pending.outcomes.values(),
-                key=lambda o: (o.shard_id, o.replica_id),
-            ),
+        # A copy: attempts still running (a tied loser in service) report
+        # into ``pending.outcomes`` after the record is committed.
+        self._commit(
+            QueryRecord(
+                pending.query, pending.arrival_ms, now - pending.arrival_ms,
+                merged, pending.decision,
+                sorted(pending.outcomes, key=_OUTCOME_ORDER),
+            )
         )
-        self._commit(record)
 
     def _commit(self, record: QueryRecord) -> None:
         if self._record_sink is None:
             self.records.append(record)
         else:
             self._record_sink(record)
-        if self.admission is not None and not record.shed:
-            self.admission.on_finalize(record)
         if not record.shed:
+            if self.admission is not None:
+                self.admission.on_finalize(record)
             # Shed queries never reached the policy; showing them to
             # adaptive policies would poison their latency feedback.
             self.policy.observe(record)

@@ -11,6 +11,7 @@ frequency (see DESIGN.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.retrieval.result import CostStats
@@ -33,6 +34,8 @@ class FrequencyScale:
             raise ValueError("need at least one frequency level")
         if any(b <= a for a, b in zip(self.levels_ghz, self.levels_ghz[1:])):
             raise ValueError("levels must be strictly increasing")
+        if not 0.0 < self.levels_ghz[0] <= self.levels_ghz[-1] < math.inf:
+            raise ValueError("frequency levels must be positive and finite")
         if self.default_ghz not in self.levels_ghz:
             raise ValueError("default frequency must be one of the levels")
 
@@ -74,6 +77,15 @@ class CostModel:
     cycles_per_posting: float = 90_000.0
     cycles_per_skip: float = 7_000.0
     fixed_cycles: float = 4_000_000.0
+
+    def __post_init__(self) -> None:
+        # Checked here, once: the event loop divides cycles by a frequency
+        # per job and must not have to look for NaN or zero-cost work.
+        for name in (
+            "cycles_per_doc", "cycles_per_posting", "cycles_per_skip", "fixed_cycles"
+        ):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def cycles(self, cost: CostStats) -> float:
         return (

@@ -10,7 +10,7 @@ web-search latencies.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
@@ -21,7 +21,9 @@ class Simulator:
 
     Events scheduled for the same instant fire in scheduling order (a
     monotonic sequence number breaks ties), which keeps runs fully
-    deterministic.
+    deterministic.  A heap entry is ``(time, seq, fn, args)`` — callers
+    pass the callback's arguments to :meth:`schedule` instead of closing
+    over them, so the loop allocates no closure per event.
 
     ``telemetry`` (optional) receives the loop's own counters — most
     importantly the :meth:`schedule_at` past-time clamp (see below).
@@ -29,7 +31,7 @@ class Simulator:
 
     def __init__(self, telemetry: "Telemetry | None" = None) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple[Any, ...]]] = []
         self._seq = 0
         self._events_processed = 0
         self._clamped_schedules = 0
@@ -39,15 +41,15 @@ class Simulator:
             else None
         )
 
-    def schedule(self, delay_ms: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` ``delay_ms`` simulated milliseconds from now."""
-        if delay_ms < 0:
-            raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (self.now + delay_ms, self._seq, callback))
+    def schedule(self, delay_ms: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay_ms`` simulated milliseconds from now."""
+        if not delay_ms >= 0:  # also rejects NaN, which would corrupt heap order
+            raise ValueError("cannot schedule into the past (or at NaN)")
+        heapq.heappush(self._heap, (self.now + delay_ms, self._seq, fn, args))
         self._seq += 1
 
-    def schedule_at(self, time_ms: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute simulated time ``time_ms``.
+    def schedule_at(self, time_ms: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at absolute simulated time ``time_ms``.
 
         **Clamp policy:** a ``time_ms`` already in the past runs *now*
         (at ``self.now``), after all previously scheduled same-instant
@@ -59,27 +61,33 @@ class Simulator:
         with telemetry, the ``sim.schedule_at.clamped`` counter.  A
         clamp during a trace replay indicates a timing bug upstream
         (e.g. an unsorted trace), so tests and experiments can assert
-        the counter stayed zero.
+        the counter stayed zero.  A NaN ``time_ms`` is an error, not a
+        clamp.
         """
         delay = time_ms - self.now
-        if delay < 0.0:
+        if not delay >= 0.0:
+            if delay != delay:
+                raise ValueError("cannot schedule at NaN")
             delay = 0.0
             self._clamped_schedules += 1
             if self._clamp_counter is not None:
                 self._clamp_counter.add()
-        self.schedule(delay, callback)
+        # ``now + delay``, not ``time_ms``: the two can differ in the last
+        # bit, and every recorded latency derives from these instants.
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
+        self._seq += 1
 
     def run(self, until_ms: float | None = None) -> None:
         """Drain the event queue (optionally stopping at ``until_ms``)."""
-        while self._heap:
-            time, _, callback = self._heap[0]
-            if until_ms is not None and time > until_ms:
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            if until_ms is not None and heap[0][0] > until_ms:
                 self.now = until_ms
                 return
-            heapq.heappop(self._heap)
-            self.now = time
+            self.now, _, fn, args = pop(heap)
             self._events_processed += 1
-            callback()
+            fn(*args)
 
     @property
     def pending(self) -> int:

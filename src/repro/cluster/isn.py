@@ -10,8 +10,8 @@ of its queued work — the queue term of the paper's equivalent latency
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.cluster.cpu import CostModel, FrequencyScale
 from repro.cluster.events import Simulator
@@ -25,21 +25,40 @@ from repro.retrieval.searcher import ShardSearcher
 from repro.telemetry import NO_TELEMETRY, Telemetry
 
 
-@dataclass
+@dataclass(slots=True, eq=False, repr=False)
 class Job:
-    """One query's execution on one ISN."""
+    """One attempt: one query's execution on one ISN replica.
+
+    The single per-attempt record of the run — the ISN's queue entry and
+    the aggregator's attempt bookkeeping in one slotted object.  The ISN
+    fills the execution side (``cycles`` is the retrieval work priced
+    once; every service time is ``cycles / (f * 1e6)``); whoever issues
+    the job owns ``pending``/``role``/``issued_ms`` and reads
+    ``done``/``completed`` back.  Identity, not field equality, is what
+    ``ISNServer.cancel`` looks a job up by.
+    """
 
     query: Query
     result: SearchResult
     freq_ghz: float
     deadline_ms: float | None
+    cycles: float
     service_default_ms: float
     on_done: Callable[["Job", bool, float], None]
+    shard_id: int
+    replica_id: int
+    boosted: bool
     started_ms: float = 0.0
-    boosted: bool = False
-    aborted_in_queue: bool = field(default=False, init=False)
-    cancelled: bool = field(default=False, init=False)  # tied/hedged recall
-    span: object | None = field(default=None, init=False)  # telemetry service span
+    aborted_in_queue: bool = False
+    cancelled: bool = False  # tied/hedged recall
+    span: Any = None  # telemetry service span
+    # Issuer-side state (the aggregator's view of this attempt).
+    pending: Any = None  # the in-flight query this attempt serves
+    role: str = "primary"  # "primary" | "hedge" | "tied"
+    issued_ms: float = 0.0
+    done: bool = False  # the ISN reported back (finish, abort or recall)
+    completed: bool = False  # finished in time; its response is travelling
+    outcome: Any = None  # the ShardOutcome reported for this attempt
 
 
 class ISNServer:
@@ -70,6 +89,16 @@ class ISNServer:
         self.freq_scale = freq_scale
         self.meter = meter
         self.governor = governor or AssignedFrequencyGovernor()
+        # The default governor obeys the assignment, which make_job already
+        # snapped to the ladder — nothing to ask at service start.
+        self._governed = type(self.governor) is not AssignedFrequencyGovernor
+        default_ghz = freq_scale.default_ghz
+        self._default_hz = default_ghz * 1e6
+        self._boost_above_ghz = default_ghz + 1e-12
+        # The two frequencies a policy assigns in practice, pre-snapped.
+        self._snapped = {
+            ghz: freq_scale.clamp(ghz) for ghz in (default_ghz, freq_scale.max_ghz)
+        }
         self.faults = faults
         self.sleep = sleep
         # Telemetry: the tracer reference is None when disabled so every
@@ -103,19 +132,13 @@ class ISNServer:
         on_done: Callable[[Job, bool, float], None],
     ) -> Job:
         """Run retrieval (timing-free, memoized) and wrap it as a job."""
-        freq_ghz = self.freq_scale.clamp(freq_ghz)
+        freq_ghz = self._snapped.get(freq_ghz) or self.freq_scale.clamp(freq_ghz)
         result = self.searcher.search(query)
-        service_default = self.cost_model.service_ms(
-            result.cost, self.freq_scale.default_ghz
-        )
+        cycles = self.cost_model.cycles(result.cost)
         return Job(
-            query=query,
-            result=result,
-            freq_ghz=freq_ghz,
-            deadline_ms=deadline_ms,
-            service_default_ms=service_default,
-            on_done=on_done,
-            boosted=freq_ghz > self.freq_scale.default_ghz + 1e-12,
+            query, result, freq_ghz, deadline_ms, cycles,
+            cycles / self._default_hz, on_done, self.shard_id, self.replica_id,
+            freq_ghz > self._boost_above_ghz,
         )
 
     def submit(self, job: Job, sim: Simulator) -> None:
@@ -172,9 +195,12 @@ class ISNServer:
 
     # ------------------------------------------------------------- execution
     def _start_next(self, sim: Simulator) -> None:
-        while self._queue:
-            job = self._queue.popleft()
-            if job.deadline_ms is not None and sim.now >= job.deadline_ms:
+        queue = self._queue
+        while queue:
+            job = queue.popleft()
+            now = sim.now
+            deadline = job.deadline_ms
+            if deadline is not None and now >= deadline:
                 # Expired while waiting: discard without doing any work.
                 job.aborted_in_queue = True
                 self.jobs_aborted += 1
@@ -194,24 +220,26 @@ class ISNServer:
             if self.sleep is not None:
                 # gap == 0 for back-to-back jobs; only a real idle stretch
                 # can have napped.
-                gap = max(sim.now - self._last_activity_end_ms, 0.0)
+                gap = max(now - self._last_activity_end_ms, 0.0)
                 nap = self.sleep.nap_ms_in_gap(gap)
                 if nap > 0:
                     self.meter.add_nap(nap, self.sleep.nap_power_w)
                     wake_ms = self.sleep.wake_penalty_ms(gap)
                     self.wakeups += 1
-            job.started_ms = sim.now
-            # The governor has the final say on the core frequency, given
-            # how much of the budget queueing already consumed.
-            remaining = (
-                job.deadline_ms - sim.now if job.deadline_ms is not None else None
-            )
-            job.freq_ghz = self.governor.frequency_for(
-                job.result.cost, job.freq_ghz, remaining,
-                self.cost_model, self.freq_scale,
-            )
-            job.boosted = job.freq_ghz > self.freq_scale.default_ghz + 1e-12
-            service_ms = self.cost_model.service_ms(job.result.cost, job.freq_ghz)
+            job.started_ms = now
+            if self._governed:
+                # The governor has the final say on the core frequency,
+                # given how much of the budget queueing already consumed.
+                job.freq_ghz = self.governor.frequency_for(
+                    job.result.cost, job.freq_ghz,
+                    deadline - now if deadline is not None else None,
+                    self.cost_model, self.freq_scale,
+                )
+                if job.freq_ghz <= 0:
+                    raise ValueError("frequency must be positive")
+                job.boosted = job.freq_ghz > self._boost_above_ghz
+            freq_ghz = job.freq_ghz
+            service_ms = job.cycles / (freq_ghz * 1e6)
             if self.faults is not None:
                 # Straggler injection: the replica silently serves this
                 # job slower (GC pause, noisy neighbour).  The factor is
@@ -220,20 +248,16 @@ class ISNServer:
                 # unaware, because the upstream latency predictor would
                 # not know either.
                 service_ms *= self.faults.slowdown_factor(
-                    self.shard_id, sim.now, self.replica_id
+                    self.shard_id, now, self.replica_id
                 )
-            service = wake_ms + service_ms
-            if job.deadline_ms is not None and sim.now + service > job.deadline_ms:
+            busy = wake_ms + service_ms
+            completed = True
+            if deadline is not None and now + busy > deadline:
                 # Will miss the budget: work until the deadline, then abort.
-                busy = job.deadline_ms - sim.now
-                self.meter.add_busy(busy, job.freq_ghz, boosted=job.boosted)
-                sim.schedule(busy, lambda j=job, b=busy: self._finish(j, False, b, sim))
-            else:
-                busy = service
-                self.meter.add_busy(service, job.freq_ghz, boosted=job.boosted)
-                sim.schedule(
-                    service, lambda j=job, s=service: self._finish(j, True, s, sim)
-                )
+                busy = deadline - now
+                completed = False
+            self.meter.add_busy(busy, freq_ghz, job.boosted)
+            sim.schedule(busy, self._finish, job, completed, busy, sim)
             if self._tracer is not None:
                 # The service span opens when the core starts the job and
                 # closes in _finish — an interval with real sim duration
@@ -241,10 +265,10 @@ class ISNServer:
                 job.span = self._tracer.span(
                     "isn.service", track=self._track,
                     qid=job.query.query_id, shard=self.shard_id,
-                    freq_ghz=job.freq_ghz, boosted=job.boosted,
+                    freq_ghz=freq_ghz, boosted=job.boosted,
                 )
                 self._metrics.counter(
-                    f"isn.freq_residency_ms.{job.freq_ghz:.1f}ghz"
+                    f"isn.freq_residency_ms.{freq_ghz:.1f}ghz"
                 ).add(busy)
                 if wake_ms > 0:
                     self._metrics.counter("isn.wakeups").add()
@@ -289,9 +313,8 @@ class ISNServer:
         ``queued_work_default_ms`` includes the in-service job — the view
         Eq. 2's equivalent latency needs.
         """
-        self.queued_work_default_ms = max(
-            self.queued_work_default_ms - job.service_default_ms, 0.0
-        )
+        left = self.queued_work_default_ms - job.service_default_ms
+        self.queued_work_default_ms = left if left >= 0.0 else 0.0
 
     # ------------------------------------------------------------- accounting
     @property

@@ -9,6 +9,7 @@ the reproduction to be honest about it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,10 +21,10 @@ class NetworkModel:
     bandwidth_gbps: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.base_delay_ms < 0:
-            raise ValueError("base delay must be non-negative")
-        if self.bandwidth_gbps <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 <= self.base_delay_ms < math.inf:
+            raise ValueError("base delay must be non-negative and finite")
+        if not 0.0 < self.bandwidth_gbps < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
     def delay_ms(self, payload_bytes: int = 256) -> float:
         """One-way delay for a message of ``payload_bytes``."""

@@ -67,23 +67,24 @@ class Decision:
     predicted_service_ms: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if len(set(self.shard_ids)) != len(self.shard_ids):
+        selected = set(self.shard_ids)
+        if len(selected) != len(self.shard_ids):
             raise ValueError("shard_ids must be unique")
         if self.time_budget_ms is not None and self.time_budget_ms <= 0:
             raise ValueError("time budget must be positive")
         if self.coordination_delay_ms < 0:
             raise ValueError("coordination delay must be non-negative")
-        for sid in self.frequency_overrides:
-            if sid not in self.shard_ids:
-                raise ValueError("frequency override for unselected shard")
-        for sid, predicted in self.predicted_service_ms.items():
-            if sid not in self.shard_ids:
+        if not self.frequency_overrides.keys() <= selected:
+            raise ValueError("frequency override for unselected shard")
+        predicted = self.predicted_service_ms
+        if predicted:
+            if not predicted.keys() <= selected:
                 raise ValueError("service prediction for unselected shard")
-            if predicted < 0:
+            if min(predicted.values()) < 0:
                 raise ValueError("predicted service time must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class ShardOutcome:
     """What happened on one dispatch attempt (one ISN replica, one query).
 

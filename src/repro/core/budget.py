@@ -23,25 +23,46 @@ implementation follows the prose/example.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class BudgetInput:
-    """One ISN's prediction tuple <Q^K, Q^{K/2}, L_current, L_boosted>."""
-
+class _PredictionTuple(NamedTuple):
     shard_id: int
     quality_k: int
     quality_half_k: int
     latency_current_ms: float
     latency_boosted_ms: float
 
-    def __post_init__(self) -> None:
-        if self.quality_k < 0 or self.quality_half_k < 0:
+
+class BudgetInput(_PredictionTuple):
+    """One ISN's prediction tuple <Q^K, Q^{K/2}, L_current, L_boosted>.
+
+    An immutable tuple, validated at construction.  Algorithm 1 reads the
+    fields by position, so it runs equally over these and over rows that
+    :meth:`CottagePolicy.budget_inputs` derives from an already-validated
+    query-static row.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        shard_id: int,
+        quality_k: int,
+        quality_half_k: int,
+        latency_current_ms: float,
+        latency_boosted_ms: float,
+    ) -> "BudgetInput":
+        if quality_k < 0 or quality_half_k < 0:
             raise ValueError("quality predictions cannot be negative")
-        if self.latency_current_ms < 0 or self.latency_boosted_ms < 0:
+        if latency_current_ms < 0 or latency_boosted_ms < 0:
             raise ValueError("latencies cannot be negative")
-        if self.latency_boosted_ms > self.latency_current_ms + 1e-9:
+        if latency_boosted_ms > latency_current_ms + 1e-9:
             raise ValueError("boosted latency cannot exceed current latency")
+        return tuple.__new__(
+            cls,
+            (shard_id, quality_k, quality_half_k, latency_current_ms, latency_boosted_ms),
+        )
 
 
 @dataclass(frozen=True)
@@ -70,10 +91,11 @@ def determine_time_budget(
         raise ValueError("need at least one ISN prediction")
 
     # Stage 1: cut ISNs with zero predicted contribution to the top-K.
-    cut_zero = tuple(
-        sorted(i.shard_id for i in inputs if i.quality_k == 0)
-    )
-    survivors = [i for i in inputs if i.quality_k > 0]
+    # Rows are (shard, Q^K, Q^{K/2}, L_current, L_boosted), read by position.
+    cut_zero = tuple(sorted([row[0] for row in inputs if row[1] == 0]))
+    # Stage 2: descending boosted latency; ties broken by shard id for
+    # determinism (the decoration sorts without a key call per ISN).
+    survivors = sorted([(-row[4], row[0], row) for row in inputs if row[1] > 0])
     if not survivors:
         return BudgetDecision(
             selected=(),
@@ -83,46 +105,25 @@ def determine_time_budget(
             cut_too_slow=(),
         )
 
-    # Stage 2: descending boosted latency; ties broken by shard id for
-    # determinism.  T starts at the slowest survivor's boosted latency
-    # (line 13) and tightens until the first K/2 contributor.
-    survivors.sort(key=lambda i: (-i.latency_boosted_ms, i.shard_id))
-    budget = survivors[0].latency_boosted_ms
-    cut_slow: list[int] = []
-    kept: list[BudgetInput] = []
-    pivot_found = False
-    for isn in survivors:
-        if pivot_found:
-            kept.append(isn)
-            continue
-        if isn.quality_half_k != 0:
-            budget = isn.latency_boosted_ms
-            pivot_found = True
-            kept.append(isn)
-        else:
-            cut_slow.append(isn.shard_id)
-    if not pivot_found:
-        # No survivor touches the top-K/2: the algorithm's initial budget
-        # (the slowest boosted latency) stands and every survivor is kept —
-        # exactly what the pseudocode does when the loop never fires.
-        kept = survivors
-        cut_slow = []
-        budget = survivors[0].latency_boosted_ms
+    # T starts at the slowest survivor's boosted latency (line 13) and
+    # tightens until the first K/2 contributor; everyone slower is cut.
+    # No survivor touching the top-K/2 means the initial budget stands and
+    # every survivor is kept — exactly what the pseudocode does when the
+    # loop never fires.
+    pivot = next(
+        (at for at, (_, _, row) in enumerate(survivors) if row[2] != 0), 0
+    )
+    budget = survivors[pivot][2][4]
+    kept = survivors[pivot:]
 
     if not 0.0 < boost_margin <= 1.0:
         raise ValueError("boost_margin must be in (0, 1]")
     budget = max(budget, 1e-6)
-    boosted = tuple(
-        sorted(
-            isn.shard_id
-            for isn in kept
-            if isn.latency_current_ms > boost_margin * budget + 1e-9
-        )
-    )
+    boost_above = boost_margin * budget + 1e-9
     return BudgetDecision(
-        selected=tuple(sorted(isn.shard_id for isn in kept)),
+        selected=tuple(sorted([sid for _, sid, _ in kept])),
         time_budget_ms=budget,
-        boosted=boosted,
+        boosted=tuple(sorted([sid for _, sid, row in kept if row[3] > boost_above])),
         cut_zero_quality=cut_zero,
-        cut_too_slow=tuple(sorted(cut_slow)),
+        cut_too_slow=tuple(sorted([sid for _, sid, _ in survivors[:pivot]])),
     )

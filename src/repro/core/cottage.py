@@ -10,7 +10,7 @@ CPU frequency of kept ISNs whose current-frequency latency exceeds it.
 
 from __future__ import annotations
 
-from repro.cluster.cpu import equivalent_latency_ms
+from repro.cluster.cpu import scaled_service_ms
 from repro.cluster.network import NetworkModel
 from repro.cluster.types import ClusterView, Decision
 from repro.core.budget import BudgetInput, determine_time_budget
@@ -18,6 +18,10 @@ from repro.policies.base import BasePolicy
 from repro.predictors.bank import PredictorBank
 from repro.retrieval.query import Query
 from repro.telemetry import Telemetry
+
+
+# (per-shard rows (shard, Q^K, Q^{K/2}, S*f_d/f_d, S*f_d/f_max), predicted S by shard)
+_StaticRow = tuple[list[tuple[int, int, int, float, float]], dict[int, float]]
 
 
 class CottagePolicy(BasePolicy):
@@ -91,52 +95,84 @@ class CottagePolicy(BasePolicy):
         self.enable_boost = enable_boost
         self.pivot_on_full_k = pivot_on_full_k
         self.network = network or NetworkModel()
+        # Per distinct term tuple, everything about a decision that does
+        # not depend on the live queues (see _static_row); valid for the
+        # frequency pair it was built with.
+        self._static_rows: dict[tuple[str, ...], _StaticRow] = {}
+        self._static_freqs: tuple[float, float] | None = None
 
     # ------------------------------------------------------------------ logic
     def budget_inputs(self, query: Query, view: ClusterView) -> list[BudgetInput]:
         """Assemble each ISN's <Q^K, Q^{K/2}, L_current, L_boosted> tuple.
 
-        Latencies are *equivalent latencies* (Eq. 2): the ISN's queued work
-        plus this query's predicted service time, scaled to the candidate
-        frequency (Eq. 1).
+        Latencies are *equivalent latencies* (Eq. 2, adapted — see
+        :func:`repro.cluster.cpu.equivalent_latency_ms`): the ISN's queued
+        work plus this query's predicted service time scaled to the
+        candidate frequency (Eq. 1).  Only the queue term is live; the
+        rest comes from the query-static row.
         """
-        inputs: list[BudgetInput] = []
-        for prediction in self.bank.predict(query):
-            queue_ms = view.queued_predicted_ms[prediction.shard_id]
-            current = equivalent_latency_ms(
-                queue_ms,
-                prediction.service_default_ms,
-                view.default_freq_ghz,
-                view.default_freq_ghz,
-            )
-            boosted = equivalent_latency_ms(
-                queue_ms,
-                prediction.service_default_ms,
-                view.default_freq_ghz,
-                view.max_freq_ghz,
-            )
-            if not self.enable_boost:
-                boosted = current
-            quality_k = self._gated(
-                prediction.quality_k, prediction.p_zero_k, self.cut_confidence
-            )
-            quality_half = self._gated(
-                prediction.quality_half_k,
-                prediction.p_zero_half,
-                self.half_cut_confidence,
-            )
-            if self.pivot_on_full_k:
-                quality_half = quality_k
-            inputs.append(
-                BudgetInput(
-                    shard_id=prediction.shard_id,
-                    quality_k=quality_k,
-                    quality_half_k=quality_half,
-                    latency_current_ms=current,
-                    latency_boosted_ms=boosted,
+        return self._live_inputs(self._static_row(query, view), view)
+
+    @staticmethod
+    def _live_inputs(static: "_StaticRow", view: ClusterView) -> list[BudgetInput]:
+        """Add the live queue vector (Eq. 2's queue term) to a static row."""
+        queues = view.queued_predicted_ms
+        if min(queues) < 0:
+            raise ValueError("latencies cannot be negative")
+        new = tuple.__new__  # the static row was validated when it was built
+        return [
+            new(BudgetInput, (sid, q_k, q_half, queues[sid] + current, queues[sid] + boosted))
+            for sid, q_k, q_half, current, boosted in static[0]
+        ]
+
+    def _static_row(self, query: Query, view: ClusterView) -> "_StaticRow":
+        """The query-static part of a decision, memoized per term tuple.
+
+        Per shard ``(shard, gated Q^K, gated Q^{K/2}, S*f_d/f_d,
+        S*f_d/f_max)`` — the confidence gates and both Eq.-1 scalings
+        depend only on the (memoized) predictions, the policy's knobs and
+        the cluster's frequency pair — plus the predicted service times
+        by shard that ride along on the :class:`Decision`.
+        """
+        freqs = (view.default_freq_ghz, view.max_freq_ghz)
+        if freqs != self._static_freqs:
+            self._static_rows.clear()
+            self._static_freqs = freqs
+        static = self._static_rows.get(query.terms)
+        if static is None:
+            default_ghz, max_ghz = freqs
+            rows: list[tuple[int, int, int, float, float]] = []
+            service_ms: dict[int, float] = {}
+            for prediction, (q_k, q_half) in zip(
+                self.bank.predict(query), self._qualities(query)
+            ):
+                sid = prediction.shard_id
+                predicted = prediction.service_default_ms
+                current = scaled_service_ms(predicted, default_ghz, default_ghz)
+                boosted = (
+                    scaled_service_ms(predicted, default_ghz, max_ghz)
+                    if self.enable_boost
+                    else current
                 )
+                if self.pivot_on_full_k:
+                    q_half = q_k
+                # Validate the row once, here: adding a queue >= 0 to both
+                # latencies keeps every BudgetInput invariant.
+                BudgetInput(sid, q_k, q_half, current, boosted)
+                rows.append((sid, q_k, q_half, current, boosted))
+                service_ms[sid] = predicted
+            static = self._static_rows[query.terms] = (rows, service_ms)
+        return static
+
+    def _qualities(self, query: Query) -> list[tuple[int, int]]:
+        """Per shard (Q^K, Q^{K/2}) as Algorithm 1 should see them."""
+        return [
+            (
+                self._gated(p.quality_k, p.p_zero_k, self.cut_confidence),
+                self._gated(p.quality_half_k, p.p_zero_half, self.half_cut_confidence),
             )
-        return inputs
+            for p in self.bank.predict(query)
+        ]
 
     @staticmethod
     def _gated(count: int, p_zero: float, confidence: float) -> int:
@@ -170,8 +206,9 @@ class CottagePolicy(BasePolicy):
     def decide(self, query: Query, view: ClusterView) -> Decision:
         telemetry = self.telemetry
         if not telemetry.enabled:
+            static = self._static_row(query, view)
             decision = determine_time_budget(
-                self.budget_inputs(query, view), boost_margin=self.boost_margin
+                self._live_inputs(static, view), boost_margin=self.boost_margin
             )
         else:
             # The two halves of the coordination round (paper Fig. 5 steps
@@ -179,7 +216,8 @@ class CottagePolicy(BasePolicy):
             # the aggregator's decide span on its track.
             tracer = telemetry.tracer
             with tracer.span("policy.predict", track="aggregator", qid=query.query_id):
-                inputs = self.budget_inputs(query, view)
+                static = self._static_row(query, view)
+                inputs = self._live_inputs(static, view)
             with tracer.span(
                 "policy.budget_assign", track="aggregator", qid=query.query_id
             ):
@@ -195,11 +233,8 @@ class CottagePolicy(BasePolicy):
             metrics.counter("cottage.kept").add(len(decision.selected))
         # The bank's per-shard service predictions ride along on the
         # decision so the aggregator's hedge planner works from the same
-        # estimates Algorithm 1 did (bank.predict is memoized — this
-        # re-read costs a dict lookup).
-        predicted = {
-            p.shard_id: p.service_default_ms for p in self.bank.predict(query)
-        }
+        # estimates Algorithm 1 did.
+        predicted = static[1]
         if not decision.selected:
             # Predicted zero quality everywhere — run the single most
             # plausible shard instead of answering empty (a pure fallback;

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.cluster.cpu import equivalent_latency_ms
 from repro.cluster.network import NetworkModel
 from repro.cluster.types import ClusterView, Decision, QueryRecord
-from repro.core.budget import BudgetInput, determine_time_budget
 from repro.core.cottage import CottagePolicy
 from repro.policies.base import BasePolicy
 from repro.predictors.bank import PredictorBank
@@ -43,32 +42,14 @@ class CottageWithoutMLPolicy(CottagePolicy):
         super().__init__(bank, budget_slack=budget_slack, network=network)
         self.estimator = estimator
 
-    def budget_inputs(self, query: Query, view: ClusterView) -> list[BudgetInput]:
+    def _qualities(self, query: Query) -> list[tuple[int, int]]:
         k = self.bank.k
-        gamma_k = self.estimator.quality_counts(query.terms, k)
-        gamma_half = self.estimator.quality_counts(query.terms, max(k // 2, 1))
-        inputs: list[BudgetInput] = []
-        for prediction in self.bank.predict(query):
-            sid = prediction.shard_id
-            queue_ms = view.queued_predicted_ms[sid]
-            current = equivalent_latency_ms(
-                queue_ms, prediction.service_default_ms,
-                view.default_freq_ghz, view.default_freq_ghz,
+        return list(
+            zip(
+                self.estimator.quality_counts(query.terms, k),
+                self.estimator.quality_counts(query.terms, max(k // 2, 1)),
             )
-            boosted = equivalent_latency_ms(
-                queue_ms, prediction.service_default_ms,
-                view.default_freq_ghz, view.max_freq_ghz,
-            )
-            inputs.append(
-                BudgetInput(
-                    shard_id=sid,
-                    quality_k=gamma_k[sid],
-                    quality_half_k=gamma_half[sid],
-                    latency_current_ms=current,
-                    latency_boosted_ms=boosted,
-                )
-            )
-        return inputs
+        )
 
 
 class CottageISNPolicy(BasePolicy):

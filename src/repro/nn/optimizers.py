@@ -34,7 +34,9 @@ class SGD(Optimizer):
     def step(self, params: list[tuple[np.ndarray, np.ndarray]]) -> None:
         for param, grad in params:
             if self.momentum > 0.0:
-                vel = self._velocity.setdefault(id(param), np.zeros_like(param))
+                vel = self._velocity.get(id(param))
+                if vel is None:  # first sight only: setdefault's argument is eager
+                    vel = self._velocity[id(param)] = np.zeros_like(param)
                 vel *= self.momentum
                 vel -= self.learning_rate * grad
                 param += vel
@@ -78,8 +80,11 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
         for param, grad in params:
-            m = self._m.setdefault(id(param), np.zeros_like(param))
-            v = self._v.setdefault(id(param), np.zeros_like(param))
+            m = self._m.get(id(param))
+            if m is None:  # first sight only: setdefault's argument is eager
+                m = self._m[id(param)] = np.zeros_like(param)
+                self._v[id(param)] = np.zeros_like(param)
+            v = self._v[id(param)]
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2

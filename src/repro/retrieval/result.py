@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from repro.retrieval.topk import TopKCollector
+_SCORE = itemgetter(1)
 
 
 @dataclass
@@ -69,16 +70,28 @@ def merge_results(results: list[SearchResult], k: int) -> SearchResult:
     Solr's distributed search makes.  Costs are summed, which makes the
     merged ``docs_evaluated`` exactly C_RES.
 
-    The merge is order-independent for the hits: the ``TopKCollector``
-    orders by the total key ``(-score, doc id)``, so shuffling the input
-    lists (e.g. results gathered from a thread-pool fan-out) cannot
-    change the output.  Cost counters are summed — commutative in every
-    field — so the merged result is bit-identical however the per-shard
-    results were produced.
+    The merge is order-independent for the hits: they are ranked by the
+    total order (descending score, ascending doc id) — the order every
+    evaluator's ``TopKCollector`` produces — so shuffling the input lists
+    (e.g. results gathered from a thread-pool fan-out) cannot change the
+    output.  Cost counters are summed — commutative in every field — so
+    the merged result is bit-identical however the per-shard results
+    were produced.
     """
-    total = CostStats()
-    collector = TopKCollector(k)
+    if k < 1:
+        raise ValueError("k must be positive")
+    docs = scored = skipped = n_terms = 0
+    hits: list[tuple[int, float]] = []
     for result in results:
-        total.merge(result.cost)
-        collector.offer_all(result.hits)
-    return SearchResult(hits=collector.results(), cost=total)
+        cost = result.cost
+        docs += cost.docs_evaluated
+        scored += cost.postings_scored
+        skipped += cost.postings_skipped
+        if cost.n_terms > n_terms:
+            n_terms = cost.n_terms
+        hits += result.hits
+    # Two stable C-level sorts instead of one offer per hit: by doc id,
+    # then by descending score (reverse keeps equal scores in doc order).
+    hits.sort()
+    hits.sort(key=_SCORE, reverse=True)
+    return SearchResult(hits=hits[:k], cost=CostStats(docs, scored, skipped, n_terms))

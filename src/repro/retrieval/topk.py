@@ -45,17 +45,6 @@ class TopKCollector:
             return float("-inf")
         return self._heap[0][0]
 
-    def offer_all(self, hits: "list[tuple[int, float]]") -> None:
-        """Offer an already-ranked hit list, e.g. one shard's top-k.
-
-        Insertion order cannot affect the final ``results()`` — the
-        collector's total order ``(-score, doc id)`` decides — which is
-        what lets the distributed merge accept per-shard lists in any
-        completion order and stay deterministic.
-        """
-        for doc_id, score in hits:
-            self.offer(doc_id, score)
-
     def would_enter(self, score: float) -> bool:
         """Whether ``score`` could enter regardless of doc id.
 

@@ -237,11 +237,9 @@ class ServingPlane:
             if closed_loop:
                 # Upfront scheduling, in trace order: the pre-refactor
                 # run_trace statement-for-statement (bit-identity anchor).
+                on_query = aggregator.on_query
                 for query in source:
-                    sim.schedule_at(
-                        query.arrival_time * 1000.0,
-                        lambda q=query: aggregator.on_query(q),
-                    )
+                    sim.schedule_at(query.arrival_time * 1000.0, on_query, query)
             else:
                 # Open loop: pull arrival i+1 only when arrival i fires,
                 # so the heap never holds more than one future arrival.
@@ -250,16 +248,14 @@ class ServingPlane:
 
                 def schedule_next() -> None:
                     query = next(stream, None)
-                    if query is None:
-                        return
-                    at_ms = query.arrival_time * 1000.0
-                    pump_state["last_ms"] = at_ms
+                    if query is not None:
+                        at_ms = query.arrival_time * 1000.0
+                        pump_state["last_ms"] = at_ms
+                        sim.schedule_at(at_ms, fire, query)
 
-                    def fire(q: Query = query) -> None:
-                        aggregator.on_query(q)
-                        schedule_next()
-
-                    sim.schedule_at(at_ms, fire)
+                def fire(query: Query) -> None:
+                    aggregator.on_query(query)
+                    schedule_next()
 
                 schedule_next()
             if tracer is None:

@@ -116,6 +116,30 @@ class TestEdgeCases:
             BudgetInput(0, -1, 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             BudgetInput(0, 1, 0, 1.0, 2.0)  # boosted slower than current
+        with pytest.raises(ValueError):
+            BudgetInput(0, 1, 0, -1.0, -2.0)
+        with pytest.raises(ValueError):  # keywords go through the same checks
+            BudgetInput(
+                shard_id=0, quality_k=1, quality_half_k=-1,
+                latency_current_ms=1.0, latency_boosted_ms=1.0,
+            )
+
+    def test_input_is_an_immutable_tuple(self):
+        row = BudgetInput(3, 2, 1, 10.0, 8.0)
+        with pytest.raises(AttributeError):
+            row.quality_k = 0
+        with pytest.raises(AttributeError):
+            row.extra = 1  # no instance dict either
+        assert row == (3, 2, 1, 10.0, 8.0)
+        assert (row.shard_id, row.latency_boosted_ms) == (row[0], row[4])
+
+    def test_plain_rows_decide_like_budget_inputs(self):
+        # Algorithm 1 reads positions, so the policy's query-static rows
+        # and public BudgetInputs are interchangeable.
+        inputs = [isn(0, 2, 0, 30.0, 25.0), isn(1, 1, 1, 20.0, 15.0), isn(2, 0, 0, 5.0)]
+        assert determine_time_budget([tuple(i) for i in inputs]) == (
+            determine_time_budget(inputs)
+        )
 
 
 @st.composite

@@ -38,6 +38,11 @@ class TestFrequencyScale:
             FrequencyScale(levels_ghz=(2.0, 1.0), default_ghz=2.0)
         with pytest.raises(ValueError):
             FrequencyScale(levels_ghz=(1.0, 2.0), default_ghz=1.5)
+        # The event loop divides cycles by a ladder level per job.
+        with pytest.raises(ValueError):
+            FrequencyScale(levels_ghz=(0.0, 2.0), default_ghz=2.0)
+        with pytest.raises(ValueError):
+            FrequencyScale(levels_ghz=(1.0, float("inf")), default_ghz=1.0)
 
 
 class TestCostModel:
@@ -63,6 +68,15 @@ class TestCostModel:
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
             CostModel().service_ms(CostStats(), 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["cycles_per_doc", "cycles_per_posting", "cycles_per_skip", "fixed_cycles"],
+    )
+    def test_cycle_constants_must_be_positive_and_finite(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            CostModel(**{field: bad})
 
 
 class TestEquations:
@@ -188,3 +202,11 @@ class TestNetworkModel:
             NetworkModel(bandwidth_gbps=0)
         with pytest.raises(ValueError):
             NetworkModel().delay_ms(-1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_fields_rejected(self, bad):
+        # nan < 0 is False: an unchecked NaN delay reaches Simulator.schedule.
+        with pytest.raises(ValueError):
+            NetworkModel(base_delay_ms=bad)
+        with pytest.raises(ValueError):
+            NetworkModel(bandwidth_gbps=bad)

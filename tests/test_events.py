@@ -59,6 +59,36 @@ class TestSimulator:
         with pytest.raises(ValueError):
             Simulator().schedule(-1.0, lambda: None)
 
+    def test_nan_times_rejected(self):
+        # nan < 0 is False: an unchecked NaN key breaks heap order (events
+        # fire out of time order) and leaves sim.now = nan.
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending == 0 and sim.clamped_schedules == 0
+
+    def test_arguments_ride_on_the_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, fired.append, "late")
+        sim.schedule_at(1.0, lambda a, b: fired.append((a, b)), "x", 2)
+        sim.schedule(3.0, lambda: fired.append("closure"))  # the old spelling
+        sim.run()
+        assert fired == [("x", 2), "late", "closure"]
+
+    def test_same_instant_fifo_is_by_sequence_not_by_payload(self):
+        # Ties must never fall through to comparing callbacks or arguments
+        # (unorderable, and it would make order depend on payload).
+        sim = Simulator()
+        fired = []
+        for tag in ("c", "a", "b"):
+            sim.schedule(1.0, fired.append, {"tag": tag})
+        sim.schedule_at(1.0, fired.append, {"tag": "at"})
+        sim.run()
+        assert [f["tag"] for f in fired] == ["c", "a", "b", "at"]
+
     def test_event_count(self):
         sim = Simulator()
         for _ in range(5):

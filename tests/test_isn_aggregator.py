@@ -100,6 +100,45 @@ class TestISNServer:
         job = isn.make_job(Query(query_id=0, terms=("t1",)), 2.0, None, lambda *a: None)
         assert job.freq_ghz == 2.1
 
+    def test_make_job_call_contract(self, isn):
+        # Positional and keyword spellings both stay valid, and the job
+        # prices its retrieval work once: every service time derives
+        # from job.cycles.
+        query = Query(query_id=0, terms=("t1",))
+        done = lambda *a: None  # noqa: E731
+        by_position = isn.make_job(query, 2.7, 40.0, done)
+        by_keyword = isn.make_job(
+            query=query, freq_ghz=2.7, deadline_ms=40.0, on_done=done
+        )
+        for job in (by_position, by_keyword):
+            assert (job.freq_ghz, job.deadline_ms, job.boosted) == (2.7, 40.0, True)
+            assert (job.shard_id, job.replica_id) == (isn.shard_id, isn.replica_id)
+            assert job.on_done is done
+            assert job.cycles == isn.cost_model.cycles(job.result.cost)
+            assert job.service_default_ms == isn.cost_model.service_ms(
+                job.result.cost, isn.freq_scale.default_ghz
+            )
+        with pytest.raises(AttributeError):
+            by_position.not_a_field = 1  # slotted: one fixed record per job
+
+    def test_governor_returning_bad_frequency_is_an_error(self, shards):
+        from repro.cluster.governor import FrequencyGovernor
+
+        class Broken(FrequencyGovernor):
+            def frequency_for(self, *args):
+                return 0.0
+
+        server = ISNServer(
+            shard_id=0,
+            searcher=ShardSearcher(shards[0], k=5),
+            cost_model=CostModel(),
+            freq_scale=FrequencyScale(),
+            meter=EnergyMeter(PowerModel()),
+            governor=Broken(),
+        )
+        with pytest.raises(ValueError):
+            submit(server, Simulator(), Query(query_id=0, terms=("t1",)))
+
     def test_queued_work_includes_running_job(self, isn):
         sim = Simulator()
         submit(isn, sim, Query(query_id=0, terms=("t1",)))
@@ -143,6 +182,16 @@ class StaticPolicy:
 
 
 class TestAggregator:
+    def test_isn_ids_must_match_their_position(self, shards):
+        # Jobs carry the shard/replica ids of the ISN that made them.
+        sim, aggregator = make_cluster(shards, StaticPolicy(Decision(shard_ids=(0,))))
+        swapped = [aggregator.groups[1][0], aggregator.groups[0][0]]
+        with pytest.raises(ValueError):
+            Aggregator(
+                isns=swapped, policy=aggregator.policy, network=NetworkModel(),
+                sim=sim, k=5,
+            )
+
     def test_waits_for_all_without_budget(self, shards):
         policy = StaticPolicy(Decision(shard_ids=(0, 1, 2, 3)))
         sim, aggregator = make_cluster(shards, policy)

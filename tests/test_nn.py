@@ -170,6 +170,46 @@ class TestOptimizers:
             decayed.step([(param_decayed, zero_grad)])
         assert abs(param_decayed[0, 0]) < abs(param_plain[0, 0])
 
+    @pytest.mark.parametrize(
+        "make", [lambda: Adam(learning_rate=0.01), lambda: SGD(0.01, momentum=0.9)]
+    )
+    def test_state_buffers_allocated_on_first_step_only(self, make, monkeypatch):
+        import repro.nn.optimizers as optimizers
+
+        calls = []
+        real = np.zeros_like
+        monkeypatch.setattr(
+            optimizers.np, "zeros_like", lambda a: calls.append(a.shape) or real(a)
+        )
+        rng = np.random.default_rng(0)
+        params = [rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
+        optimizer = make()
+        optimizer.step([(p, rng.normal(size=p.shape)) for p in params])
+        first = len(calls)
+        assert first > 0
+        for _ in range(5):
+            optimizer.step([(p, rng.normal(size=p.shape)) for p in params])
+        assert len(calls) == first
+
+    def test_adam_matches_textbook_update_bit_for_bit(self):
+        """Lazy buffers change nothing: same floats as the plain recurrences."""
+        rng = np.random.default_rng(1)
+        param = rng.normal(size=(5, 4))
+        expected = param.copy()
+        m = np.zeros_like(expected)
+        v = np.zeros_like(expected)
+        adam = Adam(learning_rate=0.01, weight_decay=0.1)
+        for t in range(1, 8):
+            grad = rng.normal(size=param.shape)
+            adam.step([(param, grad)])
+            m = m * 0.9 + (1.0 - 0.9) * grad
+            v = v * 0.999 + (1.0 - 0.999) * grad**2
+            expected *= 1.0 - 0.01 * 0.1
+            expected -= 0.01 * (m / (1.0 - 0.9**t)) / (
+                np.sqrt(v / (1.0 - 0.999**t)) + adam.epsilon
+            )
+        assert np.array_equal(param, expected)
+
     def test_step_decay_halves_rate(self):
         schedule = StepDecay(Adam(learning_rate=0.1), every=10, factor=0.5)
         param = np.array([[1.0]])

@@ -153,6 +153,47 @@ class TestMergeResults:
     def test_empty(self):
         assert merge_results([], 5).hits == []
 
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError):
+            merge_results([SearchResult(hits=[(1, 1.0)])], 0)
+
+    @settings(deadline=None)
+    @given(
+        lists=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=40),
+                    # few distinct scores: ties across and within lists
+                    st.sampled_from([0.0, 0.5, 1.25, 1.25000001, 3.0]),
+                ),
+                max_size=8,
+            ),
+            max_size=6,
+        ),
+        k=st.integers(min_value=1, max_value=12),
+    )
+    def test_equals_per_hit_collector_reference(self, lists, k):
+        """The sort-based merge ranks exactly as offering every hit to a
+        ``TopKCollector`` did (the pre-PR-16 implementation)."""
+        from repro.retrieval.topk import TopKCollector
+
+        results = [
+            SearchResult(hits=hits, cost=CostStats(i, 2 * i, 3 * i, i % 3))
+            for i, hits in enumerate(lists)
+        ]
+        collector = TopKCollector(k)
+        for result in results:
+            for doc_id, score in result.hits:
+                collector.offer(doc_id, score)
+        merged = merge_results(results, k)
+        assert merged.hits == collector.results()
+        n = len(results)
+        assert merged.cost == CostStats(
+            sum(range(n)), 2 * sum(range(n)), 3 * sum(range(n)),
+            max((i % 3 for i in range(n)), default=0),
+        )
+        assert all(result.hits == hits for result, hits in zip(results, lists))
+
 
 class TestShardSearcher:
     def test_caches_by_terms(self, shards):
