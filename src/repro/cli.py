@@ -147,7 +147,11 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
         print(f"no shard_*.store files under {args.index}", file=sys.stderr)
         return 1
     for path in paths:
-        info = store_info(path)
+        try:
+            info = store_info(path)
+        except ValueError as exc:  # malformed store: one line, no traceback
+            print(exc, file=sys.stderr)
+            return 1
         meta = info["meta"]
         print(
             f"{path.name}: shard {meta['shard_id']}  "
@@ -163,7 +167,8 @@ def _load_index(path: str):
     """Open an index directory: ``.store`` files when present, else npz.
 
     A directory packed by ``repro index pack`` holds compressed
-    mmap-backed ``shard_*.store`` files that open in O(1); legacy
+    mmap-backed ``shard_*.store`` files that open without decoding a
+    posting (a malformed one raises a one-line ``ValueError``); legacy
     ``build-index`` output holds ``shard_*.npz``.  Either works for
     every command that reads an index.
     """
@@ -192,7 +197,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return 1
     try:
         shards = _load_index(args.index)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # missing or malformed index
         print(exc, file=sys.stderr)
         return 1
     if args.decode_cache is not None:

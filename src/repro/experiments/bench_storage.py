@@ -288,7 +288,7 @@ def run(
         lazy = open_stores(directory)
         result.cold_open_ms = (time.perf_counter() - t0) * 1e3
         result.terms_materialized_on_open = sum(
-            len(shard._terms) for shard in lazy
+            shard.arena.decode_stats.misses for shard in lazy
         )
 
         # Bit-identity: every kernel strategy, compressed vs uncompressed.

@@ -18,12 +18,14 @@ built one produce byte-identical arenas.
 :class:`CompressedPostingsArena` is the same columnar index behind a
 compressed encoding: doc ids are delta + bit-packed per term, tfs are
 bit-packed, and scores are dictionary-encoded against a per-term float64
-codebook (with a verified raw fallback).  ``run`` decodes one term's
-columns with vectorized shifts/masks into the exact ``int64``/``int32``/
-``float64`` arrays the raw arena holds, so every kernel runs unchanged
-and bit-identical; a size-bounded LRU keeps hot terms decoded.  The
-packed streams are plain flat arrays, which is what lets
-:mod:`repro.index.store` memory-map them straight off disk.
+codebook (with a verified raw fallback).  ``run`` decodes the two
+columns a kernel reads — doc ids and scores — with vectorized
+shifts/masks into the exact ``int64``/``float64`` arrays the raw arena
+holds, so every kernel runs unchanged and bit-identical; a size-bounded
+LRU keeps hot terms decoded.  Term frequencies are off the query path:
+``term_tfs`` unpacks them on demand.  The packed streams are plain flat
+arrays, which is what lets :mod:`repro.index.store` memory-map them
+straight off disk.
 """
 
 from __future__ import annotations
@@ -43,17 +45,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class TermRun:
     """One query term's live traversal state over the arena columns.
 
-    ``doc_ids``/``scores``/``tfs`` are zero-copy views of the arena
-    columns; ``pos`` is the cursor position within the views (the kernels
-    mutate it in place).  ``block_maxes`` holds the per-block maxima for
-    this term and ``block_size`` the block length, mirroring what the
-    scalar evaluators attach to a :class:`~repro.index.postings.
-    PostingCursor`.
+    ``doc_ids``/``scores`` are zero-copy views of the arena columns —
+    the two a kernel reads; term frequencies stay behind
+    ``arena.term_tfs(term)`` — and ``pos`` is the cursor position within
+    the views (the kernels mutate it in place).  ``block_maxes`` holds
+    the per-block maxima for this term and ``block_size`` the block
+    length, mirroring what the scalar evaluators attach to a
+    :class:`~repro.index.postings.PostingCursor`.
     """
 
     term: str
     doc_ids: np.ndarray
-    tfs: np.ndarray
     scores: np.ndarray
     upper_bound: float
     block_maxes: np.ndarray
@@ -191,13 +193,19 @@ class PostingsArena:
         return TermRun(
             term=term,
             doc_ids=self.doc_ids[lo:hi],
-            tfs=self.tfs[lo:hi],
             scores=self.scores[lo:hi],
             upper_bound=float(self.upper_bounds[tid]),
             block_maxes=self.block_maxes[blo:bhi],
             block_size=self.block_size,
             size=hi - lo,
         )
+
+    def term_tfs(self, term: str) -> np.ndarray | None:
+        """``term``'s term-frequency column (None when absent)."""
+        tid = self._term_ids.get(term)
+        if tid is None:
+            return None
+        return self.tfs[int(self.offsets[tid]):int(self.offsets[tid + 1])]
 
     def __repr__(self) -> str:
         return (
@@ -242,34 +250,51 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     v = np.ascontiguousarray(values, dtype=np.int64)
     if int(v.min()) < 0 or int(v.max()) >> width:
         raise ValueError(f"values do not fit in {width} bits")
-    u = v.astype(np.uint64)
-    pos = np.arange(n, dtype=np.uint64) * np.uint64(width)
-    wi = (pos >> np.uint64(6)).astype(np.int64)
+    u = v.view(np.uint64)
+    pos = np.arange(0, n * width, width, dtype=np.uint64)
+    wi = (pos >> np.uint64(6)).view(np.int64)
     bo = pos & np.uint64(63)
-    np.bitwise_or.at(words, wi, u << bo)
-    # Fields straddling a word boundary spill their high bits into the
-    # next word (the pad word absorbs the final spill).
-    spill = bo != 0
-    if spill.any():
-        np.bitwise_or.at(
-            words, wi[spill] + 1, u[spill] >> (np.uint64(64) - bo[spill])
-        )
+    # The word index never decreases: OR-reduce each run of fields that
+    # start in the same word and store the run's word once.
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(wi[1:], wi[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    words[wi[starts]] = np.bitwise_or.reduceat(u << bo, starts)
+    # A field straddling a word boundary spills its high bits into the
+    # next word (the pad word absorbs the final spill); at most one field
+    # straddles each boundary, so the targets are unique.
+    spill = np.flatnonzero(bo > np.uint64(64 - width))
+    if spill.size:
+        words[wi[spill] + 1] |= u[spill] >> (np.uint64(64) - bo[spill])
     return words
 
 
 def unpack_bits(words: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: ``n`` values as an int64 array."""
+    """Inverse of :func:`pack_bits`: ``n`` values as an int64 array.
+
+    ``words`` is only read; the result is a fresh, writable array.
+    """
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    pos = np.arange(n, dtype=np.uint64) * np.uint64(width)
-    wi = (pos >> np.uint64(6)).astype(np.int64)
-    bo = pos & np.uint64(63)
-    lo = words[wi] >> bo
-    # Shift counts must stay < 64: when bo == 0 the high word contributes
-    # nothing, so mask its (would-be shift-by-64) lanes away instead.
-    hi = np.where(bo != 0, words[wi + 1] << ((np.uint64(64) - bo) & np.uint64(63)), 0)
-    mask = np.uint64((1 << width) - 1)
-    return ((lo | hi) & mask).astype(np.int64)
+    # One scratch buffer serves as bit position, bit offset and
+    # complementary shift in turn; every pass below is in place.
+    pos = np.arange(0, n * width, width, dtype=np.uint64)
+    wi = (pos >> np.uint64(6)).view(np.int64)
+    pos &= np.uint64(63)
+    out = words.take(wi)
+    out >>= pos
+    wi += 1
+    hi = words.take(wi)
+    # The high word moves left by 64 - bo in two steps, 63 - bo then 1,
+    # so every shift count stays in [0, 63] and the bo == 0 lanes (where
+    # the high word contributes nothing) shift themselves out to zero.
+    np.subtract(np.uint64(63), pos, out=pos)
+    hi <<= pos
+    hi <<= np.uint64(1)
+    out |= hi
+    out &= np.uint64((1 << width) - 1)
+    return out.view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -293,18 +318,20 @@ DEFAULT_DECODE_CACHE_BYTES = 256 << 20
 class CompressedPostingsArena:
     """Delta/bit-packed :class:`PostingsArena` with per-term lazy decode.
 
-    Same query-facing surface as the raw arena (``run``/``has_term``/
-    ``terms``), but the columns live packed: ``run`` decodes one term on
-    demand through a byte-bounded LRU and returns a :class:`TermRun`
-    whose arrays are *exactly* the raw arena's — same dtypes, same bits —
-    so the kernels are bit-identical on either arena.
+    Same query-facing surface as the raw arena (``run``/``term_tfs``/
+    ``has_term``/``terms``), but the columns live packed: ``run`` decodes
+    one term's doc ids and scores on demand through a byte-bounded LRU
+    and returns a :class:`TermRun` whose arrays are *exactly* the raw
+    arena's — same dtypes, same bits — so the kernels are bit-identical
+    on either arena.
 
     Encoding, per term with ``n`` postings:
 
     * **doc_ids** — ``first_docs[t]`` plus ``n - 1`` gaps, each stored as
       ``delta - 1`` (doc ids are strictly increasing) in
       ``doc_widths[t]``-bit fields; decoded with a cumulative sum.
-    * **tfs** — raw values in ``tf_widths[t]``-bit fields.
+    * **tfs** — raw values in ``tf_widths[t]``-bit fields; unpacked only
+      by ``term_tfs``, never on the query path.
     * **scores** — a sorted float64 codebook of the distinct values plus
       bit-packed codebook indices, *verified bitwise* against the source
       at build time; terms where the codebook does not pay for itself (or
@@ -375,8 +402,8 @@ class CompressedPostingsArena:
         self.block_offsets = block_offsets
         self.block_size = block_size
         self._term_ids = {term: i for i, term in enumerate(terms)}
-        # Decoded-column LRU: tid -> (doc_ids, tfs, scores, nbytes).
-        self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]]
+        # Decoded-column LRU: tid -> (doc_ids, scores, nbytes).
+        self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray, int]]
         self._cache = OrderedDict()
         self._cache_bytes = 0
         self._cache_budget = max(int(cache_bytes), 0)
@@ -502,29 +529,22 @@ class CompressedPostingsArena:
         )
 
     # ----------------------------------------------------------- decode
-    def _decode(self, tid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lo, hi = int(self.offsets[tid]), int(self.offsets[tid + 1])
-        count = hi - lo
-        if count == 0:
-            return (
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int32),
-                np.zeros(0, dtype=np.float64),
-            )
-        wlo, whi = int(self.doc_word_offsets[tid]), int(self.doc_word_offsets[tid + 1])
+    def _decode(self, tid: int) -> tuple[np.ndarray, np.ndarray]:
+        count = int(self.offsets[tid + 1]) - int(self.offsets[tid])
         doc_ids = np.empty(count, dtype=np.int64)
+        if count == 0:
+            return doc_ids, np.zeros(0, dtype=np.float64)
         doc_ids[0] = self.first_docs[tid]
         if count > 1:
+            wlo, whi = int(self.doc_word_offsets[tid]), int(self.doc_word_offsets[tid + 1])
             gaps = unpack_bits(
                 self.doc_words[wlo:whi], count - 1, int(self.doc_widths[tid])
             )
-            np.add(gaps, 1, out=gaps)
-            doc_ids[1:] = gaps
-            np.cumsum(doc_ids, out=doc_ids)
-        wlo, whi = int(self.tf_word_offsets[tid]), int(self.tf_word_offsets[tid + 1])
-        tfs = unpack_bits(
-            self.tf_words[wlo:whi], count, int(self.tf_widths[tid])
-        ).astype(np.int32)
+            # Stored gaps are delta - 1; seeding the first with the first
+            # doc id lets one cumsum write the ids into their final buffer.
+            gaps += 1
+            gaps[0] += doc_ids[0]
+            np.cumsum(gaps, out=doc_ids[1:])
         if self.score_kinds[tid] == _SCORE_CODEBOOK:
             blo, bhi = (
                 int(self.score_book_offsets[tid]),
@@ -537,35 +557,50 @@ class CompressedPostingsArena:
             idx = unpack_bits(
                 self.score_words[wlo:whi], count, int(self.score_widths[tid])
             )
-            scores = np.asarray(self.score_books[blo:bhi])[idx]
+            scores = self.score_books[blo:bhi].take(idx)
         else:
             rlo, rhi = (
                 int(self.score_raw_offsets[tid]),
                 int(self.score_raw_offsets[tid + 1]),
             )
-            scores = np.asarray(self.score_raw[rlo:rhi])
-        return doc_ids, tfs, scores
+            scores = self.score_raw[rlo:rhi]
+        return doc_ids, scores
 
-    def columns(self, tid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decoded (doc_ids, tfs, scores) for term ``tid``, LRU-cached."""
+    def columns(self, tid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Decoded (doc_ids, scores) for term ``tid``, LRU-cached."""
         with self._lock:
             entry = self._cache.get(tid)
             if entry is not None:
                 self._hits += 1
                 self._cache.move_to_end(tid)
-                return entry[0], entry[1], entry[2]
+                return entry[0], entry[1]
             self._misses += 1
-        doc_ids, tfs, scores = self._decode(tid)
-        nbytes = doc_ids.nbytes + tfs.nbytes + scores.nbytes
+        doc_ids, scores = self._decode(tid)
+        nbytes = doc_ids.nbytes + scores.nbytes
         with self._lock:
             if tid not in self._cache:
-                self._cache[tid] = (doc_ids, tfs, scores, nbytes)
+                self._cache[tid] = (doc_ids, scores, nbytes)
                 self._cache_bytes += nbytes
                 while self._cache_bytes > self._cache_budget and len(self._cache) > 1:
                     _, evicted = self._cache.popitem(last=False)
-                    self._cache_bytes -= evicted[3]
+                    self._cache_bytes -= evicted[2]
                     self._evictions += 1
-        return doc_ids, tfs, scores
+        return doc_ids, scores
+
+    def term_tfs(self, term: str) -> np.ndarray | None:
+        """``term``'s term-frequency column (None when absent).
+
+        Unpacked on every call and never cached: no kernel or evaluator
+        reads tfs, so they cost the query path and the LRU nothing.
+        """
+        tid = self._term_ids.get(term)
+        if tid is None:
+            return None
+        count = int(self.offsets[tid + 1]) - int(self.offsets[tid])
+        wlo, whi = int(self.tf_word_offsets[tid]), int(self.tf_word_offsets[tid + 1])
+        return unpack_bits(
+            self.tf_words[wlo:whi], count, int(self.tf_widths[tid])
+        ).astype(np.int32)
 
     def set_cache_budget(self, cache_bytes: int) -> None:
         """Re-size the decode LRU in place (evicting down if shrunk).
@@ -583,7 +618,7 @@ class CompressedPostingsArena:
             self._cache_budget = int(cache_bytes)
             while self._cache_bytes > self._cache_budget and len(self._cache) > 1:
                 _, evicted = self._cache.popitem(last=False)
-                self._cache_bytes -= evicted[3]
+                self._cache_bytes -= evicted[2]
                 self._evictions += 1
 
     @property
@@ -614,12 +649,11 @@ class CompressedPostingsArena:
         tid = self._term_ids.get(term)
         if tid is None:
             return None
-        doc_ids, tfs, scores = self.columns(tid)
+        doc_ids, scores = self.columns(tid)
         blo, bhi = int(self.block_offsets[tid]), int(self.block_offsets[tid + 1])
         return TermRun(
             term=term,
             doc_ids=doc_ids,
-            tfs=tfs,
             scores=scores,
             upper_bound=float(self.upper_bounds[tid]),
             block_maxes=self.block_maxes[blo:bhi],

@@ -1,4 +1,4 @@
-"""Versioned raw-column shard store: mmap-backed, O(1) to open.
+"""Versioned raw-column shard store: mmap-backed, nothing decoded at open.
 
 One shard serializes to a single ``.store`` file::
 
@@ -7,20 +7,30 @@ One shard serializes to a single ``.store`` file::
 
 The header JSON carries the format version, the shard metadata (ids,
 collection statistics, similarity config) and a table of contents: one
-``{name, dtype, count, offset}`` entry per array.  The arrays are the
-*packed* columns of :class:`~repro.index.arena.CompressedPostingsArena`
-written verbatim — delta/bit-packed doc ids, bit-packed tfs, codebook
-scores — plus per-term upper bounds, block-max metadata, global document
-frequencies and bit-packed document lengths.
+``{name, dtype, count, offset}`` entry per array, in the fixed order of
+``_ARRAY_DTYPES``, each section starting at the 64-byte boundary after
+the previous one's end.  The arrays are the *packed* columns of
+:class:`~repro.index.arena.CompressedPostingsArena` written verbatim —
+delta/bit-packed doc ids, bit-packed tfs, codebook scores — plus
+per-term upper bounds, block-max metadata, global document frequencies
+and bit-packed document lengths.
 
 Opening a store (:func:`open_store`) builds a :class:`LazyIndexShard`
-whose columns are ``np.memmap`` views at the TOC offsets: no postings
-are materialized, no pages are read beyond the header, and a term's
-postings are only decoded (through the arena's LRU) when a query first
-touches the term.  The identical byte layout can instead live in any
-in-memory buffer — :func:`serialize_shard` produces the bytes,
-:func:`open_store_buffer` attaches to them with zero-copy
-``np.frombuffer`` views.
+whose columns are zero-copy views of read-only memory maps at the TOC
+offsets: no postings are materialized, and a term's postings are only
+decoded (through the arena's LRU) when a query first touches the term.
+What decode trusts is verified once at open, vectorized over the
+per-term metadata — header length, TOC layout, offsets, widths, word
+counts, block counts — so a truncated or structurally corrupt store is a
+one-line ``ValueError`` naming the file and the field, never an
+``IndexError``, an unbounded allocation or a silently different answer.
+The checks stop at structure: value columns (first doc ids, upper
+bounds, codebooks, the packed words themselves) carry no checksum, so a
+flipped value there is a different index, not a detected fault.  The
+identical byte layout can instead live in any in-memory buffer —
+:func:`serialize_shard` produces the bytes, :func:`open_store_buffer`
+attaches to them with zero-copy ``np.frombuffer`` views and the same
+checks.
 """
 
 from __future__ import annotations
@@ -32,10 +42,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.index.arena import (
+    _MAX_BITS,
     DEFAULT_DECODE_CACHE_BYTES,
     CompressedPostingsArena,
     bits_for,
     pack_bits,
+    packed_words,
     unpack_bits,
 )
 from repro.index.postings import PostingList
@@ -45,6 +57,7 @@ from repro.index.storage import _similarity_config, _similarity_from_config
 MAGIC = b"RPROSTOR"
 FORMAT_VERSION = 1
 _ALIGN = 64
+_PREFIX = len(MAGIC) + 8
 
 #: TOC name -> numpy dtype of every array section, in file order.
 _ARRAY_DTYPES: dict[str, str] = {
@@ -71,6 +84,31 @@ _ARRAY_DTYPES: dict[str, str] = {
     "block_offsets": "i8",
     "doc_len_id_words": "u8",
     "doc_len_val_words": "u8",
+}
+
+#: Arrays holding exactly one element per term (``*offsets`` hold one more).
+_PER_TERM = frozenset({
+    "first_docs", "doc_widths", "tf_widths", "score_kinds", "score_widths",
+    "upper_bounds", "global_dfs",
+})
+
+_INT64 = (-(1 << 63), (1 << 63) - 1)
+_COUNT = (0, _INT64[1])
+_WIDTH = (1, _MAX_BITS)
+
+#: Integer header fields -> inclusive legal range.
+_META_RANGES: dict[str, tuple[int, int]] = {
+    "shard_id": _INT64,
+    "n_docs": _COUNT,
+    "total_tokens": _COUNT,
+    "n_docs_global": _COUNT,
+    "block_size": (1, _INT64[1]),
+    "n_terms": _COUNT,
+    "n_postings": _COUNT,
+    "n_doc_lengths": _COUNT,
+    "doc_len_first": _INT64,
+    "doc_len_id_width": _WIDTH,
+    "doc_len_val_width": _WIDTH,
 }
 
 
@@ -210,20 +248,220 @@ def write_store(shard: IndexShard, path: str | Path) -> Path:
     return path
 
 
-def _parse_header(head: bytes, origin: str) -> tuple[dict, list[dict]]:
-    if head[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{origin}: not a shard store (bad magic)")
-    (header_len,) = struct.unpack_from("<Q", head, len(MAGIC))
-    start = len(MAGIC) + 8
-    if start + header_len > len(head):
+def _bad(origin: str, field: str, problem: str) -> ValueError:
+    return ValueError(f"{origin}: {field}: {problem}")
+
+
+def _header_len(prefix: bytes, size: int, origin: str) -> int:
+    """The header length read from the fixed prefix, checked against ``size``."""
+    if len(prefix) < _PREFIX:
         raise ValueError(f"{origin}: truncated store header")
-    header = json.loads(head[start : start + header_len].decode("utf-8"))
+    if prefix[: len(MAGIC)] != MAGIC:
+        raise ValueError(f"{origin}: not a shard store (bad magic)")
+    (header_len,) = struct.unpack_from("<Q", prefix, len(MAGIC))
+    if _PREFIX + header_len > size:
+        raise _bad(
+            origin, "header_len",
+            f"{header_len} bytes do not fit a {size}-byte store (truncated?)",
+        )
+    return header_len
+
+
+def _is_int(value: object, lo: int, hi: int) -> bool:
+    return type(value) is int and lo <= value <= hi
+
+
+def _parse_header(
+    header_json: bytes, size: int, origin: str
+) -> tuple[dict, list[dict]]:
+    """Meta and TOC of a ``size``-byte store, checked against the layout.
+
+    The TOC must list exactly the arrays of ``_ARRAY_DTYPES``, in file
+    order with their dtypes, each at the offset :func:`serialize_shard`
+    lays it out at and ending inside the store.
+    """
+    try:
+        header = json.loads(header_json.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise _bad(origin, "header", f"not valid JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise _bad(origin, "header", "not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError(
             f"{origin}: unsupported store format "
             f"{header.get('format_version')!r}"
         )
-    return header["meta"], header["arrays"]
+    meta, toc = header.get("meta"), header.get("arrays")
+    if not isinstance(meta, dict):
+        raise _bad(origin, "meta", "not a JSON object")
+    for key, (lo, hi) in _META_RANGES.items():
+        if not _is_int(meta.get(key), lo, hi):
+            raise _bad(
+                origin, f"meta.{key}",
+                f"expected an integer in [{lo}, {hi}], got {meta.get(key)!r}",
+            )
+    if not isinstance(meta.get("avg_doc_length"), (int, float)):
+        raise _bad(
+            origin, "meta.avg_doc_length",
+            f"expected a number, got {meta.get('avg_doc_length')!r}",
+        )
+    if not isinstance(toc, list) or len(toc) != len(_ARRAY_DTYPES):
+        raise _bad(origin, "arrays", f"expected {len(_ARRAY_DTYPES)} TOC entries")
+    offset = _align(_PREFIX + len(header_json))
+    for entry, (name, dtype) in zip(toc, _ARRAY_DTYPES.items()):
+        if not isinstance(entry, dict) or entry.get("name") != name:
+            raise _bad(origin, f"arrays[{name}]", "missing or out of order")
+        if entry.get("dtype") != dtype:
+            raise _bad(
+                origin, f"arrays[{name}].dtype",
+                f"expected {dtype!r}, got {entry.get('dtype')!r}",
+            )
+        if not _is_int(entry.get("count"), *_COUNT):
+            raise _bad(
+                origin, f"arrays[{name}].count",
+                f"expected a non-negative integer, got {entry.get('count')!r}",
+            )
+        if entry.get("offset") != offset:
+            raise _bad(
+                origin, f"arrays[{name}].offset",
+                f"expected {offset}, got {entry.get('offset')!r}",
+            )
+        end = offset + entry["count"] * np.dtype(dtype).itemsize
+        if end > size:
+            raise _bad(
+                origin, f"arrays[{name}]",
+                f"ends at byte {end} of a {size}-byte store (truncated?)",
+            )
+        offset = _align(end)
+    return meta, toc
+
+
+def _steps(
+    origin: str, name: str, arrays: dict[str, np.ndarray], total: int
+) -> np.ndarray:
+    """Per-term steps of offsets array ``name``: 0-based, monotone, ending at ``total``."""
+    offsets = arrays[name]
+    if int(offsets[0]) != 0 or int(offsets.min()) < 0:
+        raise _bad(origin, name, "must start at 0 and stay non-negative")
+    steps = np.diff(offsets)
+    if steps.size and int(steps.min()) < 0:
+        raise _bad(origin, name, "must be non-decreasing")
+    if int(offsets[-1]) != total:
+        raise _bad(origin, name, f"ends at {int(offsets[-1])}, expected {total}")
+    return steps
+
+
+def _check_structure(
+    meta: dict, toc: list[dict], arrays: dict[str, np.ndarray], origin: str
+) -> None:
+    """Everything decode trusts, verified once: O(n_terms), nothing per posting.
+
+    After this, no per-term slice can leave its array, no width can
+    break a shift, and no count can size an allocation beyond what the
+    store's own byte length pays for.  Value columns (``first_docs``,
+    ``upper_bounds``, codebooks, the packed words) are data, not
+    structure: without checksums a flipped value is a different index,
+    not a detectable fault.
+    """
+    counts = {entry["name"]: entry["count"] for entry in toc}
+    n_terms, n_postings = meta["n_terms"], meta["n_postings"]
+    for name, count in counts.items():
+        per_term = (
+            n_terms + 1 if name.endswith("offsets")
+            else n_terms if name in _PER_TERM
+            else count
+        )
+        if count != per_term:
+            raise _bad(
+                origin, f"arrays[{name}].count",
+                f"expected {per_term} for {n_terms} terms, got {count}",
+            )
+    # Every gap costs at least one bit, so the words present bound the
+    # postings a header may claim (and keep the products below in int64).
+    if n_postings > 64 * counts["doc_words"] + n_terms:
+        raise _bad(
+            origin, "meta.n_postings",
+            f"{n_postings} postings cannot fit {counts['doc_words']} doc words",
+        )
+    sizes = _steps(origin, "offsets", arrays, n_postings)
+    widths = {}
+    for name in ("doc_widths", "tf_widths", "score_widths"):
+        widths[name] = arrays[name].astype(np.int64)
+        if not ((widths[name] >= 1) & (widths[name] <= _MAX_BITS)).all():
+            raise _bad(origin, name, f"every width must be in [1, {_MAX_BITS}]")
+    kinds = arrays["score_kinds"]
+    if not (kinds <= 1).all():
+        raise _bad(origin, "score_kinds", "every kind must be 0 (raw) or 1 (codebook)")
+    booked = kinds == 1
+    expected = {
+        "doc_word_offsets": (
+            "doc_words",
+            packed_words(np.maximum(sizes - 1, 0), widths["doc_widths"]),
+        ),
+        "tf_word_offsets": ("tf_words", packed_words(sizes, widths["tf_widths"])),
+        "score_word_offsets": (
+            "score_words",
+            np.where(booked, packed_words(sizes, widths["score_widths"]), 0),
+        ),
+        "score_raw_offsets": ("score_raw", np.where(booked, 0, sizes)),
+        "block_offsets": (
+            "block_maxes", (sizes + meta["block_size"] - 1) // meta["block_size"],
+        ),
+    }
+    for name, (column, want) in expected.items():
+        if not np.array_equal(_steps(origin, name, arrays, counts[column]), want):
+            raise _bad(
+                origin, name, "steps disagree with the term sizes and widths"
+            )
+    books = _steps(origin, "score_book_offsets", arrays, counts["score_books"])
+    if not (books >= booked).all():
+        raise _bad(origin, "score_book_offsets", "codebook-scored term has no codebook")
+    n_lens = meta["n_doc_lengths"]
+    for name, n_values, width in (
+        ("doc_len_id_words", max(n_lens - 1, 0), meta["doc_len_id_width"]),
+        ("doc_len_val_words", n_lens, meta["doc_len_val_width"]),
+    ):
+        if counts[name] != packed_words(n_values, width):
+            raise _bad(
+                origin, f"arrays[{name}].count",
+                f"expected {packed_words(n_values, width)} words for "
+                f"{n_lens} document lengths, got {counts[name]}",
+            )
+
+
+def _open(
+    header_json: bytes, size: int, origin: str, view
+) -> tuple[dict, list[dict], dict[str, np.ndarray]]:
+    """Checked meta, TOC and arrays of a ``size``-byte store.
+
+    ``view(dtype, count, offset)`` returns one section as a zero-copy
+    array; it is only called with extents the TOC check found in range.
+    """
+    meta, toc = _parse_header(header_json, size, origin)
+    arrays = {
+        entry["name"]: view(np.dtype(entry["dtype"]), entry["count"], entry["offset"])
+        for entry in toc
+    }
+    _check_structure(meta, toc, arrays, origin)
+    return meta, toc, arrays
+
+
+def _open_file(path: Path) -> tuple[dict, list[dict], dict[str, np.ndarray]]:
+    size = path.stat().st_size
+    with path.open("rb") as fh:
+        header_len = _header_len(fh.read(_PREFIX), size, str(path))
+        header_json = fh.read(header_len)
+
+        def view(dtype: np.dtype, count: int, offset: int) -> np.ndarray:
+            # A base-class view of the mapping (which keeps its own file
+            # descriptor): still zero-copy and lazy, but per-term reads
+            # and word gathers skip ``np.memmap``'s Python-level
+            # ``__getitem__``/``__array_finalize__``.
+            return np.asarray(
+                np.memmap(fh, dtype=dtype, mode="r", offset=offset, shape=(count,))
+            )
+
+        return _open(header_json, size, str(path), view)
 
 
 def _build_shard(
@@ -232,8 +470,17 @@ def _build_shard(
     cache_bytes: int,
     store_path: Path | None,
 ) -> "LazyIndexShard":
-    terms_blob = bytes(np.asarray(arrays["terms_blob"], dtype=np.uint8))
-    terms = terms_blob.decode("utf-8").split("\n") if terms_blob else []
+    origin = str(store_path) if store_path else "buffer"
+    try:
+        terms_blob = arrays["terms_blob"].tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise _bad(origin, "terms_blob", "not valid UTF-8") from None
+    terms = terms_blob.split("\n") if terms_blob else []
+    if len(terms) != meta["n_terms"]:
+        raise _bad(
+            origin, "terms_blob",
+            f"holds {len(terms)} terms, expected {meta['n_terms']}",
+        )
     arena = CompressedPostingsArena(
         terms=terms,
         offsets=arrays["offsets"],
@@ -255,23 +502,27 @@ def _build_shard(
         upper_bounds=arrays["upper_bounds"],
         block_maxes=arrays["block_maxes"],
         block_offsets=arrays["block_offsets"],
-        block_size=int(meta["block_size"]),
+        block_size=meta["block_size"],
         cache_bytes=cache_bytes,
     )
+    try:
+        similarity = _similarity_from_config(meta.get("similarity"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _bad(origin, "meta.similarity", f"cannot rebuild ({exc!r})") from None
     return LazyIndexShard(
-        shard_id=int(meta["shard_id"]),
-        n_docs=int(meta["n_docs"]),
+        shard_id=meta["shard_id"],
+        n_docs=meta["n_docs"],
         avg_doc_length=float(meta["avg_doc_length"]),
-        total_tokens=int(meta["total_tokens"]),
-        n_docs_global=int(meta["n_docs_global"]),
-        similarity=_similarity_from_config(meta["similarity"]),
+        total_tokens=meta["total_tokens"],
+        n_docs_global=meta["n_docs_global"],
+        similarity=similarity,
         arena=arena,
         global_dfs=arrays["global_dfs"],
         doc_len_spec=(
-            int(meta["n_doc_lengths"]),
-            int(meta["doc_len_first"]),
-            int(meta["doc_len_id_width"]),
-            int(meta["doc_len_val_width"]),
+            meta["n_doc_lengths"],
+            meta["doc_len_first"],
+            meta["doc_len_id_width"],
+            meta["doc_len_val_width"],
             arrays["doc_len_id_words"],
             arrays["doc_len_val_words"],
         ),
@@ -283,30 +534,16 @@ def open_store(
     path: str | Path,
     cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES,
 ) -> "LazyIndexShard":
-    """Open a ``.store`` file as a :class:`LazyIndexShard` in O(1).
+    """Open a ``.store`` file as a :class:`LazyIndexShard` in O(n_terms).
 
-    Every column is an ``np.memmap`` view at its TOC offset: nothing is
-    read beyond the header until a query decodes a term.
+    Every column is a read-only view of a memory map at its TOC
+    offset.  The header and the per-term metadata are checked here (see
+    :func:`_check_structure`); no posting is read until a query decodes
+    a term.  A malformed store raises ``ValueError`` naming the file and
+    the field.
     """
     path = Path(path)
-    with path.open("rb") as fh:
-        head = fh.read(len(MAGIC) + 8)
-        if len(head) < len(MAGIC) + 8:
-            raise ValueError(f"{path}: truncated store header")
-        (header_len,) = struct.unpack_from("<Q", head, len(MAGIC))
-        fh.seek(0)
-        head = fh.read(len(MAGIC) + 8 + header_len)
-    meta, toc = _parse_header(head, str(path))
-    arrays = {
-        entry["name"]: np.memmap(
-            path,
-            dtype=np.dtype(entry["dtype"]),
-            mode="r",
-            offset=int(entry["offset"]),
-            shape=(int(entry["count"]),),
-        )
-        for entry in toc
-    }
+    meta, _, arrays = _open_file(path)
     return _build_shard(meta, arrays, cache_bytes, path)
 
 
@@ -316,39 +553,27 @@ def open_store_buffer(
 ) -> "LazyIndexShard":
     """Attach to a serialized store living in a buffer (zero-copy views).
 
-    The in-memory inverse of :func:`serialize_shard`; the arrays are
-    ``np.frombuffer`` views, so ``buf`` must outlive the shard.
+    The in-memory inverse of :func:`serialize_shard`, checked like
+    :func:`open_store`; the arrays are ``np.frombuffer`` views, so
+    ``buf`` must outlive the shard.
     """
-    head = bytes(memoryview(buf)[: len(MAGIC) + 8])
-    if len(head) < len(MAGIC) + 8:
-        raise ValueError("buffer: truncated store header")
-    (header_len,) = struct.unpack_from("<Q", head, len(MAGIC))
-    meta, toc = _parse_header(
-        bytes(memoryview(buf)[: len(MAGIC) + 8 + header_len]), "buffer"
+    raw = memoryview(buf).cast("B")
+    header_len = _header_len(bytes(raw[:_PREFIX]), raw.nbytes, "buffer")
+    meta, _, arrays = _open(
+        bytes(raw[_PREFIX : _PREFIX + header_len]), raw.nbytes, "buffer",
+        lambda dtype, count, offset: np.frombuffer(
+            buf, dtype=dtype, count=count, offset=offset
+        ),
     )
-    arrays = {
-        entry["name"]: np.frombuffer(
-            buf,
-            dtype=np.dtype(entry["dtype"]),
-            count=int(entry["count"]),
-            offset=int(entry["offset"]),
-        )
-        for entry in toc
-    }
     return _build_shard(meta, arrays, cache_bytes, None)
 
 
 def store_info(path: str | Path) -> dict:
     """Header metadata plus file/compression accounting for one store."""
     path = Path(path)
-    with path.open("rb") as fh:
-        head = fh.read(len(MAGIC) + 8)
-        (header_len,) = struct.unpack_from("<Q", head, len(MAGIC))
-        fh.seek(0)
-        head = fh.read(len(MAGIC) + 8 + header_len)
-    meta, toc = _parse_header(head, str(path))
+    meta, toc, _ = _open_file(path)
     file_bytes = path.stat().st_size
-    raw_bytes = int(meta["n_postings"]) * 20
+    raw_bytes = meta["n_postings"] * 20
     return {
         "path": str(path),
         "meta": meta,
@@ -386,15 +611,13 @@ def open_stores(
 class LazyIndexShard(IndexShard):
     """An :class:`IndexShard` whose postings live in a compressed store.
 
-    Construction is O(1): the arena columns are memmap/buffer views and
-    nothing is decoded up front.  ``term()`` materializes a
-    :class:`ShardTerm` on first touch (the scalar evaluators and the
-    MaxScore kernel's small-query dispatch floor both need one), reusing
-    the arena's decoded columns; materialized terms are kept in
-    ``_terms`` like any hand-built shard.  Concurrent first touches of
-    one term may build the entry twice — both copies are identical views
-    of the same decoded arrays, so the benign race never changes a
-    result.
+    Construction decodes nothing: the arena columns are zero-copy views
+    of the store bytes.  ``term()`` builds a :class:`ShardTerm` per call
+    (the scalar evaluators and the MaxScore kernel's small-query dispatch
+    floor both need one) from the arena's LRU-cached doc ids and scores
+    plus a fresh ``term_tfs`` unpack, and keeps no reference to it — the
+    arena's ``cache_bytes`` is the only thing that bounds, or holds,
+    decoded postings.  ``_terms`` stays empty.
 
     ``store_path`` is the backing file (None for in-memory buffers).
     """
@@ -439,24 +662,21 @@ class LazyIndexShard(IndexShard):
         return self._arena.has_term(term)
 
     def term(self, term: str) -> ShardTerm | None:
-        entry = self._terms.get(term)
-        if entry is not None:
-            return entry
         tid = self._arena._term_ids.get(term)
         if tid is None:
             return None
         run = self._arena.run(term)
         assert run is not None
-        entry = ShardTerm(
+        return ShardTerm(
             term=term,
-            postings=PostingList(doc_ids=run.doc_ids, tfs=run.tfs),
+            postings=PostingList(
+                doc_ids=run.doc_ids, tfs=self._arena.term_tfs(term)
+            ),
             scores=run.scores,
             upper_bound=run.upper_bound,
             global_doc_freq=int(self.global_dfs[tid]),
-            block_maxes=np.asarray(run.block_maxes),
+            block_maxes=run.block_maxes,
         )
-        self._terms[term] = entry
-        return entry
 
     def doc_freq(self, term: str) -> int:
         tid = self._arena._term_ids.get(term)

@@ -159,7 +159,9 @@ class TestCompressedArena:
             raw = arena.run(term)
             run = packed.run(term)
             np.testing.assert_array_equal(run.doc_ids, raw.doc_ids)
-            np.testing.assert_array_equal(run.tfs, raw.tfs)
+            np.testing.assert_array_equal(
+                packed.term_tfs(term), arena.term_tfs(term)
+            )
             np.testing.assert_array_equal(
                 run.scores.view(np.int64), raw.scores.view(np.int64)
             )
@@ -180,7 +182,7 @@ class TestCompressedArena:
         assert packed.run("empty").doc_ids.size == 0
         single = packed.run("single")
         np.testing.assert_array_equal(single.doc_ids, [7])
-        np.testing.assert_array_equal(single.tfs, [3])
+        np.testing.assert_array_equal(packed.term_tfs("single"), [3])
         pair = packed.run("pair")
         np.testing.assert_array_equal(pair.doc_ids, [1, 9])
 
@@ -311,9 +313,10 @@ class TestStoreRoundTrip:
     def test_open_is_lazy(self, shard, tmp_path):
         path = write_store(shard, tmp_path / "s.store")
         reopened = open_store(path)
-        assert reopened._terms == {}
+        assert reopened.arena.decode_stats.misses == 0
         reopened.term(VOCAB[0])
-        assert list(reopened._terms) == [VOCAB[0]]
+        assert reopened.arena.decode_stats.misses == 1
+        assert reopened._terms == {}  # no memo: the decode LRU is the only holder
 
     def test_search_fingerprints_match(self, shard, tmp_path):
         path = write_store(shard, tmp_path / "s.store")

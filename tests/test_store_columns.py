@@ -1,0 +1,125 @@
+"""Column-lazy decode: what a store-backed query pays for, and retains.
+
+* The query path reads two columns.  A store whose packed tf words raise
+  on any access still answers every kernel bit-identically to memory;
+  ``term_tfs`` is the one reader of that column and returns the raw
+  arena's exact ``int32`` values.
+* ``LazyIndexShard.term()`` keeps nothing.  The arena's ``cache_bytes``
+  is the only bound on decoded postings, so touching every term through
+  the scalar path under a 1-byte budget retains the LRU's single floor
+  entry and no more.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.experiments.bench_storage import KERNELS, build_scaled_shards
+from repro.index import open_store, open_store_buffer, serialize_shard, write_store
+from repro.retrieval import exhaustive_search, maxscore_search
+
+QUERIES = [
+    ["t000", "t001"],
+    ["t001", "t002", "t007"],
+    ["t000", "t003", "t005", "t010"],
+    ["t002", "t004"],
+    ["t000", "oov"],
+]
+
+
+class Untouchable(np.ndarray):
+    """An array that fails the test the moment anything reads it."""
+
+    def __getitem__(self, item):
+        raise AssertionError("tf_words read on the query path")
+
+    def take(self, *args, **kwargs):
+        raise AssertionError("tf_words read on the query path")
+
+
+@pytest.fixture(scope="module")
+def shard():
+    # Every query above totals >= 2 048 postings: all four kernels run
+    # vectorized (below that floor MaxScore dispatches to the scalar
+    # evaluator, whose ShardTerm does carry tfs).
+    return build_scaled_shards(1, 9000, 16, seed=5)[0]
+
+
+class TestQueryPathReadsNoTfs:
+    def test_kernels_answer_with_tf_words_untouchable(self, shard, tmp_path):
+        lazy = open_store(write_store(shard, tmp_path / "s.store"))
+        lazy.arena.tf_words = np.zeros(1, dtype=np.uint64).view(Untouchable)
+        with pytest.raises(AssertionError, match="tf_words read"):
+            lazy.arena.term_tfs("t000")  # the sentinel does bite
+        for name, kernel in KERNELS.items():
+            for terms in QUERIES:
+                assert (
+                    kernel(lazy, list(terms), 10).fingerprint()
+                    == kernel(shard, list(terms), 10).fingerprint()
+                ), (name, terms)
+        assert lazy.arena.decode_stats.misses > 0
+
+    def test_term_tfs_equals_the_raw_column(self, shard):
+        lazy = open_store_buffer(serialize_shard(shard))
+        for term in shard.terms():
+            raw = shard.arena.term_tfs(term)
+            got = lazy.arena.term_tfs(term)
+            assert got.dtype == raw.dtype == np.int32
+            assert got.tobytes() == raw.tobytes()
+            np.testing.assert_array_equal(raw, shard.term(term).postings.tfs)
+        assert lazy.arena.term_tfs("oov") is None
+        assert shard.arena.term_tfs("oov") is None
+        # On demand means uncached: tfs never enter the decode LRU.
+        assert lazy.arena.decode_stats.misses == 0
+        assert lazy.arena.decode_stats.bytes == 0
+
+    def test_lru_entry_is_sixteen_bytes_per_posting(self, shard):
+        lazy = open_store_buffer(serialize_shard(shard))
+        run = lazy.arena.run("t000")
+        assert lazy.arena.decode_stats.bytes == 16 * run.size
+        assert not hasattr(run, "tfs")
+
+
+class TestTermKeepsNoMemo:
+    def test_one_byte_budget_retains_one_entry(self, shards):
+        """``shards`` are the session's small analyzer-built shards: every
+        query on them takes the scalar path through ``term()``."""
+        shard = shards[0]
+        lazy = open_store_buffer(serialize_shard(shard), cache_bytes=1)
+        decoded = []
+        for term in sorted(shard.terms()):
+            want, got = shard.term(term), lazy.term(term)
+            assert got.postings.doc_ids.tobytes() == want.postings.doc_ids.tobytes()
+            assert got.postings.tfs.tobytes() == want.postings.tfs.tobytes()
+            assert got.postings.tfs.dtype == np.int32
+            assert got.scores.tobytes() == want.scores.tobytes()
+            assert got.upper_bound == want.upper_bound
+            assert got.global_doc_freq == want.global_doc_freq
+            np.testing.assert_array_equal(got.block_maxes, want.block_maxes)
+            decoded.append(weakref.ref(got.postings.doc_ids))
+            del want, got
+        gc.collect()
+        alive = [ref for ref in decoded if ref() is not None]
+        assert alive == [decoded[-1]]  # the LRU's one-entry floor
+        assert lazy._terms == {}
+        stats = lazy.arena.decode_stats
+        assert stats.entries == 1
+        assert stats.misses == len(decoded) and stats.evictions == len(decoded) - 1
+
+    def test_scalar_answers_stay_bit_equal_under_the_squeeze(self, shards):
+        shard = shards[0]
+        lazy = open_store_buffer(serialize_shard(shard), cache_bytes=1)
+        vocabulary = sorted(shard.terms())
+        for i in range(0, len(vocabulary) - 2, 3):
+            terms = vocabulary[i : i + 3]
+            for search in (maxscore_search, exhaustive_search):
+                assert (
+                    search(lazy, list(terms), 10).fingerprint()
+                    == search(shard, list(terms), 10).fingerprint()
+                )
+        assert lazy._terms == {}
+        assert lazy.arena.decode_stats.entries == 1
