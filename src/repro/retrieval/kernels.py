@@ -12,24 +12,38 @@ blocks are scored with ``searchsorted`` + masked gathers, and
 non-essential lists are probed level-by-level with vectorized lookups.
 The only inherently sequential step is the collector offer, because each
 accepted document can raise the top-k threshold that the *next*
-document's pruning decisions depend on.  A batch is therefore consumed
-in *segments*: between two threshold changes every pruning decision is a
-pure function of the constant threshold, so each segment re-runs only
-the cheap vectorized abandonment cascade over a window of remaining
-candidates and replays offers until the threshold moves, at which point
-the next segment restarts the cascade under the new bar.  The expensive
-work — candidate-union construction and essential scoring — happens once
-per batch; only an *essential-split* change (the threshold crossing an
-upper-bound prefix sum, at most once per query term) invalidates the
-candidate stream itself, truncating the batch and rolling list positions
-back to exactly where the scalar loop would stand.  This makes the
-pruning behaviour — ``postings_scored``, ``postings_skipped``,
-``docs_evaluated`` — independent of chunk and window size and
+document's pruning decisions depend on.  But thresholds only rise, so a
+batch needs **one** cascade, run under its batch-start threshold θ0:
+
+* per level ``j`` (visited ``fe-1 → 0``) the cascade keeps the *survival
+  bound* ``T_j[c]`` — the running minimum, over the levels visited so
+  far, of *(partial score before the level + ``prefix[level]``)*, the
+  same float64 additions in the same order as the scalar — and probes
+  level ``j`` for every candidate with ``T_j >= θ0``.  The scalar probes
+  level ``j`` for ``c`` iff ``T_j[c] >= θ(c)``, the threshold in force
+  when it reaches ``c``; ``θ(c) >= θ0``, so the cascade probes a
+  superset, and a landing searched from the batch-start position is the
+  absolute position the scalar's cursor lands on;
+* the scalar makes an offer that is not a provable no-op iff
+  ``min(T_0[c], score[c]) >= θ(c)``, so one plain-Python walk, in doc
+  order, over the candidates with ``min(T_0, score) >= θ0`` offers those
+  that still pass the live threshold and records ``(index, new θ)`` at
+  each move;
+* the recorded moves make ``θ(c)`` a step function, and one pass per
+  level counts what the scalar really probed (``T_j >= θ(c)``): the
+  skip counter is the telescoped sum of the per-probe cursor advances.
+
+The expensive work — candidate union, essential scoring, the cascade —
+happens once per batch; only an *essential-split* change (the threshold
+crossing an upper-bound prefix sum, at most once per query term)
+invalidates the candidate stream itself, truncating the batch and
+rolling list positions back to exactly where the scalar loop would
+stand.  This makes the pruning behaviour — ``postings_scored``,
+``postings_skipped``, ``docs_evaluated`` — independent of chunk size and
 byte-identical to the reference (a property the test suite checks by
-sweeping chunk sizes down to 1).  Offers whose score cannot beat a full
-heap's threshold are provable no-ops and are pre-filtered away; queries
-whose posting lists are too short to amortize numpy-call overhead
-dispatch to the scalar reference outright (bit-identical by contract).
+sweeping chunk sizes down to 1).  Queries whose posting lists are too
+short to amortize numpy-call overhead dispatch to the scalar reference
+outright (bit-identical by contract).
 
 **WAND**, **Block-Max WAND** and **conjunctive** pruning decisions are
 per-document sequential (every pivot selection/zig-zag step depends on
@@ -75,19 +89,12 @@ halves after a batch truncated by an essential-split change (the
 discarded tail was wasted work) and doubles after a batch that ran to
 completion.  Exactness is chunk-size independent — the equivalence suite
 sweeps fixed sizes down to 1 — so adaptivity is purely a throughput
-knob.
+knob, and a flat one: with one cascade per batch a ``search_cold`` pass
+reads the same wall time at caps of 4 096, 16 384 and 65 536 (the
+residual is data-bound, ``docs/bench/pr18.md``).
 """
 
 _MIN_CHUNK = 32
-
-#: Candidate-window bounds per segment of a MaxScore batch.  Between two
-#: threshold changes the cascade's work on candidates past the change
-#: point is discarded, so segments look at a bounded window rather than
-#: the whole remaining batch, and the window adapts the same way the
-#: chunk does: halve when a threshold move truncates the segment, double
-#: when a window completes clean.  Exactness is window-independent.
-_SEG_WINDOW_MIN = 32
-_SEG_WINDOW_MAX = 512
 
 #: Below this many total query postings the scalar reference outruns the
 #: kernel (fixed numpy-call overhead dominates short lists); since both
@@ -97,18 +104,19 @@ _KERNEL_MIN_POSTINGS = 2048
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-_NEG_INF = float("-inf")
+_INF = float("inf")
 
 
 @dataclass
 class KernelStats:
     """Optional per-call kernel instrumentation (telemetry counters).
 
-    ``chunks`` counts vectorized scoring segments, ``offers`` the
-    sequential collector offers actually performed (the scalar fallback
-    the chunked kernels cannot avoid, after no-op pre-filtering), and
-    ``threshold_restarts`` how many segments were cut short because an
-    offer moved the top-k threshold.
+    ``chunks`` counts vectorized batches (MaxScore runs one cascade per
+    batch), ``offers`` the sequential collector offers actually performed
+    (the scalar fallback the chunked kernels cannot avoid, after no-op
+    pre-filtering), and ``threshold_restarts`` the batches truncated
+    because an offer moved the essential split — the only event that
+    discards vectorized work.
     """
 
     chunks: int = 0
@@ -199,7 +207,6 @@ def maxscore_search_kernel(
     offer = collector.offer
     get_threshold = collector.threshold
     threshold = get_threshold()
-    win = _SEG_WINDOW_MIN
 
     while True:
         first_essential = n
@@ -234,7 +241,7 @@ def maxscore_search_kernel(
             # Single essential list: the slice is already sorted and
             # unique, and each candidate's essential score is the aligned
             # entry of the run's score column (a zero-copy view — it is
-            # never mutated, segments copy the suffix they need).
+            # never mutated, the cascade adds to a copy).
             candidates = slices[0]
             if bound != _INT64_MAX:
                 candidates = candidates[
@@ -279,148 +286,109 @@ def maxscore_search_kernel(
                     ess_scores[idx] += run.scores[run.pos : run.pos + end]
                     scored_cnt[idx] += 1
 
-        # ---- segment loop.  One batch is consumed in segments: between
-        # two threshold changes every pruning decision the scalar makes is
-        # a pure function of the (constant) threshold, so each segment
-        # re-runs the vectorized non-essential cascade over the remaining
-        # suffix and replays offers until the threshold moves again.  The
-        # expensive part — candidate union + essential scoring — happens
-        # once per batch; only an *essential-split* change (threshold
-        # crossing a prefix bound, at most n times per query) invalidates
-        # the candidate stream itself and truncates the batch.
-        ne_base = [runs[j].pos for j in range(fe)]
-        ne_scored = 0
-        seg_start = 0
+        # ---- one cascade under the batch-start threshold theta0, largest
+        # bound first.  Thresholds only rise, so whatever a later threshold
+        # probes is probed here too.  `reach` is the survival bound T_j of
+        # the module docstring: the scalar abandons a candidate once it
+        # falls below the threshold in force.
+        theta0 = threshold
+        levels = []
+        if fe:
+            scores = ess_scores.copy()
+            reach = None
+            for j in range(fe - 1, -1, -1):
+                run = runs[j]
+                ceiling = scores + prefix[j]
+                reach = ceiling if reach is None else np.minimum(reach, ceiling)
+                probe = (reach >= theta0).nonzero()[0]
+                if probe.size == 0:
+                    break  # reach only falls: deeper levels are dead too
+                cand_j = candidates[probe]
+                lands = run.doc_ids[run.pos :].searchsorted(cand_j, side="left")
+                lands += run.pos
+                # A landing past the end clips onto the last posting,
+                # which is smaller than the candidate: no match.
+                match = run.doc_ids.take(lands, mode="clip") == cand_j
+                hit = match.nonzero()[0]
+                if hit.size:
+                    scores[probe[hit]] += run.scores[lands[hit]]
+                levels.append((run, probe, lands, match, reach))
+            reach = np.minimum(reach, scores)
+        else:
+            scores = reach = ess_scores
+
+        # ---- offer walk, doc order, plain Python.  Only candidates whose
+        # bound and score both reach theta0 can change the heap; below the
+        # live threshold the scalar abandons the candidate or makes a
+        # no-op offer ((score, -doc) cannot beat a full heap's root).
+        walk = (reach >= theta0).nonzero()[0]
         stop = m - 1
         truncated = False
         offers_done = 0
-        segments = 0
-        restarts = 0
-        while seg_start < m:
-            fe_now = n
-            for i in range(n):
-                if prefix[i] >= threshold:
-                    fe_now = i
+        moved_at: list[int] = []
+        steps = [theta0]  # theta(c) = steps[number of moves before c]
+        split_bar = prefix[fe]
+        for i, doc, score, bar in zip(
+            walk.tolist(),
+            candidates[walk].tolist(),
+            scores[walk].tolist(),
+            reach[walk].tolist(),
+        ):
+            if bar < threshold:
+                continue
+            offer(doc, score)
+            offers_done += 1
+            new_threshold = get_threshold()
+            if new_threshold != threshold:
+                threshold = new_threshold
+                moved_at.append(i)
+                steps.append(new_threshold)
+                if split_bar < new_threshold and i < stop:
+                    # The essential split changed: the rest of the batch
+                    # was built for the wrong candidate stream.
+                    stop = i
+                    truncated = True
                     break
-            if fe_now != fe:
-                stop = seg_start - 1
-                truncated = True
-                break
-
-            segments += 1
-            # Windowed suffix: the threshold usually moves again within a
-            # few dozen candidates, so cascading the whole remaining
-            # suffix would mostly be discarded — cap the segment at
-            # `win` candidates (exactness is window-independent, like
-            # chunk-independence).
-            seg_end = seg_start + win
-            if seg_end > m:
-                seg_end = m
-            cand_suf = candidates[seg_start:seg_end]
-
-            # Non-essential cascade, largest bound first: one vectorized
-            # probe per level over the suffix candidates still alive.
-            seg_records: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-            alive = None
-            if fe:
-                seg_scores = ess_scores[seg_start:seg_end].copy()
-                for j in range(fe - 1, -1, -1):
-                    run = runs[j]
-                    cond = seg_scores + prefix[j] >= threshold
-                    if alive is None:
-                        alive = cond
-                    else:
-                        alive &= cond
-                    probe_rel = alive.nonzero()[0]
-                    if probe_rel.size == 0:
-                        break  # alive only shrinks: deeper levels are dead
-                    cand_j = cand_suf[probe_rel]
-                    pj = ne_base[j]
-                    lands = pj + run.doc_ids[pj:].searchsorted(cand_j, side="left")
-                    match = run.doc_ids[np.minimum(lands, run.size - 1)] == cand_j
-                    match &= lands < run.size
-                    if match.any():
-                        seg_scores[probe_rel[match]] += run.scores[lands[match]]
-                    seg_records.append((j, probe_rel, lands, match))
-            else:
-                seg_scores = ess_scores[seg_start:seg_end]
-
-            # Offers in doc order.  With a full heap an offer whose score
-            # is below the threshold is a guaranteed no-op rejection —
-            # (score, -doc) cannot beat (threshold, -top_doc) — so those
-            # calls are pre-filtered, leaving the collector bit-identical.
-            if threshold != _NEG_INF:
-                eligible = seg_scores >= threshold
-                if alive is not None:
-                    eligible &= alive
-                offer_rel = eligible.nonzero()[0]
-            else:
-                # Heap not yet full: threshold == -inf forces fe == 0 (no
-                # non-essential lists) and every offer can enter.
-                offer_rel = None
-
-            seg_stop_rel = int(cand_suf.size) - 1
-            changed = False
-            for i in range(cand_suf.size) if offer_rel is None else offer_rel:
-                offer(int(cand_suf[i]), float(seg_scores[i]))
-                offers_done += 1
-                new_threshold = get_threshold()
-                if new_threshold != threshold:
-                    threshold = new_threshold
-                    i = int(i)
-                    if seg_start + i < m - 1:
-                        changed = True
-                        seg_stop_rel = i
-                    break
-
-            # Per-segment non-essential counters and probe-base advance,
-            # truncated at the segment's last processed candidate.
-            for j, probe_rel, lands, match in seg_records:
-                r = (
-                    int(probe_rel.size)
-                    if not changed
-                    else int(probe_rel.searchsorted(seg_stop_rel, side="right"))
-                )
-                if r == 0:
-                    continue  # no surviving candidate processed this level
-                last = r - 1
-                matched = int(np.count_nonzero(match[:r]))
-                last_match = int(match[last])
-                cost.postings_skipped += (
-                    int(lands[last]) - ne_base[j] - (matched - last_match)
-                )
-                ne_base[j] = int(lands[last]) + last_match
-                ne_scored += matched
-            if changed:
-                restarts += 1
-                seg_start = seg_start + seg_stop_rel + 1
-                if win > _SEG_WINDOW_MIN:
-                    win >>= 1
-            else:
-                if win < _SEG_WINDOW_MAX:
-                    win <<= 1
-                if seg_end >= m:
-                    break  # final window processed: the batch is complete
-                seg_start = seg_end  # window done, threshold unchanged
 
         # ---- counters and cursor positions up to the stopping candidate.
-        if stop >= 0:
-            stop_doc = int(candidates[stop])
-            cost.docs_evaluated += stop + 1
-            cost.postings_scored += ne_scored + (
-                stop + 1 if scored_cnt is None else int(scored_cnt[: stop + 1].sum())
+        # Level j really probed candidate c iff T_j[c] >= theta(c), the
+        # threshold in force when c was reached: a step function of the
+        # recorded moves.  Candidates past a truncation count for nothing.
+        ne_scored = 0
+        if moved_at:
+            if truncated:
+                steps[-1] = _INF
+            moves = np.array(moved_at)
+            theta = np.array(steps)
+        for run, probe, lands, match, reach_j in levels:
+            if moved_at:
+                kept = (
+                    reach_j[probe] >= theta[moves.searchsorted(probe, side="left")]
+                ).nonzero()[0]
+                if kept.size == 0:
+                    continue
+                lands = lands[kept]
+                match = match[kept]
+            matched = int(np.count_nonzero(match))
+            last_match = int(match[-1])
+            land = int(lands[-1])
+            cost.postings_skipped += land - run.pos - (matched - last_match)
+            run.pos = land + last_match
+            ne_scored += matched
+        stop_doc = int(candidates[stop])
+        cost.docs_evaluated += stop + 1
+        cost.postings_scored += ne_scored + (
+            stop + 1 if scored_cnt is None else int(scored_cnt[: stop + 1].sum())
+        )
+        for run in essential:
+            p0 = run.pos
+            run.pos = p0 + int(
+                np.searchsorted(run.doc_ids[p0:], stop_doc, side="right")
             )
-            for run in essential:
-                p0 = run.pos
-                run.pos = p0 + int(
-                    np.searchsorted(run.doc_ids[p0:], stop_doc, side="right")
-                )
-            for j in range(fe):
-                runs[j].pos = ne_base[j]
         if stats is not None:
-            stats.chunks += segments
+            stats.chunks += 1
             stats.offers += offers_done
-            stats.threshold_restarts += restarts + (1 if truncated else 0)
+            stats.threshold_restarts += truncated
         cur = (cur >> 1) if truncated else (cur << 1)
         if cur < lo_chunk:
             cur = lo_chunk

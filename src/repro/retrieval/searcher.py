@@ -113,6 +113,8 @@ class ShardSearcher:
     """
 
     def __init__(self, shard: IndexShard, k: int = 10, strategy: str = "maxscore") -> None:
+        if k < 1:
+            raise ValueError("k must be positive")
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}; options: {sorted(STRATEGIES)}"
@@ -263,6 +265,8 @@ class DistributedSearcher:
         strategy: str = "maxscore",
         executor: ShardExecutor | None = None,
     ) -> None:
+        if k < 1:
+            raise ValueError("k must be positive")
         self.k = k
         self.executor = executor or SerialExecutor()
         self.searchers = [ShardSearcher(shard, k=k, strategy=strategy) for shard in shards]
@@ -306,7 +310,10 @@ class DistributedSearcher:
         id** — a deterministic "first shard wins" rule, so labels cannot
         depend on iteration order.
         """
-        k = k or self.k
+        if k is None:
+            k = self.k
+        if k < 1:
+            raise ValueError("k must be positive")
         if k > self.k:
             raise ValueError("contribution k cannot exceed the searcher's k")
         per_shard = [

@@ -206,6 +206,10 @@ class TestShardSearcher:
         with pytest.raises(ValueError):
             ShardSearcher(shards[0], strategy="bogus")
 
+    def test_rejects_non_positive_k_at_construction(self, shards):
+        with pytest.raises(ValueError, match="k must be positive"):
+            ShardSearcher(shards[0], k=0)
+
     def test_search_terms_dedups(self, shards):
         searcher = ShardSearcher(shards[0], k=5)
         result = searcher.search_terms(["t1", "t1", "t2"])
@@ -240,6 +244,15 @@ class TestDistributedSearcher:
         ds = DistributedSearcher(shards, k=10)
         with pytest.raises(ValueError):
             ds.shard_contributions(Query(query_id=0, terms=("t1",)), k=50)
+
+    def test_rejects_non_positive_k_at_construction(self, shards):
+        with pytest.raises(ValueError, match="k must be positive"):
+            DistributedSearcher(shards, k=0)
+
+    def test_contribution_k_zero_is_rejected_not_defaulted(self, shards):
+        ds = DistributedSearcher(shards, k=10)
+        with pytest.raises(ValueError, match="k must be positive"):
+            ds.shard_contributions(Query(query_id=0, terms=("t1",)), k=0)
 
 
 class TestKernelDispatchAndTelemetry:
