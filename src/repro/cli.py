@@ -226,7 +226,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         stats = executor.last_stats
     print(f"terms: {list(query.terms)}  ({result.cost.docs_evaluated} docs evaluated)")
     if args.decode_cache is not None:
-        hits = misses = evictions = 0
+        hits = misses = evictions = entries = retained = 0
         for shard in shards:
             arena = getattr(shard, "_arena", None)
             decode = getattr(arena, "decode_stats", None)
@@ -234,8 +234,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 hits += decode.hits
                 misses += decode.misses
                 evictions += decode.evictions
+                entries += decode.entries
+                retained += decode.bytes
         print(
-            f"decode LRU: {hits} hits, {misses} misses, {evictions} evictions"
+            f"decode LRU: {hits} hits, {misses} misses, {evictions} evictions; "
+            f"{entries} entries, {retained} B retained"
         )
     if stats is not None and executor.workers > 1:
         print(

@@ -8,6 +8,7 @@ Index used by the Rank-S baseline.
 """
 
 from repro.index.arena import (
+    CodedScores,
     CompressedPostingsArena,
     DecodeStats,
     PostingsArena,
@@ -65,6 +66,7 @@ __all__ = [
     "CompressedPostingsArena",
     "DecodeStats",
     "TermRun",
+    "CodedScores",
     "bits_for",
     "pack_bits",
     "unpack_bits",

@@ -19,10 +19,14 @@ built one produce byte-identical arenas.
 compressed encoding: doc ids are delta + bit-packed per term, tfs are
 bit-packed, and scores are dictionary-encoded against a per-term float64
 codebook (with a verified raw fallback).  ``run`` decodes the two
-columns a kernel reads — doc ids and scores — with vectorized
-shifts/masks into the exact ``int64``/``float64`` arrays the raw arena
-holds, so every kernel runs unchanged and bit-identical; a size-bounded
-LRU keeps hot terms decoded.  Term frequencies are off the query path:
+columns a kernel reads with vectorized shifts/masks and keeps them *at
+the width they need*: doc ids in one arena-wide dtype (``int32`` when
+every id provably fits), scores as the unpacked codebook indices behind
+a :class:`CodedScores` column that gathers the float64 values — the raw
+arena's exact bits — only for the postings a kernel reads.  A
+size-bounded LRU keeps hot terms decoded, at 6 bytes per posting for
+``int32`` ids under a codebook of at most 2**16 scores.  Term
+frequencies are off the query path:
 ``term_tfs`` unpacks them on demand.  The packed streams are plain flat
 arrays, which is what lets :mod:`repro.index.store` memory-map them
 straight off disk.
@@ -41,22 +45,64 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.index.shard import IndexShard
 
 
+class CodedScores:
+    """A score column kept as codebook indices, gathered on read.
+
+    ``scores[key]`` — a slice, an index array or an int — is
+    ``book.take(codes[key])``: the float64 bits the raw arena holds,
+    produced for the postings a kernel actually scores instead of for
+    every posting of the term.  ``np.asarray(scores)`` is the whole
+    column.  ``nbytes`` counts the codes only: the codebook is a view of
+    the packed store, not something a cache retains.
+    """
+
+    __slots__ = ("codes", "book")
+
+    def __init__(self, codes: np.ndarray, book: np.ndarray) -> None:
+        self.codes = codes
+        self.book = book
+
+    @property
+    def size(self) -> int:
+        return self.codes.size
+
+    @property
+    def nbytes(self) -> int:
+        return self.codes.nbytes
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __getitem__(self, key: "slice | np.ndarray | int") -> np.ndarray:
+        return self.book.take(self.codes[key])
+
+    def __array__(
+        self, dtype: "np.dtype | None" = None, copy: bool | None = None
+    ) -> np.ndarray:
+        scores = self.book.take(self.codes)
+        return scores if dtype is None else scores.astype(dtype, copy=False)
+
+
 @dataclass
 class TermRun:
     """One query term's live traversal state over the arena columns.
 
-    ``doc_ids``/``scores`` are zero-copy views of the arena columns —
-    the two a kernel reads; term frequencies stay behind
-    ``arena.term_tfs(term)`` — and ``pos`` is the cursor position within
-    the views (the kernels mutate it in place).  ``block_maxes`` holds
-    the per-block maxima for this term and ``block_size`` the block
-    length, mirroring what the scalar evaluators attach to a
-    :class:`~repro.index.postings.PostingCursor`.
+    ``doc_ids``/``scores`` are the two columns a kernel reads (term
+    frequencies stay behind ``arena.term_tfs(term)``) and ``pos`` is the
+    cursor position within them (the kernels mutate it in place).  Over
+    a raw arena they are zero-copy ``int64``/``float64`` views; over a
+    compressed arena they come as its LRU keeps them — ``doc_ids`` in the
+    arena-wide dtype (the runs of one arena never mix), ``scores`` as a
+    :class:`CodedScores` gather-on-read column — and :meth:`widen` turns
+    them into the raw arena's arrays for readers that go posting by
+    posting.  ``block_maxes`` holds the per-block maxima for this term
+    and ``block_size`` the block length, mirroring what the scalar
+    evaluators attach to a :class:`~repro.index.postings.PostingCursor`.
     """
 
     term: str
     doc_ids: np.ndarray
-    scores: np.ndarray
+    scores: np.ndarray | CodedScores
     upper_bound: float
     block_maxes: np.ndarray
     block_size: int
@@ -68,6 +114,17 @@ class TermRun:
 
     def exhausted(self) -> bool:
         return self.pos >= self.size
+
+    def widen(self) -> "TermRun":
+        """Make both columns ``int64``/``float64`` arrays, once, in place.
+
+        For the per-document sequential readers: one pass over the run
+        costs less than boxing every element out of a narrow or coded
+        column.  A no-op (the same views) on a raw arena's run.
+        """
+        self.doc_ids = self.doc_ids.astype(np.int64, copy=False)
+        self.scores = np.asarray(self.scores)
+        return self
 
 
 class PostingsArena:
@@ -315,15 +372,51 @@ DEFAULT_DECODE_CACHE_BYTES = 256 << 20
 """Default decode-LRU budget: decoded columns kept per arena (bytes)."""
 
 
+def _checked_budget(cache_bytes: int) -> int:
+    if cache_bytes < 0:
+        raise ValueError(
+            f"decode cache budget must be non-negative, got {cache_bytes}"
+        )
+    return int(cache_bytes)
+
+
+def _doc_dtype(
+    offsets: np.ndarray, first_docs: np.ndarray, doc_widths: np.ndarray
+) -> type[np.signedinteger]:
+    """``int32`` when the metadata proves every doc id fits, else ``int64``.
+
+    O(terms), nothing decoded: each of a term's ``count - 1`` stored gaps
+    is below ``2**width``, so its ids end at or below ``first + (count -
+    1) * 2**width``.  Float64 is exact far beyond the ``int32`` range the
+    bound is compared against and cannot overflow at any legal width.
+    """
+    if len(first_docs) == 0:
+        return np.int32
+    gaps = np.maximum(np.diff(offsets) - 1, 0).astype(np.float64)
+    last = first_docs + np.ldexp(gaps, doc_widths.astype(np.int64))
+    fits = first_docs.min() >= 0 and last.max() <= np.iinfo(np.int32).max
+    return np.int32 if fits else np.int64
+
+
 class CompressedPostingsArena:
     """Delta/bit-packed :class:`PostingsArena` with per-term lazy decode.
 
     Same query-facing surface as the raw arena (``run``/``term_tfs``/
     ``has_term``/``terms``), but the columns live packed: ``run`` decodes
     one term's doc ids and scores on demand through a byte-bounded LRU
-    and returns a :class:`TermRun` whose arrays are *exactly* the raw
-    arena's — same dtypes, same bits — so the kernels are bit-identical
-    on either arena.
+    and returns a :class:`TermRun` over what the LRU keeps — the raw
+    arena's doc ids in ``doc_dtype`` and its scores, bit for bit, behind
+    a :class:`CodedScores` column — so the kernels are bit-identical on
+    either arena.
+
+    ``doc_dtype`` is one dtype for the whole arena, decided at
+    construction from the per-term metadata without decoding anything:
+    a term's last doc id is at most ``first_docs[t] + (count - 1) *
+    2**doc_widths[t]`` (every stored gap is below ``2**width``), and when
+    that bound fits ``int32`` for every term the ids are kept as
+    ``int32``, else as ``int64``.  Never per term: the runs of one query
+    always share a dtype, so no kernel comparison or ``searchsorted``
+    ever mixes widths.
 
     Encoding, per term with ``n`` postings:
 
@@ -351,6 +444,7 @@ class CompressedPostingsArena:
         "score_books", "score_book_offsets",
         "score_words", "score_word_offsets",
         "upper_bounds", "block_maxes", "block_offsets", "block_size",
+        "doc_dtype",
         "_term_ids", "_cache", "_cache_bytes", "_cache_budget",
         "_lock", "_hits", "_misses", "_evictions",
     )
@@ -401,12 +495,14 @@ class CompressedPostingsArena:
         self.block_maxes = block_maxes
         self.block_offsets = block_offsets
         self.block_size = block_size
+        self.doc_dtype = _doc_dtype(offsets, first_docs, doc_widths)
         self._term_ids = {term: i for i, term in enumerate(terms)}
         # Decoded-column LRU: tid -> (doc_ids, scores, nbytes).
-        self._cache: OrderedDict[int, tuple[np.ndarray, np.ndarray, int]]
-        self._cache = OrderedDict()
+        self._cache: OrderedDict[
+            int, tuple[np.ndarray, np.ndarray | CodedScores, int]
+        ] = OrderedDict()
         self._cache_bytes = 0
-        self._cache_budget = max(int(cache_bytes), 0)
+        self._cache_budget = _checked_budget(cache_bytes)
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -420,6 +516,7 @@ class CompressedPostingsArena:
         cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES,
     ) -> "CompressedPostingsArena":
         """Compress a raw arena (bit-exact: ``run`` round-trips verbatim)."""
+        _checked_budget(cache_bytes)  # before the work, not after it
         n = arena.n_terms
         first_docs = np.zeros(n, dtype=np.int64)
         doc_widths = np.ones(n, dtype=np.uint8)
@@ -529,9 +626,9 @@ class CompressedPostingsArena:
         )
 
     # ----------------------------------------------------------- decode
-    def _decode(self, tid: int) -> tuple[np.ndarray, np.ndarray]:
+    def _decode(self, tid: int) -> tuple[np.ndarray, np.ndarray | CodedScores]:
         count = int(self.offsets[tid + 1]) - int(self.offsets[tid])
-        doc_ids = np.empty(count, dtype=np.int64)
+        doc_ids = np.empty(count, dtype=self.doc_dtype)
         if count == 0:
             return doc_ids, np.zeros(0, dtype=np.float64)
         doc_ids[0] = self.first_docs[tid]
@@ -541,10 +638,12 @@ class CompressedPostingsArena:
                 self.doc_words[wlo:whi], count - 1, int(self.doc_widths[tid])
             )
             # Stored gaps are delta - 1; seeding the first with the first
-            # doc id lets one cumsum write the ids into their final buffer.
+            # doc id lets one cumsum write the ids into their final buffer
+            # (and final width: the sums fit ``doc_dtype`` by construction).
             gaps += 1
             gaps[0] += doc_ids[0]
             np.cumsum(gaps, out=doc_ids[1:])
+        scores: np.ndarray | CodedScores
         if self.score_kinds[tid] == _SCORE_CODEBOOK:
             blo, bhi = (
                 int(self.score_book_offsets[tid]),
@@ -554,10 +653,14 @@ class CompressedPostingsArena:
                 int(self.score_word_offsets[tid]),
                 int(self.score_word_offsets[tid + 1]),
             )
-            idx = unpack_bits(
-                self.score_words[wlo:whi], count, int(self.score_widths[tid])
+            width = int(self.score_widths[tid])
+            idx = unpack_bits(self.score_words[wlo:whi], count, width)
+            # Kept as indices, in the narrowest unsigned dtype the width
+            # allows: the float64 column is never materialized here.
+            scores = CodedScores(
+                idx.astype(np.min_scalar_type((1 << width) - 1)),
+                self.score_books[blo:bhi],
             )
-            scores = self.score_books[blo:bhi].take(idx)
         else:
             rlo, rhi = (
                 int(self.score_raw_offsets[tid]),
@@ -566,7 +669,7 @@ class CompressedPostingsArena:
             scores = self.score_raw[rlo:rhi]
         return doc_ids, scores
 
-    def columns(self, tid: int) -> tuple[np.ndarray, np.ndarray]:
+    def columns(self, tid: int) -> tuple[np.ndarray, np.ndarray | CodedScores]:
         """Decoded (doc_ids, scores) for term ``tid``, LRU-cached."""
         with self._lock:
             entry = self._cache.get(tid)
@@ -610,12 +713,9 @@ class CompressedPostingsArena:
         to "cache exactly the last decoded term", never to thrashing on
         the entry being returned.
         """
-        if cache_bytes < 0:
-            raise ValueError(
-                f"decode cache budget must be non-negative, got {cache_bytes}"
-            )
+        budget = _checked_budget(cache_bytes)
         with self._lock:
-            self._cache_budget = int(cache_bytes)
+            self._cache_budget = budget
             while self._cache_bytes > self._cache_budget and len(self._cache) > 1:
                 _, evicted = self._cache.popitem(last=False)
                 self._cache_bytes -= evicted[2]
@@ -645,7 +745,7 @@ class CompressedPostingsArena:
         return term in self._term_ids
 
     def run(self, term: str) -> TermRun | None:
-        """A fresh :class:`TermRun` over the decoded columns (or None)."""
+        """A fresh :class:`TermRun` over the LRU's columns (or None)."""
         tid = self._term_ids.get(term)
         if tid is None:
             return None

@@ -600,12 +600,17 @@ def open_stores(
 ) -> list["LazyIndexShard"]:
     """Open every ``shard_*.store`` in ``directory``, ordered by shard id."""
     directory = Path(directory)
-    paths = sorted(
-        directory.glob("shard_*.store"), key=lambda p: int(p.stem.split("_")[1])
-    )
+    paths: list[tuple[int, Path]] = []
+    for path in directory.glob("shard_*.store"):
+        shard_id = path.stem[len("shard_"):]
+        if not shard_id.isdecimal():
+            raise ValueError(
+                f"{path}: not a shard store name (expected shard_<id>.store)"
+            )
+        paths.append((int(shard_id), path))
     if not paths:
         raise FileNotFoundError(f"no shard stores in {directory}")
-    return [open_store(path, cache_bytes=cache_bytes) for path in paths]
+    return [open_store(path, cache_bytes=cache_bytes) for _, path in sorted(paths)]
 
 
 class LazyIndexShard(IndexShard):
@@ -667,6 +672,7 @@ class LazyIndexShard(IndexShard):
             return None
         run = self._arena.run(term)
         assert run is not None
+        run.widen()  # the scalar evaluators read posting by posting
         return ShardTerm(
             term=term,
             postings=PostingList(

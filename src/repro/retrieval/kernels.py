@@ -53,6 +53,17 @@ ids are cached as Python ints (one boxing per position change instead of
 one per access), skips are a single ``searchsorted`` over the list tail,
 and no per-query cursor objects or score attachments are allocated.
 
+**Column widths.**  A compressed arena hands its runs out as its decode
+LRU keeps them (:class:`~repro.index.arena.TermRun`): doc ids in the
+arena-wide dtype, ``int32`` when they fit, and scores as a gather-on-read
+column of codebook indices.  MaxScore and conjunctive touch the columns
+only through array operations and read them as they come, under one
+rule: a scalar ``searchsorted`` needle is taken from the column — a
+numpy scalar of its dtype — never through ``int()``, because a Python
+int against an ``int32`` column makes numpy upcast the whole haystack on
+every call.  WAND and Block-Max WAND read posting by posting and call
+``TermRun.widen()`` once per run (a no-op over a raw arena).
+
 Float bit-identity holds because every kernel performs the exact same
 sequence of float64 additions per document accumulator as its reference
 — numpy element-wise adds and Python float adds are the same IEEE-754
@@ -222,8 +233,14 @@ def maxscore_search_kernel(
 
         # ---- candidate block: the next `cur` postings of every
         # essential list, truncated to the smallest per-list horizon so
-        # no document <= bound can be missing from the union.
-        bound = _INT64_MAX
+        # no document <= bound can be missing from the union.  `bound`
+        # (None: no list was cut short) and `stop_doc` below are
+        # searchsorted needles and stay numpy scalars of the doc-id
+        # column's dtype: a Python int against a narrower column makes
+        # numpy upcast the whole haystack on every call.  The searches
+        # are method calls: `np.searchsorted(a, v)` with a scalar needle
+        # spends more in its dispatch wrapper than in the search.
+        bound = None
         slices = []
         for run in essential:
             lo = run.pos
@@ -233,19 +250,19 @@ def maxscore_search_kernel(
             sl = run.doc_ids[lo:hi]
             slices.append(sl)
             if hi < run.size and sl.size:
-                last = int(sl[-1])
-                if last < bound:
+                last = sl[-1]
+                if bound is None or last < bound:
                     bound = last
 
         if len(slices) == 1:
             # Single essential list: the slice is already sorted and
             # unique, and each candidate's essential score is the aligned
-            # entry of the run's score column (a zero-copy view — it is
-            # never mutated, the cascade adds to a copy).
+            # entry of the run's score column (a zero-copy view on a raw
+            # arena — it is never mutated, the cascade adds to a copy).
             candidates = slices[0]
-            if bound != _INT64_MAX:
+            if bound is not None:
                 candidates = candidates[
-                    : int(np.searchsorted(candidates, bound, side="right"))
+                    : int(candidates.searchsorted(bound, side="right"))
                 ]
             m = int(candidates.size)
             if m == 0:
@@ -264,9 +281,9 @@ def maxscore_search_kernel(
             keep[0] = True
             np.not_equal(merged[1:], merged[:-1], out=keep[1:])
             candidates = merged[keep]
-            if bound != _INT64_MAX:
+            if bound is not None:
                 candidates = candidates[
-                    : int(np.searchsorted(candidates, bound, side="right"))
+                    : int(candidates.searchsorted(bound, side="right"))
                 ]
             m = int(candidates.size)
 
@@ -277,12 +294,12 @@ def maxscore_search_kernel(
             # ascending-upper-bound order (the reference's summation order).
             for run, sl in zip(essential, slices):
                 end = (
-                    int(np.searchsorted(sl, bound, side="right"))
-                    if bound != _INT64_MAX
+                    int(sl.searchsorted(bound, side="right"))
+                    if bound is not None
                     else int(sl.size)
                 )
                 if end:
-                    idx = np.searchsorted(candidates, sl[:end])
+                    idx = candidates.searchsorted(sl[:end])
                     ess_scores[idx] += run.scores[run.pos : run.pos + end]
                     scored_cnt[idx] += 1
 
@@ -375,16 +392,14 @@ def maxscore_search_kernel(
             cost.postings_skipped += land - run.pos - (matched - last_match)
             run.pos = land + last_match
             ne_scored += matched
-        stop_doc = int(candidates[stop])
+        stop_doc = candidates[stop]
         cost.docs_evaluated += stop + 1
         cost.postings_scored += ne_scored + (
             stop + 1 if scored_cnt is None else int(scored_cnt[: stop + 1].sum())
         )
         for run in essential:
             p0 = run.pos
-            run.pos = p0 + int(
-                np.searchsorted(run.doc_ids[p0:], stop_doc, side="right")
-            )
+            run.pos = p0 + int(run.doc_ids[p0:].searchsorted(stop_doc, side="right"))
         if stats is not None:
             stats.chunks += 1
             stats.offers += offers_done
@@ -416,7 +431,7 @@ def wand_search_kernel(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    runs = _sorted_runs(shard, terms)
+    runs = [run.widen() for run in _sorted_runs(shard, terms)]
     collector = TopKCollector(k)
     cost = CostStats(n_terms=len(terms))
     if not runs:
@@ -485,7 +500,7 @@ def block_max_wand_search_kernel(
     :func:`~repro.retrieval.block_max_wand.block_max_wand_search`."""
     if k < 1:
         raise ValueError("k must be positive")
-    runs = _term_order_runs(shard, terms)
+    runs = [run.widen() for run in _term_order_runs(shard, terms)]
     collector = TopKCollector(k)
     cost = CostStats(n_terms=len(terms))
     if not runs:

@@ -81,6 +81,7 @@ class TestCommands:
                 ["compare", "--scale", "unit", "--policies", "cottage", "bogus"],
                 "unknown policy 'bogus'",
             ),
+            (["search", "{stray}", "foo"], "shard_backup.store: not a shard store name"),
         ],
     )
     def test_hostile_input_exits_one_with_one_line(
@@ -88,7 +89,13 @@ class TestCommands:
     ):
         # Option values are checked before the index is read or a testbed
         # built, so a missing directory never gets the chance to mask them.
-        paths = {"missing": tmp_path / "missing", "empty": tmp_path}
+        paths = {
+            "missing": tmp_path / "missing", "empty": tmp_path,
+            "stray": tmp_path / "stray",
+        }
+        paths["stray"].mkdir()
+        for name in ("shard_0.store", "shard_backup.store"):
+            (paths["stray"] / name).touch()
         assert main([arg.format(**paths) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
@@ -104,6 +111,10 @@ class TestCommands:
         assert captured.err.count("\n") == 1 and "non-negative" in captured.err
         assert "decode LRU budget" not in captured.out
         assert main(argv + ["0"]) == 0
+        # One entry per shard survives a zero budget, and its bytes show.
+        report = capsys.readouterr().out
+        assert "2 misses, 0 evictions; 2 entries, " in report
+        assert " B retained" in report and "; 2 entries, 0 B" not in report
 
 
 class TestFaultsCommand:

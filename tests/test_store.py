@@ -155,18 +155,30 @@ class TestCompressedArena:
         packed = CompressedPostingsArena.from_arena(arena)
         assert packed.n_terms == arena.n_terms
         assert packed.n_postings == arena.n_postings
+        assert packed.doc_dtype == np.int32  # 50 documents: every id fits
         for term in shard.terms():
             raw = arena.run(term)
             run = packed.run(term)
+            assert run.doc_ids.dtype == packed.doc_dtype
             np.testing.assert_array_equal(run.doc_ids, raw.doc_ids)
             np.testing.assert_array_equal(
                 packed.term_tfs(term), arena.term_tfs(term)
             )
-            np.testing.assert_array_equal(
-                run.scores.view(np.int64), raw.scores.view(np.int64)
-            )
+            # The score column hands out the raw float64 bits, whole ...
+            assert np.asarray(run.scores).tobytes() == raw.scores.tobytes()
+            # ... and by slice, index array and int, as a kernel reads it.
+            picks = np.arange(raw.size - 1, -1, -2)
+            for key in (slice(1, raw.size), picks, raw.size - 1):
+                got = np.asarray(run.scores[key])
+                assert got.dtype == np.float64
+                assert got.tobytes() == raw.scores[key].tobytes()
             np.testing.assert_array_equal(run.block_maxes, raw.block_maxes)
             assert run.upper_bound == raw.upper_bound
+            # widen() is the raw arena's columns, dtypes included.
+            wide = packed.run(term).widen()
+            assert wide.doc_ids.dtype == np.int64
+            assert wide.doc_ids.tobytes() == raw.doc_ids.tobytes()
+            assert wide.scores.tobytes() == raw.scores.tobytes()
 
     def test_empty_and_single_posting_terms(self):
         shard = make_shard(
@@ -267,7 +279,10 @@ class TestCompressedArena:
         packed = CompressedPostingsArena.from_arena(
             PostingsArena.from_shard(shard)
         )
-        decoded = {t: packed.run(t).scores.tolist() for t in sorted(shard.terms())}
+        decoded = {
+            t: np.asarray(packed.run(t).scores).tobytes()
+            for t in sorted(shard.terms())
+        }
         assert packed.decode_stats.evictions == 0
         packed.set_cache_budget(1)
         stats = packed.decode_stats
@@ -275,7 +290,7 @@ class TestCompressedArena:
         assert stats.evictions == stats.misses - stats.entries
         # Eviction only drops cached columns — re-decodes stay bit-exact.
         for term, want in decoded.items():
-            assert packed.run(term).scores.tolist() == want
+            assert np.asarray(packed.run(term).scores).tobytes() == want
 
     def test_negative_cache_budget_rejected(self):
         shard = build_shard([[VOCAB[i % 12]] * 3 for i in range(60)])
@@ -284,6 +299,32 @@ class TestCompressedArena:
         )
         with pytest.raises(ValueError, match="non-negative"):
             packed.set_cache_budget(-5)
+
+    def test_negative_cache_budget_rejected_where_it_is_given(self, tmp_path):
+        """Every entry point that takes a budget refuses a negative one
+        with ``set_cache_budget``'s message; none clamps it to 0."""
+        shard = build_shard([[VOCAB[i % 12]] * 3 for i in range(60)])
+        arena = PostingsArena.from_shard(shard)
+        blob = serialize_shard(shard)
+        pack_shards([shard], tmp_path)
+        fields = {
+            name: getattr(CompressedPostingsArena.from_arena(arena), name)
+            for name in CompressedPostingsArena.__slots__
+            if not name.startswith("_") and name != "doc_dtype"
+        }
+        message = "decode cache budget must be non-negative, got -5"
+        for give in (
+            lambda: CompressedPostingsArena(**fields, cache_bytes=-5),
+            lambda: CompressedPostingsArena.from_arena(arena, cache_bytes=-5),
+            lambda: open_store(tmp_path / "shard_0.store", cache_bytes=-5),
+            lambda: open_stores(tmp_path, cache_bytes=-5),
+            lambda: open_store_buffer(blob, cache_bytes=-5),
+        ):
+            with pytest.raises(ValueError) as caught:
+                give()
+            assert str(caught.value) == message
+        # Zero stays legal: the LRU degrades to its one-entry floor.
+        assert open_store_buffer(blob, cache_bytes=0).term(VOCAB[0]) is not None
 
 
 # ------------------------------------------------------------ persistence
@@ -375,6 +416,18 @@ class TestStoreRoundTrip:
         assert [s.shard_id for s in reopened] == [0, 1, 2]
         for shard, loaded in zip(shards, reopened):
             assert_columns_equal(shard, loaded)
+
+    def test_stray_file_name_in_directory_is_a_named_error(self, shard, tmp_path):
+        pack_shards([shard], tmp_path)
+        stray = tmp_path / "shard_backup.store"
+        stray.write_bytes((tmp_path / "shard_0.store").read_bytes())
+        with pytest.raises(ValueError) as caught:
+            open_stores(tmp_path)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert str(stray) in message and "shard_<id>.store" in message
+        stray.unlink()
+        assert [s.shard_id for s in open_stores(tmp_path)] == [0]
 
     def test_store_info(self, shard, tmp_path):
         path = write_store(shard, tmp_path / "s.store")

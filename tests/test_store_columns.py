@@ -4,10 +4,14 @@
   on any access still answers every kernel bit-identically to memory;
   ``term_tfs`` is the one reader of that column and returns the raw
   arena's exact ``int32`` values.
+* What the LRU retains per posting is the doc id at the arena's dtype
+  plus the codebook index at the narrowest width: 6 bytes for ``int32``
+  ids and a codebook of at most 2**16 values.
 * ``LazyIndexShard.term()`` keeps nothing.  The arena's ``cache_bytes``
   is the only bound on decoded postings, so touching every term through
   the scalar path under a 1-byte budget retains the LRU's single floor
-  entry and no more.
+  entry and no more — and the widened columns ``term()`` hands out die
+  with the ``ShardTerm``.
 """
 
 from __future__ import annotations
@@ -77,11 +81,22 @@ class TestQueryPathReadsNoTfs:
         assert lazy.arena.decode_stats.misses == 0
         assert lazy.arena.decode_stats.bytes == 0
 
-    def test_lru_entry_is_sixteen_bytes_per_posting(self, shard):
+    def test_lru_entry_is_doc_plus_code_itemsize_per_posting(self, shard):
         lazy = open_store_buffer(serialize_shard(shard))
-        run = lazy.arena.run("t000")
-        assert lazy.arena.decode_stats.bytes == 16 * run.size
+        arena = lazy.arena
+        run = arena.run("t000")
         assert not hasattr(run, "tfs")
+        # 9 000 documents and a codebook of 257..65 536 distinct scores:
+        # int32 ids (4 B) + uint16 codes (2 B) = 6 B per posting, where
+        # the int64 + float64 columns took 16.
+        assert 8 < arena.score_widths[arena.terms.index("t000")] <= 16
+        assert run.doc_ids.dtype == arena.doc_dtype == np.int32
+        assert run.scores.codes.dtype == np.uint16
+        per_posting = run.doc_ids.itemsize + run.scores.codes.itemsize
+        assert per_posting == 4 + 2
+        assert arena.decode_stats.bytes == per_posting * run.size
+        # The codebook is a view of the store, not a retained copy.
+        assert np.shares_memory(run.scores.book, arena.score_books)
 
 
 class TestTermKeepsNoMemo:
@@ -90,21 +105,29 @@ class TestTermKeepsNoMemo:
         query on them takes the scalar path through ``term()``."""
         shard = shards[0]
         lazy = open_store_buffer(serialize_shard(shard), cache_bytes=1)
-        decoded = []
+        decoded, handed_out = [], []
         for term in sorted(shard.terms()):
             want, got = shard.term(term), lazy.term(term)
+            assert got.postings.doc_ids.dtype == np.int64
             assert got.postings.doc_ids.tobytes() == want.postings.doc_ids.tobytes()
             assert got.postings.tfs.tobytes() == want.postings.tfs.tobytes()
             assert got.postings.tfs.dtype == np.int32
+            assert got.scores.dtype == np.float64
             assert got.scores.tobytes() == want.scores.tobytes()
             assert got.upper_bound == want.upper_bound
             assert got.global_doc_freq == want.global_doc_freq
             np.testing.assert_array_equal(got.block_maxes, want.block_maxes)
-            decoded.append(weakref.ref(got.postings.doc_ids))
-            del want, got
+            # What the LRU retains for the term (its one entry right now)
+            # and the widened doc ids term() built from it.
+            ((doc_ids, _, _),) = lazy.arena._cache.values()
+            assert doc_ids.dtype == np.int32 and doc_ids is not got.postings.doc_ids
+            decoded.append(weakref.ref(doc_ids))
+            handed_out.append(weakref.ref(got.postings.doc_ids))
+            del want, got, doc_ids
         gc.collect()
         alive = [ref for ref in decoded if ref() is not None]
         assert alive == [decoded[-1]]  # the LRU's one-entry floor
+        assert all(ref() is None for ref in handed_out)  # nobody kept a wide copy
         assert lazy._terms == {}
         stats = lazy.arena.decode_stats
         assert stats.entries == 1
