@@ -9,11 +9,10 @@ def test_headline(benchmark, testbed):
     result = benchmark.pedantic(lambda: headline.run(testbed), rounds=1, iterations=1)
     print()
     print(headline.format_report(result))
-    # How much retrieval the memo layer absorbed, and through which
-    # executor it fanned out (REPRO_WORKERS; serial by default).
+    # How much retrieval the memo layer absorbed.
     stats = testbed.cluster.searcher_cache_stats()
     print(
-        f"retrieval fan-out: {testbed.cluster.executor!r}, memo "
+        f"retrieval memo: "
         f"{sum(s.hits for s in stats)} hits / "
         f"{sum(s.computations for s in stats)} evaluations"
     )

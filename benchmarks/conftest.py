@@ -3,10 +3,7 @@
 One trained testbed is shared by every benchmark in the session: the
 evaluation figures all read the same workload, index and trained
 predictors, just like the paper's single-testbed evaluation.  Set
-``REPRO_SCALE=unit|small|full`` to change the size (default: small) and
-``REPRO_WORKERS=N`` to fan retrieval out over N worker threads (default
-serial; every simulated number is bit-identical either way — the
-executor only moves wall-clock).
+``REPRO_SCALE=unit|small|full`` to change the size (default: small).
 """
 
 from __future__ import annotations
@@ -29,19 +26,9 @@ def _scale() -> Scale:
         raise ValueError(f"unknown REPRO_SCALE {name!r}; use unit, small or full")
 
 
-def _workers() -> int | None:
-    raw = os.environ.get("REPRO_WORKERS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"REPRO_WORKERS must be an integer, got {raw!r}")
-
-
 @pytest.fixture(scope="session")
 def testbed() -> Testbed:
-    return Testbed.build(_scale(), workers=_workers())
+    return Testbed.build(_scale())
 
 
 def emit(report: str) -> None:

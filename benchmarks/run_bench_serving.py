@@ -49,7 +49,6 @@ def main(argv: list[str] | None = None) -> int:
         help="flat cap the drive's tracemalloc peak must stay under",
     )
     parser.add_argument("--seed", type=int, default=bench_serving.SEED)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--out", default="BENCH_serving.json", help="JSON output path"
     )
@@ -69,7 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         knee_tolerance=args.knee_tolerance,
         drive_memory_cap_mib=args.memory_cap_mib,
         seed=args.seed,
-        workers=args.workers,
     )
     print(bench_serving.format_report(result))
     bench_serving.write_json(result, args.out)

@@ -2,10 +2,9 @@
 
 Builds the scaled column-direct corpus, packs it into compressed
 ``.store`` shards, reopens them lazily, and measures compression ratio,
-cold-open time, kernel-on-compressed speedup, decode-LRU hit rate and
-the serial/thread executor comparison, writing
-``BENCH_storage.json`` for the perf trajectory (CI uploads it as an
-artifact)::
+cold-open time, kernel-on-compressed speedup and decode-LRU hit rate,
+writing ``BENCH_storage.json`` for the perf trajectory (CI uploads it as
+an artifact)::
 
     python benchmarks/run_bench_storage.py --out BENCH_storage.json
 
@@ -36,7 +35,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--vocab", type=int, default=bench_storage.VOCAB_SIZE)
     parser.add_argument("--queries", type=int, default=bench_storage.N_QUERIES)
     parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--seed", type=int, default=bench_storage.SEED)
     parser.add_argument(
         "--out", default="BENCH_storage.json", help="JSON output path"
@@ -59,7 +57,6 @@ def main(argv: list[str] | None = None) -> int:
         n_queries=args.queries,
         seed=args.seed,
         repeats=args.repeats,
-        workers=args.workers,
     )
     print(bench_storage.format_report(result))
     bench_storage.write_json(result, args.out)
@@ -71,8 +68,6 @@ def main(argv: list[str] | None = None) -> int:
             for name, ok in result.strategies_bit_identical.items()
             if not ok
         ]
-        if not result.executors_bit_identical:
-            broken.append("executors")
         print(f"FAIL: not bit-identical: {broken}", file=sys.stderr)
         return 1
     if result.compression_ratio < args.fail_ratio_below:

@@ -5,16 +5,14 @@ invariants as a syntactic check.  The common theme: the simulator's
 outputs (latency, quality, power — Figs. 10-15) are only comparable
 across runs and across policy/kernel variants because every run is a
 pure function of (workload seed, configuration).  Anything that lets
-wall-clock time, process-global RNG state, hash ordering, or racy shared
-mutation leak into a result breaks that contract silently — exactly the
-class of bug a Hypothesis suite only catches when it happens to sample
-one.
+wall-clock time, process-global RNG state or hash ordering leak into a
+result breaks that contract silently — exactly the class of bug a
+Hypothesis suite only catches when it happens to sample one.
 
 Rules are syntactic and local by design: no type inference, no
 cross-file dataflow.  Where that under-approximates (a set bound to a
-variable, a closure smuggled through a helper), the fixture suite pins
-what *is* caught, and the pragma mechanism documents what is
-intentionally exempt.
+variable), the fixture suite pins what *is* caught, and the pragma
+mechanism documents what is intentionally exempt.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ __all__ = [
     "FloatOrderRule",
     "TelBindRule",
     "MutDefaultRule",
-    "ParSharedRule",
 ]
 
 
@@ -167,8 +164,8 @@ class DetClockRule(Rule):
     Everything inside the simulated cluster must tell time via the
     sim-clock (``sim.now`` / event timestamps).  Wall clocks are only
     legitimate where real elapsed time *is* the measurement: the
-    telemetry tracer's dual-clock spans, the executor's ``FanoutStats``,
-    and the ``experiments/bench_*`` microbenchmarks.
+    telemetry tracer's dual-clock spans and the ``experiments/bench_*``
+    microbenchmarks.
     """
 
     id = "DET-CLOCK"
@@ -179,7 +176,6 @@ class DetClockRule(Rule):
     )
     exempt = (
         "telemetry/trace.py",  # dual-clock spans: wall time is the point
-        "retrieval/executor.py",  # FanoutStats measures real fan-out time
         "experiments/bench_*.py",  # microbenchmarks measure the host
     )
 
@@ -200,7 +196,7 @@ class DetClockRule(Rule):
                     self.id, node,
                     f"{name}() reads the wall clock; simulation code must "
                     "use the sim-clock, and measurement code belongs in the "
-                    "telemetry/executor/bench_* allowlist",
+                    "telemetry/bench_* allowlist",
                 )
 
 
@@ -277,7 +273,7 @@ class FloatOrderRule(Rule):
     """No order-hiding reductions in bit-identity float kernels.
 
     ``retrieval/kernels.py`` and ``index/arena.py`` promise results
-    bit-identical to their ``*_reference`` scalar implementations, and
+    bit-identical to their scalar reference implementations, and
     float addition is not associative — the *accumulation order* is part
     of the contract.  ``sum(...)`` (and ``np.sum``/``.sum()`` with their
     pairwise reduction) hide that order behind an implementation detail;
@@ -324,7 +320,7 @@ class TelBindRule(Rule):
     """Every ``bind_telemetry`` swap must be restored in a ``finally``.
 
     The discipline PR 3 established: a run binds live telemetry into
-    long-lived objects (executor, searchers, policies, predictor bank)
+    long-lived objects (searchers, policies, predictor bank)
     and *must* rebind the disabled session on the way out, or a crashed
     run leaves stale tracers recording into a dead session — and the
     next run's spans interleave with them.  Delegating binders (a
@@ -470,170 +466,3 @@ class MutDefaultRule(Rule):
             if name in _MUTABLE_FACTORIES:
                 return f"{name}(...)"
         return None
-
-
-# --------------------------------------------------------------------------
-# PAR-SHARED
-# --------------------------------------------------------------------------
-
-
-@register
-class ParSharedRule(Rule):
-    """Closures handed to an executor must not mutate shared state.
-
-    ``ParallelExecutor`` runs submitted closures on pool threads; the
-    exactly-once memoization layer (``ShardSearcher``) and explicit
-    locks are the only sanctioned ways for them to touch shared state.
-    A closure that writes an enclosing variable, a captured container,
-    or ``self`` races with its siblings — and with numpy releasing the
-    GIL mid-kernel, "it's only a benign race" is not an argument.
-    """
-
-    id = "PAR-SHARED"
-    summary = "executor closure mutating shared state"
-    rationale = (
-        "Unsynchronized writes from pool threads race; results then "
-        "depend on scheduling, breaking executor bit-identity."
-    )
-
-    _MUTATOR_METHODS = frozenset(
-        {
-            "append", "extend", "insert", "add", "update", "remove",
-            "discard", "pop", "popitem", "clear", "setdefault", "sort",
-        }
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not self._submits_work(node):
-                continue
-            for closure in self._local_closures(node):
-                yield from self._closure_mutations(ctx, closure)
-
-    def _submits_work(self, func: ast.AST) -> bool:
-        """Does this function hand closures to an executor/pool?"""
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("submit", "map")
-            ):
-                return True
-        return False
-
-    def _local_closures(self, func: ast.AST) -> Iterator[ast.AST]:
-        for node in ast.walk(func):
-            if node is not func and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                yield node
-
-    def _closure_mutations(self, ctx: FileContext, closure: ast.AST) -> Iterator[Finding]:
-        local_names = _bound_names(closure)
-        for node in ast.walk(closure):
-            if _under_lock(node, closure):
-                continue
-            target: ast.expr | None = None
-            verb = ""
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for tgt in targets:
-                    base = _store_base(tgt)
-                    if base is not None and _is_shared(base, local_names):
-                        target, verb = tgt, "writes"
-                        break
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in self._MUTATOR_METHODS:
-                    base = _name_base(node.func.value)
-                    if base is not None and _is_shared_name(base, local_names):
-                        target, verb = node, f"calls .{node.func.attr}() on"
-            elif isinstance(node, ast.Nonlocal):
-                target, verb = node, "rebinds (nonlocal)"
-            if target is not None:
-                yield ctx.finding(
-                    self.id, target,
-                    f"closure submitted to an executor {verb} shared state; "
-                    "route the write through the memoization layer, hold a "
-                    "lock, or return the value instead of mutating",
-                )
-
-
-def _bound_names(closure: ast.AST) -> frozenset[str]:
-    """Names the closure binds locally (params, assignments, loop vars)."""
-    names: set[str] = set()
-    args = closure.args
-    for arg in (
-        list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        names.add(arg.arg)
-    for node in ast.walk(closure):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for sub in ast.walk(node.target):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-    return frozenset(names)
-
-
-def _store_base(target: ast.expr) -> ast.expr | None:
-    """The object being mutated by a Store target, if it is a container
-    write (``x[i] = ...``, ``obj.attr = ...``); bare names are local."""
-    if isinstance(target, ast.Subscript):
-        return target.value
-    if isinstance(target, ast.Attribute):
-        return target.value
-    if isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            base = _store_base(element)
-            if base is not None:
-                return base
-    return None
-
-
-def _name_base(expr: ast.expr) -> str | None:
-    while isinstance(expr, (ast.Attribute, ast.Subscript)):
-        expr = expr.value
-    if isinstance(expr, ast.Name):
-        return expr.id
-    return None
-
-
-def _is_shared(base: ast.expr, local_names: frozenset[str]) -> bool:
-    name = _name_base(base)
-    return name is not None and name not in local_names
-
-
-def _is_shared_name(name: str, local_names: frozenset[str]) -> bool:
-    return name not in local_names
-
-
-def _under_lock(node: ast.AST, closure: ast.AST) -> bool:
-    """Is ``node`` inside a ``with <something lock-ish>`` in the closure?
-
-    Purely lexical: any enclosing ``with`` whose context expression
-    mentions a name containing "lock" counts.
-    """
-    for with_node in ast.walk(closure):
-        if not isinstance(with_node, (ast.With, ast.AsyncWith)):
-            continue
-        lockish = False
-        for item in with_node.items:
-            name = _name_base(item.context_expr) or ""
-            full = dotted_name(item.context_expr) or (
-                dotted_name(item.context_expr.func)
-                if isinstance(item.context_expr, ast.Call)
-                else None
-            ) or name
-            if "lock" in (full or "").lower():
-                lockish = True
-        if not lockish:
-            continue
-        for sub in ast.walk(with_node):
-            if sub is node:
-                return True
-    return False

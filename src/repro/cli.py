@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Four subcommands cover the common workflows::
+The subcommands cover the common workflows::
 
-    repro build-index --scale small --out index_dir/   # corpus -> shards -> disk
-    repro search index_dir/ canada weather             # query a saved index
+    repro index build --scale small --out index_dir/   # corpus -> .store shards
+    repro index info index_dir/                        # per-shard report
+    repro search index_dir/ canada weather             # query a packed index
     repro compare --scale unit --trace wikipedia       # policy comparison table
     repro figure fig10 --scale small                   # one paper figure/table
     repro bench --scale small --out BENCH_inference.json  # inference microbench
@@ -74,25 +75,6 @@ def _scale(name: str) -> Scale:
         raise SystemExit(f"unknown scale {name!r}; use unit, small or full")
 
 
-def _cmd_build_index(args: argparse.Namespace) -> int:
-    from repro.index import build_shards, partition_topical, save_shards
-    from repro.text import WhitespaceAnalyzer
-    from repro.workloads import SyntheticCorpus
-
-    scale = _scale(args.scale)
-    print(f"generating corpus ({scale.corpus.n_docs} docs)...")
-    corpus = SyntheticCorpus(scale.corpus)
-    print(f"indexing {scale.n_shards} shards...")
-    shards = build_shards(
-        partition_topical(corpus.documents, scale.n_shards, seed=scale.seed),
-        analyzer=WhitespaceAnalyzer(),
-    )
-    save_shards(shards, args.out)
-    total_terms = sum(s.vocabulary_size() for s in shards)
-    print(f"wrote {len(shards)} shards ({total_terms} term entries) to {args.out}")
-    return 0
-
-
 def _cmd_index_build(args: argparse.Namespace) -> int:
     """Generate a corpus and pack it straight into ``.store`` shards."""
     from repro.index import build_shards, pack_shards, partition_topical
@@ -107,32 +89,12 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
         partition_topical(corpus.documents, scale.n_shards, seed=scale.seed),
         analyzer=WhitespaceAnalyzer(),
     )
-    paths = pack_shards(shards, args.out)
-    print(f"packed {len(paths)} store shards to {args.out}")
-    return 0
-
-
-def _cmd_index_pack(args: argparse.Namespace) -> int:
-    """Re-pack a saved npz index into compressed mmap-backed stores."""
-    from repro.index import load_shards, pack_shards, store_info
-
     try:
-        shards = load_shards(args.index)
-    except FileNotFoundError as exc:
+        paths = pack_shards(shards, args.out)
+    except ValueError as exc:  # stale stores in --out: one line, no traceback
         print(exc, file=sys.stderr)
         return 1
-    paths = pack_shards(shards, args.out)
-    total_file = total_raw = 0
-    for path in paths:
-        info = store_info(path)
-        total_file += info["file_bytes"]
-        total_raw += info["raw_column_bytes"]
-    ratio = total_raw / total_file if total_file else 1.0
-    print(
-        f"packed {len(paths)} shards to {args.out}: "
-        f"{total_file / 1e6:.2f} MB on disk vs {total_raw / 1e6:.2f} MB raw "
-        f"columns ({ratio:.2f}x compression)"
-    )
+    print(f"packed {len(paths)} store shards to {args.out}")
     return 0
 
 
@@ -163,26 +125,9 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_index(path: str):
-    """Open an index directory: ``.store`` files when present, else npz.
-
-    A directory packed by ``repro index pack`` holds compressed
-    mmap-backed ``shard_*.store`` files that open without decoding a
-    posting (a malformed one raises a one-line ``ValueError``); legacy
-    ``build-index`` output holds ``shard_*.npz``.  Either works for
-    every command that reads an index.
-    """
-    from pathlib import Path
-
-    from repro.index import load_shards, open_stores
-
-    if sorted(Path(path).glob("shard_*.store")):
-        return open_stores(path)
-    return load_shards(path)
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.retrieval import STRATEGIES, DistributedSearcher, Query, make_executor
+    from repro.index import open_stores
+    from repro.retrieval import STRATEGIES, DistributedSearcher, Query
     from repro.text import StandardAnalyzer, WhitespaceAnalyzer
 
     if args.k < 1:
@@ -196,56 +141,38 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
         return 1
     try:
-        shards = _load_index(args.index)
+        shards = open_stores(args.index)
     except (FileNotFoundError, ValueError) as exc:  # missing or malformed index
         print(exc, file=sys.stderr)
         return 1
     if args.decode_cache is not None:
-        touched = 0
-        for shard in shards:
-            arena = getattr(shard, "_arena", None)
-            resize = getattr(arena, "set_cache_budget", None)
-            if resize is not None:
-                try:
-                    resize(args.decode_cache)
-                except ValueError as exc:
-                    print(exc, file=sys.stderr)
-                    return 1
-                touched += 1
-        print(f"decode LRU budget {args.decode_cache} B on {touched} shard(s)")
+        try:
+            for shard in shards:
+                shard.arena.set_cache_budget(args.decode_cache)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        print(f"decode LRU budget {args.decode_cache} B on {len(shards)} shard(s)")
     analyzer = WhitespaceAnalyzer() if args.raw_terms else StandardAnalyzer()
     query = Query.from_text(" ".join(args.terms), analyzer)
     if not query.terms:
         print("query analyzed to no terms", file=sys.stderr)
         return 1
-    with make_executor(args.workers) as executor:
-        searcher = DistributedSearcher(
-            shards, k=args.k, strategy=args.strategy, executor=executor
-        )
-        result = searcher.search(query)
-        stats = executor.last_stats
+    searcher = DistributedSearcher(shards, k=args.k, strategy=args.strategy)
+    result = searcher.search(query)
     print(f"terms: {list(query.terms)}  ({result.cost.docs_evaluated} docs evaluated)")
     if args.decode_cache is not None:
         hits = misses = evictions = entries = retained = 0
         for shard in shards:
-            arena = getattr(shard, "_arena", None)
-            decode = getattr(arena, "decode_stats", None)
-            if decode is not None:
-                hits += decode.hits
-                misses += decode.misses
-                evictions += decode.evictions
-                entries += decode.entries
-                retained += decode.bytes
+            decode = shard.arena.decode_stats
+            hits += decode.hits
+            misses += decode.misses
+            evictions += decode.evictions
+            entries += decode.entries
+            retained += decode.bytes
         print(
             f"decode LRU: {hits} hits, {misses} misses, {evictions} evictions; "
             f"{entries} entries, {retained} B retained"
-        )
-    if stats is not None and executor.workers > 1:
-        print(
-            f"fan-out: {stats.n_tasks} shards x {executor.workers} workers, "
-            f"critical path {stats.critical_path_ms:.3f} ms "
-            f"(serial {stats.serial_ms:.3f} ms, "
-            f"modeled speedup {stats.modeled_speedup:.1f}x)"
         )
     for rank, (doc_id, score) in enumerate(result.hits, start=1):
         print(f"  {rank:2d}. doc {doc_id:<8d} score {score:.4f}")
@@ -261,7 +188,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    testbed = Testbed.build(_scale(args.scale), workers=args.workers)
+    testbed = Testbed.build(_scale(args.scale))
     traces = {
         "wikipedia": (testbed.wikipedia_trace,),
         "lucene": (testbed.lucene_trace,),
@@ -282,7 +209,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    testbed = Testbed.build(_scale(args.scale), workers=args.workers)
+    testbed = Testbed.build(_scale(args.scale))
     print(module.format_report(module.run(testbed)))
     return 0
 
@@ -290,7 +217,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments import bench_inference
 
-    testbed = Testbed.build(_scale(args.scale), workers=args.workers)
+    testbed = Testbed.build(_scale(args.scale))
     result = bench_inference.run(testbed, repeats=args.repeats)
     print(bench_inference.format_report(result))
     if args.out:
@@ -317,7 +244,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_spans_jsonl,
     )
 
-    testbed = Testbed.build(_scale(args.scale), workers=args.workers)
+    testbed = Testbed.build(_scale(args.scale))
     trace = {
         "wikipedia": testbed.wikipedia_trace,
         "lucene": testbed.lucene_trace,
@@ -367,7 +294,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    testbed = Testbed.build(_scale(args.scale), workers=args.workers)
+    testbed = Testbed.build(_scale(args.scale))
     trace = {
         "wikipedia": testbed.wikipedia_trace,
         "lucene": testbed.lucene_trace,
@@ -458,7 +385,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid campaign: {exc}", file=sys.stderr)
         return 1
-    testbed = Testbed.build(_scale(args.scale), workers=args.workers)
+    testbed = Testbed.build(_scale(args.scale))
     pool = pool_from_corpus(
         testbed.corpus, n_distinct=args.distinct, flavour=args.trace_flavour
     )
@@ -578,11 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build-index", help="generate a corpus and save shards")
-    build.add_argument("--scale", default="small")
-    build.add_argument("--out", required=True, help="output directory")
-    build.set_defaults(fn=_cmd_build_index)
-
     index = sub.add_parser(
         "index", help="compressed mmap-backed store shards (.store format)"
     )
@@ -593,29 +515,17 @@ def build_parser() -> argparse.ArgumentParser:
     index_build.add_argument("--scale", default="small")
     index_build.add_argument("--out", required=True, help="output directory")
     index_build.set_defaults(fn=_cmd_index_build)
-    index_pack = index_sub.add_parser(
-        "pack", help="re-pack a saved npz index into .store shards"
-    )
-    index_pack.add_argument("index", help="directory written by build-index")
-    index_pack.add_argument("--out", required=True, help="output directory")
-    index_pack.set_defaults(fn=_cmd_index_pack)
     index_info = index_sub.add_parser(
         "info", help="describe every .store shard in a packed directory"
     )
     index_info.add_argument("index", help="directory of shard_*.store files")
     index_info.set_defaults(fn=_cmd_index_info)
 
-    workers_help = (
-        "shard fan-out worker threads (default 1 = serial; results are "
-        "bit-identical at any worker count)"
-    )
-
-    search = sub.add_parser("search", help="query a saved index")
-    search.add_argument("index", help="directory written by build-index or index pack")
+    search = sub.add_parser("search", help="query a packed index")
+    search.add_argument("index", help="directory written by index build")
     search.add_argument("terms", nargs="+", help="query text")
     search.add_argument("-k", type=int, default=10)
     search.add_argument("--strategy", default="maxscore")
-    search.add_argument("--workers", type=int, default=1, help=workers_help)
     search.add_argument(
         "--raw-terms", action="store_true",
         help="skip English analysis (synthetic 'tNNN' vocabularies)",
@@ -632,13 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--trace", default="both",
                          choices=("wikipedia", "lucene", "both"))
     compare.add_argument("--policies", nargs="*", metavar="POLICY")
-    compare.add_argument("--workers", type=int, default=1, help=workers_help)
     compare.set_defaults(fn=_cmd_compare)
 
     figure = sub.add_parser("figure", help="reproduce one paper figure/table")
     figure.add_argument("name", help=f"one of: {', '.join(sorted(FIGURES))}")
     figure.add_argument("--scale", default="unit")
-    figure.add_argument("--workers", type=int, default=1, help=workers_help)
     figure.set_defaults(fn=_cmd_figure)
 
     bench = sub.add_parser(
@@ -651,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-below", type=float, default=1.0,
         help="exit nonzero if speedup falls below this factor",
     )
-    bench.add_argument("--workers", type=int, default=1, help=workers_help)
     bench.set_defaults(fn=_cmd_bench)
 
     trace_cmd = sub.add_parser(
@@ -675,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="flamegraph summary row cap")
     trace_cmd.add_argument("--metrics", action="store_true",
                            help="also print the metrics registry snapshot")
-    trace_cmd.add_argument("--workers", type=int, default=1, help=workers_help)
     trace_cmd.set_defaults(fn=_cmd_trace)
 
     faults = sub.add_parser(
@@ -706,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument("--out", default="",
                         help="write the matrix as JSON (BENCH_faults.json)")
-    faults.add_argument("--workers", type=int, default=1, help=workers_help)
     faults.set_defaults(fn=_cmd_faults)
 
     serve = sub.add_parser(
@@ -762,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit nonzero unless the measured knee is within this relative "
         "tolerance of the model prediction (e.g. 0.25)",
     )
-    serve.add_argument("--workers", type=int, default=1, help=workers_help)
     serve.set_defaults(fn=_cmd_serve)
 
     select = sub.add_parser(
@@ -811,9 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        print(f"--workers must be positive, got {args.workers}", file=sys.stderr)
-        return 1
     fn: Callable[[argparse.Namespace], int] = args.fn
     return fn(args)
 

@@ -21,11 +21,7 @@ from repro.cluster.replicas import ReplicationConfig
 from repro.cluster.sleep import SleepPolicy
 from repro.cluster.types import QueryRecord, SelectionPolicy
 from repro.index.shard import IndexShard
-from repro.retrieval.executor import (
-    SerialExecutor,
-    ShardExecutor,
-    prewarm_searchers,
-)
+from repro.retrieval.executor import SerialExecutor
 from repro.retrieval.query import Query, QueryTrace
 from repro.retrieval.searcher import DistributedSearcher, SearcherCacheStats
 from repro.telemetry import Telemetry
@@ -130,12 +126,10 @@ class SearchCluster:
         power_model: PowerModel | None = None,
         freq_scale: FrequencyScale | None = None,
         network: NetworkModel | None = None,
-        executor: ShardExecutor | None = None,
+        executor: SerialExecutor | None = None,
     ) -> None:
-        """``executor`` is how retrieval work fans out over shards — both
-        inside ``DistributedSearcher.search`` and when ``run_trace``
-        prewarms the memo caches.  Simulation outcomes are bit-identical
-        for every executor; only wall-clock changes."""
+        """``executor`` runs ``DistributedSearcher.search``'s per-shard
+        tasks (inline, in shard order)."""
         if not shards:
             raise ValueError("cluster needs at least one shard")
         self.k = k
@@ -143,9 +137,8 @@ class SearchCluster:
         self.power_model = power_model or PowerModel()
         self.freq_scale = freq_scale or FrequencyScale()
         self.network = network or NetworkModel()
-        self.executor = executor or SerialExecutor()
         self.searcher = DistributedSearcher(
-            shards, k=k, strategy=strategy, executor=self.executor
+            shards, k=k, strategy=strategy, executor=executor
         )
         self.shards = shards
 
@@ -162,7 +155,6 @@ class SearchCluster:
         faults: FaultSchedule | None = None,
         response_timeout_ms: float | None = None,
         sleep: SleepPolicy | None = None,
-        prewarm: bool | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
     ) -> RunResult:
@@ -185,23 +177,18 @@ class SearchCluster:
         ``primary`` mode, ``static`` selector) is bit-identical to the
         pre-replication cluster.
 
-        ``prewarm`` pipelines the whole trace's retrieval through the
-        cluster executor before the event loop starts, so the serial
-        simulation replays against hot memo caches, and hands the policy
-        the whole trace so it can batch its own pure per-query work
-        (Cottage runs its predictor inference through the fused
-        cross-shard kernels).  Default (``None``): retrieval prewarming
-        on iff the executor has more than one worker (it only helps by
-        pipelining); policy prewarming always on (the batched kernels
-        win even single-threaded).  Pass ``False`` to disable both.
-        Retrieval and prediction are pure and memoized, so prewarming
-        never changes a simulation outcome — it only moves where the
-        CPU time is spent.
+        Before the event loop starts the policy is handed the whole
+        trace (its optional ``prewarm`` hook) so it can batch its own
+        pure per-query work — Cottage runs its predictor inference
+        through the fused cross-shard kernels.  Prediction is pure and
+        memoized, so this never changes a simulation outcome — it only
+        moves where the CPU time is spent.  Retrieval memos fill lazily
+        as ISNs search; :meth:`prewarm_trace` fills them up front.
 
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry`
         session for this run: the simulator clock is bound to the tracer
         (spans record sim-time *and* wall-time), every layer's spans and
-        metrics flow into it, and the policy/executor/searchers are
+        metrics flow into it, and the policy/searchers are
         rebound to the disabled session afterwards.  Telemetry never changes a
         simulation outcome — runs are bit-identical with it on or off
         (pinned by ``tests/test_telemetry_integration.py``).
@@ -222,7 +209,6 @@ class SearchCluster:
             faults=faults,
             response_timeout_ms=response_timeout_ms,
             sleep=sleep,
-            prewarm=prewarm,
             telemetry=telemetry,
             replication=replication,
         )
@@ -239,7 +225,6 @@ class SearchCluster:
         faults: FaultSchedule | None = None,
         response_timeout_ms: float | None = None,
         sleep: SleepPolicy | None = None,
-        prewarm: bool | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
     ) -> RunResult:
@@ -263,7 +248,6 @@ class SearchCluster:
             faults=faults,
             response_timeout_ms=response_timeout_ms,
             sleep=sleep,
-            prewarm=prewarm,
             telemetry=telemetry,
             replication=replication,
             admission=admission,
@@ -316,12 +300,16 @@ class SearchCluster:
     def prewarm_trace(self, trace: Iterable[Query]) -> int:
         """Fill every shard searcher's memo cache for ``trace``.
 
-        All uncached (shard, query) retrieval tasks are pipelined through
-        the cluster executor at once — query *i+1* overlaps stragglers of
-        query *i* — and deduplicated first, so repeated trace queries cost
-        nothing.  Returns the number of evaluations performed.
+        Repeated trace queries cost nothing: only uncached (query, shard)
+        pairs are evaluated.  Returns the number of evaluations performed.
         """
-        return prewarm_searchers(self.searcher.searchers, trace, self.executor)
+        evaluated = 0
+        for query in trace:
+            for searcher in self.searcher.searchers:
+                if not searcher.is_cached(query):
+                    searcher.search(query)
+                    evaluated += 1
+        return evaluated
 
     def searcher_cache_stats(self) -> list[SearcherCacheStats]:
         """Per-shard memo counters (hits / computations / size)."""

@@ -120,7 +120,6 @@ def run(
     knee_tolerance: float = KNEE_TOLERANCE,
     drive_memory_cap_mib: float = DRIVE_MEMORY_CAP_MIB,
     seed: int = SEED,
-    workers: int = 1,
 ) -> ServingBenchResult:
     """Build the testbed and measure; see the module docstring."""
     result = ServingBenchResult(
@@ -135,7 +134,7 @@ def run(
         machine=MachineFingerprint.capture(),
     )
     t0 = time.perf_counter()
-    testbed = Testbed.build(getattr(Scale, scale)(), workers=workers)
+    testbed = Testbed.build(getattr(Scale, scale)())
     result.build_ms = (time.perf_counter() - t0) * 1e3
     cluster = testbed.cluster
     pool = pool_from_corpus(testbed.corpus, n_distinct=testbed.scale.trace_distinct)

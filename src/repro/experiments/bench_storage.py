@@ -1,4 +1,4 @@
-"""Storage-plane benchmark: compressed mmap stores under shard fan-out.
+"""Storage-plane benchmark: compressed mmap stores.
 
 Measures the three claims the compressed ``.store`` format makes, at a
 scale (hundreds of thousands of docs per shard) where they matter:
@@ -8,11 +8,10 @@ scale (hundreds of thousands of docs per shard) where they matter:
   ``(int64 doc, int32 tf, float64 score)`` triple.
 * **O(1) open** — ``open_stores`` memory-maps the packed columns and
   materializes nothing per term; cold-open time is independent of corpus
-  size, versus the eager npz loader's full decode.
-* **Bit-identity under compression and fan-out** — every kernel
-  strategy over the lazy compressed shards fingerprints identically to
-  the in-memory uncompressed shards, and the merged results of the
-  serial and thread executors are byte-equal.
+  size.
+* **Bit-identity under compression** — every kernel strategy over the
+  lazy compressed shards fingerprints identically to the in-memory
+  uncompressed shards.
 
 ``benchmarks/run_bench_storage.py`` drives this, pins seeds and records
 the machine fingerprint into ``BENCH_storage.json``; CI gates on the
@@ -40,11 +39,9 @@ import numpy as np
 from repro.index import IndexShard, ShardTerm, open_stores, pack_shards, store_info
 from repro.index.postings import PostingList
 from repro.retrieval import (
-    DistributedSearcher,
     Query,
     block_max_wand_search_kernel,
     conjunctive_search_kernel,
-    make_executor,
     maxscore_search,
     maxscore_search_kernel,
     wand_search_kernel,
@@ -111,19 +108,10 @@ class StorageBenchResult:
     decode_hits: int = 0
     decode_misses: int = 0
     decode_hit_rate: float = 0.0
-    # Executor comparison over the lazy store-backed shards.
-    executor_workers: int = 0
-    serial_wall_ms: float = 0.0
-    thread_wall_ms: float = 0.0
-    thread_makespan_ms: float = 0.0
-    executors_bit_identical: bool = False
 
     @property
     def bit_identical(self) -> bool:
-        return (
-            all(self.strategies_bit_identical.values())
-            and self.executors_bit_identical
-        )
+        return all(self.strategies_bit_identical.values())
 
 
 def build_scaled_shards(
@@ -220,30 +208,6 @@ def _sweep_ms(fn, shards, queries: list[Query], k: int, repeats: int) -> float:
     return best * 1e3
 
 
-def _executor_sweep_ms(
-    store_dir: Path,
-    queries: list[Query],
-    k: int,
-    workers: int,
-) -> tuple[float, float, list[str]]:
-    """(wall_ms, worker-measured makespan_ms, merged fingerprints).
-
-    Opens the stores fresh so every executor starts from cold decode
-    caches and empty searcher memos — queries are distinct, so the
-    timing is pure fan-out, not memo replay.
-    """
-    shards = open_stores(store_dir)
-    makespan = 0.0
-    with make_executor(workers) as executor:
-        searcher = DistributedSearcher(shards, k=k, executor=executor)
-        t0 = time.perf_counter()
-        fingerprints = [searcher.search(q).fingerprint() for q in queries]
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        if executor.last_stats is not None and workers > 1:
-            makespan = executor.last_stats.makespan_ms(workers)
-    return wall_ms, makespan, fingerprints
-
-
 def run(
     n_shards: int = N_SHARDS,
     docs_per_shard: int = DOCS_PER_SHARD,
@@ -252,7 +216,6 @@ def run(
     k: int = K,
     seed: int = SEED,
     repeats: int = 2,
-    workers: int = 4,
     store_dir: str | Path | None = None,
 ) -> StorageBenchResult:
     """Build, pack, reopen and measure; see the module docstring."""
@@ -325,16 +288,6 @@ def run(
         result.decode_hit_rate = (
             result.decode_hits / touched if touched else 0.0
         )
-
-        # Executor comparison: fresh stores per executor, distinct queries.
-        result.executor_workers = workers
-        result.serial_wall_ms, _, serial_fps = _executor_sweep_ms(
-            directory, queries, k, workers=1
-        )
-        result.thread_wall_ms, result.thread_makespan_ms, thread_fps = (
-            _executor_sweep_ms(directory, queries, k, workers)
-        )
-        result.executors_bit_identical = serial_fps == thread_fps
     finally:
         if tmp is not None:
             tmp.cleanup()
@@ -343,7 +296,7 @@ def run(
 
 def format_report(result: StorageBenchResult) -> str:
     lines = [
-        "Storage plane — compressed mmap stores under shard fan-out",
+        "Storage plane — compressed mmap stores",
         (
             f"  corpus: {result.n_shards} shards x {result.docs_per_shard} docs"
             f"   queries: {result.n_queries} (k={result.k})"
@@ -369,16 +322,9 @@ def format_report(result: StorageBenchResult) -> str:
             f"{result.decode_misses} misses "
             f"({result.decode_hit_rate:.1%} hit rate)"
         ),
-        (
-            f"  executors (x{result.executor_workers}): "
-            f"serial {result.serial_wall_ms:.1f} ms   "
-            f"thread {result.thread_wall_ms:.1f} ms "
-            f"(makespan {result.thread_makespan_ms:.1f})"
-        ),
     ]
     for name, ok in result.strategies_bit_identical.items():
         lines.append(f"  bit-identical[{name}]: {ok}")
-    lines.append(f"  bit-identical[executors]: {result.executors_bit_identical}")
     return "\n".join(lines)
 
 

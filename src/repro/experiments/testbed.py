@@ -27,7 +27,6 @@ from repro.policies.rank_s import RankSPolicy
 from repro.policies.taily import TailyPolicy
 from repro.predictors.bank import PredictorBank, TrainingReport
 from repro.predictors.gamma_quality import TailyQualityEstimator
-from repro.retrieval.executor import make_executor
 from repro.retrieval.query import QueryTrace
 from repro.text.analyzer import WhitespaceAnalyzer
 from repro.workloads.corpus import CorpusConfig, SyntheticCorpus
@@ -139,20 +138,14 @@ class Testbed:
         cls,
         scale: Scale | None = None,
         train: bool = True,
-        workers: int | None = None,
     ) -> "Testbed":
-        """Construct the full testbed (index, traces, trained predictors).
-
-        ``workers`` sizes the cluster's shard fan-out executor (default
-        serial).  Every simulated outcome is bit-identical across worker
-        counts; parallelism only affects build/replay wall-clock.
-        """
+        """Construct the full testbed (index, traces, trained predictors)."""
         scale = scale or Scale.small()
         corpus = SyntheticCorpus(scale.corpus)
         groups = partition_topical(corpus.documents, scale.n_shards, seed=scale.seed)
         analyzer = WhitespaceAnalyzer()
         shards = build_shards(groups, analyzer=analyzer)
-        cluster = SearchCluster(shards, k=scale.k, executor=make_executor(workers))
+        cluster = SearchCluster(shards, k=scale.k)
 
         bank = PredictorBank(cluster, k=scale.k, seed=scale.seed)
         report = TrainingReport()

@@ -35,7 +35,6 @@ from repro.index.partitioner import (
 )
 from repro.index.postings import END_OF_LIST, PostingCursor, PostingList, PostingListBuilder
 from repro.index.shard import BLOCK_SIZE, IndexShard, ShardTerm
-from repro.index.storage import load_shard, load_shards, save_shard, save_shards
 from repro.index.store import (
     LazyIndexShard,
     open_store,
@@ -70,10 +69,6 @@ __all__ = [
     "bits_for",
     "pack_bits",
     "unpack_bits",
-    "save_shard",
-    "load_shard",
-    "save_shards",
-    "load_shards",
     "LazyIndexShard",
     "write_store",
     "serialize_shard",

@@ -11,9 +11,8 @@ vectorized kernels in :mod:`repro.retrieval.kernels` operate directly on
 these columns with ``searchsorted`` + masked gathers; a query only pays
 for building a handful of :class:`TermRun` slice views.
 
-Terms are laid out in sorted order, which matches the on-disk ``.npz``
-layout of :mod:`repro.index.storage` — a loaded shard and a freshly
-built one produce byte-identical arenas.
+Terms are laid out in sorted order, which is also the term order of the
+on-disk ``.store`` layout of :mod:`repro.index.store`.
 
 :class:`CompressedPostingsArena` is the same columnar index behind a
 compressed encoding: doc ids are delta + bit-packed per term, tfs are

@@ -52,7 +52,18 @@ from repro.index.arena import (
 )
 from repro.index.postings import PostingList
 from repro.index.shard import IndexShard, ShardTerm
-from repro.index.storage import _similarity_config, _similarity_from_config
+from repro.scoring.similarity import (
+    BM25Similarity,
+    LMDirichletSimilarity,
+    Similarity,
+    TFIDFSimilarity,
+)
+
+_SIMILARITIES = {
+    "BM25Similarity": BM25Similarity,
+    "TFIDFSimilarity": TFIDFSimilarity,
+    "LMDirichletSimilarity": LMDirichletSimilarity,
+}
 
 MAGIC = b"RPROSTOR"
 FORMAT_VERSION = 1
@@ -110,6 +121,26 @@ _META_RANGES: dict[str, tuple[int, int]] = {
     "doc_len_id_width": _WIDTH,
     "doc_len_val_width": _WIDTH,
 }
+
+
+def _similarity_config(similarity: Similarity) -> dict:
+    name = type(similarity).__name__
+    if name not in _SIMILARITIES:
+        raise ValueError(f"cannot serialize similarity {name!r}")
+    params = {
+        key: value
+        for key, value in vars(similarity).items()
+        if isinstance(value, (int, float))
+    }
+    return {"name": name, "params": params}
+
+
+def _similarity_from_config(config: dict) -> Similarity:
+    try:
+        cls = _SIMILARITIES[config["name"]]
+    except KeyError:
+        raise ValueError(f"unknown similarity {config['name']!r}") from None
+    return cls(**config["params"])
 
 
 def _align(offset: int) -> int:
@@ -585,9 +616,24 @@ def store_info(path: str | Path) -> dict:
 
 
 def pack_shards(shards: list[IndexShard], directory: str | Path) -> list[Path]:
-    """Write every shard as ``shard_<id>.store`` under ``directory``."""
+    """Write every shard as ``shard_<id>.store`` under ``directory``.
+
+    ``open_stores`` searches every ``shard_*.store`` it finds, so a store
+    left by an earlier pack whose id is not being rewritten would be
+    mixed into this index: that raises, and nothing is written or deleted.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    written = {f"shard_{shard.shard_id}.store" for shard in shards}
+    # Shorter names first: shard_8 is named before shard_10.
+    for path in sorted(
+        directory.glob("shard_*.store"), key=lambda p: (len(p.name), p.name)
+    ):
+        if path.name not in written:
+            raise ValueError(
+                f"{path}: stale shard store, not among the {len(shards)} "
+                "being packed; pack into an empty directory"
+            )
     return [
         write_store(shard, directory / f"shard_{shard.shard_id}.store")
         for shard in shards

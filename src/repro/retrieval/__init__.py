@@ -4,22 +4,15 @@ All evaluators share the same deterministic tie-break (descending score,
 ascending doc id), so the strategies return identical hit lists and
 differ only in cost — the property the test suite checks exhaustively.
 Each pruning strategy exists twice: a cursor-based scalar reference
-(``*_search``, registered as ``<name>_reference`` in ``STRATEGIES``) and
-a vectorized arena kernel (``*_search_kernel``, the ``STRATEGIES``
-default) that is bit-identical to it in hits, scores, tie order and
-``CostStats`` counters.
+(``*_search``, importable here and called directly by the tests, not
+registered in ``STRATEGIES``) and a vectorized arena kernel
+(``*_search_kernel``, what ``STRATEGIES`` runs) that is bit-identical to
+it in hits, scores, tie order and ``CostStats`` counters.
 """
 
 from repro.retrieval.block_max_wand import block_max_wand_search
 from repro.retrieval.conjunctive import conjunctive_search
-from repro.retrieval.executor import (
-    FanoutStats,
-    ParallelExecutor,
-    SerialExecutor,
-    ShardExecutor,
-    make_executor,
-    prewarm_searchers,
-)
+from repro.retrieval.executor import SerialExecutor
 from repro.retrieval.exhaustive import exhaustive_search, exhaustive_search_daat
 from repro.retrieval.kernels import (
     DEFAULT_CHUNK,
@@ -66,10 +59,5 @@ __all__ = [
     "SearcherCacheStats",
     "DistributedSearcher",
     "STRATEGIES",
-    "ShardExecutor",
     "SerialExecutor",
-    "ParallelExecutor",
-    "FanoutStats",
-    "make_executor",
-    "prewarm_searchers",
 ]

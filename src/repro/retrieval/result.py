@@ -48,8 +48,8 @@ class SearchResult:
         """Canonical byte-for-byte identity: hits (full float repr) + cost.
 
         Two results with the same fingerprint are interchangeable
-        everywhere downstream; the executor determinism tests compare
-        serial and parallel runs on exactly this.
+        everywhere downstream; the determinism tests compare runs on
+        exactly this.
         """
         hit_part = ";".join(f"{doc}:{score!r}" for doc, score in self.hits)
         cost = self.cost
@@ -73,10 +73,9 @@ def merge_results(results: list[SearchResult], k: int) -> SearchResult:
     The merge is order-independent for the hits: they are ranked by the
     total order (descending score, ascending doc id) — the order every
     evaluator's ``TopKCollector`` produces — so shuffling the input lists
-    (e.g. results gathered from a thread-pool fan-out) cannot change the
-    output.  Cost counters are summed — commutative in every field — so
-    the merged result is bit-identical however the per-shard results
-    were produced.
+    cannot change the output.  Cost counters are summed — commutative in
+    every field — so the merged result is bit-identical however the
+    per-shard results were produced.
     """
     if k < 1:
         raise ValueError("k must be positive")

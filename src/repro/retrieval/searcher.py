@@ -3,8 +3,8 @@
 ``ShardSearcher`` is what an ISN runs; ``DistributedSearcher`` is the pure
 retrieval view of the whole cluster (broadcast + merge) without any timing —
 the cluster simulator layers queueing, frequencies and budgets on top of it.
-Both are safe to drive from a ``ShardExecutor`` thread pool: the memo cache
-guarantees exactly-once evaluation per key without locking the hit path.
+Both are safe to drive from several threads: the memo cache guarantees
+exactly-once evaluation per key without locking the hit path.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.index.shard import IndexShard
-from repro.retrieval.block_max_wand import block_max_wand_search
-from repro.retrieval.conjunctive import conjunctive_search
-from repro.retrieval.executor import SerialExecutor, ShardExecutor
+from repro.retrieval.executor import SerialExecutor
 from repro.retrieval.exhaustive import exhaustive_search, exhaustive_search_daat
 from repro.retrieval.kernels import (
     KernelStats,
@@ -25,10 +23,8 @@ from repro.retrieval.kernels import (
     maxscore_search_kernel,
     wand_search_kernel,
 )
-from repro.retrieval.maxscore import maxscore_search
 from repro.retrieval.query import Query
 from repro.retrieval.result import SearchResult, merge_results
-from repro.retrieval.wand import wand_search
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import Counter
 from repro.telemetry.trace import Tracer
@@ -36,17 +32,13 @@ from repro.telemetry.trace import Tracer
 STRATEGIES: dict[str, Callable[[IndexShard, list[str], int], SearchResult]] = {
     "exhaustive": exhaustive_search,
     "exhaustive_daat": exhaustive_search_daat,
-    # The pruning strategies dispatch to the vectorized arena kernels;
-    # the cursor-based evaluators stay registered as *_reference — they
-    # are the bit-identity ground truth the kernels are tested against.
+    # The pruning strategies are the vectorized arena kernels; the
+    # cursor-based evaluators they are tested against bit for bit
+    # (maxscore_search, wand_search, ...) are test oracles, not entries.
     "maxscore": maxscore_search_kernel,
-    "maxscore_reference": maxscore_search,
     "wand": wand_search_kernel,
-    "wand_reference": wand_search,
     "block_max_wand": block_max_wand_search_kernel,
-    "block_max_wand_reference": block_max_wand_search,
     "conjunctive": conjunctive_search_kernel,
-    "conjunctive_reference": conjunctive_search,
 }
 
 #: Strategies implemented in :mod:`repro.retrieval.kernels` — they accept
@@ -128,7 +120,7 @@ class ShardSearcher:
         self._hits = 0
         self._computations = 0
         # Telemetry, rebound per run (see bind_telemetry).  Spans are only
-        # emitted from the binding thread so a parallel prewarm cannot
+        # emitted from the binding thread so concurrent callers cannot
         # interleave begin/end events on one track; the counters use plain
         # unlocked adds everywhere (they can undercount under races,
         # never overcount — the same contract as the memo-cache hits).
@@ -252,10 +244,9 @@ class DistributedSearcher:
 
     This is the ground-truth engine: ``search`` over all shards gives the
     exhaustive result that defines P@K and per-ISN quality labels.  The
-    fan-out runs through ``executor`` (serial by default); the merged
-    result is bit-identical for every executor because per-shard results
-    come back in submission order and the merge orders hits by the total
-    key ``(-score, doc_id)``.
+    fan-out is ``executor.map`` — one task per shard, run inline in shard
+    order — and the merge orders hits by the total key
+    ``(-score, doc_id)``, so the result does not depend on that order.
     """
 
     def __init__(
@@ -263,7 +254,7 @@ class DistributedSearcher:
         shards: list[IndexShard],
         k: int = 10,
         strategy: str = "maxscore",
-        executor: ShardExecutor | None = None,
+        executor: SerialExecutor | None = None,
     ) -> None:
         if k < 1:
             raise ValueError("k must be positive")

@@ -1,6 +1,6 @@
 """The open-loop serving plane: load generation, admission, campaigns.
 
-Layer map (the executors/orchestrator/processor split):
+Layer map (the executor/orchestrator/processor split):
 
 * :mod:`repro.serving.arrivals` — seeded Poisson/MMPP/modulated arrival
   processes with diurnal, burst, and QPS-sweep profiles;

@@ -3,8 +3,8 @@
 This is ``SearchCluster.run_trace``'s event-loop body refactored into a
 reusable plane, split the way a production engine is layered:
 
-* **executors** (:mod:`repro.retrieval.executor`) fan retrieval work over
-  shards — serial or a thread pool;
+* **executor** (:mod:`repro.retrieval.executor`) runs one query's
+  per-shard retrieval tasks, inline and in shard order;
 * **orchestrator** (this module) owns the run lifecycle: prewarm, build
   the ISN groups and aggregator, schedule arrivals, drive the event loop,
   and account the results;
@@ -129,7 +129,6 @@ class ServingPlane:
         faults: FaultSchedule | None = None,
         response_timeout_ms: float | None = None,
         sleep: SleepPolicy | None = None,
-        prewarm: bool | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
         admission: AdmissionController | None = None,
@@ -155,12 +154,6 @@ class ServingPlane:
         else:
             distinct = getattr(source, "distinct_queries", None)
             prewarm_queries = distinct() if distinct is not None else None
-        if prewarm is None:
-            # Retrieval prewarm only helps by pipelining over threads.
-            prewarm_retrieval = cluster.executor.workers > 1
-            prewarm_policy = True
-        else:
-            prewarm_retrieval = prewarm_policy = prewarm
         telemetry = telemetry or NO_TELEMETRY
         tracer = telemetry.tracer if telemetry.enabled else None
         sim = Simulator(telemetry)
@@ -169,7 +162,6 @@ class ServingPlane:
         policy_bind = getattr(policy, "bind_telemetry", None)
         if policy_bind is not None:
             policy_bind(telemetry)
-        cluster.executor.bind_telemetry(telemetry)
         cluster.searcher.bind_telemetry(telemetry)
         cache_before = cluster._searcher_totals()
         decode_before = cluster._decode_totals()
@@ -177,16 +169,7 @@ class ServingPlane:
             (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
         )
         try:
-            if prewarm_retrieval and prewarm_queries is not None:
-                if tracer is None:
-                    cluster.prewarm_trace(prewarm_queries)
-                else:
-                    with tracer.span(
-                        "cluster.prewarm_retrieval", track="cluster",
-                        n_queries=len(prewarm_queries),
-                    ):
-                        cluster.prewarm_trace(prewarm_queries)
-            if prewarm_policy and prewarm_queries is not None:
+            if prewarm_queries is not None:
                 # Optional hook: minimal duck-typed policies may omit it.
                 policy_prewarm = getattr(policy, "prewarm", None)
                 if policy_prewarm is not None:
@@ -281,7 +264,6 @@ class ServingPlane:
                 telemetry.unbind_clock()
             if policy_bind is not None:
                 policy_bind(NO_TELEMETRY)
-            cluster.executor.bind_telemetry(NO_TELEMETRY)
             cluster.searcher.bind_telemetry(NO_TELEMETRY)
         report = package_report(meters, cluster.power_model, elapsed)
         records = sorted(aggregator.records, key=lambda r: r.arrival_ms)

@@ -2,7 +2,7 @@
 
 A :class:`Telemetry` object is what flows through the cluster — pass one
 to :meth:`SearchCluster.run_trace` and every layer it touches (event
-loop, aggregator, ISNs, policies, predictor bank, executor) records into
+loop, aggregator, ISNs, policies, predictor bank, searchers) records into
 it.  ``None`` (the default everywhere) resolves to :data:`NO_TELEMETRY`,
 a shared disabled session whose tracer and registry are permanent
 no-ops: instrumentation sites test one ``enabled`` flag (or a cached

@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.index import Document, IndexBuilder, PostingsArena, load_shard, save_shard
+from repro.index import (
+    Document,
+    IndexBuilder,
+    PostingsArena,
+    open_store,
+    write_store,
+)
 from repro.text import WhitespaceAnalyzer
 
 VOCAB = [f"w{i}" for i in range(10)]
@@ -84,10 +90,8 @@ class TestTraversalState:
 
 class TestStorageRoundTrip:
     def test_loaded_shard_has_identical_arena(self, shard, tmp_path):
-        path = tmp_path / "shard0.npz"
-        save_shard(shard, path)
-        loaded = load_shard(path)
-        a, b = shard.arena, loaded.arena
+        loaded = open_store(write_store(shard, tmp_path / "shard_0.store"))
+        a, b = shard.arena, PostingsArena.from_shard(loaded)
         assert a.terms == b.terms
         for col in ("offsets", "doc_ids", "tfs", "scores",
                     "upper_bounds", "block_maxes", "block_offsets"):

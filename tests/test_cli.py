@@ -11,9 +11,24 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_build_index_args(self):
-        args = build_parser().parse_args(["build-index", "--out", "x", "--scale", "unit"])
+        args = build_parser().parse_args(
+            ["index", "build", "--out", "x", "--scale", "unit"]
+        )
         assert args.out == "x"
         assert args.scale == "unit"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "dir", "t1", "--workers", "2"],
+            ["build-index", "--out", "x"],
+            ["index", "pack", "dir", "--out", "x"],
+        ],
+    )
+    def test_removed_flags_and_commands_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(argv)
+        assert caught.value.code == 2
 
     def test_search_args(self):
         args = build_parser().parse_args(["search", "dir", "a", "b", "-k", "5"])
@@ -29,9 +44,9 @@ class TestParser:
 class TestCommands:
     def test_build_index_then_search(self, tmp_path, capsys):
         out = tmp_path / "index"
-        assert main(["build-index", "--scale", "unit", "--out", str(out)]) == 0
+        assert main(["index", "build", "--scale", "unit", "--out", str(out)]) == 0
         captured = capsys.readouterr().out
-        assert "wrote 8 shards" in captured
+        assert "packed 8 store shards" in captured
 
         assert main(["search", str(out), "t100", "--raw-terms", "-k", "3"]) == 0
         captured = capsys.readouterr().out
@@ -39,7 +54,7 @@ class TestCommands:
 
     def test_search_no_terms_after_analysis(self, tmp_path, capsys):
         out = tmp_path / "index"
-        main(["build-index", "--scale", "unit", "--out", str(out)])
+        main(["index", "build", "--scale", "unit", "--out", str(out)])
         capsys.readouterr()
         # Pure stopwords analyze to nothing under the standard analyzer.
         assert main(["search", str(out), "the", "and"]) == 1
@@ -53,25 +68,14 @@ class TestCommands:
             main(["figure", "fig04", "--scale", "enormous"])
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["search", "nowhere", "t1", "--workers", "-3"],
-            ["serve", "--workers", "0"],
-            ["compare", "--workers", "0"],
-        ],
-    )
-    def test_nonpositive_workers_exit_one_with_one_line(self, argv, capsys):
-        # Rejected before any index is loaded or testbed built.
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--workers must be positive" in err
-
-    @pytest.mark.parametrize(
         "argv, message",
         [
-            (["search", "{missing}", "foo"], "no shard files"),
-            (["search", "{empty}", "foo"], "no shard files"),
-            (["index", "pack", "{missing}", "--out", "{empty}"], "no shard files"),
+            (["search", "{missing}", "foo"], "no shard stores"),
+            (["search", "{empty}", "foo"], "no shard stores"),
+            (
+                ["index", "build", "--scale", "unit", "--out", "{stale}"],
+                "shard_8.store: stale shard store",
+            ),
             (["search", "{missing}", "t1", "-k", "0"], "-k must be positive"),
             (
                 ["search", "{missing}", "t1", "--strategy", "bogus"],
@@ -91,11 +95,16 @@ class TestCommands:
         # built, so a missing directory never gets the chance to mask them.
         paths = {
             "missing": tmp_path / "missing", "empty": tmp_path,
-            "stray": tmp_path / "stray",
+            "stray": tmp_path / "stray", "stale": tmp_path / "stale",
         }
-        paths["stray"].mkdir()
-        for name in ("shard_0.store", "shard_backup.store"):
-            (paths["stray"] / name).touch()
+        for name, files in (
+            ("stray", ("shard_0.store", "shard_backup.store")),
+            # What a 16-shard pack leaves beside unit scale's ids 0-7.
+            ("stale", ("shard_7.store", "shard_8.store", "shard_9.store")),
+        ):
+            paths[name].mkdir()
+            for file in files:
+                (paths[name] / file).touch()
         assert main([arg.format(**paths) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err

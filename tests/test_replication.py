@@ -3,8 +3,8 @@
 The load-bearing property: replication with the ``static`` selector in
 ``primary`` mode is *pure spare capacity* — a zero-fault run is
 bit-identical (hits, scores, tie order, latencies, event counts) to the
-single-replica cluster at any replica count and any executor worker
-count.  Everything tail-tolerant is opt-in.
+single-replica cluster at any replica count.  Everything tail-tolerant
+is opt-in.
 """
 
 import pytest
@@ -21,7 +21,7 @@ from repro.cluster import (
     make_selector,
 )
 from repro.policies import AggregationPolicy, ExhaustivePolicy
-from repro.retrieval import Query, QueryTrace, make_executor
+from repro.retrieval import Query, QueryTrace
 
 
 def small_trace(n=20, gap_s=0.01):
@@ -75,19 +75,16 @@ class TestBitIdentity:
     @settings(deadline=None)
     @given(
         n_replicas=st.integers(min_value=1, max_value=3),
-        workers=st.sampled_from([1, 2]),
         policy=st.sampled_from(["exhaustive", "aggregation"]),
         n_queries=st.integers(min_value=8, max_value=24),
         gap_ms=st.sampled_from([2.0, 8.0, 25.0]),
     )
     def test_primary_mode_identical_to_seed_cluster(
-        self, shards, n_replicas, workers, policy, n_queries, gap_ms
+        self, shards, n_replicas, policy, n_queries, gap_ms
     ):
         trace = small_trace(n_queries, gap_s=gap_ms / 1000.0)
         baseline = SearchCluster(shards, k=5).run_trace(trace, make_policy(policy))
-        replicated = SearchCluster(
-            shards, k=5, executor=make_executor(workers)
-        ).run_trace(
+        replicated = SearchCluster(shards, k=5).run_trace(
             trace,
             make_policy(policy),
             replication=ReplicationConfig(n_replicas=n_replicas),

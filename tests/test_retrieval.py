@@ -17,6 +17,7 @@ from repro.retrieval import (
     Query,
     ShardSearcher,
     block_max_wand_search,
+    conjunctive_search,
     exhaustive_search,
     exhaustive_search_daat,
     maxscore_search,
@@ -256,30 +257,30 @@ class TestDistributedSearcher:
 
 
 class TestKernelDispatchAndTelemetry:
-    """The searcher runs the arena kernels by default; scalars stay
-    available as ``*_reference`` strategies and the two must agree
-    bit-for-bit through the full search/memoize path."""
+    """The searcher runs the arena kernels; the scalar evaluators are
+    the oracles, called directly, and the two must agree bit-for-bit
+    through the full search/memoize path."""
 
-    def test_strategies_registry_pairs_kernels_with_references(self):
+    REFERENCES = {**PRUNED, "conjunctive": conjunctive_search}
+
+    def test_registry_holds_kernels_not_reference_oracles(self, shards):
         from repro.retrieval import KERNEL_STRATEGIES, STRATEGIES
 
-        for name in KERNEL_STRATEGIES:
-            assert name in STRATEGIES
-            assert f"{name}_reference" in STRATEGIES
-            assert STRATEGIES[name] is not STRATEGIES[f"{name}_reference"]
+        assert KERNEL_STRATEGIES == set(self.REFERENCES)
+        assert not [name for name in STRATEGIES if name.endswith("_reference")]
+        for name, reference in self.REFERENCES.items():
+            assert STRATEGIES[name] is not reference
+        with pytest.raises(ValueError, match="unknown strategy"):
+            ShardSearcher(shards[0], strategy="maxscore_reference")
 
     def test_kernel_strategy_matches_reference_through_searcher(self, shards):
-        from repro.retrieval import KERNEL_STRATEGIES
-
-        query = Query(query_id=0, terms=("t1", "t12", "t41"))
-        for name in sorted(KERNEL_STRATEGIES):
+        terms = ["t1", "t12", "t41"]
+        query = Query(query_id=0, terms=tuple(terms))
+        for name, reference in sorted(self.REFERENCES.items()):
             kernel = ShardSearcher(shards[0], k=10, strategy=name)
-            reference = ShardSearcher(
-                shards[0], k=10, strategy=f"{name}_reference"
-            )
             assert (
                 kernel.search(query).fingerprint()
-                == reference.search(query).fingerprint()
+                == reference(shards[0], terms, 10).fingerprint()
             )
 
     def test_bind_telemetry_records_kernel_spans_and_counters(self, shards):

@@ -25,7 +25,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 RULE_IDS = {
     "DET-RNG", "DET-CLOCK", "DET-ORDER", "FLOAT-ORDER",
-    "TEL-BIND", "MUT-DEFAULT", "PAR-SHARED", "ARCH-LAYER",
+    "TEL-BIND", "MUT-DEFAULT", "ARCH-LAYER",
 }
 
 
@@ -147,7 +147,6 @@ class TestDetClock:
         source = "import time\nt = time.perf_counter()\n"
         for module in (
             "telemetry/trace.py",
-            "retrieval/executor.py",
             "experiments/bench_anything.py",
         ):
             report = lint_snippet(tmp_path, source, module_path=module)
@@ -270,17 +269,17 @@ class TestFloatOrder:
 
 TEL_BIND_BAD = """\
 def run_trace(cluster, telemetry, NO_TELEMETRY):
-    cluster.executor.bind_telemetry(telemetry)
+    cluster.searcher.bind_telemetry(telemetry)
     return cluster.replay()
 """
 
 TEL_BIND_CLEAN = """\
 def run_trace(cluster, telemetry, NO_TELEMETRY):
-    cluster.executor.bind_telemetry(telemetry)
+    cluster.searcher.bind_telemetry(telemetry)
     try:
         return cluster.replay()
     finally:
-        cluster.executor.bind_telemetry(NO_TELEMETRY)
+        cluster.searcher.bind_telemetry(NO_TELEMETRY)
 """
 
 TEL_BIND_DELEGATION = """\
@@ -335,65 +334,6 @@ class TestMutDefault:
             "    return acc\n",
         )
         assert not rule_hits(report, "MUT-DEFAULT")
-
-
-PAR_SHARED_BAD = """\
-def fan_out(pool, tasks):
-    results = []
-    def worker(task):
-        results.append(task())
-    for task in tasks:
-        pool.submit(worker, task)
-    return results
-"""
-
-PAR_SHARED_LOCKED = """\
-import threading
-def fan_out(pool, tasks):
-    results = []
-    lock = threading.Lock()
-    def worker(task):
-        value = task()
-        with lock:
-            results.append(value)
-    for task in tasks:
-        pool.submit(worker, task)
-    return results
-"""
-
-PAR_SHARED_PURE = """\
-def fan_out(pool, tasks):
-    futures = [pool.submit(lambda t=task: t()) for task in tasks]
-    return [f.result() for f in futures]
-"""
-
-PAR_SHARED_NO_EXECUTOR = """\
-def serial(tasks):
-    results = []
-    def worker(task):
-        results.append(task())
-    for task in tasks:
-        worker(task)
-    return results
-"""
-
-
-class TestParShared:
-    def test_fires_on_shared_mutation(self, tmp_path):
-        report = lint_snippet(tmp_path, PAR_SHARED_BAD)
-        assert len(rule_hits(report, "PAR-SHARED")) == 1
-
-    def test_clean_under_lock(self, tmp_path):
-        report = lint_snippet(tmp_path, PAR_SHARED_LOCKED)
-        assert not rule_hits(report, "PAR-SHARED")
-
-    def test_clean_pure_closures(self, tmp_path):
-        report = lint_snippet(tmp_path, PAR_SHARED_PURE)
-        assert not rule_hits(report, "PAR-SHARED")
-
-    def test_serial_helper_not_flagged(self, tmp_path):
-        report = lint_snippet(tmp_path, PAR_SHARED_NO_EXECUTOR)
-        assert not rule_hits(report, "PAR-SHARED")
 
 
 class TestPragmas:

@@ -1,65 +1,9 @@
-"""Tests for index and predictor-bank persistence."""
+"""Tests for predictor-bank persistence (shards: ``tests/test_store.py``)."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import SearchCluster
-from repro.index import load_shard, load_shards, save_shard, save_shards
 from repro.predictors import PredictorBank
-from repro.retrieval import Query, exhaustive_search, maxscore_search
-
-
-class TestShardRoundtrip:
-    def test_metadata_preserved(self, shards, tmp_path):
-        path = tmp_path / "shard.npz"
-        save_shard(shards[0], path)
-        loaded = load_shard(path)
-        original = shards[0]
-        assert loaded.shard_id == original.shard_id
-        assert loaded.n_docs == original.n_docs
-        assert loaded.avg_doc_length == original.avg_doc_length
-        assert loaded.n_docs_global == original.n_docs_global
-        assert loaded.doc_lengths == original.doc_lengths
-        assert sorted(loaded.terms()) == sorted(original.terms())
-
-    def test_postings_and_scores_identical(self, shards, tmp_path):
-        path = tmp_path / "shard.npz"
-        save_shard(shards[0], path)
-        loaded = load_shard(path)
-        for term in shards[0].terms():
-            a, b = shards[0].term(term), loaded.term(term)
-            np.testing.assert_array_equal(a.postings.doc_ids, b.postings.doc_ids)
-            np.testing.assert_array_equal(a.postings.tfs, b.postings.tfs)
-            np.testing.assert_array_equal(a.scores, b.scores)
-            assert a.upper_bound == b.upper_bound
-            assert a.global_doc_freq == b.global_doc_freq
-
-    def test_search_results_identical(self, shards, tmp_path):
-        path = tmp_path / "shard.npz"
-        save_shard(shards[0], path)
-        loaded = load_shard(path)
-        for terms in (["t1"], ["t1", "t12"], ["t3", "t5", "t40"]):
-            original = exhaustive_search(shards[0], terms, 10)
-            restored = exhaustive_search(loaded, terms, 10)
-            assert original.hits == restored.hits
-            pruned = maxscore_search(loaded, terms, 10)
-            assert [d for d, _ in pruned.hits] == [d for d, _ in original.hits]
-
-    def test_similarity_restored(self, shards, tmp_path):
-        path = tmp_path / "shard.npz"
-        save_shard(shards[0], path)
-        loaded = load_shard(path)
-        assert type(loaded.similarity) is type(shards[0].similarity)
-        assert loaded.similarity.k1 == shards[0].similarity.k1
-
-    def test_directory_roundtrip(self, shards, tmp_path):
-        save_shards(shards, tmp_path / "cluster")
-        loaded = load_shards(tmp_path / "cluster")
-        assert [s.shard_id for s in loaded] == [s.shard_id for s in shards]
-
-    def test_missing_directory(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_shards(tmp_path / "nope")
 
 
 class TestBankRoundtrip:

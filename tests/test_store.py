@@ -339,10 +339,13 @@ class TestStoreRoundTrip:
         path = write_store(shard, tmp_path / "s.store")
         reopened = open_store(path)
         assert_columns_equal(shard, reopened)
+        assert reopened.shard_id == shard.shard_id
         assert reopened.n_docs == shard.n_docs
+        assert reopened.n_docs_global == shard.n_docs_global
         assert reopened.avg_doc_length == shard.avg_doc_length
         assert reopened.doc_lengths == shard.doc_lengths
         assert type(reopened.similarity) is type(shard.similarity)
+        assert vars(reopened.similarity) == vars(shard.similarity)
 
     def test_buffer_is_same_bytes_as_file(self, shard, tmp_path):
         path = write_store(shard, tmp_path / "s.store")
@@ -416,6 +419,38 @@ class TestStoreRoundTrip:
         assert [s.shard_id for s in reopened] == [0, 1, 2]
         for shard, loaded in zip(shards, reopened):
             assert_columns_equal(shard, loaded)
+        with pytest.raises(FileNotFoundError, match="no shard stores"):
+            open_stores(tmp_path / "nope")
+
+    def test_repack_over_other_shard_ids_is_refused(self, tmp_path):
+        """A smaller index packed over a larger one would leave the old
+        tail behind, and ``open_stores`` would search the mix."""
+        four = [build_shard([[VOCAB[s]] * 3]) for s in range(4)]
+        for shard_id, shard in enumerate(four):
+            shard.shard_id = shard_id
+        pack_shards(four, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError) as caught:
+            pack_shards(four[:2], tmp_path)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert str(tmp_path / "shard_2.store") in message and "stale" in message
+        # Nothing written, nothing deleted.
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # Overwriting the same ids stays allowed.
+        assert len(pack_shards(four, tmp_path)) == 4
+
+    def test_unknown_similarity_rejected_on_write_and_open(self, shard, tmp_path):
+        class HomeGrown(BM25Similarity):
+            pass
+
+        odd = make_shard({"a": ([1], [1])})
+        odd.similarity = HomeGrown()
+        with pytest.raises(ValueError, match="cannot serialize similarity 'HomeGrown'"):
+            write_store(odd, tmp_path / "odd.store")
+        blob = serialize_shard(shard).replace(b"BM25Similarity", b"BM52Similarity")
+        with pytest.raises(ValueError, match="unknown similarity 'BM52Similarity'"):
+            open_store_buffer(blob)
 
     def test_stray_file_name_in_directory_is_a_named_error(self, shard, tmp_path):
         pack_shards([shard], tmp_path)
