@@ -5,18 +5,11 @@ Kills a quarter of the ISNs mid-trace and compares exhaustive search
 per-query budgets bound the damage natively).  Budgets turn a dead node
 into an ordinary straggler — latency stays low and quality degrades only
 by the dead shards' contributions.
-
-The scenario-matrix benchmark then runs the declarative faults x
-replication x budget grid (:mod:`repro.cluster.scenarios`) and pins the
-tail-tolerance headline: under a wedged replica, hedged dispatch beats
-primary-only on p99 latency while spending less than twice its ISN time.
-``run_bench_faults.py`` writes the same grid to ``BENCH_faults.json``.
 """
 
 import numpy as np
-import pytest
 
-from repro.cluster import FaultSchedule, Outage, default_matrix, run_matrix
+from repro.cluster import FaultSchedule, Outage
 from repro.metrics import summarize_run
 
 
@@ -69,56 +62,3 @@ def test_ext_fault_injection(benchmark, testbed):
     assert co_after < ex_after
     # Both keep answering with useful (if partial) results.
     assert ex_p > 0.4 and co_p > 0.4
-
-
-@pytest.mark.faults
-def test_ext_fault_scenario_matrix(benchmark, testbed):
-    trace = testbed.wikipedia_trace
-    truth = testbed.truth_for(trace)
-    cases = default_matrix(
-        policies=("exhaustive", "cottage"),
-        scenarios=("slow_replica", "outage"),
-    )
-
-    results = benchmark.pedantic(
-        lambda: run_matrix(
-            testbed.cluster, testbed.make_policy, trace, truth, cases,
-            seed=testbed.scale.seed, response_timeout_ms=150.0,
-        ),
-        rounds=1, iterations=1,
-    )
-    by_label = {
-        (c.scenario, c.policy, c.mode): c for c in results
-    }
-
-    print("\nExtension — fault scenario matrix:")
-    for cell in results:
-        print(
-            f"  {cell.scenario:<13} {cell.policy:<11} {cell.mode:<8} "
-            f"R={cell.n_replicas}  p50 {cell.p50_latency_ms:7.2f}  "
-            f"p99 {cell.p99_latency_ms:7.2f}  P@K {cell.avg_precision:.3f}  "
-            f"hedges {cell.hedges_issued:5d}  "
-            f"waste {100.0 * cell.wasted_work_ratio:5.1f}%"
-        )
-
-    for policy in ("exhaustive", "cottage"):
-        primary = by_label[("slow_replica", policy, "primary")]
-        hedged = by_label[("slow_replica", policy, "hedged")]
-        tied = by_label[("slow_replica", policy, "tied")]
-        # The tail-tolerance headline: a budget-aware hedge routes around
-        # the wedged replica...
-        assert hedged.p99_latency_ms < primary.p99_latency_ms
-        assert tied.p99_latency_ms < primary.p99_latency_ms
-        # ...without resorting to brute-force duplication: total ISN time
-        # stays under twice the primary-only run's.
-        assert hedged.total_service_ms < 2.0 * primary.total_service_ms
-        assert hedged.hedges_issued > 0
-        # Routing around the straggler also recovers the quality the
-        # primary-only run lost to deadline/timeout drops.
-        assert hedged.avg_dropped_shards <= primary.avg_dropped_shards
-        assert hedged.quality_loss <= primary.quality_loss + 1e-9
-        # A whole-shard outage is beyond what replication can fix: no
-        # mode may degrade quality below the primary baseline.
-        out_primary = by_label[("outage", policy, "primary")]
-        out_hedged = by_label[("outage", policy, "hedged")]
-        assert out_hedged.quality_loss <= out_primary.quality_loss + 0.02

@@ -2,15 +2,11 @@
 
 The paper reports 41 us (quality) and 70 us (latency) per inference and
 argues the whole coordination round is negligible; these benches measure
-the reproduction's equivalents, plus the fused batched plane against the
-per-query reference loop.
+the reproduction's equivalents.
 """
-
-from conftest import emit, full_fidelity
 
 from repro.cluster.types import ClusterView
 from repro.core import CottagePolicy
-from repro.experiments import bench_inference
 from repro.predictors import latency_features, quality_features
 
 
@@ -50,19 +46,3 @@ def test_micro_budget_decision(benchmark, testbed):
     policy.decide(query, view)  # warm the prediction cache
     decision = benchmark(lambda: policy.decide(query, view))
     assert decision.shard_ids
-
-
-def test_micro_batched_speedup(testbed):
-    """Fused batched plane vs. the per-query loop — whole distinct trace.
-
-    The batched kernels must be bit-identical to the reference loop and
-    >= 5x faster at the paper's 16-shard fidelity (the win scales with
-    shard count, so unit scale only asserts it is not a regression).
-    """
-    result = bench_inference.run(testbed, repeats=3)
-    emit(bench_inference.format_report(result))
-    assert result.bit_identical
-    floor = 5.0 if full_fidelity(testbed) else 1.5
-    assert result.speedup >= floor, (
-        f"batched inference speedup {result.speedup:.2f}x below {floor}x"
-    )

@@ -11,7 +11,6 @@ pick it up without further wiring.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
 
@@ -42,7 +41,7 @@ class Rule:
     """One invariant, checked syntactically.
 
     Subclasses set ``id`` / ``summary`` / ``rationale`` and implement
-    :meth:`check`.  ``scope`` is a tuple of glob-ish prefixes matched
+    :meth:`check`.  ``scope`` is a tuple of prefixes matched
     against :attr:`FileContext.module_path`; empty means every file.
     """
 
@@ -50,7 +49,7 @@ class Rule:
     summary: str = ""
     rationale: str = ""
     #: module-path prefixes (``"retrieval/"``) or exact files this rule
-    #: runs on; a ``bench_*``-style basename pattern is also accepted.
+    #: runs on.
     scope: tuple[str, ...] = ()
     #: module paths (or prefixes) exempt even when inside ``scope``.
     exempt: tuple[str, ...] = ()
@@ -70,14 +69,7 @@ class Rule:
 
 
 def _matches_any(module_path: str, patterns: Sequence[str]) -> bool:
-    for pattern in patterns:
-        if "*" in pattern:
-            regex = "^" + re.escape(pattern).replace(r"\*", "[^/]*") + "$"
-            if re.match(regex, module_path):
-                return True
-        elif module_path == pattern or module_path.startswith(pattern):
-            return True
-    return False
+    return any(module_path.startswith(pattern) for pattern in patterns)
 
 
 R = TypeVar("R", bound=type[Rule])

@@ -164,8 +164,7 @@ class DetClockRule(Rule):
     Everything inside the simulated cluster must tell time via the
     sim-clock (``sim.now`` / event timestamps).  Wall clocks are only
     legitimate where real elapsed time *is* the measurement: the
-    telemetry tracer's dual-clock spans and the ``experiments/bench_*``
-    microbenchmarks.
+    telemetry tracer's dual-clock spans.
     """
 
     id = "DET-CLOCK"
@@ -174,10 +173,7 @@ class DetClockRule(Rule):
         "Wall time contaminating the sim-clock makes latency/power "
         "numbers irreproducible across hosts and runs."
     )
-    exempt = (
-        "telemetry/trace.py",  # dual-clock spans: wall time is the point
-        "experiments/bench_*.py",  # microbenchmarks measure the host
-    )
+    exempt = ("telemetry/trace.py",)  # dual-clock spans: wall time is the point
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         aliases = _import_aliases(ctx.tree)
@@ -196,7 +192,7 @@ class DetClockRule(Rule):
                     self.id, node,
                     f"{name}() reads the wall clock; simulation code must "
                     "use the sim-clock, and measurement code belongs in the "
-                    "telemetry/bench_* allowlist",
+                    "telemetry allowlist",
                 )
 
 

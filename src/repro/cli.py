@@ -7,7 +7,6 @@ The subcommands cover the common workflows::
     repro search index_dir/ canada weather             # query a packed index
     repro compare --scale unit --trace wikipedia       # policy comparison table
     repro figure fig10 --scale small                   # one paper figure/table
-    repro bench --scale small --out BENCH_inference.json  # inference microbench
     repro trace --policy cottage --export perfetto     # telemetry-traced run
     repro faults --scale unit --replicas 2             # fault scenario matrix
     repro serve --scale unit --policy cottage          # open-loop QPS sweep
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.experiments import (
     Scale,
@@ -73,6 +72,18 @@ def _scale(name: str) -> Scale:
         return getattr(Scale, name)()
     except AttributeError:
         raise SystemExit(f"unknown scale {name!r}; use unit, small or full")
+
+
+def _unknown_policy(names: Iterable[str]) -> bool:
+    """Report the first name outside ``ALL_POLICIES`` on stderr, if any."""
+    for name in names:
+        if name not in ALL_POLICIES:
+            print(
+                f"unknown policy {name!r}; options: {', '.join(ALL_POLICIES)}",
+                file=sys.stderr,
+            )
+            return True
+    return False
 
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
@@ -181,12 +192,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     names = tuple(args.policies) if args.policies else ALL_POLICIES
-    unknown = [name for name in names if name not in ALL_POLICIES]
-    if unknown:
-        print(
-            f"unknown policy {unknown[0]!r}; options: {', '.join(ALL_POLICIES)}",
-            file=sys.stderr,
-        )
+    if _unknown_policy(names):
         return 1
     testbed = Testbed.build(_scale(args.scale))
     traces = {
@@ -211,28 +217,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return 1
     testbed = Testbed.build(_scale(args.scale))
     print(module.format_report(module.run(testbed)))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments import bench_inference
-
-    testbed = Testbed.build(_scale(args.scale))
-    result = bench_inference.run(testbed, repeats=args.repeats)
-    print(bench_inference.format_report(result))
-    if args.out:
-        bench_inference.write_json(result, args.out)
-        print(f"wrote {args.out}")
-    if not result.bit_identical:
-        print("FAIL: batched predictions are not bit-identical", file=sys.stderr)
-        return 1
-    if result.speedup < args.fail_below:
-        print(
-            f"FAIL: speedup {result.speedup:.2f}x below "
-            f"--fail-below {args.fail_below:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -294,16 +278,28 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
+    if _unknown_policy(args.policies):
+        return 1
+    if not args.response_timeout_ms > 0:
+        print(
+            f"--response-timeout-ms must be positive, got {args.response_timeout_ms}",
+            file=sys.stderr,
+        )
+        return 1
+    try:
+        cases = default_matrix(
+            policies=tuple(args.policies),
+            scenarios=tuple(args.scenarios),
+            n_replicas=args.replicas,
+        )
+    except ValueError as exc:
+        print(f"invalid matrix: {exc}", file=sys.stderr)
+        return 1
     testbed = Testbed.build(_scale(args.scale))
     trace = {
         "wikipedia": testbed.wikipedia_trace,
         "lucene": testbed.lucene_trace,
     }[args.trace]
-    cases = default_matrix(
-        policies=tuple(args.policies),
-        scenarios=tuple(args.scenarios),
-        n_replicas=args.replicas,
-    )
     results = run_matrix(
         testbed.cluster,
         testbed.make_policy,
@@ -355,11 +351,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.serving.campaign import ARRIVAL_KINDS
 
-    if args.policy not in ALL_POLICIES:
-        print(
-            f"unknown policy {args.policy!r}; options: {', '.join(ALL_POLICIES)}",
-            file=sys.stderr,
-        )
+    if _unknown_policy([args.policy]):
         return 1
     if args.arrival not in ARRIVAL_KINDS:
         print(
@@ -367,13 +359,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    admission = None
-    if not args.no_admission:
-        admission = AdmissionConfig(
-            max_in_flight=args.max_in_flight,
-            deadline_slo_ms=args.deadline_slo_ms or None,
-        )
+    if args.distinct < 1:
+        print(f"--distinct must be positive, got {args.distinct}", file=sys.stderr)
+        return 1
     try:
+        admission = None
+        if not args.no_admission:
+            admission = AdmissionConfig(
+                max_in_flight=args.max_in_flight,
+                deadline_slo_ms=args.deadline_slo_ms or None,
+            )
         config = CampaignConfig(
             qps_grid=tuple(args.qps or ()),
             queries_per_point=args.queries,
@@ -549,18 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--scale", default="unit")
     figure.set_defaults(fn=_cmd_figure)
 
-    bench = sub.add_parser(
-        "bench", help="run the batched-inference microbenchmark"
-    )
-    bench.add_argument("--scale", default="small")
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--out", default="", help="write BENCH_inference.json here")
-    bench.add_argument(
-        "--fail-below", type=float, default=1.0,
-        help="exit nonzero if speedup falls below this factor",
-    )
-    bench.set_defaults(fn=_cmd_bench)
-
     trace_cmd = sub.add_parser(
         "trace", help="run one policy with telemetry and export the trace"
     )
@@ -611,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="safety-net timeout for unbudgeted policies",
     )
     faults.add_argument("--out", default="",
-                        help="write the matrix as JSON (BENCH_faults.json)")
+                        help="write the matrix as JSON")
     faults.set_defaults(fn=_cmd_faults)
 
     serve = sub.add_parser(
@@ -661,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         "assumes off)",
     )
     serve.add_argument("--out", default="",
-                       help="write the campaign as JSON (BENCH_serving.json)")
+                       help="write the campaign as JSON")
     serve.add_argument(
         "--fail-knee-tolerance", type=float, default=None, metavar="REL",
         help="exit nonzero unless the measured knee is within this relative "

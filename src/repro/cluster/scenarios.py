@@ -15,8 +15,8 @@ DET-RNG discipline), :class:`MatrixCase` names one cell, and
 run to a :class:`CellResult` — tail latency, wasted work and quality
 loss against the same policy's fault-free reference run.
 
-``repro faults`` (CLI), ``benchmarks/bench_ext_fault_injection.py`` and
-``tests/test_scenario_matrix.py`` all drive this one implementation.
+``repro faults`` (CLI) and ``tests/test_scenario_matrix.py`` drive this
+one implementation.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class MatrixCase:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One cell's reduced outcome (a row of ``BENCH_faults.json``)."""
+    """One cell's reduced outcome (a row of ``repro faults --out``)."""
 
     scenario: str
     policy: str

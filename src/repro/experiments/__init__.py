@@ -6,13 +6,11 @@ Each ``figNN_*`` module exposes ``run(testbed) -> Result`` and
 ``paper`` holds the paper's reported values.
 """
 
-from repro.experiments import bench_inference, bench_retrieval, oracle_sweep
+from repro.experiments import oracle_sweep
 from repro.experiments.testbed import Scale, Testbed
 
 __all__ = [
     "Scale",
     "Testbed",
-    "bench_inference",
-    "bench_retrieval",
     "oracle_sweep",
 ]

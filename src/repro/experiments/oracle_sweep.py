@@ -30,6 +30,7 @@ to expose its host wall-clock effect, not to move the oracle.
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,9 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.cluster.cpu import CostModel, FrequencyScale
-from repro.experiments.bench_retrieval import build_corpus, sample_queries
-from repro.index.shard import IndexShard
+from repro.index import Document, IndexBuilder, IndexShard
 from repro.retrieval.searcher import STRATEGIES
+from repro.text import WhitespaceAnalyzer
 
 #: Score tolerance of the cross-strategy equivalence check — the same
 #: bound ``tests/test_strategy_equivalence.py`` uses for summation-order
@@ -61,6 +62,52 @@ SAFE_STRATEGIES: tuple[str, ...] = ("maxscore", "wand", "block_max_wand")
 #: oracle candidate (not rank-safe) but its measured cost is reported
 #: next to the safe arms.
 SWEEP_STRATEGIES: tuple[str, ...] = SAFE_STRATEGIES + ("conjunctive",)
+
+
+def build_corpus(
+    n_shards: int = N_SHARDS,
+    docs_per_shard: int = DOCS_PER_SHARD,
+    vocab_size: int = VOCAB_SIZE,
+    seed: int = SEED,
+) -> list[IndexShard]:
+    """Zipf-like synthetic shards: head terms get the long posting lists.
+
+    Term frequencies follow a Pareto draw (shape 1.1), so a handful of
+    vocabulary head terms dominate — the regime where block scoring pays
+    and where real query traces live.  Deterministic per (shard, seed).
+    """
+    vocab = [f"t{i:03d}" for i in range(vocab_size)]
+    shards = []
+    for shard_id in range(n_shards):
+        rng = random.Random(seed + 100 + shard_id)
+        builder = IndexBuilder(shard_id, analyzer=WhitespaceAnalyzer())
+        base = shard_id * docs_per_shard
+        for i in range(docs_per_shard):
+            n_words = rng.randint(8, 40)
+            words = [
+                vocab[min(int(rng.paretovariate(1.1)) - 1, vocab_size - 1)]
+                for _ in range(n_words)
+            ]
+            builder.add(Document(doc_id=base + i, text=" ".join(words)))
+        shards.append(builder.build())
+    return shards
+
+
+def sample_queries(
+    n_queries: int = N_QUERIES,
+    vocab_size: int = VOCAB_SIZE,
+    seed: int = SEED,
+) -> list[list[str]]:
+    """2-4 term queries, terms Pareto-drawn (shape 1.2) over the vocab."""
+    vocab = [f"t{i:03d}" for i in range(vocab_size)]
+    rng = random.Random(seed)
+    return [
+        [
+            vocab[min(int(rng.paretovariate(1.2)) - 1, vocab_size - 1)]
+            for _ in range(rng.randint(2, 4))
+        ]
+        for _ in range(n_queries)
+    ]
 
 
 @dataclass(frozen=True)

@@ -305,8 +305,8 @@ class PredictorBank:
         """Reference per-shard/per-query inference path (pre-fusion).
 
         The original 3 x n_shards single-row loop, kept as the ground
-        truth the equivalence tests and the inference microbenchmark
-        compare the fused plane against.  Bypasses the prediction cache.
+        truth the equivalence tests compare the fused plane against.
+        Bypasses the prediction cache.
         """
         if not self.trained:
             raise RuntimeError("predictor bank has not been trained")

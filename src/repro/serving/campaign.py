@@ -5,7 +5,7 @@ rates, open-loop, collecting a throughput–latency–power point per rate
 from the streaming sinks (no per-query retention, so the grid can total
 millions of queries).  The measured goodput knee is then compared to the
 closed queueing model's predicted saturation (:mod:`repro.serving.
-queueing`) — the agreement gate CI enforces on ``BENCH_serving.json``.
+queueing`); ``tests/test_campaign.py`` holds the two within 25 %.
 
 Each sweep point gets fresh arrival/popularity seeds derived from the
 campaign seed, a fresh policy instance (adaptive policies must not leak
@@ -15,6 +15,7 @@ point replays bit-identically on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -74,10 +75,8 @@ class CampaignConfig:
             raise ValueError("queries_per_point must be positive")
         if not self.qps_grid and not self.grid_fractions:
             raise ValueError("need a qps grid or grid fractions")
-        if any(q <= 0 for q in self.qps_grid) or any(
-            f <= 0 for f in self.grid_fractions
-        ):
-            raise ValueError("grid rates/fractions must be positive")
+        if not all(0 < r < math.inf for r in self.qps_grid + self.grid_fractions):
+            raise ValueError("grid rates/fractions must be positive and finite")
         if not 0.0 < self.goodput_threshold <= 1.0:
             raise ValueError("goodput threshold must be in (0, 1]")
         if self.knee_rel_tolerance <= 0:

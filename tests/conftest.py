@@ -4,8 +4,9 @@ Expensive artifacts (corpus, shards, trained testbed) are session-scoped:
 they are deterministic, immutable, and shared read-only by many tests.
 
 Two Hypothesis profiles are registered: ``dev`` (the default — few
-examples, fast inner loop) and ``ci`` (at least 100 examples per
-property, what the CI workflow runs).  Select with
+examples, derandomized so the tier-1 gate is the same run every time)
+and ``ci`` (at least 100 random examples per property, what the CI
+workflow's property step runs).  Select with
 ``HYPOTHESIS_PROFILE=ci pytest ...``.
 """
 
@@ -20,7 +21,7 @@ from hypothesis import settings
 from repro.experiments import Scale, Testbed
 
 settings.register_profile("ci", max_examples=100, deadline=None)
-settings.register_profile("dev", max_examples=15, deadline=None)
+settings.register_profile("dev", max_examples=15, deadline=None, derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 from repro.index import Document, build_shards, partition_topical
 from repro.text import WhitespaceAnalyzer

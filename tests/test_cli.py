@@ -23,6 +23,7 @@ class TestParser:
             ["search", "dir", "t1", "--workers", "2"],
             ["build-index", "--out", "x"],
             ["index", "pack", "dir", "--out", "x"],
+            ["bench", "--scale", "unit"],
         ],
     )
     def test_removed_flags_and_commands_are_usage_errors(self, argv, capsys):
@@ -86,13 +87,28 @@ class TestCommands:
                 "unknown policy 'bogus'",
             ),
             (["search", "{stray}", "foo"], "shard_backup.store: not a shard store name"),
+            (["serve", "--max-in-flight", "0"], "max_in_flight must be positive"),
+            (["serve", "--deadline-slo-ms", "-1"], "deadline_slo_ms must be positive"),
+            (["serve", "--distinct", "0"], "--distinct must be positive"),
+            (["serve", "--qps", "nan"], "must be positive and finite"),
+            (["serve", "--qps", "inf"], "must be positive and finite"),
+            (["faults", "--replicas", "0"], "need at least one replica"),
+            (
+                ["faults", "--response-timeout-ms", "-1"],
+                "--response-timeout-ms must be positive",
+            ),
+            (["faults", "--policies", "nosuch"], "unknown policy 'nosuch'"),
         ],
     )
     def test_hostile_input_exits_one_with_one_line(
-        self, argv, message, tmp_path, capsys
+        self, argv, message, tmp_path, capsys, monkeypatch
     ):
         # Option values are checked before the index is read or a testbed
         # built, so a missing directory never gets the chance to mask them.
+        def no_build(scale):
+            raise AssertionError("testbed built before the options were checked")
+
+        monkeypatch.setattr("repro.cli.Testbed.build", no_build)
         paths = {
             "missing": tmp_path / "missing", "empty": tmp_path,
             "stray": tmp_path / "stray", "stale": tmp_path / "stale",
@@ -110,7 +126,7 @@ class TestCommands:
         assert err.count("\n") == 1 and message in err
 
     def test_negative_decode_cache_exits_one_with_one_line(self, tmp_path, capsys):
-        from repro.experiments.bench_retrieval import build_corpus
+        from repro.experiments.oracle_sweep import build_corpus
         from repro.index import pack_shards
 
         pack_shards(build_corpus(2, 50, 30, seed=3), tmp_path)
@@ -146,7 +162,7 @@ class TestFaultsCommand:
     def test_faults_matrix_writes_json(self, tmp_path, capsys):
         import json
 
-        out = tmp_path / "BENCH_faults.json"
+        out = tmp_path / "faults.json"
         code = main(
             ["faults", "--scale", "unit", "--scenarios", "outage",
              "--policies", "exhaustive", "--out", str(out)]
@@ -201,7 +217,7 @@ class TestServeCommand:
     def test_serve_sweep_writes_json_and_gates(self, tmp_path, capsys):
         import json
 
-        out = tmp_path / "BENCH_serving.json"
+        out = tmp_path / "campaign.json"
         code = main(
             ["serve", "--scale", "unit", "--policy", "exhaustive",
              "--queries", "200", "--distinct", "30", "--out", str(out)]

@@ -1,10 +1,12 @@
 """Unit + property tests for conjunctive (AND) evaluation."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_strategy_equivalence import assert_same_topk
 
 from repro.index import Document, IndexBuilder
 from repro.retrieval import conjunctive_search, exhaustive_search
@@ -21,7 +23,12 @@ def build_shard(n_docs=120, vocab=20, seed=0):
 
 
 def reference_and(shard, terms, k):
-    """Brute-force intersection via doc-id sets + disjunctive scores."""
+    """Brute-force intersection via doc-id sets + disjunctive scores.
+
+    Returned with a ``hits`` attribute so ``assert_same_topk`` takes it:
+    ``conjunctive_search`` sums rarest term first, the disjunctive
+    reference in query order, so tied documents may sit 1 ulp apart.
+    """
     doc_sets = []
     for term in terms:
         postings = shard.postings(term)
@@ -29,7 +36,7 @@ def reference_and(shard, terms, k):
     common = set.intersection(*doc_sets) if doc_sets else set()
     full = exhaustive_search(shard, terms, shard.n_docs or 1)
     hits = [(doc, score) for doc, score in full.hits if doc in common]
-    return hits[:k]
+    return SimpleNamespace(hits=hits[:k])
 
 
 class TestConjunctive:
@@ -42,8 +49,7 @@ class TestConjunctive:
     def test_two_terms_matches_reference(self):
         shard = build_shard()
         got = conjunctive_search(shard, ["w1", "w2"], 10)
-        expected = reference_and(shard, ["w1", "w2"], 10)
-        assert [d for d, _ in got.hits] == [d for d, _ in expected]
+        assert_same_topk(reference_and(shard, ["w1", "w2"], 10), got)
 
     def test_results_contain_all_terms(self):
         shard = build_shard()
@@ -80,11 +86,10 @@ class TestConjunctive:
     term_ids=st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True),
     k=st.integers(1, 12),
 )
+# Docs 19 and 28 tie 1 ulp apart at the k-th slot, in opposite orders.
+@example(seed=16, term_ids=[2, 3, 13, 6], k=7)
 def test_conjunctive_matches_reference_property(seed, term_ids, k):
     shard = build_shard(n_docs=60, vocab=16, seed=seed)
     terms = [f"w{i}" for i in term_ids]
     got = conjunctive_search(shard, terms, k)
-    expected = reference_and(shard, terms, k)
-    assert [d for d, _ in got.hits] == [d for d, _ in expected]
-    for (_, sa), (_, sb) in zip(got.hits, expected):
-        assert sa == pytest.approx(sb, abs=1e-9)
+    assert_same_topk(reference_and(shard, terms, k), got)

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.experiments.bench_retrieval import build_corpus, sample_queries
 from repro.experiments.oracle_sweep import (
     SAFE_STRATEGIES,
     SCORE_ATOL,
+    build_corpus,
+    sample_queries,
     same_topk,
     summarize,
     sweep,

@@ -1,4 +1,6 @@
-"""Serving plane: closed-loop bit-identity, admission, stats."""
+"""Serving plane: closed-loop bit-identity, admission, stats, memory."""
+
+import tracemalloc
 
 import pytest
 
@@ -82,6 +84,33 @@ class TestOpenLoopServing:
         )
         assert run.serving is None
         assert len(run.records) == 50
+
+    def test_streaming_drive_keeps_no_per_query_memory(self, unit_testbed):
+        """What bounds a million-query drive: without ``retain_records``
+        the traced peak is the in-flight working set, not O(queries)."""
+
+        def peak_mib(n, retain_records):
+            tracemalloc.start()
+            try:
+                run = unit_testbed.cluster.serve(
+                    open_loop_stream(unit_testbed, rate_qps=200.0, n=n),
+                    unit_testbed.make_policy("cottage"),
+                    admission=AdmissionController(
+                        AdmissionConfig(max_in_flight=512)
+                    ),
+                    retain_records=retain_records,
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert run.admitted_queries == n  # below the knee: nothing shed
+            return peak / 2**20
+
+        peak_mib(400, False)  # fill the retrieval and prediction memos once
+        streaming = peak_mib(8000, False)
+        retained = peak_mib(8000, True)
+        assert streaming < 4.0
+        assert streaming < retained / 4
 
     def test_admission_sheds_under_overload(self, unit_testbed):
         admission = AdmissionController(AdmissionConfig(max_in_flight=2))
