@@ -1,4 +1,4 @@
-"""Ablation — frequency boosting (paper Section II-B / DESIGN.md).
+"""Ablation — frequency boosting (DESIGN.md "Frequency boost = jump to f_max").
 
 Cottage accelerates slow high-quality ISNs to f_max.  Disabling the boost
 forces Algorithm 1 to budget at current-frequency latencies: the budget
@@ -10,7 +10,7 @@ from repro.core import CottagePolicy
 from repro.metrics import summarize_run
 
 
-def test_ablation_boost(benchmark, testbed):
+def test_ablation_boost(testbed):
     trace = testbed.wikipedia_trace
     truth = testbed.truth_for(trace)
     with_boost = summarize_run(
@@ -26,14 +26,6 @@ def test_ablation_boost(benchmark, testbed):
                           network=testbed.cluster.network),
         ),
         truth, trace.name,
-    )
-    benchmark.pedantic(
-        lambda: testbed.cluster.run_trace(
-            trace,
-            CottagePolicy(testbed.bank, enable_boost=False,
-                          network=testbed.cluster.network),
-        ),
-        rounds=1, iterations=1,
     )
 
     print("\nAblation — frequency boosting (Wikipedia trace):")

@@ -1,4 +1,4 @@
-"""Ablation — confidence-gated zero cutting (DESIGN.md design decision).
+"""Ablation — confidence-gated zero cutting (EXPERIMENTS.md deviation 2, "~0.83").
 
 The paper cuts on the raw predicted class; at reproduction scale quality
 labels are noisier, so Cottage here cuts only on *confident* zeros.  The
@@ -10,7 +10,7 @@ from repro.core import CottagePolicy
 from repro.metrics import summarize_run
 
 
-def test_ablation_cut_confidence(benchmark, testbed):
+def test_ablation_cut_confidence(testbed):
     trace = testbed.wikipedia_trace
     truth = testbed.truth_for(trace)
     rows = {}
@@ -22,12 +22,6 @@ def test_ablation_cut_confidence(benchmark, testbed):
         )
         run = testbed.cluster.run_trace(trace, policy)
         rows[confidence] = summarize_run(run, truth, trace.name)
-    benchmark.pedantic(
-        lambda: testbed.cluster.run_trace(
-            trace, CottagePolicy(testbed.bank, network=testbed.cluster.network)
-        ),
-        rounds=1, iterations=1,
-    )
 
     print("\nAblation — cut-confidence gate (Wikipedia trace):")
     print("  confidence   avg_ms    P@10   ISNs   C_RES")

@@ -1,4 +1,4 @@
-"""Ablation — latency-bin resolution (DESIGN.md design decision).
+"""Ablation — latency-bin resolution (DESIGN.md "Latency bin count (24 log-spaced)").
 
 The latency predictor classifies log-spaced service-time bins; the paper
 notes its model has "more neurons on the output layer".  This bench sweeps
@@ -12,7 +12,7 @@ from repro.predictors import LatencyBinning, LatencyPredictor, build_latency_dat
 from repro.workloads import training_queries
 
 
-def test_ablation_latency_bins(benchmark, testbed):
+def test_ablation_latency_bins(testbed):
     queries = training_queries(testbed.corpus, testbed.scale.n_training_queries,
                                seed=testbed.scale.seed + 1000)
     dataset = build_latency_dataset(
@@ -31,13 +31,6 @@ def test_ablation_latency_bins(benchmark, testbed):
         )
         rows[n_bins] = (model.accuracy(test.features, test.service_ms), rel_err)
 
-    benchmark.pedantic(
-        lambda: LatencyPredictor(seed=0).fit(
-            train.features, train.service_ms,
-            iterations=testbed.scale.latency_iterations,
-        ),
-        rounds=1, iterations=1,
-    )
 
     print("\nAblation — latency bin count (ISN-0):")
     print("  bins   ±1-bin accuracy   median relative error")

@@ -3,6 +3,8 @@
 Same Table-II features and MLP trunk; the paper's bin classifier against a
 log-MSE regressor.  Prints within-±30% accuracy and median relative error
 for both on one ISN's held-out queries.
+
+Pays for: no EXPERIMENTS.md or DESIGN.md number (DESIGN.md audit row, ISSUE 24).
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from repro.predictors.latency_regression import LatencyRegressor
 from repro.workloads import training_queries
 
 
-def test_ablation_latency_model(benchmark, testbed):
+def test_ablation_latency_model(testbed):
     queries = training_queries(
         testbed.corpus, testbed.scale.n_training_queries,
         seed=testbed.scale.seed + 1000,
@@ -27,12 +29,6 @@ def test_ablation_latency_model(benchmark, testbed):
     classifier.fit(train.features, train.service_ms, iterations=iterations)
     regressor = LatencyRegressor(seed=0)
     regressor.fit(train.features, train.service_ms, iterations=iterations)
-    benchmark.pedantic(
-        lambda: LatencyRegressor(seed=0).fit(
-            train.features, train.service_ms, iterations=iterations
-        ),
-        rounds=1, iterations=1,
-    )
 
     cls_pred = classifier.predict_service_ms(test.features)
     cls_rel = float(np.median(

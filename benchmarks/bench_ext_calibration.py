@@ -1,6 +1,7 @@
 """Extension — zero-class probability calibration.
 
-Cottage's cut-confidence gate (EXPERIMENTS.md deviation 2) trusts the
+Cottage's cut-confidence gate (EXPERIMENTS.md deviation 2 and its
+"Calibration" bullet, hand-run and unpinned) trusts the
 quality model's P(zero contribution).  This bench prints the reliability
 diagram and expected calibration error behind that trust: at high
 confidence, predicted-zero shards should truly be zeros.
@@ -10,12 +11,9 @@ from repro.predictors import zero_class_calibration
 from repro.workloads import training_queries
 
 
-def test_ext_calibration(benchmark, testbed):
+def test_ext_calibration(testbed):
     queries = training_queries(testbed.corpus, 80, seed=990)
-    report = benchmark.pedantic(
-        lambda: zero_class_calibration(testbed.bank, queries, n_bins=10),
-        rounds=1, iterations=1,
-    )
+    report = zero_class_calibration(testbed.bank, queries, n_bins=10)
     print("\nExtension — P(zero contribution) reliability:")
     print(report.render())
     assert report.expected_calibration_error < 0.25

@@ -1,6 +1,7 @@
 """Extension — document allocation vs predictor learnability.
 
-EXPERIMENTS.md deviation 3 claims that the paper-style uniform-work
+EXPERIMENTS.md deviation 3 claims ("random allocation drops quality
+accuracy to ~0.65", hand-run and unpinned) that the paper-style uniform-work
 allocation (random/hash) destroys quality-label learnability at
 reproduction scale, which is why this repo partitions topically.  This
 bench measures that claim directly: train the same quality model on the
@@ -44,16 +45,11 @@ def _probe(testbed, partitioner, probe_shards=(0, 1)):
     return float(np.mean(accs)), float(np.mean(zero_agreement))
 
 
-def test_ext_partitioning_learnability(benchmark, testbed):
+def test_ext_partitioning_learnability(testbed):
     topical_acc, topical_zero = _probe(
         testbed, lambda docs, n: partition_topical(docs, n)
     )
     hash_acc, hash_zero = _probe(testbed, partition_hash)
-    benchmark.pedantic(
-        lambda: _probe(testbed, lambda docs, n: partition_topical(docs, n),
-                       probe_shards=(0,)),
-        rounds=1, iterations=1,
-    )
 
     print("\nExtension — allocation vs quality-label learnability:")
     print(f"  topical: accuracy={topical_acc:.3f}  zero/nonzero={topical_zero:.3f}")

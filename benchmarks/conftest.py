@@ -1,9 +1,9 @@
-"""Benchmark fixtures.
+"""Fixtures for the ablation and extension benches.
 
-One trained testbed is shared by every benchmark in the session: the
-evaluation figures all read the same workload, index and trained
-predictors, just like the paper's single-testbed evaluation.  Set
-``REPRO_SCALE=unit|small|full`` to change the size (default: small).
+One trained testbed is shared by every bench in the session.  Set
+``REPRO_SCALE=unit|small|full`` to change the size (default: small).  The
+paper's own figures are not here: ``repro paper`` records them
+(``repro.experiments.scoreboard``) and tier-1 pins them.
 """
 
 from __future__ import annotations
@@ -35,13 +35,3 @@ def emit(report: str) -> None:
     """Print an experiment report so it lands in the benchmark output."""
     print()
     print(report)
-
-
-def full_fidelity(testbed: Testbed) -> bool:
-    """Whether the testbed is big enough for the paper-shape assertions.
-
-    At unit scale (8 shards, a few hundred documents) the simulation still
-    runs end to end but some shape margins (power ordering, C_RES ratios)
-    fall inside noise; benches assert them strictly only at >= small scale.
-    """
-    return testbed.cluster.n_shards >= 16

@@ -7,6 +7,7 @@ The subcommands cover the common workflows::
     repro search index_dir/ canada weather             # query a packed index
     repro compare --scale unit --trace wikipedia       # policy comparison table
     repro figure fig10 --scale small                   # one paper figure/table
+    repro paper --scale small --out .                  # every claim -> EXPERIMENTS.small.json
     repro trace --policy cottage --export perfetto     # telemetry-traced run
     repro faults --scale unit --replicas 2             # fault scenario matrix
     repro serve --scale unit --policy cottage          # open-loop QPS sweep
@@ -19,7 +20,9 @@ The subcommands cover the common workflows::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.experiments import (
@@ -39,6 +42,7 @@ from repro.experiments import (
     fig14_power,
     fig15_ablation,
     headline,
+    scoreboard,
     tables_features,
 )
 from repro.metrics import comparison_table
@@ -111,8 +115,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
 
 def _cmd_index_info(args: argparse.Namespace) -> int:
     """Describe every ``.store`` shard in a packed index directory."""
-    from pathlib import Path
-
     from repro.index import store_info
 
     paths = sorted(Path(args.index).glob("shard_*.store"))
@@ -220,6 +222,24 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_paper(args: argparse.Namespace) -> int:
+    """Record every claim at one scale; re-render EXPERIMENTS.md if it is in --out."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    rec = scoreboard.record(args.scale, Testbed.build(_scale(args.scale)), FIGURES)
+    path = out / f"EXPERIMENTS.{args.scale}.json"
+    path.write_text(json.dumps(rec, indent=1, ensure_ascii=False) + "\n")
+    print(scoreboard.render(rec) + f"\nwrote {path}")
+    doc, small = out / "EXPERIMENTS.md", out / "EXPERIMENTS.small.json"
+    if doc.exists() and small.exists():
+        head, _, rest = doc.read_text().partition(scoreboard.BEGIN)
+        table = scoreboard.render(json.loads(small.read_text()))
+        doc.write_text(head + scoreboard.BEGIN + table + scoreboard.END
+                       + rest.partition(scoreboard.END)[2])
+        print(f"re-rendered {doc} from {small}")
+    return 0
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.telemetry import (
         Telemetry,
@@ -266,8 +286,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     """Run the faults x replication x budget scenario matrix."""
-    import json
-
     from repro.cluster.scenarios import SCENARIOS, default_matrix, run_matrix
 
     for scenario in args.scenarios:
@@ -340,8 +358,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Open-loop saturation campaign: sweep offered QPS, locate the knee."""
-    import json
-
     from repro.serving import (
         AdmissionConfig,
         CampaignConfig,
@@ -455,8 +471,6 @@ def _cmd_select_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run simlint.  Exit-code contract: 0 clean, 1 findings, 2 internal error."""
-    from pathlib import Path
-
     from repro.analysis import LintEngine, get_rules
 
     try:
@@ -543,6 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("name", help=f"one of: {', '.join(sorted(FIGURES))}")
     figure.add_argument("--scale", default="unit")
     figure.set_defaults(fn=_cmd_figure)
+
+    paper = sub.add_parser(
+        "paper", help="measure every paper claim; write the scale's scoreboard record"
+    )
+    paper.add_argument("--scale", default="small")
+    paper.add_argument("--out", required=True, help="directory for EXPERIMENTS.<scale>.json")
+    paper.set_defaults(fn=_cmd_paper)
 
     trace_cmd = sub.add_parser(
         "trace", help="run one policy with telemetry and export the trace"

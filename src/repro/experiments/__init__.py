@@ -1,9 +1,9 @@
 """Experiment harnesses, one per paper figure/table (see DESIGN.md).
 
 Each ``figNN_*`` module exposes ``run(testbed) -> Result`` and
-``format_report(result) -> str``; the benchmark suite under
-``benchmarks/`` drives them and prints the paper-vs-measured tables.
-``paper`` holds the paper's reported values.
+``format_report(result) -> str``; ``repro figure NAME`` prints one.
+``scoreboard`` holds the paper's reported values as one claims table that
+the reports print from and ``repro paper`` records.
 """
 
 from repro.experiments import oracle_sweep

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
 from repro.metrics.latency import latency_histogram
 
@@ -23,6 +23,7 @@ class VariationResult:
     contributing_histogram: dict[int, int]
     modal_contributing_isns: int
     n_queries: int
+    n_shards: int
 
 
 def run(testbed: Testbed) -> VariationResult:
@@ -45,6 +46,7 @@ def run(testbed: Testbed) -> VariationResult:
         contributing_histogram=dict(sorted(contributing.items())),
         modal_contributing_isns=modal,
         n_queries=total,
+        n_shards=testbed.cluster.n_shards,
     )
 
 
@@ -56,21 +58,8 @@ def format_report(result: VariationResult) -> str:
     for lo, hi, count in result.latency_bins:
         bar = "#" * max(int(60 * count / max(result.n_queries, 1)), 0)
         lines.append(f"  [{lo:5.0f},{hi:5.0f}) ms  {count:5d}  {bar}")
-    lines.append(
-        paper.compare(
-            "modal-bin fraction",
-            paper.LATENCY_HISTOGRAM_MODE_FRACTION,
-            result.mode_fraction,
-        )
-    )
+    lines += scoreboard.lines("fig02", result, "a")
     lines.append("(b) ISNs contributing to P@10, per distinct query:")
     for n, count in result.contributing_histogram.items():
         lines.append(f"  {n:2d} ISNs: {count:4d} queries")
-    lines.append(
-        paper.compare(
-            "modal contributing ISNs",
-            paper.TYPICAL_CONTRIBUTING_ISNS,
-            result.modal_contributing_isns,
-        )
-    )
-    return "\n".join(lines)
+    return "\n".join(lines + scoreboard.lines("fig02", result, "b"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
 
 
@@ -55,9 +55,7 @@ def format_report(result: FrequencySweepResult) -> str:
     ]
     for freq in sorted(result.latency_by_freq_ms):
         lines.append(f"  {freq:.1f} GHz: {result.latency_by_freq_ms[freq]:7.2f} ms")
-    lines.append(
-        paper.compare("speedup 1.2 -> 2.7 GHz", paper.FREQ_SWEEP_SPEEDUP, result.speedup)
-    )
+    lines += scoreboard.lines("fig04", result)
     lines.append(
         "  (simulated service time is exactly ∝ 1/f, so the model ratio is "
         f"{2.7 / 1.2:.2f}; the paper's 2.43 includes memory-bound cycles)"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
 from repro.metrics.quality import GroundTruth
 from repro.predictors.datasets import build_quality_dataset
@@ -77,18 +77,4 @@ def format_report(result: QualityPredictorResult) -> str:
         zip(result.per_isn_accuracy, result.per_isn_inference_us)
     ):
         lines.append(f"  ISN-{sid:<2d} accuracy={acc:.3f}  inference={us:6.1f} us")
-    lines.append(
-        paper.compare(
-            "mean quality accuracy",
-            paper.QUALITY_PREDICTION_ACCURACY,
-            float(np.mean(result.per_isn_accuracy)),
-        )
-    )
-    lines.append(
-        paper.compare(
-            "max inference time (us)",
-            paper.QUALITY_INFERENCE_US_MAX,
-            float(np.max(result.per_isn_inference_us)),
-        )
-    )
-    return "\n".join(lines)
+    return "\n".join(lines + scoreboard.lines("fig07", result))

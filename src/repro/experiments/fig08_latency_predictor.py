@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
 from repro.predictors.datasets import build_latency_dataset
 from repro.predictors.latency import LatencyPredictor
@@ -69,18 +69,4 @@ def format_report(result: LatencyPredictorResult) -> str:
         zip(result.per_isn_accuracy, result.per_isn_inference_us)
     ):
         lines.append(f"  ISN-{sid:<2d} accuracy={acc:.3f}  inference={us:6.1f} us")
-    lines.append(
-        paper.compare(
-            "mean latency accuracy",
-            paper.LATENCY_PREDICTION_ACCURACY,
-            float(np.mean(result.per_isn_accuracy)),
-        )
-    )
-    lines.append(
-        paper.compare(
-            "mean inference time (us)",
-            paper.LATENCY_INFERENCE_US_AVG,
-            float(np.mean(result.per_isn_inference_us)),
-        )
-    )
-    return "\n".join(lines)
+    return "\n".join(lines + scoreboard.lines("fig08", result))

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
 from repro.metrics.latency import mean, percentile, timeline
-from repro.metrics.summary import relative_improvement
 from repro.reporting import series_chart
 
 POLICIES = ("exhaustive", "taily", "rank_s", "cottage")
@@ -55,41 +54,5 @@ def format_report(results: dict[str, LatencyResult]) -> str:
                 f"  {policy:<11} avg={result.avg_ms[policy]:7.2f}  "
                 f"p95={result.p95_ms[policy]:7.2f}"
             )
-        cottage_cut = relative_improvement(
-            result.avg_ms["exhaustive"], result.avg_ms["cottage"]
-        )
-        p95_factor = result.p95_ms["exhaustive"] / result.p95_ms["cottage"]
-        if name == "wikipedia":
-            lines.append(
-                paper.compare("cottage avg reduction",
-                              paper.LATENCY_REDUCTION_VS_EXHAUSTIVE, cottage_cut)
-            )
-            lines.append(
-                paper.compare("cottage p95 factor", paper.P95_IMPROVEMENT_WIKI, p95_factor)
-            )
-            lines.append(
-                paper.compare(
-                    "taily avg reduction",
-                    paper.TAILY_AVG_IMPROVEMENT,
-                    relative_improvement(result.avg_ms["exhaustive"], result.avg_ms["taily"]),
-                )
-            )
-            lines.append(
-                paper.compare(
-                    "rank_s avg reduction",
-                    paper.RANKS_AVG_IMPROVEMENT,
-                    relative_improvement(result.avg_ms["exhaustive"], result.avg_ms["rank_s"]),
-                )
-            )
-        else:
-            lines.append(
-                paper.compare(
-                    "cottage avg speedup",
-                    paper.LATENCY_SPEEDUP_LUCENE,
-                    result.avg_ms["exhaustive"] / result.avg_ms["cottage"],
-                )
-            )
-            lines.append(
-                paper.compare("cottage p95 factor", paper.P95_IMPROVEMENT_LUCENE, p95_factor)
-            )
+        lines += scoreboard.lines("fig10", results, name)
     return "\n".join(lines)

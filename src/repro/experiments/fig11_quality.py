@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
 
 POLICIES = ("exhaustive", "taily", "rank_s", "cottage")
@@ -39,22 +39,7 @@ def format_report(result: QualityResult) -> str:
         lines.append(f"[{trace_name}]")
         for policy, value in row.items():
             lines.append(f"  {policy:<11} P@10={value:.3f}")
-    lines.append(
-        paper.compare("cottage P@10 (wikipedia)", paper.P10_COTTAGE_WIKI,
-                      result.p_at_10["wikipedia"]["cottage"])
-    )
-    lines.append(
-        paper.compare("cottage P@10 (lucene)", paper.P10_COTTAGE_LUCENE,
-                      result.p_at_10["lucene"]["cottage"])
-    )
-    lines.append(
-        paper.compare("taily P@10 (wikipedia)", paper.P10_TAILY_WIKI,
-                      result.p_at_10["wikipedia"]["taily"])
-    )
-    lines.append(
-        paper.compare("rank_s P@10 (max)", paper.P10_RANKS_MAX,
-                      max(result.p_at_10[t]["rank_s"] for t in result.p_at_10))
-    )
+    lines += scoreboard.lines("fig11", result)
     lines.append(
         "  NOTE: at reproduction scale Taily's Gamma tail is accurate (shards"
         " are ~200 docs, the top-10 sits at an easy quantile), so Taily's"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
 
 POLICIES = ("exhaustive", "taily", "rank_s", "cottage")
@@ -15,6 +15,7 @@ POLICIES = ("exhaustive", "taily", "rank_s", "cottage")
 @dataclass(frozen=True)
 class ActiveISNResult:
     active: dict[str, dict[str, float]]  # trace -> policy -> mean selected
+    n_shards: int
 
 
 def run(testbed: Testbed) -> ActiveISNResult:
@@ -27,17 +28,13 @@ def run(testbed: Testbed) -> ActiveISNResult:
             )
             for policy in POLICIES
         }
-    return ActiveISNResult(active=table)
+    return ActiveISNResult(active=table, n_shards=testbed.cluster.n_shards)
 
 
 def format_report(result: ActiveISNResult) -> str:
-    lines = ["Fig. 13 — average selected ISNs per query (of 16)"]
+    lines = [f"Fig. 13 — average selected ISNs per query (of {result.n_shards})"]
     for trace_name, row in result.active.items():
         lines.append(f"[{trace_name}]")
         for policy, value in row.items():
             lines.append(f"  {policy:<11} {value:5.2f}")
-    wiki = result.active["wikipedia"]
-    lines.append(paper.compare("cottage", paper.ACTIVE_ISNS_COTTAGE, wiki["cottage"]))
-    lines.append(paper.compare("taily", paper.ACTIVE_ISNS_TAILY, wiki["taily"]))
-    lines.append(paper.compare("rank_s", paper.ACTIVE_ISNS_RANKS, wiki["rank_s"]))
-    return "\n".join(lines)
+    return "\n".join(lines + scoreboard.lines("fig13", result))

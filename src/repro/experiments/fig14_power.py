@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
-from repro.metrics.summary import relative_improvement
 
 POLICIES = ("exhaustive", "taily", "rank_s", "cottage")
 
@@ -15,6 +14,7 @@ POLICIES = ("exhaustive", "taily", "rank_s", "cottage")
 class PowerResult:
     power_w: dict[str, dict[str, float]]  # trace -> policy -> watts
     idle_w: float
+    n_shards: int
 
 
 def run(testbed: Testbed) -> PowerResult:
@@ -26,7 +26,7 @@ def run(testbed: Testbed) -> PowerResult:
             policy: testbed.run(trace, policy).power.average_power_w
             for policy in POLICIES
         }
-    return PowerResult(power_w=table, idle_w=idle)
+    return PowerResult(power_w=table, idle_w=idle, n_shards=testbed.cluster.n_shards)
 
 
 def format_report(result: PowerResult) -> str:
@@ -36,25 +36,7 @@ def format_report(result: PowerResult) -> str:
         lines.append(f"[{trace_name}]")
         for policy, value in row.items():
             lines.append(f"  {policy:<11} {value:6.2f} W")
-    wiki = result.power_w["wikipedia"]
-    lines.append(paper.compare("idle power", paper.POWER_IDLE_W, result.idle_w, " W"))
-    lines.append(
-        paper.compare("exhaustive power", paper.POWER_EXHAUSTIVE_W, wiki["exhaustive"], " W")
-    )
-    lines.append(
-        paper.compare(
-            "cottage power saving",
-            paper.POWER_SAVING_VS_EXHAUSTIVE,
-            relative_improvement(wiki["exhaustive"], wiki["cottage"]),
-        )
-    )
-    lines.append(
-        paper.compare(
-            "taily power saving",
-            paper.TAILY_POWER_SAVING,
-            relative_improvement(wiki["exhaustive"], wiki["taily"]),
-        )
-    )
+    lines += scoreboard.lines("fig14", result)
     lines.append(
         "  NOTE: Cottage's power saving is understated at reproduction scale"
         " — cut shards hold little of the query's work under topical"

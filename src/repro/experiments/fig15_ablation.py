@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
 
 SCHEMES = ("exhaustive", "taily", "cottage_without_ml", "cottage_isn", "cottage")
@@ -69,28 +69,8 @@ def format_report(result: AblationResult) -> str:
                 f"  {row.scheme:<20} {row.avg_latency_ms:6.2f}  {row.p_at_10:.3f}"
                 f"  {row.active_isns:5.2f}  {row.c_res:7.1f}"
             )
-        by = {row.scheme: row for row in rows}
-        isn_factor = by["cottage_isn"].avg_latency_ms / by["cottage"].avg_latency_ms
         if trace_name == "wikipedia":
-            lines.append(
-                paper.compare("cottage_isn latency factor",
-                              paper.COTTAGE_ISN_LATENCY_FACTOR, isn_factor)
-            )
-            lines.append(
-                paper.compare("cottage_without_ml P@10",
-                              paper.P10_COTTAGE_WITHOUT_ML,
-                              by["cottage_without_ml"].p_at_10)
-            )
-            ml_isn_cut = 1.0 - by["cottage"].active_isns / by["cottage_without_ml"].active_isns
-            lines.append(
-                paper.compare("ML-driven active-ISN reduction",
-                              paper.ABLATION_ISN_REDUCTION_FROM_ML, ml_isn_cut)
-            )
-            ml_cres_cut = 1.0 - by["cottage"].c_res / by["cottage_without_ml"].c_res
-            lines.append(
-                paper.compare("ML-driven C_RES reduction",
-                              paper.ABLATION_CRES_REDUCTION_FROM_ML, ml_cres_cut)
-            )
+            lines += scoreboard.lines("fig15", result)
             lines.append(
                 "  NOTE: negative reductions mean the Gamma variant keeps"
                 " FEWER ISNs than Cottage here — at reproduction scale the"

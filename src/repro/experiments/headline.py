@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.experiments import paper
+from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
 from repro.metrics.summary import relative_improvement, summarize_run
 
@@ -24,6 +22,7 @@ class HeadlineResult:
     power_saving: float
     p_at_10: float
     active_isns: float
+    n_shards: int
 
 
 def run(testbed: Testbed) -> HeadlineResult:
@@ -41,32 +40,10 @@ def run(testbed: Testbed) -> HeadlineResult:
         power_saving=relative_improvement(exhaustive.avg_power_w, cottage.avg_power_w),
         p_at_10=cottage.avg_precision,
         active_isns=cottage.avg_selected_isns,
+        n_shards=testbed.cluster.n_shards,
     )
 
 
 def format_report(result: HeadlineResult) -> str:
     lines = ["Headline — Cottage vs exhaustive (Wikipedia trace)"]
-    lines.append(
-        paper.compare("avg latency reduction",
-                      paper.LATENCY_REDUCTION_VS_EXHAUSTIVE, result.latency_reduction)
-    )
-    lines.append(
-        paper.compare("avg latency speedup", paper.LATENCY_SPEEDUP_WIKI,
-                      result.latency_speedup)
-    )
-    lines.append(
-        paper.compare("p95 latency factor", paper.P95_IMPROVEMENT_WIKI, result.p95_factor)
-    )
-    lines.append(
-        paper.compare("documents searched ratio", paper.DOCS_SEARCHED_RATIO,
-                      result.docs_ratio)
-    )
-    lines.append(
-        paper.compare("power saving", paper.POWER_SAVING_VS_EXHAUSTIVE,
-                      result.power_saving)
-    )
-    lines.append(paper.compare("P@10", paper.P10_COTTAGE_WIKI, result.p_at_10))
-    lines.append(
-        paper.compare("active ISNs", paper.ACTIVE_ISNS_COTTAGE, result.active_isns)
-    )
-    return "\n".join(lines)
+    return "\n".join(lines + scoreboard.lines("headline", result))

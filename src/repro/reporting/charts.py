@@ -2,7 +2,7 @@
 
 The experiment harnesses print their figures; these helpers render the
 paper's bar charts, histograms, time series and scatter plots as aligned
-ASCII so `pytest benchmarks/` output reads like the evaluation section.
+ASCII so `repro figure NAME` output reads like the evaluation section.
 """
 
 from __future__ import annotations

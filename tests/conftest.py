@@ -12,6 +12,7 @@ workflow's property step runs).  Select with
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 
@@ -70,6 +71,45 @@ def tiny_corpus() -> SyntheticCorpus:
 def unit_testbed() -> Testbed:
     """A fully trained testbed at unit scale — the integration workhorse."""
     return Testbed.build(Scale.unit())
+
+
+#: ``bank_digest`` of the unit testbed the cross-commit pins were captured
+#: against (``test_event_loop_identity.EXPECTED``, ``EXPERIMENTS.unit.json``).
+BANK = "aa5f1eb8ce7642d961916252e8c2793c84856e4b"
+#: Cottage's (cut, half-cut) confidence gates at that capture.  The digest is
+#: of the bank alone: a policy whose defaults move fails the pins themselves,
+#: naming what moved, instead of being reported as a host difference.
+GATES = (0.9, 0.75)
+
+
+def bank_digest(testbed) -> str:
+    """What decisions consume of the bank, for every trace query."""
+    lines = []
+    seen = set()
+    for trace in (testbed.wikipedia_trace, testbed.lucene_trace):
+        for query in trace:
+            if query.terms in seen:
+                continue
+            seen.add(query.terms)
+            lines.append(
+                ";".join(
+                    f"{p.shard_id},{p.quality_k},{p.quality_half_k},"
+                    f"{p.service_default_ms!r},"
+                    f"{p.p_zero_k < GATES[0]:d}{p.p_zero_half < GATES[1]:d}"
+                    for p in testbed.bank.predict(query)
+                )
+            )
+    return hashlib.sha1("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="session")
+def bank_ok(unit_testbed) -> bool:
+    """Whether this host trained the bank the pins were captured against.
+
+    ``test_event_loop_identity.test_bank_matches_capture`` fails once with
+    the reason when it did not; every pinned case then skips.
+    """
+    return bank_digest(unit_testbed) == BANK
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,8 @@ flattened heap entries to ``(time, seq, fn, args)`` tuples, folded
 
     PYTHONPATH=src python tests/test_event_loop_identity.py
 
-which prints the ``BANK`` and ``EXPECTED`` literals below.  Nothing in the
+which prints the ``BANK`` literal (it lives in ``tests/conftest.py``, shared
+with the scoreboard pin) and the ``EXPECTED`` literal below.  Nothing in the
 capture path touches a private name, so the same script runs unchanged on
 either side of the refactor.  Regenerate the same way — on the commit
 *before* the change under test — whenever a PR changes simulated
@@ -32,7 +33,7 @@ sink's snapshot.  ``events_processed`` and the policy's decision counts
 the digest so a mismatch says which layer moved.
 
 The runs are functions of the trained predictor bank, and training runs
-on the host's BLAS.  ``BANK`` digests exactly what a decision consumes
+on the host's BLAS.  ``conftest.BANK`` digests exactly what a decision consumes
 (predicted counts, predicted service time, and which side of the policy's
 confidence gates each zero-probability falls on — not the raw softmax
 floats), so last-bit gemm differences between hosts do not move it.  If
@@ -64,8 +65,6 @@ FAULTS = ("none", "wedged")
 SERVE_QUERIES = 500
 SERVE_RATE_QPS = 150.0
 SERVE_MAX_IN_FLIGHT = 6
-
-BANK = "aa5f1eb8ce7642d961916252e8c2793c84856e4b"
 
 # case -> (events_processed, (decisions, selected, boosted, budgeted), digest)
 EXPECTED: dict[str, tuple[int, tuple[int, int, int, int], str]] = {
@@ -180,28 +179,6 @@ def _run_lines(run) -> list[str]:
     return lines
 
 
-def bank_digest(testbed) -> str:
-    """What decisions consume of the bank, for every trace query."""
-    policy = testbed.make_policy("cottage")
-    lines = []
-    seen = set()
-    for trace in (testbed.wikipedia_trace, testbed.lucene_trace):
-        for query in trace:
-            if query.terms in seen:
-                continue
-            seen.add(query.terms)
-            lines.append(
-                ";".join(
-                    f"{p.shard_id},{p.quality_k},{p.quality_half_k},"
-                    f"{p.service_default_ms!r},"
-                    f"{p.p_zero_k < policy.cut_confidence:d}"
-                    f"{p.p_zero_half < policy.half_cut_confidence:d}"
-                    for p in testbed.bank.predict(query)
-                )
-            )
-    return _sha(lines)
-
-
 def run_case(testbed, case: str) -> tuple[int, tuple[int, int, int, int], str]:
     """One named case -> (events, decision counts, digest)."""
     driver, policy_name, mode, fault = case.split("/")
@@ -237,11 +214,6 @@ CASES = [
     for mode in MODES
     for fault in FAULTS
 ] + ["run_trace/exhaustive/primary_r1/none", "run_trace/taily/primary_r1/none"]
-
-
-@pytest.fixture(scope="module")
-def bank_ok(unit_testbed) -> bool:
-    return bank_digest(unit_testbed) == BANK
 
 
 def test_bank_matches_capture(bank_ok):
@@ -286,7 +258,9 @@ def test_every_mode_exercises_its_machinery(unit_testbed, bank_ok):
     assert tied.cancelled_in_queue + tied.duplicates_dropped > 0
 
 
-if __name__ == "__main__":  # capture mode: print the literals above
+if __name__ == "__main__":  # capture mode: print BANK (tests/conftest.py) and EXPECTED
+    from conftest import bank_digest
+
     from repro.experiments import Scale, Testbed
 
     bed = Testbed.build(Scale.unit())

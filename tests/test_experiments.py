@@ -1,8 +1,9 @@
 """Integration tests for the experiment harnesses (unit-scale testbed).
 
 Each harness must run end to end, produce a well-formed result, and render
-a report.  The benchmark suite asserts the paper shapes at full scale;
-here we assert structural correctness only.
+a report.  Structure is asserted here; the paper's numbers and orderings
+are claims in ``repro.experiments.scoreboard``, pinned at unit scale by
+``tests/test_scoreboard.py``.
 """
 
 import pytest
@@ -71,6 +72,7 @@ class TestHarnesses:
     def test_fig02(self, unit_testbed):
         result = fig02_variation.run(unit_testbed)
         assert sum(c for _, _, c in result.latency_bins) == result.n_queries
+        assert len(result.latency_bins) >= 4  # a long tail beyond the modal bin
         assert sum(result.contributing_histogram.values()) > 0
         assert "Fig. 2" in fig02_variation.format_report(result)
 
