@@ -26,6 +26,8 @@ Quickstart::
     summaries = testbed.compare_policies(testbed.wikipedia_trace)
 """
 
+# First, before any module that loads numpy: pins BLAS to one thread.
+from repro import host  # noqa: F401
 from repro.cluster import Decision, QueryRecord, SearchCluster
 from repro.core import (
     BudgetDecision,

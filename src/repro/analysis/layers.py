@@ -35,6 +35,7 @@ from repro.analysis.registry import FileContext, Rule, dotted_name, register
 LAYERS: tuple[tuple[int, str, tuple[str, ...]], ...] = (
     (0, "foundation", (
         "telemetry/", "reporting/", "analysis/", "text/", "scoring/", "nn/",
+        "host.py",
     )),
     (1, "index", ("index/",)),
     (2, "retrieval", ("retrieval/",)),

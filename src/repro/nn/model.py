@@ -86,6 +86,10 @@ class Sequential:
             raise ValueError("x and y must have the same number of rows")
         if x.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
+        if iterations < 1:
+            raise ValueError(f"iterations must be positive, got {iterations}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
         loss = loss or SparseCategoricalCrossentropy()
         optimizer = optimizer or Adam()
         rng = np.random.default_rng(seed)

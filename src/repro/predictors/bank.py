@@ -13,14 +13,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.cluster.engine import SearchCluster
+from repro.host import process_map
 from repro.index.term_stats import TermStatsIndex
 from repro.metrics.quality import GroundTruth
 from repro.predictors.arrays import FloatArray
-from repro.predictors.datasets import build_latency_dataset, build_quality_dataset
+from repro.predictors.datasets import (
+    ShardLatencyDataset,
+    ShardQualityDataset,
+    build_latency_dataset,
+    build_quality_dataset,
+)
 from repro.predictors.features import (
     TermFeatureCache,
     latency_features,
@@ -69,6 +77,24 @@ class TrainingReport:
     @property
     def mean_latency_accuracy(self) -> float:
         return float(np.mean(self.latency_accuracy))
+
+
+class FitJob(NamedTuple):
+    """One predictor's training, self-contained: it runs in any process."""
+
+    predictor: QualityPredictor | LatencyPredictor
+    features: FloatArray
+    targets: NDArray[Any]  # quality labels or service ms, as ``fit`` takes them
+    iterations: int
+    seed: int
+
+
+def fit_job(job: FitJob) -> dict[str, FloatArray]:
+    """Fit the job's predictor; its trained :meth:`state`."""
+    job.predictor.fit(
+        job.features, job.targets, iterations=job.iterations, seed=job.seed
+    )
+    return job.predictor.state()
 
 
 class PredictorBank:
@@ -147,33 +173,48 @@ class PredictorBank:
         """Train every per-shard model; report held-out accuracy.
 
         ``truth`` is built from the cluster's own exhaustive searcher when
-        not supplied.
+        not supplied.  Every shard's datasets are built here, from the
+        cluster's searchers; the 3 x n_shards fits are then independent
+        jobs (:class:`FitJob`) that :func:`~repro.host.process_map` spreads
+        over the CPUs, and the weights they return are loaded into this
+        bank's predictors — bit for bit what fitting them here would give.
         """
+        if quality_iterations < 1 or latency_iterations < 1:
+            raise ValueError(
+                "training iterations must be positive, got quality_iterations="
+                f"{quality_iterations}, latency_iterations={latency_iterations}"
+            )
         if len(queries) < 10:
             raise ValueError("need at least 10 training queries")
         if truth is None:
             truth = GroundTruth.build(self.cluster.searcher, queries, k=self.k)
-        report = TrainingReport()
+        jobs: list[FitJob] = []
+        held_out: list[tuple[ShardQualityDataset, ShardLatencyDataset]] = []
         for sid in range(self.n_shards):
             stats = self.stats_indexes[sid]
             q_data = build_quality_dataset(sid, stats, queries, truth)
             l_data = build_latency_dataset(sid, stats, self.cluster, queries)
             q_train, q_test = q_data.split(holdout, seed=seed)
             l_train, l_test = l_data.split(holdout, seed=seed)
+            held_out.append((q_test, l_test))
+            jobs += [
+                FitJob(self.quality_k_models[sid], q_train.features,
+                       q_train.labels_k, quality_iterations, seed),
+                FitJob(self.quality_half_models[sid], q_train.features,
+                       q_train.labels_half_k, quality_iterations, seed),
+                FitJob(self.latency_models[sid], l_train.features,
+                       l_train.service_ms, latency_iterations, seed),
+            ]
+        # The weights change from here on: the bank is untrained until the
+        # last state is loaded.
+        self.trained = False
+        self._prediction_cache.clear()
+        self._fused = None
+        for job, state in zip(jobs, process_map(fit_job, jobs)):
+            job.predictor.load_state(state)
 
-            self.quality_k_models[sid].fit(
-                q_train.features, q_train.labels_k,
-                iterations=quality_iterations, seed=seed,
-            )
-            self.quality_half_models[sid].fit(
-                q_train.features, q_train.labels_half_k,
-                iterations=quality_iterations, seed=seed,
-            )
-            self.latency_models[sid].fit(
-                l_train.features, l_train.service_ms,
-                iterations=latency_iterations, seed=seed,
-            )
-
+        report = TrainingReport()
+        for sid, (q_test, l_test) in enumerate(held_out):
             report.quality_accuracy.append(
                 self.quality_k_models[sid].accuracy(q_test.features, q_test.labels_k)
             )
@@ -192,8 +233,6 @@ class PredictorBank:
                 self.latency_models[sid].inference_time_us(l_test.features[0])
             )
         self.trained = True
-        self._prediction_cache.clear()
-        self._fused = None  # weights changed; stacks rebuild lazily
         return report
 
     # ------------------------------------------------------------- inference

@@ -1,11 +1,20 @@
 """Tests for the predictor bank and its datasets (trained unit testbed)."""
 
+import concurrent.futures
+import multiprocessing
+import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+import repro.host as host
+import repro.predictors.bank as bank_module
 from repro.metrics import GroundTruth
 from repro.predictors import (
     PredictorBank,
+    QualityPredictor,
     build_latency_dataset,
     build_quality_dataset,
 )
@@ -100,3 +109,190 @@ class TestPredictorBank:
 
     def test_coordination_overhead_subms(self, unit_testbed):
         assert 0.0 < unit_testbed.bank.coordination_overhead_ms() < 1.0
+
+
+class TestTrainingValidation:
+    @pytest.mark.parametrize("quality, latency", [(0, 20), (-1, 20), (30, 0)])
+    def test_nonpositive_iterations_rejected_before_any_work(
+        self, unit_testbed, unit_train_queries, monkeypatch, quality, latency
+    ):
+        # These used to leave the bank trained on random weights.
+        def no_work(*args, **kwargs):
+            raise AssertionError("training did work before validating")
+
+        monkeypatch.setattr(GroundTruth, "build", no_work)
+        monkeypatch.setattr(bank_module, "build_quality_dataset", no_work)
+        monkeypatch.setattr(bank_module, "process_map", no_work)
+        bank = PredictorBank(unit_testbed.cluster)
+        with pytest.raises(
+            ValueError,
+            match=f"^training iterations must be positive, got "
+            f"quality_iterations={quality}, latency_iterations={latency}$",
+        ):
+            bank.train(
+                unit_train_queries, quality_iterations=quality,
+                latency_iterations=latency,
+            )
+        assert not bank.trained
+
+
+# Small enough to train a unit-scale bank several times per test run; the
+# pooled/serial identity does not depend on the iteration count.
+QUALITY_ITERATIONS, LATENCY_ITERATIONS = 8, 5
+
+
+@pytest.fixture(scope="module")
+def unit_truth(unit_testbed, unit_train_queries):
+    return GroundTruth.build(
+        unit_testbed.cluster.searcher, unit_train_queries, k=unit_testbed.cluster.k
+    )
+
+
+@pytest.fixture(scope="module")
+def direct_fits(unit_testbed, unit_train_queries, unit_truth):
+    """Every predictor fitted by a direct ``fit`` in this process, on the
+    splits ``train`` makes, with the held-out accuracies ``train`` reports."""
+    bank = PredictorBank(unit_testbed.cluster)
+    accuracies = {"quality": [], "quality_half": [], "latency": []}
+    for sid in range(bank.n_shards):
+        stats = bank.stats_indexes[sid]
+        q_train, q_test = build_quality_dataset(
+            sid, stats, unit_train_queries, unit_truth
+        ).split(0.2, seed=0)
+        l_train, l_test = build_latency_dataset(
+            sid, stats, unit_testbed.cluster, unit_train_queries
+        ).split(0.2, seed=0)
+        for model, labels, test_labels, key in (
+            (bank.quality_k_models[sid], q_train.labels_k, q_test.labels_k, "quality"),
+            (bank.quality_half_models[sid], q_train.labels_half_k,
+             q_test.labels_half_k, "quality_half"),
+        ):
+            model.fit(q_train.features, labels, iterations=QUALITY_ITERATIONS, seed=0)
+            accuracies[key].append(model.accuracy(q_test.features, test_labels))
+        model = bank.latency_models[sid]
+        model.fit(
+            l_train.features, l_train.service_ms, iterations=LATENCY_ITERATIONS, seed=0
+        )
+        accuracies["latency"].append(model.accuracy(l_test.features, l_test.service_ms))
+    return bank, accuracies
+
+
+def all_models(bank):
+    return bank.quality_k_models + bank.quality_half_models + bank.latency_models
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools the test opens.
+
+    A hang fails the test, and no worker may outlive it.  The guard is an
+    alarm, not a watchdog thread: forking a multi-threaded process is what
+    the BLAS pin exists to avoid.
+    """
+    opened = []
+
+    def recording_pool(max_workers, **kwargs):
+        opened.append(max_workers)
+        return ProcessPoolExecutor(max_workers, **kwargs)
+
+    def hung(signum, frame):
+        raise TimeoutError("bank.train did not return")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    yield opened
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def force_cpus(monkeypatch, cpus):
+    if cpus > 1 and not host.BLAS_SINGLE_THREADED:
+        pytest.skip("BLAS is not pinned to one thread, so training never forks")
+    monkeypatch.setattr(host, "usable_cpus", lambda: cpus)
+
+
+class TestPooledTraining:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_pooled_training_is_the_serial_training(
+        self, unit_testbed, unit_train_queries, unit_truth, direct_fits,
+        monkeypatch, pools, cpus,
+    ):
+        force_cpus(monkeypatch, cpus)
+        bank = PredictorBank(unit_testbed.cluster)
+        report = bank.train(
+            unit_train_queries, truth=unit_truth,
+            quality_iterations=QUALITY_ITERATIONS,
+            latency_iterations=LATENCY_ITERATIONS,
+        )
+        assert pools == ([] if cpus == 1 else [cpus])
+        reference, accuracies = direct_fits
+        for trained, fitted in zip(all_models(bank), all_models(reference)):
+            state, expected = trained.state(), fitted.state()
+            assert state.keys() == expected.keys()
+            for key in expected:
+                assert state[key].dtype == expected[key].dtype
+                assert state[key].tobytes() == expected[key].tobytes(), key
+        assert report.quality_accuracy == accuracies["quality"]
+        assert report.quality_half_accuracy == accuracies["quality_half"]
+        assert report.latency_accuracy == accuracies["latency"]
+
+    def test_unpinned_blas_trains_in_process(
+        self, unit_testbed, unit_train_queries, unit_truth, monkeypatch, pools
+    ):
+        monkeypatch.setattr(host, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(host, "BLAS_SINGLE_THREADED", False)
+        bank = PredictorBank(unit_testbed.cluster)
+        bank.train(
+            unit_train_queries, truth=unit_truth, quality_iterations=1,
+            latency_iterations=1,
+        )
+        assert bank.trained
+        assert pools == []
+
+
+class TestTrainingWorkerFailure:
+    def test_dead_worker_is_one_clean_error(
+        self, unit_testbed, unit_train_queries, unit_truth, monkeypatch, pools
+    ):
+        force_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            assert os.getpid() != parent, "fit ran in the test process"
+            os._exit(3)
+
+        monkeypatch.setattr(QualityPredictor, "fit", die)
+        bank = PredictorBank(unit_testbed.cluster)
+        with pytest.raises(
+            RuntimeError, match=r"^worker process \d+ died with exit code 3$"
+        ):
+            bank.train(
+                unit_train_queries, truth=unit_truth,
+                quality_iterations=QUALITY_ITERATIONS,
+                latency_iterations=LATENCY_ITERATIONS,
+            )
+        assert not bank.trained
+        assert not bank._prediction_cache
+        assert pools == [2]
+
+    def test_worker_exception_reaches_the_caller_as_itself(
+        self, unit_testbed, unit_train_queries, unit_truth, monkeypatch, pools
+    ):
+        force_cpus(monkeypatch, 2)
+        fit = QualityPredictor.fit
+
+        def fit_nothing(self, features, labels, **kwargs):
+            return fit(self, features, labels, **{**kwargs, "iterations": 0})
+
+        monkeypatch.setattr(QualityPredictor, "fit", fit_nothing)
+        bank = PredictorBank(unit_testbed.cluster)
+        with pytest.raises(ValueError, match="^iterations must be positive, got 0$"):
+            bank.train(
+                unit_train_queries, truth=unit_truth,
+                quality_iterations=QUALITY_ITERATIONS,
+                latency_iterations=LATENCY_ITERATIONS,
+            )
+        assert not bank.trained
+        assert pools == [2]

@@ -278,6 +278,24 @@ class TestSequential:
         with pytest.raises(ValueError):
             model.fit(np.zeros((0, 3)), np.zeros(0))
 
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            ("iterations", 0, "iterations must be positive, got 0"),
+            ("iterations", -1, "iterations must be positive, got -1"),
+            ("batch_size", 0, "batch_size must be positive, got 0"),
+            ("batch_size", -4, "batch_size must be positive, got -4"),
+        ],
+    )
+    def test_degenerate_training_settings_rejected(self, setting, value, message):
+        # These used to train nothing (nan losses, untouched weights) and return.
+        model = mlp_classifier(3, 2, hidden_layers=1, hidden_units=4)
+        before = {key: array.copy() for key, array in model.state().items()}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            model.fit(np.ones((8, 3)), np.zeros(8, dtype=int), **{setting: value})
+        for key, array in model.state().items():
+            np.testing.assert_array_equal(array, before[key])
+
     def test_predict_single_row(self):
         model = mlp_classifier(3, 2, hidden_layers=1, hidden_units=4)
         assert model.predict(np.zeros(3)).shape == (1, 2)
