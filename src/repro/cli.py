@@ -28,6 +28,7 @@ from typing import Callable, Iterable
 from repro.experiments import (
     Scale,
     Testbed,
+    beyond,
     fig02_variation,
     fig03_policy_example,
     fig04_frequency,
@@ -63,6 +64,7 @@ FIGURES: dict[str, object] = {
     "fig15": fig15_ablation,
     "tables": tables_features,
     "headline": headline,
+    "beyond": beyond,
 }
 
 ALL_POLICIES = (
@@ -232,10 +234,7 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     print(scoreboard.render(rec) + f"\nwrote {path}")
     doc, small = out / "EXPERIMENTS.md", out / "EXPERIMENTS.small.json"
     if doc.exists() and small.exists():
-        head, _, rest = doc.read_text().partition(scoreboard.BEGIN)
-        table = scoreboard.render(json.loads(small.read_text()))
-        doc.write_text(head + scoreboard.BEGIN + table + scoreboard.END
-                       + rest.partition(scoreboard.END)[2])
+        doc.write_text(scoreboard.rerender(doc.read_text(), json.loads(small.read_text())))
         print(f"re-rendered {doc} from {small}")
     return 0
 

@@ -37,14 +37,6 @@ from repro.cluster.scenarios import (
     run_matrix,
     scenario_schedule,
 )
-from repro.cluster.sleep import SleepPolicy
-from repro.cluster.governor import (
-    GOVERNORS,
-    AssignedFrequencyGovernor,
-    FrequencyGovernor,
-    RaceToIdleGovernor,
-    SlackGovernor,
-)
 from repro.cluster.isn import ISNServer, Job
 from repro.cluster.network import NetworkModel
 from repro.cluster.power import EnergyMeter, PowerModel, PowerReport, package_report
@@ -69,11 +61,6 @@ __all__ = [
     "NetworkModel",
     "ISNServer",
     "Job",
-    "FrequencyGovernor",
-    "AssignedFrequencyGovernor",
-    "SlackGovernor",
-    "RaceToIdleGovernor",
-    "GOVERNORS",
     "ResultCache",
     "CacheStats",
     "FaultSchedule",
@@ -95,7 +82,6 @@ __all__ = [
     "scenario_schedule",
     "default_matrix",
     "run_matrix",
-    "SleepPolicy",
     "Aggregator",
     "SearchCluster",
     "RunResult",

@@ -14,11 +14,9 @@ from typing import TYPE_CHECKING, Iterable
 from repro.cluster.cache import CacheStats, ResultCache
 from repro.cluster.cpu import CostModel, FrequencyScale
 from repro.cluster.faults import FaultSchedule
-from repro.cluster.governor import FrequencyGovernor
 from repro.cluster.network import NetworkModel
 from repro.cluster.power import PowerModel, PowerReport
 from repro.cluster.replicas import ReplicationConfig
-from repro.cluster.sleep import SleepPolicy
 from repro.cluster.types import QueryRecord, SelectionPolicy
 from repro.index.shard import IndexShard
 from repro.retrieval.executor import SerialExecutor
@@ -150,24 +148,20 @@ class SearchCluster:
         self,
         trace: QueryTrace,
         policy: SelectionPolicy,
-        governor: FrequencyGovernor | None = None,
         cache: ResultCache | None = None,
         faults: FaultSchedule | None = None,
         response_timeout_ms: float | None = None,
-        sleep: SleepPolicy | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
     ) -> RunResult:
         """Replay ``trace`` under ``policy`` and report latency + power.
 
-        ``governor`` optionally overrides the per-job frequency choice on
-        every ISN (see :mod:`repro.cluster.governor`); the default obeys
-        the policy's assignment, the paper's behaviour.  ``cache``
-        optionally answers repeated queries at the aggregator before the
-        policy runs (see :mod:`repro.cluster.cache`).  ``faults`` injects
-        fail-silent ISN outages; pair unbudgeted policies with
-        ``response_timeout_ms`` so the aggregator cannot wait forever.
-        ``sleep`` enables PowerNap-style idle naps on every ISN.
+        ISNs run each job at the frequency the policy assigns, the paper's
+        behaviour.  ``cache`` optionally answers repeated queries at the
+        aggregator before the policy runs (see :mod:`repro.cluster.cache`).
+        ``faults`` injects fail-silent ISN outages; pair unbudgeted
+        policies with ``response_timeout_ms`` so the aggregator cannot
+        wait forever.
 
         ``replication`` runs R independent ISN replicas per shard (each
         with its own queue, CPU and meter, sharing the shard's memoized
@@ -204,11 +198,9 @@ class SearchCluster:
         return ServingPlane(self).run(
             trace,
             policy,
-            governor=governor,
             cache=cache,
             faults=faults,
             response_timeout_ms=response_timeout_ms,
-            sleep=sleep,
             telemetry=telemetry,
             replication=replication,
         )
@@ -220,11 +212,9 @@ class SearchCluster:
         *,
         admission: AdmissionController | None = None,
         retain_records: bool = False,
-        governor: FrequencyGovernor | None = None,
         cache: ResultCache | None = None,
         faults: FaultSchedule | None = None,
         response_timeout_ms: float | None = None,
-        sleep: SleepPolicy | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
     ) -> RunResult:
@@ -243,11 +233,9 @@ class SearchCluster:
         return ServingPlane(self).run(
             source,
             policy,
-            governor=governor,
             cache=cache,
             faults=faults,
             response_timeout_ms=response_timeout_ms,
-            sleep=sleep,
             telemetry=telemetry,
             replication=replication,
             admission=admission,

@@ -32,8 +32,9 @@ the ``random_*`` constructors, which require an explicitly seeded
 ``random.Random`` — the repo's DET-RNG discipline: identical seeds give
 identical fault timelines, so scenario-matrix cells are comparable.
 
-``tests/test_faults.py``, ``tests/test_scenario_matrix.py`` and
-``benchmarks/bench_ext_fault_injection.py`` exercise all of this.
+``tests/test_faults.py`` and ``tests/test_scenario_matrix.py`` exercise
+all of this; the ``beyond.ext_fault_injection`` claim measures an outage
+against Cottage's budgets.
 """
 
 from __future__ import annotations

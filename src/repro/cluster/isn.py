@@ -16,9 +16,7 @@ from typing import Any, Callable
 from repro.cluster.cpu import CostModel, FrequencyScale
 from repro.cluster.events import Simulator
 from repro.cluster.faults import FaultSchedule
-from repro.cluster.governor import AssignedFrequencyGovernor, FrequencyGovernor
 from repro.cluster.power import EnergyMeter
-from repro.cluster.sleep import SleepPolicy
 from repro.retrieval.query import Query
 from repro.retrieval.result import SearchResult
 from repro.retrieval.searcher import ShardSearcher
@@ -76,9 +74,7 @@ class ISNServer:
         cost_model: CostModel,
         freq_scale: FrequencyScale,
         meter: EnergyMeter,
-        governor: FrequencyGovernor | None = None,
         faults: FaultSchedule | None = None,
-        sleep: SleepPolicy | None = None,
         telemetry: Telemetry | None = None,
         replica_id: int = 0,
     ) -> None:
@@ -88,10 +84,6 @@ class ISNServer:
         self.cost_model = cost_model
         self.freq_scale = freq_scale
         self.meter = meter
-        self.governor = governor or AssignedFrequencyGovernor()
-        # The default governor obeys the assignment, which make_job already
-        # snapped to the ladder — nothing to ask at service start.
-        self._governed = type(self.governor) is not AssignedFrequencyGovernor
         default_ghz = freq_scale.default_ghz
         self._default_hz = default_ghz * 1e6
         self._boost_above_ghz = default_ghz + 1e-12
@@ -100,7 +92,6 @@ class ISNServer:
             ghz: freq_scale.clamp(ghz) for ghz in (default_ghz, freq_scale.max_ghz)
         }
         self.faults = faults
-        self.sleep = sleep
         # Telemetry: the tracer reference is None when disabled so every
         # hot-path check is a single attribute test (zero allocation).
         telemetry = telemetry or NO_TELEMETRY
@@ -115,13 +106,11 @@ class ISNServer:
         self._m_queued_work = self._metrics.histogram("isn.queued_work_ms")
         self._queue: deque[Job] = deque()
         self._busy = False
-        self._last_activity_end_ms = 0.0
         self.queued_work_default_ms = 0.0  # remaining work, default-frequency ms
         self.jobs_processed = 0
         self.jobs_aborted = 0
         self.jobs_cancelled = 0
         self.jobs_lost_to_faults = 0
-        self.wakeups = 0
 
     # ------------------------------------------------------------- submission
     def make_job(
@@ -214,32 +203,9 @@ class ISNServer:
                 job.on_done(job, False, 0.0)
                 continue
             self._busy = True
-            # If the core napped through the preceding idle gap, credit
-            # the nap energy and pay the wake latency before service.
-            wake_ms = 0.0
-            if self.sleep is not None:
-                # gap == 0 for back-to-back jobs; only a real idle stretch
-                # can have napped.
-                gap = max(now - self._last_activity_end_ms, 0.0)
-                nap = self.sleep.nap_ms_in_gap(gap)
-                if nap > 0:
-                    self.meter.add_nap(nap, self.sleep.nap_power_w)
-                    wake_ms = self.sleep.wake_penalty_ms(gap)
-                    self.wakeups += 1
             job.started_ms = now
-            if self._governed:
-                # The governor has the final say on the core frequency,
-                # given how much of the budget queueing already consumed.
-                job.freq_ghz = self.governor.frequency_for(
-                    job.result.cost, job.freq_ghz,
-                    deadline - now if deadline is not None else None,
-                    self.cost_model, self.freq_scale,
-                )
-                if job.freq_ghz <= 0:
-                    raise ValueError("frequency must be positive")
-                job.boosted = job.freq_ghz > self._boost_above_ghz
             freq_ghz = job.freq_ghz
-            service_ms = job.cycles / (freq_ghz * 1e6)
+            busy = job.cycles / (freq_ghz * 1e6)
             if self.faults is not None:
                 # Straggler injection: the replica silently serves this
                 # job slower (GC pause, noisy neighbour).  The factor is
@@ -247,10 +213,9 @@ class ISNServer:
                 # estimate (queued_work_default_ms) deliberately stays
                 # unaware, because the upstream latency predictor would
                 # not know either.
-                service_ms *= self.faults.slowdown_factor(
+                busy *= self.faults.slowdown_factor(
                     self.shard_id, now, self.replica_id
                 )
-            busy = wake_ms + service_ms
             completed = True
             if deadline is not None and now + busy > deadline:
                 # Will miss the budget: work until the deadline, then abort.
@@ -270,28 +235,11 @@ class ISNServer:
                 self._metrics.counter(
                     f"isn.freq_residency_ms.{freq_ghz:.1f}ghz"
                 ).add(busy)
-                if wake_ms > 0:
-                    self._metrics.counter("isn.wakeups").add()
             return
         self._busy = False
-
-    def finalize_sleep(self, now_ms: float) -> None:
-        """Credit the trailing idle gap at end of run.
-
-        Without this, an ISN a policy never touched would earn no nap
-        savings despite sleeping the whole trace.
-        """
-        if self.sleep is None or self._busy or self._queue:
-            return
-        gap = max(now_ms - self._last_activity_end_ms, 0.0)
-        nap = self.sleep.nap_ms_in_gap(gap)
-        if nap > 0:
-            self.meter.add_nap(nap, self.sleep.nap_power_w)
-        self._last_activity_end_ms = now_ms
 
     def _finish(self, job: Job, completed: bool, busy_ms: float, sim: Simulator) -> None:
         self._busy = False
-        self._last_activity_end_ms = sim.now
         if completed:
             self.jobs_processed += 1
         else:

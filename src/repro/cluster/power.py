@@ -50,8 +50,6 @@ class EnergyMeter:
     busy_ms: float = 0.0
     busy_energy_mj: float = 0.0  # millijoules (W * ms)
     boosted_ms: float = 0.0
-    nap_ms: float = 0.0
-    nap_savings_mj: float = 0.0
     _freq_ms: dict[float, float] = field(default_factory=dict)
 
     def add_busy(self, duration_ms: float, freq_ghz: float, boosted: bool = False) -> None:
@@ -63,26 +61,13 @@ class EnergyMeter:
             self.boosted_ms += duration_ms
         self._freq_ms[freq_ghz] = self._freq_ms.get(freq_ghz, 0.0) + duration_ms
 
-    def add_nap(self, duration_ms: float, nap_power_w: float) -> None:
-        """Credit a nap interval: the core drew ``nap_power_w`` instead of
-        its static power for ``duration_ms`` of what would otherwise be
-        counted as plain idle time."""
-        if duration_ms < 0:
-            raise ValueError("duration must be non-negative")
-        saving = max(self.model.core_static_w - nap_power_w, 0.0)
-        self.nap_ms += duration_ms
-        self.nap_savings_mj += duration_ms * saving
-
     def total_energy_mj(self, elapsed_ms: float) -> float:
-        """Busy energy plus static energy over the full elapsed window,
-        minus any nap savings."""
+        """Busy energy plus static energy over the full elapsed window."""
         if elapsed_ms < self.busy_ms - 1e-6:
             raise ValueError("elapsed time shorter than recorded busy time")
         idle_ms = max(elapsed_ms - self.busy_ms, 0.0)
         idle_energy = idle_ms * self.model.core_power_w(freq_ghz=1.0, busy=False)
-        return self.busy_energy_mj + idle_energy - min(
-            self.nap_savings_mj, idle_energy
-        )
+        return self.busy_energy_mj + idle_energy
 
     def utilization(self, elapsed_ms: float) -> float:
         if elapsed_ms <= 0:

@@ -51,8 +51,8 @@ class CottagePolicy(BasePolicy):
             all predictions sit below the true service time; a slack of one
             bin width (~15%) absorbs that quantization — without it, kept
             ISNs routinely miss the deadline they were kept *for*.  Set to
-            1.0 for the paper's literal budget (ablated in
-            ``benchmarks/bench_ablation_budget_rule.py``).
+            1.0 for the paper's literal budget (ablated by the
+            ``beyond.ablation_budget_rule`` claim).
         cut_confidence:
             Minimum softmax probability of the zero class before a
             predicted Q^K = 0 actually cuts the ISN (stage 1 of Algorithm
@@ -60,8 +60,8 @@ class CottagePolicy(BasePolicy):
             The paper's testbed reaches 95% quality-prediction accuracy and
             cuts on the raw argmax; at reproduction scale labels are
             noisier, and confidence gating recovers the paper's
-            keep-what-matters behaviour (ablated in
-            ``benchmarks/bench_ablation_confidence.py``).  Set to 0 for the
+            keep-what-matters behaviour (ablated by the
+            ``beyond.ablation_confidence`` claim).  Set to 0 for the
             literal argmax rule.
         half_cut_confidence:
             Same gate for the stage-2 Q^{K/2} = 0 test that sacrifices
@@ -73,11 +73,11 @@ class CottagePolicy(BasePolicy):
         enable_boost:
             Ablation switch: with boosting disabled, Algorithm 1 runs on
             current-frequency latencies and no ISN changes frequency
-            (``benchmarks/bench_ablation_boost.py``).
+            (the ``beyond.ablation_boost`` claim).
         pivot_on_full_k:
             Ablation switch: pivot stage 2 on Q^K instead of Q^{K/2} —
             never sacrifice any top-K contributor, at the cost of a larger
-            budget (``benchmarks/bench_ablation_budget_rule.py``).
+            budget (the ``beyond.ablation_budget_rule`` claim).
         network:
             Network model used to charge the predict-and-report round.
         """

@@ -6,6 +6,8 @@ figures).  ``format_report``s print their ``paper=… measured=…`` lines from
 it (``lines``); ``repro paper`` writes one ``record`` per scale;
 EXPERIMENTS.md's table is ``render`` of the committed ``small`` record and
 ``tests/test_scoreboard.py`` pins the ``unit`` record's simulated claims.
+The ``beyond.*`` claims are orderings the paper does not report, measured
+by ``experiments/beyond.py``; EXPERIMENTS.md renders them as a second table.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ TOLERANCE = 0.25
 #: The paper's cluster: an ISN count or an absolute package wattage is in
 #: "of 16 ISNs" units and is judged only on a 16-shard testbed.
 PAPER_ISNS = 16
-#: EXPERIMENTS.md holds ``render(small record)`` between these two lines.
+#: EXPERIMENTS.md holds ``render`` of the small record's paper claims between
+#: these two lines, and of its ``beyond.*`` claims between the next two.
 BEGIN, END = "<!-- scoreboard:begin -->\n", "<!-- scoreboard:end -->\n"
+BEYOND_BEGIN, BEYOND_END = "<!-- beyond:begin -->\n", "<!-- beyond:end -->\n"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,6 +79,14 @@ def _rows(r: Any, trace: str = "wikipedia") -> dict[str, Any]:
 
 def _outcome(r: Any, policy: str) -> Any:
     return next(o for o in r.outcomes if o.policy == policy)
+
+
+def _budget_rule(paper: Any, conservative: Any, no_slack: Any) -> bool:
+    """Pivoting on Q^K keeps quality; budgeting with no slack loses it."""
+    return (conservative.avg_precision >= paper.avg_precision - 0.02
+            and conservative.avg_latency_ms >= paper.avg_latency_ms * 0.95
+            and no_slack.avg_precision <= paper.avg_precision + 0.01
+            and bool(np.isfinite(no_slack.avg_latency_ms)))
 
 
 # Abstract numbers that a figure repeats.
@@ -190,6 +202,40 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("fig15.ml_buys_quality", "cottage_without_ml P@10 < cottage", None,
           lambda r: all(_rows(r, t)["cottage_without_ml"].p_at_10
                         < _rows(r, t)["cottage"].p_at_10 for t in r.rows)),
+    # Beyond the paper: orderings it does not report, each with its margins.
+    Claim("beyond.ablation_boost", "boost: avg <= 1.02x unboosted, power >= 0.98x", None,
+          lambda r: r.boost["with"].avg_latency_ms <= r.boost["without"].avg_latency_ms * 1.02
+          and r.boost["with"].avg_power_w >= r.boost["without"].avg_power_w * 0.98),
+    Claim("beyond.ablation_budget_rule",
+          "pivot on K: P@10 >= -0.02, avg >= 0.95x; no slack: P@10 <= +0.01", None,
+          lambda r: _budget_rule(**r.budget_rule)),
+    Claim("beyond.ablation_confidence",
+          "cut gate 0.99 keeps >= P@10 and ISNs of gate 0.0 (dev. 2)", None,
+          lambda r: r.confidence[0.99].avg_precision >= r.confidence[0.0].avg_precision
+          and r.confidence[0.99].avg_selected_isns >= r.confidence[0.0].avg_selected_isns),
+    Claim("beyond.ablation_latency_bins", "40 latency bins: rel. error <= 8 bins' + 0.05",
+          None, lambda r: r.latency_bins[40][1] <= r.latency_bins[8][1] + 0.05),
+    Claim("beyond.ext_fault_injection",
+          "ISN outage: cottage avg < exhaustive+timeout, both P@10 > 0.4", None,
+          lambda r: r.faults["cottage"][1] < r.faults["exhaustive+timeout"][1]
+          and all(p > 0.4 for _, _, p in r.faults.values())),
+    Claim("beyond.ext_load_sweep", "exhaustive/cottage avg > 1 at 1/4..1x load, >= 0.8x kept",
+          None, lambda r: all(g > 1.0 for g in r.load_gaps)
+          and r.load_gaps[-1] >= r.load_gaps[0] * 0.8),
+    Claim("beyond.ext_oracle_gap", "cottage captures > 50% of the oracle's latency gain",
+          None, lambda r: r.oracle["oracle"].avg_precision > 0.99
+          and r.oracle["oracle"].avg_selected_isns <= r.oracle["cottage"].avg_selected_isns + 0.5
+          and r.oracle_capture > 0.5),
+    Claim("beyond.ext_result_cache", "result cache: hit rate > 0.3, lower avg latency", None,
+          lambda r: r.cache_hit_rate > 0.3
+          and r.cache["cached"].avg_latency_ms < r.cache["plain"].avg_latency_ms
+          and r.cache["cached"].avg_power_w <= r.cache["plain"].avg_power_w + 0.1
+          and not np.isnan(r.cache["cached"].avg_precision)),
+    Claim("beyond.ext_significance", "cottage saving: 95% CI excludes 0, largest mean",
+          None, lambda r: r.significance["cottage"].significant
+          and r.significance["cottage"].ci_low > 0
+          and r.significance["cottage"].mean_difference
+          >= max(r.significance[p].mean_difference for p in ("taily", "rank_s"))),
 )
 
 
@@ -274,3 +320,14 @@ def render(rec: Mapping[str, Any]) -> str:
         out.append(f"| {c['label']} | `{c['id']}` | {_cell(c['paper'])} | {measured} "
                    f"| {_cell(c['ratio'])} | {mark} |")
     return "\n".join(out) + "\n"
+
+
+def rerender(doc: str, rec: Mapping[str, Any]) -> str:
+    """``doc`` with each marked table replaced by ``render`` of its rows of ``rec``."""
+    for begin, end, beyond in ((BEGIN, END, False), (BEYOND_BEGIN, BEYOND_END, True)):
+        head, found, rest = doc.partition(begin)
+        if found:
+            rows = [c for c in rec["claims"] if c["id"].startswith("beyond.") == beyond]
+            table = render({**rec, "claims": rows})
+            doc = head + begin + table + end + rest.partition(end)[2]
+    return doc

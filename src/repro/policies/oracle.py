@@ -7,8 +7,8 @@ to the top-K, budgets at the slowest kept ISN's true boosted latency
 1.0 by construction; its latency/resource numbers are the best any
 coordinated scheme with Cottage's mechanism could achieve.
 
-Not part of the paper's evaluation — used by
-``benchmarks/bench_ext_oracle_gap.py`` to report how much of the
+Not part of the paper's evaluation — the ``beyond.ext_oracle_gap`` claim
+(``experiments/beyond.py``) uses it to measure how much of the
 oracle-vs-exhaustive gap Cottage's learned predictions capture.
 """
 

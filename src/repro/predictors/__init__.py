@@ -7,12 +7,6 @@ coordinates.
 """
 
 from repro.predictors.bank import ISNPrediction, PredictorBank, TrainingReport
-from repro.predictors.calibration import (
-    CalibrationReport,
-    ReliabilityBin,
-    reliability,
-    zero_class_calibration,
-)
 from repro.predictors.datasets import (
     ShardLatencyDataset,
     ShardQualityDataset,
@@ -59,8 +53,4 @@ __all__ = [
     "PredictorBank",
     "ISNPrediction",
     "TrainingReport",
-    "CalibrationReport",
-    "ReliabilityBin",
-    "reliability",
-    "zero_class_calibration",
 ]

@@ -54,8 +54,10 @@ class AdmissionConfig:
             raise ValueError("max_in_flight must be positive")
         if self.max_queued_ms is not None and self.max_queued_ms <= 0:
             raise ValueError("max_queued_ms must be positive")
-        if self.deadline_slo_ms is not None and self.deadline_slo_ms <= 0:
-            raise ValueError("deadline_slo_ms must be positive")
+        if self.deadline_slo_ms is not None and not (
+            math.isfinite(self.deadline_slo_ms) and self.deadline_slo_ms > 0
+        ):
+            raise ValueError("deadline_slo_ms must be positive and finite")
         if self.reject_ms < 0:
             raise ValueError("reject_ms must be non-negative")
         if self.service_estimate_ms <= 0:

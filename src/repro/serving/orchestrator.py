@@ -32,11 +32,9 @@ from typing import TYPE_CHECKING, Iterable
 from repro.cluster.aggregator import Aggregator
 from repro.cluster.events import Simulator
 from repro.cluster.faults import FaultSchedule
-from repro.cluster.governor import FrequencyGovernor
 from repro.cluster.isn import ISNServer
 from repro.cluster.power import EnergyMeter, package_report
 from repro.cluster.replicas import ReplicationConfig, make_selector
-from repro.cluster.sleep import SleepPolicy
 from repro.cluster.types import QueryRecord, SelectionPolicy
 from repro.cluster.cache import ResultCache
 from repro.retrieval.query import Query, QueryTrace
@@ -124,11 +122,9 @@ class ServingPlane:
         source: QueryTrace | Iterable[Query],
         policy: SelectionPolicy,
         *,
-        governor: FrequencyGovernor | None = None,
         cache: ResultCache | None = None,
         faults: FaultSchedule | None = None,
         response_timeout_ms: float | None = None,
-        sleep: SleepPolicy | None = None,
         telemetry: Telemetry | None = None,
         replication: ReplicationConfig | None = None,
         admission: AdmissionController | None = None,
@@ -196,9 +192,7 @@ class ServingPlane:
                         cost_model=cluster.cost_model,
                         freq_scale=cluster.freq_scale,
                         meter=meters[i * repl.n_replicas + r],
-                        governor=governor,
                         faults=faults,
-                        sleep=sleep,
                         telemetry=telemetry,
                         replica_id=r,
                     )
@@ -256,9 +250,6 @@ class ServingPlane:
                 source.duration * 1000.0 if closed_loop else last_arrival_ms
             )
             elapsed = max(sim.now, duration_ms, 1e-9)
-            for group in groups:
-                for isn in group:
-                    isn.finalize_sleep(elapsed)
         finally:
             if tracer is not None:
                 telemetry.unbind_clock()

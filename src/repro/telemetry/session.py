@@ -6,9 +6,8 @@ loop, aggregator, ISNs, policies, predictor bank, searchers) records into
 it.  ``None`` (the default everywhere) resolves to :data:`NO_TELEMETRY`,
 a shared disabled session whose tracer and registry are permanent
 no-ops: instrumentation sites test one ``enabled`` flag (or a cached
-``None`` tracer reference) and allocate nothing, which is what keeps the
-disabled-mode overhead under the 2% CI gate
-(``benchmarks/bench_telemetry_overhead.py``).
+``None`` tracer reference) and allocate nothing.  The disabled path is
+what every ``bench/`` workload runs, so its cost shows in ``wall_qps``.
 """
 
 from __future__ import annotations

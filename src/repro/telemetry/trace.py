@@ -24,7 +24,7 @@ Three span kinds:
   per in-flight query lifecycle.  They export as Chrome nestable async
   events (``ph: b/e`` with an id) and never enter a track's sync stack.
 * **instant** events (:meth:`Tracer.instant`) — zero-duration markers
-  (queue aborts, wakeups).
+  (queue aborts, fault drops).
 
 Disabled mode
 -------------

@@ -53,7 +53,7 @@ class CorpusConfig:
             raise ValueError("topic cores exceed the vocabulary")
 
 
-# Named sizes used across tests, examples and benchmarks.
+# Named sizes used across tests and examples.
 CORPUS_PRESETS: dict[str, CorpusConfig] = {
     "tiny": CorpusConfig(n_docs=600, vocab_size=2000, n_topics=8,
                          topic_core_size=120, mean_doc_length=60, seed=7),

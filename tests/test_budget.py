@@ -1,7 +1,8 @@
 """Unit + property tests for Algorithm 1 (time budget determination)."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BudgetInput, determine_time_budget
@@ -155,8 +156,21 @@ def budget_inputs(draw):
     return inputs
 
 
+def seeded_cluster(n, seed=0):
+    """``n`` ISNs of seeded random predictions: the paper's "few hundred ISNs"."""
+    rng = np.random.default_rng(seed)
+    inputs = []
+    for sid in range(n):
+        q_k = int(rng.integers(0, 4))
+        q_half = int(rng.integers(0, q_k + 1)) if q_k else 0
+        boosted = float(rng.uniform(1.0, 30.0))
+        inputs.append(isn(sid, q_k, q_half, boosted * 1.286, boosted))
+    return inputs
+
+
 @settings(max_examples=200, deadline=None)
 @given(inputs=budget_inputs())
+@example(inputs=seeded_cluster(512))
 def test_algorithm_invariants(inputs):
     decision = determine_time_budget(inputs)
     by_id = {i.shard_id: i for i in inputs}

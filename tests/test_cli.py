@@ -98,6 +98,8 @@ class TestCommands:
                 "--response-timeout-ms must be positive",
             ),
             (["faults", "--policies", "nosuch"], "unknown policy 'nosuch'"),
+            (["serve", "--deadline-slo-ms", "nan"], "deadline_slo_ms must be positive"),
+            (["serve", "--deadline-slo-ms", "inf"], "deadline_slo_ms must be positive"),
         ],
     )
     def test_hostile_input_exits_one_with_one_line(

@@ -121,24 +121,6 @@ class TestISNServer:
         with pytest.raises(AttributeError):
             by_position.not_a_field = 1  # slotted: one fixed record per job
 
-    def test_governor_returning_bad_frequency_is_an_error(self, shards):
-        from repro.cluster.governor import FrequencyGovernor
-
-        class Broken(FrequencyGovernor):
-            def frequency_for(self, *args):
-                return 0.0
-
-        server = ISNServer(
-            shard_id=0,
-            searcher=ShardSearcher(shards[0], k=5),
-            cost_model=CostModel(),
-            freq_scale=FrequencyScale(),
-            meter=EnergyMeter(PowerModel()),
-            governor=Broken(),
-        )
-        with pytest.raises(ValueError):
-            submit(server, Simulator(), Query(query_id=0, terms=("t1",)))
-
     def test_queued_work_includes_running_job(self, isn):
         sim = Simulator()
         submit(isn, sim, Query(query_id=0, terms=("t1",)))

@@ -77,6 +77,9 @@ class TestTable:
 
     def test_clocks(self):
         assert {claim.clock for claim in CLAIMS} == {"sim", "wall"}
+        beyond = [claim for claim in CLAIMS if claim.figure == "beyond"]
+        assert len(beyond) == 9
+        assert all(c.paper is None and c.clock == "sim" for c in beyond)
 
     def test_reports_print_their_lines_from_the_table(self, unit_testbed):
         for figure in sorted(PRINTED_AT_PARENT):
@@ -127,8 +130,13 @@ class TestCommittedRecords:
 
     def test_experiments_md_is_the_rendered_small_record(self):
         doc = (ROOT / "EXPERIMENTS.md").read_text()
-        between = doc.partition(scoreboard.BEGIN)[2].partition(scoreboard.END)[0]
-        assert between == scoreboard.render(committed("small"))
+        for marker in (scoreboard.BEGIN, scoreboard.END,
+                       scoreboard.BEYOND_BEGIN, scoreboard.BEYOND_END):
+            assert doc.count(marker) == 1
+        assert doc == scoreboard.rerender(doc, committed("small"))
+        paper = doc.partition(scoreboard.BEGIN)[2].partition(scoreboard.END)[0]
+        beyond = doc.partition(scoreboard.BEYOND_BEGIN)[2].partition(scoreboard.BEYOND_END)[0]
+        assert "`beyond." not in paper and beyond.count("`beyond.") == 9
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +145,7 @@ def written(unit_testbed, tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("scoreboard")
     (out / "EXPERIMENTS.md").write_text(
         f"intro\n{scoreboard.BEGIN}stale\n{scoreboard.END}prose\n"
+        f"{scoreboard.BEYOND_BEGIN}stale\n{scoreboard.BEYOND_END}notes\n"
     )
     (out / "EXPERIMENTS.small.json").write_text(
         (ROOT / "EXPERIMENTS.small.json").read_text()
@@ -167,7 +176,13 @@ def test_unit_pin(written, bank_ok):
 def test_paper_command_rerenders_the_doc_from_the_small_record(written):
     record = json.loads((written / "EXPERIMENTS.unit.json").read_text())
     assert [c["id"] for c in record["claims"]] == [claim.id for claim in CLAIMS]
+    small = committed("small")
+    paper, beyond = (
+        scoreboard.render({**small, "claims": [
+            c for c in small["claims"] if c["id"].startswith("beyond.") == side]})
+        for side in (False, True)
+    )
     assert (written / "EXPERIMENTS.md").read_text() == (
-        f"intro\n{scoreboard.BEGIN}{scoreboard.render(committed('small'))}"
-        f"{scoreboard.END}prose\n"
+        f"intro\n{scoreboard.BEGIN}{paper}{scoreboard.END}prose\n"
+        f"{scoreboard.BEYOND_BEGIN}{beyond}{scoreboard.BEYOND_END}notes\n"
     )

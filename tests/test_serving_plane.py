@@ -318,8 +318,9 @@ class TestAdmissionController:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdmissionConfig(max_in_flight=0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(deadline_slo_ms=-1.0)
+        for slo in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                AdmissionConfig(deadline_slo_ms=slo)
         with pytest.raises(ValueError):
             AdmissionConfig(ewma_alpha=0.0)
         assert AdmissionConfig(max_in_flight=4).enabled_rules() == ("queue_depth",)

@@ -169,6 +169,17 @@ class TestMetricsFlow:
 
         assert policy.telemetry is NO_TELEMETRY
 
+    def test_disabled_session_records_nothing(self, unit_testbed):
+        from repro.telemetry import NO_TELEMETRY
+
+        run = unit_testbed.cluster.run_trace(
+            unit_testbed.wikipedia_trace, unit_testbed.make_policy("cottage"),
+            telemetry=NO_TELEMETRY,
+        )
+        assert run.records
+        assert NO_TELEMETRY.tracer.spans == []
+        assert len(NO_TELEMETRY.metrics) == 0
+
 
 def unit_shards(telemetry) -> int:
     """Shard count recovered from the recorded ISN tracks."""
