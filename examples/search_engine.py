@@ -22,8 +22,8 @@ ARTICLES = [
      "document index across many serving nodes and aggregate ranked results."),
     ("Tail latency", "The slowest index serving node determines a query's tail "
      "latency, so stragglers dominate user-perceived response time."),
-    ("Dynamic pruning", "MaxScore and WAND skip documents whose score upper "
-     "bounds cannot reach the current top-k threshold, saving query latency."),
+    ("Dynamic pruning", "MaxScore skips documents whose score upper bounds "
+     "cannot reach the current top-k threshold, saving query latency."),
     ("DVFS power management", "Dynamic voltage and frequency scaling trades "
      "processor power for speed; boosting frequency accelerates slow queries."),
     ("Selective search", "Selective search ranks index shards by expected "
@@ -53,7 +53,7 @@ def main() -> None:
     query = Query.from_text(query_text, analyzer)
     print(f"query: {query_text!r}  -> terms {list(query.terms)}")
 
-    for strategy in ("exhaustive", "maxscore", "wand"):
+    for strategy in ("exhaustive", "maxscore"):
         searcher = DistributedSearcher(shards, k=3, strategy=strategy)
         result = searcher.search(query)
         print(f"\n[{strategy}] evaluated {result.cost.docs_evaluated} docs, "

@@ -7,7 +7,7 @@ The package is a complete, self-contained distributed-search stack:
 
 * :mod:`repro.text`, :mod:`repro.index`, :mod:`repro.scoring`,
   :mod:`repro.retrieval` — a from-scratch inverted-index search engine
-  (BM25, MaxScore/WAND dynamic pruning, sharding, CSI).
+  (BM25, MaxScore dynamic pruning, sharding, CSI).
 * :mod:`repro.nn`, :mod:`repro.predictors` — numpy neural networks and the
   paper's per-ISN quality/latency predictors (Tables I & II).
 * :mod:`repro.cluster` — a discrete-event cluster simulator with DVFS and

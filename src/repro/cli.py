@@ -11,7 +11,6 @@ The subcommands cover the common workflows::
     repro trace --policy cottage --export perfetto     # telemetry-traced run
     repro faults --scale unit --replicas 2             # fault scenario matrix
     repro serve --scale unit --policy cottage          # open-loop QPS sweep
-    repro select sweep --out SWEEP_selection.json      # oracle traversal sweep
     repro lint src/repro                               # determinism linter
 
 ``python -m repro ...`` works identically.
@@ -449,25 +448,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_select_sweep(args: argparse.Namespace) -> int:
-    """Exhaustive (strategy, k-clamp, dispatch-floor) oracle sweep."""
-    from repro.experiments import oracle_sweep
-
-    _, summary = oracle_sweep.run(
-        n_shards=args.n_shards or oracle_sweep.N_SHARDS,
-        docs_per_shard=args.docs_per_shard or oracle_sweep.DOCS_PER_SHARD,
-        vocab_size=args.vocab_size or oracle_sweep.VOCAB_SIZE,
-        n_queries=args.n_queries or oracle_sweep.N_QUERIES,
-        k=args.k or oracle_sweep.K,
-        seed=args.seed if args.seed is not None else oracle_sweep.SEED,
-    )
-    print(oracle_sweep.format_report(summary))
-    if args.out:
-        oracle_sweep.write_json(summary, args.out)
-        print(f"wrote {args.out}")
-    return 0 if summary.rank_safe else 1
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run simlint.  Exit-code contract: 0 clean, 1 findings, 2 internal error."""
     from repro.analysis import LintEngine, get_rules
@@ -671,26 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tolerance of the model prediction (e.g. 0.25)",
     )
     serve.set_defaults(fn=_cmd_serve)
-
-    select = sub.add_parser(
-        "select",
-        help="per-(query, shard) traversal experiments",
-    )
-    select_sub = select.add_subparsers(dest="select_command", required=True)
-
-    select_sweep = select_sub.add_parser(
-        "sweep",
-        help="run every (strategy, k, floor) combination per (query, shard)",
-    )
-    select_sweep.add_argument("--n-shards", type=int, default=None)
-    select_sweep.add_argument("--docs-per-shard", type=int, default=None)
-    select_sweep.add_argument("--vocab-size", type=int, default=None)
-    select_sweep.add_argument("--n-queries", type=int, default=None)
-    select_sweep.add_argument("-k", type=int, default=None)
-    select_sweep.add_argument("--seed", type=int, default=None)
-    select_sweep.add_argument("--out", default="",
-                              help="write the sweep summary JSON")
-    select_sweep.set_defaults(fn=_cmd_select_sweep)
 
     lint = sub.add_parser(
         "lint",

@@ -6,11 +6,9 @@ Each ``figNN_*`` module exposes ``run(testbed) -> Result`` and
 the reports print from and ``repro paper`` records.
 """
 
-from repro.experiments import oracle_sweep
 from repro.experiments.testbed import Scale, Testbed
 
 __all__ = [
     "Scale",
     "Testbed",
-    "oracle_sweep",
 ]

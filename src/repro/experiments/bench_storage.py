@@ -2,13 +2,12 @@
 
 ``build_scaled_shards`` is the corpus of the repo benchmark's
 ``search_cold``/``search_store`` workloads (``bench/search.py``) and of
-the store/kernel identity suites; ``KERNELS`` names the four arena
-kernels those suites sweep.  No text analysis and no per-document loop:
-per-term document frequencies follow a Zipf-like power law, membership
-is a seeded uniform draw, and scores are real BM25 over the drawn tfs
-and doc lengths, so posting columns have the value distributions the
-compressor actually faces (long head postings, low-cardinality tf,
-codebook-friendly score repeats).
+the store/kernel identity suites.  No text analysis and no
+per-document loop: per-term document frequencies follow a Zipf-like
+power law, membership is a seeded uniform draw, and scores are real
+BM25 over the drawn tfs and doc lengths, so posting columns have the
+value distributions the compressor actually faces (long head
+postings, low-cardinality tf, codebook-friendly score repeats).
 """
 
 from __future__ import annotations
@@ -17,25 +16,12 @@ import numpy as np
 
 from repro.index import IndexShard, ShardTerm
 from repro.index.postings import PostingList
-from repro.retrieval import (
-    block_max_wand_search_kernel,
-    conjunctive_search_kernel,
-    maxscore_search_kernel,
-    wand_search_kernel,
-)
 from repro.scoring.similarity import BM25Similarity
 
 N_SHARDS = 4
 DOCS_PER_SHARD = 150_000
 VOCAB_SIZE = 96
 SEED = 42
-
-KERNELS = {
-    "maxscore": maxscore_search_kernel,
-    "wand": wand_search_kernel,
-    "block_max_wand": block_max_wand_search_kernel,
-    "conjunctive": conjunctive_search_kernel,
-}
 
 
 def build_scaled_shards(

@@ -1,9 +1,9 @@
 """Columnar postings arena: one shard's index as flat numpy columns.
 
-The cursor-based evaluators in :mod:`repro.retrieval` attach per-term
-``scores``/``block_maxes`` arrays to a fresh :class:`PostingCursor` on
-every query, and then advance posting by posting with an ``int()``/
-``float()`` boxing per access.  The arena removes both costs: every
+The cursor-based references in :mod:`repro.retrieval` attach per-term
+``scores`` arrays to a fresh :class:`PostingCursor` on every query, and
+then advance posting by posting with an ``int()``/``float()`` boxing per
+access.  The arena removes both costs: every
 posting list of the shard is concatenated once — at index build time —
 into contiguous ``doc_ids``/``tfs``/``scores`` columns with per-term
 offset slices, and the block-max metadata is packed the same way.  The
@@ -95,8 +95,9 @@ class TermRun:
     :class:`CodedScores` gather-on-read column — and :meth:`widen` turns
     them into the raw arena's arrays for readers that go posting by
     posting.  ``block_maxes`` holds the per-block maxima for this term
-    and ``block_size`` the block length, mirroring what the scalar
-    evaluators attach to a :class:`~repro.index.postings.PostingCursor`.
+    and ``block_size`` the block length (the ``.store`` block-max
+    metadata, which ``LazyIndexShard.term()`` hands back as
+    ``ShardTerm.block_maxes``).
     """
 
     term: str
@@ -140,8 +141,8 @@ class PostingsArena:
         Per-term global score upper bounds, aligned with ``terms``.
     block_maxes, block_offsets:
         Per-block score maxima for every term, concatenated, with
-        ``block_offsets`` slicing them per term (Block-Max WAND
-        metadata).
+        ``block_offsets`` slicing them per term (block-max metadata of
+        ``.store`` format 1; no traversal reads it).
     """
 
     __slots__ = (

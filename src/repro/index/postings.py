@@ -3,7 +3,7 @@
 Posting lists are stored as parallel numpy arrays sorted by document id.
 The cursor API (``doc()``, ``next()``, ``next_geq()``) is the contract the
 document-at-a-time evaluators in :mod:`repro.retrieval` are written against;
-``next_geq`` uses galloping search so WAND/MaxScore skipping is sub-linear.
+``next_geq`` uses galloping search so MaxScore skipping is sub-linear.
 """
 
 from __future__ import annotations
@@ -56,10 +56,7 @@ class PostingCursor:
     before traversal begins.
     """
 
-    __slots__ = (
-        "_doc_ids", "_tfs", "_pos", "_size",
-        "scores", "upper_bound", "block_maxes", "block_size",
-    )
+    __slots__ = ("_doc_ids", "_tfs", "_pos", "_size", "scores", "upper_bound")
 
     def __init__(self, postings: PostingList) -> None:
         self._doc_ids = postings.doc_ids
@@ -68,8 +65,6 @@ class PostingCursor:
         self._pos = 0
         self.scores: np.ndarray | None = None
         self.upper_bound: float = 0.0
-        self.block_maxes: np.ndarray | None = None
-        self.block_size: int = 0
 
     def doc(self) -> int:
         """Current document id, or END_OF_LIST when exhausted."""
@@ -95,7 +90,7 @@ class PostingCursor:
 
         Galloping (exponential) search from the current position followed by
         a bisect keeps total skipping cost O(log gap), which is what gives
-        MaxScore/WAND their edge over exhaustive traversal.
+        MaxScore its edge over exhaustive traversal.
         """
         if self._pos >= self._size:
             return END_OF_LIST
@@ -125,27 +120,6 @@ class PostingCursor:
     def position(self) -> int:
         """Index of the current posting (== list length when exhausted)."""
         return min(self._pos, self._size)
-
-    # ------------------------------------------------------- block metadata
-    def block_max(self) -> float:
-        """Max score within the block containing the current posting.
-
-        Requires ``block_maxes``/``block_size`` attached (the evaluator
-        copies them from the shard).  Exhausted cursors contribute nothing.
-        """
-        assert self.block_maxes is not None and self.block_size > 0
-        if self._pos >= self._size:
-            return 0.0
-        return float(self.block_maxes[self._pos // self.block_size])
-
-    def block_last_doc(self) -> int:
-        """Doc id of the last posting in the current block."""
-        assert self.block_size > 0
-        if self._pos >= self._size:
-            return END_OF_LIST
-        block = self._pos // self.block_size
-        end = min((block + 1) * self.block_size, self._size) - 1
-        return int(self._doc_ids[end])
 
     def remaining(self) -> int:
         return max(self._size - self._pos, 0)

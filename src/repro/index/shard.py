@@ -30,7 +30,8 @@ class ShardTerm:
     collection when the index was built with distributed statistics
     (Solr's global-IDF mode); it equals the local ``doc_freq`` otherwise.
     ``block_maxes`` holds the maximum score within each ``BLOCK_SIZE``-
-    posting block — the metadata Block-Max WAND skips with.
+    posting block; it is part of the ``.store`` format-1 layout, and no
+    traversal reads it.
     """
 
     term: str

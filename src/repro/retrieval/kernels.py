@@ -1,12 +1,13 @@
-"""Vectorized retrieval kernels over the columnar postings arena.
+"""Vectorized MaxScore kernel over the columnar postings arena.
 
-These are drop-in replacements for the cursor-based evaluators — same
-hits, same scores (bit for bit, including float-summation order), same
-tie-breaks, and the same ``CostStats`` counters — that replace the
-per-posting Python loops with numpy work on the arena columns of
+A drop-in replacement for the cursor-based
+:func:`~repro.retrieval.maxscore.maxscore_search` — same hits, same
+scores (bit for bit, including float-summation order), same tie-breaks,
+and the same ``CostStats`` counters — that replaces the per-posting
+Python loop with numpy work on the arena columns of
 :class:`~repro.index.arena.PostingsArena`.
 
-**MaxScore** (:func:`maxscore_search_kernel`) is chunk-scored: candidate
+:func:`maxscore_search_kernel` is chunk-scored: candidate
 doc ids are pulled from the essential lists a block at a time, whole
 blocks are scored with ``searchsorted`` + masked gathers, and
 non-essential lists are probed level-by-level with vectorized lookups.
@@ -45,27 +46,17 @@ sweeping chunk sizes down to 1).  Queries whose posting lists are too
 short to amortize numpy-call overhead dispatch to the scalar reference
 outright (bit-identical by contract).
 
-**WAND**, **Block-Max WAND** and **conjunctive** pruning decisions are
-per-document sequential (every pivot selection/zig-zag step depends on
-the cursor moved by the previous one), so their kernels keep the
-reference control flow but run it over raw arena columns: current doc
-ids are cached as Python ints (one boxing per position change instead of
-one per access), skips are a single ``searchsorted`` over the list tail,
-and no per-query cursor objects or score attachments are allocated.
-
 **Column widths.**  A compressed arena hands its runs out as its decode
 LRU keeps them (:class:`~repro.index.arena.TermRun`): doc ids in the
 arena-wide dtype, ``int32`` when they fit, and scores as a gather-on-read
-column of codebook indices.  MaxScore and conjunctive touch the columns
-only through array operations and read them as they come, under one
-rule: a scalar ``searchsorted`` needle is taken from the column — a
-numpy scalar of its dtype — never through ``int()``, because a Python
-int against an ``int32`` column makes numpy upcast the whole haystack on
-every call.  WAND and Block-Max WAND read posting by posting and call
-``TermRun.widen()`` once per run (a no-op over a raw arena).
+column of codebook indices.  The kernel touches the columns only through
+array operations and reads them as they come, under one rule: a scalar
+``searchsorted`` needle is taken from the column — a numpy scalar of its
+dtype — never through ``int()``, because a Python int against an
+``int32`` column makes numpy upcast the whole haystack on every call.
 
-Float bit-identity holds because every kernel performs the exact same
-sequence of float64 additions per document accumulator as its reference
+Float bit-identity holds because the kernel performs the exact same
+sequence of float64 additions per document accumulator as the reference
 — numpy element-wise adds and Python float adds are the same IEEE-754
 operation.
 """
@@ -77,7 +68,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.index.arena import TermRun
-from repro.index.postings import END_OF_LIST
 from repro.index.shard import IndexShard
 from repro.retrieval.maxscore import maxscore_search
 from repro.retrieval.result import CostStats, SearchResult
@@ -87,9 +77,6 @@ __all__ = [
     "KernelStats",
     "DEFAULT_CHUNK",
     "maxscore_search_kernel",
-    "wand_search_kernel",
-    "block_max_wand_search_kernel",
-    "conjunctive_search_kernel",
 ]
 
 DEFAULT_CHUNK = 4096
@@ -113,8 +100,6 @@ _MIN_CHUNK = 32
 #: effect.
 _KERNEL_MIN_POSTINGS = 2048
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 _INF = float("inf")
 
 
@@ -122,9 +107,9 @@ _INF = float("inf")
 class KernelStats:
     """Optional per-call kernel instrumentation (telemetry counters).
 
-    ``chunks`` counts vectorized batches (MaxScore runs one cascade per
-    batch), ``offers`` the sequential collector offers actually performed
-    (the scalar fallback the chunked kernels cannot avoid, after no-op
+    ``chunks`` counts vectorized batches (one cascade per batch),
+    ``offers`` the sequential collector offers actually performed (the
+    scalar step the chunked kernel cannot avoid, after no-op
     pre-filtering), and ``threshold_restarts`` the batches truncated
     because an offer moved the essential split — the only event that
     discards vectorized work.
@@ -136,7 +121,7 @@ class KernelStats:
 
 
 def _sorted_runs(shard: IndexShard, terms: list[str]) -> list[TermRun]:
-    """Term runs sorted by upper bound ascending (MaxScore/WAND order).
+    """Term runs sorted by upper bound ascending (MaxScore's order).
 
     Mirrors ``maxscore._prepare_cursors``: query-term order, missing
     terms skipped, then a stable sort so upper-bound ties keep query
@@ -146,28 +131,6 @@ def _sorted_runs(shard: IndexShard, terms: list[str]) -> list[TermRun]:
     runs = [run for run in (arena.run(term) for term in terms) if run is not None]
     runs.sort(key=lambda run: run.upper_bound)
     return runs
-
-
-def _term_order_runs(shard: IndexShard, terms: list[str]) -> list[TermRun]:
-    """Term runs in query order (Block-Max WAND's cursor order)."""
-    arena = shard.arena
-    return [run for run in (arena.run(term) for term in terms) if run is not None]
-
-
-def _advance_geq(run: TermRun, target: int) -> int:
-    """``PostingCursor.next_geq`` over a run: same landing position, one
-    ``searchsorted`` over the remaining tail instead of a Python gallop."""
-    pos = run.pos
-    if pos >= run.size:
-        return END_OF_LIST
-    doc = int(run.doc_ids[pos])
-    if doc >= target:
-        return doc
-    pos += int(run.doc_ids[pos:].searchsorted(target, side="left"))
-    run.pos = pos
-    if pos >= run.size:
-        return END_OF_LIST
-    return int(run.doc_ids[pos])
 
 
 # --------------------------------------------------------------- MaxScore
@@ -409,306 +372,5 @@ def maxscore_search_kernel(
             cur = lo_chunk
         elif cur > chunk:
             cur = chunk
-
-    return SearchResult(hits=collector.results(), cost=cost)
-
-
-# ------------------------------------------------------------------- WAND
-def wand_search_kernel(
-    shard: IndexShard,
-    terms: list[str],
-    k: int,
-    stats: KernelStats | None = None,
-) -> SearchResult:
-    """Arena-backed WAND, bit-identical to :func:`~repro.retrieval.wand.
-    wand_search`.
-
-    WAND's pivot selection is inherently per-document sequential — each
-    pivot depends on the cursor the previous iteration moved — so there
-    is no chunk to score.  The kernel instead strips the per-posting
-    overhead: doc ids are cached as ints, the cursor re-sort runs on
-    plain ints, and skips are single tail ``searchsorted`` calls.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    runs = [run.widen() for run in _sorted_runs(shard, terms)]
-    collector = TopKCollector(k)
-    cost = CostStats(n_terms=len(terms))
-    if not runs:
-        return SearchResult(hits=[], cost=cost)
-
-    docs = [int(run.doc_ids[0]) if run.size else END_OF_LIST for run in runs]
-    ubs = [run.upper_bound for run in runs]
-    order = list(range(len(runs)))
-
-    while True:
-        order.sort(key=docs.__getitem__)  # stable: mirrors cursors.sort
-        if docs[order[0]] == END_OF_LIST:
-            break
-        threshold = collector.threshold()
-
-        acc = 0.0
-        pivot_at = -1
-        for oi in range(len(order)):
-            i = order[oi]
-            if docs[i] == END_OF_LIST:
-                break
-            acc += ubs[i]
-            if acc >= threshold:
-                pivot_at = oi
-                break
-        if pivot_at < 0:
-            break
-        pivot_doc = docs[order[pivot_at]]
-
-        if docs[order[0]] == pivot_doc:
-            score = 0.0
-            for i in order:
-                if docs[i] != pivot_doc:
-                    break
-                run = runs[i]
-                score += float(run.scores[run.pos])
-                cost.postings_scored += 1
-                run.pos += 1
-                docs[i] = (
-                    int(run.doc_ids[run.pos])
-                    if run.pos < run.size
-                    else END_OF_LIST
-                )
-            cost.docs_evaluated += 1
-            collector.offer(pivot_doc, score)
-            if stats is not None:
-                stats.offers += 1
-        else:
-            i = order[0]
-            run = runs[i]
-            before = run.pos
-            docs[i] = _advance_geq(run, pivot_doc)
-            cost.postings_skipped += run.pos - before
-
-    return SearchResult(hits=collector.results(), cost=cost)
-
-
-# --------------------------------------------------------- Block-Max WAND
-def block_max_wand_search_kernel(
-    shard: IndexShard,
-    terms: list[str],
-    k: int,
-    stats: KernelStats | None = None,
-) -> SearchResult:
-    """Arena-backed Block-Max WAND, bit-identical to
-    :func:`~repro.retrieval.block_max_wand.block_max_wand_search`."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    runs = [run.widen() for run in _term_order_runs(shard, terms)]
-    collector = TopKCollector(k)
-    cost = CostStats(n_terms=len(terms))
-    if not runs:
-        return SearchResult(hits=[], cost=cost)
-
-    docs = [int(run.doc_ids[0]) if run.size else END_OF_LIST for run in runs]
-    ubs = [run.upper_bound for run in runs]
-    order = list(range(len(runs)))
-    block_size = runs[0].block_size
-
-    while True:
-        order.sort(key=docs.__getitem__)
-        if docs[order[0]] == END_OF_LIST:
-            break
-        threshold = collector.threshold()
-
-        # Stage 1 — WAND pivot from global upper bounds.
-        acc = 0.0
-        pivot_at = -1
-        for oi in range(len(order)):
-            i = order[oi]
-            if docs[i] == END_OF_LIST:
-                break
-            acc += ubs[i]
-            if acc >= threshold:
-                pivot_at = oi
-                break
-        if pivot_at < 0:
-            break
-        pivot_doc = docs[order[pivot_at]]
-
-        if docs[order[0]] != pivot_doc:
-            i = order[0]
-            run = runs[i]
-            before = run.pos
-            docs[i] = _advance_geq(run, pivot_doc)
-            cost.postings_skipped += run.pos - before
-            continue
-
-        # Stage 2 — refine with block maxima over the pivot set (the
-        # prefix of cursors sitting on pivot_doc).
-        pivot_end = 0
-        while pivot_end < len(order) and docs[order[pivot_end]] == pivot_doc:
-            pivot_end += 1
-        pivot_set = order[:pivot_end]
-
-        # Explicit left-to-right accumulation in pivot-set order: the
-        # upper bound must add up exactly like the reference's walk.
-        block_ub = 0.0
-        for i in pivot_set:
-            run = runs[i]
-            block_ub += float(run.block_maxes[run.pos // block_size])
-        if block_ub >= threshold:
-            score = 0.0
-            for i in pivot_set:
-                run = runs[i]
-                score += float(run.scores[run.pos])
-                cost.postings_scored += 1
-                run.pos += 1
-                docs[i] = (
-                    int(run.doc_ids[run.pos])
-                    if run.pos < run.size
-                    else END_OF_LIST
-                )
-            cost.docs_evaluated += 1
-            collector.offer(pivot_doc, score)
-            if stats is not None:
-                stats.offers += 1
-        else:
-            boundary = _INT64_MAX
-            for i in pivot_set:
-                run = runs[i]
-                block = run.pos // block_size
-                end = min((block + 1) * block_size, run.size) - 1
-                last_doc = int(run.doc_ids[end])
-                if last_doc < boundary:
-                    boundary = last_doc
-            target = max(boundary, pivot_doc) + 1
-            if pivot_end < len(order):
-                next_doc = docs[order[pivot_end]]
-                if next_doc != END_OF_LIST:
-                    target = min(target, next_doc)
-            target = max(target, pivot_doc + 1)
-            for i in pivot_set:
-                if docs[i] < target:
-                    run = runs[i]
-                    before = run.pos
-                    docs[i] = _advance_geq(run, target)
-                    cost.postings_skipped += run.pos - before
-
-    return SearchResult(hits=collector.results(), cost=cost)
-
-
-# ------------------------------------------------------------ conjunctive
-def conjunctive_search_kernel(
-    shard: IndexShard,
-    terms: list[str],
-    k: int,
-    stats: KernelStats | None = None,
-) -> SearchResult:
-    """Galloping arena intersection, bit-identical to
-    :func:`~repro.retrieval.conjunctive.conjunctive_search`.
-
-    The zig-zag's cursor state is fully determined by the driver: every
-    candidate the reference probes is a *driver* document, candidates
-    strictly increase, and ``next_geq`` lands a non-driver cursor on the
-    first posting >= the candidate — which is exactly
-    ``searchsorted(column, driver_docs)``, computable for **all**
-    candidates of a non-driver list in one vectorized call.  So the
-    kernel precomputes, per non-driver list: the landing position, the
-    landed doc, whether it matches, and where a mismatch redirects the
-    driver (``searchsorted(driver_docs, landed_doc)``); per-candidate
-    intersection scores come from one element-wise gather/add pass in
-    cursor order (``0.0 + s_0 + s_1 + ...`` — the reference's exact
-    float64 summation sequence).  What remains is a pure-int replay loop
-    over plain Python lists: no numpy call, no slicing, no boxing per
-    step.  Skip counters fall out as landing-position deltas, identical
-    to the reference's telescoping ``pos - before`` sums.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    cost = CostStats(n_terms=len(terms))
-    if not terms:
-        return SearchResult(hits=[], cost=cost)
-
-    arena = shard.arena
-    runs = []
-    for term in terms:
-        run = arena.run(term)
-        if run is None:
-            return SearchResult(hits=[], cost=cost)  # missing term empties the AND
-        runs.append(run)
-    runs.sort(key=lambda run: run.size)  # drive from the rarest term
-
-    collector = TopKCollector(k)
-    driver = runs[0]
-    dsize = driver.size
-    if dsize == 0:
-        return SearchResult(hits=[], cost=cost)
-    d_docs = driver.doc_ids
-
-    # Precompute every non-driver list's whole interaction with the
-    # driver stream: landing index L, matched flag, and the driver index
-    # a mismatch at that candidate redirects to.
-    n_runs = len(runs)
-    lands_l: list[list[int]] = []
-    match_l: list[list[bool]] = []
-    redirect_l: list[list[int]] = []
-    sizes: list[int] = []
-    totals = np.zeros(dsize, dtype=np.float64)
-    np.add(totals, driver.scores, out=totals)
-    for run in runs[1:]:
-        col = run.doc_ids
-        size = run.size
-        lands = np.searchsorted(col, d_docs, side="left")
-        landed_at = np.minimum(lands, max(size - 1, 0))
-        landed = col[landed_at] if size else np.zeros(dsize, dtype=np.int64)
-        in_range = lands < size
-        matched = in_range & (landed == d_docs)
-        # Where the mismatching landed doc sends the driver's next_geq.
-        redirect = np.searchsorted(d_docs, landed, side="left")
-        np.add(totals, run.scores[landed_at] if size else 0.0, out=totals)
-        lands_l.append(lands.tolist())
-        match_l.append(matched.tolist())
-        redirect_l.append(redirect.tolist())
-        sizes.append(size)
-    d_list = d_docs.tolist()
-    t_list = totals.tolist()
-
-    offer = collector.offer
-    n_others = n_runs - 1
-    pos = [0] * n_others
-    skipped = 0
-    evaluated = 0
-    offers_done = 0
-    di = 0
-    while di < dsize:
-        matched_all = True
-        for j in range(n_others):
-            lj = lands_l[j][di]
-            skipped += lj - pos[j]
-            pos[j] = lj
-            if match_l[j][di]:
-                continue
-            matched_all = False
-            if lj >= sizes[j]:
-                # List j is exhausted: the reference advances the driver
-                # past the candidate (one position), then breaks on the
-                # exhausted-cursor check.
-                skipped += 1
-                di = dsize
-            else:
-                redirect = redirect_l[j][di]
-                skipped += redirect - di
-                di = redirect
-            break
-        if matched_all:
-            evaluated += 1
-            offer(d_list[di], t_list[di])
-            offers_done += 1
-            di += 1
-        elif di >= dsize:
-            break
-
-    cost.postings_skipped = skipped
-    cost.docs_evaluated = evaluated
-    cost.postings_scored = evaluated * n_runs
-    if stats is not None:
-        stats.offers += offers_done
 
     return SearchResult(hits=collector.results(), cost=cost)

@@ -7,9 +7,10 @@ already surfaced by an essential list.  Documents whose partial score plus
 the remaining upper bounds cannot reach the threshold are abandoned early.
 
 This is the default evaluation strategy of the reproduction's ISNs, matching
-the paper's observation that Solr/Lucene-style engines run MaxScore/WAND
-pruning (Section III-C), which is what makes service time hard to predict
-from posting length alone.
+the paper's observation that Solr/Lucene-style engines run dynamic pruning
+(Section III-C), which is what makes service time hard to predict from
+posting length alone.  This cursor-based form is the test oracle of the
+vectorized :func:`~repro.retrieval.kernels.maxscore_search_kernel`.
 """
 
 from __future__ import annotations

@@ -15,14 +15,8 @@ from typing import Callable
 
 from repro.index.shard import IndexShard
 from repro.retrieval.executor import SerialExecutor
-from repro.retrieval.exhaustive import exhaustive_search, exhaustive_search_daat
-from repro.retrieval.kernels import (
-    KernelStats,
-    block_max_wand_search_kernel,
-    conjunctive_search_kernel,
-    maxscore_search_kernel,
-    wand_search_kernel,
-)
+from repro.retrieval.exhaustive import exhaustive_search
+from repro.retrieval.kernels import KernelStats, maxscore_search_kernel
 from repro.retrieval.query import Query
 from repro.retrieval.result import SearchResult, merge_results
 from repro.telemetry import Telemetry
@@ -31,21 +25,11 @@ from repro.telemetry.trace import Tracer
 
 STRATEGIES: dict[str, Callable[[IndexShard, list[str], int], SearchResult]] = {
     "exhaustive": exhaustive_search,
-    "exhaustive_daat": exhaustive_search_daat,
-    # The pruning strategies are the vectorized arena kernels; the
-    # cursor-based evaluators they are tested against bit for bit
-    # (maxscore_search, wand_search, ...) are test oracles, not entries.
+    # The vectorized arena kernel; the cursor-based references both
+    # strategies are tested against (maxscore_search,
+    # exhaustive_search_daat) are test oracles, not entries.
     "maxscore": maxscore_search_kernel,
-    "wand": wand_search_kernel,
-    "block_max_wand": block_max_wand_search_kernel,
-    "conjunctive": conjunctive_search_kernel,
 }
-
-#: Strategies implemented in :mod:`repro.retrieval.kernels` — they accept
-#: a ``stats=KernelStats()`` kwarg for telemetry instrumentation.
-KERNEL_STRATEGIES = frozenset(
-    {"maxscore", "wand", "block_max_wand", "conjunctive"}
-)
 
 CacheKey = tuple[tuple[str, ...], int, str]
 
@@ -203,12 +187,12 @@ class ShardSearcher:
     ) -> SearchResult:
         """Run the strategy, recording kernel telemetry when bound.
 
-        Kernel executions get a ``retrieval.kernel`` span on the shard's
-        ``retrieval.<id>`` track plus chunk/offer/restart counters;
+        MaxScore kernel executions get a ``retrieval.kernel`` span on the
+        shard's ``retrieval.<id>`` track plus chunk/offer/restart counters;
         everything is skipped (one attribute test) when telemetry is off.
         """
         tracer = self._tracer
-        if tracer is None or key[2] not in KERNEL_STRATEGIES:
+        if tracer is None or strategy is not maxscore_search_kernel:
             return strategy(self.shard, list(query.terms), key[1])
         kstats = KernelStats()
         if threading.get_ident() == self._telemetry_thread:

@@ -4,7 +4,7 @@ All similarities are *decomposable* (document-at-a-time friendly): the score
 of a document for a multi-term query is the sum of independent per-term
 contributions.  Each similarity exposes a vectorized form used both by the
 query evaluator and by the index-time statistics pass, plus an analytic
-per-term upper bound used by the MaxScore/WAND pruning strategies and by the
+per-term upper bound used by MaxScore pruning and by the
 "Estimated max score" latency feature (paper Table II).
 """
 

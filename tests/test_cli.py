@@ -24,6 +24,7 @@ class TestParser:
             ["build-index", "--out", "x"],
             ["index", "pack", "dir", "--out", "x"],
             ["bench", "--scale", "unit"],
+            ["select", "sweep"],
         ],
     )
     def test_removed_flags_and_commands_are_usage_errors(self, argv, capsys):
@@ -100,6 +101,11 @@ class TestCommands:
             (["faults", "--policies", "nosuch"], "unknown policy 'nosuch'"),
             (["serve", "--deadline-slo-ms", "nan"], "deadline_slo_ms must be positive"),
             (["serve", "--deadline-slo-ms", "inf"], "deadline_slo_ms must be positive"),
+            (["search", "{missing}", "t1", "--strategy", "wand"], "unknown strategy"),
+            (
+                ["search", "{missing}", "t1", "--strategy", "exhaustive_daat"],
+                "unknown strategy",
+            ),
         ],
     )
     def test_hostile_input_exits_one_with_one_line(
@@ -128,10 +134,10 @@ class TestCommands:
         assert err.count("\n") == 1 and message in err
 
     def test_negative_decode_cache_exits_one_with_one_line(self, tmp_path, capsys):
-        from repro.experiments.oracle_sweep import build_corpus
+        from repro.experiments.bench_storage import build_scaled_shards
         from repro.index import pack_shards
 
-        pack_shards(build_corpus(2, 50, 30, seed=3), tmp_path)
+        pack_shards(build_scaled_shards(2, 50, 30, seed=3), tmp_path)
         argv = ["search", str(tmp_path), "t001", "--raw-terms", "--decode-cache"]
         assert main(argv + ["-5"]) == 1
         captured = capsys.readouterr()

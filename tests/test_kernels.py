@@ -1,14 +1,15 @@
-"""Bit-identity of the arena kernels against their scalar references.
+"""Bit-identity of the MaxScore arena kernel against its scalar reference.
 
 Stronger than ``test_strategy_equivalence.py``'s tolerance-based check:
-each block-scored kernel must reproduce its cursor-based reference
+the block-scored kernel must reproduce its cursor-based reference
 *exactly* — same hits, same float64 scores (same summation order), same
 tie order, and every ``CostStats`` counter equal — on any Hypothesis
 corpus.  ``SearchResult.fingerprint()`` captures all of that in one
-string.  MaxScore forces the vectorized path with ``min_postings=0``
-(the dispatch floor would otherwise route these small corpora to the
-scalar and the test would vacuously pass) and sweeps fixed chunk sizes
-down to 1, since exactness must be chunk-size independent.  Two further
+string.  The kernel is forced onto the vectorized path with
+``min_postings=0`` (the dispatch floor would otherwise route these small
+corpora to the scalar and the test would vacuously pass) and swept over
+fixed chunk sizes down to 1, since exactness must be chunk-size
+independent.  Two further
 suites aim at what one cascade per batch adds — several threshold
 moves inside a batch and essential-split truncations: a Hypothesis
 profile with many short documents and a small ``k``, and a deterministic
@@ -24,17 +25,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.bench_storage import build_scaled_shards
 from repro.index import Document, IndexBuilder
-from repro.retrieval import (
-    KernelStats,
-    block_max_wand_search,
-    block_max_wand_search_kernel,
-    conjunctive_search,
-    conjunctive_search_kernel,
-    maxscore_search,
-    maxscore_search_kernel,
-    wand_search,
-    wand_search_kernel,
-)
+from repro.retrieval import KernelStats, maxscore_search, maxscore_search_kernel
 from repro.text import WhitespaceAnalyzer
 
 
@@ -42,12 +33,7 @@ def forced_maxscore_kernel(shard, terms, k):
     return maxscore_search_kernel(shard, terms, k, min_postings=0)
 
 
-PAIRS = {
-    "maxscore": (maxscore_search, forced_maxscore_kernel),
-    "wand": (wand_search, wand_search_kernel),
-    "block_max_wand": (block_max_wand_search, block_max_wand_search_kernel),
-    "conjunctive": (conjunctive_search, conjunctive_search_kernel),
-}
+PAIRS = {"maxscore": (maxscore_search, forced_maxscore_kernel)}
 
 VOCAB = [f"w{i}" for i in range(12)]
 
@@ -275,14 +261,3 @@ class TestKernelStats:
         first = stats.chunks
         maxscore_search_kernel(shard, ["w0", "w1"], 2, stats=stats, min_postings=0)
         assert stats.chunks == 2 * first
-
-    def test_sequential_kernels_accept_stats(self):
-        shard = build_shard([["w0", "w1"], ["w0"], ["w1"]])
-        for kernel in (
-            wand_search_kernel,
-            block_max_wand_search_kernel,
-            conjunctive_search_kernel,
-        ):
-            stats = KernelStats()
-            kernel(shard, ["w0", "w1"], 2, stats=stats)
-            assert stats.offers >= 0

@@ -119,46 +119,6 @@ class TestCursor:
         assert cursor.score() == 1.5
 
 
-class TestBlockMetadata:
-    def _cursor_with_blocks(self, doc_ids, scores, block_size=4):
-        cursor = make_list(doc_ids).cursor()
-        cursor.scores = np.asarray(scores, dtype=float)
-        n_blocks = (len(scores) + block_size - 1) // block_size
-        padded = np.full(n_blocks * block_size, -np.inf)
-        padded[: len(scores)] = scores
-        cursor.block_maxes = padded.reshape(n_blocks, block_size).max(axis=1)
-        cursor.block_size = block_size
-        return cursor
-
-    def test_block_max_of_current_block(self):
-        cursor = self._cursor_with_blocks(
-            list(range(10, 90, 10)), [1, 5, 2, 3, 9, 1, 1, 1]
-        )
-        assert cursor.block_max() == 5.0  # block 0 = scores[0:4]
-        cursor.next_geq(50)  # position 4 -> block 1
-        assert cursor.block_max() == 9.0
-
-    def test_block_last_doc(self):
-        cursor = self._cursor_with_blocks(
-            list(range(10, 90, 10)), [1, 2, 3, 4, 5, 6, 7, 8]
-        )
-        assert cursor.block_last_doc() == 40  # last doc of block 0
-        cursor.next_geq(50)
-        assert cursor.block_last_doc() == 80
-
-    def test_partial_final_block(self):
-        cursor = self._cursor_with_blocks([1, 2, 3, 4, 5, 6], [1, 1, 1, 1, 7, 2])
-        cursor.next_geq(5)
-        assert cursor.block_max() == 7.0
-        assert cursor.block_last_doc() == 6
-
-    def test_exhausted_cursor(self):
-        cursor = self._cursor_with_blocks([1, 2], [1.0, 2.0])
-        cursor.next_geq(100)
-        assert cursor.block_max() == 0.0
-        assert cursor.block_last_doc() == END_OF_LIST
-
-
 def test_shard_term_block_maxes_dominate_scores(shards):
     from repro.index.shard import BLOCK_SIZE
 

@@ -1,6 +1,6 @@
 """Unit + property tests for query evaluation.
 
-The central property: exhaustive, MaxScore and WAND return identical hit
+The central property: exhaustive and MaxScore return identical hit
 lists (same doc ids, same scores up to float summation order) while the
 pruning strategies do no more work than exhaustive evaluation.
 """
@@ -10,28 +10,22 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_strategy_equivalence import assert_same_topk
 
 from repro.index import Document, IndexBuilder
 from repro.retrieval import (
     DistributedSearcher,
     Query,
     ShardSearcher,
-    block_max_wand_search,
-    conjunctive_search,
     exhaustive_search,
     exhaustive_search_daat,
     maxscore_search,
     merge_results,
-    wand_search,
 )
 from repro.retrieval.result import CostStats, SearchResult
 from repro.text import WhitespaceAnalyzer
 
-PRUNED = {
-    "maxscore": maxscore_search,
-    "wand": wand_search,
-    "block_max_wand": block_max_wand_search,
-}
+PRUNED = {"maxscore": maxscore_search}
 
 
 def build_shard(n_docs=150, vocab=40, seed=0):
@@ -43,40 +37,18 @@ def build_shard(n_docs=150, vocab=40, seed=0):
     return builder.build()
 
 
-def assert_same_hits(a, b):
-    """Hit lists agree up to floating summation order.
-
-    Different strategies sum a document's term scores in different orders,
-    so genuinely tied documents can differ by 1 ulp and swap at the tie —
-    exactly like real engines.  Scores must match pairwise; doc ids must
-    match except where the scores tie.
-    """
-    assert len(a.hits) == len(b.hits)
-    for (da, sa), (db, sb) in zip(a.hits, b.hits):
-        assert sa == pytest.approx(sb, abs=1e-9)
-    # Ranks may only differ where scores tie; strictly-distinct scores pin
-    # their doc uniquely.
-    scores_a = [s for _, s in a.hits]
-    for i, ((da, sa), (db, _)) in enumerate(zip(a.hits, b.hits)):
-        if da != db:
-            tied = [
-                j for j, s in enumerate(scores_a) if abs(s - sa) <= 1e-9
-            ]
-            assert len(tied) > 1 or i == len(a.hits) - 1
-
-
 class TestStrategyEquivalence:
     @pytest.mark.parametrize("name", sorted(PRUNED))
     @pytest.mark.parametrize("terms", [["w0"], ["w0", "w1"], ["w3", "w7", "w11", "w2"]])
     def test_matches_exhaustive(self, name, terms):
         shard = build_shard()
-        assert_same_hits(
+        assert_same_topk(
             exhaustive_search(shard, terms, 10), PRUNED[name](shard, terms, 10)
         )
 
     def test_daat_reference_matches_vectorized(self):
         shard = build_shard()
-        assert_same_hits(
+        assert_same_topk(
             exhaustive_search(shard, ["w1", "w2"], 10),
             exhaustive_search_daat(shard, ["w1", "w2"], 10),
         )
@@ -92,8 +64,8 @@ class TestStrategyEquivalence:
 
     @pytest.mark.parametrize(
         "search",
-        [exhaustive_search, exhaustive_search_daat, maxscore_search, wand_search],
-        ids=["vec", "daat", "maxscore", "wand"],
+        [exhaustive_search, exhaustive_search_daat, maxscore_search],
+        ids=["vec", "daat", "maxscore"],
     )
     def test_unknown_terms_empty(self, search):
         shard = build_shard()
@@ -102,8 +74,8 @@ class TestStrategyEquivalence:
 
     @pytest.mark.parametrize(
         "search",
-        [exhaustive_search, maxscore_search, wand_search],
-        ids=["vec", "maxscore", "wand"],
+        [exhaustive_search, maxscore_search],
+        ids=["vec", "maxscore"],
     )
     def test_k_validation(self, search):
         with pytest.raises(ValueError):
@@ -112,7 +84,7 @@ class TestStrategyEquivalence:
     def test_k_one(self):
         shard = build_shard()
         terms = ["w0", "w1"]
-        assert_same_hits(
+        assert_same_topk(
             exhaustive_search(shard, terms, 1), maxscore_search(shard, terms, 1)
         )
 
@@ -120,7 +92,7 @@ class TestStrategyEquivalence:
         shard = build_shard(n_docs=10)
         full = exhaustive_search(shard, ["w0"], 100)
         assert len(full.hits) == shard.doc_freq("w0")
-        assert_same_hits(full, wand_search(shard, ["w0"], 100))
+        assert_same_topk(full, maxscore_search(shard, ["w0"], 100))
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +107,7 @@ def test_equivalence_property(seed, k, term_ids):
     terms = [f"w{i}" for i in term_ids]
     reference = exhaustive_search(shard, terms, k)
     for strategy in PRUNED.values():
-        assert_same_hits(reference, strategy(shard, terms, k))
+        assert_same_topk(reference, strategy(shard, terms, k))
 
 
 class TestMergeResults:
@@ -257,26 +229,24 @@ class TestDistributedSearcher:
 
 
 class TestKernelDispatchAndTelemetry:
-    """The searcher runs the arena kernels; the scalar evaluators are
-    the oracles, called directly, and the two must agree bit-for-bit
+    """The searcher runs the MaxScore arena kernel; the scalar evaluators
+    are the oracles, called directly, and the two must agree bit-for-bit
     through the full search/memoize path."""
 
-    REFERENCES = {**PRUNED, "conjunctive": conjunctive_search}
-
     def test_registry_holds_kernels_not_reference_oracles(self, shards):
-        from repro.retrieval import KERNEL_STRATEGIES, STRATEGIES
+        from repro.retrieval import STRATEGIES, maxscore_search_kernel
 
-        assert KERNEL_STRATEGIES == set(self.REFERENCES)
-        assert not [name for name in STRATEGIES if name.endswith("_reference")]
-        for name, reference in self.REFERENCES.items():
-            assert STRATEGIES[name] is not reference
-        with pytest.raises(ValueError, match="unknown strategy"):
-            ShardSearcher(shards[0], strategy="maxscore_reference")
+        assert set(STRATEGIES) == {"exhaustive", "maxscore"}
+        assert STRATEGIES["maxscore"] is maxscore_search_kernel
+        assert STRATEGIES["exhaustive"] is exhaustive_search
+        for oracle in ("maxscore_reference", "exhaustive_daat"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                ShardSearcher(shards[0], strategy=oracle)
 
     def test_kernel_strategy_matches_reference_through_searcher(self, shards):
         terms = ["t1", "t12", "t41"]
         query = Query(query_id=0, terms=tuple(terms))
-        for name, reference in sorted(self.REFERENCES.items()):
+        for name, reference in sorted(PRUNED.items()):
             kernel = ShardSearcher(shards[0], k=10, strategy=name)
             assert (
                 kernel.search(query).fingerprint()

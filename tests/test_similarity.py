@@ -66,7 +66,7 @@ class TestTFIDF:
 )
 def test_upper_bound_is_admissible(sim, tf, max_tf, dl, df):
     """No posting with tf <= max_tf may out-score the analytic bound —
-    the property MaxScore/WAND correctness rests on."""
+    the property MaxScore correctness rests on."""
     tf = min(tf, max_tf)
     n_docs, avg_dl = 1000, 120.0
     score = sim.scores(np.array([tf]), np.array([dl], dtype=float), df, n_docs, avg_dl)[0]

@@ -1,7 +1,7 @@
 """Column-lazy decode: what a store-backed query pays for, and retains.
 
 * The query path reads two columns.  A store whose packed tf words raise
-  on any access still answers every kernel bit-identically to memory;
+  on any access still answers the kernel bit-identically to memory;
   ``term_tfs`` is the one reader of that column and returns the raw
   arena's exact ``int32`` values.
 * What the LRU retains per posting is the doc id at the arena's dtype
@@ -27,7 +27,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.experiments.bench_storage import KERNELS, build_scaled_shards
+from repro.experiments.bench_storage import build_scaled_shards
 from repro.index import (
     open_store,
     open_store_buffer,
@@ -35,7 +35,11 @@ from repro.index import (
     store_info,
     write_store,
 )
-from repro.retrieval import exhaustive_search, maxscore_search
+from repro.retrieval import (
+    exhaustive_search,
+    maxscore_search,
+    maxscore_search_kernel,
+)
 
 QUERIES = [
     ["t000", "t001"],
@@ -58,8 +62,8 @@ class Untouchable(np.ndarray):
 
 @pytest.fixture(scope="module")
 def shard():
-    # Every query above totals >= 2 048 postings: all four kernels run
-    # vectorized (below that floor MaxScore dispatches to the scalar
+    # Every query above totals >= 2 048 postings: the kernel runs
+    # vectorized (below that floor it dispatches to the scalar
     # evaluator, whose ShardTerm does carry tfs).
     return build_scaled_shards(1, 9000, 16, seed=5)[0]
 
@@ -70,12 +74,11 @@ class TestQueryPathReadsNoTfs:
         lazy.arena.tf_words = np.zeros(1, dtype=np.uint64).view(Untouchable)
         with pytest.raises(AssertionError, match="tf_words read"):
             lazy.arena.term_tfs("t000")  # the sentinel does bite
-        for name, kernel in KERNELS.items():
-            for terms in QUERIES:
-                assert (
-                    kernel(lazy, list(terms), 10).fingerprint()
-                    == kernel(shard, list(terms), 10).fingerprint()
-                ), (name, terms)
+        for terms in QUERIES:
+            assert (
+                maxscore_search_kernel(lazy, list(terms), 10).fingerprint()
+                == maxscore_search_kernel(shard, list(terms), 10).fingerprint()
+            ), terms
         assert lazy.arena.decode_stats.misses > 0
 
     def test_term_tfs_equals_the_raw_column(self, shard):
