@@ -9,6 +9,7 @@ web-search latencies.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -78,16 +79,30 @@ class Simulator:
         self._seq += 1
 
     def run(self, until_ms: float | None = None) -> None:
-        """Drain the event queue (optionally stopping at ``until_ms``)."""
+        """Drain the event queue (optionally stopping at ``until_ms``).
+
+        The objects alive when the loop starts (shards, memos, models) sit
+        out the cyclic collector until it returns (``gc.freeze``): young
+        collections still free the loop's own garbage, but a full
+        collection no longer re-traverses the whole testbed to find none.
+        A caller's own freeze is left as it was.
+        """
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
         heap = self._heap
         pop = heapq.heappop
-        while heap:
-            if until_ms is not None and heap[0][0] > until_ms:
-                self.now = until_ms
-                return
-            self.now, _, fn, args = pop(heap)
-            self._events_processed += 1
-            fn(*args)
+        try:
+            while heap:
+                if until_ms is not None and heap[0][0] > until_ms:
+                    self.now = until_ms
+                    return
+                self.now, _, fn, args = pop(heap)
+                self._events_processed += 1
+                fn(*args)
+        finally:
+            if freeze:
+                gc.unfreeze()
 
     @property
     def pending(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index import IndexShard, ShardTerm
+from repro.index import DocLengths, IndexShard, ShardTerm
 from repro.index.postings import PostingList
 from repro.scoring.similarity import BM25Similarity
 
@@ -71,16 +71,16 @@ def build_scaled_shards(
                 upper_bound=float(scores.max()),
                 global_doc_freq=df * n_shards,
             )
-        doc_lengths = dict(
-            zip(range(base, base + docs_per_shard), doc_len_values.tolist())
-        )
         shards.append(
             IndexShard(
                 shard_id=shard_id,
                 n_docs=docs_per_shard,
                 avg_doc_length=avg_len,
                 total_tokens=total_tokens,
-                doc_lengths=doc_lengths,
+                doc_lengths=DocLengths(
+                    np.arange(base, base + docs_per_shard, dtype=np.int64),
+                    doc_len_values,
+                ),
                 similarity=similarity,
                 n_docs_global=docs_per_shard * n_shards,
                 _terms=terms,

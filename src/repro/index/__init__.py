@@ -34,7 +34,7 @@ from repro.index.partitioner import (
     partition_topical,
 )
 from repro.index.postings import END_OF_LIST, PostingCursor, PostingList, PostingListBuilder
-from repro.index.shard import BLOCK_SIZE, IndexShard, ShardTerm
+from repro.index.shard import BLOCK_SIZE, DocLengths, IndexShard, ShardTerm
 from repro.index.store import (
     LazyIndexShard,
     open_store,
@@ -60,6 +60,7 @@ __all__ = [
     "gather_collection_stats",
     "IndexShard",
     "ShardTerm",
+    "DocLengths",
     "BLOCK_SIZE",
     "PostingsArena",
     "CompressedPostingsArena",

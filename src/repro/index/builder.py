@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.index.documents import Document
 from repro.index.postings import PostingListBuilder
-from repro.index.shard import IndexShard, ShardTerm
+from repro.index.shard import DocLengths, IndexShard, ShardTerm
 from repro.scoring.similarity import BM25Similarity, Similarity
 from repro.text.analyzer import Analyzer, StandardAnalyzer
 
@@ -92,8 +92,11 @@ class IndexBuilder:
         and average length; without, against its local statistics only.
         """
         doc_ids = sorted(self._docs)
-        doc_lengths = {doc_id: len(self._docs[doc_id]) for doc_id in doc_ids}
-        total_tokens = sum(doc_lengths.values())
+        doc_lengths = DocLengths(
+            np.asarray(doc_ids, dtype=np.int64),
+            np.asarray([len(self._docs[d]) for d in doc_ids], dtype=np.int64),
+        )
+        total_tokens = int(doc_lengths.lengths.sum())
         n_docs = len(doc_ids)
         avg_dl_local = total_tokens / n_docs if n_docs else 0.0
 
@@ -121,9 +124,9 @@ class IndexBuilder:
                 if stats is not None
                 else len(postings)
             )
-            lengths = np.asarray(
-                [doc_lengths[int(d)] for d in postings.doc_ids], dtype=np.float64
-            )
+            lengths = doc_lengths.lengths.take(
+                np.searchsorted(doc_lengths.ids, postings.doc_ids)
+            ).astype(np.float64)
             scores = self.similarity.scores(
                 postings.tfs, lengths, df, score_n_docs, score_avg_dl
             )

@@ -51,7 +51,7 @@ from repro.index.arena import (
     unpack_bits,
 )
 from repro.index.postings import PostingList
-from repro.index.shard import IndexShard, ShardTerm
+from repro.index.shard import DocLengths, IndexShard, ShardTerm
 from repro.scoring.similarity import (
     BM25Similarity,
     LMDirichletSimilarity,
@@ -175,19 +175,12 @@ def serialize_shard(shard: IndexShard) -> bytes:
     terms_blob = np.frombuffer(
         "\n".join(terms).encode("utf-8"), dtype=np.uint8
     )
-    # Document lengths: sorted ids delta-packed (gap - 1, strictly
-    # increasing), values bit-packed raw.
-    ids = np.asarray(sorted(shard.doc_lengths), dtype=np.int64)
-    values = np.asarray(
-        [shard.doc_lengths[int(d)] for d in ids], dtype=np.int64
-    )
-    if ids.size and int(values.min()) < 0:
-        raise ValueError("negative document length")
+    # Document lengths: ids delta-packed (gap - 1; DocLengths keeps them
+    # strictly increasing), values bit-packed raw.
+    ids, values = shard.doc_lengths.ids, shard.doc_lengths.lengths
     doc_len_first = int(ids[0]) if ids.size else 0
     if ids.size > 1:
         gaps = np.diff(ids)
-        if int(gaps.min()) <= 0:
-            raise ValueError("doc_lengths ids must be unique")
         gaps -= 1
         id_width = bits_for(int(gaps.max()))
         id_words = pack_bits(gaps, id_width)
@@ -699,9 +692,7 @@ class LazyIndexShard(IndexShard):
         self._arena = arena
         self.global_dfs = global_dfs
         self._doc_len_spec = doc_len_spec
-        self._doc_len_ids: np.ndarray | None = None
-        self._doc_len_values: np.ndarray | None = None
-        self._doc_lengths_dict: dict[int, int] | None = None
+        self._doc_lengths: DocLengths | None = None
         self.store_path = store_path
 
     # ------------------------------------------------------ term access
@@ -760,8 +751,10 @@ class LazyIndexShard(IndexShard):
         return list(self._arena.terms)
 
     # ---------------------------------------------------- doc lengths
-    def _decode_doc_lens(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._doc_len_ids is None:
+    @property
+    def doc_lengths(self) -> DocLengths:  # type: ignore[override]
+        """The packed columns, decoded on first use and kept."""
+        if self._doc_lengths is None:
             n, first, id_width, val_width, id_words, val_words = (
                 self._doc_len_spec
             )
@@ -773,24 +766,10 @@ class LazyIndexShard(IndexShard):
                     np.add(gaps, 1, out=gaps)
                     ids[1:] = gaps
                     np.cumsum(ids, out=ids)
-            self._doc_len_ids = ids
-            self._doc_len_values = unpack_bits(val_words, n, val_width)
-        assert self._doc_len_values is not None
-        return self._doc_len_ids, self._doc_len_values
-
-    @property
-    def doc_lengths(self) -> dict[int, int]:  # type: ignore[override]
-        if self._doc_lengths_dict is None:
-            ids, values = self._decode_doc_lens()
-            self._doc_lengths_dict = dict(
-                zip(ids.tolist(), values.tolist())
+            self._doc_lengths = DocLengths(
+                ids, unpack_bits(val_words, n, val_width)
             )
-        return self._doc_lengths_dict
-
-    def contains_doc(self, doc_id: int) -> bool:
-        ids, _ = self._decode_doc_lens()
-        pos = int(np.searchsorted(ids, doc_id))
-        return pos < ids.size and int(ids[pos]) == doc_id
+        return self._doc_lengths
 
     def __repr__(self) -> str:
         return (

@@ -7,6 +7,11 @@ above the global top-K threshold.  This module provides the Gamma machinery
 plus the histogram utilities behind the paper's Fig. 6 (which shows how the
 fitted Gamma deviates from the true score histogram, motivating Cottage's NN
 quality predictor).
+
+``scipy.stats`` is imported inside :meth:`GammaFit.sf` and
+:meth:`GammaFit.quantile`, the only code that evaluates a Gamma tail: it
+is most of a bare process's resident memory and import time, and a
+process that never runs Taily never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,8 @@ class GammaFit:
         """P(X > threshold) under the fitted Gamma."""
         if threshold <= 0.0:
             return 1.0
+        from scipy import stats as scipy_stats
+
         return float(scipy_stats.gamma.sf(threshold, a=self.shape, scale=self.scale))
 
     def expected_above(self, threshold: float) -> float:
@@ -56,6 +62,8 @@ class GammaFit:
         """Score value at quantile ``q`` of the fitted Gamma."""
         if not 0.0 < q < 1.0:
             raise ValueError("q must be in (0, 1)")
+        from scipy import stats as scipy_stats
+
         return float(scipy_stats.gamma.ppf(q, a=self.shape, scale=self.scale))
 
 
@@ -74,18 +82,6 @@ def fit_gamma_moments(mean: float, variance: float, count: int) -> GammaFit:
     shape = mean**2 / variance
     scale = variance / mean
     return GammaFit(shape=shape, scale=scale, count=count)
-
-
-def fit_gamma_mle(scores: np.ndarray) -> GammaFit:
-    """Maximum-likelihood Gamma fit from raw scores (used in Fig. 6)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    scores = scores[scores > 0]
-    if scores.size == 0:
-        return GammaFit(shape=1.0, scale=1e-9, count=0)
-    if scores.size == 1 or float(np.var(scores)) < 1e-12:
-        return fit_gamma_moments(float(np.mean(scores)), 1e-12, int(scores.size))
-    shape, _, scale = scipy_stats.gamma.fit(scores, floc=0.0)
-    return GammaFit(shape=float(shape), scale=float(scale), count=int(scores.size))
 
 
 def combine_gamma_sum(fits: list[GammaFit]) -> GammaFit:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.scoring.distributions import (
     combine_gamma_sum,
-    fit_gamma_mle,
     fit_gamma_moments,
     gamma_tail_count,
     histogram_tail_count,
@@ -58,24 +57,6 @@ class TestMomentsFit:
         fit = fit_gamma_moments(5.0, 4.0, 10)
         with pytest.raises(ValueError):
             fit.quantile(0.0)
-
-
-class TestMLEFit:
-    def test_fits_gamma_samples(self):
-        rng = np.random.default_rng(0)
-        samples = rng.gamma(shape=3.0, scale=2.0, size=4000)
-        fit = fit_gamma_mle(samples)
-        assert fit.shape == pytest.approx(3.0, rel=0.15)
-        assert fit.scale == pytest.approx(2.0, rel=0.15)
-
-    def test_empty_input(self):
-        fit = fit_gamma_mle(np.zeros(0))
-        assert fit.count == 0
-
-    def test_single_value(self):
-        fit = fit_gamma_mle(np.array([2.5]))
-        assert fit.count == 1
-        assert fit.mean == pytest.approx(2.5, rel=1e-6)
 
 
 class TestCombine:

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulator core."""
 
+import gc
+
 import pytest
 
 from repro.cluster import Simulator
@@ -95,3 +97,23 @@ class TestSimulator:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 5
+
+    def test_loop_freezes_what_was_alive_and_thaws_it(self):
+        sim = Simulator()
+        frozen = []
+        sim.schedule(1.0, lambda: frozen.append(gc.get_freeze_count() > 0))
+        sim.run()
+        assert frozen == [True] and gc.get_freeze_count() == 0
+        sim.schedule(1.0, lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            sim.run()
+        assert gc.get_freeze_count() == 0
+        # A caller's own freeze is left exactly as it was.
+        gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            sim.schedule(1.0, lambda: None)
+            sim.run()
+            assert gc.get_freeze_count() == before
+        finally:
+            gc.unfreeze()

@@ -1,8 +1,10 @@
 """Edge-case tests for the IndexShard API."""
 
+import numpy as np
 import pytest
 
-from repro.index import BLOCK_SIZE, Document, IndexBuilder
+from repro.index import BLOCK_SIZE, DocLengths, Document, IndexBuilder, IndexShard
+from repro.scoring import BM25Similarity
 from repro.text import WhitespaceAnalyzer
 
 
@@ -54,3 +56,52 @@ class TestShardAPI:
     def test_global_defaults_to_local_when_unset(self, shard):
         assert shard.n_docs_global == shard.n_docs
         assert shard.term("beta").global_doc_freq == shard.doc_freq("beta")
+
+
+class TestDocLengths:
+    @pytest.mark.parametrize(
+        "ids, lengths, message",
+        [
+            ([3, 1, 5], [1, 2, 3], "unsorted id 1 after 3"),
+            ([1, 3, 3], [1, 2, 3], "duplicate id 3 after 3"),
+            ([1, 3, 5], [1, -2, 3], "negative length -2 for id 3"),
+            ([1, 3, 5], [1, 2], "3 ids but 2 lengths"),
+        ],
+        ids=["unsorted", "duplicate", "negative", "mismatched"],
+    )
+    def test_malformed_columns_rejected(self, ids, lengths, message):
+        with pytest.raises(ValueError, match=message) as caught:
+            DocLengths(ids, lengths)
+        assert "\n" not in str(caught.value)
+
+    def test_malformed_shard_fails_when_built(self):
+        with pytest.raises(ValueError, match="negative length"):
+            IndexShard(
+                shard_id=0, n_docs=2, avg_doc_length=1.0, total_tokens=2,
+                doc_lengths=DocLengths([0, 1], [3, -1]),
+                similarity=BM25Similarity(),
+            )
+
+    def test_field_takes_only_doc_lengths(self):
+        with pytest.raises(TypeError, match="DocLengths, got dict"):
+            IndexShard(
+                shard_id=0, n_docs=1, avg_doc_length=1.0, total_tokens=1,
+                doc_lengths={0: 1}, similarity=BM25Similarity(),
+            )
+
+    def test_mapping_behaviour(self):
+        lengths = np.array([5, 0, 9], dtype=np.int64)
+        doc_lengths = DocLengths(np.array([3, 7, 2**40]), lengths)
+        assert 7 in doc_lengths and np.int64(2**40) in doc_lengths
+        assert 4 not in doc_lengths and "7" not in doc_lengths
+        assert doc_lengths[7] == 0 and type(doc_lengths[7]) is int
+        with pytest.raises(KeyError):
+            doc_lengths[8]
+        assert len(doc_lengths) == 3
+        assert list(doc_lengths) == [3, 7, 2**40]
+        assert doc_lengths == {3: 5, 7: 0, 2**40: 9}
+        assert doc_lengths != {3: 5, 7: 0}
+        assert doc_lengths == DocLengths([3, 7, 2**40], [5, 0, 9])
+        # The columns are read-only; the caller's arrays stay writable.
+        assert not doc_lengths.lengths.flags.writeable
+        assert lengths.flags.writeable

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.cluster.engine import RunResult, SearchCluster
 from repro.index import (
     CompressedPostingsArena,
+    DocLengths,
     Document,
     IndexBuilder,
     IndexShard,
@@ -88,7 +89,7 @@ def make_shard(term_columns: dict[str, tuple[list[int], list[int]]]) -> IndexSha
         n_docs=max(len(all_docs), 1),
         avg_doc_length=10.0,
         total_tokens=10 * max(len(all_docs), 1),
-        doc_lengths={doc: 10 for doc in sorted(all_docs)},
+        doc_lengths=DocLengths(sorted(all_docs), [10] * len(all_docs)),
         similarity=similarity,
         _terms=terms,
     )
