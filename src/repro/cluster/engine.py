@@ -253,14 +253,12 @@ class SearchCluster:
     def _decode_totals(self) -> tuple[int, int, int]:
         """Cluster-wide (hits, misses, evictions) decode LRU sums.
 
-        Only compressed arenas keep decode counters; shards whose arena
-        has not been built yet contribute nothing (and are left unbuilt —
-        this must never trigger the uncompressed arena construction).
+        Only compressed arenas keep decode counters; in-memory shards
+        contribute nothing.
         """
         hits = misses = evictions = 0
         for shard in self.shards:
-            arena = getattr(shard, "_arena", None)
-            stats = getattr(arena, "decode_stats", None)
+            stats = getattr(shard.arena, "decode_stats", None)
             if stats is not None:
                 hits += stats.hits
                 misses += stats.misses
@@ -270,16 +268,13 @@ class SearchCluster:
     def set_decode_cache(self, cache_bytes: int) -> int:
         """Re-budget every compressed shard's decode LRU to ``cache_bytes``.
 
-        Applies only to shards whose compressed arena already exists —
-        uncompressed shards have no decode cache, and unbuilt arenas are
-        left unbuilt (the same non-forcing contract as
-        :meth:`_decode_totals`).  Oversized caches evict down
+        Applies only to compressed (store-backed) shards — uncompressed
+        shards have no decode cache.  Oversized caches evict down
         immediately.  Returns the number of arenas re-budgeted.
         """
         touched = 0
         for shard in self.shards:
-            arena = getattr(shard, "_arena", None)
-            resize = getattr(arena, "set_cache_budget", None)
+            resize = getattr(shard.arena, "set_cache_budget", None)
             if resize is not None:
                 resize(cache_bytes)
                 touched += 1

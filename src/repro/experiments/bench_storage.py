@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index import DocLengths, IndexShard, ShardTerm
-from repro.index.postings import PostingList
+from repro.index import DocLengths, IndexShard, PostingsArena
 from repro.scoring.similarity import BM25Similarity
 
 N_SHARDS = 4
@@ -40,37 +39,45 @@ def build_scaled_shards(
     """
     similarity = BM25Similarity()
     shards: list[IndexShard] = []
+    names = [f"t{t:03d}" for t in range(vocab_size)]
+    # Term t is drawn t-th (the draw order fixes every value) and written
+    # at its rank in sorted order, into columns preallocated from the dfs.
+    order = sorted(range(vocab_size), key=names.__getitem__)
+    rank = np.empty(vocab_size, dtype=np.int64)
+    rank[order] = np.arange(vocab_size)
+    dfs = np.array(
+        [max(2, docs_per_shard // (t + 2)) for t in range(vocab_size)],
+        dtype=np.int64,
+    )
+    offsets = np.zeros(vocab_size + 1, dtype=np.int64)
+    np.cumsum(dfs[order], out=offsets[1:])
     for shard_id in range(n_shards):
         rng = np.random.default_rng(seed * 1_000_003 + shard_id)
         base = shard_id * docs_per_shard
         doc_len_values = rng.integers(64, 512, size=docs_per_shard)
         avg_len = float(doc_len_values.mean())
         total_tokens = int(doc_len_values.sum())
-        terms: dict[str, ShardTerm] = {}
+        doc_ids = np.empty(int(offsets[-1]), dtype=np.int64)
+        tfs = np.empty(int(offsets[-1]), dtype=np.int32)
+        scores = np.empty(int(offsets[-1]), dtype=np.float64)
+        upper_bounds = np.empty(vocab_size, dtype=np.float64)
         for t in range(vocab_size):
-            df = max(2, docs_per_shard // (t + 2))
+            df, at = int(dfs[t]), int(rank[t])
+            lo, hi = int(offsets[at]), int(offsets[at + 1])
             members = np.sort(rng.choice(docs_per_shard, size=df, replace=False))
-            doc_ids = (base + members).astype(np.int64)
-            tfs = np.minimum(
+            doc_ids[lo:hi] = base + members
+            term_tfs = np.minimum(
                 rng.geometric(0.45, size=df).astype(np.int64), 24
             )
-            scores = similarity.scores(
-                tfs,
+            tfs[lo:hi] = term_tfs
+            scores[lo:hi] = similarity.scores(
+                term_tfs,
                 doc_len_values[members],
                 doc_freq=df,
                 n_docs=docs_per_shard * n_shards,
                 avg_doc_length=avg_len,
-            ).astype(np.float64)
-            name = f"t{t:03d}"
-            terms[name] = ShardTerm(
-                term=name,
-                postings=PostingList(
-                    doc_ids=doc_ids, tfs=tfs.astype(np.int32)
-                ),
-                scores=scores,
-                upper_bound=float(scores.max()),
-                global_doc_freq=df * n_shards,
             )
+            upper_bounds[at] = scores[lo:hi].max()
         shards.append(
             IndexShard(
                 shard_id=shard_id,
@@ -82,8 +89,12 @@ def build_scaled_shards(
                     doc_len_values,
                 ),
                 similarity=similarity,
+                arena=PostingsArena(
+                    [names[t] for t in order], offsets, doc_ids, tfs, scores,
+                    upper_bounds,
+                ),
+                global_dfs=np.diff(offsets) * n_shards,
                 n_docs_global=docs_per_shard * n_shards,
-                _terms=terms,
             )
         )
     return shards

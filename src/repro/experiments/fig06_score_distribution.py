@@ -40,12 +40,11 @@ def run(testbed: Testbed, shard_id: int = 0) -> ScoreDistributionResult:
     best_term, best_len = None, 0
     for query in {q.terms: q for q in trace}.values():
         for term in query.terms:
-            entry = shard.term(term)
-            if entry is not None and len(entry.postings) > best_len:
-                best_term, best_len = term, len(entry.postings)
+            if shard.doc_freq(term) > best_len:
+                best_term, best_len = term, shard.doc_freq(term)
     assert best_term is not None
 
-    scores = np.asarray(shard.term(best_term).scores, dtype=float)
+    scores = np.asarray(shard.scores(best_term), dtype=float)
     counts, edges = score_histogram(scores, bins=20)
     histogram = [
         (float(edges[i]), float(edges[i + 1]), int(counts[i]))

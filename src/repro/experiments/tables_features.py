@@ -28,9 +28,8 @@ def run(testbed: Testbed, shard_id: int = 0) -> FeatureTablesResult:
     best_term, best_len = None, 0
     for query in {q.terms: q for q in testbed.wikipedia_trace}.values():
         for term in query.terms:
-            entry = shard.term(term)
-            if entry is not None and len(entry.postings) > best_len:
-                best_term, best_len = term, len(entry.postings)
+            if shard.doc_freq(term) > best_len:
+                best_term, best_len = term, shard.doc_freq(term)
     assert best_term is not None
     terms = (best_term,)
     return FeatureTablesResult(

@@ -8,6 +8,7 @@ Index used by the Rank-S baseline.
 """
 
 from repro.index.arena import (
+    BLOCK_SIZE,
     CodedScores,
     CompressedPostingsArena,
     DecodeStats,
@@ -33,8 +34,8 @@ from repro.index.partitioner import (
     partition_round_robin,
     partition_topical,
 )
-from repro.index.postings import END_OF_LIST, PostingCursor, PostingList, PostingListBuilder
-from repro.index.shard import BLOCK_SIZE, DocLengths, IndexShard, ShardTerm
+from repro.index.postings import END_OF_LIST, PostingCursor, PostingList
+from repro.index.shard import DocLengths, IndexShard, ShardTerm
 from repro.index.store import (
     LazyIndexShard,
     open_store,
@@ -52,7 +53,6 @@ __all__ = [
     "DocumentStore",
     "PostingList",
     "PostingCursor",
-    "PostingListBuilder",
     "END_OF_LIST",
     "IndexBuilder",
     "build_shards",

@@ -1,15 +1,14 @@
 """Columnar postings arena: one shard's index as flat numpy columns.
 
-The cursor-based references in :mod:`repro.retrieval` attach per-term
-``scores`` arrays to a fresh :class:`PostingCursor` on every query, and
-then advance posting by posting with an ``int()``/``float()`` boxing per
-access.  The arena removes both costs: every
-posting list of the shard is concatenated once — at index build time —
+An :class:`~repro.index.shard.IndexShard` *is* its arena: the index
+builders write every posting list of the shard once, at build time,
 into contiguous ``doc_ids``/``tfs``/``scores`` columns with per-term
-offset slices, and the block-max metadata is packed the same way.  The
-vectorized kernels in :mod:`repro.retrieval.kernels` operate directly on
-these columns with ``searchsorted`` + masked gathers; a query only pays
-for building a handful of :class:`TermRun` slice views.
+offset slices, and the block-max metadata is derived from them the same
+way.  Nothing else holds a second copy.  The vectorized kernels in
+:mod:`repro.retrieval.kernels` operate directly on these columns with
+``searchsorted`` + masked gathers, and the cursor-based references walk
+the same slices; a query only pays for building a handful of
+:class:`TermRun` slice views.
 
 Terms are laid out in sorted order, which is also the term order of the
 on-disk ``.store`` layout of :mod:`repro.index.store`.
@@ -36,12 +35,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.index.shard import IndexShard
+BLOCK_SIZE = 64
+"""Postings per block for block-max metadata (Ding & Suel, SIGIR'11)."""
 
 
 class CodedScores:
@@ -96,7 +94,7 @@ class TermRun:
     them into the raw arena's arrays for readers that go posting by
     posting.  ``block_maxes`` holds the per-block maxima for this term
     and ``block_size`` the block length (the ``.store`` block-max
-    metadata, which ``LazyIndexShard.term()`` hands back as
+    metadata, which ``IndexShard.term()`` hands back as
     ``ShardTerm.block_maxes``).
     """
 
@@ -130,19 +128,30 @@ class TermRun:
 class PostingsArena:
     """Immutable columnar view of one shard's complete inverted index.
 
+    The one constructor of a raw arena: the index builders write these
+    columns directly, and everything else about the shard's postings
+    (``IndexShard.term()``, the kernels, ``.store`` packing) reads them.
+    The columns are checked here, vectorized, so a malformed index is a
+    one-line ``ValueError`` when it is built, never a misaligned slice
+    later.
+
     Attributes
     ----------
-    doc_ids, tfs, scores:
-        All posting lists concatenated in sorted-term order.
+    terms:
+        Every term of the shard, sorted and unique.
     offsets:
         ``offsets[i]:offsets[i+1]`` slices term *i*'s postings out of the
         columns.
+    doc_ids, tfs, scores:
+        All posting lists concatenated in ``terms`` order: per term,
+        strictly increasing non-negative ``int64`` doc ids, ``int32`` term
+        frequencies of at least 1 and ``float64`` scores.
     upper_bounds:
         Per-term global score upper bounds, aligned with ``terms``.
     block_maxes, block_offsets:
         Per-block score maxima for every term, concatenated, with
-        ``block_offsets`` slicing them per term (block-max metadata of
-        ``.store`` format 1; no traversal reads it).
+        ``block_offsets`` slicing them per term: derived here, the
+        block-max metadata of ``.store`` format 1 (no traversal reads it).
     """
 
     __slots__ = (
@@ -159,70 +168,94 @@ class PostingsArena:
         tfs: np.ndarray,
         scores: np.ndarray,
         upper_bounds: np.ndarray,
-        block_maxes: np.ndarray,
-        block_offsets: np.ndarray,
-        block_size: int,
+        block_size: int = BLOCK_SIZE,
     ) -> None:
-        self.terms = terms
-        self.offsets = offsets
-        self.doc_ids = doc_ids
-        self.tfs = tfs
-        self.scores = scores
-        self.upper_bounds = upper_bounds
-        self.block_maxes = block_maxes
-        self.block_offsets = block_offsets
+        self.terms = list(terms)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.doc_ids = np.asarray(doc_ids, dtype=np.int64)
+        self.tfs = np.asarray(tfs, dtype=np.int32)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.upper_bounds = np.asarray(upper_bounds, dtype=np.float64)
         self.block_size = block_size
-        self._term_ids = {term: i for i, term in enumerate(terms)}
-
-    @classmethod
-    def from_shard(cls, shard: "IndexShard") -> "PostingsArena":
-        """Pack a shard's term dictionary into arena columns (build once)."""
-        from repro.index.shard import BLOCK_SIZE
-
-        terms = sorted(shard.terms())
-        n = len(terms)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        block_offsets = np.zeros(n + 1, dtype=np.int64)
-        doc_chunks, tf_chunks, score_chunks, block_chunks = [], [], [], []
-        upper_bounds = np.zeros(n, dtype=np.float64)
-        for i, term in enumerate(terms):
-            entry = shard.term(term)
-            postings = entry.postings
-            offsets[i + 1] = offsets[i] + len(postings)
-            doc_chunks.append(postings.doc_ids)
-            tf_chunks.append(postings.tfs)
-            score_chunks.append(entry.scores)
-            upper_bounds[i] = entry.upper_bound
-            maxes = (
-                entry.block_maxes
-                if entry.block_maxes is not None
-                else np.zeros(0, dtype=np.float64)
-            )
-            block_chunks.append(maxes)
-            block_offsets[i + 1] = block_offsets[i] + maxes.size
-        return cls(
-            terms=terms,
-            offsets=offsets,
-            doc_ids=(
-                np.concatenate(doc_chunks)
-                if doc_chunks else np.zeros(0, dtype=np.int64)
-            ),
-            tfs=(
-                np.concatenate(tf_chunks)
-                if tf_chunks else np.zeros(0, dtype=np.int32)
-            ),
-            scores=(
-                np.concatenate(score_chunks)
-                if score_chunks else np.zeros(0, dtype=np.float64)
-            ),
-            upper_bounds=upper_bounds,
-            block_maxes=(
-                np.concatenate(block_chunks)
-                if block_chunks else np.zeros(0, dtype=np.float64)
-            ),
-            block_offsets=block_offsets,
-            block_size=BLOCK_SIZE,
+        self._check()
+        self._term_ids = {term: i for i, term in enumerate(self.terms)}
+        sizes = np.diff(self.offsets)
+        n_blocks = (sizes + block_size - 1) // block_size
+        self.block_offsets = np.zeros(n_blocks.size + 1, dtype=np.int64)
+        np.cumsum(n_blocks, out=self.block_offsets[1:])
+        # Block j of term t starts ``(j - block_offsets[t]) * block_size``
+        # postings into the term; every block is non-empty, so one
+        # ``reduceat`` over the block starts takes every block's maximum.
+        owner = np.repeat(np.arange(n_blocks.size), n_blocks)
+        starts = self.offsets[owner] + block_size * (
+            np.arange(owner.size) - self.block_offsets[owner]
         )
+        self.block_maxes = (
+            np.maximum.reduceat(self.scores, starts)
+            if starts.size else np.zeros(0, dtype=np.float64)
+        )
+
+    def _check(self) -> None:
+        """One-line ``ValueError`` for the first malformed column found."""
+        terms, offsets, doc_ids = self.terms, self.offsets, self.doc_ids
+        n = doc_ids.size
+        if offsets.shape != (len(terms) + 1,) or self.upper_bounds.shape != (
+            len(terms),
+        ):
+            raise ValueError(
+                f"arena: {len(terms)} terms need {len(terms) + 1} offsets and "
+                f"{len(terms)} upper bounds, got {offsets.size} and "
+                f"{self.upper_bounds.size}"
+            )
+        if doc_ids.ndim != 1 or self.tfs.shape != (n,) or self.scores.shape != (n,):
+            raise ValueError(
+                f"arena: columns of unequal length ({doc_ids.size} doc ids, "
+                f"{self.tfs.size} tfs, {self.scores.size} scores)"
+            )
+        if offsets[0] != 0 or offsets[-1] != n:
+            raise ValueError(
+                f"arena: offsets run {int(offsets[0])}..{int(offsets[-1])}, "
+                f"expected 0..{n} (the column length)"
+            )
+        steps = np.diff(offsets)
+        if (steps < 0).any():
+            at = int(np.argmin(steps))
+            raise ValueError(
+                f"arena: offsets decrease at term {terms[at]!r} "
+                f"({int(offsets[at + 1])} after {int(offsets[at])})"
+            )
+        for before, after in zip(terms, terms[1:]):
+            if before >= after:
+                problem = "duplicate" if before == after else "unsorted"
+                raise ValueError(
+                    f"arena: {problem} term {after!r} after {before!r}; "
+                    "terms must be sorted and unique"
+                )
+
+        def term_at(pos: int) -> str:
+            return terms[int(np.searchsorted(offsets, pos, side="right")) - 1]
+
+        if n and doc_ids.min() < 0:
+            at = int(np.argmin(doc_ids))
+            raise ValueError(
+                f"term {term_at(at)!r}: negative doc id {int(doc_ids[at])}"
+            )
+        # Doc ids rise within a term; a term's first posting may drop.
+        rises = doc_ids[1:] > doc_ids[:-1]
+        firsts = offsets[1:-1]
+        rises[firsts[(firsts > 0) & (firsts < n)] - 1] = True
+        if not rises.all():
+            at = int(np.argmin(rises)) + 1
+            raise ValueError(
+                f"term {term_at(at)!r}: doc_ids must be strictly increasing "
+                f"({int(doc_ids[at])} after {int(doc_ids[at - 1])})"
+            )
+        if n and self.tfs.min() < 1:
+            at = int(np.argmin(self.tfs))
+            raise ValueError(
+                f"term {term_at(at)!r}: tf {int(self.tfs[at])} for doc "
+                f"{int(doc_ids[at])}; every tf must be at least 1"
+            )
 
     @property
     def n_terms(self) -> int:
@@ -539,20 +572,12 @@ class CompressedPostingsArena:
             docs = np.ascontiguousarray(arena.doc_ids[lo:hi], dtype=np.int64)
             tfs = np.ascontiguousarray(arena.tfs[lo:hi], dtype=np.int64)
             scores = np.ascontiguousarray(arena.scores[lo:hi], dtype=np.float64)
-            # -- doc ids: first + (delta - 1) gaps
+            # -- doc ids: first + (delta - 1) gaps (the raw arena's
+            # constructor checked them non-negative and strictly increasing)
             if count:
-                if int(docs[0]) < 0:
-                    raise ValueError(
-                        f"term {arena.terms[tid]!r}: negative doc id {int(docs[0])}"
-                    )
                 first_docs[tid] = docs[0]
             if count > 1:
                 gaps = np.diff(docs)
-                if int(gaps.min()) <= 0:
-                    raise ValueError(
-                        f"term {arena.terms[tid]!r}: doc_ids must be strictly "
-                        "increasing"
-                    )
                 gaps -= 1
                 doc_widths[tid] = bits_for(int(gaps.max()))
                 doc_chunks.append(pack_bits(gaps, int(doc_widths[tid])))
@@ -561,10 +586,6 @@ class CompressedPostingsArena:
             doc_word_offsets[tid + 1] = doc_word_offsets[tid] + doc_chunks[-1].size
             # -- tfs: raw values
             if count:
-                if int(tfs.min()) < 0:
-                    raise ValueError(
-                        f"term {arena.terms[tid]!r}: negative tf"
-                    )
                 tf_widths[tid] = bits_for(int(tfs.max()))
             tf_chunks.append(pack_bits(tfs, int(tf_widths[tid])))
             tf_word_offsets[tid + 1] = tf_word_offsets[tid] + tf_chunks[-1].size

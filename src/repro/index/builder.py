@@ -8,9 +8,9 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.index.arena import PostingsArena
 from repro.index.documents import Document
-from repro.index.postings import PostingListBuilder
-from repro.index.shard import DocLengths, IndexShard, ShardTerm
+from repro.index.shard import DocLengths, IndexShard
 from repro.scoring.similarity import BM25Similarity, Similarity
 from repro.text.analyzer import Analyzer, StandardAnalyzer
 
@@ -103,51 +103,62 @@ class IndexBuilder:
         score_n_docs = stats.n_docs if stats is not None else n_docs
         score_avg_dl = stats.avg_doc_length if stats is not None else avg_dl_local
 
-        posting_builders: dict[str, PostingListBuilder] = {}
+        # One (term, doc, tf) triple per posting, docs ascending; a stable
+        # sort on the term's rank in sorted order lays the triples out as
+        # the arena's sorted-term columns, each term's docs still ascending.
+        first_seen: dict[str, int] = {}
+        post_tids: list[int] = []
+        post_docs: list[int] = []
+        post_tfs: list[int] = []
         for doc_id in doc_ids:
-            for term, tf in sorted(Counter(self._docs[doc_id]).items()):
-                posting_builders.setdefault(term, PostingListBuilder()).add(doc_id, tf)
+            for term, tf in Counter(self._docs[doc_id]).items():
+                post_tids.append(first_seen.setdefault(term, len(first_seen)))
+                post_docs.append(doc_id)
+                post_tfs.append(tf)
+        terms = sorted(first_seen)
+        rank = np.empty(len(terms), dtype=np.int64)
+        rank[[first_seen[term] for term in terms]] = np.arange(len(terms))
+        term_col = rank[np.asarray(post_tids, dtype=np.int64)]
+        order = np.argsort(term_col, kind="stable")
+        offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(term_col, minlength=len(terms)), out=offsets[1:])
+        post_doc_ids = np.asarray(post_docs, dtype=np.int64)[order]
+        tfs = np.asarray(post_tfs, dtype=np.int32)[order]
+        lengths = doc_lengths.lengths.take(
+            np.searchsorted(doc_lengths.ids, post_doc_ids)
+        ).astype(np.float64)
 
-        shard = IndexShard(
+        scores = np.empty(post_doc_ids.size, dtype=np.float64)
+        upper_bounds = np.empty(len(terms), dtype=np.float64)
+        global_dfs = np.diff(offsets)
+        for tid, term in enumerate(terms):
+            lo, hi = int(offsets[tid]), int(offsets[tid + 1])
+            if stats is not None:
+                global_dfs[tid] = stats.doc_freq.get(term, hi - lo)
+            df = int(global_dfs[tid])
+            scores[lo:hi] = self.similarity.scores(
+                tfs[lo:hi], lengths[lo:hi], df, score_n_docs, score_avg_dl
+            )
+            upper = self.similarity.upper_bound(
+                int(tfs[lo:hi].max()), df, score_n_docs, score_avg_dl
+            )
+            # Precomputed scores can exceed the analytic bound only through
+            # floating error; clamp the bound so pruning stays admissible.
+            upper_bounds[tid] = max(upper, float(scores[lo:hi].max()))
+
+        return IndexShard(
             shard_id=self.shard_id,
             n_docs=n_docs,
             avg_doc_length=avg_dl_local,
             total_tokens=total_tokens,
             doc_lengths=doc_lengths,
             similarity=self.similarity,
+            arena=PostingsArena(
+                terms, offsets, post_doc_ids, tfs, scores, upper_bounds
+            ),
+            global_dfs=global_dfs,
             n_docs_global=score_n_docs,
         )
-        for term, pb in posting_builders.items():
-            postings = pb.build()
-            df = (
-                stats.doc_freq.get(term, len(postings))
-                if stats is not None
-                else len(postings)
-            )
-            lengths = doc_lengths.lengths.take(
-                np.searchsorted(doc_lengths.ids, postings.doc_ids)
-            ).astype(np.float64)
-            scores = self.similarity.scores(
-                postings.tfs, lengths, df, score_n_docs, score_avg_dl
-            )
-            upper = self.similarity.upper_bound(
-                postings.max_tf, df, score_n_docs, score_avg_dl
-            )
-            # Precomputed scores can exceed the analytic bound only through
-            # floating error; clamp the bound so pruning stays admissible.
-            upper = max(upper, float(scores.max()) if scores.size else 0.0)
-            shard._terms[term] = ShardTerm(
-                term=term,
-                postings=postings,
-                scores=scores,
-                upper_bound=upper,
-                global_doc_freq=df,
-            )
-        # Pack the columnar postings arena now, at index time: the shard is
-        # immutable from here on, so the vectorized kernels never pay the
-        # concatenation cost on the query path.
-        shard.arena
-        return shard
 
 
 def gather_collection_stats(builders: list[IndexBuilder]) -> CollectionStats:

@@ -45,23 +45,24 @@ class PostingList:
         return int(self.tfs.max()) if self.tfs.size else 0
 
     def cursor(self) -> "PostingCursor":
-        return PostingCursor(self)
+        return PostingCursor(self.doc_ids, self.tfs)
 
 
 class PostingCursor:
-    """Forward-only cursor over one posting list.
+    """Forward-only cursor over one term's doc-id column.
 
     A fresh cursor is positioned on the first posting (or at end for an
-    empty list).  ``weight`` and ``scores`` are attached by the evaluator
-    before traversal begins.
+    empty list).  ``scores`` and ``upper_bound`` are attached by the
+    evaluator before traversal begins; ``tfs`` only when something reads
+    ``tf()`` (no evaluator does).
     """
 
     __slots__ = ("_doc_ids", "_tfs", "_pos", "_size", "scores", "upper_bound")
 
-    def __init__(self, postings: PostingList) -> None:
-        self._doc_ids = postings.doc_ids
-        self._tfs = postings.tfs
-        self._size = int(postings.doc_ids.size)
+    def __init__(self, doc_ids: np.ndarray, tfs: np.ndarray | None = None) -> None:
+        self._doc_ids = doc_ids
+        self._tfs = tfs
+        self._size = int(doc_ids.size)
         self._pos = 0
         self.scores: np.ndarray | None = None
         self.upper_bound: float = 0.0
@@ -73,6 +74,7 @@ class PostingCursor:
         return int(self._doc_ids[self._pos])
 
     def tf(self) -> int:
+        assert self._tfs is not None, "no tfs on this cursor"
         return int(self._tfs[self._pos])
 
     def score(self) -> float:
@@ -123,36 +125,3 @@ class PostingCursor:
 
     def remaining(self) -> int:
         return max(self._size - self._pos, 0)
-
-
-class PostingListBuilder:
-    """Accumulates (doc_id, tf) pairs during indexing, emits a PostingList.
-
-    Documents must be added in increasing doc-id order — the index builder
-    guarantees this by iterating its accepted documents in sorted order.
-    """
-
-    __slots__ = ("_doc_ids", "_tfs", "_last_doc")
-
-    def __init__(self) -> None:
-        self._doc_ids: list[int] = []
-        self._tfs: list[int] = []
-        self._last_doc = -1
-
-    def add(self, doc_id: int, tf: int) -> None:
-        if doc_id <= self._last_doc:
-            raise ValueError(
-                f"postings must be added in increasing doc order "
-                f"(got {doc_id} after {self._last_doc})"
-            )
-        if tf <= 0:
-            raise ValueError("tf must be positive")
-        self._doc_ids.append(doc_id)
-        self._tfs.append(tf)
-        self._last_doc = doc_id
-
-    def build(self) -> PostingList:
-        return PostingList(
-            doc_ids=np.asarray(self._doc_ids, dtype=np.int64),
-            tfs=np.asarray(self._tfs, dtype=np.int32),
-        )

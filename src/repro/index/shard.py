@@ -2,7 +2,8 @@
 
 A shard is the complete, immutable index an Index Serving Node searches:
 term dictionary, posting lists, precomputed per-posting scores, per-term
-upper bounds, and the collection statistics every similarity needs.  Scores
+upper bounds, and the collection statistics every similarity needs.  The
+postings live once, as the columns of the shard's arena.  Scores
 are precomputed at build time (they depend only on shard-static quantities),
 which is both faster and exactly what impact-ordered production indexes do.
 """
@@ -14,13 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.index.arena import PostingsArena
+from repro.index.arena import CompressedPostingsArena, PostingsArena
 from repro.index.postings import PostingList
 from repro.scoring.similarity import Similarity
-
-
-BLOCK_SIZE = 64
-"""Postings per block for block-max metadata (Ding & Suel, SIGIR'11)."""
 
 
 class DocLengths(Mapping[int, int]):
@@ -85,9 +82,9 @@ class DocLengths(Mapping[int, int]):
         return f"DocLengths({self.ids.size} docs)"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShardTerm:
-    """Everything the shard stores for one term.
+    """One term's postings, a view over its shard's arena columns.
 
     ``global_doc_freq`` is the term's document frequency across the whole
     collection when the index was built with distributed statistics
@@ -101,26 +98,19 @@ class ShardTerm:
     postings: PostingList
     scores: np.ndarray
     upper_bound: float
-    global_doc_freq: int = 0
-    block_maxes: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.global_doc_freq < len(self.postings):
-            self.global_doc_freq = len(self.postings)
-        if self.block_maxes is None and self.scores.size:
-            n_blocks = (self.scores.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-            padded = np.full(n_blocks * BLOCK_SIZE, -np.inf)
-            padded[: self.scores.size] = self.scores
-            self.block_maxes = padded.reshape(n_blocks, BLOCK_SIZE).max(axis=1)
-
-    @property
-    def doc_freq(self) -> int:
-        return len(self.postings)
+    global_doc_freq: int
+    block_maxes: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class IndexShard:
     """Immutable searchable index for one ISN.
+
+    The shard is its ``arena`` — a raw :class:`PostingsArena` built in
+    memory or a :class:`CompressedPostingsArena` opened from a store —
+    plus one per-term column, ``global_dfs``, aligned with
+    ``arena.terms``.  Every term accessor below reads those columns, for
+    both arena kinds.
 
     Attributes
     ----------
@@ -132,6 +122,12 @@ class IndexShard:
         Global doc id -> analyzed token count, for documents on this shard.
     similarity:
         The ranking function the stored scores were computed with.
+    arena:
+        The posting columns, in sorted-term order.
+    global_dfs:
+        Per-term document frequency the scores were computed with (the
+        collection's under distributed statistics), floored at the
+        shard's own.
     """
 
     shard_id: int
@@ -140,9 +136,9 @@ class IndexShard:
     total_tokens: int
     doc_lengths: DocLengths
     similarity: Similarity
+    arena: PostingsArena | CompressedPostingsArena
+    global_dfs: np.ndarray = field(repr=False)
     n_docs_global: int = 0
-    _terms: dict[str, ShardTerm] = field(default_factory=dict)
-    _arena: PostingsArena | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.doc_lengths, DocLengths):
@@ -150,56 +146,79 @@ class IndexShard:
                 "doc_lengths must be a DocLengths, got "
                 f"{type(self.doc_lengths).__name__}"
             )
+        local = np.diff(self.arena.offsets)
+        if np.shape(self.global_dfs) != local.shape:
+            raise ValueError(
+                f"global_dfs: {np.size(self.global_dfs)} values for "
+                f"{local.size} terms"
+            )
+        self.global_dfs = np.maximum(
+            np.asarray(self.global_dfs, dtype=np.int64), local
+        )
         if self.n_docs_global < self.n_docs:
             self.n_docs_global = self.n_docs
 
-    @property
-    def arena(self) -> PostingsArena:
-        """The columnar postings arena the vectorized kernels search.
-
-        Built once (the index is immutable) and cached; the index builder
-        and the shard loader touch this eagerly so no query pays the
-        packing cost.  Shards assembled by hand (tests) build it lazily on
-        first search.
-        """
-        if self._arena is None:
-            self._arena = PostingsArena.from_shard(self)
-        return self._arena
+    def _tid(self, term: str) -> int | None:
+        return self.arena._term_ids.get(term)
 
     def has_term(self, term: str) -> bool:
-        return term in self._terms
+        return self.arena.has_term(term)
 
     def term(self, term: str) -> ShardTerm | None:
-        return self._terms.get(term)
+        """``term``'s postings widened to ``int64``/``float64``, or None.
+
+        Built per call over ``arena.run(term)`` and ``arena.term_tfs(term)``
+        and never kept: on a compressed arena the decode LRU is the only
+        thing that holds decoded postings.  The search paths read the
+        arena directly; this is the whole-term view tests and tools use.
+        """
+        tid = self._tid(term)
+        if tid is None:
+            return None
+        run = self.arena.run(term)
+        tfs = self.arena.term_tfs(term)
+        assert run is not None and tfs is not None
+        run.widen()
+        return ShardTerm(
+            term=term,
+            postings=PostingList(doc_ids=run.doc_ids, tfs=tfs),
+            scores=np.asarray(run.scores),
+            upper_bound=run.upper_bound,
+            global_doc_freq=int(self.global_dfs[tid]),
+            block_maxes=run.block_maxes,
+        )
 
     def doc_freq(self, term: str) -> int:
-        entry = self._terms.get(term)
-        return entry.doc_freq if entry is not None else 0
+        tid = self._tid(term)
+        if tid is None:
+            return 0
+        return int(self.arena.offsets[tid + 1] - self.arena.offsets[tid])
 
     def idf(self, term: str) -> float:
         """IDF under the statistics the index was built with (global when
         distributed stats were used, local otherwise)."""
-        entry = self._terms.get(term)
-        df = entry.global_doc_freq if entry is not None else 0
+        tid = self._tid(term)
+        df = int(self.global_dfs[tid]) if tid is not None else 0
         return self.similarity.idf(df, max(self.n_docs_global, 1))
 
     def postings(self, term: str) -> PostingList | None:
-        entry = self._terms.get(term)
+        entry = self.term(term)
         return entry.postings if entry is not None else None
 
     def scores(self, term: str) -> np.ndarray | None:
-        entry = self._terms.get(term)
-        return entry.scores if entry is not None else None
+        run = self.arena.run(term)
+        return np.asarray(run.scores) if run is not None else None
 
     def upper_bound(self, term: str) -> float:
-        entry = self._terms.get(term)
-        return entry.upper_bound if entry is not None else 0.0
+        tid = self._tid(term)
+        return float(self.arena.upper_bounds[tid]) if tid is not None else 0.0
 
     def vocabulary_size(self) -> int:
-        return len(self._terms)
+        return self.arena.n_terms
 
     def terms(self) -> list[str]:
-        return list(self._terms.keys())
+        """Every term of the shard, in sorted order."""
+        return list(self.arena.terms)
 
     def contains_doc(self, doc_id: int) -> bool:
         return doc_id in self.doc_lengths

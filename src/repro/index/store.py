@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,7 @@ from repro.index.arena import (
     packed_words,
     unpack_bits,
 )
-from repro.index.postings import PostingList
-from repro.index.shard import DocLengths, IndexShard, ShardTerm
+from repro.index.shard import DocLengths, IndexShard
 from repro.scoring.similarity import (
     BM25Similarity,
     LMDirichletSimilarity,
@@ -154,17 +154,6 @@ def _compressed_arena(shard: IndexShard) -> CompressedPostingsArena:
     return CompressedPostingsArena.from_arena(arena)
 
 
-def _global_dfs(shard: IndexShard, terms: list[str]) -> np.ndarray:
-    stored = getattr(shard, "global_dfs", None)
-    if stored is not None:
-        return np.ascontiguousarray(stored, dtype=np.int64)
-    dfs = np.zeros(len(terms), dtype=np.int64)
-    for i, term in enumerate(terms):
-        entry = shard.term(term)
-        dfs[i] = entry.global_doc_freq if entry is not None else 0
-    return dfs
-
-
 def serialize_shard(shard: IndexShard) -> bytes:
     """The complete ``.store`` byte image of ``shard`` (file == buffer)."""
     carena = _compressed_arena(shard)
@@ -209,7 +198,7 @@ def serialize_shard(shard: IndexShard) -> bytes:
         "score_words": carena.score_words,
         "score_word_offsets": carena.score_word_offsets,
         "upper_bounds": carena.upper_bounds,
-        "global_dfs": _global_dfs(shard, terms),
+        "global_dfs": shard.global_dfs,
         "block_maxes": carena.block_maxes,
         "block_offsets": carena.block_offsets,
         "doc_len_id_words": id_words,
@@ -538,18 +527,18 @@ def _build_shard(
         n_docs=meta["n_docs"],
         avg_doc_length=float(meta["avg_doc_length"]),
         total_tokens=meta["total_tokens"],
-        n_docs_global=meta["n_docs_global"],
-        similarity=similarity,
-        arena=arena,
-        global_dfs=arrays["global_dfs"],
-        doc_len_spec=(
+        doc_lengths=PackedDocLengths((
             meta["n_doc_lengths"],
             meta["doc_len_first"],
             meta["doc_len_id_width"],
             meta["doc_len_val_width"],
             arrays["doc_len_id_words"],
             arrays["doc_len_val_words"],
-        ),
+        )),
+        similarity=similarity,
+        arena=arena,
+        global_dfs=arrays["global_dfs"],
+        n_docs_global=meta["n_docs_global"],
         store_path=store_path,
     )
 
@@ -652,124 +641,52 @@ def open_stores(
     return [open_store(path, cache_bytes=cache_bytes) for _, path in sorted(paths)]
 
 
-class LazyIndexShard(IndexShard):
-    """An :class:`IndexShard` whose postings live in a compressed store.
+class PackedDocLengths(DocLengths):
+    """A store's :class:`DocLengths`, unpacked on first use and kept.
 
-    Construction decodes nothing: the arena columns are zero-copy views
-    of the store bytes.  ``term()`` builds a :class:`ShardTerm` per call
-    (the scalar evaluators and the MaxScore kernel's small-query dispatch
-    floor both need one) from the arena's LRU-cached doc ids and scores
-    plus a fresh ``term_tfs`` unpack, and keeps no reference to it — the
-    arena's ``cache_bytes`` is the only thing that bounds, or holds,
-    decoded postings.  ``_terms`` stays empty.
-
-    ``store_path`` is the backing file (None for in-memory buffers).
+    Holds the packed id-gap and length words until a lookup reads
+    ``ids`` or ``lengths``: an unset slot raises ``AttributeError``,
+    which lands in :meth:`__getattr__`, which decodes both columns
+    through the ordinary (validating) :class:`DocLengths` constructor.
+    No search reads document lengths, so a store opened only to be
+    searched never decodes them.
     """
 
+    __slots__ = ("_spec",)
+
     def __init__(
-        self,
-        *,
-        shard_id: int,
-        n_docs: int,
-        avg_doc_length: float,
-        total_tokens: int,
-        n_docs_global: int,
-        similarity: object,
-        arena: CompressedPostingsArena,
-        global_dfs: np.ndarray,
-        doc_len_spec: tuple[int, int, int, int, np.ndarray, np.ndarray],
-        store_path: Path | None = None,
+        self, spec: tuple[int, int, int, int, np.ndarray, np.ndarray]
     ) -> None:
-        # Deliberately not calling the dataclass __init__: doc_lengths is
-        # a lazily-decoded property here, not a field.
-        self.shard_id = shard_id
-        self.n_docs = n_docs
-        self.avg_doc_length = avg_doc_length
-        self.total_tokens = total_tokens
-        self.similarity = similarity
-        self.n_docs_global = max(n_docs_global, n_docs)
-        self._terms: dict[str, ShardTerm] = {}
-        self._arena = arena
-        self.global_dfs = global_dfs
-        self._doc_len_spec = doc_len_spec
-        self._doc_lengths: DocLengths | None = None
-        self.store_path = store_path
+        self._spec = spec
 
-    # ------------------------------------------------------ term access
-    @property
-    def arena(self) -> CompressedPostingsArena:  # type: ignore[override]
-        return self._arena
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in ("ids", "lengths"):
+            raise AttributeError(name)
+        n, first, id_width, val_width, id_words, val_words = self._spec
+        ids = np.empty(n, dtype=np.int64)
+        if n:
+            ids[0] = first
+            if n > 1:
+                gaps = unpack_bits(id_words, n - 1, id_width)
+                np.add(gaps, 1, out=gaps)
+                ids[1:] = gaps
+                np.cumsum(ids, out=ids)
+        DocLengths.__init__(self, ids, unpack_bits(val_words, n, val_width))
+        return getattr(self, name)
 
-    def has_term(self, term: str) -> bool:
-        return self._arena.has_term(term)
 
-    def term(self, term: str) -> ShardTerm | None:
-        tid = self._arena._term_ids.get(term)
-        if tid is None:
-            return None
-        run = self._arena.run(term)
-        assert run is not None
-        run.widen()  # the scalar evaluators read posting by posting
-        return ShardTerm(
-            term=term,
-            postings=PostingList(
-                doc_ids=run.doc_ids, tfs=self._arena.term_tfs(term)
-            ),
-            scores=run.scores,
-            upper_bound=run.upper_bound,
-            global_doc_freq=int(self.global_dfs[tid]),
-            block_maxes=run.block_maxes,
-        )
+@dataclass(eq=False)
+class LazyIndexShard(IndexShard):
+    """An :class:`IndexShard` opened from a ``.store``.
 
-    def doc_freq(self, term: str) -> int:
-        tid = self._arena._term_ids.get(term)
-        if tid is None:
-            return 0
-        return int(self._arena.offsets[tid + 1] - self._arena.offsets[tid])
+    Its arena is a :class:`CompressedPostingsArena` over zero-copy views
+    of the store bytes and its ``doc_lengths`` a :class:`PackedDocLengths`:
+    opening decodes nothing, and the arena's ``cache_bytes`` is the only
+    thing that bounds, or holds, decoded postings.  ``store_path`` is
+    the backing file (None for in-memory buffers).
+    """
 
-    def idf(self, term: str) -> float:
-        tid = self._arena._term_ids.get(term)
-        df = int(self.global_dfs[tid]) if tid is not None else 0
-        return self.similarity.idf(df, max(self.n_docs_global, 1))
-
-    def postings(self, term: str) -> PostingList | None:
-        entry = self.term(term)
-        return entry.postings if entry is not None else None
-
-    def scores(self, term: str) -> np.ndarray | None:
-        entry = self.term(term)
-        return entry.scores if entry is not None else None
-
-    def upper_bound(self, term: str) -> float:
-        tid = self._arena._term_ids.get(term)
-        return float(self._arena.upper_bounds[tid]) if tid is not None else 0.0
-
-    def vocabulary_size(self) -> int:
-        return self._arena.n_terms
-
-    def terms(self) -> list[str]:
-        return list(self._arena.terms)
-
-    # ---------------------------------------------------- doc lengths
-    @property
-    def doc_lengths(self) -> DocLengths:  # type: ignore[override]
-        """The packed columns, decoded on first use and kept."""
-        if self._doc_lengths is None:
-            n, first, id_width, val_width, id_words, val_words = (
-                self._doc_len_spec
-            )
-            ids = np.empty(n, dtype=np.int64)
-            if n:
-                ids[0] = first
-                if n > 1:
-                    gaps = unpack_bits(id_words, n - 1, id_width)
-                    np.add(gaps, 1, out=gaps)
-                    ids[1:] = gaps
-                    np.cumsum(ids, out=ids)
-            self._doc_lengths = DocLengths(
-                ids, unpack_bits(val_words, n, val_width)
-            )
-        return self._doc_lengths
+    store_path: Path | None = None
 
     def __repr__(self) -> str:
         return (

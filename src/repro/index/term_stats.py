@@ -190,18 +190,18 @@ class TermStatsIndex:
         cached = self._cache.get(term)
         if cached is not None:
             return cached
-        entry = self.shard.term(term)
-        if entry is None:
+        run = self.shard.arena.run(term)
+        if run is None:
             stats = compute_term_stats(
                 term, np.zeros(0), self.k, idf=self.shard.idf(term), upper_bound=0.0
             )
         else:
             stats = compute_term_stats(
                 term,
-                entry.scores,
+                np.asarray(run.scores),
                 self.k,
                 idf=self.shard.idf(term),
-                upper_bound=entry.upper_bound,
+                upper_bound=run.upper_bound,
             )
         self._cache[term] = stats
         return stats

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.postings import END_OF_LIST
+from repro.index.postings import END_OF_LIST, PostingCursor
 from repro.index.shard import IndexShard
 from repro.retrieval.result import CostStats, SearchResult
 from repro.retrieval.topk import TopKCollector
@@ -25,15 +25,13 @@ def exhaustive_search(shard: IndexShard, terms: list[str], k: int) -> SearchResu
     doc_arrays = []
     score_arrays = []
     n_postings = 0
-    n_terms = 0
     for term in terms:
-        entry = shard.term(term)
-        if entry is None:
+        run = shard.arena.run(term)
+        if run is None:
             continue
-        n_terms += 1
-        doc_arrays.append(entry.postings.doc_ids)
-        score_arrays.append(entry.scores)
-        n_postings += len(entry.postings)
+        doc_arrays.append(run.doc_ids)
+        score_arrays.append(np.asarray(run.scores))
+        n_postings += run.size
     if not doc_arrays:
         return SearchResult(hits=[], cost=CostStats(n_terms=len(terms)))
 
@@ -62,11 +60,12 @@ def exhaustive_search_daat(shard: IndexShard, terms: list[str], k: int) -> Searc
         raise ValueError("k must be positive")
     cursors = []
     for term in terms:
-        entry = shard.term(term)
-        if entry is None:
+        run = shard.arena.run(term)
+        if run is None:
             continue
-        cursor = entry.postings.cursor()
-        cursor.scores = entry.scores
+        run.widen()  # posting by posting: one pass beats boxing narrow values
+        cursor = PostingCursor(run.doc_ids)
+        cursor.scores = np.asarray(run.scores)  # float64 since widen()
         cursors.append(cursor)
     collector = TopKCollector(k)
     cost = CostStats(n_terms=len(terms))

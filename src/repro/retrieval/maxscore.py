@@ -15,6 +15,8 @@ vectorized :func:`~repro.retrieval.kernels.maxscore_search_kernel`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.index.postings import END_OF_LIST, PostingCursor
 from repro.index.shard import IndexShard
 from repro.retrieval.result import CostStats, SearchResult
@@ -26,12 +28,13 @@ def _prepare_cursors(shard: IndexShard, terms: list[str]) -> list[PostingCursor]
     ascending (the MaxScore essential-list order)."""
     cursors = []
     for term in terms:
-        entry = shard.term(term)
-        if entry is None:
+        run = shard.arena.run(term)
+        if run is None:
             continue
-        cursor = entry.postings.cursor()
-        cursor.scores = entry.scores
-        cursor.upper_bound = entry.upper_bound
+        run.widen()  # posting by posting: one pass beats boxing narrow values
+        cursor = PostingCursor(run.doc_ids)
+        cursor.scores = np.asarray(run.scores)  # float64 since widen()
+        cursor.upper_bound = run.upper_bound
         cursors.append(cursor)
     cursors.sort(key=lambda c: c.upper_bound)
     return cursors

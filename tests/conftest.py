@@ -24,9 +24,76 @@ from repro.experiments import Scale, Testbed
 settings.register_profile("ci", max_examples=100, deadline=None)
 settings.register_profile("dev", max_examples=15, deadline=None, derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
-from repro.index import Document, build_shards, partition_topical
+# numpy after repro: ``import repro`` pins BLAS to one thread only when it
+# comes first (repro.host), and the pooled-training tests need the pin.
+import numpy as np
+from repro.index import (
+    DocLengths,
+    Document,
+    IndexShard,
+    PostingsArena,
+    build_shards,
+    partition_topical,
+)
+from repro.scoring import BM25Similarity
 from repro.text import WhitespaceAnalyzer
 from repro.workloads import CorpusConfig, SyntheticCorpus, training_queries
+
+
+def hand_built_shard(columns, **fields) -> IndexShard:
+    """The one constructor of hand-built test shards.
+
+    ``columns`` maps each term to its ``(doc_ids, tfs, scores)``, in any
+    term order; upper bounds are the per-term score maxima.  Every
+    document gets length 10 unless ``fields`` says otherwise, and
+    ``fields`` overrides any other ``IndexShard`` field.
+    """
+    terms = sorted(columns)
+    for term in terms:
+        doc_ids, tfs, scores = columns[term]
+        if not len(doc_ids) == len(tfs) == len(scores):
+            raise ValueError(
+                f"term {term!r}: {len(doc_ids)} doc ids, {len(tfs)} tfs, "
+                f"{len(scores)} scores"
+            )
+
+    def column(i: int, dtype: type) -> np.ndarray:
+        return np.concatenate(
+            [np.zeros(0, dtype=dtype)]
+            + [np.asarray(columns[term][i], dtype=dtype) for term in terms]
+        )
+
+    sizes = [len(columns[term][0]) for term in terms]
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    scores = column(2, np.float64)
+    uppers = [
+        float(scores[lo:hi].max()) if hi > lo else 0.0
+        for lo, hi in zip(offsets[:-1], offsets[1:])
+    ]
+    arena = PostingsArena(
+        terms, offsets, column(0, np.int64), column(1, np.int32), scores, uppers
+    )
+    docs = np.unique(arena.doc_ids)
+    shard = {
+        "shard_id": 0,
+        "n_docs": max(docs.size, 1),
+        "avg_doc_length": 10.0,
+        "total_tokens": 10 * max(docs.size, 1),
+        "doc_lengths": DocLengths(docs, np.full(docs.size, 10)),
+        "similarity": BM25Similarity(),
+        "arena": arena,
+        "global_dfs": np.diff(offsets),
+    }
+    return IndexShard(**{**shard, **fields})
+
+
+def shard_columns(shard: IndexShard) -> dict:
+    """``shard``'s postings as :func:`hand_built_shard` takes them."""
+    columns = {}
+    for term in shard.terms():
+        entry = shard.term(term)
+        columns[term] = (entry.postings.doc_ids, entry.postings.tfs, entry.scores)
+    return columns
 
 
 def make_documents(n_docs: int = 120, vocab: int = 80, seed: int = 0) -> list[Document]:

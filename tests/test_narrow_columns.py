@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import hand_built_shard, shard_columns
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,12 +30,9 @@ from repro.experiments.bench_storage import build_scaled_shards
 from repro.index import (
     CodedScores,
     CompressedPostingsArena,
-    PostingsArena,
-    ShardTerm,
     open_store_buffer,
     serialize_shard,
 )
-from repro.index.postings import PostingList
 from repro.retrieval import maxscore_search_kernel
 
 QUERIES = [
@@ -103,23 +101,14 @@ class TestNarrowRunValues:
 # ---------------------------------------------------------------- fallback
 def with_far_document(shard, doc_id: int):
     """``shard``'s terms plus one term holding ``doc_id``, as a new shard."""
-    far = ShardTerm(
-        term="far",
-        postings=PostingList(
-            doc_ids=np.array([3, doc_id], dtype=np.int64),
-            tfs=np.array([1, 2], dtype=np.int32),
-        ),
-        scores=np.array([0.25, 0.5]),
-        upper_bound=0.5,
-    )
-    clone = type(shard)(
-        shard_id=shard.shard_id, n_docs=shard.n_docs,
+    columns = shard_columns(shard)
+    columns["far"] = ([3, doc_id], [1, 2], [0.25, 0.5])
+    return hand_built_shard(
+        columns, shard_id=shard.shard_id, n_docs=shard.n_docs,
         avg_doc_length=shard.avg_doc_length, total_tokens=shard.total_tokens,
         doc_lengths=shard.doc_lengths, similarity=shard.similarity,
         n_docs_global=shard.n_docs_global,
-        _terms={**shard._terms, "far": far},
     )
-    return clone
 
 
 class TestInt64Fallback:
@@ -144,14 +133,11 @@ class TestInt64Fallback:
         would fit but whose ``first + (count - 1) * 2**width`` bound does
         not are kept ``int64``."""
         def arena_of(doc_ids):
-            docs = np.asarray(doc_ids, dtype=np.int64)
-            return CompressedPostingsArena.from_arena(PostingsArena(
-                terms=["t"], offsets=np.array([0, docs.size]), doc_ids=docs,
-                tfs=np.ones(docs.size, dtype=np.int32),
-                scores=np.linspace(0.1, 0.9, docs.size),
-                upper_bounds=np.array([0.9]), block_maxes=np.array([0.9]),
-                block_offsets=np.array([0, 1]), block_size=64,
-            ))
+            n = len(doc_ids)
+            shard = hand_built_shard(
+                {"t": (doc_ids, [1] * n, np.linspace(0.1, 0.9, n))}
+            )
+            return CompressedPostingsArena.from_arena(shard.arena)
 
         top = 2**31 - 1
         # first 0, one gap of 2**31 - 2 stored in 31 bits: bound 2**31.

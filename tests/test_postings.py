@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.postings import (
-    END_OF_LIST,
-    PostingList,
-    PostingListBuilder,
-)
+from repro.index import BLOCK_SIZE
+from repro.index.postings import END_OF_LIST, PostingList
 
 
 def make_list(doc_ids, tfs=None):
@@ -47,32 +44,6 @@ class TestPostingList:
         assert len(postings) == 0
         assert postings.max_tf == 0
         assert postings.cursor().doc() == END_OF_LIST
-
-
-class TestPostingListBuilder:
-    def test_builds_sorted(self):
-        builder = PostingListBuilder()
-        builder.add(1, 2)
-        builder.add(4, 1)
-        postings = builder.build()
-        assert postings.doc_ids.tolist() == [1, 4]
-        assert postings.tfs.tolist() == [2, 1]
-
-    def test_rejects_out_of_order(self):
-        builder = PostingListBuilder()
-        builder.add(5, 1)
-        with pytest.raises(ValueError):
-            builder.add(3, 1)
-
-    def test_rejects_duplicate_doc(self):
-        builder = PostingListBuilder()
-        builder.add(5, 1)
-        with pytest.raises(ValueError):
-            builder.add(5, 2)
-
-    def test_rejects_nonpositive_tf(self):
-        with pytest.raises(ValueError):
-            PostingListBuilder().add(1, 0)
 
 
 class TestCursor:
@@ -120,8 +91,6 @@ class TestCursor:
 
 
 def test_shard_term_block_maxes_dominate_scores(shards):
-    from repro.index.shard import BLOCK_SIZE
-
     shard = shards[0]
     for term in shard.terms()[:10]:
         entry = shard.term(term)

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from conftest import hand_built_shard
 
-from repro.index import BLOCK_SIZE, DocLengths, Document, IndexBuilder, IndexShard
-from repro.scoring import BM25Similarity
+from repro.index import (
+    BLOCK_SIZE,
+    DocLengths,
+    Document,
+    IndexBuilder,
+    open_store_buffer,
+    serialize_shard,
+)
 from repro.text import WhitespaceAnalyzer
 
 
@@ -57,6 +64,35 @@ class TestShardAPI:
         assert shard.n_docs_global == shard.n_docs
         assert shard.term("beta").global_doc_freq == shard.doc_freq("beta")
 
+    def test_terms_sorted_and_kept_by_the_store(self):
+        """Both shard kinds list terms in sorted order, not in the order
+        documents introduced them, and agree on every term's global
+        document frequency — floored at the local one."""
+        builder = IndexBuilder(0, analyzer=WhitespaceAnalyzer())
+        builder.add(Document(doc_id=1, text="zeta alpha mu alpha"))
+        builder.add(Document(doc_id=2, text="mu beta"))
+        built = builder.build()
+        assert built.terms() == ["alpha", "beta", "mu", "zeta"]
+        floored = hand_built_shard(
+            {"b": ([1, 2, 5], [1, 1, 2], [0.1, 0.2, 0.3]), "a": ([4], [1], [0.4])},
+            global_dfs=np.array([7, 1]),  # "a" above its local df, "b" below
+        )
+        assert [floored.term(t).global_doc_freq for t in ("a", "b")] == [7, 3]
+        for shard, terms in (
+            (built, ["alpha", "beta", "mu", "zeta"]),
+            (floored, ["a", "b"]),
+        ):
+            reopened = open_store_buffer(serialize_shard(shard))
+            assert shard.terms() == reopened.terms() == terms
+            for term in terms:
+                want = shard.term(term).global_doc_freq
+                assert reopened.term(term).global_doc_freq == want
+                assert reopened.idf(term) == shard.idf(term)
+                assert want >= shard.doc_freq(term)
+        assert [built.term(t).global_doc_freq for t in built.terms()] == [
+            built.doc_freq(t) for t in built.terms()
+        ]
+
 
 class TestDocLengths:
     @pytest.mark.parametrize(
@@ -76,18 +112,11 @@ class TestDocLengths:
 
     def test_malformed_shard_fails_when_built(self):
         with pytest.raises(ValueError, match="negative length"):
-            IndexShard(
-                shard_id=0, n_docs=2, avg_doc_length=1.0, total_tokens=2,
-                doc_lengths=DocLengths([0, 1], [3, -1]),
-                similarity=BM25Similarity(),
-            )
+            hand_built_shard({}, doc_lengths=DocLengths([0, 1], [3, -1]))
 
     def test_field_takes_only_doc_lengths(self):
         with pytest.raises(TypeError, match="DocLengths, got dict"):
-            IndexShard(
-                shard_id=0, n_docs=1, avg_doc_length=1.0, total_tokens=1,
-                doc_lengths={0: 1}, similarity=BM25Similarity(),
-            )
+            hand_built_shard({}, doc_lengths={0: 1})
 
     def test_mapping_behaviour(self):
         lengths = np.array([5, 0, 9], dtype=np.int64)

@@ -20,18 +20,17 @@ import random
 
 import numpy as np
 import pytest
+from conftest import hand_built_shard
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.engine import RunResult, SearchCluster
 from repro.index import (
     CompressedPostingsArena,
-    DocLengths,
     Document,
     IndexBuilder,
     IndexShard,
     PostingsArena,
-    ShardTerm,
     bits_for,
     open_store,
     open_store_buffer,
@@ -43,7 +42,6 @@ from repro.index import (
     unpack_bits,
     write_store,
 )
-from repro.index.postings import PostingList
 from repro.policies.exhaustive import ExhaustivePolicy
 from repro.retrieval import (
     Query,
@@ -65,34 +63,18 @@ def build_shard(word_lists: list[list[str]]) -> IndexShard:
 
 
 def make_shard(term_columns: dict[str, tuple[list[int], list[int]]]) -> IndexShard:
-    """A hand-built shard from ``{term: (doc_ids, tfs)}`` columns."""
+    """A hand-built shard from ``{term: (doc_ids, tfs)}``, BM25-scored
+    over documents of length 10."""
     similarity = BM25Similarity()
-    terms = {}
-    all_docs: set[int] = set()
-    for name, (doc_ids, tfs) in term_columns.items():
-        docs = np.asarray(doc_ids, dtype=np.int64)
-        freqs = np.asarray(tfs, dtype=np.int32)
-        scores = (
-            similarity.scores(freqs, np.full(docs.size, 10.0), docs.size, 100, 10.0)
-            if docs.size
-            else np.zeros(0, dtype=np.float64)
+    return hand_built_shard({
+        name: (
+            doc_ids,
+            tfs,
+            similarity.scores(np.asarray(tfs), np.full(len(doc_ids), 10.0),
+                              len(doc_ids), 100, 10.0),
         )
-        terms[name] = ShardTerm(
-            term=name,
-            postings=PostingList(doc_ids=docs, tfs=freqs),
-            scores=scores,
-            upper_bound=float(scores.max()) if scores.size else 0.0,
-        )
-        all_docs.update(docs.tolist())
-    return IndexShard(
-        shard_id=0,
-        n_docs=max(len(all_docs), 1),
-        avg_doc_length=10.0,
-        total_tokens=10 * max(len(all_docs), 1),
-        doc_lengths=DocLengths(sorted(all_docs), [10] * len(all_docs)),
-        similarity=similarity,
-        _terms=terms,
-    )
+        for name, (doc_ids, tfs) in term_columns.items()
+    })
 
 
 def assert_columns_equal(shard: IndexShard, reopened: IndexShard) -> None:
@@ -152,7 +134,7 @@ class TestCompressedArena:
         shard = build_shard(
             [[VOCAB[min(j, i % 12)] for j in range(i % 7 + 1)] for i in range(50)]
         )
-        arena = PostingsArena.from_shard(shard)
+        arena = shard.arena
         packed = CompressedPostingsArena.from_arena(arena)
         assert packed.n_terms == arena.n_terms
         assert packed.n_postings == arena.n_postings
@@ -189,9 +171,7 @@ class TestCompressedArena:
                 "pair": ([1, 9], [1, 2]),
             }
         )
-        packed = CompressedPostingsArena.from_arena(
-            PostingsArena.from_shard(shard)
-        )
+        packed = CompressedPostingsArena.from_arena(shard.arena)
         assert packed.run("empty").doc_ids.size == 0
         single = packed.run("single")
         np.testing.assert_array_equal(single.doc_ids, [7])
@@ -202,57 +182,36 @@ class TestCompressedArena:
     def test_maximal_doc_id_delta(self):
         # One gap of nearly 2**62: the widest delta the format can see.
         shard = make_shard({"wide": ([0, 2**62 - 1], [1, 1])})
-        packed = CompressedPostingsArena.from_arena(
-            PostingsArena.from_shard(shard)
-        )
+        packed = CompressedPostingsArena.from_arena(shard.arena)
         np.testing.assert_array_equal(
             packed.run("wide").doc_ids, [0, 2**62 - 1]
         )
 
     def test_non_monotonic_doc_ids_rejected(self):
-        arena = PostingsArena(
-            terms=["bad"],
-            offsets=np.array([0, 2], dtype=np.int64),
-            doc_ids=np.array([9, 3], dtype=np.int64),
-            tfs=np.array([1, 1], dtype=np.int32),
-            scores=np.array([0.5, 0.5], dtype=np.float64),
-            upper_bounds=np.array([0.5], dtype=np.float64),
-            block_maxes=np.array([0.5], dtype=np.float64),
-            block_offsets=np.array([0, 1], dtype=np.int64),
-            block_size=64,
+        """Caught where the columns are built: no arena, raw or packed,
+        ever holds them."""
+        with pytest.raises(ValueError, match="strictly increasing") as caught:
+            PostingsArena(["bad"], [0, 2], [9, 3], [1, 1], [0.5, 0.5], [0.5])
+        assert str(caught.value) == (
+            "term 'bad': doc_ids must be strictly increasing (3 after 9)"
         )
-        with pytest.raises(ValueError, match="strictly increasing"):
-            CompressedPostingsArena.from_arena(arena)
 
     def test_negative_doc_id_rejected(self):
-        arena = PostingsArena(
-            terms=["neg"],
-            offsets=np.array([0, 1], dtype=np.int64),
-            doc_ids=np.array([-4], dtype=np.int64),
-            tfs=np.array([1], dtype=np.int32),
-            scores=np.array([0.5], dtype=np.float64),
-            upper_bounds=np.array([0.5], dtype=np.float64),
-            block_maxes=np.array([0.5], dtype=np.float64),
-            block_offsets=np.array([0, 1], dtype=np.int64),
-            block_size=64,
-        )
-        with pytest.raises(ValueError, match="negative doc id"):
-            CompressedPostingsArena.from_arena(arena)
+        with pytest.raises(ValueError) as caught:
+            PostingsArena(["neg"], [0, 1], [-4], [1], [0.5], [0.5])
+        assert str(caught.value) == "term 'neg': negative doc id -4"
 
     def test_negative_zero_scores_survive(self):
         """-0.0 != 0.0 under repr(); the codebook must not merge them."""
-        shard = make_shard({"z": ([1, 2, 3], [1, 1, 1])})
-        shard.term("z").scores[:] = [0.0, -0.0, 0.0]
-        packed = CompressedPostingsArena.from_arena(
-            PostingsArena.from_shard(shard)
-        )
+        shard = hand_built_shard({"z": ([1, 2, 3], [1, 1, 1], [0.0, -0.0, 0.0])})
+        packed = CompressedPostingsArena.from_arena(shard.arena)
         decoded = packed.run("z").scores
         assert [repr(s) for s in decoded.tolist()] == ["0.0", "-0.0", "0.0"]
 
     def test_decode_cache_bounded_and_counted(self):
         shard = build_shard([[VOCAB[i % 12]] * 3 for i in range(60)])
         packed = CompressedPostingsArena.from_arena(
-            PostingsArena.from_shard(shard), cache_bytes=2048
+            shard.arena, cache_bytes=2048
         )
         for term in sorted(shard.terms()) * 2:
             packed.run(term)
@@ -267,7 +226,7 @@ class TestCompressedArena:
         and the counter must account for exactly those."""
         shard = build_shard([[VOCAB[i % 12]] * 3 for i in range(60)])
         packed = CompressedPostingsArena.from_arena(
-            PostingsArena.from_shard(shard), cache_bytes=1
+            shard.arena, cache_bytes=1
         )
         for term in sorted(shard.terms()):
             packed.run(term)
@@ -277,9 +236,7 @@ class TestCompressedArena:
 
     def test_set_cache_budget_shrink_evicts_immediately(self):
         shard = build_shard([[VOCAB[i % 12]] * 3 for i in range(60)])
-        packed = CompressedPostingsArena.from_arena(
-            PostingsArena.from_shard(shard)
-        )
+        packed = CompressedPostingsArena.from_arena(shard.arena)
         decoded = {
             t: np.asarray(packed.run(t).scores).tobytes()
             for t in sorted(shard.terms())
@@ -295,9 +252,7 @@ class TestCompressedArena:
 
     def test_negative_cache_budget_rejected(self):
         shard = build_shard([[VOCAB[i % 12]] * 3 for i in range(60)])
-        packed = CompressedPostingsArena.from_arena(
-            PostingsArena.from_shard(shard)
-        )
+        packed = CompressedPostingsArena.from_arena(shard.arena)
         with pytest.raises(ValueError, match="non-negative"):
             packed.set_cache_budget(-5)
 
@@ -305,7 +260,7 @@ class TestCompressedArena:
         """Every entry point that takes a budget refuses a negative one
         with ``set_cache_budget``'s message; none clamps it to 0."""
         shard = build_shard([[VOCAB[i % 12]] * 3 for i in range(60)])
-        arena = PostingsArena.from_shard(shard)
+        arena = shard.arena
         blob = serialize_shard(shard)
         pack_shards([shard], tmp_path)
         fields = {
@@ -361,7 +316,8 @@ class TestStoreRoundTrip:
         assert reopened.arena.decode_stats.misses == 0
         reopened.term(VOCAB[0])
         assert reopened.arena.decode_stats.misses == 1
-        assert reopened._terms == {}  # no memo: the decode LRU is the only holder
+        reopened.term(VOCAB[0])  # no memo: the decode LRU is the only holder
+        assert reopened.arena.decode_stats.hits == 1
 
     def test_search_fingerprints_match(self, shard, tmp_path):
         path = write_store(shard, tmp_path / "s.store")

@@ -1,17 +1,18 @@
 """Column-lazy decode: what a store-backed query pays for, and retains.
 
 * The query path reads two columns.  A store whose packed tf words raise
-  on any access still answers the kernel bit-identically to memory;
-  ``term_tfs`` is the one reader of that column and returns the raw
-  arena's exact ``int32`` values.
+  on any access still answers the kernel, the scalar references and the
+  term statistics bit-identically to memory; ``term_tfs`` is the one
+  reader of that column and returns the raw arena's exact ``int32``
+  values.
 * What the LRU retains per posting is the doc id at the arena's dtype
   plus the codebook index at the narrowest width: 6 bytes for ``int32``
   ids and a codebook of at most 2**16 values.
-* ``LazyIndexShard.term()`` keeps nothing.  The arena's ``cache_bytes``
-  is the only bound on decoded postings, so touching every term through
-  the scalar path under a 1-byte budget retains the LRU's single floor
-  entry and no more — and the widened columns ``term()`` hands out die
-  with the ``ShardTerm``.
+* ``IndexShard.term()`` keeps nothing.  The arena's ``cache_bytes``
+  is the only bound on decoded postings, so touching every term
+  under a 1-byte budget retains the LRU's single floor entry and no
+  more — and the widened columns ``term()`` hands out die with the
+  ``ShardTerm``.
 * The packed file is at most half the raw ``(int64 doc, int32 tf,
   float64 score)`` columns.  The ratio grows with shard size (3.65x at
   the repo benchmark's 150k docs, where ``index.compression_ratio``
@@ -29,6 +30,7 @@ import pytest
 
 from repro.experiments.bench_storage import build_scaled_shards
 from repro.index import (
+    TermStatsIndex,
     open_store,
     open_store_buffer,
     serialize_shard,
@@ -37,6 +39,7 @@ from repro.index import (
 )
 from repro.retrieval import (
     exhaustive_search,
+    exhaustive_search_daat,
     maxscore_search,
     maxscore_search_kernel,
 )
@@ -64,7 +67,7 @@ class Untouchable(np.ndarray):
 def shard():
     # Every query above totals >= 2 048 postings: the kernel runs
     # vectorized (below that floor it dispatches to the scalar
-    # evaluator, whose ShardTerm does carry tfs).
+    # evaluator, which reads the same two columns).
     return build_scaled_shards(1, 9000, 16, seed=5)[0]
 
 
@@ -80,6 +83,27 @@ class TestQueryPathReadsNoTfs:
                 == maxscore_search_kernel(shard, list(terms), 10).fingerprint()
             ), terms
         assert lazy.arena.decode_stats.misses > 0
+
+    def test_scalar_readers_answer_with_tf_words_untouchable(self, shards):
+        """The analyzer-built shards' queries sit below the kernel's
+        2 048-posting floor: every reader here walks the scalar path."""
+        memory = shards[0]
+        lazy = open_store_buffer(serialize_shard(memory))
+        lazy.arena.tf_words = np.zeros(1, dtype=np.uint64).view(Untouchable)
+        vocabulary = memory.terms()
+        for i in range(0, len(vocabulary) - 2, 3):
+            terms = vocabulary[i : i + 3]
+            for search in (
+                maxscore_search, maxscore_search_kernel,
+                exhaustive_search, exhaustive_search_daat,
+            ):
+                assert (
+                    search(lazy, list(terms), 10).fingerprint()
+                    == search(memory, list(terms), 10).fingerprint()
+                ), (search.__name__, terms)
+        want, got = TermStatsIndex(memory), TermStatsIndex(lazy)
+        for term in vocabulary + ["oov"]:
+            assert got.get(term) == want.get(term)
 
     def test_term_tfs_equals_the_raw_column(self, shard):
         lazy = open_store_buffer(serialize_shard(shard))
@@ -121,7 +145,7 @@ def test_packed_store_is_at_most_half_the_raw_columns(shard, tmp_path):
 class TestTermKeepsNoMemo:
     def test_one_byte_budget_retains_one_entry(self, shards):
         """``shards`` are the session's small analyzer-built shards: every
-        query on them takes the scalar path through ``term()``."""
+        query on them takes the scalar path."""
         shard = shards[0]
         lazy = open_store_buffer(serialize_shard(shard), cache_bytes=1)
         decoded, handed_out = [], []
@@ -147,7 +171,6 @@ class TestTermKeepsNoMemo:
         alive = [ref for ref in decoded if ref() is not None]
         assert alive == [decoded[-1]]  # the LRU's one-entry floor
         assert all(ref() is None for ref in handed_out)  # nobody kept a wide copy
-        assert lazy._terms == {}
         stats = lazy.arena.decode_stats
         assert stats.entries == 1
         assert stats.misses == len(decoded) and stats.evictions == len(decoded) - 1
@@ -163,5 +186,4 @@ class TestTermKeepsNoMemo:
                     search(lazy, list(terms), 10).fingerprint()
                     == search(shard, list(terms), 10).fingerprint()
                 )
-        assert lazy._terms == {}
         assert lazy.arena.decode_stats.entries == 1

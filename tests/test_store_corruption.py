@@ -25,16 +25,15 @@ from time import perf_counter
 
 import numpy as np
 import pytest
+from conftest import hand_built_shard, shard_columns
 
 from repro.experiments.bench_storage import build_scaled_shards
 from repro.index import (
-    ShardTerm,
     open_store,
     open_store_buffer,
     serialize_shard,
     store_info,
 )
-from repro.index.postings import PostingList
 from repro.index.store import _ARRAY_DTYPES
 from repro.retrieval import (
     exhaustive_search,
@@ -77,18 +76,14 @@ def allocation_cap():
 
 def build_blob() -> bytes:
     shard = build_scaled_shards(1, 3000, 24, SEED)[0]
-    for name, docs, tfs in (("empty", [], []), ("single", [41], [2])):
-        scores = np.full(len(docs), 0.75, dtype=np.float64)
-        shard._terms[name] = ShardTerm(
-            term=name,
-            postings=PostingList(
-                doc_ids=np.asarray(docs, dtype=np.int64),
-                tfs=np.asarray(tfs, dtype=np.int32),
-            ),
-            scores=scores,
-            upper_bound=0.75 if docs else 0.0,
-        )
-    return serialize_shard(shard)
+    columns = shard_columns(shard)
+    columns["empty"] = ([], [], [])
+    columns["single"] = ([41], [2], [0.75])
+    fields = ("shard_id", "n_docs", "avg_doc_length", "total_tokens",
+              "doc_lengths", "similarity", "n_docs_global")
+    return serialize_shard(hand_built_shard(
+        columns, **{name: getattr(shard, name) for name in fields}
+    ))
 
 
 def answers(shard) -> list[str]:
