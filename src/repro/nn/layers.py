@@ -2,8 +2,9 @@
 
 A minimal Keras-like layer API: ``forward`` caches whatever ``backward``
 needs; ``backward`` receives dL/d(output) and returns dL/d(input), storing
-parameter gradients on the layer.  This is all the paper's predictors need —
-5 hidden Dense+ReLU layers and a softmax classification head.
+parameter gradients on the layer until ``release`` drops both.  This is
+all the paper's predictors need — 5 hidden Dense+ReLU layers and a
+softmax classification head.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class Layer(ABC):
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Restore parameters from :meth:`state` output."""
 
+    def release(self) -> None:
+        """Drop the activation caches and gradients training left behind."""
+
 
 class Dense(Layer):
     """Fully connected layer ``y = x @ W + b``.
@@ -53,8 +57,8 @@ class Dense(Layer):
         scale = np.sqrt(2.0 / in_features)
         self.W = rng.normal(0.0, scale, size=(in_features, out_features))
         self.b = np.zeros(out_features)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
+        self.dW: np.ndarray | None = None
+        self.db: np.ndarray | None = None
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -64,12 +68,16 @@ class Dense(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._x is not None, "backward before forward(training=True)"
-        self.dW[...] = self._x.T @ grad_out
-        self.db[...] = grad_out.sum(axis=0)
+        self.dW = self._x.T @ grad_out
+        self.db = grad_out.sum(axis=0)
         return grad_out @ self.W.T
 
     def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        assert self.dW is not None and self.db is not None, "no backward yet"
         return [(self.W, self.dW), (self.b, self.db)]
+
+    def release(self) -> None:
+        self.dW = self.db = self._x = None
 
     def state(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
@@ -89,6 +97,9 @@ class StackedDense:
     3-D operand applies the identical 2-D product to each stack slice, so
     ``forward(x)[s]`` is bit-identical to ``x[s] @ W_s + b_s`` — the
     per-model loop this layer replaces.  Inference-only: no gradients.
+    The stack *is* the weights: :meth:`from_layers` rebinds each source
+    layer's ``W``/``b`` to a view of its slice, so every weight is resident
+    once and in-place updates (``load_state``, ``fit``) write through.
     """
 
     def __init__(self, W: np.ndarray, b: np.ndarray) -> None:
@@ -99,16 +110,17 @@ class StackedDense:
 
     @classmethod
     def from_layers(cls, layers: "list[Dense]") -> "StackedDense":
-        """Stack S Dense layers; all must share (in, out) dimensions."""
+        """Stack S same-shape Dense layers, which become views of the stack."""
         if not layers:
             raise ValueError("need at least one Dense layer to stack")
         shape = layers[0].W.shape
         if any(layer.W.shape != shape for layer in layers):
             raise ValueError("stacked Dense layers must share weight shapes")
-        return cls(
-            np.stack([layer.W for layer in layers]),
-            np.stack([layer.b for layer in layers]),
-        )
+        W = np.stack([layer.W for layer in layers])
+        b = np.stack([layer.b for layer in layers])
+        for s, layer in enumerate(layers):
+            layer.W, layer.b = W[s], b[s]
+        return cls(W, b)
 
     @property
     def n_stacked(self) -> int:
@@ -146,6 +158,9 @@ class ReLU(Layer):
         assert self._mask is not None, "backward before forward(training=True)"
         return grad_out * self._mask
 
+    def release(self) -> None:
+        self._mask = None
+
 
 class Dropout(Layer):
     """Inverted dropout; identity at inference time."""
@@ -168,3 +183,6 @@ class Dropout(Layer):
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
+
+    def release(self) -> None:
+        self._mask = None

@@ -79,6 +79,8 @@ class Sequential:
         The paper reports training in "iterations" (600 for the quality
         model, 60 for latency), so the loop is iteration-based rather than
         epoch-based; batches are sampled with reshuffling each pass.
+        Gradients and activation caches exist only inside this call: a
+        model that is not training holds its weights and nothing else.
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
@@ -98,20 +100,24 @@ class Sequential:
         n = x.shape[0]
         order = rng.permutation(n)
         cursor = 0
-        for it in range(iterations):
-            if cursor + batch_size > n:
-                order = rng.permutation(n)
-                cursor = 0
-            batch = order[cursor : cursor + batch_size]
-            cursor += batch_size
-            outputs = self.forward(x[batch], training=True)
-            value, grad = loss.compute(outputs, y[batch])
-            self.backward(grad)
-            optimizer.step(self.parameters())
-            history.loss.append(value)
-            if eval_every and eval_set is not None and (it + 1) % eval_every == 0:
-                history.eval_iterations.append(it + 1)
-                history.eval_accuracy.append(self.accuracy(*eval_set))
+        try:
+            for it in range(iterations):
+                if cursor + batch_size > n:
+                    order = rng.permutation(n)
+                    cursor = 0
+                batch = order[cursor : cursor + batch_size]
+                cursor += batch_size
+                outputs = self.forward(x[batch], training=True)
+                value, grad = loss.compute(outputs, y[batch])
+                self.backward(grad)
+                optimizer.step(self.parameters())
+                history.loss.append(value)
+                if eval_every and eval_set is not None and (it + 1) % eval_every == 0:
+                    history.eval_iterations.append(it + 1)
+                    history.eval_accuracy.append(self.accuracy(*eval_set))
+        finally:
+            for layer in self.layers:
+                layer.release()
         return history
 
     # ---------------------------------------------------------------- inference
@@ -137,15 +143,20 @@ class Sequential:
         return state
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Restore :meth:`state` output; a missing key (which would keep that
+        layer's current weights) or a foreign one is a ``ValueError``."""
+        expected = self.state().keys()
+        for problem, keys in (
+            ("missing", expected - state.keys()),
+            ("unexpected", state.keys() - expected),
+        ):
+            if keys:
+                raise ValueError(f"{problem} model state key {min(keys)!r}")
         for i, layer in enumerate(self.layers):
             prefix = f"layer{i}."
-            layer_state = {
-                key[len(prefix):]: value
-                for key, value in state.items()
-                if key.startswith(prefix)
-            }
-            if layer_state:
-                layer.load_state(layer_state)
+            layer.load_state(
+                {k[len(prefix):]: v for k, v in state.items() if k.startswith(prefix)}
+            )
 
     def save(self, path: str | Path) -> None:
         np.savez(path, **self.state())
@@ -153,6 +164,11 @@ class Sequential:
     def load(self, path: str | Path) -> None:
         with np.load(path) as data:
             self.load_state({key: data[key] for key in data.files})
+
+
+def _topology(model: Sequential) -> list[tuple[type, tuple[int, ...]]]:
+    """Layer types and weight shapes: what stacked models must share."""
+    return [(type(layer), getattr(layer, "W", np.empty(0)).shape) for layer in model.layers]
 
 
 class StackedSequential:
@@ -169,8 +185,8 @@ class StackedSequential:
     ``tests/test_batched_inference.py`` pins this down with Hypothesis.
 
     Dropout layers are skipped (identity at inference time, matching
-    ``Sequential.forward(training=False)``).  The stack snapshots weights
-    at construction time — rebuild after retraining the source models.
+    ``Sequential.forward(training=False)``).  The source models' Dense
+    ``W``/``b`` become views of the stack (:meth:`StackedDense.from_layers`).
     """
 
     def __init__(self, stacked: list[StackedDense | None]) -> None:
@@ -186,20 +202,12 @@ class StackedSequential:
 
     @classmethod
     def from_models(cls, models: list["Sequential"]) -> "StackedSequential":
-        """Fuse same-architecture models; validates matching topologies."""
+        """Fuse same-architecture models (validated); their Dense layers
+        become views of the stacks."""
         if not models:
             raise ValueError("need at least one model to stack")
-        signature = [
-            (type(layer), getattr(layer, "W", np.empty(0)).shape)
-            for layer in models[0].layers
-        ]
-        for model in models[1:]:
-            other = [
-                (type(layer), getattr(layer, "W", np.empty(0)).shape)
-                for layer in model.layers
-            ]
-            if other != signature:
-                raise ValueError("stacked models must share one architecture")
+        if any(_topology(model) != _topology(models[0]) for model in models[1:]):
+            raise ValueError("stacked models must share one architecture")
         ops: list[StackedDense | None] = []
         for i, layer in enumerate(models[0].layers):
             if isinstance(layer, Dense):

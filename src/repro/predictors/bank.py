@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,12 +29,7 @@ from repro.predictors.datasets import (
     build_latency_dataset,
     build_quality_dataset,
 )
-from repro.predictors.features import (
-    TermFeatureCache,
-    latency_features,
-    quality_features,
-    trace_feature_tensors,
-)
+from repro.predictors.features import TermFeatureCache, trace_feature_tensors
 from repro.predictors.fused import FusedLatencyModels, FusedQualityModels
 from repro.predictors.latency import LatencyBinning, LatencyPredictor
 from repro.predictors.quality import QualityPredictor
@@ -283,9 +278,10 @@ class PredictorBank:
         model kind — instead of 3 x n_shards per-model calls.
 
         Outputs are bit-identical to the per-shard/per-query reference
-        loop (:meth:`predict_loop`): the fused kernel evaluates one query
-        row per pass, so every matmul has the exact shape the per-shard
-        path used.  Results land in the same memo cache ``predict`` reads.
+        loop (``predict_loop`` in ``tests/test_batched_inference.py``): the
+        fused kernel evaluates one query row per pass, so every matmul has
+        the exact shape the per-shard path used.  Results land in the same
+        memo cache ``predict`` reads.
         """
         if not self.trained:
             raise RuntimeError("predictor bank has not been trained")
@@ -340,50 +336,15 @@ class PredictorBank:
             self.batch_predict(list(queries))
         return len(self._prediction_cache) - before
 
-    def predict_loop(self, query: Query) -> tuple[ISNPrediction, ...]:
-        """Reference per-shard/per-query inference path (pre-fusion).
-
-        The original 3 x n_shards single-row loop, kept as the ground
-        truth the equivalence tests compare the fused plane against.
-        Bypasses the prediction cache.
-        """
-        if not self.trained:
-            raise RuntimeError("predictor bank has not been trained")
-        predictions = []
-        for sid in range(self.n_shards):
-            stats = self.stats_indexes[sid]
-            q_feat = quality_features(query.terms, stats)
-            l_feat = latency_features(query.terms, stats)
-            count_k, p_zero_k = self.quality_k_models[sid].predict_with_zero_prob(q_feat)
-            count_half, p_zero_half = self.quality_half_models[
-                sid
-            ].predict_with_zero_prob(q_feat)
-            predictions.append(
-                ISNPrediction(
-                    shard_id=sid,
-                    quality_k=count_k,
-                    quality_half_k=count_half,
-                    service_default_ms=self.latency_models[sid].predict_one_ms(l_feat),
-                    p_zero_k=p_zero_k,
-                    p_zero_half=p_zero_half,
-                )
-            )
-        return tuple(predictions)
-
     # ------------------------------------------------------------- persistence
     def save(self, path: str | Path) -> None:
         """Write every trained per-shard model to one ``.npz`` file."""
         if not self.trained:
             raise RuntimeError("cannot save an untrained bank")
         arrays: dict[str, FloatArray] = {}
-        for sid in range(self.n_shards):
-            for prefix, model in (
-                (f"shard{sid}.quality_k", self.quality_k_models[sid]),
-                (f"shard{sid}.quality_half", self.quality_half_models[sid]),
-                (f"shard{sid}.latency", self.latency_models[sid]),
-            ):
-                for key, value in model.state().items():
-                    arrays[f"{prefix}.{key}"] = value
+        for prefix, model in self._named_predictors():
+            for key, value in model.state().items():
+                arrays[f"{prefix}.{key}"] = value
         meta = {
             "k": self.k,
             "n_shards": self.n_shards,
@@ -420,16 +381,26 @@ class PredictorBank:
             for key in data.files:
                 if key == "meta":
                     continue
-                prefix, rest = key.split(".", 2)[0:2], key.split(".", 2)[2]
-                states.setdefault(".".join(prefix), {})[rest] = data[key]
-            for sid in range(bank.n_shards):
-                bank.quality_k_models[sid].load_state(states[f"shard{sid}.quality_k"])
-                bank.quality_half_models[sid].load_state(
-                    states[f"shard{sid}.quality_half"]
-                )
-                bank.latency_models[sid].load_state(states[f"shard{sid}.latency"])
+                shard, kind, rest = key.split(".", 2)
+                states.setdefault(f"{shard}.{kind}", {})[rest] = data[key]
+            for prefix, model in bank._named_predictors():
+                try:
+                    model.load_state(states.pop(prefix, {}))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {prefix}: {exc}") from None
+            if states:
+                raise ValueError(f"{path}: unexpected predictor {min(states)!r}")
         bank.trained = True
         return bank
+
+    def _named_predictors(
+        self,
+    ) -> Iterator[tuple[str, QualityPredictor | LatencyPredictor]]:
+        """Every predictor with the key prefix :meth:`save` files it under."""
+        for sid in range(self.n_shards):
+            yield f"shard{sid}.quality_k", self.quality_k_models[sid]
+            yield f"shard{sid}.quality_half", self.quality_half_models[sid]
+            yield f"shard{sid}.latency", self.latency_models[sid]
 
     def coordination_overhead_ms(self) -> float:
         """Aggregator-visible cost of the predict-and-report round.

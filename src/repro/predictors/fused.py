@@ -15,8 +15,11 @@ the per-shard methods operation for operation — so fused outputs are
 bit-identical to the per-shard loop.  ``tests/test_batched_inference.py``
 asserts this with Hypothesis.
 
-Stacks snapshot weights at construction; rebuild after retraining (the
-:class:`~repro.predictors.bank.PredictorBank` does this automatically).
+The weight stacks are the models' only storage: fusing rebinds every
+per-shard Dense ``W``/``b`` to a view of its stack slice, so each weight
+is resident once and retraining writes through.  The scaler statistics
+and bin centers are copies, so the
+:class:`~repro.predictors.bank.PredictorBank` re-fuses after retraining.
 """
 
 from __future__ import annotations

@@ -111,6 +111,36 @@ class TestPredictorBank:
         assert 0.0 < unit_testbed.bank.coordination_overhead_ms() < 1.0
 
 
+def assert_stacks_are_the_weights(bank):
+    """Every per-shard Dense W/b is a view of its slice of the fused stack."""
+    model_lists = (bank.quality_k_models, bank.quality_half_models, bank.latency_models)
+    for predictors, fused in zip(model_lists, bank.fused_stacks()):
+        for s, predictor in enumerate(predictors):
+            dense = [layer for layer in predictor.model.layers if hasattr(layer, "W")]
+            ops = [op for op in fused.stack.ops if op is not None]
+            assert len(dense) == len(ops) == 6
+            for layer, op in zip(dense, ops):
+                assert np.shares_memory(layer.W, op.W[s])
+                assert np.shares_memory(layer.b, op.b[s])
+
+
+class TestResidentWeights:
+    def test_fused_stacks_are_the_weights(self, unit_testbed):
+        assert_stacks_are_the_weights(unit_testbed.bank)
+
+    def test_loaded_bank_fuses_into_the_same_storage(self, unit_testbed, tmp_path):
+        unit_testbed.bank.save(tmp_path / "bank.npz")
+        restored = PredictorBank.load(tmp_path / "bank.npz", unit_testbed.cluster)
+        assert restored.predict(unit_testbed.wikipedia_trace[0])
+        assert_stacks_are_the_weights(restored)
+
+    def test_no_gradient_or_activation_cache_after_training(self, unit_testbed):
+        for model in all_models(unit_testbed.bank):
+            for layer in model.model.layers:
+                for name in ("dW", "db", "_x", "_mask"):
+                    assert getattr(layer, name, None) is None
+
+
 class TestTrainingValidation:
     @pytest.mark.parametrize("quality, latency", [(0, 20), (-1, 20), (30, 0)])
     def test_nonpositive_iterations_rejected_before_any_work(
@@ -250,6 +280,39 @@ class TestPooledTraining:
         )
         assert bank.trained
         assert pools == []
+
+
+class TestRetrainingAfterFusion:
+    def test_retraining_a_fused_bank_is_retraining_an_unfused_one(
+        self, unit_testbed, unit_train_queries, unit_truth
+    ):
+        """Predicting fuses the bank, so its models' weights live in the
+        stacks when it is trained again: the second training must land
+        exactly where it lands on a bank that never fused in between."""
+        queries = list({q.terms: q for q in unit_testbed.wikipedia_trace}.values())
+
+        def train(bank, seed):
+            bank.train(
+                unit_train_queries, truth=unit_truth, seed=seed,
+                quality_iterations=QUALITY_ITERATIONS,
+                latency_iterations=LATENCY_ITERATIONS,
+            )
+
+        fused = PredictorBank(unit_testbed.cluster)
+        unfused = PredictorBank(unit_testbed.cluster)
+        train(fused, seed=1)
+        first = [fused.predict(q) for q in queries]
+        train(fused, seed=2)
+        train(unfused, seed=1)
+        train(unfused, seed=2)
+        second = [fused.predict(q) for q in queries]
+        assert second == [unfused.predict(q) for q in queries]
+        assert second != first
+        for trained, expected in zip(all_models(fused), all_models(unfused)):
+            state = trained.state()
+            for key, value in expected.state().items():
+                assert state[key].tobytes() == value.tobytes(), key
+        assert_stacks_are_the_weights(fused)
 
 
 class TestTrainingWorkerFailure:

@@ -13,7 +13,7 @@ guarantee down at every layer:
 * vectorized feature extraction (matrix and whole-trace tensor forms) vs
   the per-shard reference functions, including OOV terms;
 * ``PredictorBank.batch_predict`` / ``predict`` vs the reference
-  ``predict_loop`` on a trained testbed, plus cache/prewarm semantics.
+  :func:`predict_loop` on a trained testbed, plus cache/prewarm semantics.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.nn.layers import Dense, Dropout, Layer, ReLU
 from repro.nn.losses import softmax
 from repro.nn.model import Sequential, StackedSequential, mlp_classifier
+from repro.predictors import ISNPrediction
 from repro.predictors.features import (
     TermFeatureCache,
     latency_feature_matrix,
@@ -258,6 +259,28 @@ def test_trace_tensors_empty_trace(unit_testbed):
 # ---------------------------------------------------------------------------
 
 
+def predict_loop(bank, query):
+    """Reference per-shard/per-query inference (the pre-fusion path).
+
+    The original 3 x n_shards single-row loop over each shard's own models
+    and term statistics — the ground truth the fused plane is compared
+    against.  Bypasses the bank's prediction cache.
+    """
+    predictions = []
+    for sid, stats in enumerate(bank.stats_indexes):
+        q_feat = quality_features(query.terms, stats)
+        l_feat = latency_features(query.terms, stats)
+        count_k, p_zero_k = bank.quality_k_models[sid].predict_with_zero_prob(q_feat)
+        count_half, p_zero_half = bank.quality_half_models[
+            sid
+        ].predict_with_zero_prob(q_feat)
+        service_ms = bank.latency_models[sid].predict_one_ms(l_feat)
+        predictions.append(
+            ISNPrediction(sid, count_k, count_half, service_ms, p_zero_k, p_zero_half)
+        )
+    return tuple(predictions)
+
+
 def test_batch_predict_is_bit_identical_to_loop(unit_testbed):
     """Every distinct trace query, through both paths, field by field."""
     bank = unit_testbed.bank
@@ -266,7 +289,7 @@ def test_batch_predict_is_bit_identical_to_loop(unit_testbed):
     )
     batched = bank.batch_predict(queries)
     for query, predictions in zip(queries, batched):
-        reference = bank.predict_loop(query)
+        reference = predict_loop(bank, query)
         assert predictions == reference  # frozen dataclasses: exact equality
         for pred in predictions:
             assert isinstance(pred.quality_k, int)
@@ -282,7 +305,7 @@ def test_predict_matches_loop_on_edge_queries(unit_testbed):
         Query(query_id=9003, terms=(some_term, OOV_TERMS[1])),  # mixed
     ]
     for query in edge_queries:
-        assert bank.predict(query) == bank.predict_loop(query)
+        assert bank.predict(query) == predict_loop(bank, query)
 
 
 def test_predict_returns_cached_immutable_tuple(unit_testbed):
@@ -299,7 +322,7 @@ def test_predict_returns_cached_immutable_tuple(unit_testbed):
 def test_prewarm_counts_and_changes_nothing(unit_testbed):
     bank = unit_testbed.bank
     queries = unit_testbed.wikipedia_trace.queries[:8]
-    cold = [bank.predict_loop(q) for q in queries]
+    cold = [predict_loop(bank, q) for q in queries]
     # Evict these entries so prewarm has real work to do, then check it
     # reports the distinct-query count and reproduces the loop exactly.
     for q in queries:
@@ -321,4 +344,4 @@ def test_untrained_bank_rejects_batched_paths(shards):
     with pytest.raises(RuntimeError):
         bank.fused_stacks()
     with pytest.raises(RuntimeError):
-        bank.predict_loop(query)
+        predict_loop(bank, query)

@@ -14,6 +14,8 @@ from repro.nn import (
     SGD,
     Sequential,
     SparseCategoricalCrossentropy,
+    StackedDense,
+    StackedSequential,
     StandardScaler,
     StepDecay,
     mlp_classifier,
@@ -84,6 +86,29 @@ class TestDense:
         layer = Dense(3, 2)
         with pytest.raises(ValueError):
             layer.load_state({"W": np.zeros((2, 2)), "b": np.zeros(2)})
+
+    def test_fresh_layers_hold_no_gradient_buffers(self):
+        model = mlp_classifier(7, 4, hidden_layers=5, hidden_units=128)
+        for layer in [Dense(4, 3)] + model.layers[::2]:
+            assert isinstance(layer, Dense)
+            assert layer.dW is None and layer.db is None and layer._x is None
+
+
+class TestStackedDense:
+    def test_stack_is_the_layers_storage(self):
+        layers = [Dense(3, 2, rng=np.random.default_rng(i)) for i in range(3)]
+        originals = [(layer.W.copy(), layer.b.copy()) for layer in layers]
+        stack = StackedDense.from_layers(layers)
+        for s, (layer, (W, b)) in enumerate(zip(layers, originals)):
+            assert np.shares_memory(layer.W, stack.W[s])
+            assert np.shares_memory(layer.b, stack.b[s])
+            assert np.array_equal(layer.W, W) and np.array_equal(layer.b, b)
+        # In-place updates of a layer (load_state, an optimizer step) are
+        # updates of the stack.
+        donor = Dense(3, 2, rng=np.random.default_rng(9))
+        layers[1].load_state(donor.state())
+        x = np.random.default_rng(0).normal(size=(3, 4, 3))
+        assert np.array_equal(stack.forward(x)[1], donor.forward(x[1]))
 
 
 class TestActivations:
@@ -315,6 +340,76 @@ class TestSequential:
     def test_empty_layers_rejected(self):
         with pytest.raises(ValueError):
             Sequential([])
+
+    @staticmethod
+    def _dropout_model():
+        rng = np.random.default_rng(0)
+        return Sequential(
+            [Dense(3, 8, rng=rng), ReLU(), Dropout(0.5, rng=rng), Dense(8, 2, rng=rng)]
+        )
+
+    @staticmethod
+    def _assert_released(model):
+        for layer in model.layers:
+            for name in ("dW", "db", "_x", "_mask"):
+                assert getattr(layer, name, None) is None, (type(layer).__name__, name)
+
+    def test_fit_releases_gradients_and_caches(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 3))
+        model = self._dropout_model()
+        model.fit(x, rng.integers(0, 2, size=40), iterations=5, batch_size=8)
+        self._assert_released(model)
+
+    def test_failed_fit_releases_too(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 3))
+        y = rng.integers(0, 2, size=40)
+        model = self._dropout_model()
+        with pytest.raises(ValueError):  # the eval set has the wrong width
+            model.fit(x, y, iterations=5, eval_set=(x[:, :2], y), eval_every=1)
+        self._assert_released(model)
+
+    def test_fit_on_stacked_models_writes_through(self):
+        """Training a model after it was fused updates the stack: no
+        stale copy exists to diverge from."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 3))
+        y = rng.integers(0, 2, size=40)
+        models = [mlp_classifier(3, 2, hidden_layers=1, hidden_units=8, seed=i)
+                  for i in range(2)]
+        stack = StackedSequential.from_models(models)
+        models[0].fit(x, y, iterations=10)
+        logits = stack.forward_batched(np.stack([x, x]))
+        for s, model in enumerate(models):
+            assert np.array_equal(logits[s], model.predict(x))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda state: state.pop("layer2.W"), "missing model state key 'layer2.W'"),
+            (lambda state: state.pop("layer0.b"), "missing model state key 'layer0.b'"),
+            (
+                lambda state: state.update({"layer1.W": np.zeros((8, 8))}),
+                "unexpected model state key 'layer1.W'",
+            ),
+            (
+                lambda state: state.update({"layer9.W": np.zeros((8, 8))}),
+                "unexpected model state key 'layer9.W'",
+            ),
+        ],
+    )
+    def test_load_state_rejects_incomplete_or_foreign_state(self, edit, message):
+        """Layer 1 is a ReLU: stateless layers have no keys, and a key for
+        one is as foreign as a key for a layer that does not exist."""
+        state = mlp_classifier(3, 2, hidden_layers=1, hidden_units=8, seed=1).state()
+        edit(state)
+        model = mlp_classifier(3, 2, hidden_layers=1, hidden_units=8, seed=2)
+        before = {key: value.copy() for key, value in model.state().items()}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            model.load_state(state)
+        for key, value in model.state().items():
+            np.testing.assert_array_equal(value, before[key])
 
 
 class TestScaler:

@@ -1,5 +1,6 @@
 """Tests for predictor-bank persistence (shards: ``tests/test_store.py``)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import SearchCluster
@@ -31,3 +32,31 @@ class TestBankRoundtrip:
         other = SearchCluster(shards, k=unit_testbed.cluster.k)
         with pytest.raises(ValueError):
             PredictorBank.load(path, other)
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            ("remove", "shard1.latency: missing model state key 'layer4.W'"),
+            ("add", "shard0.quality_k: unexpected model state key 'layer12.W'"),
+            ("add_predictor", "unexpected predictor 'shard8.latency'"),
+        ],
+    )
+    def test_incomplete_or_foreign_bank_rejected(
+        self, unit_testbed, tmp_path, edit, named
+    ):
+        """A bank missing one layer's array used to load with that layer's
+        random initial weights, and predict wrong answers without error."""
+        path = tmp_path / "bank.npz"
+        unit_testbed.bank.save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        if edit == "remove":
+            del arrays["shard1.latency.model.layer4.W"]
+        elif edit == "add":
+            arrays["shard0.quality_k.model.layer12.W"] = np.zeros((128, 128))
+        else:
+            arrays["shard8.latency.model.layer0.W"] = np.zeros((15, 128))
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValueError) as excinfo:
+            PredictorBank.load(path, unit_testbed.cluster)
+        assert str(excinfo.value) == f"{path}: {named}"
