@@ -131,6 +131,7 @@ class SearchCluster:
         if not shards:
             raise ValueError("cluster needs at least one shard")
         self.k = k
+        self.strategy = strategy
         self.cost_model = cost_model or CostModel()
         self.power_model = power_model or PowerModel()
         self.freq_scale = freq_scale or FrequencyScale()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -49,6 +50,10 @@ class IndexBuilder:
     constructing posting lists (posting lists must be doc-id ordered for the
     DAAT evaluators).  Pass ``stats`` from :func:`gather_collection_stats`
     to score with global statistics (the default in :func:`build_shards`).
+
+    Tokens are buffered ``sys.intern``-ed: one ``str`` per distinct term,
+    referenced by every occurrence, not one per token (a heap of small
+    strings the allocator could not hand back after the build).
     """
 
     def __init__(
@@ -66,7 +71,8 @@ class IndexBuilder:
         """Analyze and buffer one document."""
         if doc.doc_id in self._docs:
             raise ValueError(f"duplicate doc_id {doc.doc_id} in shard {self.shard_id}")
-        self._docs[doc.doc_id] = self.analyzer.analyze(doc.full_text())
+        tokens = self.analyzer.analyze(doc.full_text())
+        self._docs[doc.doc_id] = list(map(sys.intern, tokens))
 
     def add_all(self, docs: Iterable[Document]) -> None:
         for doc in docs:

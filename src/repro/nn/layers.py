@@ -97,9 +97,10 @@ class StackedDense:
     3-D operand applies the identical 2-D product to each stack slice, so
     ``forward(x)[s]`` is bit-identical to ``x[s] @ W_s + b_s`` — the
     per-model loop this layer replaces.  Inference-only: no gradients.
-    The stack *is* the weights: :meth:`from_layers` rebinds each source
-    layer's ``W``/``b`` to a view of its slice, so every weight is resident
-    once and in-place updates (``load_state``, ``fit``) write through.
+    The stack *is* the weights: :meth:`like` allocates it once, and
+    :meth:`adopt` copies a layer into its slice and rebinds the layer's
+    ``W``/``b`` to views of it, so every weight is resident once and
+    in-place updates (``load_state``, ``fit``) write through.
     """
 
     def __init__(self, W: np.ndarray, b: np.ndarray) -> None:
@@ -109,18 +110,16 @@ class StackedDense:
         self.b = b[:, None, :]
 
     @classmethod
-    def from_layers(cls, layers: "list[Dense]") -> "StackedDense":
-        """Stack S same-shape Dense layers, which become views of the stack."""
-        if not layers:
-            raise ValueError("need at least one Dense layer to stack")
-        shape = layers[0].W.shape
-        if any(layer.W.shape != shape for layer in layers):
+    def like(cls, layer: Dense, n: int) -> "StackedDense":
+        """An unfilled stack of ``n`` layers shaped like ``layer``."""
+        return cls(np.empty((n, *layer.W.shape)), np.empty((n, layer.b.size)))
+
+    def adopt(self, s: int, layer: Dense) -> None:
+        """Copy ``layer`` into slice ``s``; its ``W``/``b`` become views of it."""
+        if layer.W.shape != self.W.shape[1:]:
             raise ValueError("stacked Dense layers must share weight shapes")
-        W = np.stack([layer.W for layer in layers])
-        b = np.stack([layer.b for layer in layers])
-        for s, layer in enumerate(layers):
-            layer.W, layer.b = W[s], b[s]
-        return cls(W, b)
+        self.W[s], self.b[s, 0] = layer.W, layer.b
+        layer.W, layer.b = self.W[s], self.b[s, 0]
 
     @property
     def n_stacked(self) -> int:

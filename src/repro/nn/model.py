@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -186,7 +187,7 @@ class StackedSequential:
 
     Dropout layers are skipped (identity at inference time, matching
     ``Sequential.forward(training=False)``).  The source models' Dense
-    ``W``/``b`` become views of the stack (:meth:`StackedDense.from_layers`).
+    ``W``/``b`` become views of the stack (:meth:`StackedDense.adopt`).
     """
 
     def __init__(self, stacked: list[StackedDense | None]) -> None:
@@ -201,28 +202,36 @@ class StackedSequential:
         self.n_stacked = dense[0].n_stacked
 
     @classmethod
-    def from_models(cls, models: list["Sequential"]) -> "StackedSequential":
-        """Fuse same-architecture models (validated); their Dense layers
-        become views of the stacks."""
-        if not models:
-            raise ValueError("need at least one model to stack")
-        if any(_topology(model) != _topology(models[0]) for model in models[1:]):
-            raise ValueError("stacked models must share one architecture")
-        ops: list[StackedDense | None] = []
-        for i, layer in enumerate(models[0].layers):
-            if isinstance(layer, Dense):
-                ops.append(
-                    StackedDense.from_layers([m.layers[i] for m in models])
-                )
-            elif isinstance(layer, ReLU):
-                ops.append(None)
-            elif isinstance(layer, Dropout):
-                continue  # identity at inference time
-            else:
-                raise ValueError(
-                    f"cannot stack layer type {type(layer).__name__}"
-                )
-        return cls(ops)
+    def from_models(
+        cls, models: Iterable[Sequential], n: int | None = None
+    ) -> "StackedSequential":
+        """Fuse ``n`` same-architecture models (default: all of a list).
+
+        The stacks are allocated from the first model and each model's
+        Dense layers are adopted into them as it is read, so fusing a
+        generator never holds two models' weights outside the stacks.
+        """
+        if n is None:
+            models = list(models)
+            n = len(models)
+        stack: StackedSequential | None = None
+        count = 0
+        for count, model in enumerate(models, 1):
+            layers = [layer for layer in model.layers if not isinstance(layer, Dropout)]
+            if stack is None:
+                topology = _topology(model)
+                if not all(isinstance(layer, (Dense, ReLU)) for layer in layers):
+                    raise ValueError("only Dense, ReLU and Dropout layers stack")
+                stack = cls([StackedDense.like(layer, n) if isinstance(layer, Dense)
+                             else None for layer in layers])
+            if _topology(model) != topology or count > n:
+                raise ValueError(f"need {n} models of one architecture to stack")
+            for op, layer in zip(stack.ops, layers):
+                if op is not None and isinstance(layer, Dense):
+                    op.adopt(count - 1, layer)
+        if stack is None or count < n:
+            raise ValueError(f"need {n} models of one architecture to stack, got {count}")
+        return stack
 
     def forward_batched(self, x: np.ndarray) -> np.ndarray:
         """Fused forward: ``x[S, B, features] -> logits[S, B, classes]``.

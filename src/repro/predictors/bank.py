@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,6 +22,7 @@ from repro.cluster.engine import SearchCluster
 from repro.host import process_map
 from repro.index.term_stats import TermStatsIndex
 from repro.metrics.quality import GroundTruth
+from repro.nn.model import Sequential, StackedSequential
 from repro.predictors.arrays import FloatArray
 from repro.predictors.datasets import (
     ShardLatencyDataset,
@@ -92,6 +93,22 @@ def fit_job(job: FitJob) -> dict[str, FloatArray]:
     return job.predictor.state()
 
 
+P = TypeVar("P", QualityPredictor, LatencyPredictor)
+
+
+def _made_into_stack(n: int, predictors: Iterator[P]) -> tuple[list[P], StackedSequential]:
+    """Make ``n`` predictors, each model adopted into one weight stack
+    before the next is made: no two models' weights exist outside it."""
+    made: list[P] = []
+
+    def models() -> Iterator[Sequential]:
+        for predictor in predictors:
+            made.append(predictor)
+            yield predictor.model
+
+    return made, StackedSequential.from_models(models(), n)
+
+
 class PredictorBank:
     """All per-shard predictors for one cluster, plus their stats indexes."""
 
@@ -111,19 +128,21 @@ class PredictorBank:
         self.stats_indexes = [
             TermStatsIndex(shard, k=self.k) for shard in cluster.shards
         ]
-        self.quality_k_models = [
+        n, half = cluster.n_shards, max(self.k // 2, 1)
+        self.quality_k_models, k_stack = _made_into_stack(n, (
             QualityPredictor(self.k, hidden_layers, hidden_units, seed=seed + sid)
-            for sid in range(cluster.n_shards)
-        ]
-        half = max(self.k // 2, 1)
-        self.quality_half_models = [
+            for sid in range(n)
+        ))
+        self.quality_half_models, half_stack = _made_into_stack(n, (
             QualityPredictor(half, hidden_layers, hidden_units, seed=seed + 100 + sid)
-            for sid in range(cluster.n_shards)
-        ]
-        self.latency_models = [
+            for sid in range(n)
+        ))
+        self.latency_models, latency_stack = _made_into_stack(n, (
             LatencyPredictor(binning, hidden_layers, hidden_units, seed=seed + 200 + sid)
-            for sid in range(cluster.n_shards)
-        ]
+            for sid in range(n)
+        ))
+        # The only storage of every weight; training and loading write into it.
+        self.weight_stacks = (k_stack, half_stack, latency_stack)
         self.trained = False
         # Memoized per-query reports.  Values are tuples on purpose: the
         # same object is handed to every caller, and an immutable tuple
@@ -167,12 +186,12 @@ class PredictorBank:
     ) -> TrainingReport:
         """Train every per-shard model; report held-out accuracy.
 
-        ``truth`` is built from the cluster's own exhaustive searcher when
-        not supplied.  Every shard's datasets are built here, from the
-        cluster's searchers; the 3 x n_shards fits are then independent
-        jobs (:class:`FitJob`) that :func:`~repro.host.process_map` spreads
-        over the CPUs, and the weights they return are loaded into this
-        bank's predictors — bit for bit what fitting them here would give.
+        ``truth`` is built by exhaustive search when not supplied.  Every
+        shard's datasets are built here, by a searcher dropped on return;
+        the 3 x n_shards fits are then independent jobs (:class:`FitJob`)
+        that :func:`~repro.host.process_map` spreads over the CPUs, and the
+        weights they return are loaded into this bank's predictors — bit
+        for bit what fitting them here would give.
         """
         if quality_iterations < 1 or latency_iterations < 1:
             raise ValueError(
@@ -181,14 +200,21 @@ class PredictorBank:
             )
         if len(queries) < 10:
             raise ValueError("need at least 10 training queries")
+        # Labels are searched by a searcher that lives only as long as this
+        # call: no run reads them, so they stay out of the cluster's memo.
+        cluster = self.cluster
+        labeller = SearchCluster(
+            cluster.shards, k=cluster.k, strategy=cluster.strategy,
+            cost_model=cluster.cost_model, freq_scale=cluster.freq_scale,
+        )
         if truth is None:
-            truth = GroundTruth.build(self.cluster.searcher, queries, k=self.k)
+            truth = GroundTruth.build(labeller.searcher, queries, k=self.k)
         jobs: list[FitJob] = []
         held_out: list[tuple[ShardQualityDataset, ShardLatencyDataset]] = []
         for sid in range(self.n_shards):
             stats = self.stats_indexes[sid]
             q_data = build_quality_dataset(sid, stats, queries, truth)
-            l_data = build_latency_dataset(sid, stats, self.cluster, queries)
+            l_data = build_latency_dataset(sid, stats, labeller, queries)
             q_train, q_test = q_data.split(holdout, seed=seed)
             l_train, l_test = l_data.split(holdout, seed=seed)
             held_out.append((q_test, l_test))
@@ -236,17 +262,17 @@ class PredictorBank:
     ) -> tuple[FusedQualityModels, FusedQualityModels, FusedLatencyModels]:
         """The three cross-shard model stacks (built lazily, cached).
 
-        Quality-K, Quality-K/2 and latency models each fuse into one
-        :class:`~repro.nn.StackedSequential`, so a query's 3 x n_shards
-        forward passes collapse into three batched ones.
+        Quality-K, Quality-K/2 and latency models each run on their weight
+        stack, so a query's 3 x n_shards forward passes collapse into three
+        batched ones; only scaler statistics and bin centers stack here.
         """
         if not self.trained:
             raise RuntimeError("predictor bank has not been trained")
         if self._fused is None:
             self._fused = (
-                FusedQualityModels(self.quality_k_models),
-                FusedQualityModels(self.quality_half_models),
-                FusedLatencyModels(self.latency_models),
+                FusedQualityModels(self.quality_k_models, self.weight_stacks[0]),
+                FusedQualityModels(self.quality_half_models, self.weight_stacks[1]),
+                FusedLatencyModels(self.latency_models, self.weight_stacks[2]),
             )
         return self._fused
 
@@ -371,9 +397,14 @@ class PredictorBank:
                     f"bank was trained on {meta['n_shards']} shards, cluster has "
                     f"{cluster.n_shards}"
                 )
+            edges = {tuple(data[key].tolist()) for key in data.files
+                     if key.endswith(".latency.binning.edges")}
+            if len(edges) > 1:
+                raise ValueError(f"{path}: shards disagree on the latency binning")
             bank = cls(
                 cluster,
                 k=int(meta["k"]),
+                binning=LatencyBinning(edges.pop()) if edges else None,
                 hidden_layers=int(meta["hidden_layers"]),
                 hidden_units=int(meta["hidden_units"]),
             )

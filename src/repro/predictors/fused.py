@@ -15,11 +15,12 @@ the per-shard methods operation for operation — so fused outputs are
 bit-identical to the per-shard loop.  ``tests/test_batched_inference.py``
 asserts this with Hypothesis.
 
-The weight stacks are the models' only storage: fusing rebinds every
-per-shard Dense ``W``/``b`` to a view of its stack slice, so each weight
-is resident once and retraining writes through.  The scaler statistics
-and bin centers are copies, so the
-:class:`~repro.predictors.bank.PredictorBank` re-fuses after retraining.
+The weight stacks are the models' only storage and are not built here:
+the :class:`~repro.predictors.bank.PredictorBank` allocates them with its
+predictors, every per-shard Dense ``W``/``b`` a view of its slice from the
+start, and training and ``load_state`` write through.  Fusing stacks only
+the scaler statistics and bin centers, copies the bank re-fuses after
+retraining.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from repro.predictors.quality import QualityPredictor
 def _stack_scalers(
     models: Sequence[QualityPredictor | LatencyPredictor],
 ) -> tuple[FloatArray, FloatArray]:
-    """Stack fitted StandardScaler statistics into ``[S, 1, F]`` tensors."""
+    """Stack trained predictors' scaler statistics into ``[S, 1, F]`` tensors."""
     means = []
     stds = []
     for model in models:
-        if model.scaler.mean_ is None or model.scaler.std_ is None:
-            raise RuntimeError("cannot fuse an unfitted predictor")
+        if not model.trained or model.scaler.mean_ is None or model.scaler.std_ is None:
+            raise RuntimeError("cannot fuse untrained predictors")
         means.append(model.scaler.mean_)
         stds.append(model.scaler.std_)
     return np.stack(means)[:, None, :], np.stack(stds)[:, None, :]
@@ -64,41 +65,27 @@ def _shard_major(
 
 
 class FusedQualityModels:
-    """Every shard's :class:`QualityPredictor` (one K) as one fused stack."""
+    """Every shard's :class:`QualityPredictor` (one K) over its weight stack."""
 
-    def __init__(self, predictors: list[QualityPredictor]) -> None:
-        if not predictors:
-            raise ValueError("need at least one predictor to fuse")
-        if any(not p.trained for p in predictors):
-            raise RuntimeError("cannot fuse untrained predictors")
+    def __init__(
+        self, predictors: list[QualityPredictor], stack: StackedSequential
+    ) -> None:
+        self.mean, self.std = _stack_scalers(predictors)
         self.k = predictors[0].k
         if any(p.k != self.k for p in predictors):
             raise ValueError("fused quality predictors must share one K")
-        self.mean, self.std = _stack_scalers(predictors)
-        self.stack = StackedSequential.from_models([p.model for p in predictors])
+        self.stack = stack
 
     @property
     def n_shards(self) -> int:
         return self.stack.n_stacked
 
-    def predict_with_zero_prob(
-        self, features: FloatArray
-    ) -> tuple[IndexArray, FloatArray]:
-        """All shards' (count, P[class 0]) for one query.
-
-        ``features`` is the query's ``[S, F]`` Table-I matrix; returns
-        ``(counts[S], p_zero[S])``.  Mirrors the per-shard
-        ``QualityPredictor.predict_with_zero_prob`` exactly: argmax over
-        the softmax probabilities, zero-class probability read off the
-        same row.
-        """
-        counts, p_zero = self.predict_with_zero_prob_many(features[None])
-        return counts[0], p_zero[0]
-
     def predict_with_zero_prob_many(
         self, features: FloatArray
     ) -> tuple[IndexArray, FloatArray]:
-        """Whole-trace variant: ``[NQ, S, F] -> (counts[NQ, S], p_zero[NQ, S])``.
+        """Every shard's (count, P[class 0]) for each query's Table-I matrix:
+        ``[NQ, S, F] -> (counts[NQ, S], p_zero[NQ, S])``, as the per-shard
+        ``QualityPredictor.predict_with_zero_prob`` computes them.
 
         One matmul per layer covers every (query, shard) pair; each pair's
         gemm slice keeps the single-row shape, so results stay
@@ -111,41 +98,27 @@ class FusedQualityModels:
 
 
 class FusedLatencyModels:
-    """Every shard's :class:`LatencyPredictor` as one fused stack."""
+    """Every shard's :class:`LatencyPredictor` over its weight stack."""
 
-    def __init__(self, predictors: list[LatencyPredictor]) -> None:
-        if not predictors:
-            raise ValueError("need at least one predictor to fuse")
-        if any(not p.trained for p in predictors):
-            raise RuntimeError("cannot fuse untrained predictors")
+    def __init__(
+        self, predictors: list[LatencyPredictor], stack: StackedSequential
+    ) -> None:
         self.mean, self.std = _stack_scalers(predictors)
-        self.stack = StackedSequential.from_models([p.model for p in predictors])
+        self.stack = stack
         # Bin -> milliseconds lookup, one row per shard, built with the
         # same center_ms calls the per-shard path makes.
-        self.centers_ms: FloatArray = np.stack(
-            [
-                np.array(
-                    [p.binning.center_ms(b) for b in range(p.binning.n_bins)]
-                )
-                for p in predictors
-            ]
+        self.centers_ms: FloatArray = np.array(
+            [[p.binning.center_ms(b) for b in range(p.binning.n_bins)] for p in predictors]
         )
 
     @property
     def n_shards(self) -> int:
         return self.stack.n_stacked
 
-    def predict_service_ms(self, features: FloatArray) -> FloatArray:
-        """All shards' default-frequency service predictions: ``[S]``.
-
-        ``features`` is the query's ``[S, F]`` Table-II matrix.  Mirrors
-        ``LatencyPredictor.predict_one_ms``: argmax over logits, then the
-        bin's geometric-midpoint center.
-        """
-        return np.asarray(self.predict_service_ms_many(features[None])[0])
-
     def predict_service_ms_many(self, features: FloatArray) -> FloatArray:
-        """Whole-trace variant: ``[NQ, S, F] -> service_ms[NQ, S]``."""
+        """Every shard's default-frequency service time for each query's
+        Table-II matrix, ``[NQ, S, F] -> service_ms[NQ, S]``: argmax over
+        the logits, then the bin center, as ``LatencyPredictor`` does."""
         x = _shard_major(features, self.mean, self.std)
         bins = np.argmax(self.stack.forward_batched(x)[:, :, 0, :], axis=-1)  # [S, NQ]
         return np.asarray(self.centers_ms[np.arange(self.n_shards)[:, None], bins]).T

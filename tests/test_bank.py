@@ -11,13 +11,22 @@ import pytest
 
 import repro.host as host
 import repro.predictors.bank as bank_module
+from repro.cluster.cpu import CostModel
+from repro.cluster.engine import SearchCluster
+from repro.experiments.testbed import Scale
+from repro.index.builder import IndexBuilder
+from repro.index.partitioner import partition_topical
 from repro.metrics import GroundTruth
+from repro.nn.layers import StackedDense
 from repro.predictors import (
+    LatencyBinning,
     PredictorBank,
     QualityPredictor,
     build_latency_dataset,
     build_quality_dataset,
 )
+from repro.text.analyzer import WhitespaceAnalyzer
+from repro.workloads.corpus import SyntheticCorpus
 
 
 class TestDatasets:
@@ -111,17 +120,30 @@ class TestPredictorBank:
         assert 0.0 < unit_testbed.bank.coordination_overhead_ms() < 1.0
 
 
-def assert_stacks_are_the_weights(bank):
-    """Every per-shard Dense W/b is a view of its slice of the fused stack."""
+def assert_stacks_are_the_weights(bank, stacks=None):
+    """Every per-shard Dense W/b is a view of its slice of its kind's stack
+    (by default the fused stacks)."""
     model_lists = (bank.quality_k_models, bank.quality_half_models, bank.latency_models)
-    for predictors, fused in zip(model_lists, bank.fused_stacks()):
+    if stacks is None:
+        stacks = [fused.stack for fused in bank.fused_stacks()]
+    for predictors, stack in zip(model_lists, stacks):
         for s, predictor in enumerate(predictors):
             dense = [layer for layer in predictor.model.layers if hasattr(layer, "W")]
-            ops = [op for op in fused.stack.ops if op is not None]
+            ops = [op for op in stack.ops if op is not None]
             assert len(dense) == len(ops) == 6
             for layer, op in zip(dense, ops):
                 assert np.shares_memory(layer.W, op.W[s])
                 assert np.shares_memory(layer.b, op.b[s])
+
+
+def stack_arrays(bank):
+    """The W and b arrays of the bank's three weight stacks, in order."""
+    return [
+        array
+        for stack in bank.weight_stacks
+        for op in stack.ops if op is not None
+        for array in (op.W, op.b)
+    ]
 
 
 class TestResidentWeights:
@@ -134,11 +156,131 @@ class TestResidentWeights:
         assert restored.predict(unit_testbed.wikipedia_trace[0])
         assert_stacks_are_the_weights(restored)
 
+    def test_weight_stacks_are_allocated_once_at_construction(
+        self, unit_testbed, unit_train_queries, unit_truth, monkeypatch, tmp_path
+    ):
+        """The bank allocates its stacks when it is built, every Dense is a
+        view of them from the start, and nothing later replaces them:
+        neither training, nor fusing, nor loading a saved bank."""
+        allocated = []
+        like = StackedDense.like.__func__
+
+        def recording_like(cls, layer, n):
+            stack = like(cls, layer, n)
+            allocated.extend((stack.W, stack.b))
+            return stack
+
+        monkeypatch.setattr(StackedDense, "like", classmethod(recording_like))
+        bank = PredictorBank(unit_testbed.cluster)
+        assert_stacks_are_the_weights(bank, bank.weight_stacks)
+        arrays = stack_arrays(bank)
+        assert len(arrays) == 3 * 6 * 2
+        assert all(a is b for a, b in zip(arrays, allocated, strict=True))
+        bank.train(
+            unit_train_queries, truth=unit_truth,
+            quality_iterations=QUALITY_ITERATIONS,
+            latency_iterations=LATENCY_ITERATIONS,
+        )
+        assert all(a is b for a, b in zip(stack_arrays(bank), arrays, strict=True))
+        fused = bank.fused_stacks()
+        assert all(f.stack is w for f, w in zip(fused, bank.weight_stacks, strict=True))
+        assert all(a is b for a, b in zip(stack_arrays(bank), arrays, strict=True))
+        assert_stacks_are_the_weights(bank)
+
+        bank.save(tmp_path / "bank.npz")
+        allocated.clear()
+        restored = PredictorBank.load(tmp_path / "bank.npz", unit_testbed.cluster)
+        assert restored.predict(unit_testbed.wikipedia_trace[0])
+        assert all(
+            a is b for a, b in zip(stack_arrays(restored), allocated, strict=True)
+        )
+        assert_stacks_are_the_weights(restored, restored.weight_stacks)
+        assert_stacks_are_the_weights(restored)
+
+    def test_training_leaves_nothing_in_the_cluster_memo(
+        self, unit_testbed, unit_train_queries, monkeypatch
+    ):
+        """Labels are searched by a searcher that lives only inside
+        ``train``, over the cluster's shards, k, strategy and cost model."""
+        shards = unit_testbed.cluster.shards
+        cost_model = CostModel(cycles_per_posting=120_000.0)
+        cluster = SearchCluster(
+            shards, k=7, strategy="exhaustive", cost_model=cost_model
+        )
+        build = bank_module.build_latency_dataset
+        datasets = []
+
+        def recording(*args):
+            datasets.append(build(*args))
+            return datasets[-1]
+
+        monkeypatch.setattr(bank_module, "build_latency_dataset", recording)
+        bank = PredictorBank(cluster)
+        bank.train(unit_train_queries, quality_iterations=1, latency_iterations=1)
+        assert [stats.size for stats in cluster.searcher_cache_stats()] == [0] * 8
+        for sid, dataset in enumerate(datasets):
+            expected = build(sid, bank.stats_indexes[sid], cluster, unit_train_queries)
+            assert dataset.service_ms.tobytes() == expected.service_ms.tobytes()
+
     def test_no_gradient_or_activation_cache_after_training(self, unit_testbed):
         for model in all_models(unit_testbed.bank):
             for layer in model.model.layers:
                 for name in ("dW", "db", "_x", "_mask"):
                     assert getattr(layer, name, None) is None
+
+
+class TestShardBuildBuffer:
+    def test_buffered_tokens_are_one_str_per_distinct_term(self):
+        """The builder keeps a reference per token but one ``str`` object
+        per distinct term, not one per token."""
+        scale = Scale.unit()
+        corpus = SyntheticCorpus(scale.corpus)
+        groups = partition_topical(corpus.documents, scale.n_shards, seed=scale.seed)
+        builder = IndexBuilder(0, analyzer=WhitespaceAnalyzer())
+        builder.add_all(groups[0])
+        tokens = [token for doc in builder._docs.values() for token in doc]
+        vocabulary = set(tokens)
+        assert len(tokens) > 5 * len(vocabulary)
+        assert len({id(token) for token in tokens}) == len(vocabulary)
+
+
+class TestBankPersistence:
+    BINNING = LatencyBinning.logarithmic(n_bins=10)
+
+    @pytest.fixture(scope="class")
+    def saved(self, unit_testbed, unit_train_queries, unit_truth, tmp_path_factory):
+        bank = PredictorBank(unit_testbed.cluster, binning=self.BINNING)
+        bank.train(
+            unit_train_queries, truth=unit_truth,
+            quality_iterations=QUALITY_ITERATIONS,
+            latency_iterations=LATENCY_ITERATIONS,
+        )
+        path = tmp_path_factory.mktemp("bank") / "bank.npz"
+        bank.save(path)
+        return bank, path
+
+    def test_load_keeps_a_non_default_latency_binning(self, unit_testbed, saved):
+        bank, path = saved
+        restored = PredictorBank.load(path, unit_testbed.cluster)
+        assert all(p.binning == self.BINNING for p in restored.latency_models)
+        assert restored.weight_stacks[2].ops[-1].W.shape[-1] == 10
+        for query in list(unit_testbed.wikipedia_trace)[:20]:
+            assert restored.predict(query) == bank.predict(query)
+
+    def test_load_refuses_shards_that_disagree_on_the_binning(
+        self, unit_testbed, saved, tmp_path
+    ):
+        _, path = saved
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["shard3.latency.binning.edges"] = np.asarray(
+            LatencyBinning.logarithmic(hi_ms=150.0, n_bins=10).edges_ms
+        )
+        np.savez(tmp_path / "mixed.npz", **arrays)
+        with pytest.raises(
+            ValueError, match=r"^.*mixed\.npz: shards disagree on the latency binning$"
+        ):
+            PredictorBank.load(tmp_path / "mixed.npz", unit_testbed.cluster)
 
 
 class TestTrainingValidation:

@@ -175,6 +175,29 @@ def test_from_models_validation():
         StackedSequential.from_models([Sequential([Dense(2, 2), Opaque()])] * 2)
 
 
+def test_from_models_adopts_each_model_as_it_is_read():
+    """A generator of models is fused one model at a time: when a model is
+    made, every earlier one's weights already live in the stacks."""
+    models = build_stack(3, 4, 2, 1, 8, seed=5)
+    expected = [model.forward(np.ones((1, 4))) for model in models]
+
+    def made():
+        for i, model in enumerate(models):
+            assert all(m.layers[0].W.base is not None for m in models[:i])
+            assert all(m.layers[0].W.base is None for m in models[i:])
+            yield model
+
+    stack = StackedSequential.from_models(made(), 3)
+    out = stack.forward_batched(np.ones((3, 1, 4)))
+    for s, model in enumerate(models):
+        assert np.shares_memory(model.layers[0].W, stack.ops[0].W)
+        assert np.array_equal(out[s], expected[s])
+    with pytest.raises(ValueError, match="^need 3 models of one architecture to stack, got 2$"):
+        StackedSequential.from_models(iter(build_stack(2, 4, 2, 1, 8, seed=0)), 3)
+    with pytest.raises(ValueError, match="^need 2 models of one architecture to stack$"):
+        StackedSequential.from_models(iter(build_stack(3, 4, 2, 1, 8, seed=0)), 2)
+
+
 def test_forward_batched_rejects_bad_shapes():
     stack = StackedSequential.from_models(build_stack(3, 4, 2, 0, 1, seed=0))
     with pytest.raises(ValueError):

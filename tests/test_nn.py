@@ -98,7 +98,9 @@ class TestStackedDense:
     def test_stack_is_the_layers_storage(self):
         layers = [Dense(3, 2, rng=np.random.default_rng(i)) for i in range(3)]
         originals = [(layer.W.copy(), layer.b.copy()) for layer in layers]
-        stack = StackedDense.from_layers(layers)
+        stack = StackedDense.like(layers[0], 3)
+        for s, layer in enumerate(layers):
+            stack.adopt(s, layer)
         for s, (layer, (W, b)) in enumerate(zip(layers, originals)):
             assert np.shares_memory(layer.W, stack.W[s])
             assert np.shares_memory(layer.b, stack.b[s])
