@@ -7,14 +7,14 @@ per-document loop: per-term document frequencies follow a Zipf-like
 power law, membership is a seeded uniform draw, and scores are real
 BM25 over the drawn tfs and doc lengths, so posting columns have the
 value distributions the compressor actually faces (long head
-postings, low-cardinality tf, codebook-friendly score repeats).
+postings, codebook-friendly score repeats).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.index import DocLengths, IndexShard, PostingsArena
+from repro.index import IndexShard, PostingsArena
 from repro.scoring.similarity import BM25Similarity
 
 N_SHARDS = 4
@@ -33,8 +33,8 @@ def build_scaled_shards(
 
     Term *i*'s document frequency is ``docs_per_shard / (i + 2)`` — a
     Zipf-like head/tail split — membership is a seeded sort-free uniform
-    draw, tfs are geometric-ish small integers, and scores are genuine
-    BM25 over the shard's drawn doc lengths.  Deterministic per
+    draw, and scores are genuine BM25 over geometric-ish small tfs and the
+    shard's drawn doc lengths (neither is kept).  Deterministic per
     (shard_id, seed).
     """
     similarity = BM25Similarity()
@@ -54,11 +54,10 @@ def build_scaled_shards(
     for shard_id in range(n_shards):
         rng = np.random.default_rng(seed * 1_000_003 + shard_id)
         base = shard_id * docs_per_shard
-        doc_len_values = rng.integers(64, 512, size=docs_per_shard)
-        avg_len = float(doc_len_values.mean())
-        total_tokens = int(doc_len_values.sum())
+        lengths = rng.integers(64, 512, size=docs_per_shard)
+        avg_len = float(lengths.mean())
+        total_tokens = int(lengths.sum())
         doc_ids = np.empty(int(offsets[-1]), dtype=np.int64)
-        tfs = np.empty(int(offsets[-1]), dtype=np.int32)
         scores = np.empty(int(offsets[-1]), dtype=np.float64)
         upper_bounds = np.empty(vocab_size, dtype=np.float64)
         for t in range(vocab_size):
@@ -66,13 +65,10 @@ def build_scaled_shards(
             lo, hi = int(offsets[at]), int(offsets[at + 1])
             members = np.sort(rng.choice(docs_per_shard, size=df, replace=False))
             doc_ids[lo:hi] = base + members
-            term_tfs = np.minimum(
-                rng.geometric(0.45, size=df).astype(np.int64), 24
-            )
-            tfs[lo:hi] = term_tfs
+            tfs = np.minimum(rng.geometric(0.45, size=df).astype(np.int64), 24)
             scores[lo:hi] = similarity.scores(
-                term_tfs,
-                doc_len_values[members],
+                tfs,
+                lengths[members],
                 doc_freq=df,
                 n_docs=docs_per_shard * n_shards,
                 avg_doc_length=avg_len,
@@ -84,13 +80,9 @@ def build_scaled_shards(
                 n_docs=docs_per_shard,
                 avg_doc_length=avg_len,
                 total_tokens=total_tokens,
-                doc_lengths=DocLengths(
-                    np.arange(base, base + docs_per_shard, dtype=np.int64),
-                    doc_len_values,
-                ),
                 similarity=similarity,
                 arena=PostingsArena(
-                    [names[t] for t in order], offsets, doc_ids, tfs, scores,
+                    [names[t] for t in order], offsets, doc_ids, scores,
                     upper_bounds,
                 ),
                 global_dfs=np.diff(offsets) * n_shards,

@@ -1,14 +1,13 @@
 """Inverted-index substrate.
 
 Everything an ISN needs to hold and search its partition of the collection:
-document model, posting lists with DAAT cursors, the index builder, the
+document model, DAAT cursors over posting columns, the index builder, the
 immutable shard, index-time term statistics (the feature source for the
 Cottage predictors), document-allocation policies, and the Central Sample
 Index used by the Rank-S baseline.
 """
 
 from repro.index.arena import (
-    BLOCK_SIZE,
     CodedScores,
     CompressedPostingsArena,
     DecodeStats,
@@ -34,8 +33,8 @@ from repro.index.partitioner import (
     partition_round_robin,
     partition_topical,
 )
-from repro.index.postings import END_OF_LIST, PostingCursor, PostingList
-from repro.index.shard import DocLengths, IndexShard, ShardTerm
+from repro.index.postings import END_OF_LIST, PostingCursor
+from repro.index.shard import IndexShard
 from repro.index.store import (
     LazyIndexShard,
     open_store,
@@ -51,7 +50,6 @@ from repro.index.term_stats import TermStats, TermStatsIndex, compute_term_stats
 __all__ = [
     "Document",
     "DocumentStore",
-    "PostingList",
     "PostingCursor",
     "END_OF_LIST",
     "IndexBuilder",
@@ -59,9 +57,6 @@ __all__ = [
     "CollectionStats",
     "gather_collection_stats",
     "IndexShard",
-    "ShardTerm",
-    "DocLengths",
-    "BLOCK_SIZE",
     "PostingsArena",
     "CompressedPostingsArena",
     "DecodeStats",

@@ -2,30 +2,27 @@
 
 An :class:`~repro.index.shard.IndexShard` *is* its arena: the index
 builders write every posting list of the shard once, at build time,
-into contiguous ``doc_ids``/``tfs``/``scores`` columns with per-term
-offset slices, and the block-max metadata is derived from them the same
-way.  Nothing else holds a second copy.  The vectorized kernels in
-:mod:`repro.retrieval.kernels` operate directly on these columns with
-``searchsorted`` + masked gathers, and the cursor-based references walk
-the same slices; a query only pays for building a handful of
-:class:`TermRun` slice views.
+into contiguous ``doc_ids``/``scores`` columns with per-term offset
+slices and one upper bound per term.  Nothing else holds a second copy.
+The vectorized kernels in :mod:`repro.retrieval.kernels` operate
+directly on these columns with ``searchsorted`` + masked gathers, and
+the cursor-based references walk the same slices; a query only pays for
+building a handful of :class:`TermRun` slice views.
 
 Terms are laid out in sorted order, which is also the term order of the
 on-disk ``.store`` layout of :mod:`repro.index.store`.
 
 :class:`CompressedPostingsArena` is the same columnar index behind a
-compressed encoding: doc ids are delta + bit-packed per term, tfs are
-bit-packed, and scores are dictionary-encoded against a per-term float64
-codebook (with a verified raw fallback).  ``run`` decodes the two
-columns a kernel reads with vectorized shifts/masks and keeps them *at
-the width they need*: doc ids in one arena-wide dtype (``int32`` when
-every id provably fits), scores as the unpacked codebook indices behind
-a :class:`CodedScores` column that gathers the float64 values — the raw
-arena's exact bits — only for the postings a kernel reads.  A
-size-bounded LRU keeps hot terms decoded, at 6 bytes per posting for
-``int32`` ids under a codebook of at most 2**16 scores.  Term
-frequencies are off the query path:
-``term_tfs`` unpacks them on demand.  The packed streams are plain flat
+compressed encoding: doc ids are delta + bit-packed per term and scores
+are dictionary-encoded against a per-term float64 codebook (with a
+verified raw fallback).  ``run`` decodes the two columns with
+vectorized shifts/masks and keeps them *at the width they need*: doc
+ids in one arena-wide dtype (``int32`` when every id provably fits),
+scores as the unpacked codebook indices behind a :class:`CodedScores`
+column that gathers the float64 values — the raw arena's exact bits —
+only for the postings a kernel reads.  A size-bounded LRU keeps hot
+terms decoded, at 6 bytes per posting for ``int32`` ids under a
+codebook of at most 2**16 scores.  The packed streams are plain flat
 arrays, which is what lets :mod:`repro.index.store` memory-map them
 straight off disk.
 """
@@ -38,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BLOCK_SIZE = 64
-"""Postings per block for block-max metadata (Ding & Suel, SIGIR'11)."""
+RAW_POSTING_BYTES = 16
+"""Bytes of one posting in the raw arena: ``int64`` doc id + ``float64`` score."""
 
 
 class CodedScores:
@@ -84,26 +81,20 @@ class CodedScores:
 class TermRun:
     """One query term's live traversal state over the arena columns.
 
-    ``doc_ids``/``scores`` are the two columns a kernel reads (term
-    frequencies stay behind ``arena.term_tfs(term)``) and ``pos`` is the
+    ``doc_ids``/``scores`` are the two posting columns and ``pos`` is the
     cursor position within them (the kernels mutate it in place).  Over
     a raw arena they are zero-copy ``int64``/``float64`` views; over a
     compressed arena they come as its LRU keeps them — ``doc_ids`` in the
     arena-wide dtype (the runs of one arena never mix), ``scores`` as a
     :class:`CodedScores` gather-on-read column — and :meth:`widen` turns
     them into the raw arena's arrays for readers that go posting by
-    posting.  ``block_maxes`` holds the per-block maxima for this term
-    and ``block_size`` the block length (the ``.store`` block-max
-    metadata, which ``IndexShard.term()`` hands back as
-    ``ShardTerm.block_maxes``).
+    posting.
     """
 
     term: str
     doc_ids: np.ndarray
     scores: np.ndarray | CodedScores
     upper_bound: float
-    block_maxes: np.ndarray
-    block_size: int
     size: int
     pos: int = 0
 
@@ -130,7 +121,7 @@ class PostingsArena:
 
     The one constructor of a raw arena: the index builders write these
     columns directly, and everything else about the shard's postings
-    (``IndexShard.term()``, the kernels, ``.store`` packing) reads them.
+    (term statistics, the kernels, ``.store`` packing) reads them.
     The columns are checked here, vectorized, so a malformed index is a
     one-line ``ValueError`` when it is built, never a misaligned slice
     later.
@@ -142,22 +133,16 @@ class PostingsArena:
     offsets:
         ``offsets[i]:offsets[i+1]`` slices term *i*'s postings out of the
         columns.
-    doc_ids, tfs, scores:
+    doc_ids, scores:
         All posting lists concatenated in ``terms`` order: per term,
-        strictly increasing non-negative ``int64`` doc ids, ``int32`` term
-        frequencies of at least 1 and ``float64`` scores.
+        strictly increasing non-negative ``int64`` doc ids and ``float64``
+        scores.
     upper_bounds:
         Per-term global score upper bounds, aligned with ``terms``.
-    block_maxes, block_offsets:
-        Per-block score maxima for every term, concatenated, with
-        ``block_offsets`` slicing them per term: derived here, the
-        block-max metadata of ``.store`` format 1 (no traversal reads it).
     """
 
     __slots__ = (
-        "terms", "offsets", "doc_ids", "tfs", "scores",
-        "upper_bounds", "block_maxes", "block_offsets", "block_size",
-        "_term_ids",
+        "terms", "offsets", "doc_ids", "scores", "upper_bounds", "_term_ids",
     )
 
     def __init__(
@@ -165,35 +150,16 @@ class PostingsArena:
         terms: list[str],
         offsets: np.ndarray,
         doc_ids: np.ndarray,
-        tfs: np.ndarray,
         scores: np.ndarray,
         upper_bounds: np.ndarray,
-        block_size: int = BLOCK_SIZE,
     ) -> None:
         self.terms = list(terms)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.doc_ids = np.asarray(doc_ids, dtype=np.int64)
-        self.tfs = np.asarray(tfs, dtype=np.int32)
         self.scores = np.asarray(scores, dtype=np.float64)
         self.upper_bounds = np.asarray(upper_bounds, dtype=np.float64)
-        self.block_size = block_size
         self._check()
         self._term_ids = {term: i for i, term in enumerate(self.terms)}
-        sizes = np.diff(self.offsets)
-        n_blocks = (sizes + block_size - 1) // block_size
-        self.block_offsets = np.zeros(n_blocks.size + 1, dtype=np.int64)
-        np.cumsum(n_blocks, out=self.block_offsets[1:])
-        # Block j of term t starts ``(j - block_offsets[t]) * block_size``
-        # postings into the term; every block is non-empty, so one
-        # ``reduceat`` over the block starts takes every block's maximum.
-        owner = np.repeat(np.arange(n_blocks.size), n_blocks)
-        starts = self.offsets[owner] + block_size * (
-            np.arange(owner.size) - self.block_offsets[owner]
-        )
-        self.block_maxes = (
-            np.maximum.reduceat(self.scores, starts)
-            if starts.size else np.zeros(0, dtype=np.float64)
-        )
 
     def _check(self) -> None:
         """One-line ``ValueError`` for the first malformed column found."""
@@ -207,10 +173,10 @@ class PostingsArena:
                 f"{len(terms)} upper bounds, got {offsets.size} and "
                 f"{self.upper_bounds.size}"
             )
-        if doc_ids.ndim != 1 or self.tfs.shape != (n,) or self.scores.shape != (n,):
+        if doc_ids.ndim != 1 or self.scores.shape != (n,):
             raise ValueError(
                 f"arena: columns of unequal length ({doc_ids.size} doc ids, "
-                f"{self.tfs.size} tfs, {self.scores.size} scores)"
+                f"{self.scores.size} scores)"
             )
         if offsets[0] != 0 or offsets[-1] != n:
             raise ValueError(
@@ -250,12 +216,6 @@ class PostingsArena:
                 f"term {term_at(at)!r}: doc_ids must be strictly increasing "
                 f"({int(doc_ids[at])} after {int(doc_ids[at - 1])})"
             )
-        if n and self.tfs.min() < 1:
-            at = int(np.argmin(self.tfs))
-            raise ValueError(
-                f"term {term_at(at)!r}: tf {int(self.tfs[at])} for doc "
-                f"{int(doc_ids[at])}; every tf must be at least 1"
-            )
 
     @property
     def n_terms(self) -> int:
@@ -279,29 +239,16 @@ class PostingsArena:
         if tid is None:
             return None
         lo, hi = int(self.offsets[tid]), int(self.offsets[tid + 1])
-        blo, bhi = int(self.block_offsets[tid]), int(self.block_offsets[tid + 1])
         return TermRun(
             term=term,
             doc_ids=self.doc_ids[lo:hi],
             scores=self.scores[lo:hi],
             upper_bound=float(self.upper_bounds[tid]),
-            block_maxes=self.block_maxes[blo:bhi],
-            block_size=self.block_size,
             size=hi - lo,
         )
 
-    def term_tfs(self, term: str) -> np.ndarray | None:
-        """``term``'s term-frequency column (None when absent)."""
-        tid = self._term_ids.get(term)
-        if tid is None:
-            return None
-        return self.tfs[int(self.offsets[tid]):int(self.offsets[tid + 1])]
-
     def __repr__(self) -> str:
-        return (
-            f"PostingsArena({self.n_terms} terms, {self.n_postings} postings, "
-            f"block_size={self.block_size})"
-        )
+        return f"PostingsArena({self.n_terms} terms, {self.n_postings} postings)"
 
 
 # ----------------------------------------------------------- bit packing
@@ -434,8 +381,8 @@ def _doc_dtype(
 class CompressedPostingsArena:
     """Delta/bit-packed :class:`PostingsArena` with per-term lazy decode.
 
-    Same query-facing surface as the raw arena (``run``/``term_tfs``/
-    ``has_term``/``terms``), but the columns live packed: ``run`` decodes
+    Same query-facing surface as the raw arena (``run``/``has_term``/
+    ``terms``), but the columns live packed: ``run`` decodes
     one term's doc ids and scores on demand through a byte-bounded LRU
     and returns a :class:`TermRun` over what the LRU keeps — the raw
     arena's doc ids in ``doc_dtype`` and its scores, bit for bit, behind
@@ -456,8 +403,6 @@ class CompressedPostingsArena:
     * **doc_ids** — ``first_docs[t]`` plus ``n - 1`` gaps, each stored as
       ``delta - 1`` (doc ids are strictly increasing) in
       ``doc_widths[t]``-bit fields; decoded with a cumulative sum.
-    * **tfs** — raw values in ``tf_widths[t]``-bit fields; unpacked only
-      by ``term_tfs``, never on the query path.
     * **scores** — a sorted float64 codebook of the distinct values plus
       bit-packed codebook indices, *verified bitwise* against the source
       at build time; terms where the codebook does not pay for itself (or
@@ -471,13 +416,11 @@ class CompressedPostingsArena:
     __slots__ = (
         "terms", "offsets", "first_docs",
         "doc_widths", "doc_words", "doc_word_offsets",
-        "tf_widths", "tf_words", "tf_word_offsets",
         "score_kinds", "score_widths",
         "score_raw", "score_raw_offsets",
         "score_books", "score_book_offsets",
         "score_words", "score_word_offsets",
-        "upper_bounds", "block_maxes", "block_offsets", "block_size",
-        "doc_dtype",
+        "upper_bounds", "doc_dtype",
         "_term_ids", "_cache", "_cache_bytes", "_cache_budget",
         "_lock", "_hits", "_misses", "_evictions",
     )
@@ -490,9 +433,6 @@ class CompressedPostingsArena:
         doc_widths: np.ndarray,
         doc_words: np.ndarray,
         doc_word_offsets: np.ndarray,
-        tf_widths: np.ndarray,
-        tf_words: np.ndarray,
-        tf_word_offsets: np.ndarray,
         score_kinds: np.ndarray,
         score_widths: np.ndarray,
         score_raw: np.ndarray,
@@ -502,9 +442,6 @@ class CompressedPostingsArena:
         score_words: np.ndarray,
         score_word_offsets: np.ndarray,
         upper_bounds: np.ndarray,
-        block_maxes: np.ndarray,
-        block_offsets: np.ndarray,
-        block_size: int,
         cache_bytes: int = DEFAULT_DECODE_CACHE_BYTES,
     ) -> None:
         self.terms = terms
@@ -513,9 +450,6 @@ class CompressedPostingsArena:
         self.doc_widths = doc_widths
         self.doc_words = doc_words
         self.doc_word_offsets = doc_word_offsets
-        self.tf_widths = tf_widths
-        self.tf_words = tf_words
-        self.tf_word_offsets = tf_word_offsets
         self.score_kinds = score_kinds
         self.score_widths = score_widths
         self.score_raw = score_raw
@@ -525,9 +459,6 @@ class CompressedPostingsArena:
         self.score_words = score_words
         self.score_word_offsets = score_word_offsets
         self.upper_bounds = upper_bounds
-        self.block_maxes = block_maxes
-        self.block_offsets = block_offsets
-        self.block_size = block_size
         self.doc_dtype = _doc_dtype(offsets, first_docs, doc_widths)
         self._term_ids = {term: i for i, term in enumerate(terms)}
         # Decoded-column LRU: tid -> (doc_ids, scores, nbytes).
@@ -553,16 +484,13 @@ class CompressedPostingsArena:
         n = arena.n_terms
         first_docs = np.zeros(n, dtype=np.int64)
         doc_widths = np.ones(n, dtype=np.uint8)
-        tf_widths = np.ones(n, dtype=np.uint8)
         score_kinds = np.zeros(n, dtype=np.uint8)
         score_widths = np.ones(n, dtype=np.uint8)
         doc_word_offsets = np.zeros(n + 1, dtype=np.int64)
-        tf_word_offsets = np.zeros(n + 1, dtype=np.int64)
         score_raw_offsets = np.zeros(n + 1, dtype=np.int64)
         score_book_offsets = np.zeros(n + 1, dtype=np.int64)
         score_word_offsets = np.zeros(n + 1, dtype=np.int64)
         doc_chunks: list[np.ndarray] = []
-        tf_chunks: list[np.ndarray] = []
         raw_chunks: list[np.ndarray] = []
         book_chunks: list[np.ndarray] = []
         idx_chunks: list[np.ndarray] = []
@@ -570,7 +498,6 @@ class CompressedPostingsArena:
             lo, hi = int(arena.offsets[tid]), int(arena.offsets[tid + 1])
             count = hi - lo
             docs = np.ascontiguousarray(arena.doc_ids[lo:hi], dtype=np.int64)
-            tfs = np.ascontiguousarray(arena.tfs[lo:hi], dtype=np.int64)
             scores = np.ascontiguousarray(arena.scores[lo:hi], dtype=np.float64)
             # -- doc ids: first + (delta - 1) gaps (the raw arena's
             # constructor checked them non-negative and strictly increasing)
@@ -584,11 +511,6 @@ class CompressedPostingsArena:
             else:
                 doc_chunks.append(np.zeros(packed_words(0, 1), dtype=np.uint64))
             doc_word_offsets[tid + 1] = doc_word_offsets[tid] + doc_chunks[-1].size
-            # -- tfs: raw values
-            if count:
-                tf_widths[tid] = bits_for(int(tfs.max()))
-            tf_chunks.append(pack_bits(tfs, int(tf_widths[tid])))
-            tf_word_offsets[tid + 1] = tf_word_offsets[tid] + tf_chunks[-1].size
             # -- scores: codebook when it pays AND round-trips bitwise
             encoded = False
             if count:
@@ -628,9 +550,6 @@ class CompressedPostingsArena:
             doc_widths=doc_widths,
             doc_words=_cat(doc_chunks, np.uint64),
             doc_word_offsets=doc_word_offsets,
-            tf_widths=tf_widths,
-            tf_words=_cat(tf_chunks, np.uint64),
-            tf_word_offsets=tf_word_offsets,
             score_kinds=score_kinds,
             score_widths=score_widths,
             score_raw=_cat(raw_chunks, np.float64),
@@ -640,9 +559,6 @@ class CompressedPostingsArena:
             score_words=_cat(idx_chunks, np.uint64),
             score_word_offsets=score_word_offsets,
             upper_bounds=np.asarray(arena.upper_bounds, dtype=np.float64).copy(),
-            block_maxes=np.asarray(arena.block_maxes, dtype=np.float64).copy(),
-            block_offsets=np.asarray(arena.block_offsets, dtype=np.int64).copy(),
-            block_size=arena.block_size,
             cache_bytes=cache_bytes,
         )
 
@@ -711,21 +627,6 @@ class CompressedPostingsArena:
                     self._evictions += 1
         return doc_ids, scores
 
-    def term_tfs(self, term: str) -> np.ndarray | None:
-        """``term``'s term-frequency column (None when absent).
-
-        Unpacked on every call and never cached: no kernel or evaluator
-        reads tfs, so they cost the query path and the LRU nothing.
-        """
-        tid = self._term_ids.get(term)
-        if tid is None:
-            return None
-        count = int(self.offsets[tid + 1]) - int(self.offsets[tid])
-        wlo, whi = int(self.tf_word_offsets[tid]), int(self.tf_word_offsets[tid + 1])
-        return unpack_bits(
-            self.tf_words[wlo:whi], count, int(self.tf_widths[tid])
-        ).astype(np.int32)
-
     def set_cache_budget(self, cache_bytes: int) -> None:
         """Re-size the decode LRU in place (evicting down if shrunk).
 
@@ -771,14 +672,11 @@ class CompressedPostingsArena:
         if tid is None:
             return None
         doc_ids, scores = self.columns(tid)
-        blo, bhi = int(self.block_offsets[tid]), int(self.block_offsets[tid + 1])
         return TermRun(
             term=term,
             doc_ids=doc_ids,
             scores=scores,
             upper_bound=float(self.upper_bounds[tid]),
-            block_maxes=self.block_maxes[blo:bhi],
-            block_size=self.block_size,
             size=doc_ids.size,
         )
 
@@ -791,7 +689,6 @@ class CompressedPostingsArena:
             for name in (
                 "offsets", "first_docs",
                 "doc_widths", "doc_words", "doc_word_offsets",
-                "tf_widths", "tf_words", "tf_word_offsets",
                 "score_kinds", "score_widths",
                 "score_raw", "score_raw_offsets",
                 "score_books", "score_book_offsets",
@@ -801,8 +698,8 @@ class CompressedPostingsArena:
 
     @property
     def raw_nbytes(self) -> int:
-        """What the same postings cost as raw arena columns (i8/i4/f8)."""
-        return self.n_postings * 20
+        """What the same postings cost as raw arena columns."""
+        return self.n_postings * RAW_POSTING_BYTES
 
     @property
     def compression_ratio(self) -> float:

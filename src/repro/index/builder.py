@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.index.arena import PostingsArena
 from repro.index.documents import Document
-from repro.index.shard import DocLengths, IndexShard
+from repro.index.shard import IndexShard
 from repro.scoring.similarity import BM25Similarity, Similarity
 from repro.text.analyzer import Analyzer, StandardAnalyzer
 
@@ -98,11 +98,10 @@ class IndexBuilder:
         and average length; without, against its local statistics only.
         """
         doc_ids = sorted(self._docs)
-        doc_lengths = DocLengths(
-            np.asarray(doc_ids, dtype=np.int64),
-            np.asarray([len(self._docs[d]) for d in doc_ids], dtype=np.int64),
+        doc_lengths = np.asarray(
+            [len(self._docs[d]) for d in doc_ids], dtype=np.int64
         )
-        total_tokens = int(doc_lengths.lengths.sum())
+        total_tokens = int(doc_lengths.sum())
         n_docs = len(doc_ids)
         avg_dl_local = total_tokens / n_docs if n_docs else 0.0
 
@@ -130,8 +129,8 @@ class IndexBuilder:
         np.cumsum(np.bincount(term_col, minlength=len(terms)), out=offsets[1:])
         post_doc_ids = np.asarray(post_docs, dtype=np.int64)[order]
         tfs = np.asarray(post_tfs, dtype=np.int32)[order]
-        lengths = doc_lengths.lengths.take(
-            np.searchsorted(doc_lengths.ids, post_doc_ids)
+        lengths = doc_lengths.take(
+            np.searchsorted(np.asarray(doc_ids, dtype=np.int64), post_doc_ids)
         ).astype(np.float64)
 
         scores = np.empty(post_doc_ids.size, dtype=np.float64)
@@ -157,11 +156,8 @@ class IndexBuilder:
             n_docs=n_docs,
             avg_doc_length=avg_dl_local,
             total_tokens=total_tokens,
-            doc_lengths=doc_lengths,
             similarity=self.similarity,
-            arena=PostingsArena(
-                terms, offsets, post_doc_ids, tfs, scores, upper_bounds
-            ),
+            arena=PostingsArena(terms, offsets, post_doc_ids, scores, upper_bounds),
             global_dfs=global_dfs,
             n_docs_global=score_n_docs,
         )

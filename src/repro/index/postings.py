@@ -1,6 +1,6 @@
-"""Posting lists and DAAT cursors.
+"""DAAT cursors over a term's doc-id column.
 
-Posting lists are stored as parallel numpy arrays sorted by document id.
+A term's postings live in its shard's arena, doc ids strictly increasing.
 The cursor API (``doc()``, ``next()``, ``next_geq()``) is the contract the
 document-at-a-time evaluators in :mod:`repro.retrieval` are written against;
 ``next_geq`` uses galloping search so MaxScore skipping is sub-linear.
@@ -8,44 +8,10 @@ document-at-a-time evaluators in :mod:`repro.retrieval` are written against;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Sentinel document id signalling an exhausted cursor; larger than any real id.
 END_OF_LIST: int = 2**62
-
-
-@dataclass(frozen=True)
-class PostingList:
-    """Immutable posting list for one term on one shard.
-
-    Attributes
-    ----------
-    doc_ids:
-        Document ids in strictly increasing order.
-    tfs:
-        Term frequencies aligned with ``doc_ids``.
-    """
-
-    doc_ids: np.ndarray
-    tfs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.doc_ids.shape != self.tfs.shape:
-            raise ValueError("doc_ids and tfs must be the same length")
-        if self.doc_ids.size > 1 and not np.all(np.diff(self.doc_ids) > 0):
-            raise ValueError("doc_ids must be strictly increasing")
-
-    def __len__(self) -> int:
-        return int(self.doc_ids.size)
-
-    @property
-    def max_tf(self) -> int:
-        return int(self.tfs.max()) if self.tfs.size else 0
-
-    def cursor(self) -> "PostingCursor":
-        return PostingCursor(self.doc_ids, self.tfs)
 
 
 class PostingCursor:
@@ -53,15 +19,13 @@ class PostingCursor:
 
     A fresh cursor is positioned on the first posting (or at end for an
     empty list).  ``scores`` and ``upper_bound`` are attached by the
-    evaluator before traversal begins; ``tfs`` only when something reads
-    ``tf()`` (no evaluator does).
+    evaluator before traversal begins.
     """
 
-    __slots__ = ("_doc_ids", "_tfs", "_pos", "_size", "scores", "upper_bound")
+    __slots__ = ("_doc_ids", "_pos", "_size", "scores", "upper_bound")
 
-    def __init__(self, doc_ids: np.ndarray, tfs: np.ndarray | None = None) -> None:
+    def __init__(self, doc_ids: np.ndarray) -> None:
         self._doc_ids = doc_ids
-        self._tfs = tfs
         self._size = int(doc_ids.size)
         self._pos = 0
         self.scores: np.ndarray | None = None
@@ -72,10 +36,6 @@ class PostingCursor:
         if self._pos >= self._size:
             return END_OF_LIST
         return int(self._doc_ids[self._pos])
-
-    def tf(self) -> int:
-        assert self._tfs is not None, "no tfs on this cursor"
-        return int(self._tfs[self._pos])
 
     def score(self) -> float:
         """Score of the current posting (requires ``scores`` attached)."""

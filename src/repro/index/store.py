@@ -11,9 +11,10 @@ collection statistics, similarity config) and a table of contents: one
 ``_ARRAY_DTYPES``, each section starting at the 64-byte boundary after
 the previous one's end.  The arrays are the *packed* columns of
 :class:`~repro.index.arena.CompressedPostingsArena` written verbatim —
-delta/bit-packed doc ids, bit-packed tfs, codebook scores — plus
-per-term upper bounds, block-max metadata, global document frequencies
-and bit-packed document lengths.
+delta/bit-packed doc ids and codebook scores — plus per-term upper
+bounds and global document frequencies: exactly what a search and the
+term statistics read.  A store of another format version is refused at
+open; ``repro index build`` regenerates it.
 
 Opening a store (:func:`open_store`) builds a :class:`LazyIndexShard`
 whose columns are zero-copy views of read-only memory maps at the TOC
@@ -21,7 +22,7 @@ offsets: no postings are materialized, and a term's postings are only
 decoded (through the arena's LRU) when a query first touches the term.
 What decode trusts is verified once at open, vectorized over the
 per-term metadata — header length, TOC layout, offsets, widths, word
-counts, block counts — so a truncated or structurally corrupt store is a
+counts — so a truncated or structurally corrupt store is a
 one-line ``ValueError`` naming the file and the field, never an
 ``IndexError``, an unbounded allocation or a silently different answer.
 The checks stop at structure: value columns (first doc ids, upper
@@ -45,13 +46,11 @@ import numpy as np
 from repro.index.arena import (
     _MAX_BITS,
     DEFAULT_DECODE_CACHE_BYTES,
+    RAW_POSTING_BYTES,
     CompressedPostingsArena,
-    bits_for,
-    pack_bits,
     packed_words,
-    unpack_bits,
 )
-from repro.index.shard import DocLengths, IndexShard
+from repro.index.shard import IndexShard
 from repro.scoring.similarity import (
     BM25Similarity,
     LMDirichletSimilarity,
@@ -66,7 +65,7 @@ _SIMILARITIES = {
 }
 
 MAGIC = b"RPROSTOR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _ALIGN = 64
 _PREFIX = len(MAGIC) + 8
 
@@ -78,9 +77,6 @@ _ARRAY_DTYPES: dict[str, str] = {
     "doc_widths": "u1",
     "doc_words": "u8",
     "doc_word_offsets": "i8",
-    "tf_widths": "u1",
-    "tf_words": "u8",
-    "tf_word_offsets": "i8",
     "score_kinds": "u1",
     "score_widths": "u1",
     "score_raw": "f8",
@@ -91,21 +87,16 @@ _ARRAY_DTYPES: dict[str, str] = {
     "score_word_offsets": "i8",
     "upper_bounds": "f8",
     "global_dfs": "i8",
-    "block_maxes": "f8",
-    "block_offsets": "i8",
-    "doc_len_id_words": "u8",
-    "doc_len_val_words": "u8",
 }
 
 #: Arrays holding exactly one element per term (``*offsets`` hold one more).
 _PER_TERM = frozenset({
-    "first_docs", "doc_widths", "tf_widths", "score_kinds", "score_widths",
+    "first_docs", "doc_widths", "score_kinds", "score_widths",
     "upper_bounds", "global_dfs",
 })
 
 _INT64 = (-(1 << 63), (1 << 63) - 1)
 _COUNT = (0, _INT64[1])
-_WIDTH = (1, _MAX_BITS)
 
 #: Integer header fields -> inclusive legal range.
 _META_RANGES: dict[str, tuple[int, int]] = {
@@ -113,13 +104,8 @@ _META_RANGES: dict[str, tuple[int, int]] = {
     "n_docs": _COUNT,
     "total_tokens": _COUNT,
     "n_docs_global": _COUNT,
-    "block_size": (1, _INT64[1]),
     "n_terms": _COUNT,
     "n_postings": _COUNT,
-    "n_doc_lengths": _COUNT,
-    "doc_len_first": _INT64,
-    "doc_len_id_width": _WIDTH,
-    "doc_len_val_width": _WIDTH,
 }
 
 
@@ -164,20 +150,6 @@ def serialize_shard(shard: IndexShard) -> bytes:
     terms_blob = np.frombuffer(
         "\n".join(terms).encode("utf-8"), dtype=np.uint8
     )
-    # Document lengths: ids delta-packed (gap - 1; DocLengths keeps them
-    # strictly increasing), values bit-packed raw.
-    ids, values = shard.doc_lengths.ids, shard.doc_lengths.lengths
-    doc_len_first = int(ids[0]) if ids.size else 0
-    if ids.size > 1:
-        gaps = np.diff(ids)
-        gaps -= 1
-        id_width = bits_for(int(gaps.max()))
-        id_words = pack_bits(gaps, id_width)
-    else:
-        id_width = 1
-        id_words = pack_bits(np.zeros(0, dtype=np.int64), 1)
-    val_width = bits_for(int(values.max())) if ids.size else 1
-    val_words = pack_bits(values, val_width)
 
     arrays: dict[str, np.ndarray] = {
         "terms_blob": terms_blob,
@@ -186,9 +158,6 @@ def serialize_shard(shard: IndexShard) -> bytes:
         "doc_widths": carena.doc_widths,
         "doc_words": carena.doc_words,
         "doc_word_offsets": carena.doc_word_offsets,
-        "tf_widths": carena.tf_widths,
-        "tf_words": carena.tf_words,
-        "tf_word_offsets": carena.tf_word_offsets,
         "score_kinds": carena.score_kinds,
         "score_widths": carena.score_widths,
         "score_raw": carena.score_raw,
@@ -199,10 +168,6 @@ def serialize_shard(shard: IndexShard) -> bytes:
         "score_word_offsets": carena.score_word_offsets,
         "upper_bounds": carena.upper_bounds,
         "global_dfs": shard.global_dfs,
-        "block_maxes": carena.block_maxes,
-        "block_offsets": carena.block_offsets,
-        "doc_len_id_words": id_words,
-        "doc_len_val_words": val_words,
     }
     meta = {
         "shard_id": shard.shard_id,
@@ -211,13 +176,8 @@ def serialize_shard(shard: IndexShard) -> bytes:
         "total_tokens": shard.total_tokens,
         "n_docs_global": shard.n_docs_global,
         "similarity": _similarity_config(shard.similarity),
-        "block_size": carena.block_size,
         "n_terms": carena.n_terms,
         "n_postings": carena.n_postings,
-        "n_doc_lengths": int(ids.size),
-        "doc_len_first": doc_len_first,
-        "doc_len_id_width": id_width,
-        "doc_len_val_width": val_width,
     }
     # Lay out the sections first (offsets depend on the header length,
     # which depends on the offsets) by iterating to a fixed point on the
@@ -301,8 +261,9 @@ def _parse_header(
         raise _bad(origin, "header", "not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError(
-            f"{origin}: unsupported store format "
-            f"{header.get('format_version')!r}"
+            f"{origin}: store format {header.get('format_version')!r}, this "
+            f"reader supports format {FORMAT_VERSION}; rebuild the stores "
+            "with `repro index build`"
         )
     meta, toc = header.get("meta"), header.get("arrays")
     if not isinstance(meta, dict):
@@ -398,7 +359,7 @@ def _check_structure(
         )
     sizes = _steps(origin, "offsets", arrays, n_postings)
     widths = {}
-    for name in ("doc_widths", "tf_widths", "score_widths"):
+    for name in ("doc_widths", "score_widths"):
         widths[name] = arrays[name].astype(np.int64)
         if not ((widths[name] >= 1) & (widths[name] <= _MAX_BITS)).all():
             raise _bad(origin, name, f"every width must be in [1, {_MAX_BITS}]")
@@ -411,15 +372,11 @@ def _check_structure(
             "doc_words",
             packed_words(np.maximum(sizes - 1, 0), widths["doc_widths"]),
         ),
-        "tf_word_offsets": ("tf_words", packed_words(sizes, widths["tf_widths"])),
         "score_word_offsets": (
             "score_words",
             np.where(booked, packed_words(sizes, widths["score_widths"]), 0),
         ),
         "score_raw_offsets": ("score_raw", np.where(booked, 0, sizes)),
-        "block_offsets": (
-            "block_maxes", (sizes + meta["block_size"] - 1) // meta["block_size"],
-        ),
     }
     for name, (column, want) in expected.items():
         if not np.array_equal(_steps(origin, name, arrays, counts[column]), want):
@@ -429,17 +386,6 @@ def _check_structure(
     books = _steps(origin, "score_book_offsets", arrays, counts["score_books"])
     if not (books >= booked).all():
         raise _bad(origin, "score_book_offsets", "codebook-scored term has no codebook")
-    n_lens = meta["n_doc_lengths"]
-    for name, n_values, width in (
-        ("doc_len_id_words", max(n_lens - 1, 0), meta["doc_len_id_width"]),
-        ("doc_len_val_words", n_lens, meta["doc_len_val_width"]),
-    ):
-        if counts[name] != packed_words(n_values, width):
-            raise _bad(
-                origin, f"arrays[{name}].count",
-                f"expected {packed_words(n_values, width)} words for "
-                f"{n_lens} document lengths, got {counts[name]}",
-            )
 
 
 def _open(
@@ -501,9 +447,6 @@ def _build_shard(
         doc_widths=arrays["doc_widths"],
         doc_words=arrays["doc_words"],
         doc_word_offsets=arrays["doc_word_offsets"],
-        tf_widths=arrays["tf_widths"],
-        tf_words=arrays["tf_words"],
-        tf_word_offsets=arrays["tf_word_offsets"],
         score_kinds=arrays["score_kinds"],
         score_widths=arrays["score_widths"],
         score_raw=arrays["score_raw"],
@@ -513,9 +456,6 @@ def _build_shard(
         score_words=arrays["score_words"],
         score_word_offsets=arrays["score_word_offsets"],
         upper_bounds=arrays["upper_bounds"],
-        block_maxes=arrays["block_maxes"],
-        block_offsets=arrays["block_offsets"],
-        block_size=meta["block_size"],
         cache_bytes=cache_bytes,
     )
     try:
@@ -527,14 +467,6 @@ def _build_shard(
         n_docs=meta["n_docs"],
         avg_doc_length=float(meta["avg_doc_length"]),
         total_tokens=meta["total_tokens"],
-        doc_lengths=PackedDocLengths((
-            meta["n_doc_lengths"],
-            meta["doc_len_first"],
-            meta["doc_len_id_width"],
-            meta["doc_len_val_width"],
-            arrays["doc_len_id_words"],
-            arrays["doc_len_val_words"],
-        )),
         similarity=similarity,
         arena=arena,
         global_dfs=arrays["global_dfs"],
@@ -586,7 +518,7 @@ def store_info(path: str | Path) -> dict:
     path = Path(path)
     meta, toc, _ = _open_file(path)
     file_bytes = path.stat().st_size
-    raw_bytes = meta["n_postings"] * 20
+    raw_bytes = meta["n_postings"] * RAW_POSTING_BYTES
     return {
         "path": str(path),
         "meta": meta,
@@ -603,10 +535,19 @@ def pack_shards(shards: list[IndexShard], directory: str | Path) -> list[Path]:
     ``open_stores`` searches every ``shard_*.store`` it finds, so a store
     left by an earlier pack whose id is not being rewritten would be
     mixed into this index: that raises, and nothing is written or deleted.
+    So does a shard id given twice, whose second store would overwrite
+    the first.
     """
     directory = Path(directory)
+    ids = [shard.shard_id for shard in shards]
+    for shard_id in ids:
+        if ids.count(shard_id) > 1:
+            raise ValueError(
+                f"{directory}: shard id {shard_id} is given twice among the "
+                f"{len(shards)} shards being packed"
+            )
     directory.mkdir(parents=True, exist_ok=True)
-    written = {f"shard_{shard.shard_id}.store" for shard in shards}
+    written = {f"shard_{shard_id}.store" for shard_id in ids}
     # Shorter names first: shard_8 is named before shard_10.
     for path in sorted(
         directory.glob("shard_*.store"), key=lambda p: (len(p.name), p.name)
@@ -641,49 +582,15 @@ def open_stores(
     return [open_store(path, cache_bytes=cache_bytes) for _, path in sorted(paths)]
 
 
-class PackedDocLengths(DocLengths):
-    """A store's :class:`DocLengths`, unpacked on first use and kept.
-
-    Holds the packed id-gap and length words until a lookup reads
-    ``ids`` or ``lengths``: an unset slot raises ``AttributeError``,
-    which lands in :meth:`__getattr__`, which decodes both columns
-    through the ordinary (validating) :class:`DocLengths` constructor.
-    No search reads document lengths, so a store opened only to be
-    searched never decodes them.
-    """
-
-    __slots__ = ("_spec",)
-
-    def __init__(
-        self, spec: tuple[int, int, int, int, np.ndarray, np.ndarray]
-    ) -> None:
-        self._spec = spec
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        if name not in ("ids", "lengths"):
-            raise AttributeError(name)
-        n, first, id_width, val_width, id_words, val_words = self._spec
-        ids = np.empty(n, dtype=np.int64)
-        if n:
-            ids[0] = first
-            if n > 1:
-                gaps = unpack_bits(id_words, n - 1, id_width)
-                np.add(gaps, 1, out=gaps)
-                ids[1:] = gaps
-                np.cumsum(ids, out=ids)
-        DocLengths.__init__(self, ids, unpack_bits(val_words, n, val_width))
-        return getattr(self, name)
-
-
 @dataclass(eq=False)
 class LazyIndexShard(IndexShard):
     """An :class:`IndexShard` opened from a ``.store``.
 
     Its arena is a :class:`CompressedPostingsArena` over zero-copy views
-    of the store bytes and its ``doc_lengths`` a :class:`PackedDocLengths`:
-    opening decodes nothing, and the arena's ``cache_bytes`` is the only
-    thing that bounds, or holds, decoded postings.  ``store_path`` is
-    the backing file (None for in-memory buffers).
+    of the store bytes: opening decodes nothing, and the arena's
+    ``cache_bytes`` is the only thing that bounds, or holds, decoded
+    postings.  ``store_path`` is the backing file (None for in-memory
+    buffers).
     """
 
     store_path: Path | None = None

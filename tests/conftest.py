@@ -28,7 +28,6 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 # comes first (repro.host), and the pooled-training tests need the pin.
 import numpy as np
 from repro.index import (
-    DocLengths,
     Document,
     IndexShard,
     PostingsArena,
@@ -43,18 +42,17 @@ from repro.workloads import CorpusConfig, SyntheticCorpus, training_queries
 def hand_built_shard(columns, **fields) -> IndexShard:
     """The one constructor of hand-built test shards.
 
-    ``columns`` maps each term to its ``(doc_ids, tfs, scores)``, in any
-    term order; upper bounds are the per-term score maxima.  Every
-    document gets length 10 unless ``fields`` says otherwise, and
-    ``fields`` overrides any other ``IndexShard`` field.
+    ``columns`` maps each term to its ``(doc_ids, scores)``, in any term
+    order; upper bounds are the per-term score maxima.  Every document
+    counts 10 tokens unless ``fields`` says otherwise, and ``fields``
+    overrides any other ``IndexShard`` field.
     """
     terms = sorted(columns)
     for term in terms:
-        doc_ids, tfs, scores = columns[term]
-        if not len(doc_ids) == len(tfs) == len(scores):
+        doc_ids, scores = columns[term]
+        if len(doc_ids) != len(scores):
             raise ValueError(
-                f"term {term!r}: {len(doc_ids)} doc ids, {len(tfs)} tfs, "
-                f"{len(scores)} scores"
+                f"term {term!r}: {len(doc_ids)} doc ids, {len(scores)} scores"
             )
 
     def column(i: int, dtype: type) -> np.ndarray:
@@ -65,21 +63,18 @@ def hand_built_shard(columns, **fields) -> IndexShard:
 
     sizes = [len(columns[term][0]) for term in terms]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    scores = column(2, np.float64)
+    scores = column(1, np.float64)
     uppers = [
         float(scores[lo:hi].max()) if hi > lo else 0.0
         for lo, hi in zip(offsets[:-1], offsets[1:])
     ]
-    arena = PostingsArena(
-        terms, offsets, column(0, np.int64), column(1, np.int32), scores, uppers
-    )
-    docs = np.unique(arena.doc_ids)
+    arena = PostingsArena(terms, offsets, column(0, np.int64), scores, uppers)
+    n_docs = max(np.unique(arena.doc_ids).size, 1)
     shard = {
         "shard_id": 0,
-        "n_docs": max(docs.size, 1),
+        "n_docs": n_docs,
         "avg_doc_length": 10.0,
-        "total_tokens": 10 * max(docs.size, 1),
-        "doc_lengths": DocLengths(docs, np.full(docs.size, 10)),
+        "total_tokens": 10 * n_docs,
         "similarity": BM25Similarity(),
         "arena": arena,
         "global_dfs": np.diff(offsets),
@@ -91,8 +86,8 @@ def shard_columns(shard: IndexShard) -> dict:
     """``shard``'s postings as :func:`hand_built_shard` takes them."""
     columns = {}
     for term in shard.terms():
-        entry = shard.term(term)
-        columns[term] = (entry.postings.doc_ids, entry.postings.tfs, entry.scores)
+        run = shard.arena.run(term).widen()
+        columns[term] = (run.doc_ids, run.scores)
     return columns
 
 

@@ -1,11 +1,11 @@
 """Columnar postings arena: layout, validation, traversal state, round-trip.
 
 The arena is the shard: sorted-term columns that every reader — the
-vectorized kernels, the scalar references, ``IndexShard.term()`` —
+vectorized kernels, the scalar references, the term statistics —
 slices the same way.  A layout bug would surface as a subtle ranking
 change, so the constructor refuses malformed columns outright, and
-these tests compare every column against the per-term view and against
-the store round-trip.
+these tests compare every column against the documents it was built
+from and against the store round-trip.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.index import (
-    BLOCK_SIZE,
     Document,
     IndexBuilder,
     PostingsArena,
@@ -42,20 +41,20 @@ class TestLayout:
         assert arena.n_postings == int(arena.offsets[-1]) == arena.doc_ids.size
 
     def test_columns_match_posting_lists(self, shard):
-        """Every term's arena slice equals its cursor-level posting list."""
+        """Every term's arena slice lists exactly the documents holding it."""
         arena = shard.arena
         for term in shard.terms():
-            entry = shard.term(term)
             run = arena.run(term)
-            np.testing.assert_array_equal(run.doc_ids, entry.postings.doc_ids)
-            np.testing.assert_array_equal(
-                arena.term_tfs(term), entry.postings.tfs
-            )
-            np.testing.assert_array_equal(run.scores, entry.scores)
-            assert run.upper_bound == entry.upper_bound
-            if entry.block_maxes is not None:
-                np.testing.assert_array_equal(run.block_maxes, entry.block_maxes)
-            assert run.size == len(entry.postings)
+            holders = [
+                doc_id for doc_id in range(60)
+                if term in {VOCAB[(doc_id * 3 + j) % len(VOCAB)]
+                            for j in range(doc_id % 8 + 1)}
+            ]
+            assert run.doc_ids.tolist() == holders
+            assert run.size == len(holders) == shard.doc_freq(term)
+            np.testing.assert_array_equal(run.scores, shard.scores(term))
+            assert run.upper_bound == shard.upper_bound(term)
+            assert run.upper_bound >= run.scores.max()
 
     def test_slices_are_views_not_copies(self, shard):
         """Zero-copy contract: runs alias the arena columns."""
@@ -89,30 +88,28 @@ class TestStorageRoundTrip:
         loaded = open_store(write_store(shard, tmp_path / "shard_0.store"))
         a, b = shard.arena, loaded.arena
         assert a.terms == b.terms
-        for col in ("offsets", "upper_bounds", "block_maxes", "block_offsets"):
+        for col in ("offsets", "upper_bounds"):
             np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
-        assert a.block_size == b.block_size
+        np.testing.assert_array_equal(shard.global_dfs, loaded.global_dfs)
         for term in a.terms:
             want, got = a.run(term), b.run(term).widen()
             assert got.doc_ids.tobytes() == want.doc_ids.tobytes()
             assert got.scores.tobytes() == want.scores.tobytes()
-            assert b.term_tfs(term).tobytes() == a.term_tfs(term).tobytes()
 
 
 def columns(*terms):
-    """``(terms, offsets, doc_ids, tfs, scores, upper_bounds)`` for
-    ``(term, doc_ids, tfs)`` triples, scored 0.5 per posting."""
-    names = [term for term, _, _ in terms]
-    sizes = [len(docs) for _, docs, _ in terms]
-    doc_ids = [doc for _, docs, _ in terms for doc in docs]
-    tfs = [tf for _, _, term_tfs in terms for tf in term_tfs]
+    """``(terms, offsets, doc_ids, scores, upper_bounds)`` for
+    ``(term, doc_ids)`` pairs, scored 0.5 per posting."""
+    names = [term for term, _ in terms]
+    sizes = [len(docs) for _, docs in terms]
+    doc_ids = [doc for _, docs in terms for doc in docs]
     return (
-        names, np.cumsum([0] + sizes), doc_ids, tfs,
+        names, np.cumsum([0] + sizes), doc_ids,
         [0.5] * len(doc_ids), [0.5] * len(names),
     )
 
 
-GOOD = columns(("a", [1, 4, 9], [1, 2, 1]), ("b", [0, 4], [3, 1]))
+GOOD = columns(("a", [1, 4, 9]), ("b", [0, 4]))
 
 
 class TestConstructorRejects:
@@ -127,8 +124,8 @@ class TestConstructorRejects:
             ("offsets", [0, 3, 4], r"offsets run 0\.\.4, expected 0\.\.5"),
             ("offsets", [0, 6, 5], "offsets decrease at term 'b' \\(5 after 6\\)"),
             ("offsets", [0, 5], "2 terms need 3 offsets"),
-            ("scores", [0.5] * 4, "unequal length \\(5 doc ids, 5 tfs, 4 scores\\)"),
-            ("tfs", [1] * 6, "unequal length \\(5 doc ids, 6 tfs, 5 scores\\)"),
+            ("scores", [0.5] * 4, "unequal length \\(5 doc ids, 4 scores\\)"),
+            ("doc_ids", [1, 4, 9, 0], "unequal length \\(4 doc ids, 5 scores\\)"),
             ("upper_bounds", [0.5], "and 2 upper bounds, got 3 and 1"),
             ("terms", ["b", "a"], "unsorted term 'a' after 'b'"),
             ("terms", ["a", "a"], "duplicate term 'a' after 'a'"),
@@ -136,12 +133,10 @@ class TestConstructorRejects:
             ("doc_ids", [1, 4, 4, 0, 4], r"term 'a': doc_ids must be strictly increasing \(4 after 4\)"),
             ("doc_ids", [1, 4, 9, 0, 0], r"term 'b': doc_ids must be strictly increasing \(0 after 0\)"),
             ("doc_ids", [1, 4, 9, -2, 4], "term 'b': negative doc id -2"),
-            ("tfs", [1, 2, 1, 0, 1], "term 'b': tf 0 for doc 0; every tf must be at least 1"),
-            ("tfs", [1, -3, 1, 3, 1], "term 'a': tf -3 for doc 4"),
         ],
     )
     def test_malformed_columns(self, field, value, message):
-        names = ("terms", "offsets", "doc_ids", "tfs", "scores", "upper_bounds")
+        names = ("terms", "offsets", "doc_ids", "scores", "upper_bounds")
         given = dict(zip(names, GOOD))
         given[field] = value
         with pytest.raises(ValueError, match=message) as caught:
@@ -150,26 +145,15 @@ class TestConstructorRejects:
 
     def test_well_formed_columns_pass_and_keep_their_dtypes(self):
         arena = PostingsArena(*GOOD)
-        assert arena.doc_ids.dtype == np.int64 and arena.tfs.dtype == np.int32
+        assert arena.doc_ids.dtype == np.int64
         assert arena.scores.dtype == np.float64
         assert arena.run("b").doc_ids.tolist() == [0, 4]
-        assert PostingsArena([], [0], [], [], [], []).n_postings == 0
+        assert PostingsArena([], [0], [], [], []).n_postings == 0
 
     def test_hand_built_term_with_fewer_scores_is_refused(self):
         """A term of 3 doc ids and 1 score would slice the next term's
         scores against the wrong doc ids."""
         with pytest.raises(ValueError, match="unequal length"):
             PostingsArena(
-                ["a", "b"], [0, 3, 5], [1, 2, 3, 1, 4], [1] * 5, [0.5] * 3,
-                [0.5, 0.5],
+                ["a", "b"], [0, 3, 5], [1, 2, 3, 1, 4], [0.5] * 3, [0.5, 0.5],
             )
-
-    def test_block_maxima_are_derived_per_term(self):
-        scores = np.arange(150, dtype=np.float64)[::-1].copy()
-        arena = PostingsArena(
-            ["long", "short"], [0, 140, 150], np.r_[0:140, 0:10],
-            np.ones(150), scores, [149.0, 9.0],
-        )
-        assert arena.block_size == BLOCK_SIZE == 64
-        assert arena.block_offsets.tolist() == [0, 3, 4]
-        assert arena.block_maxes.tolist() == [149.0, 85.0, 21.0, 9.0]

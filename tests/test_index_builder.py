@@ -26,9 +26,11 @@ class TestIndexBuilder:
         assert shard.n_docs == 2
         assert shard.doc_freq("apple") == 1
         assert shard.doc_freq("banana") == 2
-        postings = shard.postings("apple")
-        assert postings.doc_ids.tolist() == [0]
-        assert postings.tfs.tolist() == [2]
+        run = shard.arena.run("apple")
+        assert run.doc_ids.tolist() == [0]
+        # tf 2 in a 3-token document, under the shard's own statistics.
+        want = shard.similarity.scores(np.array([2]), np.array([3.0]), 1, 2, 2.5)
+        assert run.scores.tolist() == want.tolist()
 
     def test_duplicate_doc_rejected(self):
         builder = make_builder()
@@ -41,14 +43,13 @@ class TestIndexBuilder:
         builder.add(Document(doc_id=9, text="a b"))
         builder.add(Document(doc_id=1, text="a"))
         shard = builder.build()
-        assert shard.postings("a").doc_ids.tolist() == [1, 9]
+        assert shard.arena.run("a").doc_ids.tolist() == [1, 9]
 
     def test_doc_lengths_and_avg(self):
         builder = make_builder()
         builder.add(Document(doc_id=0, text="a b c"))
         builder.add(Document(doc_id=1, text="a"))
         shard = builder.build()
-        assert shard.doc_lengths == {0: 3, 1: 1}
         assert shard.avg_doc_length == 2.0
         assert shard.total_tokens == 4
 
@@ -118,12 +119,12 @@ class TestGlobalStatsScoring:
     def test_global_idf_shared_across_shards(self):
         s0, s1 = self._two_shards(global_stats=True)
         assert s0.idf("common") == pytest.approx(s1.idf("common"))
-        assert s0.term("common").global_doc_freq == 4
+        assert s0.global_dfs[s0.terms().index("common")] == 4
         assert s0.n_docs_global == 4
 
     def test_local_idf_differs(self):
         s0, s1 = self._two_shards(global_stats=False)
-        assert s0.term("common").global_doc_freq == 2
+        assert s0.global_dfs[s0.terms().index("common")] == 2
         assert s0.n_docs_global == s0.n_docs
 
     def test_global_idf_makes_rare_terms_score_higher(self):

@@ -82,11 +82,10 @@ class TestNarrowRunValues:
     def test_lazy_term_is_the_in_memory_term(self, shard, blob):
         lazy = open_store_buffer(blob)
         for term in shard.terms():
-            want, got = shard.term(term), lazy.term(term)
+            want, got = shard.arena.run(term), lazy.arena.run(term).widen()
             for have, expect, dtype in (
-                (got.postings.doc_ids, want.postings.doc_ids, np.int64),
+                (got.doc_ids, want.doc_ids, np.int64),
                 (got.scores, want.scores, np.float64),
-                (got.postings.tfs, want.postings.tfs, np.int32),
             ):
                 assert type(have) is np.ndarray and have.dtype == dtype
                 assert have.tobytes() == expect.tobytes()
@@ -102,11 +101,11 @@ class TestNarrowRunValues:
 def with_far_document(shard, doc_id: int):
     """``shard``'s terms plus one term holding ``doc_id``, as a new shard."""
     columns = shard_columns(shard)
-    columns["far"] = ([3, doc_id], [1, 2], [0.25, 0.5])
+    columns["far"] = ([3, doc_id], [0.25, 0.5])
     return hand_built_shard(
         columns, shard_id=shard.shard_id, n_docs=shard.n_docs,
         avg_doc_length=shard.avg_doc_length, total_tokens=shard.total_tokens,
-        doc_lengths=shard.doc_lengths, similarity=shard.similarity,
+        similarity=shard.similarity,
         n_docs_global=shard.n_docs_global,
     )
 
@@ -135,7 +134,7 @@ class TestInt64Fallback:
         def arena_of(doc_ids):
             n = len(doc_ids)
             shard = hand_built_shard(
-                {"t": (doc_ids, [1] * n, np.linspace(0.1, 0.9, n))}
+                {"t": (doc_ids, np.linspace(0.1, 0.9, n))}
             )
             return CompressedPostingsArena.from_arena(shard.arena)
 

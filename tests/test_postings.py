@@ -1,54 +1,50 @@
-"""Unit + property tests for posting lists and cursors."""
+"""Unit + property tests for posting columns and cursors."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import BLOCK_SIZE
-from repro.index.postings import END_OF_LIST, PostingList
+from repro.index import PostingsArena
+from repro.index.postings import END_OF_LIST, PostingCursor
 
 
-def make_list(doc_ids, tfs=None):
+def make_list(doc_ids, scores=None):
+    """A one-term arena: the posting list of ``t``."""
     doc_ids = list(doc_ids)
-    tfs = tfs or [1] * len(doc_ids)
-    return PostingList(
-        doc_ids=np.asarray(doc_ids, dtype=np.int64),
-        tfs=np.asarray(tfs, dtype=np.int32),
-    )
+    scores = [0.5] * len(doc_ids) if scores is None else scores
+    return PostingsArena(["t"], [0, len(doc_ids)], doc_ids, scores, [0.5])
+
+
+def make_cursor(doc_ids):
+    return PostingCursor(make_list(doc_ids).run("t").doc_ids)
 
 
 class TestPostingList:
-    def test_length_and_max_tf(self):
-        postings = make_list([1, 5, 9], [2, 7, 1])
-        assert len(postings) == 3
-        assert postings.max_tf == 7
+    """A posting list is its term's arena slice; the arena refuses one
+    that no cursor could walk."""
 
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             make_list([3, 2, 5])
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             make_list([2, 2])
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            PostingList(
-                doc_ids=np.array([1, 2], dtype=np.int64),
-                tfs=np.array([1], dtype=np.int32),
-            )
+        with pytest.raises(ValueError, match="unequal length"):
+            make_list([1, 2], scores=[0.5])
 
     def test_empty_list(self):
         postings = make_list([])
-        assert len(postings) == 0
-        assert postings.max_tf == 0
-        assert postings.cursor().doc() == END_OF_LIST
+        assert postings.n_postings == postings.run("t").size == 0
+        assert make_cursor([]).doc() == END_OF_LIST
 
 
 class TestCursor:
     def test_walks_in_order(self):
-        cursor = make_list([2, 4, 8]).cursor()
+        cursor = make_cursor([2, 4, 8])
         seen = []
         while cursor.doc() != END_OF_LIST:
             seen.append(cursor.doc())
@@ -56,26 +52,25 @@ class TestCursor:
         assert seen == [2, 4, 8]
 
     def test_next_geq_exact_hit(self):
-        cursor = make_list([2, 4, 8]).cursor()
+        cursor = make_cursor([2, 4, 8])
         assert cursor.next_geq(4) == 4
-        assert cursor.tf() == 1
 
     def test_next_geq_lands_after_gap(self):
-        cursor = make_list([2, 4, 8]).cursor()
+        cursor = make_cursor([2, 4, 8])
         assert cursor.next_geq(5) == 8
 
     def test_next_geq_past_end(self):
-        cursor = make_list([2, 4, 8]).cursor()
+        cursor = make_cursor([2, 4, 8])
         assert cursor.next_geq(9) == END_OF_LIST
         assert cursor.exhausted()
 
     def test_next_geq_does_not_move_backwards(self):
-        cursor = make_list([2, 4, 8]).cursor()
+        cursor = make_cursor([2, 4, 8])
         cursor.next_geq(8)
         assert cursor.next_geq(3) == 8
 
     def test_position_and_remaining(self):
-        cursor = make_list([2, 4, 8]).cursor()
+        cursor = make_cursor([2, 4, 8])
         assert cursor.position == 0
         assert cursor.remaining() == 3
         cursor.next()
@@ -83,19 +78,11 @@ class TestCursor:
         assert cursor.remaining() == 2
 
     def test_score_requires_attachment(self):
-        cursor = make_list([2]).cursor()
+        cursor = make_cursor([2])
         with pytest.raises(AssertionError):
             cursor.score()
         cursor.scores = np.array([1.5])
         assert cursor.score() == 1.5
-
-
-def test_shard_term_block_maxes_dominate_scores(shards):
-    shard = shards[0]
-    for term in shard.terms()[:10]:
-        entry = shard.term(term)
-        for i, score in enumerate(entry.scores):
-            assert score <= entry.block_maxes[i // BLOCK_SIZE] + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,7 +93,7 @@ def test_shard_term_block_maxes_dominate_scores(shards):
 def test_next_geq_matches_linear_scan(doc_ids, targets):
     """Galloping next_geq must land exactly where a linear scan would."""
     doc_ids = sorted(doc_ids)
-    cursor = make_list(doc_ids).cursor()
+    cursor = make_cursor(doc_ids)
     position = 0
     for target in sorted(targets):
         while position < len(doc_ids) and doc_ids[position] < target:
@@ -119,7 +106,7 @@ def test_next_geq_matches_linear_scan(doc_ids, targets):
 @given(doc_ids=st.lists(st.integers(0, 5000), min_size=1, max_size=60, unique=True))
 def test_full_walk_visits_everything(doc_ids):
     doc_ids = sorted(doc_ids)
-    cursor = make_list(doc_ids).cursor()
+    cursor = make_cursor(doc_ids)
     walked = []
     while not cursor.exhausted():
         walked.append(cursor.doc())
@@ -136,7 +123,7 @@ def test_next_geq_gallop_never_bisects_full_array(monkeypatch):
     """
     doc_ids = list(range(0, 4000, 3))
     full = len(doc_ids)
-    cursor = make_list(doc_ids).cursor()
+    cursor = make_cursor(doc_ids)
     assert cursor.next_geq(7) == 9  # move off position 0 first
 
     recorded = []

@@ -203,7 +203,9 @@ class TestDistributedSearcher:
         ds = DistributedSearcher(shards, k=10)
         query = Query(query_id=0, terms=("t1",))
         subset = ds.search(query, shard_ids=[0, 1])
-        all_docs_on_01 = set(shards[0].doc_lengths) | set(shards[1].doc_lengths)
+        all_docs_on_01 = set(shards[0].arena.doc_ids.tolist()) | set(
+            shards[1].arena.doc_ids.tolist()
+        )
         assert all(doc in all_docs_on_01 for doc in subset.doc_ids())
 
     def test_contributions_sum_to_topk(self, shards):

@@ -4,9 +4,9 @@ Three layers under test, bottom up:
 
 * ``pack_bits``/``unpack_bits`` — fixed-width little-endian packing into
   uint64 words must round-trip any value that fits the width.
-* ``CompressedPostingsArena`` — delta/bit-packed doc ids, packed tfs and
-  codebook scores must decode to the *exact* int64/int32/float64 columns
-  the uncompressed arena holds (same bits, including -0.0), reject
+* ``CompressedPostingsArena`` — delta/bit-packed doc ids and codebook
+  scores must decode to the *exact* int64/float64 columns the
+  uncompressed arena holds (same bits, including -0.0), reject
   malformed inputs, and bound its decode LRU by bytes.
 * ``serialize_shard``/``open_store``/``open_store_buffer`` — the on-disk
   and shared-memory forms are the same bytes, open in O(1) (nothing
@@ -25,6 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.engine import RunResult, SearchCluster
+from repro.experiments.bench_storage import build_scaled_shards
 from repro.index import (
     CompressedPostingsArena,
     Document,
@@ -42,6 +43,7 @@ from repro.index import (
     unpack_bits,
     write_store,
 )
+from repro.index.arena import RAW_POSTING_BYTES
 from repro.policies.exhaustive import ExhaustivePolicy
 from repro.retrieval import (
     Query,
@@ -69,7 +71,6 @@ def make_shard(term_columns: dict[str, tuple[list[int], list[int]]]) -> IndexSha
     return hand_built_shard({
         name: (
             doc_ids,
-            tfs,
             similarity.scores(np.asarray(tfs), np.full(len(doc_ids), 10.0),
                               len(doc_ids), 100, 10.0),
         )
@@ -81,21 +82,17 @@ def assert_columns_equal(shard: IndexShard, reopened: IndexShard) -> None:
     """Every term's decoded columns must be bit-equal, dtypes included."""
     assert sorted(reopened.terms()) == sorted(shard.terms())
     for name in shard.terms():
-        original = shard.term(name)
-        loaded = reopened.term(name)
-        np.testing.assert_array_equal(
-            loaded.postings.doc_ids, original.postings.doc_ids
-        )
-        np.testing.assert_array_equal(loaded.postings.tfs, original.postings.tfs)
+        original = shard.arena.run(name)
+        loaded = reopened.arena.run(name).widen()
+        np.testing.assert_array_equal(loaded.doc_ids, original.doc_ids)
         # Bitwise float equality (repr-level fingerprints depend on it).
         np.testing.assert_array_equal(
             loaded.scores.view(np.int64), original.scores.view(np.int64)
         )
-        assert loaded.postings.doc_ids.dtype == np.int64
-        assert loaded.postings.tfs.dtype == np.int32
+        assert loaded.doc_ids.dtype == np.int64
         assert loaded.scores.dtype == np.float64
         assert loaded.upper_bound == original.upper_bound
-        assert loaded.global_doc_freq == original.global_doc_freq
+    np.testing.assert_array_equal(reopened.global_dfs, shard.global_dfs)
 
 
 # ------------------------------------------------------------- bit packing
@@ -144,9 +141,6 @@ class TestCompressedArena:
             run = packed.run(term)
             assert run.doc_ids.dtype == packed.doc_dtype
             np.testing.assert_array_equal(run.doc_ids, raw.doc_ids)
-            np.testing.assert_array_equal(
-                packed.term_tfs(term), arena.term_tfs(term)
-            )
             # The score column hands out the raw float64 bits, whole ...
             assert np.asarray(run.scores).tobytes() == raw.scores.tobytes()
             # ... and by slice, index array and int, as a kernel reads it.
@@ -155,7 +149,6 @@ class TestCompressedArena:
                 got = np.asarray(run.scores[key])
                 assert got.dtype == np.float64
                 assert got.tobytes() == raw.scores[key].tobytes()
-            np.testing.assert_array_equal(run.block_maxes, raw.block_maxes)
             assert run.upper_bound == raw.upper_bound
             # widen() is the raw arena's columns, dtypes included.
             wide = packed.run(term).widen()
@@ -175,7 +168,7 @@ class TestCompressedArena:
         assert packed.run("empty").doc_ids.size == 0
         single = packed.run("single")
         np.testing.assert_array_equal(single.doc_ids, [7])
-        np.testing.assert_array_equal(packed.term_tfs("single"), [3])
+        assert single.scores[0] == shard.arena.run("single").scores[0]
         pair = packed.run("pair")
         np.testing.assert_array_equal(pair.doc_ids, [1, 9])
 
@@ -191,19 +184,19 @@ class TestCompressedArena:
         """Caught where the columns are built: no arena, raw or packed,
         ever holds them."""
         with pytest.raises(ValueError, match="strictly increasing") as caught:
-            PostingsArena(["bad"], [0, 2], [9, 3], [1, 1], [0.5, 0.5], [0.5])
+            PostingsArena(["bad"], [0, 2], [9, 3], [0.5, 0.5], [0.5])
         assert str(caught.value) == (
             "term 'bad': doc_ids must be strictly increasing (3 after 9)"
         )
 
     def test_negative_doc_id_rejected(self):
         with pytest.raises(ValueError) as caught:
-            PostingsArena(["neg"], [0, 1], [-4], [1], [0.5], [0.5])
+            PostingsArena(["neg"], [0, 1], [-4], [0.5], [0.5])
         assert str(caught.value) == "term 'neg': negative doc id -4"
 
     def test_negative_zero_scores_survive(self):
         """-0.0 != 0.0 under repr(); the codebook must not merge them."""
-        shard = hand_built_shard({"z": ([1, 2, 3], [1, 1, 1], [0.0, -0.0, 0.0])})
+        shard = hand_built_shard({"z": ([1, 2, 3], [0.0, -0.0, 0.0])})
         packed = CompressedPostingsArena.from_arena(shard.arena)
         decoded = packed.run("z").scores
         assert [repr(s) for s in decoded.tolist()] == ["0.0", "-0.0", "0.0"]
@@ -280,7 +273,7 @@ class TestCompressedArena:
                 give()
             assert str(caught.value) == message
         # Zero stays legal: the LRU degrades to its one-entry floor.
-        assert open_store_buffer(blob, cache_bytes=0).term(VOCAB[0]) is not None
+        assert open_store_buffer(blob, cache_bytes=0).arena.run(VOCAB[0]) is not None
 
 
 # ------------------------------------------------------------ persistence
@@ -299,7 +292,7 @@ class TestStoreRoundTrip:
         assert reopened.n_docs == shard.n_docs
         assert reopened.n_docs_global == shard.n_docs_global
         assert reopened.avg_doc_length == shard.avg_doc_length
-        assert reopened.doc_lengths == shard.doc_lengths
+        assert reopened.total_tokens == shard.total_tokens
         assert type(reopened.similarity) is type(shard.similarity)
         assert vars(reopened.similarity) == vars(shard.similarity)
 
@@ -314,9 +307,9 @@ class TestStoreRoundTrip:
         path = write_store(shard, tmp_path / "s.store")
         reopened = open_store(path)
         assert reopened.arena.decode_stats.misses == 0
-        reopened.term(VOCAB[0])
+        reopened.arena.run(VOCAB[0])
         assert reopened.arena.decode_stats.misses == 1
-        reopened.term(VOCAB[0])  # no memo: the decode LRU is the only holder
+        reopened.arena.run(VOCAB[0])  # no memo: the decode LRU is the only holder
         assert reopened.arena.decode_stats.hits == 1
 
     def test_search_fingerprints_match(self, shard, tmp_path):
@@ -397,6 +390,16 @@ class TestStoreRoundTrip:
         # Overwriting the same ids stays allowed.
         assert len(pack_shards(four, tmp_path)) == 4
 
+    def test_pack_refuses_a_shard_id_given_twice(self, tmp_path):
+        """Two shards with one id would both be written to the same file,
+        the second over the first, and ``open_stores`` would find one."""
+        twins = [build_scaled_shards(1, 500, 8, seed)[0] for seed in (0, 1)]
+        with pytest.raises(ValueError) as caught:
+            pack_shards(twins, tmp_path / "packed")
+        message = str(caught.value)
+        assert "\n" not in message and "shard id 0 is given twice" in message
+        assert not (tmp_path / "packed").exists()  # nothing written
+
     def test_unknown_similarity_rejected_on_write_and_open(self, shard, tmp_path):
         class HomeGrown(BM25Similarity):
             pass
@@ -426,7 +429,11 @@ class TestStoreRoundTrip:
         info = store_info(path)
         assert info["meta"]["n_docs"] == shard.n_docs
         assert info["file_bytes"] == path.stat().st_size
-        assert info["raw_column_bytes"] == info["meta"]["n_postings"] * 20
+        # A raw posting is an int64 doc id and a float64 score, defined
+        # once: the report and the arena's own accounting agree.
+        assert RAW_POSTING_BYTES == 16
+        assert info["raw_column_bytes"] == info["meta"]["n_postings"] * 16
+        assert info["raw_column_bytes"] == open_store(path).arena.raw_nbytes
         assert info["compression_ratio"] > 0
 
 
@@ -512,4 +519,4 @@ class TestPropertyRoundTrip:
         shard = build_shard(docs)
         reopened = open_store_buffer(serialize_shard(shard))
         assert_columns_equal(shard, reopened)
-        assert reopened.doc_lengths == shard.doc_lengths
+        assert reopened.total_tokens == shard.total_tokens

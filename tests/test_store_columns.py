@@ -1,20 +1,18 @@
 """Column-lazy decode: what a store-backed query pays for, and retains.
 
-* The query path reads two columns.  A store whose packed tf words raise
-  on any access still answers the kernel, the scalar references and the
-  term statistics bit-identically to memory; ``term_tfs`` is the one
-  reader of that column and returns the raw arena's exact ``int32``
-  values.
+* The query path reads two posting columns, doc ids and scores — all a
+  format-2 store holds per posting.  A store-backed shard answers the
+  kernel, the scalar references and the term statistics
+  bit-identically to memory.
 * What the LRU retains per posting is the doc id at the arena's dtype
   plus the codebook index at the narrowest width: 6 bytes for ``int32``
   ids and a codebook of at most 2**16 values.
-* ``IndexShard.term()`` keeps nothing.  The arena's ``cache_bytes``
-  is the only bound on decoded postings, so touching every term
+* Nothing but the LRU keeps decoded postings.  The arena's
+  ``cache_bytes`` is the only bound on them, so touching every term
   under a 1-byte budget retains the LRU's single floor entry and no
-  more — and the widened columns ``term()`` hands out die with the
-  ``ShardTerm``.
-* The packed file is at most half the raw ``(int64 doc, int32 tf,
-  float64 score)`` columns.  The ratio grows with shard size (3.65x at
+  more — and the columns ``TermRun.widen()`` makes die with the run.
+* The packed file is at most half the raw ``(int64 doc, float64
+  score)`` columns.  The ratio grows with shard size (3.58x at
   the repo benchmark's 150k docs, where ``index.compression_ratio``
   tracks it); the 9 000-doc shard here is the small end that must
   still clear 2x.
@@ -53,16 +51,6 @@ QUERIES = [
 ]
 
 
-class Untouchable(np.ndarray):
-    """An array that fails the test the moment anything reads it."""
-
-    def __getitem__(self, item):
-        raise AssertionError("tf_words read on the query path")
-
-    def take(self, *args, **kwargs):
-        raise AssertionError("tf_words read on the query path")
-
-
 @pytest.fixture(scope="module")
 def shard():
     # Every query above totals >= 2 048 postings: the kernel runs
@@ -72,11 +60,11 @@ def shard():
 
 
 class TestQueryPathReadsNoTfs:
-    def test_kernels_answer_with_tf_words_untouchable(self, shard, tmp_path):
+    """Format 2 stores no term frequencies: the two posting columns are
+    everything a query, and the term statistics, read."""
+
+    def test_kernels_equal_memory_from_the_store(self, shard, tmp_path):
         lazy = open_store(write_store(shard, tmp_path / "s.store"))
-        lazy.arena.tf_words = np.zeros(1, dtype=np.uint64).view(Untouchable)
-        with pytest.raises(AssertionError, match="tf_words read"):
-            lazy.arena.term_tfs("t000")  # the sentinel does bite
         for terms in QUERIES:
             assert (
                 maxscore_search_kernel(lazy, list(terms), 10).fingerprint()
@@ -84,12 +72,11 @@ class TestQueryPathReadsNoTfs:
             ), terms
         assert lazy.arena.decode_stats.misses > 0
 
-    def test_scalar_readers_answer_with_tf_words_untouchable(self, shards):
+    def test_scalar_readers_equal_memory_from_the_store(self, shards):
         """The analyzer-built shards' queries sit below the kernel's
         2 048-posting floor: every reader here walks the scalar path."""
         memory = shards[0]
         lazy = open_store_buffer(serialize_shard(memory))
-        lazy.arena.tf_words = np.zeros(1, dtype=np.uint64).view(Untouchable)
         vocabulary = memory.terms()
         for i in range(0, len(vocabulary) - 2, 3):
             terms = vocabulary[i : i + 3]
@@ -104,20 +91,6 @@ class TestQueryPathReadsNoTfs:
         want, got = TermStatsIndex(memory), TermStatsIndex(lazy)
         for term in vocabulary + ["oov"]:
             assert got.get(term) == want.get(term)
-
-    def test_term_tfs_equals_the_raw_column(self, shard):
-        lazy = open_store_buffer(serialize_shard(shard))
-        for term in shard.terms():
-            raw = shard.arena.term_tfs(term)
-            got = lazy.arena.term_tfs(term)
-            assert got.dtype == raw.dtype == np.int32
-            assert got.tobytes() == raw.tobytes()
-            np.testing.assert_array_equal(raw, shard.term(term).postings.tfs)
-        assert lazy.arena.term_tfs("oov") is None
-        assert shard.arena.term_tfs("oov") is None
-        # On demand means uncached: tfs never enter the decode LRU.
-        assert lazy.arena.decode_stats.misses == 0
-        assert lazy.arena.decode_stats.bytes == 0
 
     def test_lru_entry_is_doc_plus_code_itemsize_per_posting(self, shard):
         lazy = open_store_buffer(serialize_shard(shard))
@@ -150,22 +123,18 @@ class TestTermKeepsNoMemo:
         lazy = open_store_buffer(serialize_shard(shard), cache_bytes=1)
         decoded, handed_out = [], []
         for term in sorted(shard.terms()):
-            want, got = shard.term(term), lazy.term(term)
-            assert got.postings.doc_ids.dtype == np.int64
-            assert got.postings.doc_ids.tobytes() == want.postings.doc_ids.tobytes()
-            assert got.postings.tfs.tobytes() == want.postings.tfs.tobytes()
-            assert got.postings.tfs.dtype == np.int32
+            want, got = shard.arena.run(term), lazy.arena.run(term).widen()
+            assert got.doc_ids.dtype == np.int64
+            assert got.doc_ids.tobytes() == want.doc_ids.tobytes()
             assert got.scores.dtype == np.float64
             assert got.scores.tobytes() == want.scores.tobytes()
             assert got.upper_bound == want.upper_bound
-            assert got.global_doc_freq == want.global_doc_freq
-            np.testing.assert_array_equal(got.block_maxes, want.block_maxes)
             # What the LRU retains for the term (its one entry right now)
-            # and the widened doc ids term() built from it.
+            # and the widened doc ids the run made from it.
             ((doc_ids, _, _),) = lazy.arena._cache.values()
-            assert doc_ids.dtype == np.int32 and doc_ids is not got.postings.doc_ids
+            assert doc_ids.dtype == np.int32 and doc_ids is not got.doc_ids
             decoded.append(weakref.ref(doc_ids))
-            handed_out.append(weakref.ref(got.postings.doc_ids))
+            handed_out.append(weakref.ref(got.doc_ids))
             del want, got, doc_ids
         gc.collect()
         alive = [ref for ref in decoded if ref() is not None]

@@ -77,10 +77,10 @@ def allocation_cap():
 def build_blob() -> bytes:
     shard = build_scaled_shards(1, 3000, 24, SEED)[0]
     columns = shard_columns(shard)
-    columns["empty"] = ([], [], [])
-    columns["single"] = ([41], [2], [0.75])
+    columns["empty"] = ([], [])
+    columns["single"] = ([41], [0.75])
     fields = ("shard_id", "n_docs", "avg_doc_length", "total_tokens",
-              "doc_lengths", "similarity", "n_docs_global")
+              "similarity", "n_docs_global")
     return serialize_shard(hand_built_shard(
         columns, **{name: getattr(shard, name) for name in fields}
     ))
@@ -92,7 +92,6 @@ def answers(shard) -> list[str]:
         out.append(maxscore_search_kernel(shard, list(terms), 10).fingerprint())
         out.append(maxscore_search(shard, list(terms), 10).fingerprint())
         out.append(exhaustive_search(shard, list(terms), 10).fingerprint())
-    out.append(repr(sorted(shard.doc_lengths.items())[:5]))
     return out
 
 
@@ -245,10 +244,7 @@ class TestStructuralSweep:
 
     def test_meta_fields(self, parts, reference):
         header, sections = parts
-        structural = (
-            "n_postings", "n_terms", "block_size", "n_doc_lengths",
-            "doc_len_id_width", "doc_len_val_width",
-        )
+        structural = ("n_postings", "n_terms")
         for key in structural:
             stored = header["meta"][key]
             for value in (-1, 0, stored + 1, 2**62, 2**70, None, "64", 2.0, True):
@@ -274,9 +270,9 @@ class TestStructuralSweep:
         header, _ = parts
         rng = np.random.default_rng(SEED)
         structural = [
-            "offsets", "doc_widths", "tf_widths", "score_widths", "score_kinds",
-            "doc_word_offsets", "tf_word_offsets", "score_word_offsets",
-            "score_raw_offsets", "score_book_offsets", "block_offsets",
+            "offsets", "doc_widths", "score_widths", "score_kinds",
+            "doc_word_offsets", "score_word_offsets",
+            "score_raw_offsets", "score_book_offsets",
         ]
         toc = {entry["name"]: entry for entry in header["arrays"]}
         accepted_though_changed = []
@@ -304,8 +300,8 @@ class TestStructuralSweep:
                         accepted_though_changed.append(field)
         # The only changed values that may pass are in-range widths of
         # columns that pack nothing — doc gaps of the empty and the
-        # single-posting term, tfs of the empty term, score indices of
-        # raw-scored terms: never read, and they answered identically.
+        # single-posting term, score indices of raw-scored terms: never
+        # read, and they answered identically.
         assert all(
             field.split("[")[0].endswith("_widths") for field in accepted_though_changed
         ), accepted_though_changed
@@ -342,7 +338,7 @@ class TestStructuralSweep:
 
 
 class TestReproducedCases:
-    """The six failures reproduced on the parent commit, by name."""
+    """Failures reproduced on earlier commits, by name."""
 
     def write(self, tmp_path, blob: bytes):
         path = tmp_path / "shard_0.store"
@@ -375,7 +371,7 @@ class TestReproducedCases:
     def test_toc_offset_shifted_by_one_alignment_unit(self, parts, tmp_path):
         """A section read 64 bytes off used to return a wrong top-k silently."""
         header, sections = parts
-        for name in ("doc_words", "score_words", "score_books", "block_maxes"):
+        for name in ("doc_words", "score_words", "score_books", "upper_bounds"):
             index = list(_ARRAY_DTYPES).index(name)
             for shift in (64, -64):
 
@@ -426,6 +422,25 @@ class TestReproducedCases:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert str(path) in captured.err and captured.err.count("\n") == 1
+
+    def test_format_1_store_is_refused_with_what_to_do(
+        self, parts, tmp_path, capsys
+    ):
+        """A format-1 store (tfs, block maxima, document lengths) has no
+        reader: every entry point names the file, both versions and the
+        command that rebuilds it, in one line."""
+        from repro.cli import main
+
+        def version_1(mutated):
+            mutated["format_version"] = 1
+
+        path = self.write(tmp_path, assemble(*parts, version_1))
+        match = r"store format 1, this reader supports format 2; .*repro index build"
+        self.assert_rejected_everywhere(path, match)
+        assert main(["index", "info", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert str(path) in captured.err and "repro index build" in captured.err
 
     def test_pristine_store_opens_through_every_entry_point(
         self, pristine, reference, tmp_path
