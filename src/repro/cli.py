@@ -134,7 +134,7 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
             f"{meta['n_docs']} docs  {meta['n_terms']} terms  "
             f"{meta['n_postings']} postings  "
             f"{info['file_bytes'] / 1e6:.2f} MB "
-            f"({info['compression_ratio']:.2f}x vs raw columns)"
+            f"({info['compression_ratio']:.2f}x vs int64+float64 columns)"
         )
     return 0
 

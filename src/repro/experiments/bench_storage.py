@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index import IndexShard, PostingsArena
+from repro.index.arena import doc_id_dtype
 from repro.scoring.similarity import BM25Similarity
 
 N_SHARDS = 4
@@ -35,8 +36,19 @@ def build_scaled_shards(
     Zipf-like head/tail split — membership is a seeded sort-free uniform
     draw, and scores are genuine BM25 over geometric-ish small tfs and the
     shard's drawn doc lengths (neither is kept).  Deterministic per
-    (shard_id, seed).
+    (shard_id, seed).  Every term draws at least two documents, so
+    ``docs_per_shard`` must be at least 2.  Doc ids run ``0 ..
+    n_shards * docs_per_shard - 1``; the doc-id columns are allocated in
+    the arena's final dtype from that bound.
     """
+    for name, value, least in (
+        ("n_shards", n_shards, 0),
+        ("docs_per_shard", docs_per_shard, 2),
+        ("vocab_size", vocab_size, 0),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    id_dtype = doc_id_dtype(0, n_shards * docs_per_shard - 1)
     similarity = BM25Similarity()
     shards: list[IndexShard] = []
     names = [f"t{t:03d}" for t in range(vocab_size)]
@@ -57,7 +69,7 @@ def build_scaled_shards(
         lengths = rng.integers(64, 512, size=docs_per_shard)
         avg_len = float(lengths.mean())
         total_tokens = int(lengths.sum())
-        doc_ids = np.empty(int(offsets[-1]), dtype=np.int64)
+        doc_ids = np.empty(int(offsets[-1]), dtype=id_dtype)
         scores = np.empty(int(offsets[-1]), dtype=np.float64)
         upper_bounds = np.empty(vocab_size, dtype=np.float64)
         for t in range(vocab_size):

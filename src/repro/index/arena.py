@@ -10,21 +10,23 @@ the cursor-based references walk the same slices; a query only pays for
 building a handful of :class:`TermRun` slice views.
 
 Terms are laid out in sorted order, which is also the term order of the
-on-disk ``.store`` layout of :mod:`repro.index.store`.
+on-disk ``.store`` layout of :mod:`repro.index.store`.  Doc ids are
+``int32`` when every id of the shard fits and ``int64`` otherwise
+(:func:`doc_id_dtype`), so a raw posting holds 12 bytes, not 16.
 
 :class:`CompressedPostingsArena` is the same columnar index behind a
 compressed encoding: doc ids are delta + bit-packed per term and scores
 are dictionary-encoded against a per-term float64 codebook (with a
 verified raw fallback).  ``run`` decodes the two columns with
 vectorized shifts/masks and keeps them *at the width they need*: doc
-ids in one arena-wide dtype (``int32`` when every id provably fits),
-scores as the unpacked codebook indices behind a :class:`CodedScores`
-column that gathers the float64 values — the raw arena's exact bits —
-only for the postings a kernel reads.  A size-bounded LRU keeps hot
-terms decoded, at 6 bytes per posting for ``int32`` ids under a
-codebook of at most 2**16 scores.  The packed streams are plain flat
-arrays, which is what lets :mod:`repro.index.store` memory-map them
-straight off disk.
+ids in one arena-wide dtype (the raw arena's rule, :func:`doc_id_dtype`,
+fed a bound proved from the per-term metadata), scores as the unpacked
+codebook indices behind a :class:`CodedScores` column that gathers the
+float64 values — the raw arena's exact bits — only for the postings a
+kernel reads.  A size-bounded LRU keeps hot terms decoded, at 6 bytes
+per posting for ``int32`` ids under a codebook of at most 2**16 scores.
+The packed streams are plain flat arrays, which is what lets
+:mod:`repro.index.store` memory-map them straight off disk.
 """
 
 from __future__ import annotations
@@ -36,7 +38,27 @@ from dataclasses import dataclass
 import numpy as np
 
 RAW_POSTING_BYTES = 16
-"""Bytes of one posting in the raw arena: ``int64`` doc id + ``float64`` score."""
+"""Reference width of one posting: an ``int64`` doc id + a ``float64`` score.
+
+The yardstick of ``compression_ratio`` and ``raw_column_bytes``, kept
+fixed so ratios stay comparable: a raw arena whose ids fit ``int32``
+holds 12 bytes per posting (:func:`doc_id_dtype`).
+"""
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def doc_id_dtype(lowest: float, highest: float) -> type[np.signedinteger]:
+    """The doc-id dtype of an arena whose ids lie in ``[lowest, highest]``.
+
+    ``int32`` when ``0 <= lowest`` and ``highest <= 2**31 - 1``, else
+    ``int64`` — one dtype for the whole arena, never per term, so the runs
+    of a query always share it and no ``searchsorted`` mixes widths.  The
+    one width rule of both arena kinds: the raw arena passes its ids'
+    min/max (a builder, the largest id it will write), the compressed
+    arena the bound its metadata proves; an empty arena passes ``(0, 0)``.
+    """
+    return np.int32 if lowest >= 0 and highest <= _INT32_MAX else np.int64
 
 
 class CodedScores:
@@ -82,13 +104,13 @@ class TermRun:
     """One query term's live traversal state over the arena columns.
 
     ``doc_ids``/``scores`` are the two posting columns and ``pos`` is the
-    cursor position within them (the kernels mutate it in place).  Over
-    a raw arena they are zero-copy ``int64``/``float64`` views; over a
-    compressed arena they come as its LRU keeps them — ``doc_ids`` in the
-    arena-wide dtype (the runs of one arena never mix), ``scores`` as a
-    :class:`CodedScores` gather-on-read column — and :meth:`widen` turns
-    them into the raw arena's arrays for readers that go posting by
-    posting.
+    cursor position within them (the kernels mutate it in place).
+    ``doc_ids`` is in its arena's one dtype (:func:`doc_id_dtype`; the
+    runs of one arena never mix).  Over a raw arena both are zero-copy
+    views, scores ``float64``; over a compressed arena they come as its
+    LRU keeps them, ``scores`` as a :class:`CodedScores` gather-on-read
+    column.  :meth:`widen` turns either into ``int64``/``float64`` arrays
+    for readers that go posting by posting.
     """
 
     term: str
@@ -109,7 +131,8 @@ class TermRun:
 
         For the per-document sequential readers: one pass over the run
         costs less than boxing every element out of a narrow or coded
-        column.  A no-op (the same views) on a raw arena's run.
+        column.  A no-op (the same views) only on a run whose ids are
+        already ``int64``: a raw arena's ``int32`` ids are copied wide.
         """
         self.doc_ids = self.doc_ids.astype(np.int64, copy=False)
         self.scores = np.asarray(self.scores)
@@ -135,8 +158,10 @@ class PostingsArena:
         columns.
     doc_ids, scores:
         All posting lists concatenated in ``terms`` order: per term,
-        strictly increasing non-negative ``int64`` doc ids and ``float64``
-        scores.
+        strictly increasing non-negative doc ids and ``float64`` scores.
+        The ids are ``int32`` when every one fits, else ``int64``
+        (:func:`doc_id_dtype`): ``int32`` input is adopted as given,
+        anything else is read as ``int64`` and narrowed once.
     upper_bounds:
         Per-term global score upper bounds, aligned with ``terms``.
     """
@@ -155,7 +180,11 @@ class PostingsArena:
     ) -> None:
         self.terms = list(terms)
         self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.doc_ids = np.asarray(doc_ids, dtype=np.int64)
+        ids = np.asarray(doc_ids)
+        if ids.dtype != np.int32:
+            ids = ids.astype(np.int64, copy=False)
+        bounds = (ids.min(), ids.max()) if ids.size else (0, 0)
+        self.doc_ids = ids.astype(doc_id_dtype(*bounds), copy=False)
         self.scores = np.asarray(scores, dtype=np.float64)
         self.upper_bounds = np.asarray(upper_bounds, dtype=np.float64)
         self._check()
@@ -363,7 +392,7 @@ def _checked_budget(cache_bytes: int) -> int:
 def _doc_dtype(
     offsets: np.ndarray, first_docs: np.ndarray, doc_widths: np.ndarray
 ) -> type[np.signedinteger]:
-    """``int32`` when the metadata proves every doc id fits, else ``int64``.
+    """:func:`doc_id_dtype` of the id bound the metadata proves.
 
     O(terms), nothing decoded: each of a term's ``count - 1`` stored gaps
     is below ``2**width``, so its ids end at or below ``first + (count -
@@ -371,11 +400,10 @@ def _doc_dtype(
     bound is compared against and cannot overflow at any legal width.
     """
     if len(first_docs) == 0:
-        return np.int32
+        return doc_id_dtype(0, 0)
     gaps = np.maximum(np.diff(offsets) - 1, 0).astype(np.float64)
     last = first_docs + np.ldexp(gaps, doc_widths.astype(np.int64))
-    fits = first_docs.min() >= 0 and last.max() <= np.iinfo(np.int32).max
-    return np.int32 if fits else np.int64
+    return doc_id_dtype(first_docs.min(), last.max())
 
 
 class CompressedPostingsArena:
@@ -392,11 +420,11 @@ class CompressedPostingsArena:
     ``doc_dtype`` is one dtype for the whole arena, decided at
     construction from the per-term metadata without decoding anything:
     a term's last doc id is at most ``first_docs[t] + (count - 1) *
-    2**doc_widths[t]`` (every stored gap is below ``2**width``), and when
-    that bound fits ``int32`` for every term the ids are kept as
-    ``int32``, else as ``int64``.  Never per term: the runs of one query
-    always share a dtype, so no kernel comparison or ``searchsorted``
-    ever mixes widths.
+    2**doc_widths[t]`` (every stored gap is below ``2**width``), and
+    :func:`doc_id_dtype` — the raw arena's rule — turns the bound over
+    every term into ``int32`` or ``int64``.  Never per term: the runs of
+    one query always share a dtype, so no kernel comparison or
+    ``searchsorted`` ever mixes widths.
 
     Encoding, per term with ``n`` postings:
 
@@ -698,7 +726,8 @@ class CompressedPostingsArena:
 
     @property
     def raw_nbytes(self) -> int:
-        """What the same postings cost as raw arena columns."""
+        """The same postings at :data:`RAW_POSTING_BYTES` (``int64`` +
+        ``float64``) each: the reference, not what a raw arena holds."""
         return self.n_postings * RAW_POSTING_BYTES
 
     @property

@@ -9,7 +9,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.index.arena import PostingsArena
+from repro.index.arena import PostingsArena, doc_id_dtype
 from repro.index.documents import Document
 from repro.index.shard import IndexShard
 from repro.scoring.similarity import BM25Similarity, Similarity
@@ -127,10 +127,14 @@ class IndexBuilder:
         order = np.argsort(term_col, kind="stable")
         offsets = np.zeros(len(terms) + 1, dtype=np.int64)
         np.cumsum(np.bincount(term_col, minlength=len(terms)), out=offsets[1:])
-        post_doc_ids = np.asarray(post_docs, dtype=np.int64)[order]
+        # The ids are sorted: the arena's doc-id dtype is known before the
+        # column is written, so no wider copy of it ever exists.
+        lowest, highest = (doc_ids[0], doc_ids[-1]) if doc_ids else (0, 0)
+        id_dtype = doc_id_dtype(lowest, highest)
+        post_doc_ids = np.asarray(post_docs, dtype=id_dtype)[order]
         tfs = np.asarray(post_tfs, dtype=np.int32)[order]
         lengths = doc_lengths.take(
-            np.searchsorted(np.asarray(doc_ids, dtype=np.int64), post_doc_ids)
+            np.searchsorted(np.asarray(doc_ids, dtype=id_dtype), post_doc_ids)
         ).astype(np.float64)
 
         scores = np.empty(post_doc_ids.size, dtype=np.float64)

@@ -514,7 +514,13 @@ def open_store_buffer(
 
 
 def store_info(path: str | Path) -> dict:
-    """Header metadata plus file/compression accounting for one store."""
+    """Header metadata plus file/compression accounting for one store.
+
+    ``raw_column_bytes`` is the postings at :data:`RAW_POSTING_BYTES`
+    (an ``int64`` id + a ``float64`` score) each — the fixed reference
+    ``compression_ratio`` divides, not the resident size of a raw arena,
+    whose ids are ``int32`` when they fit.
+    """
     path = Path(path)
     meta, toc, _ = _open_file(path)
     file_bytes = path.stat().st_size

@@ -91,8 +91,10 @@ class TestStorageRoundTrip:
         for col in ("offsets", "upper_bounds"):
             np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
         np.testing.assert_array_equal(shard.global_dfs, loaded.global_dfs)
+        assert a.doc_ids.dtype == np.int32  # 60 documents: every id fits
         for term in a.terms:
-            want, got = a.run(term), b.run(term).widen()
+            want, got = a.run(term).widen(), b.run(term).widen()
+            assert got.doc_ids.dtype == want.doc_ids.dtype == np.int64
             assert got.doc_ids.tobytes() == want.doc_ids.tobytes()
             assert got.scores.tobytes() == want.scores.tobytes()
 
@@ -145,9 +147,11 @@ class TestConstructorRejects:
 
     def test_well_formed_columns_pass_and_keep_their_dtypes(self):
         arena = PostingsArena(*GOOD)
-        assert arena.doc_ids.dtype == np.int64
+        assert arena.doc_ids.dtype == np.int32  # every id fits: narrowed once
         assert arena.scores.dtype == np.float64
         assert arena.run("b").doc_ids.tolist() == [0, 4]
+        wide = arena.run("b").widen()
+        assert wide.doc_ids.dtype == np.int64 and wide.doc_ids.tolist() == [0, 4]
         assert PostingsArena([], [0], [], [], []).n_postings == 0
 
     def test_hand_built_term_with_fewer_scores_is_refused(self):

@@ -150,6 +150,43 @@ class TestCommands:
         assert " B retained" in report and "; 2 entries, 0 B" not in report
 
 
+class TestHostileQueries:
+    """``repro search`` over a ``repro index build --scale unit`` store:
+    queries that analyze to nothing, repeat one term thousands of times or
+    name only unknown tokens each end in one defined outcome."""
+
+    @pytest.fixture(scope="class")
+    def index(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("unit") / "index"
+        assert main(["index", "build", "--scale", "unit", "--out", str(out)]) == 0
+        return str(out)
+
+    @pytest.mark.parametrize("query", ["", "   \t  "])
+    def test_empty_query_exits_one(self, index, query, capsys):
+        capsys.readouterr()
+        assert main(["search", index, query]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "query analyzed to no terms\n"
+        assert captured.out == ""
+
+    def test_repeated_term_searches_one_term(self, index, capsys):
+        capsys.readouterr()
+        assert main(["search", index, "t5", "--raw-terms"]) == 0
+        single = capsys.readouterr().out
+        assert main(["search", index, *["t5"] * 3000, "--raw-terms"]) == 0
+        repeated = capsys.readouterr().out
+        assert repeated == single
+        assert single.startswith("terms: ['t5']  (") and "1. doc" in single
+
+    @pytest.mark.parametrize("raw", [[], ["--raw-terms"]])
+    def test_unknown_tokens_find_nothing(self, index, raw, capsys):
+        capsys.readouterr()
+        assert main(["search", index, "nan", "inf", *raw]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "terms: ['nan', 'inf']  (0 docs evaluated)\n"
+        assert captured.err == ""
+
+
 class TestFaultsCommand:
     def test_faults_args(self):
         args = build_parser().parse_args(

@@ -81,8 +81,9 @@ class TestNarrowRunValues:
 
     def test_lazy_term_is_the_in_memory_term(self, shard, blob):
         lazy = open_store_buffer(blob)
+        assert shard.arena.doc_ids.dtype == np.int32
         for term in shard.terms():
-            want, got = shard.arena.run(term), lazy.arena.run(term).widen()
+            want, got = shard.arena.run(term).widen(), lazy.arena.run(term).widen()
             for have, expect, dtype in (
                 (got.doc_ids, want.doc_ids, np.int64),
                 (got.scores, want.scores, np.float64),
@@ -91,10 +92,16 @@ class TestNarrowRunValues:
                 assert have.tobytes() == expect.tobytes()
 
     def test_widen_is_a_no_op_on_a_raw_run(self, shard):
-        run = shard.arena.run("t000")
+        """On a raw run whose ids exceed ``int32`` (an ``int64`` arena);
+        a raw ``int32`` run is copied wide instead."""
+        run = with_far_document(shard, 2**31).arena.run("t000")
         doc_ids, scores = run.doc_ids, run.scores
+        assert doc_ids.dtype == np.int64
         assert run.widen() is run
         assert run.doc_ids is doc_ids and run.scores is scores
+        narrow = shard.arena.run("t000")
+        assert narrow.doc_ids.dtype == np.int32
+        assert narrow.widen().doc_ids.dtype == np.int64
 
 
 # ---------------------------------------------------------------- fallback

@@ -150,11 +150,12 @@ class TestCompressedArena:
                 assert got.dtype == np.float64
                 assert got.tobytes() == raw.scores[key].tobytes()
             assert run.upper_bound == raw.upper_bound
-            # widen() is the raw arena's columns, dtypes included.
-            wide = packed.run(term).widen()
-            assert wide.doc_ids.dtype == np.int64
-            assert wide.doc_ids.tobytes() == raw.doc_ids.tobytes()
-            assert wide.scores.tobytes() == raw.scores.tobytes()
+            # widen() is the raw arena's columns widened, dtypes included.
+            assert raw.doc_ids.dtype == np.int32  # the raw arena narrows too
+            wide, raw_wide = packed.run(term).widen(), arena.run(term).widen()
+            assert wide.doc_ids.dtype == raw_wide.doc_ids.dtype == np.int64
+            assert wide.doc_ids.tobytes() == raw_wide.doc_ids.tobytes()
+            assert wide.scores.tobytes() == raw_wide.scores.tobytes()
 
     def test_empty_and_single_posting_terms(self):
         shard = make_shard(

@@ -122,8 +122,9 @@ class TestTermKeepsNoMemo:
         shard = shards[0]
         lazy = open_store_buffer(serialize_shard(shard), cache_bytes=1)
         decoded, handed_out = [], []
+        assert shard.arena.doc_ids.dtype == np.int32
         for term in sorted(shard.terms()):
-            want, got = shard.arena.run(term), lazy.arena.run(term).widen()
+            want, got = shard.arena.run(term).widen(), lazy.arena.run(term).widen()
             assert got.doc_ids.dtype == np.int64
             assert got.doc_ids.tobytes() == want.doc_ids.tobytes()
             assert got.scores.dtype == np.float64
