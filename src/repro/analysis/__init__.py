@@ -1,13 +1,15 @@
-"""simlint — static analysis for the repo's determinism invariants.
+"""simlint — static analysis for what the test suite cannot see.
 
 The evaluation only means something because every run is a pure function
-of (seed, configuration): kernel variants are bit-identical to their
-references, the sim-clock never sees wall time, and tie-order is total.
-``repro.analysis`` turns those conventions into machine-checked rules —
-one ``ast`` pass per file (:mod:`repro.analysis.rules` plus the layer
-contract in :mod:`repro.analysis.layers`), a rule registry, and
-statement-scoped pragma suppression.  A finding is fixed or pragma'd in
-place; nothing is cached or grandfathered.
+of (seed, configuration).  A slip that breaks that on this interpreter
+fails the run-twice tests and the pinned digests; ``repro.analysis``
+checks the rest as machine-checked rules — float accumulation order in
+the bit-identity kernels (``FLOAT-ORDER``), telemetry binds restored on
+every exit path (``TEL-BIND``) and the layer contract (``ARCH-LAYER``).
+One ``ast`` pass per file (:mod:`repro.analysis.rules` plus
+:mod:`repro.analysis.layers`), a rule registry, and statement-scoped
+pragma suppression.  A finding is fixed or pragma'd in place; nothing is
+cached or grandfathered.
 
 Run it as ``repro lint src/repro`` (exit 0 clean / 1 findings /
 2 internal error), or call :func:`run_lint` directly.

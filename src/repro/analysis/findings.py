@@ -16,7 +16,7 @@ class Finding:
     path: str  # repo-relative POSIX path
     line: int  # 1-based, as ``ast`` reports it
     col: int  # 0-based, as ``ast`` reports it
-    rule: str  # rule identifier, e.g. ``DET-RNG``
+    rule: str  # rule identifier, e.g. ``ARCH-LAYER``
     message: str  # human-readable explanation with the offending construct
 
     def render(self) -> str:

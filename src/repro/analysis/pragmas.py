@@ -2,9 +2,9 @@
 
 Suppression is part of the file content::
 
-    expr_using_wall_clock()  # simlint: disable=DET-CLOCK -- why it is ok
-    another()                # simlint: disable=DET-RNG,MUT-DEFAULT
-    anything()               # simlint: disable=all -- escape hatch
+    n = sum(counts)  # simlint: disable=FLOAT-ORDER -- integer counts
+    another()        # simlint: disable=TEL-BIND,ARCH-LAYER
+    anything()       # simlint: disable=all -- escape hatch
 
 A pragma suppresses findings anchored anywhere on the *statement* it
 sits on, not just its own physical line.  That matters for multi-line

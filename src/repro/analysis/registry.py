@@ -51,15 +51,9 @@ class Rule:
     #: module-path prefixes (``"retrieval/"``) or exact files this rule
     #: runs on.
     scope: tuple[str, ...] = ()
-    #: module paths (or prefixes) exempt even when inside ``scope``.
-    exempt: tuple[str, ...] = ()
 
     def applies_to(self, module_path: str) -> bool:
-        if _matches_any(module_path, self.exempt):
-            return False
-        if not self.scope:
-            return True
-        return _matches_any(module_path, self.scope)
+        return not self.scope or _matches_any(module_path, self.scope)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Iterable
@@ -391,13 +392,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             admission=admission,
             cache_capacity=args.cache_capacity,
         )
+        tolerance = args.fail_knee_tolerance
+        if tolerance is not None and not 0.0 <= tolerance < math.inf:
+            raise ValueError(
+                f"--fail-knee-tolerance must be non-negative and finite, got {tolerance}"
+            )
     except ValueError as exc:
         print(f"invalid campaign: {exc}", file=sys.stderr)
         return 1
     testbed = Testbed.build(_scale(args.scale))
-    pool = pool_from_corpus(
-        testbed.corpus, n_distinct=args.distinct, flavour=args.trace_flavour
-    )
+    try:
+        pool = pool_from_corpus(
+            testbed.corpus, n_distinct=args.distinct, flavour=args.trace_flavour
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     header = (
         f"{'offered':>9} {'realized':>9} {'goodput':>9} {'ratio':>6} "
         f"{'shed':>6} {'p50_ms':>8} {'p99_ms':>8} {'pred_ms':>8} "

@@ -18,7 +18,7 @@ them for the simulated cluster:
 
 Determinism: selectors draw only from an explicitly seeded
 ``random.Random`` built from :attr:`ReplicationConfig.seed` (the repo's
-DET-RNG discipline), and a fresh selector is constructed per run by
+seeded-RNG discipline), and a fresh selector is constructed per run by
 :meth:`SearchCluster.run_trace`, so identical (seed, config) pairs replay
 identical replica choices.
 

@@ -9,8 +9,8 @@ converts a straggler into a small latency bump, a correlated outage
 defeats replication and falls back to the timeout safety net.
 
 This module makes those cells first-class: :data:`SCENARIOS` names a
-handful of canonical fault timelines (pure functions of a seed, per the
-DET-RNG discipline), :class:`MatrixCase` names one cell, and
+handful of canonical fault timelines (pure functions of a seed, drawn
+from explicitly seeded streams), :class:`MatrixCase` names one cell, and
 :func:`run_matrix` replays a trace through every cell and reduces each
 run to a :class:`CellResult` — tail latency, wasted work and quality
 loss against the same policy's fault-free reference run.
@@ -45,7 +45,7 @@ class ScenarioContext:
     seed: int
 
     def rng(self, salt: int) -> random.Random:
-        """A fresh seeded stream per (seed, scenario): DET-RNG compliant,
+        """A fresh seeded stream per (seed, scenario), never the global RNG,
         and decoupled so adding a scenario never shifts another's draws."""
         return random.Random((self.seed * 1_000_003 + salt) & 0x7FFFFFFF)
 

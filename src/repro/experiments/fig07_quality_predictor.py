@@ -1,7 +1,7 @@
-"""Fig. 7 — quality predictor accuracy, loss curve and inference time.
+"""Fig. 7 — quality predictor accuracy and loss curve.
 
 (a) accuracy/loss vs training iterations on one ISN.
-(b) per-ISN held-out accuracy and single-query inference microseconds.
+(b) per-ISN held-out accuracy.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class QualityPredictorResult:
     curve_accuracy: list[float]
     curve_loss: list[float]
     per_isn_accuracy: list[float]
-    per_isn_inference_us: list[float]
 
 
 def run(
@@ -62,7 +61,6 @@ def run(
         curve_accuracy=history.eval_accuracy,
         curve_loss=losses,
         per_isn_accuracy=list(report.quality_accuracy),
-        per_isn_inference_us=list(report.quality_inference_us),
     )
 
 
@@ -72,9 +70,7 @@ def format_report(result: QualityPredictorResult) -> str:
         result.curve_iterations, result.curve_accuracy, result.curve_loss
     ):
         lines.append(f"  iter {it:4d}: accuracy={acc:.3f}  loss={loss:.3f}")
-    lines.append("(b) per-ISN held-out accuracy / inference time:")
-    for sid, (acc, us) in enumerate(
-        zip(result.per_isn_accuracy, result.per_isn_inference_us)
-    ):
-        lines.append(f"  ISN-{sid:<2d} accuracy={acc:.3f}  inference={us:6.1f} us")
+    lines.append("(b) per-ISN held-out accuracy:")
+    for sid, acc in enumerate(result.per_isn_accuracy):
+        lines.append(f"  ISN-{sid:<2d} accuracy={acc:.3f}")
     return "\n".join(lines + scoreboard.lines("fig07", result))

@@ -1,7 +1,7 @@
-"""Fig. 8 — latency predictor accuracy, loss curve and inference time.
+"""Fig. 8 — latency predictor accuracy curve.
 
 Mirror of Fig. 7 for the service-time model: accuracy-vs-iterations on one
-ISN, then per-ISN accuracy (within one latency bin) and inference time.
+ISN, then per-ISN accuracy (within one latency bin).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class LatencyPredictorResult:
     curve_iterations: list[int]
     curve_accuracy: list[float]
     per_isn_accuracy: list[float]
-    per_isn_inference_us: list[float]
 
 
 def run(
@@ -56,7 +55,6 @@ def run(
         curve_iterations=history.eval_iterations,
         curve_accuracy=history.eval_accuracy,
         per_isn_accuracy=list(report.latency_accuracy),
-        per_isn_inference_us=list(report.latency_inference_us),
     )
 
 
@@ -64,9 +62,7 @@ def format_report(result: LatencyPredictorResult) -> str:
     lines = ["Fig. 8 — latency predictor", "(a) exact-bin accuracy vs iterations (ISN-0):"]
     for it, acc in zip(result.curve_iterations, result.curve_accuracy):
         lines.append(f"  iter {it:4d}: accuracy={acc:.3f}")
-    lines.append("(b) per-ISN held-out accuracy (±1 bin) / inference time:")
-    for sid, (acc, us) in enumerate(
-        zip(result.per_isn_accuracy, result.per_isn_inference_us)
-    ):
-        lines.append(f"  ISN-{sid:<2d} accuracy={acc:.3f}  inference={us:6.1f} us")
+    lines.append("(b) per-ISN held-out accuracy (±1 bin):")
+    for sid, acc in enumerate(result.per_isn_accuracy):
+        lines.append(f"  ISN-{sid:<2d} accuracy={acc:.3f}")
     return "\n".join(lines + scoreboard.lines("fig08", result))

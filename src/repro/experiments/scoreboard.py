@@ -41,7 +41,6 @@ class Claim:
     paper: float | None  # None: an ordering the paper shows; measured is a bool
     measure: Callable[[Any], float]  # over the figure's ``run(testbed)`` result
     block: str | None = ""  # which part of the figure's report prints it; None: none
-    clock: str = "sim"  # or "wall": this host's microseconds — never mixed
     of_16_isns: bool = False
     unit: str = ""
     #: The EXPERIMENTS.md deviation that explains a non-✔ at ``Scale.small``.
@@ -116,15 +115,11 @@ CLAIMS: tuple[Claim, ...] = (
           lambda r: _outcome(r, "cottage").precision >= _outcome(r, "aggregation").precision),
     # Fig. 4 — frequency scaling of one hot query.
     Claim("fig04.speedup", "speedup 1.2 -> 2.7 GHz", 2.43, lambda r: r.speedup),
-    # Fig. 7 / 8 — predictors: per-ISN held-out accuracy; inference time is wall.
+    # Fig. 7 / 8 — predictors: per-ISN held-out accuracy.
     Claim("fig07.accuracy", "mean quality accuracy", 0.9471,
           lambda r: np.mean(r.per_isn_accuracy)),
-    Claim("fig07.inference_us", "max inference time (us)", 41.0,
-          lambda r: np.max(r.per_isn_inference_us), clock="wall", deviation=5),
     Claim("fig08.accuracy", "mean latency accuracy", 0.8723,
           lambda r: np.mean(r.per_isn_accuracy)),
-    Claim("fig08.inference_us", "mean inference time (us)", 70.25,
-          lambda r: np.mean(r.per_isn_inference_us), clock="wall", deviation=5),
     # Fig. 10 — latency.
     Claim("fig10.cottage_cut", "cottage avg reduction", _CUT,
           lambda r: _cut(r["wikipedia"].avg_ms, "cottage"), "wikipedia"),
@@ -247,7 +242,6 @@ def judge(claim: Claim, result: Any) -> dict[str, Any]:
     return {
         "id": claim.id,
         "label": claim.label,
-        "clock": claim.clock,
         "paper": claim.paper,
         "measured": measured,
         "ratio": measured / claim.paper if judged and claim.paper else None,
@@ -300,14 +294,12 @@ def _cell(value: Any) -> str:
 
 def render(rec: Mapping[str, Any]) -> str:
     """EXPERIMENTS.md's scoreboard table, from a record."""
-    config, host = rec["config"], rec["host"]
+    config = rec["config"]
     out = [
         f"From `EXPERIMENTS.{rec['scale']}.json`: {config['n_shards']} ISNs, "
         f"{config['corpus']['n_docs']} documents, {config['trace_rate_qps']:g} qps for "
         f"{config['trace_duration_s']:g} s, seed {rec['seed']}; ✔ is within "
-        f"{rec['tolerance']:.0%} of the paper.  `wall` rows are microseconds on the "
-        f"recording host ({host['machine']}, {host['cpus']} CPUs, Python "
-        f"{host['python']}, numpy {host['numpy']}); all others are simulated.",
+        f"{rec['tolerance']:.0%} of the paper.  Every value is simulated.",
         "",
         "| Claim | Id | Paper | Measured | Ratio | Verdict |",
         "|---|---|---|---|---|---|",
@@ -316,9 +308,8 @@ def render(rec: Mapping[str, Any]) -> str:
         mark = c["verdict"]
         if mark in ("◐", "✘") and c["deviation"] is not None:
             mark += f" dev. {c['deviation']}"
-        measured = _cell(c["measured"]) + (" (wall)" if c["clock"] == "wall" else "")
-        out.append(f"| {c['label']} | `{c['id']}` | {_cell(c['paper'])} | {measured} "
-                   f"| {_cell(c['ratio'])} | {mark} |")
+        out.append(f"| {c['label']} | `{c['id']}` | {_cell(c['paper'])} "
+                   f"| {_cell(c['measured'])} | {_cell(c['ratio'])} | {mark} |")
     return "\n".join(out) + "\n"
 
 

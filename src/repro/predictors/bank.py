@@ -58,13 +58,11 @@ class ISNPrediction:
 
 @dataclass
 class TrainingReport:
-    """Per-shard held-out accuracy and inference cost after training."""
+    """Per-shard held-out accuracy after training."""
 
     quality_accuracy: list[float] = field(default_factory=list)
     quality_half_accuracy: list[float] = field(default_factory=list)
     latency_accuracy: list[float] = field(default_factory=list)
-    quality_inference_us: list[float] = field(default_factory=list)
-    latency_inference_us: list[float] = field(default_factory=list)
 
     @property
     def mean_quality_accuracy(self) -> float:
@@ -246,12 +244,6 @@ class PredictorBank:
             )
             report.latency_accuracy.append(
                 self.latency_models[sid].accuracy(l_test.features, l_test.service_ms)
-            )
-            report.quality_inference_us.append(
-                self.quality_k_models[sid].inference_time_us(q_test.features[0])
-            )
-            report.latency_inference_us.append(
-                self.latency_models[sid].inference_time_us(l_test.features[0])
             )
         self.trained = True
         return report
@@ -438,7 +430,8 @@ class PredictorBank:
 
         ISNs predict in parallel, so the round costs the slowest ISN's
         quality+latency inference.  The paper measures ~41 us + ~70 us;
-        a conservative fixed 0.15 ms stands in (the numpy inference times
-        measured by the training report are of the same order).
+        a conservative fixed 0.15 ms stands in.  This host's inference
+        cost is a wall-clock figure, timed by ``bench/``
+        (``predictors.us_per_query_shard``), never by the simulator.
         """
         return 0.15

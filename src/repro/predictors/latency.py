@@ -10,7 +10,6 @@ default-frequency service time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,18 +141,6 @@ class LatencyPredictor:
         true_bins = np.array([self.binning.bin_of(float(s)) for s in service_ms])
         predicted = self.predict_bins(features)
         return float(np.mean(np.abs(predicted - true_bins) <= tolerance_bins))
-
-    def inference_time_us(self, features: FloatArray, repeats: int = 50) -> float:
-        """Median single-query inference latency in microseconds."""
-        self._require_trained()
-        row = np.atleast_2d(features)[:1]
-        timings = []
-        for _ in range(repeats):
-            # Real host latency *is* the quantity reported (paper's us/query).
-            start = time.perf_counter()  # simlint: disable=DET-CLOCK -- wall-clock microbenchmark, never feeds the sim
-            self.predict_bins(row)
-            timings.append((time.perf_counter() - start) * 1e6)  # simlint: disable=DET-CLOCK -- wall-clock microbenchmark, never feeds the sim
-        return float(np.median(timings))
 
     def state(self) -> dict[str, FloatArray]:
         """Serializable weights + scaler + binning edges."""

@@ -9,8 +9,6 @@ corresponding top-K results").
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.nn.model import Sequential, TrainingHistory, mlp_classifier
@@ -106,22 +104,6 @@ class QualityPredictor:
         self._require_trained()
         labels = np.clip(np.asarray(labels, dtype=np.int64), 0, self.k)
         return float(np.mean(self.predict_counts(features) == labels))
-
-    def inference_time_us(self, features: FloatArray, repeats: int = 50) -> float:
-        """Median single-query inference latency in microseconds.
-
-        The paper reports <=41 us per query for quality inference; this
-        measures the same quantity on the numpy implementation.
-        """
-        self._require_trained()
-        row = np.atleast_2d(features)[:1]
-        timings = []
-        for _ in range(repeats):
-            # Real host latency *is* the quantity reported (paper's <=41 us).
-            start = time.perf_counter()  # simlint: disable=DET-CLOCK -- wall-clock microbenchmark, never feeds the sim
-            self.predict_counts(row)
-            timings.append((time.perf_counter() - start) * 1e6)  # simlint: disable=DET-CLOCK -- wall-clock microbenchmark, never feeds the sim
-        return float(np.median(timings))
 
     def state(self) -> dict[str, FloatArray]:
         """Serializable weights + scaler (see :meth:`load_state`)."""

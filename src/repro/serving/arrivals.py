@@ -3,7 +3,7 @@
 Each process is a pure function of its seed: ``times()`` returns a fresh
 infinite iterator of absolute arrival instants (seconds) and always
 replays the identical sequence — the determinism contract every other
-layer of the repo holds (DET-RNG).  Iterators are lazy so a million-query
+layer of the repo holds.  Iterators are lazy so a million-query
 campaign never materializes its arrival vector.
 
 Truncation (query count / duration) is the consumer's job — see

@@ -50,6 +50,14 @@ def _query_length(flavour: str, rng: np.random.Generator) -> int:
     return int(rng.choice([1, 2, 3, 4], p=[0.30, 0.35, 0.25, 0.10]))
 
 
+#: Draws that repeat an earlier query a pool may spend before its size is
+#: judged out of the query model's reach.  The repo's largest pools (11 520
+#: training queries at ``Scale.small``) repeat about 3 100 times; 50 000
+#: repeats take seconds, while an unreachable size would draw for many
+#: minutes.
+MAX_REPEATED_DRAWS = 50_000
+
+
 def build_query_pool(
     corpus: SyntheticCorpus, config: TraceConfig
 ) -> list[tuple[str, ...]]:
@@ -58,7 +66,8 @@ def build_query_pool(
     Most queries are topical (terms from one topic core — these are the
     queries where few shards matter); a minority mix in background terms or
     a second topic, which spreads contributions and stresses the budget
-    algorithm's slow-but-valuable case.
+    algorithm's slow-but-valuable case.  Raises ``ValueError`` once more
+    than ``MAX_REPEATED_DRAWS`` draws have repeated an earlier query.
     """
     rng = np.random.default_rng(config.seed)
     if config.flavour == "wikipedia":
@@ -68,6 +77,7 @@ def build_query_pool(
     pool: list[tuple[str, ...]] = []
     seen: set[tuple[str, ...]] = set()
     n_topics = corpus.config.n_topics
+    repeats = 0
     while len(pool) < config.n_distinct_queries:
         length = _query_length(config.flavour, rng)
         topic = int(rng.integers(0, n_topics))
@@ -91,6 +101,14 @@ def build_query_pool(
         if terms and terms not in seen:
             seen.add(terms)
             pool.append(terms)
+        else:
+            repeats += 1
+            if repeats > MAX_REPEATED_DRAWS:
+                raise ValueError(
+                    f"n_distinct_queries={config.n_distinct_queries} is more than "
+                    f"this corpus's query model yields: {len(pool)} distinct "
+                    f"queries found in {len(pool) + repeats} draws"
+                )
     return pool
 
 

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import re
+import signal
+import sys
+
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
@@ -289,6 +293,100 @@ class TestServeCommand:
         assert "FAIL" in capsys.readouterr().err
 
 
+#: ``repro serve`` options and the one line each is rejected with.
+HOSTILE_SERVE_KNOBS = [
+    (["--queries", "0"], "invalid campaign: queries_per_point must be positive"),
+    (["--queries", "-3"], "invalid campaign: queries_per_point must be positive"),
+    *(
+        (["--qps", qps],
+         "invalid campaign: grid rates/fractions must be positive and finite")
+        for qps in ("-5", "0", "nan", "inf")
+    ),
+    (["--max-in-flight", "0"], "invalid campaign: max_in_flight must be positive"),
+    (["--max-in-flight", "-2"], "invalid campaign: max_in_flight must be positive"),
+    *(
+        (["--deadline-slo-ms", slo],
+         "invalid campaign: deadline_slo_ms must be positive and finite")
+        for slo in ("-1", "nan")
+    ),
+    (["--cache-capacity", "-1"],
+     "invalid campaign: cache capacity must be non-negative"),
+    (["--distinct", "0"], "--distinct must be positive, got 0"),
+    (["--policy", "bogus"],
+     "unknown policy 'bogus'; options: exhaustive, aggregation, taily, "
+     "rank_s, cottage_without_ml, cottage_isn, cottage"),
+    (["--scale", "bogus"], "unknown scale 'bogus'; use unit, small or full"),
+    *(
+        (["--fail-knee-tolerance", tolerance],
+         "invalid campaign: --fail-knee-tolerance must be non-negative "
+         f"and finite, got {float(tolerance)}")
+        for tolerance in ("-1", "nan", "inf")
+    ),
+]
+
+
+class TestHostileServeKnobs:
+    """Each hostile ``repro serve`` knob is one line on stderr and exit 1."""
+
+    @staticmethod
+    def status(argv, capsys):
+        """Exit status and stderr as the interpreter reports them."""
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # a str code is printed, the status is 1
+            assert isinstance(stop.code, str)
+            print(stop.code, file=sys.stderr)
+            code = 1
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message", HOSTILE_SERVE_KNOBS,
+        ids=[" ".join(argv) for argv, _ in HOSTILE_SERVE_KNOBS],
+    )
+    def test_rejected_before_any_testbed(self, argv, message, capsys, monkeypatch):
+        def no_build(scale):
+            raise AssertionError("testbed built before the options were checked")
+
+        monkeypatch.setattr("repro.cli.Testbed.build", no_build)
+        assert self.status(["serve", *argv], capsys) == (1, message + "\n")
+
+    def test_unreachable_pool_size_fails_fast(self, unit_testbed, capsys, monkeypatch):
+        """More distinct queries than the unit corpus yields: one line, exit 1.
+
+        An unbounded draw loop spins for many minutes here, so a timer
+        turns a hang into a failure instead of stalling the suite.
+        """
+
+        def hang(signum, frame):
+            raise TimeoutError("repro serve --distinct 1000000 still drawing after 60 s")
+
+        monkeypatch.setattr("repro.cli.Testbed.build", lambda scale: unit_testbed)
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 60.0)
+        try:
+            code, err = self.status(
+                ["serve", "--scale", "unit", "--queries", "200",
+                 "--distinct", "1000000"], capsys,
+            )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(
+            "n_distinct_queries=1000000 is more than this corpus's query model "
+            "yields: "
+        )
+        # Imported here, so that without the bound the test fails by its
+        # timer rather than at import.
+        from repro.workloads.traces import MAX_REPEATED_DRAWS
+
+        found, draws = (int(n) for n in re.findall(r"\d+", err.partition("yields:")[2]))
+        assert draws - found == MAX_REPEATED_DRAWS + 1
+
+#: A telemetry bind with no ``finally`` restore: one TEL-BIND finding, line 2.
+UNRESTORED_BIND = "def run(cluster, telemetry):\n    cluster.bind_telemetry(telemetry)\n"
+
+
 class TestLintCommand:
     """The `repro lint` exit-code contract: 0 clean, 1 findings, 2 error."""
 
@@ -309,10 +407,10 @@ class TestLintCommand:
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
-        self.write(tmp_path, "dirty.py", "import random\nx = random.random()\n")
+        self.write(tmp_path, "dirty.py", UNRESTORED_BIND)
         assert self.lint(tmp_path) == 1
         out = capsys.readouterr().out
-        assert "DET-RNG" in out and "dirty.py:2" in out
+        assert "TEL-BIND" in out and "dirty.py:2" in out
 
     def test_exit_two_on_syntax_error(self, tmp_path, capsys):
         self.write(tmp_path, "broken.py", "def broken(:\n")
@@ -330,15 +428,12 @@ class TestLintCommand:
         assert "unknown rule" in capsys.readouterr().err
 
     def test_github_format_emits_annotations(self, tmp_path, capsys):
-        self.write(tmp_path, "dirty.py", "import random\nx = random.random()\n")
+        self.write(tmp_path, "dirty.py", UNRESTORED_BIND)
         assert self.lint(tmp_path, "--format", "github") == 1
         out = capsys.readouterr().out
-        assert "::error file=" in out and "title=simlint DET-RNG" in out
+        assert "::error file=" in out and "title=simlint TEL-BIND" in out
 
     def test_rule_subset_filter(self, tmp_path):
-        self.write(
-            tmp_path, "dirty.py",
-            "import random\nx = random.random()\ndef f(a=[]):\n    return a\n",
-        )
-        assert self.lint(tmp_path, "--rules", "MUT-DEFAULT") == 1
-        assert self.lint(tmp_path, "--rules", "DET-CLOCK") == 0
+        self.write(tmp_path, "dirty.py", UNRESTORED_BIND)
+        assert self.lint(tmp_path, "--rules", "TEL-BIND") == 1
+        assert self.lint(tmp_path, "--rules", "ARCH-LAYER") == 0

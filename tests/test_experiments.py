@@ -107,7 +107,7 @@ class TestHarnesses:
             unit_testbed, iterations=40, eval_every=20
         )
         assert result.curve_iterations == [20, 40]
-        assert all(us > 0 for us in result.per_isn_inference_us)
+        assert len(result.per_isn_accuracy) == unit_testbed.cluster.n_shards
         assert "Fig. 8" in fig08_latency_predictor.format_report(result)
 
     def test_fig09(self, unit_testbed):

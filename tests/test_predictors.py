@@ -46,12 +46,6 @@ class TestQualityPredictor:
         assert 0 <= count <= 5
         assert 0.0 <= p_zero <= 1.0
 
-    def test_inference_time_measured(self):
-        x, y = toy_quality_data(50)
-        model = QualityPredictor(k=5, hidden_layers=1, hidden_units=8)
-        model.fit(x, y, iterations=10)
-        assert model.inference_time_us(x[0], repeats=5) > 0
-
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             QualityPredictor(k=0)

@@ -2,7 +2,7 @@
 
 Four regression families:
 
-* scenario timelines are pure functions of the seed (DET-RNG: equal
+* scenario timelines are pure functions of the seed (equal
   seeds replay equal fault schedules, different seeds diverge);
 * the ``response_timeout_ms`` safety net is what keeps unbudgeted
   policies answering under a total outage — without it the affected

@@ -76,10 +76,13 @@ class TestTable:
         assert PRINTED_AT_PARENT <= {claim.figure for claim in CLAIMS}
 
     def test_clocks(self):
-        assert {claim.clock for claim in CLAIMS} == {"sim", "wall"}
+        """One clock: every claim is simulated, so no row says which clock."""
+        assert all("clock" not in row for scale in ("unit", "small")
+                   for row in committed(scale)["claims"])
+        assert len(CLAIMS) == 54
         beyond = [claim for claim in CLAIMS if claim.figure == "beyond"]
         assert len(beyond) == 9
-        assert all(c.paper is None and c.clock == "sim" for c in beyond)
+        assert all(c.paper is None for c in beyond)
 
     def test_reports_print_their_lines_from_the_table(self, unit_testbed):
         for figure in sorted(PRINTED_AT_PARENT):
@@ -104,16 +107,11 @@ class TestCommittedRecords:
         assert record["scale"] == scale and record["seed"] == record["config"]["seed"]
         assert [c["id"] for c in record["claims"]] == [claim.id for claim in CLAIMS]
         for row, claim in zip(record["claims"], CLAIMS):
-            assert (row["label"], row["paper"], row["clock"], row["deviation"]) == (
-                claim.label, claim.paper, claim.clock, claim.deviation,
+            assert (row["label"], row["paper"], row["deviation"]) == (
+                claim.label, claim.paper, claim.deviation,
             )
             if row["verdict"] != "n/a":
                 assert row["verdict"] == verdict(row["paper"], row["measured"])
-
-    def test_wall_claims_present_and_positive(self):
-        for scale in ("unit", "small"):
-            wall = [c for c in committed(scale)["claims"] if c["clock"] == "wall"]
-            assert wall and all(c["measured"] > 0 for c in wall)
 
     def test_small_is_judged_everywhere_unit_nowhere_in_16_isn_units(self):
         of_16 = {claim.id for claim in CLAIMS if claim.of_16_isns}
@@ -157,7 +155,7 @@ def written(unit_testbed, tmp_path_factory) -> Path:
 
 
 def test_unit_pin(written, bank_ok):
-    """Every simulated claim of the committed unit record, exactly."""
+    """Every claim of the committed unit record, exactly."""
     if not bank_ok:
         pytest.skip("bank differs from the capture; see test_bank_matches_capture")
     measured = json.loads((written / "EXPERIMENTS.unit.json").read_text())
@@ -167,8 +165,7 @@ def test_unit_pin(written, bank_ok):
         f"{old['id']}: {old['measured']!r} ({old['verdict']}) -> "
         f"{new['measured']!r} ({new['verdict']})"
         for old, new in zip(want["claims"], measured["claims"])
-        if old["clock"] == "sim"
-        and (old["measured"], old["verdict"]) != (new["measured"], new["verdict"])
+        if (old["measured"], old["verdict"]) != (new["measured"], new["verdict"])
     ]
     assert not moved, "simulated claims moved:\n" + "\n".join(moved)
 
