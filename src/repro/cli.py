@@ -9,7 +9,7 @@ The subcommands cover the common workflows::
     repro figure fig10 --scale small                   # one paper figure/table
     repro paper --scale small --out .                  # every claim -> EXPERIMENTS.small.json
     repro trace --policy cottage --export perfetto     # telemetry-traced run
-    repro faults --scale unit --replicas 2             # fault scenario matrix
+    repro faults --scale unit                          # fault scenario matrix
     repro serve --scale unit --policy cottage          # open-loop QPS sweep
     repro lint src/repro                               # determinism linter
 
@@ -287,6 +287,12 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     """Run the faults x replication x budget scenario matrix."""
     from repro.cluster.scenarios import SCENARIOS, default_matrix, run_matrix
 
+    for flag, names in (
+        ("--policies", args.policies), ("--scenarios", args.scenarios),
+    ):
+        if not names:
+            print(f"{flag} needs at least one name", file=sys.stderr)
+            return 1
     for scenario in args.scenarios:
         if scenario not in SCENARIOS:
             print(
@@ -297,21 +303,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             return 1
     if _unknown_policy(args.policies):
         return 1
-    if not args.response_timeout_ms > 0:
+    if not 0 < args.response_timeout_ms < math.inf:
         print(
             f"--response-timeout-ms must be positive, got {args.response_timeout_ms}",
             file=sys.stderr,
         )
         return 1
-    try:
-        cases = default_matrix(
-            policies=tuple(args.policies),
-            scenarios=tuple(args.scenarios),
-            n_replicas=args.replicas,
-        )
-    except ValueError as exc:
-        print(f"invalid matrix: {exc}", file=sys.stderr)
-        return 1
+    cases = default_matrix(
+        policies=tuple(args.policies), scenarios=tuple(args.scenarios)
+    )
     testbed = Testbed.build(_scale(args.scale))
     trace = {
         "wikipedia": testbed.wikipedia_trace,
@@ -327,7 +327,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         response_timeout_ms=args.response_timeout_ms,
     )
     header = (
-        f"{'scenario':<14} {'policy':<12} {'mode':<8} {'R':>2} "
+        f"{'scenario':<14} {'policy':<12} {'R':>2} "
         f"{'p50_ms':>8} {'p99_ms':>8} {'P@K':>6} {'Qloss':>6} "
         f"{'drop':>5} {'hedge':>6} {'waste%':>7}"
     )
@@ -335,7 +335,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     print("-" * len(header))
     for cell in results:
         print(
-            f"{cell.scenario:<14} {cell.policy:<12} {cell.mode:<8} "
+            f"{cell.scenario:<14} {cell.policy:<12} "
             f"{cell.n_replicas:>2} {cell.p50_latency_ms:>8.2f} "
             f"{cell.p99_latency_ms:>8.2f} {cell.avg_precision:>6.3f} "
             f"{cell.quality_loss:>6.3f} {cell.avg_dropped_shards:>5.2f} "
@@ -593,12 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=("outage", "flaky_shard", "slow_replica", "correlated"),
         metavar="SCENARIO", help="fault scenarios to grid",
     )
-    faults.add_argument(
-        "--replicas", type=int, default=2,
-        help="replica count for the hedged/tied cells (default 2)",
-    )
     faults.add_argument("--seed", type=int, default=0,
-                        help="fault-timeline and selector seed")
+                        help="fault-timeline seed")
     faults.add_argument(
         "--response-timeout-ms", type=float, default=150.0,
         help="safety-net timeout for unbudgeted policies",

@@ -17,17 +17,7 @@ from repro.cluster.cpu import (
 from repro.cluster.engine import RunResult, SearchCluster
 from repro.cluster.events import Simulator
 from repro.cluster.faults import FaultSchedule, Outage, Slowdown
-from repro.cluster.replicas import (
-    DISPATCH_MODES,
-    SELECTORS,
-    LeastLoadedSelector,
-    ReplicaSelector,
-    ReplicationConfig,
-    SeededSelector,
-    StaticSelector,
-    hedge_delay_ms,
-    make_selector,
-)
+from repro.cluster.replicas import hedge_delay_ms
 from repro.cluster.scenarios import (
     SCENARIOS,
     CellResult,
@@ -66,15 +56,7 @@ __all__ = [
     "FaultSchedule",
     "Outage",
     "Slowdown",
-    "ReplicationConfig",
-    "ReplicaSelector",
-    "StaticSelector",
-    "SeededSelector",
-    "LeastLoadedSelector",
-    "make_selector",
     "hedge_delay_ms",
-    "DISPATCH_MODES",
-    "SELECTORS",
     "SCENARIOS",
     "ScenarioContext",
     "MatrixCase",

@@ -7,24 +7,19 @@ ISN executes within the broadcast budget, and the aggregator merges
 whatever arrived by the deadline, dropping stragglers (step 7).
 
 With shard replicas (:mod:`repro.cluster.replicas`) each selected shard
-becomes a *request* that may spawn several *attempts* — each attempt is
-one :class:`~repro.cluster.isn.Job`, the single per-attempt record the
-ISN queues and this module keeps its books on:
+becomes a *request* that may spawn two *attempts* — each attempt is one
+:class:`~repro.cluster.isn.Job`, the single per-attempt record the ISN
+queues and this module keeps its books on.  Replica 0 always takes the
+primary attempt; with a second replica, a backup attempt is scheduled
+at the budget-derived hedge instant (see
+:func:`repro.cluster.replicas.hedge_delay_ms`) and issued only if the
+primary has not answered by then.  The first response recalls the other
+attempt (a recall only reaches jobs still queued; an attempt already in
+service runs on and its late response is dropped as a duplicate).
 
-* ``primary`` mode issues one attempt to the selector's first choice —
-  the pre-replication behaviour, bit-identical to it at any replica
-  count;
-* ``hedged`` mode schedules a backup attempt at the budget-derived hedge
-  instant (see :func:`repro.cluster.replicas.hedge_delay_ms`) and issues
-  it only if the primary has not answered by then;
-* ``tied`` mode races two attempts and recalls the loser the moment the
-  first response arrives (a recall only reaches jobs still queued; an
-  attempt already in service runs on and its late response is dropped as
-  a duplicate).
-
-Whatever the mode, exactly one response per shard is merged and exactly
-one record per query is committed — the invariants
-``tests/test_tied_requests.py`` stresses.
+Exactly one response per shard is merged and exactly one record per
+query is committed — the invariants ``tests/test_hedged_requests.py``
+stresses.
 """
 
 from __future__ import annotations
@@ -37,12 +32,7 @@ from repro.cluster.cache import ResultCache
 from repro.cluster.events import Simulator
 from repro.cluster.isn import ISNServer, Job
 from repro.cluster.network import NetworkModel
-from repro.cluster.replicas import (
-    ReplicaSelector,
-    ReplicationConfig,
-    hedge_delay_ms,
-    make_selector,
-)
+from repro.cluster.replicas import hedge_delay_ms
 from repro.cluster.types import (
     ClusterView,
     Decision,
@@ -69,8 +59,8 @@ class _PendingQuery:
     leaves it when a response is accepted (the attempt joins ``winners``,
     in response order) or when no attempt can answer any more.  Per
     selected shard, ``attempts[shard]`` lists the jobs issued so far (in
-    issue order) and ``hedges[shard]`` is the backup replica of a hedge
-    that is scheduled but has not fired.
+    issue order), and ``hedges`` holds the shards whose hedge is scheduled
+    but has not fired.
     """
 
     query: Query
@@ -82,7 +72,7 @@ class _PendingQuery:
     expected: set[int]
     attempts: dict[int, list[Job]] = field(default_factory=dict)
     winners: list[Job] = field(default_factory=list)
-    hedges: dict[int, int] = field(default_factory=dict)
+    hedges: set[int] = field(default_factory=set)
     outcomes: list[ShardOutcome] = field(default_factory=list)  # in report order
     finalized: bool = False
 
@@ -100,8 +90,6 @@ class Aggregator:
         cache: ResultCache | None = None,
         response_timeout_ms: float | None = None,
         telemetry: Telemetry | None = None,
-        replication: ReplicationConfig | None = None,
-        selector: ReplicaSelector | None = None,
         admission: AdmissionController | None = None,
         record_sink: Callable[[QueryRecord], None] | None = None,
     ) -> None:
@@ -109,9 +97,8 @@ class Aggregator:
         (single replica, the pre-replication form) or that shard's replica
         group.  ``response_timeout_ms`` is the safety net for unbudgeted
         policies: with fail-silent ISNs in play, exhaustive-style "wait for
-        everyone" would otherwise never answer.  ``selector`` overrides the
-        replica selector built from ``replication`` (used to share one
-        seeded selector across direct constructions).
+        everyone" would otherwise never answer.  A group of two or more
+        replicas hedges each request to its replica 1.
 
         ``admission`` gates every cache-missing query before the policy
         runs (see :mod:`repro.serving.admission`): a rejected query is
@@ -134,8 +121,6 @@ class Aggregator:
                 # Jobs carry the ids their ISN was built with.
                 if (isn.shard_id, isn.replica_id) != (sid, rid):
                     raise ValueError("ISN ids must match their position in isns")
-        self.replication = replication or ReplicationConfig()
-        self.selector = selector or make_selector(self.replication)
         self.policy = policy
         self.network = network
         self.sim = sim
@@ -187,13 +172,14 @@ class Aggregator:
 
     # ---------------------------------------------------------------- intake
     def view(self) -> ClusterView:
-        queue_view = self.selector.queue_view
         return ClusterView(
             now_ms=self.sim.now,
             n_shards=len(self.groups),
             default_freq_ghz=self._default_freq,
             max_freq_ghz=self._max_freq,
-            queued_predicted_ms=tuple([queue_view(group) for group in self.groups]),
+            queued_predicted_ms=tuple(
+                [group[0].queued_work_default_ms for group in self.groups]
+            ),
         )
 
     def on_query(self, query: Query) -> None:
@@ -289,28 +275,20 @@ class Aggregator:
             if budget_ms is not None:
                 self._m_budget.observe(budget_ms)
 
-        mode = self.replication.mode
-        order_replicas = self.selector.order
         launch = self._launch
         for sid in decision.shard_ids:
             group = self.groups[sid]
-            order = order_replicas(sid, group, arrival)
-            primary = launch(pending, group[order[0]], "primary", dispatch_ms)
+            primary = launch(pending, group[0], "primary", dispatch_ms)
             if len(group) < 2:
-                continue  # hedged/tied degrade to primary-only
-            if mode == "tied":
-                launch(pending, group[order[1]], "tied", dispatch_ms)
-            elif mode == "hedged":
-                backup = group[order[1]]
-                pending.hedges[sid] = order[1]
-                delay = hedge_delay_ms(
-                    budget_ms,
-                    decision.predicted_service_ms.get(sid, primary.service_default_ms),
-                    backup.queued_work_default_ms,
-                    net_ms,
-                    self.replication,
-                )
-                sim.schedule_at(dispatch_ms + delay, self._fire_hedge, pending, sid)
+                continue  # no backup replica: primary only
+            pending.hedges.add(sid)
+            delay = hedge_delay_ms(
+                budget_ms,
+                decision.predicted_service_ms.get(sid, primary.service_default_ms),
+                group[1].queued_work_default_ms,
+                net_ms,
+            )
+            sim.schedule_at(dispatch_ms + delay, self._fire_hedge, pending, sid)
 
         if deadline is not None:
             # Hard stop: merge whatever has arrived once responses from the
@@ -356,17 +334,17 @@ class Aggregator:
 
     def _fire_hedge(self, pending: _PendingQuery, shard_id: int) -> None:
         """The hedge instant arrived: spend the backup iff still useful."""
-        replica = pending.hedges.pop(shard_id)
+        pending.hedges.remove(shard_id)
         if pending.finalized or shard_id not in pending.expected:
             return  # the primary answered in time — no replica spent
         self.hedges_issued += 1
         if self._tracer is not None:
             self._tracer.instant(
                 "aggregator.hedge_issued", track=_TRACK,
-                qid=pending.query.query_id, shard=shard_id, replica=replica,
+                qid=pending.query.query_id, shard=shard_id, replica=1,
             )
             self._m_hedges.add()
-        self._launch(pending, self.groups[shard_id][replica], "hedge", None)
+        self._launch(pending, self.groups[shard_id][1], "hedge", None)
 
     # ---------------------------------------------------------------- results
     def _on_isn_done(self, job: Job, completed: bool, busy_ms: float) -> None:
@@ -441,8 +419,8 @@ class Aggregator:
             return
         if shard_id not in pending.expected:
             # The shard already answered through another replica (the
-            # tied loser was in service when the recall arrived, or both
-            # hedge and primary completed): exactly-once merge drops it.
+            # loser was in service when the recall arrived, or both hedge
+            # and primary completed): exactly-once merge drops it.
             self.duplicates_dropped += 1
             if self._tracer is not None:
                 self._tracer.instant(
@@ -511,7 +489,7 @@ class Aggregator:
             pending.span.attrs["latency_ms"] = latency
             pending.span.attrs["counted"] = len(responses)
             pending.span.finish()
-        # A copy: attempts still running (a tied loser in service) report
+        # A copy: attempts still running (a loser in service) report
         # into ``pending.outcomes`` after the record is committed.
         self._commit(
             QueryRecord(

@@ -16,7 +16,6 @@ from repro.cluster.cpu import CostModel, FrequencyScale
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.network import NetworkModel
 from repro.cluster.power import PowerModel, PowerReport
-from repro.cluster.replicas import ReplicationConfig
 from repro.cluster.types import QueryRecord, SelectionPolicy
 from repro.index.shard import IndexShard
 from repro.retrieval.executor import SerialExecutor
@@ -79,7 +78,7 @@ class RunResult:
 
     @property
     def wasted_service_ms(self) -> float:
-        """ISN busy time whose response was never merged: hedged/tied
+        """ISN busy time whose response was never merged: hedge-race
         losers, deadline aborts, post-finalize stragglers."""
         return self.total_service_ms - self.counted_service_ms
 
@@ -153,7 +152,7 @@ class SearchCluster:
         faults: FaultSchedule | None = None,
         response_timeout_ms: float | None = None,
         telemetry: Telemetry | None = None,
-        replication: ReplicationConfig | None = None,
+        n_replicas: int = 1,
     ) -> RunResult:
         """Replay ``trace`` under ``policy`` and report latency + power.
 
@@ -164,13 +163,12 @@ class SearchCluster:
         policies with ``response_timeout_ms`` so the aggregator cannot
         wait forever.
 
-        ``replication`` runs R independent ISN replicas per shard (each
+        ``n_replicas`` runs R independent ISN replicas per shard (each
         with its own queue, CPU and meter, sharing the shard's memoized
-        searcher) and enables the configured dispatch mode — hedged or
-        tied requests against stragglers (see
-        :mod:`repro.cluster.replicas`).  The default (one replica,
-        ``primary`` mode, ``static`` selector) is bit-identical to the
-        pre-replication cluster.
+        searcher).  Replica 0 serves every query; with R >= 2 a
+        budget-aware hedge goes to replica 1 against stragglers (see
+        :mod:`repro.cluster.replicas`).  The default, one replica, is
+        bit-identical to the pre-replication cluster.
 
         Before the event loop starts the policy is handed the whole
         trace (its optional ``prewarm`` hook) so it can batch its own
@@ -203,7 +201,7 @@ class SearchCluster:
             faults=faults,
             response_timeout_ms=response_timeout_ms,
             telemetry=telemetry,
-            replication=replication,
+            n_replicas=n_replicas,
         )
 
     def serve(
@@ -217,7 +215,7 @@ class SearchCluster:
         faults: FaultSchedule | None = None,
         response_timeout_ms: float | None = None,
         telemetry: Telemetry | None = None,
-        replication: ReplicationConfig | None = None,
+        n_replicas: int = 1,
     ) -> RunResult:
         """Open-loop serving: drive a lazy query stream through the cluster.
 
@@ -238,7 +236,7 @@ class SearchCluster:
             faults=faults,
             response_timeout_ms=response_timeout_ms,
             telemetry=telemetry,
-            replication=replication,
+            n_replicas=n_replicas,
             admission=admission,
             retain_records=retain_records,
         )

@@ -48,11 +48,11 @@ class Job:
     boosted: bool
     started_ms: float = 0.0
     aborted_in_queue: bool = False
-    cancelled: bool = False  # tied/hedged recall
+    cancelled: bool = False  # recalled after the other attempt won
     span: Any = None  # telemetry service span
     # Issuer-side state (the aggregator's view of this attempt).
     pending: Any = None  # the in-flight query this attempt serves
-    role: str = "primary"  # "primary" | "hedge" | "tied"
+    role: str = "primary"  # "primary" | "hedge"
     issued_ms: float = 0.0
     done: bool = False  # the ISN reported back (finish, abort or recall)
     completed: bool = False  # finished in time; its response is travelling
@@ -155,7 +155,7 @@ class ISNServer:
             self._start_next(sim)
 
     def cancel(self, job: Job, sim: Simulator) -> bool:
-        """Recall a queued job (a tied/hedged request that lost the race).
+        """Recall a queued job (a hedge-race attempt that lost).
 
         Only jobs still waiting can be recalled — an in-service job keeps
         running (the core is already committed; its late response is the

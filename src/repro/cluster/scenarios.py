@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.cluster.engine import RunResult, SearchCluster
 from repro.cluster.faults import FaultSchedule
-from repro.cluster.replicas import DISPATCH_MODES, SELECTORS, ReplicationConfig
 from repro.metrics.quality import GroundTruth
 from repro.retrieval.query import QueryTrace
 
@@ -36,8 +35,8 @@ from repro.retrieval.query import QueryTrace
 @dataclass(frozen=True)
 class ScenarioContext:
     """What a scenario builder may depend on — nothing else, so a
-    scenario's timeline is identical across policies and dispatch modes
-    (cells of one scenario row stay comparable)."""
+    scenario's timeline is identical across policies (cells of one
+    scenario row stay comparable)."""
 
     n_shards: int
     n_replicas: int
@@ -135,32 +134,22 @@ def scenario_schedule(
 
 @dataclass(frozen=True)
 class MatrixCase:
-    """One cell: a fault scenario × a policy × a replication setup."""
+    """One cell: a fault scenario × a policy × a replica count (R >= 2
+    hedges every request to replica 1)."""
 
     scenario: str
     policy: str
-    mode: str = "primary"
     n_replicas: int = 1
-    selector: str = "static"
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.mode not in DISPATCH_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.selector not in SELECTORS:
-            raise ValueError(f"unknown selector {self.selector!r}")
         if self.n_replicas < 1:
             raise ValueError("need at least one replica")
-        if self.mode != "primary" and self.n_replicas < 2:
-            raise ValueError(f"{self.mode} dispatch needs >= 2 replicas")
 
     @property
     def label(self) -> str:
-        return (
-            f"{self.scenario}/{self.policy}/{self.mode}"
-            f"/r{self.n_replicas}/{self.selector}"
-        )
+        return f"{self.scenario}/{self.policy}/r{self.n_replicas}"
 
 
 @dataclass(frozen=True)
@@ -169,9 +158,7 @@ class CellResult:
 
     scenario: str
     policy: str
-    mode: str
     n_replicas: int
-    selector: str
     n_queries: int
     mean_latency_ms: float
     p50_latency_ms: float
@@ -212,9 +199,7 @@ def reduce_run(
     return CellResult(
         scenario=case.scenario,
         policy=case.policy,
-        mode=case.mode,
         n_replicas=case.n_replicas,
-        selector=case.selector,
         n_queries=len(run.records),
         mean_latency_ms=float(latencies.mean()),
         p50_latency_ms=float(np.percentile(latencies, 50)),
@@ -242,17 +227,15 @@ def default_matrix(
     scenarios: tuple[str, ...] = (
         "outage", "flaky_shard", "slow_replica", "correlated",
     ),
-    n_replicas: int = 2,
 ) -> list[MatrixCase]:
-    """The canonical grid: every scenario × policy × dispatch mode (with
-    a single-replica ``primary`` baseline per policy and scenario)."""
-    cases: list[MatrixCase] = []
-    for scenario in scenarios:
-        for policy in policies:
-            cases.append(MatrixCase(scenario, policy, "primary", 1))
-            for mode in ("hedged", "tied"):
-                cases.append(MatrixCase(scenario, policy, mode, n_replicas))
-    return cases
+    """The canonical grid: every scenario × policy, once with a single
+    replica and once hedged over two."""
+    return [
+        MatrixCase(scenario, policy, n_replicas)
+        for scenario in scenarios
+        for policy in policies
+        for n_replicas in (1, 2)
+    ]
 
 
 def run_matrix(
@@ -309,12 +292,7 @@ def run_matrix(
             make_policy(case.policy),
             faults=scenario_schedule(case.scenario, ctx),
             response_timeout_ms=response_timeout_ms,
-            replication=ReplicationConfig(
-                n_replicas=case.n_replicas,
-                mode=case.mode,
-                selector=case.selector,
-                seed=seed,
-            ),
+            n_replicas=case.n_replicas,
         )
         results.append(
             reduce_run(case, run, truth, reference_precision(case.policy))

@@ -88,10 +88,10 @@ class Decision:
 class ShardOutcome:
     """What happened on one dispatch attempt (one ISN replica, one query).
 
-    With replication a query may spawn several attempts per shard
-    (primary + hedge, or a tied pair); each gets its own outcome.
-    ``role`` records why the attempt was issued and ``cancelled`` marks a
-    tied/hedged loser recalled while still queued (zero work spent).
+    With replication a query may spawn two attempts per shard (primary
+    + hedge); each gets its own outcome.  ``role`` records why the
+    attempt was issued and ``cancelled`` marks a loser recalled while
+    still queued (zero work spent).
     """
 
     shard_id: int
@@ -102,7 +102,7 @@ class ShardOutcome:
     counted: bool = False  # response arrived in time and was merged
     docs_evaluated: int = 0
     replica_id: int = 0
-    role: str = "primary"  # primary | hedge | tied
+    role: str = "primary"  # primary | hedge
     cancelled: bool = False
 
 
@@ -149,7 +149,7 @@ class QueryRecord:
     @property
     def wasted_service_ms(self) -> float:
         """Busy time spent on attempts whose response was not merged —
-        hedged/tied losers, deadline aborts, post-finalize stragglers."""
+        hedge-race losers, deadline aborts, post-finalize stragglers."""
         return sum(o.service_ms for o in self.outcomes if not o.counted)
 
     @property

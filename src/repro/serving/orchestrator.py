@@ -34,7 +34,6 @@ from repro.cluster.events import Simulator
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.isn import ISNServer
 from repro.cluster.power import EnergyMeter, package_report
-from repro.cluster.replicas import ReplicationConfig, make_selector
 from repro.cluster.types import QueryRecord, SelectionPolicy
 from repro.cluster.cache import ResultCache
 from repro.retrieval.query import Query, QueryTrace
@@ -126,7 +125,7 @@ class ServingPlane:
         faults: FaultSchedule | None = None,
         response_timeout_ms: float | None = None,
         telemetry: Telemetry | None = None,
-        replication: ReplicationConfig | None = None,
+        n_replicas: int = 1,
         admission: AdmissionController | None = None,
         retain_records: bool = True,
     ) -> RunResult:
@@ -143,6 +142,8 @@ class ServingPlane:
         """
         from repro.cluster.engine import RunResult  # runtime import: no cycle
 
+        if n_replicas < 1:
+            raise ValueError("need at least one replica per shard")
         cluster = self.cluster
         closed_loop = isinstance(source, QueryTrace)
         if closed_loop:
@@ -177,12 +178,11 @@ class ServingPlane:
                             n_queries=len(prewarm_queries),
                         ):
                             policy_prewarm(prewarm_queries)
-            repl = replication or ReplicationConfig()
             # Meters stay a flat list (shard-major: shard i's replica r is
             # meters[i * R + r]) so package_report sums the whole cluster.
             meters = [
                 EnergyMeter(cluster.power_model)
-                for _ in range(cluster.n_shards * repl.n_replicas)
+                for _ in range(cluster.n_shards * n_replicas)
             ]
             groups = [
                 [
@@ -191,12 +191,12 @@ class ServingPlane:
                         searcher=cluster.searcher.searchers[i],
                         cost_model=cluster.cost_model,
                         freq_scale=cluster.freq_scale,
-                        meter=meters[i * repl.n_replicas + r],
+                        meter=meters[i * n_replicas + r],
                         faults=faults,
                         telemetry=telemetry,
                         replica_id=r,
                     )
-                    for r in range(repl.n_replicas)
+                    for r in range(n_replicas)
                 ]
                 for i in range(cluster.n_shards)
             ]
@@ -205,9 +205,7 @@ class ServingPlane:
                 isns=groups, policy=policy, network=cluster.network, sim=sim,
                 k=cluster.k, cache=cache,
                 response_timeout_ms=response_timeout_ms,
-                telemetry=telemetry, replication=repl,
-                selector=make_selector(repl),
-                admission=admission,
+                telemetry=telemetry, admission=admission,
                 record_sink=stats.observe if stats is not None else None,
             )
             last_arrival_ms = 0.0

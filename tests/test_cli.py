@@ -97,7 +97,7 @@ class TestCommands:
             (["serve", "--distinct", "0"], "--distinct must be positive"),
             (["serve", "--qps", "nan"], "must be positive and finite"),
             (["serve", "--qps", "inf"], "must be positive and finite"),
-            (["faults", "--replicas", "0"], "need at least one replica"),
+            (["faults", "--policies"], "--policies needs at least one name"),
             (
                 ["faults", "--response-timeout-ms", "-1"],
                 "--response-timeout-ms must be positive",
@@ -109,6 +109,11 @@ class TestCommands:
             (
                 ["search", "{missing}", "t1", "--strategy", "exhaustive_daat"],
                 "unknown strategy",
+            ),
+            (["faults", "--scenarios"], "--scenarios needs at least one name"),
+            (
+                ["faults", "--response-timeout-ms", "inf"],
+                "--response-timeout-ms must be positive, got inf",
             ),
         ],
     )
@@ -195,12 +200,11 @@ class TestFaultsCommand:
     def test_faults_args(self):
         args = build_parser().parse_args(
             ["faults", "--scenarios", "outage", "slow_replica",
-             "--policies", "cottage", "--replicas", "3", "--seed", "9",
+             "--policies", "cottage", "--seed", "9",
              "--out", "m.json"]
         )
         assert args.scenarios == ["outage", "slow_replica"]
         assert args.policies == ["cottage"]
-        assert args.replicas == 3
         assert args.seed == 9
         assert args.out == "m.json"
 
@@ -222,10 +226,8 @@ class TestFaultsCommand:
         payload = json.loads(out.read_text())
         assert payload["scale"] == "unit"
         assert payload["response_timeout_ms"] == 150.0
-        # One primary baseline plus hedged and tied cells.
-        assert len(payload["cells"]) == 3
-        modes = {cell["mode"] for cell in payload["cells"]}
-        assert modes == {"primary", "hedged", "tied"}
+        # A single-replica baseline plus a cell hedged over two replicas.
+        assert [cell["n_replicas"] for cell in payload["cells"]] == [1, 2]
         for cell in payload["cells"]:
             assert cell["scenario"] == "outage"
             assert cell["p99_latency_ms"] > 0.0

@@ -19,8 +19,8 @@ either side of the refactor.  Regenerate the same way — on the commit
 *before* the change under test — whenever a PR changes simulated
 behaviour on purpose.
 
-Coverage, all at ``Scale.unit()``: cottage x {primary R=1, hedged R=2,
-tied R=2} x {no faults, replica 0 of shard 0 wedged 20x slow for the whole
+Coverage, all at ``Scale.unit()``: cottage x {primary R=1, hedged R=2}
+x {no faults, replica 0 of shard 0 wedged 20x slow for the whole
 run} x {``run_trace``, ``serve`` with admission and
 ``retain_records=False``}, plus exhaustive and taily once each.  A case's
 digest covers, per record, ``query_id | repr(latency_ms) |
@@ -47,7 +47,7 @@ import hashlib
 
 import pytest
 
-from repro.cluster import FaultSchedule, ReplicationConfig
+from repro.cluster import FaultSchedule
 from repro.serving import (
     AdmissionConfig,
     AdmissionController,
@@ -56,11 +56,8 @@ from repro.serving import (
     pool_from_corpus,
 )
 
-MODES = {
-    "primary_r1": ReplicationConfig(),
-    "hedged_r2": ReplicationConfig(n_replicas=2, mode="hedged"),
-    "tied_r2": ReplicationConfig(n_replicas=2, mode="tied"),
-}
+# case mode -> replica count (two replicas hedge to replica 1)
+MODES = {"primary_r1": 1, "hedged_r2": 2}
 FAULTS = ("none", "wedged")
 SERVE_QUERIES = 500
 SERVE_RATE_QPS = 150.0
@@ -84,14 +81,6 @@ EXPECTED: dict[str, tuple[int, tuple[int, int, int, int], str]] = {
         19164, (587, 3071, 1785, 587),
         "95f5e02bd80efc7dae93955389917b1c4f08f0ec",
     ),
-    "run_trace/cottage/tied_r2/none": (
-        19502, (587, 3071, 1889, 587),
-        "3199efce5db03a3be5435c70879919b2a5c026ec",
-    ),
-    "run_trace/cottage/tied_r2/wedged": (
-        19474, (587, 3077, 1822, 587),
-        "f13204886d98f414e15136863a5481547207b121",
-    ),
     "serve/cottage/primary_r1/none": (
         6460, (366, 1869, 778, 366),
         "60f700dad4281b3fa61f4021d1fefb9b1b1e12f9",
@@ -107,14 +96,6 @@ EXPECTED: dict[str, tuple[int, tuple[int, int, int, int], str]] = {
     "serve/cottage/hedged_r2/wedged": (
         7420, (285, 1487, 486, 285),
         "71070b04e8558f55fd3440b2470baeed2ea2d5db",
-    ),
-    "serve/cottage/tied_r2/none": (
-        12054, (366, 1869, 778, 366),
-        "9d8efca7d82957a6de630a30386bb8d6ae261868",
-    ),
-    "serve/cottage/tied_r2/wedged": (
-        11782, (361, 1854, 724, 361),
-        "f988d345cbdc1bdcde332654335e778cb8d17f73",
     ),
     "run_trace/exhaustive/primary_r1/none": (
         15262, (587, 4696, 0, 0),
@@ -188,7 +169,7 @@ def run_case(testbed, case: str) -> tuple[int, tuple[int, int, int, int], str]:
     faults = _wedged(trace.duration * 1000.0 + 1000.0) if fault == "wedged" else None
     if driver == "run_trace":
         run = testbed.cluster.run_trace(
-            trace, policy, faults=faults, replication=MODES[mode],
+            trace, policy, faults=faults, n_replicas=MODES[mode],
             response_timeout_ms=500.0,
         )
     else:
@@ -199,7 +180,7 @@ def run_case(testbed, case: str) -> tuple[int, tuple[int, int, int, int], str]:
             max_queries=SERVE_QUERIES,
         )
         run = testbed.cluster.serve(
-            stream, policy, faults=faults, replication=MODES[mode],
+            stream, policy, faults=faults, n_replicas=MODES[mode],
             admission=AdmissionController(
                 AdmissionConfig(max_in_flight=SERVE_MAX_IN_FLIGHT)
             ),
@@ -238,24 +219,20 @@ def test_matches_parent_commit(unit_testbed, bank_ok, case):
 
 
 def test_every_mode_exercises_its_machinery(unit_testbed, bank_ok):
-    """The pinned cases are not vacuous: hedges fire, recalls reach queues,
-    admission sheds — otherwise the digests would pin three copies of the
-    primary path."""
+    """The pinned cases are not vacuous: hedges fire and win, recalls go
+    out — otherwise the digests would pin two copies of the primary
+    path."""
     if not bank_ok:
         pytest.skip("bank differs from the capture; see test_bank_matches_capture")
     trace = unit_testbed.wikipedia_trace
     faults = _wedged(trace.duration * 1000.0 + 1000.0)
     hedged = unit_testbed.cluster.run_trace(
         trace, unit_testbed.make_policy("cottage"), faults=faults,
-        replication=MODES["hedged_r2"],
+        n_replicas=MODES["hedged_r2"],
     )
     assert hedged.hedges_issued > 0 and hedged.hedge_wins > 0
-    tied = unit_testbed.cluster.run_trace(
-        trace, unit_testbed.make_policy("cottage"), faults=faults,
-        replication=MODES["tied_r2"],
-    )
-    assert tied.cancels_sent > 0
-    assert tied.cancelled_in_queue + tied.duplicates_dropped > 0
+    assert hedged.cancels_sent > 0
+    assert hedged.cancelled_in_queue + hedged.duplicates_dropped > 0
 
 
 if __name__ == "__main__":  # capture mode: print BANK (tests/conftest.py) and EXPECTED

@@ -1,25 +1,17 @@
-"""Replication layer: bit-identity with the seed cluster, selectors, hedging.
+"""Replication layer: bit-identity with the seed cluster, hedge timing.
 
-The load-bearing property: replication with the ``static`` selector in
-``primary`` mode is *pure spare capacity* — a zero-fault run is
-bit-identical (hits, scores, tie order, latencies, event counts) to the
-single-replica cluster at any replica count.  Everything tail-tolerant
-is opt-in.
+The load-bearing properties: one replica per shard is the seed cluster,
+and a second replica only ever changes a run through the hedges it
+fires — a hedged run in which no hedge fires answers every query with
+the single-replica run's hits and latency.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    LeastLoadedSelector,
-    ReplicationConfig,
-    SearchCluster,
-    SeededSelector,
-    StaticSelector,
-    hedge_delay_ms,
-    make_selector,
-)
+from repro.cluster import FaultSchedule, SearchCluster, Slowdown, hedge_delay_ms
+from repro.cluster.replicas import HEDGE_FIXED_MS, HEDGE_FLOOR_MS
 from repro.policies import AggregationPolicy, ExhaustivePolicy
 from repro.retrieval import Query, QueryTrace
 
@@ -39,9 +31,7 @@ def small_trace(n=20, gap_s=0.01):
     )
 
 
-def make_policy(name):
-    if name == "exhaustive":
-        return ExhaustivePolicy()
+def adaptive_policy():
     return AggregationPolicy(budget_percentile=60.0, epoch_queries=8)
 
 
@@ -74,167 +64,106 @@ def fingerprint(run):
 class TestBitIdentity:
     @settings(deadline=None)
     @given(
-        n_replicas=st.integers(min_value=1, max_value=3),
-        policy=st.sampled_from(["exhaustive", "aggregation"]),
+        n_replicas=st.integers(min_value=2, max_value=3),
+        budgeted=st.booleans(),
         n_queries=st.integers(min_value=8, max_value=24),
-        gap_ms=st.sampled_from([2.0, 8.0, 25.0]),
+        gap_ms=st.sampled_from([10.0, 25.0]),
     )
-    def test_primary_mode_identical_to_seed_cluster(
-        self, shards, n_replicas, policy, n_queries, gap_ms
+    def test_hedged_run_without_hedges_matches_one_replica(
+        self, shards, n_replicas, budgeted, n_queries, gap_ms
     ):
+        """Arrivals spaced wider than any service time never queue, so
+        every primary answers before its hedge instant (the unbudgeted
+        fixed delay, or a 50 ms budget minus the backup's ETA)."""
         trace = small_trace(n_queries, gap_s=gap_ms / 1000.0)
-        baseline = SearchCluster(shards, k=5).run_trace(trace, make_policy(policy))
-        replicated = SearchCluster(shards, k=5).run_trace(
-            trace,
-            make_policy(policy),
-            replication=ReplicationConfig(n_replicas=n_replicas),
+
+        def policy():
+            return AggregationPolicy() if budgeted else ExhaustivePolicy()
+
+        single = SearchCluster(shards, k=5).run_trace(trace, policy())
+        hedged = SearchCluster(shards, k=5).run_trace(
+            trace, policy(), n_replicas=n_replicas
         )
-        assert fingerprint(replicated) == fingerprint(baseline)
-        # Spares never touched: no tail-tolerance machinery fired.
-        assert replicated.hedges_issued == 0
-        assert replicated.cancels_sent == 0
-        assert replicated.duplicates_dropped == 0
+        assert hedged.hedges_issued == 0
+        assert hedged.cancels_sent == 0
+        assert hedged.duplicates_dropped == 0
+        assert len(hedged.records) == len(single.records)
+        for a, b in zip(hedged.records, single.records):
+            assert a.query.query_id == b.query.query_id
+            assert tuple(a.result.hits) == tuple(b.result.hits)
+            assert a.latency_ms == b.latency_ms
 
     def test_replication_defaults_are_off(self, shards):
         trace = small_trace()
         explicit = SearchCluster(shards, k=5).run_trace(
-            trace, ExhaustivePolicy(), replication=ReplicationConfig()
+            trace, ExhaustivePolicy(), n_replicas=1
         )
         implicit = SearchCluster(shards, k=5).run_trace(trace, ExhaustivePolicy())
         assert fingerprint(explicit) == fingerprint(implicit)
 
     def test_hedged_mode_with_one_replica_degrades_to_primary(self, shards):
-        trace = small_trace()
-        baseline = SearchCluster(shards, k=5).run_trace(trace, ExhaustivePolicy())
-        hedged = SearchCluster(shards, k=5).run_trace(
-            trace,
-            ExhaustivePolicy(),
-            replication=ReplicationConfig(n_replicas=1, mode="hedged"),
+        """A straggling primary that two replicas would hedge: with one
+        replica there is no backup, and the run is the seed cluster's."""
+        trace = small_trace(gap_s=0.004)
+        faults = FaultSchedule(slowdowns=[Slowdown(0, 0.0, 1e9, 20.0)])
+        baseline = SearchCluster(shards, k=5).run_trace(
+            trace, adaptive_policy(), faults=faults
         )
-        assert fingerprint(hedged) == fingerprint(baseline)
-        assert hedged.hedges_issued == 0
+        single = SearchCluster(shards, k=5).run_trace(
+            trace, adaptive_policy(), faults=faults, n_replicas=1
+        )
+        assert fingerprint(single) == fingerprint(baseline)
+        assert single.hedges_issued == 0
+        pair = SearchCluster(shards, k=5).run_trace(
+            trace, adaptive_policy(), faults=faults, n_replicas=2
+        )
+        assert pair.hedges_issued > 0
 
     def test_spare_replicas_add_only_static_power(self, shards):
-        """R idle spares draw static watts; the dynamic component (the
-        part Fig. 14 compares across policies) is untouched."""
+        """R idle spares draw static watts; the dynamic energy (the part
+        Fig. 14 compares across policies) is untouched.  Dynamic *power*
+        is not: the unfired hedge timers stretch the run's elapsed time."""
         trace = small_trace()
         baseline = SearchCluster(shards, k=5).run_trace(trace, ExhaustivePolicy())
         replicated = SearchCluster(shards, k=5).run_trace(
-            trace, ExhaustivePolicy(), replication=ReplicationConfig(n_replicas=3)
+            trace, ExhaustivePolicy(), n_replicas=3
         )
-        assert replicated.power.dynamic_power_w == pytest.approx(
-            baseline.power.dynamic_power_w
-        )
+        assert replicated.hedges_issued == 0  # the spares stayed idle
+
+        def dynamic_mj(run):
+            return run.power.dynamic_power_w * run.power.elapsed_ms
+
+        assert dynamic_mj(replicated) == pytest.approx(dynamic_mj(baseline))
         assert replicated.power.idle_package_w > baseline.power.idle_package_w
         assert len(replicated.power.per_core_utilization) == 3 * len(
             baseline.power.per_core_utilization
         )
 
-    def test_tied_mode_zero_faults_same_answers(self, shards):
-        """Tied dispatch races identical replicas: answers (hits, scores,
-        tie order) match the seed cluster; only the race accounting moves."""
-        trace = small_trace()
-        baseline = SearchCluster(shards, k=5).run_trace(trace, ExhaustivePolicy())
-        tied = SearchCluster(shards, k=5).run_trace(
-            trace,
-            ExhaustivePolicy(),
-            replication=ReplicationConfig(n_replicas=2, mode="tied"),
-        )
-        assert len(tied.records) == len(baseline.records)
-        for a, b in zip(tied.records, baseline.records):
-            assert tuple(a.result.hits) == tuple(b.result.hits)
-        # Each tied pair resolved exactly once.
-        assert all(r.n_counted <= len(shards) for r in tied.records)
-
-
-class _StubISN:
-    def __init__(self, queued):
-        self.queued_work_default_ms = queued
-
-
-class TestSelectors:
-    def test_static_is_identity(self):
-        group = [_StubISN(5.0), _StubISN(0.0), _StubISN(2.0)]
-        selector = StaticSelector()
-        assert selector.order(0, group, 0.0) == (0, 1, 2)
-        assert selector.queue_view(group) == 5.0
-
-    def test_least_loaded_prefers_smallest_backlog(self):
-        group = [_StubISN(5.0), _StubISN(0.5), _StubISN(2.0)]
-        selector = LeastLoadedSelector()
-        assert selector.order(0, group, 0.0) == (1, 2, 0)
-        assert selector.queue_view(group) == 0.5
-
-    def test_least_loaded_ties_to_lowest_replica(self):
-        group = [_StubISN(1.0), _StubISN(1.0)]
-        assert LeastLoadedSelector().order(0, group, 0.0) == (0, 1)
-
-    def test_seeded_selector_is_a_pure_function_of_seed(self):
-        group = [_StubISN(0.0) for _ in range(4)]
-        a = make_selector(ReplicationConfig(n_replicas=4, selector="seeded", seed=7))
-        b = make_selector(ReplicationConfig(n_replicas=4, selector="seeded", seed=7))
-        orders_a = [a.order(sid, group, 0.0) for sid in range(32)]
-        orders_b = [b.order(sid, group, 0.0) for sid in range(32)]
-        assert orders_a == orders_b
-        assert any(order[0] != 0 for order in orders_a)  # actually rotates
-
-    def test_seeded_order_is_a_rotation(self):
-        group = [_StubISN(0.0) for _ in range(4)]
-        selector = SeededSelector.__new__(SeededSelector)
-        import random
-
-        selector.rng = random.Random(3)
-        for _ in range(16):
-            order = selector.order(0, group, 0.0)
-            assert sorted(order) == [0, 1, 2, 3]
-            assert order == tuple((order[0] + i) % 4 for i in range(4))
-
-    def test_seeded_queue_view_reads_without_drawing(self):
-        group = [_StubISN(2.0), _StubISN(4.0)]
-        selector = make_selector(
-            ReplicationConfig(n_replicas=2, selector="seeded", seed=1)
-        )
-        state = selector.rng.getstate()
-        assert selector.queue_view(group) == pytest.approx(3.0)
-        assert selector.rng.getstate() == state  # no RNG perturbation
-
 
 class TestHedgeDelay:
-    CFG = ReplicationConfig(
-        n_replicas=2, mode="hedged", hedge_floor_ms=0.5, hedge_fixed_ms=25.0
-    )
-
     def test_unbudgeted_falls_back_to_fixed_delay(self):
-        assert hedge_delay_ms(None, 10.0, 0.0, 0.1, self.CFG) == 25.0
+        assert hedge_delay_ms(None, 10.0, 0.0, 0.1) == HEDGE_FIXED_MS == 25.0
 
     def test_budget_aware_delay_is_budget_minus_backup_eta(self):
         # backup needs 3 (queue) + 10 (service) + 0.5 (network) = 13.5 ms,
         # so the last useful hedge instant is 20 - 13.5 = 6.5 ms in.
-        assert hedge_delay_ms(20.0, 10.0, 3.0, 0.5, self.CFG) == pytest.approx(6.5)
+        assert hedge_delay_ms(20.0, 10.0, 3.0, 0.5) == pytest.approx(6.5)
 
     def test_hopeless_primary_hedges_at_the_floor(self):
         # Predicted service alone exceeds the budget: hedge immediately.
-        assert hedge_delay_ms(5.0, 10.0, 0.0, 0.1, self.CFG) == 0.5
+        assert hedge_delay_ms(5.0, 10.0, 0.0, 0.1) == HEDGE_FLOOR_MS == 0.5
 
     def test_busier_backup_hedges_earlier(self):
-        idle = hedge_delay_ms(20.0, 8.0, 0.0, 0.1, self.CFG)
-        busy = hedge_delay_ms(20.0, 8.0, 6.0, 0.1, self.CFG)
+        idle = hedge_delay_ms(20.0, 8.0, 0.0, 0.1)
+        busy = hedge_delay_ms(20.0, 8.0, 6.0, 0.1)
         assert busy < idle
 
 
 class TestReplicationConfig:
-    def test_rejects_zero_replicas(self):
-        with pytest.raises(ValueError):
-            ReplicationConfig(n_replicas=0)
+    """The replica count is the run's one replication input."""
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            ReplicationConfig(mode="speculative")
-
-    def test_rejects_unknown_selector(self):
-        with pytest.raises(ValueError):
-            ReplicationConfig(selector="round_robin")
-
-    def test_rejects_negative_hedge_floor(self):
-        with pytest.raises(ValueError):
-            ReplicationConfig(hedge_floor_ms=-1.0)
+    def test_rejects_zero_replicas(self, shards):
+        with pytest.raises(ValueError, match="at least one replica"):
+            SearchCluster(shards, k=5).run_trace(
+                small_trace(), ExhaustivePolicy(), n_replicas=0
+            )

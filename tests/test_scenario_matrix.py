@@ -11,8 +11,8 @@ Four regression families:
   fault-free cell loses nothing, an outage cell loses exactly what the
   dead shards contributed;
 * the tail-tolerance headline on the trained unit testbed: under a
-  wedged replica, hedged and tied dispatch beat primary-only p99 while
-  hedging spends less than twice its ISN time — simulated clock only.
+  wedged replica, hedged dispatch beats single-replica p99 while
+  spending less than twice its ISN time — simulated clock only.
 """
 
 import pytest
@@ -110,29 +110,21 @@ class TestMatrixCases:
         cases = default_matrix(
             policies=("exhaustive", "budgeted"), scenarios=("outage",)
         )
-        # Per scenario x policy: a single-replica primary baseline plus a
-        # hedged and a tied cell.
-        assert len(cases) == 2 * 3
-        assert {c.mode for c in cases} == {"primary", "hedged", "tied"}
-        for case in cases:
-            if case.mode == "primary":
-                assert case.n_replicas == 1
-            else:
-                assert case.n_replicas == 2
+        # Per scenario x policy: a single-replica baseline plus a cell
+        # hedged over two replicas.
+        assert [(c.policy, c.n_replicas) for c in cases] == [
+            ("exhaustive", 1), ("exhaustive", 2), ("budgeted", 1), ("budgeted", 2),
+        ]
 
     def test_case_validation(self):
         with pytest.raises(ValueError):
-            MatrixCase("outage", "exhaustive", mode="hedged", n_replicas=1)
+            MatrixCase("outage", "exhaustive", n_replicas=0)
         with pytest.raises(ValueError):
             MatrixCase("no_such", "exhaustive")
-        with pytest.raises(ValueError):
-            MatrixCase("outage", "exhaustive", mode="speculative", n_replicas=2)
-        with pytest.raises(ValueError):
-            MatrixCase("outage", "exhaustive", selector="round_robin")
 
     def test_label_is_fully_qualified(self):
-        case = MatrixCase("outage", "budgeted", "tied", 2, "seeded")
-        assert case.label == "outage/budgeted/tied/r2/seeded"
+        case = MatrixCase("outage", "budgeted", 2)
+        assert case.label == "outage/budgeted/r2"
 
 
 @pytest.fixture()
@@ -148,8 +140,8 @@ class TestRunMatrix:
         cluster, trace, truth = matrix_env
         cases = [
             MatrixCase("outage", "exhaustive"),
-            MatrixCase("flaky_shard", "budgeted", "hedged", 2),
-            MatrixCase("burst_outage", "budgeted", "tied", 2),
+            MatrixCase("flaky_shard", "budgeted", 2),
+            MatrixCase("burst_outage", "budgeted", 2),
         ]
         first = run_matrix(cluster, make_policy, trace, truth, cases, seed=3)
         second = run_matrix(cluster, make_policy, trace, truth, cases, seed=3)
@@ -227,17 +219,15 @@ class TestHedgingHeadline:
             seed=unit_testbed.scale.seed,
             response_timeout_ms=150.0,
         )
-        return {(c.scenario, c.policy, c.mode): c for c in results}
+        return {(c.scenario, c.policy, c.n_replicas): c for c in results}
 
     @pytest.mark.parametrize("policy", ["exhaustive", "cottage"])
     def test_hedging_routes_around_a_wedged_replica(self, cells, policy):
-        primary = cells[("slow_replica", policy, "primary")]
-        hedged = cells[("slow_replica", policy, "hedged")]
-        tied = cells[("slow_replica", policy, "tied")]
+        primary = cells[("slow_replica", policy, 1)]
+        hedged = cells[("slow_replica", policy, 2)]
         # The tail-tolerance headline: a budget-aware hedge routes around
         # the wedged replica...
         assert hedged.p99_latency_ms < primary.p99_latency_ms
-        assert tied.p99_latency_ms < primary.p99_latency_ms
         # ...without resorting to brute-force duplication: total ISN time
         # stays under twice the primary-only run's.
         assert hedged.total_service_ms < 2.0 * primary.total_service_ms
@@ -246,8 +236,8 @@ class TestHedgingHeadline:
         # primary-only run lost to deadline/timeout drops.
         assert hedged.avg_dropped_shards <= primary.avg_dropped_shards
         assert hedged.quality_loss <= primary.quality_loss + 1e-9
-        # A whole-shard outage is beyond what replication can fix: no
-        # mode may degrade quality below the primary baseline.
-        out_primary = cells[("outage", policy, "primary")]
-        out_hedged = cells[("outage", policy, "hedged")]
+        # A whole-shard outage is beyond what replication can fix:
+        # hedging must not degrade quality below the single replica's.
+        out_primary = cells[("outage", policy, 1)]
+        out_hedged = cells[("outage", policy, 2)]
         assert out_hedged.quality_loss <= out_primary.quality_loss + 0.02
