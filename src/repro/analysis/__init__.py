@@ -4,8 +4,8 @@ The evaluation only means something because every run is a pure function
 of (seed, configuration).  A slip that breaks that on this interpreter
 fails the run-twice tests and the pinned digests; ``repro.analysis``
 checks the rest as machine-checked rules — float accumulation order in
-the bit-identity kernels (``FLOAT-ORDER``), telemetry binds restored on
-every exit path (``TEL-BIND``) and the layer contract (``ARCH-LAYER``).
+the bit-identity kernels (``FLOAT-ORDER``) and the layer contract
+(``ARCH-LAYER``).
 One ``ast`` pass per file (:mod:`repro.analysis.rules` plus
 :mod:`repro.analysis.layers`), a rule registry, and statement-scoped
 pragma suppression.  A finding is fixed or pragma'd in place; nothing is

@@ -3,7 +3,7 @@
 Suppression is part of the file content::
 
     n = sum(counts)  # simlint: disable=FLOAT-ORDER -- integer counts
-    another()        # simlint: disable=TEL-BIND,ARCH-LAYER
+    another()        # simlint: disable=FLOAT-ORDER,ARCH-LAYER
     anything()       # simlint: disable=all -- escape hatch
 
 A pragma suppresses findings anchored anywhere on the *statement* it

@@ -73,11 +73,14 @@ ALL_POLICIES = (
 )
 
 
+SCALES = {"unit": Scale.unit, "small": Scale.small, "full": Scale.full}
+
+
 def _scale(name: str) -> Scale:
     try:
-        return getattr(Scale, name)()
-    except AttributeError:
-        raise SystemExit(f"unknown scale {name!r}; use unit, small or full")
+        return SCALES[name]()
+    except KeyError:
+        raise SystemExit(f"unknown scale {name!r}; use unit, small or full") from None
 
 
 def _unknown_policy(names: Iterable[str]) -> bool:
@@ -226,9 +229,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_paper(args: argparse.Namespace) -> int:
     """Record every claim at one scale; re-render EXPERIMENTS.md if it is in --out."""
+    scale = _scale(args.scale)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rec = scoreboard.record(args.scale, Testbed.build(_scale(args.scale)), FIGURES)
+    rec = scoreboard.record(args.scale, Testbed.build(scale), FIGURES)
     path = out / f"EXPERIMENTS.{args.scale}.json"
     path.write_text(json.dumps(rec, indent=1, ensure_ascii=False) + "\n")
     print(scoreboard.render(rec) + f"\nwrote {path}")
@@ -247,6 +251,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_spans_jsonl,
     )
 
+    if _unknown_policy([args.policy]):
+        return 1
+    if args.max_rows < 0:
+        print(f"--max-rows must be non-negative, got {args.max_rows}", file=sys.stderr)
+        return 1
     testbed = Testbed.build(_scale(args.scale))
     trace = {
         "wikipedia": testbed.wikipedia_trace,

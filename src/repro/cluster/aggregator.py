@@ -149,6 +149,7 @@ class Aggregator:
         # Telemetry: the tracer reference is None when disabled, so the
         # per-query hot path pays one attribute test and nothing else.
         telemetry = telemetry or NO_TELEMETRY
+        self._telemetry = telemetry  # handed to the policy on every view
         self._tracer = telemetry.tracer if telemetry.enabled else None
         metrics = telemetry.metrics
         self._m_cache_hits = metrics.counter("aggregator.result_cache.hits")
@@ -180,6 +181,7 @@ class Aggregator:
             queued_predicted_ms=tuple(
                 [group[0].queued_work_default_ms for group in self.groups]
             ),
+            telemetry=self._telemetry,
         )
 
     def on_query(self, query: Query) -> None:

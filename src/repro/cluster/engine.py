@@ -21,7 +21,7 @@ from repro.index.shard import IndexShard
 from repro.retrieval.executor import SerialExecutor
 from repro.retrieval.query import Query, QueryTrace
 from repro.retrieval.searcher import DistributedSearcher, SearcherCacheStats
-from repro.telemetry import Telemetry
+from repro.telemetry import NO_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # the serving plane imports this module at runtime
     from repro.serving.admission import AdmissionController
@@ -180,9 +180,10 @@ class SearchCluster:
 
         ``telemetry`` attaches a :class:`~repro.telemetry.Telemetry`
         session for this run: the simulator clock is bound to the tracer
-        (spans record sim-time *and* wall-time), every layer's spans and
-        metrics flow into it, and the policy/searchers are
-        rebound to the disabled session afterwards.  Telemetry never changes a
+        (spans record sim-time *and* wall-time), and every layer's spans
+        and metrics flow into it.  The session is an argument of the run,
+        handed to the policy (its view and ``prewarm``) and to each ISN's
+        searches; no long-lived object keeps it.  Telemetry never changes a
         simulation outcome — runs are bit-identical with it on or off
         (pinned by ``tests/test_telemetry_integration.py``).
 
@@ -297,12 +298,19 @@ class SearchCluster:
         """Per-shard memo counters (hits / computations / size)."""
         return self.searcher.cache_stats()
 
-    def service_time_ms(self, query, shard_id: int, freq_ghz: float | None = None) -> float:
+    def service_time_ms(
+        self,
+        query,
+        shard_id: int,
+        freq_ghz: float | None = None,
+        telemetry: Telemetry = NO_TELEMETRY,
+    ) -> float:
         """Offline service-time oracle (no queueing): one query, one shard.
 
-        Used for predictor training labels and for the frequency-sweep
-        experiment (Fig. 4).
+        Used for predictor training labels, for the frequency-sweep
+        experiment (Fig. 4) and by the oracle policy, which passes its
+        run's ``telemetry`` for the searches it causes.
         """
         freq = freq_ghz if freq_ghz is not None else self.freq_scale.default_ghz
-        result = self.searcher.search_shard(shard_id, query)
+        result = self.searcher.search_shard(shard_id, query, telemetry)
         return self.cost_model.service_ms(result.cost, freq)

@@ -19,7 +19,7 @@ from repro.cluster.faults import FaultSchedule
 from repro.cluster.power import EnergyMeter
 from repro.retrieval.query import Query
 from repro.retrieval.result import SearchResult
-from repro.retrieval.searcher import ShardSearcher
+from repro.retrieval.searcher import ShardSearcher, kernel_counters
 from repro.telemetry import NO_TELEMETRY, Telemetry
 
 
@@ -95,7 +95,11 @@ class ISNServer:
         # Telemetry: the tracer reference is None when disabled so every
         # hot-path check is a single attribute test (zero allocation).
         telemetry = telemetry or NO_TELEMETRY
+        self._telemetry = telemetry
         self._tracer = telemetry.tracer if telemetry.enabled else None
+        if telemetry.enabled:
+            # Listed in every traced run, at zero when each search hits the memo.
+            kernel_counters(telemetry)
         # Replica 0 keeps the pre-replication track name so existing
         # trace tooling (and exported Perfetto baselines) line up.
         self._track = (
@@ -122,7 +126,7 @@ class ISNServer:
     ) -> Job:
         """Run retrieval (timing-free, memoized) and wrap it as a job."""
         freq_ghz = self._snapped.get(freq_ghz) or self.freq_scale.clamp(freq_ghz)
-        result = self.searcher.search(query)
+        result = self.searcher.search(query, self._telemetry)
         cycles = self.cost_model.cycles(result.cost)
         return Job(
             query, result, freq_ghz, deadline_ms, cycles,

@@ -13,6 +13,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.retrieval.query import Query
 from repro.retrieval.result import SearchResult
+from repro.telemetry import NO_TELEMETRY, Telemetry
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,9 @@ class ClusterView:
 
     ``queued_predicted_ms`` is each ISN's backlog of *predicted* service
     time at the default frequency — the queue term of the paper's
-    equivalent latency (Eq. 2).
+    equivalent latency (Eq. 2).  ``telemetry`` is the run's session, so a
+    policy records its spans and counters into the run that asked for
+    the decision; outside a run it is the disabled session.
     """
 
     now_ms: float
@@ -29,6 +32,7 @@ class ClusterView:
     default_freq_ghz: float
     max_freq_ghz: float
     queued_predicted_ms: tuple[float, ...]
+    telemetry: Telemetry = field(default=NO_TELEMETRY, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.queued_predicted_ms) != self.n_shards:
@@ -167,6 +171,8 @@ class SelectionPolicy(Protocol):
     epoch-based aggregation baseline learn their budget from it);
     ``prewarm`` gives the policy the whole trace up front so pure,
     memoized per-query work (e.g. predictor inference) can run batched.
+    Both ``decide`` (through ``view.telemetry``) and ``prewarm`` receive
+    the run's telemetry session; a policy keeps none of it.
     """
 
     name: str
@@ -177,5 +183,5 @@ class SelectionPolicy(Protocol):
     def observe(self, record: QueryRecord) -> None:
         ...
 
-    def prewarm(self, queries: list[Query]) -> None:
+    def prewarm(self, queries: list[Query], telemetry: Telemetry = NO_TELEMETRY) -> None:
         ...

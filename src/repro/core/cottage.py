@@ -17,7 +17,7 @@ from repro.core.budget import BudgetInput, determine_time_budget
 from repro.policies.base import BasePolicy
 from repro.predictors.bank import PredictorBank
 from repro.retrieval.query import Query
-from repro.telemetry import Telemetry
+from repro.telemetry import NO_TELEMETRY, Telemetry
 
 
 # (per-shard rows (shard, Q^K, Q^{K/2}, S*f_d/f_d, S*f_d/f_max), predicted S by shard)
@@ -132,7 +132,8 @@ class CottagePolicy(BasePolicy):
         S*f_d/f_max)`` — the confidence gates and both Eq.-1 scalings
         depend only on the (memoized) predictions, the policy's knobs and
         the cluster's frequency pair — plus the predicted service times
-        by shard that ride along on the :class:`Decision`.
+        by shard that ride along on the :class:`Decision`.  A miss asks
+        the bank, recording into the run's session (``view.telemetry``).
         """
         freqs = (view.default_freq_ghz, view.max_freq_ghz)
         if freqs != self._static_freqs:
@@ -143,8 +144,9 @@ class CottagePolicy(BasePolicy):
             default_ghz, max_ghz = freqs
             rows: list[tuple[int, int, int, float, float]] = []
             service_ms: dict[int, float] = {}
+            telemetry = view.telemetry
             for prediction, (q_k, q_half) in zip(
-                self.bank.predict(query), self._qualities(query)
+                self.bank.predict(query, telemetry), self._qualities(query, telemetry)
             ):
                 sid = prediction.shard_id
                 predicted = prediction.service_default_ms
@@ -164,14 +166,14 @@ class CottagePolicy(BasePolicy):
             static = self._static_rows[query.terms] = (rows, service_ms)
         return static
 
-    def _qualities(self, query: Query) -> list[tuple[int, int]]:
+    def _qualities(self, query: Query, telemetry: Telemetry) -> list[tuple[int, int]]:
         """Per shard (Q^K, Q^{K/2}) as Algorithm 1 should see them."""
         return [
             (
                 self._gated(p.quality_k, p.p_zero_k, self.cut_confidence),
                 self._gated(p.quality_half_k, p.p_zero_half, self.half_cut_confidence),
             )
-            for p in self.bank.predict(query)
+            for p in self.bank.predict(query, telemetry)
         ]
 
     @staticmethod
@@ -189,22 +191,17 @@ class CottagePolicy(BasePolicy):
         """
         return 2.0 * self.network.delay_ms() + self.bank.coordination_overhead_ms()
 
-    def bind_telemetry(self, telemetry: Telemetry) -> None:
-        """Bind the run's session, including the bank's inference spans."""
-        super().bind_telemetry(telemetry)
-        self.bank.bind_telemetry(telemetry)
-
-    def prewarm(self, queries: list[Query]) -> None:
+    def prewarm(self, queries: list[Query], telemetry: Telemetry = NO_TELEMETRY) -> None:
         """Batch-predict the whole trace through the fused kernels.
 
         Predictions are pure and memoized per distinct term tuple, so
         every subsequent :meth:`decide` hits the bank's cache; decisions
         are unchanged.
         """
-        self.bank.prewarm(queries)
+        self.bank.prewarm(queries, telemetry)
 
     def decide(self, query: Query, view: ClusterView) -> Decision:
-        telemetry = self.telemetry
+        telemetry = view.telemetry
         if not telemetry.enabled:
             static = self._static_row(query, view)
             decision = determine_time_budget(
@@ -240,7 +237,8 @@ class CottagePolicy(BasePolicy):
             # plausible shard instead of answering empty (a pure fallback;
             # with a trained bank this is rare).
             best = max(
-                self.bank.predict(query), key=lambda p: (p.quality_k, -p.shard_id)
+                self.bank.predict(query, telemetry),
+                key=lambda p: (p.quality_k, -p.shard_id),
             )
             return Decision(
                 shard_ids=(best.shard_id,),

@@ -19,6 +19,7 @@ from repro.policies.base import BasePolicy
 from repro.predictors.bank import PredictorBank
 from repro.predictors.gamma_quality import TailyQualityEstimator
 from repro.retrieval.query import Query
+from repro.telemetry import NO_TELEMETRY, Telemetry
 
 
 class CottageWithoutMLPolicy(CottagePolicy):
@@ -42,7 +43,7 @@ class CottageWithoutMLPolicy(CottagePolicy):
         super().__init__(bank, budget_slack=budget_slack, network=network)
         self.estimator = estimator
 
-    def _qualities(self, query: Query) -> list[tuple[int, int]]:
+    def _qualities(self, query: Query, telemetry: Telemetry) -> list[tuple[int, int]]:
         k = self.bank.k
         return list(
             zip(
@@ -85,8 +86,11 @@ class CottageISNPolicy(BasePolicy):
         self._mean_service_ms: list[float] = [10.0] * bank.n_shards
         self._observations: list[int] = [0] * bank.n_shards
 
-    def prewarm(self, queries: list[Query]) -> None:
-        """Batch-predict the trace up front (see CottagePolicy.prewarm)."""
+    def prewarm(self, queries: list[Query], telemetry: Telemetry = NO_TELEMETRY) -> None:
+        """Batch-predict the trace up front (see CottagePolicy.prewarm).
+
+        Unlike coordinated Cottage, this variant's bank work is not traced.
+        """
         self.bank.prewarm(queries)
 
     def decide(self, query: Query, view: ClusterView) -> Decision:

@@ -16,17 +16,12 @@ class BasePolicy(ABC):
     feedback hook (the epoch-based aggregation baseline uses it to learn
     its budget from completed queries).
 
-    ``telemetry`` is rebound per run by :meth:`SearchCluster.run_trace`
-    (see :meth:`bind_telemetry`); the default is the shared disabled
-    session, so policies may instrument unconditionally.
+    A policy holds no telemetry: the run's session arrives with each call
+    (``view.telemetry`` in :meth:`decide`, the ``telemetry`` argument of
+    :meth:`prewarm`) and is the disabled session outside a run.
     """
 
     name: str = "base"
-    telemetry: Telemetry = NO_TELEMETRY
-
-    def bind_telemetry(self, telemetry: Telemetry) -> None:
-        """Attach the run's telemetry session (instance attribute)."""
-        self.telemetry = telemetry
 
     @abstractmethod
     def decide(self, query: Query, view: ClusterView) -> Decision:
@@ -35,7 +30,7 @@ class BasePolicy(ABC):
     def observe(self, record: QueryRecord) -> None:
         """Feedback after a query completes.  Default: ignore."""
 
-    def prewarm(self, queries: list[Query]) -> None:
+    def prewarm(self, queries: list[Query], telemetry: Telemetry = NO_TELEMETRY) -> None:
         """Precompute anything the policy will need for ``queries``.
 
         Called by :meth:`SearchCluster.run_trace` before the event loop

@@ -59,7 +59,7 @@ class OraclePolicy(BasePolicy):
         boosted_latency = {}
         current_latency = {}
         for sid in keep:
-            service = self.cluster.service_time_ms(query, sid)
+            service = self.cluster.service_time_ms(query, sid, telemetry=view.telemetry)
             queue = view.queued_predicted_ms[sid]
             current_latency[sid] = equivalent_latency_ms(
                 queue, service, view.default_freq_ghz, view.default_freq_ghz

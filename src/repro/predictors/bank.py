@@ -35,7 +35,7 @@ from repro.predictors.fused import FusedLatencyModels, FusedQualityModels
 from repro.predictors.latency import LatencyBinning, LatencyPredictor
 from repro.predictors.quality import QualityPredictor
 from repro.retrieval.query import Query
-from repro.telemetry import NO_TELEMETRY, Telemetry
+from repro.telemetry import NO_TELEMETRY, Counter, Telemetry
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,15 @@ def _made_into_stack(n: int, predictors: Iterator[P]) -> tuple[list[P], StackedS
     return made, StackedSequential.from_models(models(), n)
 
 
+def _cache_counters(telemetry: Telemetry) -> tuple[Counter, Counter]:
+    """The run's prediction-memo (hits, misses) counters."""
+    metrics = telemetry.metrics
+    return (
+        metrics.counter("bank.prediction_cache.hits"),
+        metrics.counter("bank.prediction_cache.misses"),
+    )
+
+
 class PredictorBank:
     """All per-shard predictors for one cluster, plus their stats indexes."""
 
@@ -152,21 +161,6 @@ class PredictorBank:
         self._fused: (
             tuple[FusedQualityModels, FusedQualityModels, FusedLatencyModels] | None
         ) = None
-        # Telemetry (rebound per run; see bind_telemetry).  The tracer is
-        # None when disabled so the memo-cache hot path pays one test.
-        self._tracer = None
-        self._m_cache_hits = NO_TELEMETRY.metrics.counter("bank.prediction_cache.hits")
-        self._m_cache_misses = NO_TELEMETRY.metrics.counter(
-            "bank.prediction_cache.misses"
-        )
-
-    def bind_telemetry(self, telemetry: Telemetry) -> None:
-        """Attach a run's telemetry session to the inference paths."""
-        self._tracer = telemetry.tracer if telemetry.enabled else None
-        self._m_cache_hits = telemetry.metrics.counter("bank.prediction_cache.hits")
-        self._m_cache_misses = telemetry.metrics.counter(
-            "bank.prediction_cache.misses"
-        )
 
     @property
     def n_shards(self) -> int:
@@ -268,25 +262,29 @@ class PredictorBank:
             )
         return self._fused
 
-    def predict(self, query: Query) -> tuple[ISNPrediction, ...]:
+    def predict(
+        self, query: Query, telemetry: Telemetry = NO_TELEMETRY
+    ) -> tuple[ISNPrediction, ...]:
         """All ISNs' <Q^K, Q^{K/2}, L_default> reports for one query.
 
         Runs on the fused batched kernel (see :meth:`batch_predict`).
         Predictions are memoized per distinct query: the underlying index
         is immutable, so the reports never change across a trace replay.
+        ``telemetry`` counts the memo's hits and misses.
         """
         if not self.trained:
             raise RuntimeError("predictor bank has not been trained")
         cached = self._prediction_cache.get(query.terms)
+        if telemetry.enabled:
+            hits, misses = _cache_counters(telemetry)
+            (hits if cached is not None else misses).add()
         if cached is not None:
-            if self._tracer is not None:
-                self._m_cache_hits.add()
             return cached
-        if self._tracer is not None:
-            self._m_cache_misses.add()
-        return self.batch_predict([query])[0]
+        return self.batch_predict([query], telemetry)[0]
 
-    def batch_predict(self, queries: list[Query]) -> list[tuple[ISNPrediction, ...]]:
+    def batch_predict(
+        self, queries: list[Query], telemetry: Telemetry = NO_TELEMETRY
+    ) -> list[tuple[ISNPrediction, ...]]:
         """Per-ISN reports for many queries through the batched plane.
 
         Feature matrices for every uncached distinct query are assembled
@@ -299,7 +297,8 @@ class PredictorBank:
         loop (``predict_loop`` in ``tests/test_batched_inference.py``): the
         fused kernel evaluates one query row per pass, so every matmul has
         the exact shape the per-shard path used.  Results land in the same
-        memo cache ``predict`` reads.
+        memo cache ``predict`` reads; ``telemetry`` gets a
+        ``bank.batch_predict`` span whenever there is something to predict.
         """
         if not self.trained:
             raise RuntimeError("predictor bank has not been trained")
@@ -308,8 +307,8 @@ class PredictorBank:
                 q.terms for q in queries if q.terms not in self._prediction_cache
             )
         )
-        if missing and self._tracer is not None:
-            with self._tracer.span(
+        if missing and telemetry.enabled:
+            with telemetry.tracer.span(
                 "bank.batch_predict", track="bank",
                 n_queries=len(queries), n_uncached=len(missing),
             ):
@@ -342,16 +341,20 @@ class PredictorBank:
                 map(ISNPrediction, shard_ids, row_k, row_half, row_ms, row_pk, row_ph)
             )
 
-    def prewarm(self, queries: list[Query]) -> int:
+    def prewarm(self, queries: list[Query], telemetry: Telemetry = NO_TELEMETRY) -> int:
         """Fill the prediction cache for a trace through the batched plane.
 
         Returns the number of distinct queries newly predicted.  Purely a
         wall-clock optimization: predictions are memoized pure functions,
         so prewarming never changes what any later ``predict`` returns.
+        A traced prewarm also lists the memo's hit/miss counters, so a run
+        whose decisions never ask the bank still reports them at zero.
         """
         before = len(self._prediction_cache)
+        if telemetry.enabled:
+            _cache_counters(telemetry)
         if queries:
-            self.batch_predict(list(queries))
+            self.batch_predict(list(queries), telemetry)
         return len(self._prediction_cache) - before
 
     # ------------------------------------------------------------- persistence

@@ -19,9 +19,7 @@ from repro.retrieval.exhaustive import exhaustive_search
 from repro.retrieval.kernels import KernelStats, maxscore_search_kernel
 from repro.retrieval.query import Query
 from repro.retrieval.result import SearchResult, merge_results
-from repro.telemetry import Telemetry
-from repro.telemetry.metrics import Counter
-from repro.telemetry.trace import Tracer
+from repro.telemetry import NO_TELEMETRY, Counter, Telemetry
 
 STRATEGIES: dict[str, Callable[[IndexShard, list[str], int], SearchResult]] = {
     "exhaustive": exhaustive_search,
@@ -72,6 +70,20 @@ class _Pending:
         return self.result
 
 
+def kernel_counters(telemetry: Telemetry) -> tuple[Counter, Counter, Counter]:
+    """The run's MaxScore kernel (chunks, offers, threshold restarts) counters.
+
+    Plain unlocked adds: under thread races they can undercount, never
+    overcount — the same contract as the memo-cache hits.
+    """
+    metrics = telemetry.metrics
+    return (
+        metrics.counter("retrieval.kernel.chunks"),
+        metrics.counter("retrieval.kernel.offers"),
+        metrics.counter("retrieval.kernel.threshold_restarts"),
+    )
+
+
 class ShardSearcher:
     """Executes queries on one shard with a fixed strategy and k.
 
@@ -103,31 +115,6 @@ class ShardSearcher:
         self._lock = threading.Lock()
         self._hits = 0
         self._computations = 0
-        # Telemetry, rebound per run (see bind_telemetry).  Spans are only
-        # emitted from the binding thread so concurrent callers cannot
-        # interleave begin/end events on one track; the counters use plain
-        # unlocked adds everywhere (they can undercount under races,
-        # never overcount — the same contract as the memo-cache hits).
-        self._tracer: Tracer | None = None
-        self._telemetry_thread: int = 0
-        self._m_chunks: Counter | None = None
-        self._m_offers: Counter | None = None
-        self._m_restarts: Counter | None = None
-
-    def bind_telemetry(self, telemetry: Telemetry) -> None:
-        """Attach a run's telemetry session to subsequent kernel calls."""
-        if telemetry.enabled:
-            self._tracer = telemetry.tracer
-            self._telemetry_thread = threading.get_ident()
-            metrics = telemetry.metrics
-            self._m_chunks = metrics.counter("retrieval.kernel.chunks")
-            self._m_offers = metrics.counter("retrieval.kernel.offers")
-            self._m_restarts = metrics.counter(
-                "retrieval.kernel.threshold_restarts"
-            )
-        else:
-            self._tracer = None
-            self._m_chunks = self._m_offers = self._m_restarts = None
 
     def cache_key(self, query: Query) -> CacheKey:
         return (query.terms, self.k, self.strategy)
@@ -143,7 +130,13 @@ class ShardSearcher:
             size=len(self._cache),
         )
 
-    def search(self, query: Query) -> SearchResult:
+    def search(self, query: Query, telemetry: Telemetry = NO_TELEMETRY) -> SearchResult:
+        """``query``'s top-k on this shard.
+
+        A memo miss that runs the MaxScore kernel records into
+        ``telemetry`` (see :meth:`_evaluate`); spans nest per track, so
+        one session is passed from one thread.
+        """
         key = self.cache_key(query)
         cached = self._cache.get(key)  # lock-free hot path
         if cached is not None:
@@ -164,7 +157,7 @@ class ShardSearcher:
             return pending.wait()
         strategy = STRATEGIES[key[2]]
         try:
-            result = self._evaluate(strategy, key, query)
+            result = self._evaluate(strategy, key, query, telemetry)
         except BaseException as exc:
             pending.publish(None, exc)
             with self._lock:
@@ -184,39 +177,29 @@ class ShardSearcher:
         strategy: Callable[[IndexShard, list[str], int], SearchResult],
         key: CacheKey,
         query: Query,
+        telemetry: Telemetry,
     ) -> SearchResult:
-        """Run the strategy, recording kernel telemetry when bound.
+        """Run the strategy, recording kernel telemetry when enabled.
 
         MaxScore kernel executions get a ``retrieval.kernel`` span on the
         shard's ``retrieval.<id>`` track plus chunk/offer/restart counters;
         everything is skipped (one attribute test) when telemetry is off.
         """
-        tracer = self._tracer
-        if tracer is None or strategy is not maxscore_search_kernel:
+        if not telemetry.enabled or strategy is not maxscore_search_kernel:
             return strategy(self.shard, list(query.terms), key[1])
         kstats = KernelStats()
-        if threading.get_ident() == self._telemetry_thread:
-            with tracer.span(
-                "retrieval.kernel",
-                track=f"retrieval.{self.shard.shard_id}",
-                strategy=key[2], k=key[1], n_terms=len(query.terms),
-            ) as span:
-                result = strategy(
-                    self.shard, list(query.terms), key[1], stats=kstats
-                )
-                span.attrs["chunks"] = kstats.chunks
-                span.attrs["offers"] = kstats.offers
-        else:
+        with telemetry.tracer.span(
+            "retrieval.kernel",
+            track=f"retrieval.{self.shard.shard_id}",
+            strategy=key[2], k=key[1], n_terms=len(query.terms),
+        ) as span:
             result = strategy(self.shard, list(query.terms), key[1], stats=kstats)
-        # The counters are bound iff the tracer is (see bind_telemetry).
-        assert (
-            self._m_chunks is not None
-            and self._m_offers is not None
-            and self._m_restarts is not None
-        )
-        self._m_chunks.add(kstats.chunks)
-        self._m_offers.add(kstats.offers)
-        self._m_restarts.add(kstats.threshold_restarts)
+            span.attrs["chunks"] = kstats.chunks
+            span.attrs["offers"] = kstats.offers
+        chunks, offers, restarts = kernel_counters(telemetry)
+        chunks.add(kstats.chunks)
+        offers.add(kstats.offers)
+        restarts.add(kstats.threshold_restarts)
         return result
 
     def search_terms(self, terms: list[str]) -> SearchResult:
@@ -250,13 +233,10 @@ class DistributedSearcher:
     def n_shards(self) -> int:
         return len(self.searchers)
 
-    def bind_telemetry(self, telemetry: Telemetry) -> None:
-        """Forward a run's telemetry session to every shard searcher."""
-        for searcher in self.searchers:
-            searcher.bind_telemetry(telemetry)
-
-    def search_shard(self, shard_id: int, query: Query) -> SearchResult:
-        return self.searchers[shard_id].search(query)
+    def search_shard(
+        self, shard_id: int, query: Query, telemetry: Telemetry = NO_TELEMETRY
+    ) -> SearchResult:
+        return self.searchers[shard_id].search(query, telemetry)
 
     def search(self, query: Query, shard_ids: list[int] | None = None) -> SearchResult:
         """Search a subset of shards (default: all) and merge."""

@@ -156,10 +156,6 @@ class ServingPlane:
         sim = Simulator(telemetry)
         if tracer is not None:
             telemetry.bind_clock(lambda: sim.now)
-        policy_bind = getattr(policy, "bind_telemetry", None)
-        if policy_bind is not None:
-            policy_bind(telemetry)
-        cluster.searcher.bind_telemetry(telemetry)
         cache_before = cluster._searcher_totals()
         decode_before = cluster._decode_totals()
         result_cache_before = (
@@ -177,7 +173,7 @@ class ServingPlane:
                             "cluster.prewarm_policy", track="cluster",
                             n_queries=len(prewarm_queries),
                         ):
-                            policy_prewarm(prewarm_queries)
+                            policy_prewarm(prewarm_queries, telemetry=telemetry)
             # Meters stay a flat list (shard-major: shard i's replica r is
             # meters[i * R + r]) so package_report sums the whole cluster.
             meters = [
@@ -251,9 +247,6 @@ class ServingPlane:
         finally:
             if tracer is not None:
                 telemetry.unbind_clock()
-            if policy_bind is not None:
-                policy_bind(NO_TELEMETRY)
-            cluster.searcher.bind_telemetry(NO_TELEMETRY)
         report = package_report(meters, cluster.power_model, elapsed)
         records = sorted(aggregator.records, key=lambda r: r.arrival_ms)
         hits_after, comps_after = cluster._searcher_totals()

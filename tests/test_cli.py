@@ -73,6 +73,26 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["figure", "fig04", "--scale", "enormous"])
 
+    @pytest.mark.parametrize("name", ["__init__", "__class__", "mro"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "build", "--out", "{out}"],
+            ["compare"],
+            ["figure", "fig04"],
+            ["paper", "--out", "{out}"],
+            ["trace"],
+            ["faults"],
+            ["serve"],
+        ],
+    )
+    def test_scale_names_only_the_three_scales(self, argv, name, tmp_path):
+        # Attribute names of Scale are not scales: one line, never a traceback.
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as caught:
+            main([arg.format(out=out) for arg in argv] + ["--scale", name])
+        assert caught.value.code == f"unknown scale {name!r}; use unit, small or full"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -115,6 +135,8 @@ class TestCommands:
                 ["faults", "--response-timeout-ms", "inf"],
                 "--response-timeout-ms must be positive, got inf",
             ),
+            (["trace", "--policy", "bogus"], "unknown policy 'bogus'"),
+            (["trace", "--max-rows", "-1"], "--max-rows must be non-negative, got -1"),
         ],
     )
     def test_hostile_input_exits_one_with_one_line(
@@ -385,8 +407,9 @@ class TestHostileServeKnobs:
         found, draws = (int(n) for n in re.findall(r"\d+", err.partition("yields:")[2]))
         assert draws - found == MAX_REPEATED_DRAWS + 1
 
-#: A telemetry bind with no ``finally`` restore: one TEL-BIND finding, line 2.
-UNRESTORED_BIND = "def run(cluster, telemetry):\n    cluster.bind_telemetry(telemetry)\n"
+#: Coordination code importing the serving layer above it: one ARCH-LAYER
+#: finding, line 2.
+UPWARD_IMPORT = '"""Core reaching up."""\nfrom repro.serving import ServingPlane\n'
 
 
 class TestLintCommand:
@@ -409,10 +432,10 @@ class TestLintCommand:
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
-        self.write(tmp_path, "dirty.py", UNRESTORED_BIND)
+        self.write(tmp_path, "dirty.py", UPWARD_IMPORT)
         assert self.lint(tmp_path) == 1
         out = capsys.readouterr().out
-        assert "TEL-BIND" in out and "dirty.py:2" in out
+        assert "ARCH-LAYER" in out and "dirty.py:2" in out
 
     def test_exit_two_on_syntax_error(self, tmp_path, capsys):
         self.write(tmp_path, "broken.py", "def broken(:\n")
@@ -430,12 +453,12 @@ class TestLintCommand:
         assert "unknown rule" in capsys.readouterr().err
 
     def test_github_format_emits_annotations(self, tmp_path, capsys):
-        self.write(tmp_path, "dirty.py", UNRESTORED_BIND)
+        self.write(tmp_path, "dirty.py", UPWARD_IMPORT)
         assert self.lint(tmp_path, "--format", "github") == 1
         out = capsys.readouterr().out
-        assert "::error file=" in out and "title=simlint TEL-BIND" in out
+        assert "::error file=" in out and "title=simlint ARCH-LAYER" in out
 
     def test_rule_subset_filter(self, tmp_path):
-        self.write(tmp_path, "dirty.py", UNRESTORED_BIND)
-        assert self.lint(tmp_path, "--rules", "TEL-BIND") == 1
-        assert self.lint(tmp_path, "--rules", "ARCH-LAYER") == 0
+        self.write(tmp_path, "dirty.py", UPWARD_IMPORT)
+        assert self.lint(tmp_path, "--rules", "ARCH-LAYER") == 1
+        assert self.lint(tmp_path, "--rules", "FLOAT-ORDER") == 0

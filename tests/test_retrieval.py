@@ -255,44 +255,43 @@ class TestKernelDispatchAndTelemetry:
                 == reference(shards[0], terms, 10).fingerprint()
             )
 
-    def test_bind_telemetry_records_kernel_spans_and_counters(self, shards):
-        from repro.telemetry import NO_TELEMETRY, Telemetry
+    def test_per_call_telemetry_records_kernel_spans_and_counters(self, shards):
+        from repro.telemetry import Telemetry
+
+        def kernel_spans(telemetry):
+            return [s for s in telemetry.tracer.spans if s.name == "retrieval.kernel"]
 
         telemetry = Telemetry()
         searcher = ShardSearcher(shards[0], k=5, strategy="maxscore")
-        searcher.bind_telemetry(telemetry)
-        searcher.search(Query(query_id=0, terms=("t1", "t12")))
-        spans = [
-            s for s in telemetry.tracer.spans if s.name == "retrieval.kernel"
-        ]
+        searcher.search(Query(query_id=0, terms=("t1", "t12")), telemetry)
+        spans = kernel_spans(telemetry)
         assert len(spans) == 1
+        assert spans[0].track == "retrieval.0"
         assert spans[0].attrs["strategy"] == "maxscore"
         assert "chunks" in spans[0].attrs and "offers" in spans[0].attrs
         chunks = telemetry.metrics.counter("retrieval.kernel.chunks").value
         assert chunks >= 0  # small shards may dispatch to the scalar
         # Cached repeat: no new span, no double-count.
-        searcher.search(Query(query_id=1, terms=("t1", "t12")))
-        assert (
-            len([s for s in telemetry.tracer.spans if s.name == "retrieval.kernel"])
-            == 1
-        )
-        # Rebinding the disabled session silences future searches.
-        searcher.bind_telemetry(NO_TELEMETRY)
+        searcher.search(Query(query_id=1, terms=("t1", "t12")), telemetry)
+        assert len(kernel_spans(telemetry)) == 1
+        # A call without a session records nothing, into this session or
+        # any other: the searcher keeps none between calls.
         searcher.search(Query(query_id=2, terms=("t41",)))
-        assert (
-            len([s for s in telemetry.tracer.spans if s.name == "retrieval.kernel"])
-            == 1
-        )
+        assert len(kernel_spans(telemetry)) == 1
+        other = Telemetry()
+        searcher.search(Query(query_id=3, terms=("t2",)), other)
+        assert len(kernel_spans(telemetry)) == 1
+        assert len(kernel_spans(other)) == 1
 
     def test_telemetry_never_changes_results(self, shards):
         from repro.telemetry import Telemetry
 
         plain = ShardSearcher(shards[0], k=10, strategy="maxscore")
         traced = ShardSearcher(shards[0], k=10, strategy="maxscore")
-        traced.bind_telemetry(Telemetry())
         query = Query(query_id=0, terms=("t1", "t12"))
         assert (
-            plain.search(query).fingerprint() == traced.search(query).fingerprint()
+            plain.search(query).fingerprint()
+            == traced.search(query, Telemetry()).fingerprint()
         )
 
 

@@ -23,7 +23,7 @@ from repro.analysis.layers import layer_of
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-RULE_IDS = {"FLOAT-ORDER", "TEL-BIND", "ARCH-LAYER"}
+RULE_IDS = {"FLOAT-ORDER", "ARCH-LAYER"}
 
 
 #: A module inside FLOAT-ORDER's scope, where ``sum(...)`` is a finding.
@@ -104,56 +104,19 @@ class TestFloatOrder:
         assert not rule_hits(report, "FLOAT-ORDER")
 
 
-TEL_BIND_BAD = """\
-def run_trace(cluster, telemetry, NO_TELEMETRY):
-    cluster.searcher.bind_telemetry(telemetry)
-    return cluster.replay()
-"""
-
-TEL_BIND_CLEAN = """\
-def run_trace(cluster, telemetry, NO_TELEMETRY):
-    cluster.searcher.bind_telemetry(telemetry)
-    try:
-        return cluster.replay()
-    finally:
-        cluster.searcher.bind_telemetry(NO_TELEMETRY)
-"""
-
-TEL_BIND_DELEGATION = """\
-class Stack:
-    def bind_telemetry(self, telemetry):
-        for child in self.children:
-            child.bind_telemetry(telemetry)
-"""
-
-
-class TestTelBind:
-    def test_fires_without_finally(self, tmp_path):
-        report = lint_snippet(tmp_path, TEL_BIND_BAD)
-        assert len(rule_hits(report, "TEL-BIND")) == 1
-
-    def test_clean_with_finally_restore(self, tmp_path):
-        report = lint_snippet(tmp_path, TEL_BIND_CLEAN)
-        assert not rule_hits(report, "TEL-BIND")
-
-    def test_delegating_binder_exempt(self, tmp_path):
-        report = lint_snippet(tmp_path, TEL_BIND_DELEGATION)
-        assert not rule_hits(report, "TEL-BIND")
-
-
 class TestPragmas:
     def test_parse(self):
         pragmas = parse_pragmas(
             [
                 "x = 1",
                 "y = sum(xs)  # simlint: disable=FLOAT-ORDER -- integer counts",
-                "z = f()  # simlint: disable=TEL-BIND,ARCH-LAYER",
+                "z = f()  # simlint: disable=ARCH-LAYER,FLOAT-ORDER",
                 "w = g()  # simlint: disable=all",
             ]
         )
         assert pragmas == {
             2: frozenset({"FLOAT-ORDER"}),
-            3: frozenset({"TEL-BIND", "ARCH-LAYER"}),
+            3: frozenset({"ARCH-LAYER", "FLOAT-ORDER"}),
             4: frozenset({"ALL"}),
         }
 
@@ -161,7 +124,7 @@ class TestPragmas:
         report = lint_snippet(
             tmp_path,
             "a = sum(xs)  # simlint: disable=FLOAT-ORDER -- fixture\n"
-            "b = sum(xs)  # simlint: disable=TEL-BIND -- wrong rule\n"
+            "b = sum(xs)  # simlint: disable=ARCH-LAYER -- wrong rule\n"
             "c = sum(xs)\n",
             module_path=KERNELS,
         )

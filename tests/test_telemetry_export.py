@@ -5,7 +5,9 @@ serialized to JSON, re-parsed with ``json.loads``, then the B/E nesting
 and timestamp invariants are verified on the re-parsed events.
 """
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -150,3 +152,51 @@ class TestFlamegraph:
         telemetry, _ = traced_run
         text = flamegraph_summary(telemetry, max_rows=3)
         assert len(text.splitlines()) <= 3 + 6  # header + track labels + footer
+
+
+#: Digests of one ``repro trace --policy cottage --scale unit --metrics``
+#: run, captured before the telemetry session became a per-run argument:
+#: the Perfetto JSON bytes, the JSONL spans without ``wall_ms`` and the
+#: printed metrics snapshot.  Telemetry plumbing may move; what it records
+#: may not.
+TRACE_PIN = {
+    "perfetto": "0fe5c435c19dd890d18e5ea39f5482b58913d828c38aa5dd1bc59ff57e3e9755",
+    "jsonl": "9fd0591ff7e00fe487019823efd88e4f6c0dab1abc0d94680110036a099aa7ef",
+    "metrics": "63b2be4089f74654769220df957ea8be4981175db8a3d68e94935180ec31e7e3",
+}
+
+
+def trace_digests(stem, stdout: str) -> dict[str, str]:
+    """The three :data:`TRACE_PIN` digests of one ``repro trace`` run."""
+
+    def sha(text: str | bytes) -> str:
+        data = text.encode() if isinstance(text, str) else text
+        return hashlib.sha256(data).hexdigest()
+
+    spans = []
+    for line in stem.with_suffix(".jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        del record["wall_ms"]
+        spans.append(json.dumps(record, sort_keys=True))
+    metrics = [
+        line for line in stdout.splitlines()
+        if re.match(r"\S+ \[(counter|gauge|histogram)\]: ", line)
+    ]
+    assert len(metrics) == 40
+    return {
+        "perfetto": sha(stem.with_suffix(".json").read_bytes()),
+        "jsonl": sha("\n".join(spans)),
+        "metrics": sha("\n".join(metrics)),
+    }
+
+
+def test_cli_trace_output_is_pinned(bank_ok, tmp_path, capsys):
+    if not bank_ok:
+        pytest.skip("bank differs from the capture; see test_bank_matches_capture")
+    from repro.cli import main
+
+    stem = tmp_path / "run"
+    argv = ["trace", "--policy", "cottage", "--scale", "unit", "--metrics",
+            "--export", "perfetto", "jsonl", "--out", str(stem)]
+    assert main(argv) == 0
+    assert trace_digests(stem, capsys.readouterr().out) == TRACE_PIN

@@ -5,10 +5,13 @@ The load-bearing guarantee: attaching a :class:`Telemetry` session to
 power and merged results are bit-identical with telemetry on or off.
 """
 
+import json
+
 import pytest
 
-from repro.cluster import ResultCache
-from repro.telemetry import Telemetry
+from repro.cluster import ResultCache, SearchCluster
+from repro.cluster.types import ClusterView
+from repro.telemetry import NO_TELEMETRY, Telemetry, chrome_trace_events
 
 
 @pytest.fixture(scope="module")
@@ -163,15 +166,27 @@ class TestMetricsFlow:
         )
 
     def test_rebinding_restores_disabled_session(self, unit_testbed, paired_runs):
-        # After a telemetry run, a fresh policy records nothing anywhere.
+        # After a telemetry run, a policy deciding outside any run sees the
+        # disabled session and records nothing anywhere: nothing was bound.
+        telemetry, _, _ = paired_runs
+        spans, snapshot = len(telemetry.tracer.spans), telemetry.metrics.snapshot()
         policy = unit_testbed.make_policy("cottage")
-        from repro.telemetry import NO_TELEMETRY
-
-        assert policy.telemetry is NO_TELEMETRY
+        assert not hasattr(policy, "telemetry")
+        cluster = unit_testbed.cluster
+        view = ClusterView(
+            now_ms=0.0, n_shards=cluster.n_shards,
+            default_freq_ghz=cluster.freq_scale.default_ghz,
+            max_freq_ghz=cluster.freq_scale.max_ghz,
+            queued_predicted_ms=(0.0,) * cluster.n_shards,
+        )
+        assert view.telemetry is NO_TELEMETRY
+        for query in unit_testbed.lucene_trace.queries[:20]:
+            policy.decide(query, view)
+        assert len(telemetry.tracer.spans) == spans
+        assert telemetry.metrics.snapshot() == snapshot
+        assert NO_TELEMETRY.tracer.spans == [] and len(NO_TELEMETRY.metrics) == 0
 
     def test_disabled_session_records_nothing(self, unit_testbed):
-        from repro.telemetry import NO_TELEMETRY
-
         run = unit_testbed.cluster.run_trace(
             unit_testbed.wikipedia_trace, unit_testbed.make_policy("cottage"),
             telemetry=NO_TELEMETRY,
@@ -179,6 +194,57 @@ class TestMetricsFlow:
         assert run.records
         assert NO_TELEMETRY.tracer.spans == []
         assert len(NO_TELEMETRY.metrics) == 0
+
+
+def exported(telemetry) -> tuple[str, str]:
+    """A session's Perfetto events and metrics snapshot, as JSON text."""
+    return (
+        json.dumps(chrome_trace_events(telemetry)),
+        json.dumps(telemetry.metrics.snapshot(), sort_keys=True),
+    )
+
+
+class TestRunIsolation:
+    """A session records its own run and nothing after it."""
+
+    def test_failed_run_session_is_sealed_and_next_run_is_clean(self, unit_testbed):
+        # A cluster of its own: its retrieval memo starts cold, so the runs
+        # after the failure search, and a leaked session would see it.
+        shared = unit_testbed.cluster
+        cluster = SearchCluster(
+            shared.shards, k=shared.k, strategy=shared.strategy,
+            cost_model=shared.cost_model, power_model=shared.power_model,
+            freq_scale=shared.freq_scale, network=shared.network,
+        )
+        trace = unit_testbed.wikipedia_trace
+        policy = unit_testbed.make_policy("cottage")
+        decide = policy.decide
+
+        def failing_decide(query, view):
+            if query.query_id >= 100:
+                raise RuntimeError("policy failed mid-replay")
+            return decide(query, view)
+
+        failed = Telemetry()
+        policy.decide = failing_decide
+        with pytest.raises(RuntimeError, match="mid-replay"):
+            cluster.run_trace(trace, policy, telemetry=failed)
+        del policy.decide
+        sealed = (len(failed.tracer.spans), exported(failed))
+        assert sealed[0] > 0
+
+        cluster.run_trace(trace, policy)
+        last = Telemetry()
+        cluster.run_trace(trace, policy, telemetry=last)
+        # The same history without the failure: a fresh policy whose
+        # untraced run warms the same memos first.
+        clean_policy = unit_testbed.make_policy("cottage")
+        cluster.run_trace(trace, clean_policy)
+        clean = Telemetry()
+        cluster.run_trace(trace, clean_policy, telemetry=clean)
+
+        assert (len(failed.tracer.spans), exported(failed)) == sealed
+        assert last.tracer.spans and exported(last) == exported(clean)
 
 
 def unit_shards(telemetry) -> int:
