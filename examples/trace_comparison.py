@@ -13,23 +13,16 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments import Scale, Testbed, headline
+from repro.cli import ALL_POLICIES, SCALES
+from repro.experiments import Testbed, headline
 from repro.metrics import comparison_table
-
-ALL_POLICIES = (
-    "exhaustive",
-    "aggregation",
-    "taily",
-    "rank_s",
-    "cottage_without_ml",
-    "cottage_isn",
-    "cottage",
-)
 
 
 def main() -> None:
     scale_name = sys.argv[1] if len(sys.argv) > 1 else "small"
-    scale = getattr(Scale, scale_name)()
+    if scale_name not in SCALES:
+        raise SystemExit(f"unknown scale {scale_name!r}; use unit, small or full")
+    scale = SCALES[scale_name]()
     print(f"Building {scale_name}-scale testbed "
           f"({scale.corpus.n_docs} docs, {scale.n_shards} ISNs)...")
     testbed = Testbed.build(scale)

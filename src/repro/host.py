@@ -49,12 +49,22 @@ def usable_cpus() -> int:
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: Set in every worker :func:`process_map` forks, so a nested call runs
+#: inline instead of forking a pool from a pool worker.
+IN_WORKER = False
+
+
+def _mark_worker() -> None:
+    global IN_WORKER
+    IN_WORKER = True
+
 
 def process_map(fn: Callable[[T], R], jobs: Sequence[T]) -> Iterator[R]:
     """``map(fn, jobs)`` on one forked worker process per usable CPU.
 
     Runs in this process through the builtin ``map`` when there is one CPU
-    or one job, no ``fork``, or BLAS is not known single-threaded.  Jobs
+    or one job, no ``fork``, BLAS is not known single-threaded, or this
+    process is itself a ``process_map`` worker (calls never nest).  Jobs
     and results cross the process boundary pickled, so ``fn`` may depend
     on its job alone.  Results are yielded in job order and held only
     until the caller takes them.  An exception raised by ``fn`` reaches
@@ -62,7 +72,8 @@ def process_map(fn: Callable[[T], R], jobs: Sequence[T]) -> Iterator[R]:
     naming it.  Either way every worker is reaped first.
     """
     workers = min(usable_cpus(), len(jobs))
-    if workers <= 1 or not BLAS_SINGLE_THREADED or not hasattr(os, "fork"):
+    inline = IN_WORKER or not BLAS_SINGLE_THREADED or not hasattr(os, "fork")
+    if workers <= 1 or inline:
         yield from map(fn, jobs)
         return
     # Imported only when used: they add 2 MiB to every process that loads them.
@@ -70,7 +81,9 @@ def process_map(fn: Callable[[T], R], jobs: Sequence[T]) -> Iterator[R]:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_mark_worker
+    )
     try:
         futures = [pool.submit(fn, jobs[0])]
         # Under fork the first submit starts every worker.

@@ -25,10 +25,6 @@ class Layer(ABC):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate; return dL/d(input), store parameter grads."""
 
-    def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(parameter, gradient) pairs; empty for stateless layers."""
-        return []
-
     def state(self) -> dict[str, np.ndarray]:
         """Serializable parameter arrays."""
         return {}
@@ -67,14 +63,12 @@ class Dense(Layer):
         return x @ self.W + self.b
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Gradients land in ``dW``/``db`` in place once they exist (inside
+        ``Sequential.fit`` they are views of the model's gradient buffer)."""
         assert self._x is not None, "backward before forward(training=True)"
-        self.dW = self._x.T @ grad_out
-        self.db = grad_out.sum(axis=0)
+        self.dW = np.matmul(self._x.T, grad_out, out=self.dW)
+        self.db = grad_out.sum(axis=0, out=self.db)
         return grad_out @ self.W.T
-
-    def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        assert self.dW is not None and self.db is not None, "no backward yet"
-        return [(self.W, self.dW), (self.b, self.db)]
 
     def release(self) -> None:
         self.dW = self.db = self._x = None

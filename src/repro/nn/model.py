@@ -56,12 +56,6 @@ class Sequential:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
 
-    def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        params: list[tuple[np.ndarray, np.ndarray]] = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
-
     # ---------------------------------------------------------------- training
     def fit(
         self,
@@ -82,6 +76,15 @@ class Sequential:
         epoch-based; batches are sampled with reshuffling each pass.
         Gradients and activation caches exist only inside this call: a
         model that is not training holds its weights and nothing else.
+
+        For the length of the call every Dense ``W``/``b`` and ``dW``/``db``
+        is a view of one parameter and one gradient buffer, so the
+        optimizer steps one ``(params, grads)`` pair per iteration instead
+        of one per weight array; its state belongs to that buffer, so give
+        each call its own optimizer.  On return, or on a raise, the
+        trained values are copied into the layers' own arrays and those
+        are bound again: a model whose weights are views of a
+        :class:`StackedSequential` trains through to its stack.
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
@@ -101,7 +104,10 @@ class Sequential:
         n = x.shape[0]
         order = rng.permutation(n)
         cursor = 0
+        dense = [layer for layer in self.layers if isinstance(layer, Dense)]
+        own = [(layer.W, layer.b) for layer in dense]
         try:
+            params, grads = _bind_flat(dense)
             for it in range(iterations):
                 if cursor + batch_size > n:
                     order = rng.permutation(n)
@@ -111,12 +117,15 @@ class Sequential:
                 outputs = self.forward(x[batch], training=True)
                 value, grad = loss.compute(outputs, y[batch])
                 self.backward(grad)
-                optimizer.step(self.parameters())
+                optimizer.step([(params, grads)])
                 history.loss.append(value)
                 if eval_every and eval_set is not None and (it + 1) % eval_every == 0:
                     history.eval_iterations.append(it + 1)
                     history.eval_accuracy.append(self.accuracy(*eval_set))
         finally:
+            for layer, (W, b) in zip(dense, own):
+                W[...], b[...] = layer.W, layer.b
+                layer.W, layer.b = W, b
             for layer in self.layers:
                 layer.release()
         return history
@@ -165,6 +174,25 @@ class Sequential:
     def load(self, path: str | Path) -> None:
         with np.load(path) as data:
             self.load_state({key: data[key] for key in data.files})
+
+
+def _bind_flat(layers: list[Dense]) -> tuple[np.ndarray, np.ndarray]:
+    """One parameter buffer holding a copy of every layer's ``W``/``b``,
+    and one gradient buffer; each layer's ``W``/``b``/``dW``/``db`` is
+    rebound to its views of them."""
+    size = sum(layer.W.size + layer.b.size for layer in layers)
+    params, grads = np.empty(size), np.empty(size)
+    start = 0
+    for layer in layers:
+        views = []
+        for array in (layer.W, layer.b):
+            end = start + array.size
+            view = params[start:end].reshape(array.shape)
+            view[...] = array
+            views += [view, grads[start:end].reshape(array.shape)]
+            start = end
+        layer.W, layer.dW, layer.b, layer.db = views
+    return params, grads
 
 
 def _topology(model: Sequential) -> list[tuple[type, tuple[int, ...]]]:

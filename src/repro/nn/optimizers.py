@@ -12,7 +12,11 @@ import numpy as np
 
 
 class Optimizer(ABC):
-    """Updates parameters in place from gradients stored by the layers."""
+    """Updates parameters in place from gradients stored by the layers.
+
+    Per-parameter state is keyed by the parameter array and holds a
+    reference to it, so a freed array's id never inherits its state.
+    """
 
     @abstractmethod
     def step(self, params: list[tuple[np.ndarray, np.ndarray]]) -> None:
@@ -29,14 +33,15 @@ class SGD(Optimizer):
             raise ValueError("momentum must be in [0, 1)")
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
+        self._velocity: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: list[tuple[np.ndarray, np.ndarray]]) -> None:
         for param, grad in params:
             if self.momentum > 0.0:
-                vel = self._velocity.get(id(param))
-                if vel is None:  # first sight only: setdefault's argument is eager
-                    vel = self._velocity[id(param)] = np.zeros_like(param)
+                state = self._velocity.get(id(param))
+                if state is None or state[0] is not param:
+                    state = self._velocity[id(param)] = (param, np.zeros_like(param))
+                vel = state[1]
                 vel *= self.momentum
                 vel -= self.learning_rate * grad
                 param += vel
@@ -50,6 +55,13 @@ class Adam(Optimizer):
     ``weight_decay`` applies decoupled (AdamW-style) L2 regularization:
     the decay multiplies the parameter directly rather than entering the
     adaptive moments.
+
+    A step is 14 in-place elementwise numpy calls per parameter array, two
+    scratch buffers standing in for the textbook's temporaries, in the
+    textbook's order of operations: the floats are the same.  On the
+    bias vectors and thin edge layers of the paper's MLP a call costs its
+    dispatch, not its arithmetic, so ``Sequential.fit`` hands it one flat
+    buffer: 14 calls per step instead of 14 per weight array.
     """
 
     def __init__(
@@ -71,8 +83,8 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.epsilon = epsilon
         self.weight_decay = weight_decay
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        # id(param) -> (param, m, v, scratch, scratch)
+        self._state: dict[int, tuple[np.ndarray, ...]] = {}
         self._t = 0
 
     def step(self, params: list[tuple[np.ndarray, np.ndarray]]) -> None:
@@ -80,20 +92,28 @@ class Adam(Optimizer):
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
         for param, grad in params:
-            m = self._m.get(id(param))
-            if m is None:  # first sight only: setdefault's argument is eager
-                m = self._m[id(param)] = np.zeros_like(param)
-                self._v[id(param)] = np.zeros_like(param)
-            v = self._v[id(param)]
+            state = self._state.get(id(param))
+            if state is None or state[0] is not param:
+                state = self._state[id(param)] = (
+                    param, np.zeros_like(param), np.zeros_like(param),
+                    np.empty_like(param), np.empty_like(param),
+                )
+            _, m, v, update, denom = state
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=update)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
+            np.square(grad, out=update)
+            v += np.multiply(update, 1.0 - self.beta2, out=update)
+            # lr * m_hat / (sqrt(v_hat) + eps), evaluated left to right
+            np.divide(m, bias1, out=update)
+            update *= self.learning_rate
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.epsilon
+            update /= denom
             if self.weight_decay:
                 param *= 1.0 - self.learning_rate * self.weight_decay
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            param -= update
 
 
 class StepDecay:

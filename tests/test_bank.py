@@ -410,6 +410,26 @@ class TestPooledTraining:
         assert report.quality_half_accuracy == accuracies["quality_half"]
         assert report.latency_accuracy == accuracies["latency"]
 
+    def test_serial_training_fills_the_stacks_the_pooled_training_does(
+        self, unit_testbed, unit_train_queries, unit_truth, monkeypatch, pools
+    ):
+        """Fits in this process train through to the weight stacks; forked
+        fits come back through ``load_state``.  Both leave the same stack
+        bytes, with every ``W``/``b`` still a view of its stack."""
+        stack_bytes = {}
+        for cpus in (1, 2):
+            force_cpus(monkeypatch, cpus)
+            bank = PredictorBank(unit_testbed.cluster)
+            bank.train(
+                unit_train_queries, truth=unit_truth,
+                quality_iterations=QUALITY_ITERATIONS,
+                latency_iterations=LATENCY_ITERATIONS,
+            )
+            assert_stacks_are_the_weights(bank, bank.weight_stacks)
+            stack_bytes[cpus] = [array.tobytes() for array in stack_arrays(bank)]
+        assert pools == [2]
+        assert stack_bytes[1] == stack_bytes[2]
+
     def test_unpinned_blas_trains_in_process(
         self, unit_testbed, unit_train_queries, unit_truth, monkeypatch, pools
     ):

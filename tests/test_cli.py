@@ -2,7 +2,9 @@
 
 import re
 import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +94,16 @@ class TestCommands:
         with pytest.raises(SystemExit) as caught:
             main([arg.format(out=out) for arg in argv] + ["--scale", name])
         assert caught.value.code == f"unknown scale {name!r}; use unit, small or full"
+
+    @pytest.mark.parametrize("name", ["__init__", "bogus"])
+    def test_trace_comparison_example_names_only_the_three_scales(self, name):
+        example = Path(__file__).resolve().parents[1] / "examples" / "trace_comparison.py"
+        run = subprocess.run(
+            [sys.executable, str(example), name], capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == f"unknown scale {name!r}; use unit, small or full\n"
 
     @pytest.mark.parametrize(
         "argv, message",

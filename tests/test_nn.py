@@ -18,6 +18,7 @@ from repro.nn import (
     StackedSequential,
     StandardScaler,
     StepDecay,
+    TrainingHistory,
     mlp_classifier,
     softmax,
 )
@@ -372,6 +373,36 @@ class TestSequential:
             model.fit(x, y, iterations=5, eval_set=(x[:, :2], y), eval_every=1)
         self._assert_released(model)
 
+    def test_fit_that_raises_mid_loop_keeps_the_layers_own_arrays(self):
+        """A raise inside the loop copies the steps taken so far into the
+        arrays the layers held before the call, binds those again and
+        releases every cache."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 3))
+        y = rng.integers(0, 2, size=40)
+
+        class FailsThirdCall(SparseCategoricalCrossentropy):
+            calls = 0
+
+            def compute(self, outputs, targets):
+                FailsThirdCall.calls += 1
+                if FailsThirdCall.calls == 3:
+                    raise RuntimeError("boom")
+                return super().compute(outputs, targets)
+
+        model, two_steps = self._dropout_model(), self._dropout_model()
+        dense = [layer for layer in model.layers if isinstance(layer, Dense)]
+        own = [(layer.W, layer.b) for layer in dense]
+        with pytest.raises(RuntimeError, match="^boom$"):
+            model.fit(x, y, iterations=5, batch_size=8, loss=FailsThirdCall())
+        assert all(
+            layer.W is W and layer.b is b for layer, (W, b) in zip(dense, own)
+        )
+        self._assert_released(model)
+        two_steps.fit(x, y, iterations=2, batch_size=8)
+        for key, value in two_steps.state().items():
+            assert model.state()[key].tobytes() == value.tobytes(), key
+
     def test_fit_on_stacked_models_writes_through(self):
         """Training a model after it was fused updates the stack: no
         stale copy exists to diverge from."""
@@ -458,3 +489,165 @@ def test_dense_linearity(batch, n_in, n_out):
     np.testing.assert_allclose(
         layer.forward(a + b), layer.forward(a) + layer.forward(b) - zero, atol=1e-9
     )
+
+
+# ------------------------------------------------------------------ flat fit
+# ``Sequential.fit`` trains one flat parameter buffer.  The reference below
+# is the per-parameter loop it replaced, with the textbook optimizers (one
+# temporary per operation, one state entry per weight array): the two must
+# agree bit for bit.
+
+
+class TextbookAdam:
+    def __init__(self, learning_rate, weight_decay=0.0):
+        self.learning_rate, self.weight_decay = learning_rate, weight_decay
+        self.beta1, self.beta2, self.epsilon = 0.9, 0.999, 1e-8
+        self.moments, self.t = {}, 0
+
+    def step(self, params):
+        self.t += 1
+        bias1 = 1.0 - self.beta1**self.t
+        bias2 = 1.0 - self.beta2**self.t
+        for param, grad in params:
+            m, v = self.moments.setdefault(
+                id(param), (np.zeros_like(param), np.zeros_like(param))
+            )
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad**2
+            m_hat = m / bias1
+            v_hat = v / bias2
+            if self.weight_decay:
+                param *= 1.0 - self.learning_rate * self.weight_decay
+            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
+class TextbookSGD:
+    def __init__(self, learning_rate, momentum=0.0):
+        self.learning_rate, self.momentum = learning_rate, momentum
+        self.velocity = {}
+
+    def step(self, params):
+        for param, grad in params:
+            if self.momentum:
+                vel = self.velocity.setdefault(id(param), np.zeros_like(param))
+                vel *= self.momentum
+                vel -= self.learning_rate * grad
+                param += vel
+            else:
+                param -= self.learning_rate * grad
+
+
+def reference_fit(model, x, y, iterations, batch_size, loss, optimizer, seed,
+                  eval_set=None, eval_every=0):
+    """The per-parameter training loop: one optimizer entry per W and b."""
+    rng = np.random.default_rng(seed)
+    history = TrainingHistory()
+    dense = [layer for layer in model.layers if isinstance(layer, Dense)]
+    n = x.shape[0]
+    order = rng.permutation(n)
+    cursor = 0
+    for it in range(iterations):
+        if cursor + batch_size > n:
+            order = rng.permutation(n)
+            cursor = 0
+        batch = order[cursor : cursor + batch_size]
+        cursor += batch_size
+        value, grad = loss.compute(model.forward(x[batch], training=True), y[batch])
+        model.backward(grad)
+        optimizer.step([pair for layer in dense
+                        for pair in ((layer.W, layer.dW), (layer.b, layer.db))])
+        history.loss.append(value)
+        if eval_every and (it + 1) % eval_every == 0:
+            history.eval_iterations.append(it + 1)
+            history.eval_accuracy.append(model.accuracy(*eval_set))
+    for layer in model.layers:
+        layer.release()
+    return history
+
+
+OPTIMIZERS = {
+    "adam": (lambda: Adam(learning_rate=0.01), lambda: TextbookAdam(0.01)),
+    "adam-decay": (
+        lambda: Adam(learning_rate=0.01, weight_decay=0.1),
+        lambda: TextbookAdam(0.01, weight_decay=0.1),
+    ),
+    "sgd": (lambda: SGD(learning_rate=0.05), lambda: TextbookSGD(0.05)),
+    "sgd-momentum": (
+        lambda: SGD(learning_rate=0.05, momentum=0.9),
+        lambda: TextbookSGD(0.05, momentum=0.9),
+    ),
+}
+
+
+def layered_model(seed, n_features, widths, dropout, n_out):
+    rng = np.random.default_rng(seed)
+    layers, width_in = [], n_features
+    for width in widths:
+        layers += [Dense(width_in, width, rng=rng), ReLU()]
+        if dropout:
+            layers.append(Dropout(dropout, rng=rng))
+        width_in = width
+    return Sequential(layers + [Dense(width_in, n_out, rng=rng)])
+
+
+@pytest.mark.parametrize("loss_name", ["xent", "mse"])
+@pytest.mark.parametrize("optimizer_name", sorted(OPTIMIZERS))
+@pytest.mark.parametrize("step_decay", [False, True])
+@pytest.mark.parametrize("full_batch", [False, True])
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 24),
+    n_features=st.integers(1, 4),
+    widths=st.lists(st.integers(1, 9), max_size=3),
+    dropout=st.sampled_from([0.0, 0.3]),
+    n_classes=st.integers(2, 4),
+    iterations=st.integers(1, 12),
+    batch_fraction=st.floats(0.0, 1.0),
+    eval_every=st.integers(0, 4),
+)
+def test_flat_fit_is_the_per_parameter_fit(
+    loss_name, optimizer_name, step_decay, full_batch, seed, n, n_features,
+    widths, dropout, n_classes, iterations, batch_fraction, eval_every,
+):
+    """Weights, ``history.loss`` and ``eval_accuracy`` bit for bit, over
+    Dense/ReLU/Dropout stacks, both losses, both optimizers with and
+    without their extra term, with and without ``StepDecay``, and batches
+    that cover the data (``batch_size >= n``) or do not."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n_features))
+    if loss_name == "xent":
+        loss, n_out = SparseCategoricalCrossentropy(), n_classes
+        y = rng.integers(0, n_classes, size=n)
+        eval_set = (x, y)
+    else:
+        loss, n_out = MeanSquaredError(), 1
+        y = rng.normal(size=n)
+        eval_set, eval_every = None, 0
+    if full_batch:
+        batch_size = n + int(batch_fraction * 8)
+    else:
+        batch_size = 1 + int(batch_fraction * (n - 2))
+    make, make_reference = OPTIMIZERS[optimizer_name]
+    optimizer, reference_optimizer = make(), make_reference()
+    if step_decay:
+        optimizer = StepDecay(optimizer, every=3, factor=0.5)
+        reference_optimizer = StepDecay(reference_optimizer, every=3, factor=0.5)
+    model = layered_model(seed, n_features, widths, dropout, n_out)
+    reference = layered_model(seed, n_features, widths, dropout, n_out)
+
+    history = model.fit(
+        x, y, iterations=iterations, batch_size=batch_size, loss=loss,
+        optimizer=optimizer, seed=seed, eval_set=eval_set, eval_every=eval_every,
+    )
+    expected = reference_fit(
+        reference, x, y, iterations, batch_size, loss, reference_optimizer, seed,
+        eval_set=eval_set, eval_every=eval_every,
+    )
+    assert np.array(history.loss).tobytes() == np.array(expected.loss).tobytes()
+    assert history.eval_iterations == expected.eval_iterations
+    assert history.eval_accuracy == expected.eval_accuracy
+    state = model.state()
+    for key, value in reference.state().items():
+        assert state[key].tobytes() == value.tobytes(), key
