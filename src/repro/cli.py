@@ -47,6 +47,7 @@ from repro.experiments import (
     tables_features,
 )
 from repro.metrics import comparison_table
+from repro.serving.arrivals import ARRIVAL_KINDS
 
 FIGURES: dict[str, object] = {
     "fig02": fig02_variation,
@@ -93,6 +94,28 @@ def _unknown_policy(names: Iterable[str]) -> bool:
             )
             return True
     return False
+
+
+def _finite(value: object) -> object:
+    """``value`` with every non-finite float replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
+def _write_json(path: str, payload: object) -> None:
+    """Write ``payload`` as strict JSON, which has no inf or NaN.
+
+    A non-finite float (the queueing model's mean latency at or above
+    saturation is infinite) is written as ``null``.
+    """
+    with open(path, "w") as fh:
+        json.dump(_finite(payload), fh, indent=2, allow_nan=False)
+    print(f"wrote {path}")
 
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
@@ -358,9 +381,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             "response_timeout_ms": args.response_timeout_ms,
             "cells": [cell.row() for cell in results],
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.out}")
+        _write_json(args.out, payload)
     return 0
 
 
@@ -373,15 +394,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool_from_corpus,
         run_campaign,
     )
-    from repro.serving.campaign import ARRIVAL_KINDS
 
     if _unknown_policy([args.policy]):
-        return 1
-    if args.arrival not in ARRIVAL_KINDS:
-        print(
-            f"unknown arrival {args.arrival!r}; options: {', '.join(ARRIVAL_KINDS)}",
-            file=sys.stderr,
-        )
         return 1
     if args.distinct < 1:
         print(f"--distinct must be positive, got {args.distinct}", file=sys.stderr)
@@ -425,13 +439,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(header)
     print("-" * len(header))
 
+    def _ms(value: float | None) -> str:
+        return f"{value:>8.2f}" if value is not None else f"{'-':>8}"
+
     def _show(point: SweepPoint) -> None:
-        predicted = point.predicted_mean_latency_ms
         print(
             f"{point.offered_qps:>9.1f} {point.realized_qps:>9.1f} "
             f"{point.goodput_qps:>9.1f} {point.goodput_ratio:>6.3f} "
-            f"{point.shed:>6} {point.p50_ms:>8.2f} {point.p99_ms:>8.2f} "
-            f"{predicted:>8.2f} "
+            f"{point.shed:>6} {_ms(point.p50_ms)} {_ms(point.p99_ms)} "
+            f"{_ms(point.predicted_mean_latency_ms)} "
             f"{point.average_power_w:>8.2f} {point.max_core_utilization:>5.2f}"
         )
 
@@ -451,9 +467,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{'saturated' if result.knee.saturated else 'sweep never saturated'})"
     )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result.snapshot(), fh, indent=2)
-        print(f"wrote {args.out}")
+        _write_json(args.out, result.snapshot())
     if args.fail_knee_tolerance is not None and not result.knee_within(
         args.fail_knee_tolerance
     ):
@@ -635,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="offered queries per sweep point")
     serve.add_argument(
         "--arrival", default="poisson",
-        choices=("poisson", "mmpp", "diurnal", "burst"),
+        choices=ARRIVAL_KINDS,
         help="arrival process for every sweep point",
     )
     serve.add_argument("--seed", type=int, default=0,

@@ -2,12 +2,12 @@
 
 Layer map (the executor/orchestrator/processor split):
 
-* :mod:`repro.serving.arrivals` — seeded Poisson/MMPP/modulated arrival
-  processes with diurnal, burst, and QPS-sweep profiles;
+* :mod:`repro.serving.arrivals` — seeded Poisson and modulated-Poisson
+  arrival processes: the three kinds ``make_arrivals`` builds (poisson,
+  diurnal, burst);
 * :mod:`repro.serving.stream` — lazy :class:`QueryStream` workloads over
   Zipf-popular query pools (bounded memory at any length);
-* :mod:`repro.serving.admission` — queue-depth and deadline shedding, a
-  per-query deadline queue;
+* :mod:`repro.serving.admission` — in-flight-cap and deadline shedding;
 * :mod:`repro.serving.orchestrator` — :class:`ServingPlane`, the run
   lifecycle shared by closed-loop ``run_trace`` (its degenerate,
   bit-identical configuration) and open-loop ``SearchCluster.serve``;
@@ -20,16 +20,13 @@ Layer map (the executor/orchestrator/processor split):
 from repro.serving.admission import (
     AdmissionConfig,
     AdmissionController,
-    DeadlineQueue,
 )
 from repro.serving.arrivals import (
     ArrivalProcess,
     BurstProfile,
     DiurnalProfile,
-    MMPPProcess,
     ModulatedPoissonProcess,
     PoissonProcess,
-    StepProfile,
     make_arrivals,
 )
 from repro.serving.campaign import (
@@ -57,17 +54,14 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "ClusterQueueingModel",
-    "DeadlineQueue",
     "DiurnalProfile",
     "KneeEstimate",
-    "MMPPProcess",
     "ModulatedPoissonProcess",
     "PoissonProcess",
     "QueryStream",
     "ServingPlane",
     "ServingStats",
     "ShardLoadModel",
-    "StepProfile",
     "SweepPoint",
     "locate_knee",
     "make_arrivals",

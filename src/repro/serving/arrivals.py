@@ -1,4 +1,4 @@
-"""Seeded open-loop arrival processes: Poisson, MMPP, modulated Poisson.
+"""Seeded open-loop arrival processes: Poisson and modulated Poisson.
 
 Each process is a pure function of its seed: ``times()`` returns a fresh
 infinite iterator of absolute arrival instants (seconds) and always
@@ -6,13 +6,13 @@ replays the identical sequence — the determinism contract every other
 layer of the repo holds.  Iterators are lazy so a million-query
 campaign never materializes its arrival vector.
 
-Truncation (query count / duration) is the consumer's job — see
+Truncation (the query count) is the consumer's job — see
 :class:`repro.serving.stream.QueryStream`.
 
 The non-homogeneous process uses Lewis & Shedler thinning: candidates are
 drawn at the peak rate and accepted with probability ``rate(t)/peak``, so
-any bounded deterministic :class:`RateProfile` (diurnal sinusoid, bursts,
-QPS sweep steps) modulates an exact Poisson process.
+any bounded deterministic :class:`RateProfile` (diurnal sinusoid,
+bursts) modulates an exact Poisson process.
 """
 
 from __future__ import annotations
@@ -62,62 +62,6 @@ class PoissonProcess:
         return self.rate_qps
 
 
-@dataclass(frozen=True)
-class MMPPProcess:
-    """Markov-modulated Poisson process (cyclic-state variant).
-
-    The modulating chain visits ``rates_qps`` in order (0 -> 1 -> ... -> 0),
-    dwelling an exponential time with mean ``dwells_s[i]`` in state *i*;
-    while in state *i* arrivals are Poisson at ``rates_qps[i]``.  The
-    classic two-state form (low rate / bursty rate) models flash crowds.
-
-    At a state switch the in-progress inter-arrival draw is discarded and
-    redrawn at the new rate — exactly the MMPP definition, since the
-    exponential residual is memoryless.
-    """
-
-    rates_qps: tuple[float, ...]
-    dwells_s: tuple[float, ...]
-    seed: int = 0
-    name = "mmpp"
-
-    def __post_init__(self) -> None:
-        if len(self.rates_qps) < 2:
-            raise ValueError("MMPP needs at least two states")
-        if len(self.dwells_s) != len(self.rates_qps):
-            raise ValueError("one dwell time per rate state")
-        if any(r < 0 for r in self.rates_qps) or not any(self.rates_qps):
-            raise ValueError("rates must be >= 0 with at least one positive")
-        if any(d <= 0 for d in self.dwells_s):
-            raise ValueError("dwell times must be positive")
-
-    def times(self) -> Iterator[float]:
-        rng = np.random.default_rng(self.seed)
-        state = 0
-        t = 0.0
-        switch_at = float(rng.exponential(self.dwells_s[state]))
-        while True:
-            rate = self.rates_qps[state]
-            if rate > 0:
-                candidate = t + float(rng.exponential(1.0 / rate))
-            else:
-                candidate = math.inf  # silent state: idle until the switch
-            if candidate < switch_at:
-                t = candidate
-                yield t
-            else:
-                t = switch_at
-                state = (state + 1) % len(self.rates_qps)
-                switch_at = t + float(rng.exponential(self.dwells_s[state]))
-
-    def mean_rate_qps(self) -> float:
-        # Stationary occupancy of the cyclic chain is proportional to the
-        # mean dwell, so the long-run rate is the dwell-weighted mean.
-        total_dwell = sum(self.dwells_s)
-        weighted = sum(r * d for r, d in zip(self.rates_qps, self.dwells_s))
-        return weighted / total_dwell
-
-
 @runtime_checkable
 class RateProfile(Protocol):
     """A deterministic rate multiplier over time for modulated arrivals."""
@@ -141,7 +85,7 @@ class RateProfile(Protocol):
 
 @dataclass(frozen=True)
 class DiurnalProfile:
-    """Sinusoidal day/night swing: trough at t=0+phase, peak half a period later.
+    """Sinusoidal day/night swing: trough at t=0, peak half a period later.
 
     ``floor`` is the trough rate as a fraction of the peak (0.25 means
     night traffic is a quarter of the daily maximum).
@@ -149,7 +93,6 @@ class DiurnalProfile:
 
     period_s: float = 86400.0
     floor: float = 0.25
-    phase_s: float = 0.0
     name = "diurnal"
 
     def __post_init__(self) -> None:
@@ -159,7 +102,7 @@ class DiurnalProfile:
             raise ValueError("floor must be in [0, 1]")
 
     def factor(self, t_s: float) -> float:
-        swing = 0.5 * (1.0 - math.cos(2.0 * math.pi * (t_s + self.phase_s) / self.period_s))
+        swing = 0.5 * (1.0 - math.cos(2.0 * math.pi * t_s / self.period_s))
         return self.floor + (1.0 - self.floor) * swing
 
     @property
@@ -200,45 +143,6 @@ class BurstProfile:
 
 
 @dataclass(frozen=True)
-class StepProfile:
-    """Piecewise-constant QPS sweep schedule: ``(duration_s, factor)`` steps.
-
-    The last step holds forever, so a truncating consumer (query count or
-    duration cap) always sees a defined rate.
-    """
-
-    steps: tuple[tuple[float, float], ...]
-    name = "step"
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("need at least one step")
-        for duration, factor in self.steps:
-            if duration <= 0 or factor < 0:
-                raise ValueError("steps need positive duration, factor >= 0")
-        if self.steps[-1][1] <= 0:
-            raise ValueError("final (held) step factor must be positive")
-
-    def factor(self, t_s: float) -> float:
-        elapsed = 0.0
-        for duration, factor in self.steps:
-            elapsed += duration
-            if t_s < elapsed:
-                return factor
-        return self.steps[-1][1]
-
-    @property
-    def peak_factor(self) -> float:
-        return max(factor for _, factor in self.steps)
-
-    @property
-    def mean_factor(self) -> float:
-        total = sum(duration for duration, _ in self.steps)
-        weighted = sum(duration * factor for duration, factor in self.steps)
-        return weighted / total
-
-
-@dataclass(frozen=True)
 class ModulatedPoissonProcess:
     """Non-homogeneous Poisson arrivals: ``base_rate_qps * profile.factor(t)``.
 
@@ -272,48 +176,27 @@ class ModulatedPoissonProcess:
         return self.base_rate_qps * self.profile.mean_factor
 
 
-def make_arrivals(
-    kind: str,
-    rate_qps: float,
-    seed: int = 0,
-    *,
-    mmpp_rate_factors: tuple[float, float] = (0.5, 2.0),
-    mmpp_dwell_s: float = 5.0,
-    diurnal_period_s: float = 120.0,
-    burst_every_s: float = 30.0,
-    burst_s: float = 5.0,
-    burst_multiplier: float = 3.0,
-) -> ArrivalProcess:
+#: The modulated kinds' rate profiles: a day/night swing every two
+#: minutes of simulated time, and 3x flash crowds for 5 s every 30 s.
+PROFILES: dict[str, RateProfile] = {
+    "diurnal": DiurnalProfile(period_s=120.0),
+    "burst": BurstProfile(every_s=30.0, burst_s=5.0, multiplier=3.0),
+}
+
+#: The one list of kinds ``make_arrivals``, ``repro serve --arrival`` and
+#: :class:`~repro.serving.campaign.CampaignConfig` accept.
+ARRIVAL_KINDS = ("poisson", *PROFILES)
+
+
+def make_arrivals(kind: str, rate_qps: float, seed: int = 0) -> ArrivalProcess:
     """CLI/campaign factory: an arrival process averaging ``rate_qps``.
 
-    ``mmpp`` splits the target rate over a low/high state pair scaled by
-    ``mmpp_rate_factors`` (equal dwells, so the dwell-weighted mean stays
-    ``rate_qps``); ``diurnal`` and ``burst`` rescale the base rate so the
-    *mean* modulated rate matches the target.
+    The modulated kinds rescale the base rate so the *mean* modulated
+    rate matches the target.
     """
     if kind == "poisson":
         return PoissonProcess(rate_qps, seed=seed)
-    if kind == "mmpp":
-        low, high = mmpp_rate_factors
-        if abs((low + high) / 2.0 - 1.0) > 1e-9:
-            # Keep the requested mean: renormalize the factor pair.
-            mean = (low + high) / 2.0
-            low, high = low / mean, high / mean
-        return MMPPProcess(
-            rates_qps=(rate_qps * low, rate_qps * high),
-            dwells_s=(mmpp_dwell_s, mmpp_dwell_s),
-            seed=seed,
-        )
-    if kind == "diurnal":
-        profile = DiurnalProfile(period_s=diurnal_period_s)
-        return ModulatedPoissonProcess(
-            rate_qps / profile.mean_factor, profile, seed=seed
-        )
-    if kind == "burst":
-        profile = BurstProfile(
-            every_s=burst_every_s, burst_s=burst_s, multiplier=burst_multiplier
-        )
-        return ModulatedPoissonProcess(
-            rate_qps / profile.mean_factor, profile, seed=seed
-        )
-    raise ValueError(f"unknown arrival process: {kind!r}")
+    if kind not in PROFILES:
+        raise ValueError(f"unknown arrival process: {kind!r}")
+    profile = PROFILES[kind]
+    return ModulatedPoissonProcess(rate_qps / profile.mean_factor, profile, seed=seed)

@@ -25,20 +25,23 @@ from numpy.typing import NDArray
 from repro.cluster.cache import ResultCache
 from repro.cluster.types import SelectionPolicy
 from repro.serving.admission import AdmissionConfig, AdmissionController
-from repro.serving.arrivals import make_arrivals
+from repro.serving.arrivals import ARRIVAL_KINDS, make_arrivals
 from repro.serving.queueing import (
     ClusterQueueingModel,
     KneeEstimate,
     locate_knee,
     model_from_policy,
 )
-from repro.serving.stream import QueryStream
+from repro.serving.stream import POPULARITY_EXPONENT, QueryStream
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:
     from repro.cluster.engine import SearchCluster
 
-ARRIVAL_KINDS = ("poisson", "mmpp", "diurnal", "burst")
+#: The default sweep, as fractions of the model's predicted saturation.
+GRID_FRACTIONS = (0.3, 0.5, 0.7, 0.85, 1.0, 1.2, 1.5)
+#: The knee is the last rate served at this share of the offered load.
+GOODPUT_THRESHOLD = 0.95
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ class CampaignConfig:
     """Shape of one saturation campaign.
 
     ``qps_grid`` pins the sweep explicitly; when empty, the grid is
-    ``grid_fractions`` of the queueing model's predicted saturation, so
+    ``GRID_FRACTIONS`` of the queueing model's predicted saturation, so
     the sweep always straddles the knee.  ``admission`` bounds the
     in-flight population above saturation (open-loop load would otherwise
     grow the ISN queues — and simulator memory — without bound);
@@ -54,33 +57,21 @@ class CampaignConfig:
     """
 
     qps_grid: tuple[float, ...] = ()
-    grid_fractions: tuple[float, ...] = (0.3, 0.5, 0.7, 0.85, 1.0, 1.2, 1.5)
     queries_per_point: int = 4000
     arrival: str = "poisson"
-    popularity_exponent: float = 0.9
     seed: int = 0
-    goodput_threshold: float = 0.95
-    knee_rel_tolerance: float = 0.25
     admission: AdmissionConfig | None = field(
         default_factory=lambda: AdmissionConfig(max_in_flight=512)
     )
     cache_capacity: int = 0  # aggregator result cache; 0 = off (knee gate assumes off)
-    mmpp_rate_factors: tuple[float, float] = (0.5, 2.0)
-    mmpp_dwell_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(f"arrival must be one of {ARRIVAL_KINDS}")
         if self.queries_per_point < 1:
             raise ValueError("queries_per_point must be positive")
-        if not self.qps_grid and not self.grid_fractions:
-            raise ValueError("need a qps grid or grid fractions")
-        if not all(0 < r < math.inf for r in self.qps_grid + self.grid_fractions):
-            raise ValueError("grid rates/fractions must be positive and finite")
-        if not 0.0 < self.goodput_threshold <= 1.0:
-            raise ValueError("goodput threshold must be in (0, 1]")
-        if self.knee_rel_tolerance <= 0:
-            raise ValueError("knee tolerance must be positive")
+        if not all(0 < r < math.inf for r in self.qps_grid):
+            raise ValueError("grid rates must be positive and finite")
         if self.cache_capacity < 0:
             raise ValueError("cache capacity must be non-negative")
 
@@ -97,11 +88,12 @@ class SweepPoint:
     from_cache: int
     elapsed_ms: float
     goodput_qps: float
-    mean_latency_ms: float
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    max_latency_ms: float
+    # None when every query of the point was shed: no latency to report.
+    mean_latency_ms: float | None
+    p50_ms: float | None
+    p95_ms: float | None
+    p99_ms: float | None
+    max_latency_ms: float | None
     average_power_w: float
     max_core_utilization: float
     predicted_mean_latency_ms: float
@@ -203,27 +195,21 @@ def run_campaign(
     progress reporting.
     """
     config = config or CampaignConfig()
-    weights = zipf_weights(len(pool), config.popularity_exponent)
+    weights = zipf_weights(len(pool), POPULARITY_EXPONENT)
     model_policy = policy_factory()
     model = model_from_policy(cluster, pool, weights.tolist(), model_policy)
     predicted = model.saturation_qps()
     if config.qps_grid:
         grid: tuple[float, ...] = tuple(sorted(config.qps_grid))
     else:
-        grid = tuple(fraction * predicted for fraction in sorted(config.grid_fractions))
+        grid = tuple(fraction * predicted for fraction in GRID_FRACTIONS)
     points: list[SweepPoint] = []
     for index, offered in enumerate(grid):
-        arrivals = make_arrivals(
-            config.arrival,
-            offered,
-            seed=config.seed + 100 * index,
-            mmpp_rate_factors=config.mmpp_rate_factors,
-            mmpp_dwell_s=config.mmpp_dwell_s,
-        )
+        arrivals = make_arrivals(config.arrival, offered, seed=config.seed + 100 * index)
         stream = QueryStream(
             pool,
             arrivals,
-            popularity_exponent=config.popularity_exponent,
+            popularity_exponent=POPULARITY_EXPONENT,
             seed=config.seed + 100 * index + 50,
             max_queries=config.queries_per_point,
         )
@@ -248,6 +234,7 @@ def run_campaign(
         elapsed_s = run.elapsed_ms / 1000.0
         window_s = stats.last_arrival_ms / 1000.0
         utilization = run.power.per_core_utilization
+        served = stats.completed > 0
         point = SweepPoint(
             offered_qps=offered,
             realized_qps=run.offered_queries / window_s if window_s > 0 else 0.0,
@@ -257,11 +244,11 @@ def run_campaign(
             from_cache=stats.from_cache,
             elapsed_ms=run.elapsed_ms,
             goodput_qps=stats.completed / elapsed_s,
-            mean_latency_ms=stats.mean_latency_ms,
-            p50_ms=stats.percentile_ms(50),
-            p95_ms=stats.percentile_ms(95),
-            p99_ms=stats.percentile_ms(99),
-            max_latency_ms=stats.max_latency_ms,
+            mean_latency_ms=stats.mean_latency_ms if served else None,
+            p50_ms=stats.percentile_ms(50) if served else None,
+            p95_ms=stats.percentile_ms(95) if served else None,
+            p99_ms=stats.percentile_ms(99) if served else None,
+            max_latency_ms=stats.max_latency_ms if served else None,
             average_power_w=run.power.average_power_w,
             max_core_utilization=max(utilization, default=0.0),
             predicted_mean_latency_ms=model.mean_latency_ms(offered),
@@ -276,7 +263,7 @@ def run_campaign(
     knee = locate_knee(
         [p.realized_qps for p in points],
         [p.goodput_qps for p in points],
-        threshold=config.goodput_threshold,
+        threshold=GOODPUT_THRESHOLD,
     )
     return CampaignResult(
         policy_name=model_policy.name,

@@ -15,7 +15,7 @@ exactly one uniform variate regardless of pool size.
 
 from __future__ import annotations
 
-import math
+import itertools
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,16 +26,17 @@ from repro.workloads.corpus import SyntheticCorpus
 from repro.workloads.traces import TraceConfig, build_query_pool
 
 
+#: Zipf exponent of a stream's popularity over pool rank.
+POPULARITY_EXPONENT = 0.9
+
+
 class QueryStream:
     """An unmaterialized open-loop workload: arrivals x popularity x pool.
 
     Iteration restarts from scratch (both the arrival process and the
     popularity sampler re-seed), so the same stream object replays the
     identical query sequence every time — it can be consumed once for a
-    run and again for verification.
-
-    At least one stop condition (``max_queries`` / ``duration_s``) must be
-    set; both may be, and whichever trips first ends the stream.
+    run and again for verification.  It ends after ``max_queries``.
     """
 
     def __init__(
@@ -43,25 +44,19 @@ class QueryStream:
         pool: Sequence[tuple[str, ...]],
         arrivals: ArrivalProcess,
         *,
-        popularity_exponent: float = 0.9,
+        popularity_exponent: float = POPULARITY_EXPONENT,
         seed: int = 0,
-        max_queries: int | None = None,
-        duration_s: float | None = None,
+        max_queries: int,
     ) -> None:
         if not pool:
             raise ValueError("query pool must be non-empty")
-        if max_queries is None and duration_s is None:
-            raise ValueError("need a stop condition: max_queries or duration_s")
-        if max_queries is not None and max_queries < 1:
+        if max_queries < 1:
             raise ValueError("max_queries must be positive")
-        if duration_s is not None and duration_s <= 0:
-            raise ValueError("duration_s must be positive")
         self.pool = [tuple(terms) for terms in pool]
         self.arrivals = arrivals
         self.popularity_exponent = popularity_exponent
         self.seed = seed
         self.max_queries = max_queries
-        self.duration_s = duration_s
         ranks = np.arange(1, len(self.pool) + 1, dtype=np.float64)
         popularity = ranks**-popularity_exponent
         popularity /= popularity.sum()
@@ -70,12 +65,8 @@ class QueryStream:
 
     def __iter__(self) -> Iterator[Query]:
         rng = np.random.default_rng(self.seed)
-        limit = self.max_queries if self.max_queries is not None else math.inf
-        horizon = self.duration_s if self.duration_s is not None else math.inf
-        count = 0
-        for t in self.arrivals.times():
-            if count >= limit or t > horizon:
-                return
+        arrivals = itertools.islice(self.arrivals.times(), self.max_queries)
+        for count, t in enumerate(arrivals):
             idx = int(np.searchsorted(self._cdf, float(rng.random()), side="right"))
             terms = self.pool[min(idx, len(self.pool) - 1)]
             yield Query(
@@ -84,7 +75,6 @@ class QueryStream:
                 text=" ".join(terms),
                 arrival_time=float(t),
             )
-            count += 1
 
     def distinct_queries(self) -> list[Query]:
         """The pool as ad-hoc queries — the prewarm set.
@@ -97,10 +87,6 @@ class QueryStream:
             Query(query_id=i, terms=terms, text=" ".join(terms))
             for i, terms in enumerate(self.pool)
         ]
-
-    def offered_rate_qps(self) -> float:
-        """The arrival process's long-run offered rate."""
-        return self.arrivals.mean_rate_qps()
 
 
 def pool_from_corpus(

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from repro.serving import (
     BurstProfile,
     DiurnalProfile,
-    MMPPProcess,
     ModulatedPoissonProcess,
     PoissonProcess,
     QueryStream,
-    StepProfile,
     make_arrivals,
 )
+from repro.serving.arrivals import ARRIVAL_KINDS
 
 
 def take(process, n: int) -> list[float]:
@@ -59,56 +58,6 @@ class TestPoisson:
             PoissonProcess(0.0)
 
 
-class TestMMPP:
-    def test_seed_determines_sequence(self):
-        a = MMPPProcess((20.0, 200.0), (2.0, 2.0), seed=7)
-        b = MMPPProcess((20.0, 200.0), (2.0, 2.0), seed=7)
-        assert take(a, 200) == take(b, 200)
-
-    def test_stationary_rate_is_dwell_weighted_mean(self):
-        process = MMPPProcess((30.0, 90.0), (4.0, 2.0), seed=0)
-        expected = (30.0 * 4.0 + 90.0 * 2.0) / 6.0
-        assert process.mean_rate_qps() == pytest.approx(expected)
-        n = 30_000
-        times = take(process, n)
-        assert n / times[-1] == pytest.approx(expected, rel=0.08)
-
-    def test_rate_switching_is_overdispersed(self):
-        """MMPP gaps mix two exponentials, so dispersion exceeds Poisson's 1."""
-        process = MMPPProcess((10.0, 300.0), (5.0, 5.0), seed=9)
-        times = np.array(take(process, 20_000))
-        gaps = np.diff(times)
-        cv2 = gaps.var() / gaps.mean() ** 2  # == 1 for a plain Poisson
-        assert cv2 > 1.5
-
-    def test_rate_switching_visits_both_regimes(self):
-        """Windowed counts near each state's rate, far apart, both frequent."""
-        process = MMPPProcess((10.0, 300.0), (5.0, 5.0), seed=11)
-        times = np.array(take(process, 30_000))
-        window = 1.0  # much shorter than the 5 s dwell: windows are ~pure-state
-        counts = np.bincount(times.astype(int), minlength=int(times[-1]) + 1)
-        slow = (counts <= 30).sum()  # near 10 qps
-        fast = (counts >= 150).sum()  # near 300 qps
-        assert window and slow > 0.2 * len(counts)
-        assert fast > 0.2 * len(counts)
-
-    def test_silent_state_idles_until_switch(self):
-        process = MMPPProcess((0.0, 100.0), (1.0, 1.0), seed=1)
-        times = take(process, 1000)
-        assert all(b > a for a, b in zip(times, times[1:]))
-        assert process.mean_rate_qps() == pytest.approx(50.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MMPPProcess((10.0,), (1.0,))
-        with pytest.raises(ValueError):
-            MMPPProcess((10.0, 20.0), (1.0,))
-        with pytest.raises(ValueError):
-            MMPPProcess((0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(ValueError):
-            MMPPProcess((10.0, 20.0), (1.0, 0.0))
-
-
 class TestProfiles:
     def test_diurnal_trough_and_peak(self):
         profile = DiurnalProfile(period_s=100.0, floor=0.2)
@@ -129,13 +78,6 @@ class TestProfiles:
         assert profile.peak_factor == 4.0
         assert profile.mean_factor == pytest.approx((4.0 * 2 + 8) / 10)
 
-    def test_step_profile_holds_last_step(self):
-        profile = StepProfile(steps=((5.0, 1.0), (5.0, 3.0)))
-        assert profile.factor(2.0) == 1.0
-        assert profile.factor(7.0) == 3.0
-        assert profile.factor(1e6) == 3.0  # held forever past the schedule
-        assert profile.mean_factor == pytest.approx(2.0)
-
     def test_modulated_empirical_rate_tracks_profile_mean(self):
         profile = BurstProfile(every_s=4.0, burst_s=1.0, multiplier=5.0)
         process = ModulatedPoissonProcess(100.0, profile, seed=2)
@@ -153,16 +95,16 @@ class TestProfiles:
 
 
 class TestMakeArrivals:
-    @pytest.mark.parametrize("kind", ["poisson", "mmpp", "diurnal", "burst"])
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
     def test_factory_preserves_mean_rate(self, kind):
         process = make_arrivals(kind, 120.0, seed=0)
         assert process.mean_rate_qps() == pytest.approx(120.0)
 
-    @pytest.mark.parametrize("kind", ["poisson", "mmpp", "diurnal", "burst"])
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
     def test_factory_empirical_rate(self, kind):
         # Count over whole modulation periods: stopping mid-cycle would
         # bias a diurnal/burst estimate toward whichever phase it stops in.
-        horizon = 120.0  # one diurnal period, 4 burst periods, 12 mmpp dwells
+        horizon = 120.0  # one diurnal period, 4 burst periods
         process = make_arrivals(kind, 200.0, seed=3)
         count = sum(
             1 for _ in itertools.takewhile(lambda t: t <= horizon, process.times())
@@ -170,14 +112,9 @@ class TestMakeArrivals:
         assert count / horizon == pytest.approx(200.0, rel=0.1)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown arrival"):
-            make_arrivals("fractal", 10.0)
-
-    def test_mmpp_factors_renormalized_to_keep_mean(self):
-        process = make_arrivals(
-            "mmpp", 100.0, mmpp_rate_factors=(1.0, 3.0)
-        )
-        assert process.mean_rate_qps() == pytest.approx(100.0)
+        for kind in ("fractal", "mmpp", "step"):  # the last two were removed
+            with pytest.raises(ValueError, match="unknown arrival"):
+                make_arrivals(kind, 10.0)
 
 
 POOL = [(f"t{i:03d}", f"t{i + 1:03d}") for i in range(50)]
@@ -192,15 +129,6 @@ class TestQueryStream:
         second = [(q.query_id, q.terms, q.arrival_time) for q in stream]
         assert first == second
         assert len(first) == 500
-
-    def test_duration_stop_condition(self):
-        stream = QueryStream(
-            POOL, PoissonProcess(100.0, seed=1), duration_s=2.0
-        )
-        queries = list(stream)
-        assert queries
-        assert all(q.arrival_time <= 2.0 for q in queries)
-        assert len(queries) == pytest.approx(200, rel=0.4)
 
     def test_zipf_head_is_most_popular(self):
         stream = QueryStream(
@@ -224,14 +152,12 @@ class TestQueryStream:
         assert [q.terms for q in distinct] == [tuple(t) for t in POOL]
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="stop condition"):
+        with pytest.raises(TypeError, match="max_queries"):
             QueryStream(POOL, PoissonProcess(10.0))
         with pytest.raises(ValueError, match="non-empty"):
             QueryStream([], PoissonProcess(10.0), max_queries=1)
         with pytest.raises(ValueError):
             QueryStream(POOL, PoissonProcess(10.0), max_queries=0)
-        with pytest.raises(ValueError):
-            QueryStream(POOL, PoissonProcess(10.0), duration_s=-1.0)
 
     def test_streaming_100k_is_bounded_memory(self):
         """The lazy contract: 100k queries allocate no per-query storage.
@@ -255,17 +181,11 @@ class TestQueryStream:
         assert last_t > 0.0
         assert peak < 2 * 1024 * 1024
 
-    def test_offered_rate_passthrough(self):
-        stream = QueryStream(
-            POOL, PoissonProcess(123.0, seed=0), max_queries=1
-        )
-        assert stream.offered_rate_qps() == 123.0
-
 
 class TestHypothesisDeterminism:
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
-        kind=st.sampled_from(["poisson", "mmpp", "diurnal", "burst"]),
+        kind=st.sampled_from(ARRIVAL_KINDS),
     )
     def test_every_factory_kind_is_seed_deterministic(self, seed, kind):
         a = make_arrivals(kind, 150.0, seed=seed)

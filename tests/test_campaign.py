@@ -12,6 +12,7 @@ from repro.serving import (
     run_campaign,
     zipf_weights,
 )
+from repro.serving.campaign import GRID_FRACTIONS
 
 
 class TestZipfWeights:
@@ -135,19 +136,16 @@ class TestCampaignConfig:
             CampaignConfig(arrival="fractal")
         with pytest.raises(ValueError):
             CampaignConfig(queries_per_point=0)
-        with pytest.raises(ValueError):
-            CampaignConfig(qps_grid=(), grid_fractions=())
-        with pytest.raises(ValueError):
-            CampaignConfig(qps_grid=(-5.0,))
-        with pytest.raises(ValueError):
-            CampaignConfig(goodput_threshold=1.5)
+        for rate in (-5.0, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="grid rates must be positive"):
+                CampaignConfig(qps_grid=(rate,))
         with pytest.raises(ValueError):
             CampaignConfig(cache_capacity=-1)
 
 
 class TestRunCampaign:
     def test_sweep_locates_knee_near_model(self, unit_testbed):
-        """A fraction grid straddling the prediction saturates and agrees.
+        """The default grid straddles the prediction, saturates and agrees.
 
         The tolerance here is the same gate CI enforces on the full
         benchmark; at 400 queries/point the knee lands well inside it.
@@ -157,14 +155,10 @@ class TestRunCampaign:
             unit_testbed.cluster,
             lambda: unit_testbed.make_policy("exhaustive"),
             pool,
-            CampaignConfig(
-                grid_fractions=(0.5, 0.9, 1.1, 1.5),
-                queries_per_point=400,
-                seed=3,
-            ),
+            CampaignConfig(queries_per_point=400, seed=3),
         )
-        assert len(result.points) == 4
-        assert result.total_queries == 1600
+        assert len(result.points) == len(GRID_FRACTIONS)
+        assert result.total_queries == 400 * len(GRID_FRACTIONS)
         assert result.knee.saturated
         assert result.knee_within(0.25)
         # Below the knee the cluster keeps up; far above it cannot.

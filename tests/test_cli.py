@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 import signal
 import subprocess
@@ -9,6 +10,16 @@ from pathlib import Path
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
+from repro.serving.arrivals import ARRIVAL_KINDS
+
+
+def strict_json(path: Path) -> dict:
+    """``path`` parsed as JSON proper: a bare NaN or Infinity token fails."""
+
+    def refuse(token: str) -> None:
+        raise ValueError(f"{token} is not a JSON value")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 class TestParser:
@@ -247,8 +258,6 @@ class TestFaultsCommand:
         assert "unknown scenario" in capsys.readouterr().err
 
     def test_faults_matrix_writes_json(self, tmp_path, capsys):
-        import json
-
         out = tmp_path / "faults.json"
         code = main(
             ["faults", "--scale", "unit", "--scenarios", "outage",
@@ -257,7 +266,7 @@ class TestFaultsCommand:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "scenario" in stdout and "outage" in stdout
-        payload = json.loads(out.read_text())
+        payload = strict_json(out)
         assert payload["scale"] == "unit"
         assert payload["response_timeout_ms"] == 150.0
         # A single-replica baseline plus a cell hedged over two replicas.
@@ -271,14 +280,14 @@ class TestServeCommand:
     def test_serve_args(self):
         args = build_parser().parse_args(
             ["serve", "--policy", "cottage", "--qps", "50", "100",
-             "--queries", "500", "--arrival", "mmpp", "--seed", "7",
+             "--queries", "500", "--arrival", "diurnal", "--seed", "7",
              "--max-in-flight", "64", "--out", "s.json",
              "--fail-knee-tolerance", "0.25"]
         )
         assert args.policy == "cottage"
         assert args.qps == [50.0, 100.0]
         assert args.queries == 500
-        assert args.arrival == "mmpp"
+        assert args.arrival == "diurnal"
         assert args.seed == 7
         assert args.max_in_flight == 64
         assert args.fail_knee_tolerance == 0.25
@@ -288,8 +297,11 @@ class TestServeCommand:
         assert "unknown policy" in capsys.readouterr().err
 
     def test_unknown_arrival_is_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--arrival", "fractal"])
+        for kind in ARRIVAL_KINDS:
+            assert build_parser().parse_args(["serve", "--arrival", kind]).arrival == kind
+        for kind in ("fractal", "mmpp"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", "--arrival", kind])
 
     def test_unknown_scale(self):
         with pytest.raises(SystemExit):
@@ -300,8 +312,6 @@ class TestServeCommand:
         assert "invalid campaign" in capsys.readouterr().err
 
     def test_serve_sweep_writes_json_and_gates(self, tmp_path, capsys):
-        import json
-
         out = tmp_path / "campaign.json"
         code = main(
             ["serve", "--scale", "unit", "--policy", "exhaustive",
@@ -310,7 +320,9 @@ class TestServeCommand:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "measured knee" in stdout and "predicted saturation" in stdout
-        payload = json.loads(out.read_text())
+        # Above saturation the model's mean latency is infinite: null, not
+        # a bare Infinity token.
+        payload = strict_json(out)
         assert payload["policy"] == "exhaustive"
         assert payload["knee"]["saturated"] is True
         assert payload["points"]
@@ -328,6 +340,26 @@ class TestServeCommand:
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_all_shed_point_reports_no_latency(
+        self, tmp_path, capsys, monkeypatch, unit_testbed
+    ):
+        """A point where every query is shed has no latency to report."""
+        monkeypatch.setattr("repro.cli.Testbed.build", lambda scale: unit_testbed)
+        out = tmp_path / "shed.json"
+        code = main(
+            ["serve", "--scale", "unit", "--policy", "exhaustive",
+             "--deadline-slo-ms", "0.001", "--queries", "20", "--qps", "50",
+             "--out", str(out)]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = next(line for line in lines if line.split()[:1] == ["50.0"])
+        assert row.split()[4:7] == ["20", "-", "-"]  # shed, p50_ms, p99_ms
+        (point,) = strict_json(out)["points"]
+        assert point["completed"] == 0 and point["shed"] == 20
+        for field in ("mean_latency_ms", "p50_ms", "p95_ms", "p99_ms", "max_latency_ms"):
+            assert point[field] is None
+
 
 #: ``repro serve`` options and the one line each is rejected with.
 HOSTILE_SERVE_KNOBS = [
@@ -335,7 +367,7 @@ HOSTILE_SERVE_KNOBS = [
     (["--queries", "-3"], "invalid campaign: queries_per_point must be positive"),
     *(
         (["--qps", qps],
-         "invalid campaign: grid rates/fractions must be positive and finite")
+         "invalid campaign: grid rates must be positive and finite")
         for qps in ("-5", "0", "nan", "inf")
     ),
     (["--max-in-flight", "0"], "invalid campaign: max_in_flight must be positive"),
