@@ -5,8 +5,8 @@ claim in the claims table (``scoreboard``): boosting, the stage-2 budget
 bar, the cut-confidence gate, the latency-bin count, ISN failures, offered
 load, the oracle gap, an aggregator result cache and the paired-bootstrap
 significance of the Fig. 10 savings.  Everything runs on the simulated
-clock over the Wikipedia trace (the latency-bin sweep on ISN 0's held-out
-training queries).
+clock over the Wikipedia trace (the latency-bin sweep on ISN 0's training
+split from ``testbed.training_report``).
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from repro.experiments.testbed import Testbed
 from repro.metrics.significance import BootstrapResult, compare_latencies
 from repro.metrics.summary import PolicySummary, summarize_run
 from repro.policies.oracle import OraclePolicy
-from repro.predictors.datasets import build_latency_dataset
 from repro.predictors.latency import LatencyBinning, LatencyPredictor
-from repro.workloads.traces import TraceConfig, generate_trace, training_queries
+from repro.workloads.traces import TraceConfig, generate_trace
 
 CONFIDENCES = (0.0, 0.5, 0.9, 0.99)
 LATENCY_BINS = (8, 16, 24, 40)
@@ -67,16 +66,12 @@ def _cottage(testbed: Testbed, **knobs: object) -> PolicySummary:
 
 
 def _latency_bins(testbed: Testbed) -> dict[int, tuple[float, float]]:
-    scale = testbed.scale
-    queries = training_queries(testbed.corpus, scale.n_training_queries,
-                               seed=scale.seed + 1000)
-    dataset = build_latency_dataset(0, testbed.bank.stats_indexes[0], testbed.cluster,
-                                    queries)
-    train, test = dataset.split(0.2)
+    train, test = testbed.training_report.latency_data[0]
     rows = {}
     for n_bins in LATENCY_BINS:
         model = LatencyPredictor(LatencyBinning.logarithmic(n_bins=n_bins), seed=0)
-        model.fit(train.features, train.service_ms, iterations=scale.latency_iterations)
+        model.fit(train.features, train.service_ms,
+                  iterations=testbed.scale.latency_iterations)
         predicted = model.predict_service_ms(test.features)
         rel_err = np.abs(predicted - test.service_ms) / np.maximum(test.service_ms, 0.1)
         rows[n_bins] = (model.accuracy(test.features, test.service_ms),
@@ -122,8 +117,8 @@ def _load(testbed: Testbed) -> dict[float, tuple[float, float]]:
             seed=scale.seed + 11,
         ))
         ex, co = (
-            float(np.mean(testbed.cluster.run_trace(
-                trace, testbed.make_policy(policy)).latencies_ms()))
+            summarize_run(testbed.cluster.run_trace(trace, testbed.make_policy(policy)),
+                          testbed.truth_for(trace)).avg_latency_ms
             for policy in ("exhaustive", "cottage")
         )
         rows[rate] = (ex, co)

@@ -2,6 +2,10 @@
 
 (a) accuracy/loss vs training iterations on one ISN.
 (b) per-ISN held-out accuracy.
+
+Both panels read the bank's own training (``testbed.training_report``):
+(a) is ISN-0's Quality-K fit, scored on its held-out split every
+``EVAL_EVERY`` iterations while it trained.
 """
 
 from __future__ import annotations
@@ -12,10 +16,7 @@ import numpy as np
 
 from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
-from repro.metrics.quality import GroundTruth
-from repro.predictors.datasets import build_quality_dataset
-from repro.predictors.quality import QualityPredictor
-from repro.workloads.traces import training_queries
+from repro.predictors.bank import EVAL_EVERY
 
 
 @dataclass(frozen=True)
@@ -26,36 +27,14 @@ class QualityPredictorResult:
     per_isn_accuracy: list[float]
 
 
-def run(
-    testbed: Testbed,
-    shard_id: int = 0,
-    iterations: int | None = None,
-    eval_every: int = 25,
-) -> QualityPredictorResult:
-    iterations = iterations or testbed.scale.quality_iterations
-    queries = training_queries(
-        testbed.corpus, testbed.scale.n_training_queries,
-        seed=testbed.scale.seed + 1000,
-    )
-    truth = GroundTruth.build(testbed.cluster.searcher, queries, k=testbed.cluster.k)
-    dataset = build_quality_dataset(
-        shard_id, testbed.bank.stats_indexes[shard_id], queries, truth
-    )
-    train, test = dataset.split(0.2, seed=testbed.scale.seed)
-    model = QualityPredictor(testbed.cluster.k, seed=testbed.scale.seed)
-    history = model.fit(
-        train.features,
-        train.labels_k,
-        iterations=iterations,
-        eval_set=(test.features, test.labels_k),
-        eval_every=eval_every,
-    )
+def run(testbed: Testbed) -> QualityPredictorResult:
+    report = testbed.training_report
+    history = report.quality_history[0]
     # Smooth the mini-batch losses to the eval grid for the (a) panel.
     losses = [
-        float(np.mean(history.loss[max(it - eval_every, 0) : it]))
+        float(np.mean(history.loss[max(it - EVAL_EVERY, 0) : it]))
         for it in history.eval_iterations
     ]
-    report = testbed.training_report
     return QualityPredictorResult(
         curve_iterations=history.eval_iterations,
         curve_accuracy=history.eval_accuracy,

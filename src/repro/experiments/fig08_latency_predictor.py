@@ -1,20 +1,17 @@
 """Fig. 8 — latency predictor accuracy curve.
 
-Mirror of Fig. 7 for the service-time model: accuracy-vs-iterations on one
-ISN, then per-ISN accuracy (within one latency bin).
+Mirror of Fig. 7 for the service-time model, read from the bank's own
+training (``testbed.training_report``): (a) ISN-0's latency fit, scored
+exact-bin on its held-out split every ``EVAL_EVERY`` iterations while it
+trained; (b) per-ISN held-out accuracy (within one latency bin).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
-from repro.predictors.datasets import build_latency_dataset
-from repro.predictors.latency import LatencyPredictor
-from repro.workloads.traces import training_queries
 
 
 @dataclass(frozen=True)
@@ -24,33 +21,9 @@ class LatencyPredictorResult:
     per_isn_accuracy: list[float]
 
 
-def run(
-    testbed: Testbed,
-    shard_id: int = 0,
-    iterations: int | None = None,
-    eval_every: int = 25,
-) -> LatencyPredictorResult:
-    iterations = iterations or testbed.scale.latency_iterations
-    queries = training_queries(
-        testbed.corpus, testbed.scale.n_training_queries,
-        seed=testbed.scale.seed + 1000,
-    )
-    dataset = build_latency_dataset(
-        shard_id, testbed.bank.stats_indexes[shard_id], testbed.cluster, queries
-    )
-    train, test = dataset.split(0.2, seed=testbed.scale.seed)
-    model = LatencyPredictor(seed=testbed.scale.seed)
-    # Exact-bin eval during training (the Sequential's accuracy metric);
-    # the headline per-ISN numbers use the within-one-bin criterion.
-    test_bins = np.array([model.binning.bin_of(s) for s in test.service_ms])
-    history = model.fit(
-        train.features,
-        train.service_ms,
-        iterations=iterations,
-        eval_set=(test.features, test_bins),
-        eval_every=eval_every,
-    )
+def run(testbed: Testbed) -> LatencyPredictorResult:
     report = testbed.training_report
+    history = report.latency_history[0]
     return LatencyPredictorResult(
         curve_iterations=history.eval_iterations,
         curve_accuracy=history.eval_accuracy,

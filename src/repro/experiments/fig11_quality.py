@@ -4,41 +4,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
+from repro.metrics.summary import PolicySummary
 
 POLICIES = ("exhaustive", "taily", "rank_s", "cottage")
 
 
 @dataclass(frozen=True)
 class QualityResult:
-    p_at_10: dict[str, dict[str, float]]  # trace -> policy -> P@10
+    summaries: dict[str, dict[str, PolicySummary]]  # trace -> policy -> summary
 
 
 def run(testbed: Testbed) -> QualityResult:
-    table: dict[str, dict[str, float]] = {}
-    for trace_name in ("wikipedia", "lucene"):
-        trace = getattr(testbed, f"{trace_name}_trace")
-        truth = testbed.truth_for(trace)
-        table[trace_name] = {}
-        for policy in POLICIES:
-            run_result = testbed.run(trace, policy)
-            precisions = [
-                truth.precision(record.query, record.result.doc_ids())
-                for record in run_result.records
-            ]
-            table[trace_name][policy] = float(np.mean(precisions))
-    return QualityResult(p_at_10=table)
+    return QualityResult(summaries=testbed.summary_table(POLICIES))
 
 
 def format_report(result: QualityResult) -> str:
     lines = ["Fig. 11 — average P@10"]
-    for trace_name, row in result.p_at_10.items():
+    for trace_name, row in result.summaries.items():
         lines.append(f"[{trace_name}]")
-        for policy, value in row.items():
-            lines.append(f"  {policy:<11} P@10={value:.3f}")
+        for policy, summary in row.items():
+            lines.append(f"  {policy:<11} P@10={summary.avg_precision:.3f}")
     lines += scoreboard.lines("fig11", result)
     lines.append(
         "  NOTE: at reproduction scale Taily's Gamma tail is accurate (shards"

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.testbed import Testbed
-from repro.metrics.latency import percentile
 from repro.reporting import scatter_plot
 
 POLICIES = ("cottage", "taily", "rank_s")
@@ -29,8 +28,7 @@ class ScatterResult:
 def run(testbed: Testbed) -> ScatterResult:
     trace = testbed.wikipedia_trace
     truth = testbed.truth_for(trace)
-    exhaustive = testbed.run(trace, "exhaustive")
-    threshold = percentile(exhaustive.latencies_ms(), 50)
+    threshold = testbed.summarize(trace, "exhaustive").p50_latency_ms
 
     points: dict[str, list[tuple[float, float]]] = {}
     fractions: dict[str, float] = {}

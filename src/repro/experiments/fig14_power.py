@@ -6,36 +6,34 @@ from dataclasses import dataclass
 
 from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
+from repro.metrics.summary import PolicySummary
 
 POLICIES = ("exhaustive", "taily", "rank_s", "cottage")
 
 
 @dataclass(frozen=True)
 class PowerResult:
-    power_w: dict[str, dict[str, float]]  # trace -> policy -> watts
+    summaries: dict[str, dict[str, PolicySummary]]  # trace -> policy -> summary
     idle_w: float
     n_shards: int
 
 
 def run(testbed: Testbed) -> PowerResult:
-    table: dict[str, dict[str, float]] = {}
-    idle = testbed.cluster.power_model.idle_package_w(testbed.cluster.n_shards)
-    for trace_name in ("wikipedia", "lucene"):
-        trace = getattr(testbed, f"{trace_name}_trace")
-        table[trace_name] = {
-            policy: testbed.run(trace, policy).power.average_power_w
-            for policy in POLICIES
-        }
-    return PowerResult(power_w=table, idle_w=idle, n_shards=testbed.cluster.n_shards)
+    n_shards = testbed.cluster.n_shards
+    return PowerResult(
+        summaries=testbed.summary_table(POLICIES),
+        idle_w=testbed.cluster.power_model.idle_package_w(n_shards),
+        n_shards=n_shards,
+    )
 
 
 def format_report(result: PowerResult) -> str:
     lines = ["Fig. 14 — average package power (W)"]
     lines.append(f"  idle floor: {result.idle_w:.2f} W")
-    for trace_name, row in result.power_w.items():
+    for trace_name, row in result.summaries.items():
         lines.append(f"[{trace_name}]")
-        for policy, value in row.items():
-            lines.append(f"  {policy:<11} {value:6.2f} W")
+        for policy, summary in row.items():
+            lines.append(f"  {policy:<11} {summary.avg_power_w:6.2f} W")
     lines += scoreboard.lines("fig14", result)
     lines.append(
         "  NOTE: Cottage's power saving is understated at reproduction scale"

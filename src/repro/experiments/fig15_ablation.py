@@ -10,64 +10,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
+from repro.metrics.summary import PolicySummary
 
 SCHEMES = ("exhaustive", "taily", "cottage_without_ml", "cottage_isn", "cottage")
 
 
 @dataclass(frozen=True)
-class AblationRow:
-    scheme: str
-    avg_latency_ms: float
-    p_at_10: float
-    active_isns: float
-    c_res: float
-
-
-@dataclass(frozen=True)
 class AblationResult:
-    rows: dict[str, list[AblationRow]]  # trace -> rows
+    summaries: dict[str, dict[str, PolicySummary]]  # trace -> scheme -> summary
 
 
 def run(testbed: Testbed) -> AblationResult:
-    table: dict[str, list[AblationRow]] = {}
-    for trace_name in ("wikipedia", "lucene"):
-        trace = getattr(testbed, f"{trace_name}_trace")
-        truth = testbed.truth_for(trace)
-        rows = []
-        for scheme in SCHEMES:
-            run_result = testbed.run(trace, scheme)
-            precisions = [
-                truth.precision(record.query, record.result.doc_ids())
-                for record in run_result.records
-            ]
-            rows.append(
-                AblationRow(
-                    scheme=scheme,
-                    avg_latency_ms=float(np.mean(run_result.latencies_ms())),
-                    p_at_10=float(np.mean(precisions)),
-                    active_isns=float(
-                        np.mean([r.n_selected for r in run_result.records])
-                    ),
-                    c_res=float(np.mean([r.docs_searched for r in run_result.records])),
-                )
-            )
-        table[trace_name] = rows
-    return AblationResult(rows=table)
+    return AblationResult(summaries=testbed.summary_table(SCHEMES))
 
 
 def format_report(result: AblationResult) -> str:
     lines = ["Fig. 15 — ablation: ML prediction and coordination"]
-    for trace_name, rows in result.rows.items():
+    for trace_name, rows in result.summaries.items():
         lines.append(f"[{trace_name}]")
         lines.append("  scheme               avg_ms   P@10   ISNs    C_RES")
-        for row in rows:
+        for scheme, s in rows.items():
             lines.append(
-                f"  {row.scheme:<20} {row.avg_latency_ms:6.2f}  {row.p_at_10:.3f}"
-                f"  {row.active_isns:5.2f}  {row.c_res:7.1f}"
+                f"  {scheme:<20} {s.avg_latency_ms:6.2f}  {s.avg_precision:.3f}"
+                f"  {s.avg_selected_isns:5.2f}  {s.avg_docs_searched:7.1f}"
             )
         if trace_name == "wikipedia":
             lines += scoreboard.lines("fig15", result)

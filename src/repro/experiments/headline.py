@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from repro.experiments import scoreboard
 from repro.experiments.testbed import Testbed
-from repro.metrics.summary import relative_improvement, summarize_run
+from repro.metrics.summary import relative_improvement
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,8 @@ class HeadlineResult:
 
 def run(testbed: Testbed) -> HeadlineResult:
     trace = testbed.wikipedia_trace
-    truth = testbed.truth_for(trace)
-    exhaustive = summarize_run(testbed.run(trace, "exhaustive"), truth, trace.name)
-    cottage = summarize_run(testbed.run(trace, "cottage"), truth, trace.name)
+    exhaustive = testbed.summarize(trace, "exhaustive")
+    cottage = testbed.summarize(trace, "cottage")
     return HeadlineResult(
         latency_reduction=relative_improvement(
             exhaustive.avg_latency_ms, cottage.avg_latency_ms

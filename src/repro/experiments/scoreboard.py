@@ -59,21 +59,23 @@ def verdict(paper: float | None, measured: float) -> str:
     return "◐" if measured * paper > 0 else "✘"
 
 
-def _cut(by_policy: Mapping[str, float], policy: str) -> float:
-    return relative_improvement(by_policy["exhaustive"], by_policy[policy])
+def _cut(by_policy: Mapping[str, Any], policy: str, field: str) -> float:
+    return relative_improvement(getattr(by_policy["exhaustive"], field),
+                                getattr(by_policy[policy], field))
 
 
-def _factor(by_policy: Mapping[str, float]) -> float:
-    return by_policy["exhaustive"] / by_policy["cottage"]
+def _factor(by_policy: Mapping[str, Any], field: str) -> float:
+    return getattr(by_policy["exhaustive"], field) / getattr(by_policy["cottage"], field)
 
 
-def _less(table: Mapping[str, Any], a: str, b: str) -> bool:
-    """``a < b`` on the Wikipedia and on the Lucene trace."""
-    return all(row[a] < row[b] for row in table.values())
+def _less(table: Mapping[str, Mapping[str, Any]], field: str, a: str, b: str) -> bool:
+    """``a < b`` in ``field`` on the Wikipedia and on the Lucene trace."""
+    return all(getattr(row[a], field) < getattr(row[b], field) for row in table.values())
 
 
-def _rows(r: Any, trace: str = "wikipedia") -> dict[str, Any]:
-    return {row.scheme: row for row in r.rows[trace]}
+def _wiki(r: Any, policy: str) -> Any:
+    """``policy``'s summary on the Wikipedia trace."""
+    return r.summaries["wikipedia"][policy]
 
 
 def _outcome(r: Any, policy: str) -> Any:
@@ -122,81 +124,80 @@ CLAIMS: tuple[Claim, ...] = (
           lambda r: np.mean(r.per_isn_accuracy)),
     # Fig. 10 — latency.
     Claim("fig10.cottage_cut", "cottage avg reduction", _CUT,
-          lambda r: _cut(r["wikipedia"].avg_ms, "cottage"), "wikipedia"),
+          lambda r: _cut(r.summaries["wikipedia"], "cottage", "avg_latency_ms"), "wikipedia"),
     Claim("fig10.cottage_p95", "cottage p95 factor", _P95,
-          lambda r: _factor(r["wikipedia"].p95_ms), "wikipedia"),
+          lambda r: _factor(r.summaries["wikipedia"], "p95_latency_ms"), "wikipedia"),
     Claim("fig10.taily_cut", "taily avg reduction", 0.0116,
-          lambda r: _cut(r["wikipedia"].avg_ms, "taily"), "wikipedia", deviation=1),
+          lambda r: _cut(r.summaries["wikipedia"], "taily", "avg_latency_ms"), "wikipedia",
+          deviation=1),
     Claim("fig10.rank_s_cut", "rank_s avg reduction", 0.1112,
-          lambda r: _cut(r["wikipedia"].avg_ms, "rank_s"), "wikipedia"),
+          lambda r: _cut(r.summaries["wikipedia"], "rank_s", "avg_latency_ms"), "wikipedia"),
     Claim("fig10.lucene_speedup", "cottage avg speedup", 2.29,
-          lambda r: _factor(r["lucene"].avg_ms), "lucene", deviation=3),
+          lambda r: _factor(r.summaries["lucene"], "avg_latency_ms"), "lucene", deviation=3),
     Claim("fig10.lucene_p95", "cottage p95 factor", 2.74,
-          lambda r: _factor(r["lucene"].p95_ms), "lucene", deviation=3),
+          lambda r: _factor(r.summaries["lucene"], "p95_latency_ms"), "lucene", deviation=3),
     Claim("fig10.exhaustive_avg_ms", "exhaustive avg latency, wikipedia (ms)", 17.26,
-          lambda r: r["wikipedia"].avg_ms["exhaustive"], None, deviation=4),
+          lambda r: _wiki(r, "exhaustive").avg_latency_ms, None, deviation=4),
     Claim("fig10.cottage_fastest", "cottage avg latency < taily, avg and p95 < exhaustive",
-          None, lambda r: all(
-              t.avg_ms["cottage"] < min(t.avg_ms["taily"], t.avg_ms["exhaustive"])
-              and t.p95_ms["cottage"] < t.p95_ms["exhaustive"] for t in r.values())),
+          None, lambda r: _less(r.summaries, "avg_latency_ms", "cottage", "taily")
+          and _less(r.summaries, "avg_latency_ms", "cottage", "exhaustive")
+          and _less(r.summaries, "p95_latency_ms", "cottage", "exhaustive")),
     # Fig. 11 — P@10.
     Claim("fig11.cottage_wiki", "cottage P@10 (wikipedia)", _P10,
-          lambda r: r.p_at_10["wikipedia"]["cottage"]),
+          lambda r: _wiki(r, "cottage").avg_precision),
     Claim("fig11.cottage_lucene", "cottage P@10 (lucene)", 0.955,
-          lambda r: r.p_at_10["lucene"]["cottage"]),
+          lambda r: r.summaries["lucene"]["cottage"].avg_precision),
     Claim("fig11.taily_wiki", "taily P@10 (wikipedia)", 0.887,
-          lambda r: r.p_at_10["wikipedia"]["taily"]),
+          lambda r: _wiki(r, "taily").avg_precision),
     Claim("fig11.rank_s_max", "rank_s P@10 (max)", 0.709,
-          lambda r: max(row["rank_s"] for row in r.p_at_10.values())),
+          lambda r: max(row["rank_s"].avg_precision for row in r.summaries.values())),
     Claim("fig11.taily_lucene", "taily P@10 (lucene)", 0.878,
-          lambda r: r.p_at_10["lucene"]["taily"], None),
+          lambda r: r.summaries["lucene"]["taily"].avg_precision, None),
     Claim("fig11.rank_s_lt_cottage", "rank_s P@10 < cottage", None,
-          lambda r: _less(r.p_at_10, "rank_s", "cottage")),
+          lambda r: _less(r.summaries, "avg_precision", "rank_s", "cottage")),
     Claim("fig11.taily_lt_cottage", "taily P@10 < cottage", None,
-          lambda r: _less(r.p_at_10, "taily", "cottage"), deviation=1),
+          lambda r: _less(r.summaries, "avg_precision", "taily", "cottage"), deviation=1),
     # Fig. 12 — latency-quality scatter.
     Claim("fig12.cottage_fast_and_good", "cottage fast-and-good share > rank_s", None,
           lambda r: r.fast_good_fraction["cottage"] > r.fast_good_fraction["rank_s"]),
     # Fig. 13 — active ISNs.
     Claim("fig13.cottage", "cottage", _ACTIVE,
-          lambda r: r.active["wikipedia"]["cottage"], of_16_isns=True),
+          lambda r: _wiki(r, "cottage").avg_selected_isns, of_16_isns=True),
     Claim("fig13.taily", "taily", 13.0,
-          lambda r: r.active["wikipedia"]["taily"], of_16_isns=True, deviation=1),
+          lambda r: _wiki(r, "taily").avg_selected_isns, of_16_isns=True, deviation=1),
     Claim("fig13.rank_s", "rank_s", 11.0,
-          lambda r: r.active["wikipedia"]["rank_s"], of_16_isns=True, deviation=3),
+          lambda r: _wiki(r, "rank_s").avg_selected_isns, of_16_isns=True, deviation=3),
     Claim("fig13.cottage_lt_taily", "cottage selects fewer ISNs than taily", None,
-          lambda r: _less(r.active, "cottage", "taily")),
+          lambda r: _less(r.summaries, "avg_selected_isns", "cottage", "taily")),
     # Fig. 14 — package power.
     Claim("fig14.idle_w", "idle power", 14.53,
           lambda r: r.idle_w, of_16_isns=True, unit=" W"),
     Claim("fig14.exhaustive_w", "exhaustive power", 36.0,
-          lambda r: r.power_w["wikipedia"]["exhaustive"], of_16_isns=True, unit=" W"),
+          lambda r: _wiki(r, "exhaustive").avg_power_w, of_16_isns=True, unit=" W"),
     Claim("fig14.cottage_saving", "cottage power saving", _POWER,
-          lambda r: _cut(r.power_w["wikipedia"], "cottage"), deviation=3),
+          lambda r: _cut(r.summaries["wikipedia"], "cottage", "avg_power_w"), deviation=3),
     Claim("fig14.taily_saving", "taily power saving", 0.3112,
-          lambda r: _cut(r.power_w["wikipedia"], "taily"), deviation=3),
+          lambda r: _cut(r.summaries["wikipedia"], "taily", "avg_power_w"), deviation=3),
     Claim("fig14.taily_lt_exhaustive", "taily power < exhaustive", None,
-          lambda r: _less(r.power_w, "taily", "exhaustive")),
+          lambda r: _less(r.summaries, "avg_power_w", "taily", "exhaustive")),
     Claim("fig14.cottage_lt_exhaustive", "cottage power < exhaustive", None,
-          lambda r: _less(r.power_w, "cottage", "exhaustive")),
+          lambda r: _less(r.summaries, "avg_power_w", "cottage", "exhaustive")),
     # Fig. 15 — ablation (Wikipedia trace for the paper's numbers).
     Claim("fig15.isn_factor", "cottage_isn latency factor", 1.9,
-          lambda r: _rows(r)["cottage_isn"].avg_latency_ms
-          / _rows(r)["cottage"].avg_latency_ms, deviation=4),
+          lambda r: _wiki(r, "cottage_isn").avg_latency_ms
+          / _wiki(r, "cottage").avg_latency_ms, deviation=4),
     Claim("fig15.without_ml_p10", "cottage_without_ml P@10", 0.85,
-          lambda r: _rows(r)["cottage_without_ml"].p_at_10),
+          lambda r: _wiki(r, "cottage_without_ml").avg_precision),
     Claim("fig15.ml_isn_cut", "ML-driven active-ISN reduction", 0.43,
-          lambda r: 1.0 - _rows(r)["cottage"].active_isns
-          / _rows(r)["cottage_without_ml"].active_isns, deviation=1),
+          lambda r: 1.0 - _wiki(r, "cottage").avg_selected_isns
+          / _wiki(r, "cottage_without_ml").avg_selected_isns, deviation=1),
     Claim("fig15.ml_cres_cut", "ML-driven C_RES reduction", 0.48,
-          lambda r: 1.0 - _rows(r)["cottage"].c_res
-          / _rows(r)["cottage_without_ml"].c_res, deviation=1),
+          lambda r: 1.0 - _wiki(r, "cottage").avg_docs_searched
+          / _wiki(r, "cottage_without_ml").avg_docs_searched, deviation=1),
     Claim("fig15.coordination_buys_latency", "cottage avg latency < cottage_isn", None,
-          lambda r: all(_rows(r, t)["cottage"].avg_latency_ms
-                        < _rows(r, t)["cottage_isn"].avg_latency_ms for t in r.rows)),
+          lambda r: _less(r.summaries, "avg_latency_ms", "cottage", "cottage_isn")),
     Claim("fig15.ml_buys_quality", "cottage_without_ml P@10 < cottage", None,
-          lambda r: all(_rows(r, t)["cottage_without_ml"].p_at_10
-                        < _rows(r, t)["cottage"].p_at_10 for t in r.rows)),
+          lambda r: _less(r.summaries, "avg_precision", "cottage_without_ml", "cottage")),
     # Beyond the paper: orderings it does not report, each with its margins.
     Claim("beyond.ablation_boost", "boost: avg <= 1.02x unboosted, power >= 0.98x", None,
           lambda r: r.boost["with"].avg_latency_ms <= r.boost["without"].avg_latency_ms * 1.02

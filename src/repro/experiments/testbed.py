@@ -134,11 +134,7 @@ class Testbed:
 
     # ------------------------------------------------------------------ build
     @classmethod
-    def build(
-        cls,
-        scale: Scale | None = None,
-        train: bool = True,
-    ) -> "Testbed":
+    def build(cls, scale: Scale | None = None) -> "Testbed":
         """Construct the full testbed (index, traces, trained predictors)."""
         scale = scale or Scale.small()
         corpus = SyntheticCorpus(scale.corpus)
@@ -148,17 +144,15 @@ class Testbed:
         cluster = SearchCluster(shards, k=scale.k)
 
         bank = PredictorBank(cluster, k=scale.k, seed=scale.seed)
-        report = TrainingReport()
-        if train:
-            queries = training_queries(
-                corpus, scale.n_training_queries, seed=scale.seed + 1000
-            )
-            report = bank.train(
-                queries,
-                quality_iterations=scale.quality_iterations,
-                latency_iterations=scale.latency_iterations,
-                seed=scale.seed,
-            )
+        queries = training_queries(
+            corpus, scale.n_training_queries, seed=scale.seed + 1000
+        )
+        report = bank.train(
+            queries,
+            quality_iterations=scale.quality_iterations,
+            latency_iterations=scale.latency_iterations,
+            seed=scale.seed,
+        )
 
         csi = CentralSampleIndex.build(
             groups, sample_rate=0.01, seed=scale.seed, analyzer=analyzer
@@ -241,20 +235,26 @@ class Testbed:
         deterministic, and the evaluation figures (10-15) all read the same
         seven runs.
         """
-        cache = getattr(self, "_run_cache", None)
-        if cache is None:
-            # Testbeds unpickled from older sessions lack the attribute.
-            cache = self._run_cache = {}
         key = (trace.name, policy_name)
-        cached = cache.get(key)
+        cached = self._run_cache.get(key)
         if cached is None:
             cached = self.cluster.run_trace(trace, self.make_policy(policy_name))
-            cache[key] = cached
+            self._run_cache[key] = cached
         return cached
 
     def summarize(self, trace: QueryTrace, policy_name: str) -> PolicySummary:
         run = self.run(trace, policy_name)
         return summarize_run(run, self.truth_for(trace), trace_name=trace.name)
+
+    def summary_table(
+        self, names: tuple[str, ...]
+    ) -> dict[str, dict[str, PolicySummary]]:
+        """Trace name -> policy -> :meth:`summarize`, on both traces: the
+        table every per-policy number of Figs. 10, 11 and 13-15 is read from."""
+        return {
+            trace.name: {name: self.summarize(trace, name) for name in names}
+            for trace in (self.wikipedia_trace, self.lucene_trace)
+        }
 
     def compare_policies(
         self, trace: QueryTrace, names: tuple[str, ...] | None = None

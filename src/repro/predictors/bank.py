@@ -22,7 +22,7 @@ from repro.cluster.engine import SearchCluster
 from repro.host import process_map
 from repro.index.term_stats import TermStatsIndex
 from repro.metrics.quality import GroundTruth
-from repro.nn.model import Sequential, StackedSequential
+from repro.nn.model import Sequential, StackedSequential, TrainingHistory
 from repro.predictors.arrays import FloatArray
 from repro.predictors.datasets import (
     ShardLatencyDataset,
@@ -56,13 +56,34 @@ class ISNPrediction:
     p_zero_half: float = 1.0
 
 
+#: Every fit scores itself on its shard's held-out split once per this many
+#: iterations: the accuracy-vs-iterations curves of Figs. 7(a) and 8(a).
+EVAL_EVERY = 25
+
+
 @dataclass
 class TrainingReport:
-    """Per-shard held-out accuracy after training."""
+    """What training produced, per shard (every list is indexed by shard id).
+
+    Held-out accuracy of each of the three models, each fit's
+    :class:`~repro.nn.model.TrainingHistory` (evaluated on the held-out
+    split every :data:`EVAL_EVERY` iterations: exact class for quality,
+    exact bin for latency) and each shard's (train, held-out) datasets.
+    Figures read their predictor numbers from here, not from a second fit.
+    """
 
     quality_accuracy: list[float] = field(default_factory=list)
     quality_half_accuracy: list[float] = field(default_factory=list)
     latency_accuracy: list[float] = field(default_factory=list)
+    quality_history: list[TrainingHistory] = field(default_factory=list)
+    quality_half_history: list[TrainingHistory] = field(default_factory=list)
+    latency_history: list[TrainingHistory] = field(default_factory=list)
+    quality_data: list[tuple[ShardQualityDataset, ShardQualityDataset]] = field(
+        default_factory=list
+    )
+    latency_data: list[tuple[ShardLatencyDataset, ShardLatencyDataset]] = field(
+        default_factory=list
+    )
 
     @property
     def mean_quality_accuracy(self) -> float:
@@ -79,16 +100,18 @@ class FitJob(NamedTuple):
     predictor: QualityPredictor | LatencyPredictor
     features: FloatArray
     targets: NDArray[Any]  # quality labels or service ms, as ``fit`` takes them
+    held_out: tuple[FloatArray, NDArray[Any]]  # the shard's held-out (features, targets)
     iterations: int
     seed: int
 
 
-def fit_job(job: FitJob) -> dict[str, FloatArray]:
-    """Fit the job's predictor; its trained :meth:`state`."""
-    job.predictor.fit(
-        job.features, job.targets, iterations=job.iterations, seed=job.seed
+def fit_job(job: FitJob) -> tuple[dict[str, FloatArray], TrainingHistory]:
+    """Fit the job's predictor; its trained :meth:`state` and its history."""
+    history = job.predictor.fit(
+        job.features, job.targets, iterations=job.iterations, seed=job.seed,
+        eval_set=job.held_out, eval_every=EVAL_EVERY,
     )
-    return job.predictor.state()
+    return job.predictor.state(), history
 
 
 P = TypeVar("P", QualityPredictor, LatencyPredictor)
@@ -176,12 +199,13 @@ class PredictorBank:
         holdout: float = 0.2,
         seed: int = 0,
     ) -> TrainingReport:
-        """Train every per-shard model; report held-out accuracy.
+        """Train every per-shard model; the :class:`TrainingReport`.
 
         ``truth`` is built by exhaustive search when not supplied.  Every
-        shard's datasets are built here, by a searcher dropped on return;
-        the 3 x n_shards fits are then independent jobs (:class:`FitJob`)
-        that :func:`~repro.host.process_map` spreads over the CPUs, and the
+        shard's datasets are built and split here, by a searcher dropped on
+        return; the 3 x n_shards fits are then independent jobs
+        (:class:`FitJob`, each carrying its shard's held-out split) that
+        :func:`~repro.host.process_map` spreads over the CPUs, and the
         weights they return are loaded into this bank's predictors — bit
         for bit what fitting them here would give.
         """
@@ -201,33 +225,41 @@ class PredictorBank:
         )
         if truth is None:
             truth = GroundTruth.build(labeller.searcher, queries, k=self.k)
+        report = TrainingReport()
         jobs: list[FitJob] = []
-        held_out: list[tuple[ShardQualityDataset, ShardLatencyDataset]] = []
         for sid in range(self.n_shards):
             stats = self.stats_indexes[sid]
             q_data = build_quality_dataset(sid, stats, queries, truth)
             l_data = build_latency_dataset(sid, stats, labeller, queries)
             q_train, q_test = q_data.split(holdout, seed=seed)
             l_train, l_test = l_data.split(holdout, seed=seed)
-            held_out.append((q_test, l_test))
+            report.quality_data.append((q_train, q_test))
+            report.latency_data.append((l_train, l_test))
             jobs += [
-                FitJob(self.quality_k_models[sid], q_train.features,
-                       q_train.labels_k, quality_iterations, seed),
+                FitJob(self.quality_k_models[sid], q_train.features, q_train.labels_k,
+                       (q_test.features, q_test.labels_k), quality_iterations, seed),
                 FitJob(self.quality_half_models[sid], q_train.features,
-                       q_train.labels_half_k, quality_iterations, seed),
-                FitJob(self.latency_models[sid], l_train.features,
-                       l_train.service_ms, latency_iterations, seed),
+                       q_train.labels_half_k, (q_test.features, q_test.labels_half_k),
+                       quality_iterations, seed),
+                FitJob(self.latency_models[sid], l_train.features, l_train.service_ms,
+                       (l_test.features, l_test.service_ms), latency_iterations, seed),
             ]
         # The weights change from here on: the bank is untrained until the
         # last state is loaded.
         self.trained = False
         self._prediction_cache.clear()
         self._fused = None
-        for job, state in zip(jobs, process_map(fit_job, jobs)):
+        histories: list[TrainingHistory] = []
+        for job, (state, history) in zip(jobs, process_map(fit_job, jobs)):
             job.predictor.load_state(state)
+            histories.append(history)
+        report.quality_history = histories[0::3]
+        report.quality_half_history = histories[1::3]
+        report.latency_history = histories[2::3]
 
-        report = TrainingReport()
-        for sid, (q_test, l_test) in enumerate(held_out):
+        for sid, ((_, q_test), (_, l_test)) in enumerate(
+            zip(report.quality_data, report.latency_data)
+        ):
             report.quality_accuracy.append(
                 self.quality_k_models[sid].accuracy(q_test.features, q_test.labels_k)
             )

@@ -83,9 +83,6 @@ class QualityPredictor:
         self._require_trained()
         return self.model.predict_classes(self.scaler.transform(np.atleast_2d(features)))
 
-    def predict_one(self, features: FloatArray) -> int:
-        return int(self.predict_counts(features)[0])
-
     def predict_with_zero_prob(self, features: FloatArray) -> tuple[int, float]:
         """Predicted count plus the model's probability of class 0.
 

@@ -80,6 +80,35 @@ class TestPredictorBank:
         assert len(report.latency_accuracy) == n
         assert 0.0 < report.mean_quality_accuracy <= 1.0
         assert 0.0 < report.mean_latency_accuracy <= 1.0
+        # One history per fit, scored every EVAL_EVERY iterations.
+        scale = unit_testbed.scale
+        for histories, iterations in (
+            (report.quality_history, scale.quality_iterations),
+            (report.quality_half_history, scale.quality_iterations),
+            (report.latency_history, scale.latency_iterations),
+        ):
+            assert len(histories) == n
+            for history in histories:
+                assert history.iterations == iterations
+                assert history.eval_iterations == list(
+                    range(bank_module.EVAL_EVERY, iterations + 1, bank_module.EVAL_EVERY)
+                )
+                assert len(history.eval_accuracy) == len(history.eval_iterations)
+        # Every reported accuracy is its model's score on the reported split.
+        bank = unit_testbed.bank
+        assert len(report.quality_data) == len(report.latency_data) == n
+        for sid, ((_, q_test), (_, l_test)) in enumerate(
+            zip(report.quality_data, report.latency_data)
+        ):
+            assert bank.quality_k_models[sid].accuracy(
+                q_test.features, q_test.labels_k
+            ) == report.quality_accuracy[sid]
+            assert bank.quality_half_models[sid].accuracy(
+                q_test.features, q_test.labels_half_k
+            ) == report.quality_half_accuracy[sid]
+            assert bank.latency_models[sid].accuracy(
+                l_test.features, l_test.service_ms
+            ) == report.latency_accuracy[sid]
 
     def test_predict_shape_and_bounds(self, unit_testbed):
         query = unit_testbed.wikipedia_trace[0]

@@ -25,7 +25,10 @@ from repro.experiments import (
     headline,
     tables_features,
 )
-from repro.experiments.testbed import Scale
+from repro.experiments import beyond
+from repro.experiments.testbed import Scale, Testbed
+from repro.predictors import LatencyPredictor, QualityPredictor
+from repro.workloads import training_queries
 
 
 class TestScale:
@@ -95,20 +98,58 @@ class TestHarnesses:
         assert "Fig. 6" in fig06_score_distribution.format_report(result)
 
     def test_fig07(self, unit_testbed):
-        result = fig07_quality_predictor.run(
-            unit_testbed, iterations=40, eval_every=20
-        )
-        assert result.curve_iterations == [20, 40]
+        result = fig07_quality_predictor.run(unit_testbed)
+        assert result.curve_iterations == [25, 50, 75]
+        assert len(result.curve_loss) == 3
         assert len(result.per_isn_accuracy) == unit_testbed.cluster.n_shards
         assert "Fig. 7" in fig07_quality_predictor.format_report(result)
 
     def test_fig08(self, unit_testbed):
-        result = fig08_latency_predictor.run(
-            unit_testbed, iterations=40, eval_every=20
-        )
-        assert result.curve_iterations == [20, 40]
+        result = fig08_latency_predictor.run(unit_testbed)
+        assert result.curve_iterations == [25, 50, 75]
         assert len(result.per_isn_accuracy) == unit_testbed.cluster.n_shards
         assert "Fig. 8" in fig08_latency_predictor.format_report(result)
+
+    @pytest.mark.parametrize("figure", ["fig07", "fig08"])
+    def test_curve_point_is_the_banks_isn0_fit(self, unit_testbed, figure):
+        """The (a) curve's point at iteration N is the held-out accuracy of
+        ISN-0's bank model after N iterations: a fresh predictor with the
+        bank's ISN-0 seeds, fit N iterations on the report's split, scores
+        the same (exact class for quality, exact bin for latency)."""
+        tb, n = unit_testbed, 75
+        seed, bank = tb.scale.seed, tb.bank
+        report = tb.training_report
+        if figure == "fig07":
+            result = fig07_quality_predictor.run(tb)
+            train, test = report.quality_data[0]
+            model = QualityPredictor(bank.k, bank.hidden_layers, bank.hidden_units,
+                                     seed=seed)
+            model.fit(train.features, train.labels_k, iterations=n, seed=seed)
+            expected = model.accuracy(test.features, test.labels_k)
+        else:
+            result = fig08_latency_predictor.run(tb)
+            train, test = report.latency_data[0]
+            model = LatencyPredictor(None, bank.hidden_layers, bank.hidden_units,
+                                     seed=seed + 200)
+            model.fit(train.features, train.service_ms, iterations=n, seed=seed)
+            expected = model.accuracy(test.features, test.service_ms, tolerance_bins=0)
+        assert result.curve_accuracy[result.curve_iterations.index(n)] == expected
+
+    def test_predictor_figures_never_search_on_the_run_cluster(self):
+        """Figs. 7/8 and the latency-bin sweep read the bank's training
+        data, so no training query reaches the run cluster's memo."""
+        tb = Testbed.build(Scale.unit())
+        fig07_quality_predictor.run(tb)
+        fig08_latency_predictor.run(tb)
+        beyond._latency_bins(tb)
+        in_traces = {q.terms for trace in (tb.wikipedia_trace, tb.lucene_trace)
+                     for q in trace}
+        queries = training_queries(tb.corpus, tb.scale.n_training_queries,
+                                   seed=tb.scale.seed + 1000)
+        unseen = [q for q in queries if q.terms not in in_traces]
+        assert unseen
+        searchers = tb.cluster.searcher.searchers
+        assert [q.terms for q in unseen if any(s.is_cached(q) for s in searchers)] == []
 
     def test_fig09(self, unit_testbed):
         result = fig09_budget_example.run(unit_testbed)
@@ -116,12 +157,12 @@ class TestHarnesses:
         assert "time budget" in fig09_budget_example.format_report(result)
 
     def test_fig10(self, unit_testbed):
-        results = fig10_latency.run(unit_testbed)
-        assert set(results) == {"wikipedia", "lucene"}
-        for result in results.values():
-            assert set(result.avg_ms) == set(fig10_latency.POLICIES)
-            assert all(v > 0 for v in result.avg_ms.values())
-        assert "Fig. 10" in fig10_latency.format_report(results)
+        result = fig10_latency.run(unit_testbed)
+        assert set(result.summaries) == set(result.timelines) == {"wikipedia", "lucene"}
+        for row in result.summaries.values():
+            assert list(row) == list(fig10_latency.POLICIES)
+            assert all(s.avg_latency_ms > 0 for s in row.values())
+        assert "Fig. 10" in fig10_latency.format_report(result)
 
     def test_fig12(self, unit_testbed):
         result = fig12_scatter.run(unit_testbed)
@@ -133,25 +174,26 @@ class TestHarnesses:
     def test_fig14(self, unit_testbed):
         result = fig14_power.run(unit_testbed)
         assert result.idle_w > 0
-        for row in result.power_w.values():
-            assert all(v >= result.idle_w for v in row.values())
+        for row in result.summaries.values():
+            assert all(s.avg_power_w >= result.idle_w for s in row.values())
         assert "Fig. 14" in fig14_power.format_report(result)
 
     def test_fig15(self, unit_testbed):
         result = fig15_ablation.run(unit_testbed)
-        for rows in result.rows.values():
-            assert [row.scheme for row in rows] == list(fig15_ablation.SCHEMES)
+        for rows in result.summaries.values():
+            assert list(rows) == list(fig15_ablation.SCHEMES)
+            assert [s.policy for s in rows.values()] == list(fig15_ablation.SCHEMES)
         assert "Fig. 15" in fig15_ablation.format_report(result)
 
     def test_fig11(self, unit_testbed):
         result = fig11_quality.run(unit_testbed)
-        assert result.p_at_10["wikipedia"]["exhaustive"] == 1.0
+        assert result.summaries["wikipedia"]["exhaustive"].avg_precision == 1.0
         assert "Fig. 11" in fig11_quality.format_report(result)
 
     def test_fig13(self, unit_testbed):
         result = fig13_active_isns.run(unit_testbed)
         n = unit_testbed.cluster.n_shards
-        assert result.active["wikipedia"]["exhaustive"] == n
+        assert result.summaries["wikipedia"]["exhaustive"].avg_selected_isns == n
         assert "Fig. 13" in fig13_active_isns.format_report(result)
 
     def test_tables(self, unit_testbed):
