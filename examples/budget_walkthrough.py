@@ -15,6 +15,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.cluster.types import ClusterView
 from repro.core import CottagePolicy, determine_time_budget
+from repro.core.cottage import BOOST_MARGIN
 from repro.experiments import Scale, Testbed
 
 
@@ -34,7 +35,7 @@ def main() -> None:
     chosen = None
     for query in {q.terms: q for q in testbed.wikipedia_trace}.values():
         inputs = policy.budget_inputs(query, view)
-        decision = determine_time_budget(inputs, boost_margin=policy.boost_margin)
+        decision = determine_time_budget(inputs, boost_margin=BOOST_MARGIN)
         if decision.cut_zero_quality and decision.selected:
             chosen = (query, inputs, decision)
             if decision.cut_too_slow or decision.boosted:

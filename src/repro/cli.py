@@ -471,12 +471,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.fail_knee_tolerance is not None and not result.knee_within(
         args.fail_knee_tolerance
     ):
-        print(
-            f"FAIL: measured knee {result.knee.knee_qps:.1f} qps not within "
-            f"{100 * args.fail_knee_tolerance:.0f}% of predicted "
-            f"{result.predicted_knee_qps:.1f} qps (or sweep never saturated)",
-            file=sys.stderr,
-        )
+        if result.knee.saturated:
+            problem = (
+                f"measured knee {result.knee.knee_qps:.1f} qps not within "
+                f"{100 * args.fail_knee_tolerance:.0f}% of predicted "
+                f"{result.predicted_knee_qps:.1f} qps"
+            )
+        else:
+            problem = (
+                "the sweep never saturated, so it measured no knee to hold "
+                f"against predicted {result.predicted_knee_qps:.1f} qps"
+            )
+        print(f"FAIL: {problem}", file=sys.stderr)
         return 1
     return 0
 

@@ -20,6 +20,11 @@ from repro.retrieval.query import Query
 from repro.telemetry import NO_TELEMETRY, Telemetry
 
 
+#: Boost an ISN already at ``BOOST_MARGIN * budget`` predicted latency
+#: rather than exactly at the budget, absorbing latency under-prediction
+#: (1.0 is the paper's literal rule; ``determine_time_budget`` takes either).
+BOOST_MARGIN = 0.8
+
 # (per-shard rows (shard, Q^K, Q^{K/2}, S*f_d/f_d, S*f_d/f_max), predicted S by shard)
 _StaticRow = tuple[list[tuple[int, int, int, float, float]], dict[int, float]]
 
@@ -35,7 +40,6 @@ class CottagePolicy(BasePolicy):
         budget_slack: float = 1.3,
         cut_confidence: float = 0.9,
         half_cut_confidence: float = 0.75,
-        boost_margin: float = 0.8,
         enable_boost: bool = True,
         pivot_on_full_k: bool = False,
         network: NetworkModel | None = None,
@@ -66,10 +70,6 @@ class CottagePolicy(BasePolicy):
         half_cut_confidence:
             Same gate for the stage-2 Q^{K/2} = 0 test that sacrifices
             slow ISNs.
-        boost_margin:
-            Boost an ISN already at ``boost_margin * budget`` predicted
-            latency rather than exactly at the budget, absorbing latency
-            under-prediction (1.0 = the paper's literal rule).
         enable_boost:
             Ablation switch: with boosting disabled, Algorithm 1 runs on
             current-frequency latencies and no ISN changes frequency
@@ -91,7 +91,6 @@ class CottagePolicy(BasePolicy):
         self.budget_slack = budget_slack
         self.cut_confidence = cut_confidence
         self.half_cut_confidence = half_cut_confidence
-        self.boost_margin = boost_margin
         self.enable_boost = enable_boost
         self.pivot_on_full_k = pivot_on_full_k
         self.network = network or NetworkModel()
@@ -205,7 +204,7 @@ class CottagePolicy(BasePolicy):
         if not telemetry.enabled:
             static = self._static_row(query, view)
             decision = determine_time_budget(
-                self._live_inputs(static, view), boost_margin=self.boost_margin
+                self._live_inputs(static, view), boost_margin=BOOST_MARGIN
             )
         else:
             # The two halves of the coordination round (paper Fig. 5 steps
@@ -219,7 +218,7 @@ class CottagePolicy(BasePolicy):
                 "policy.budget_assign", track="aggregator", qid=query.query_id
             ):
                 decision = determine_time_budget(
-                    inputs, boost_margin=self.boost_margin
+                    inputs, boost_margin=BOOST_MARGIN
                 )
             metrics = telemetry.metrics
             metrics.counter("cottage.cut_zero_quality").add(

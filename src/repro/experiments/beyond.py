@@ -21,7 +21,6 @@ from repro.core.cottage import CottagePolicy
 from repro.experiments.testbed import Testbed
 from repro.metrics.significance import BootstrapResult, compare_latencies
 from repro.metrics.summary import PolicySummary, summarize_run
-from repro.policies.oracle import OraclePolicy
 from repro.predictors.latency import LatencyBinning, LatencyPredictor
 from repro.workloads.traces import TraceConfig, generate_trace
 
@@ -153,8 +152,7 @@ def run(testbed: Testbed) -> BeyondResult:
         oracle={
             "exhaustive": exhaustive,
             "cottage": cottage,
-            "oracle": summarize_run(testbed.cluster.run_trace(
-                trace, OraclePolicy(testbed.cluster, truth)), truth, trace.name),
+            "oracle": testbed.summarize(trace, "oracle"),
         },
         cache_hit_rate=cached_run.cache_stats.hit_rate,
         cache={"plain": cottage, "cached": summarize_run(cached_run, truth, trace.name)},

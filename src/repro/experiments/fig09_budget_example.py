@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.cluster.types import ClusterView
 from repro.core.budget import BudgetDecision, BudgetInput, determine_time_budget
-from repro.core.cottage import CottagePolicy
+from repro.core.cottage import BOOST_MARGIN, CottagePolicy
 from repro.experiments.testbed import Testbed
 
 
@@ -40,7 +40,7 @@ def run(testbed: Testbed) -> BudgetExampleResult:
     best_query, best_inputs, best_decision, best_score = None, None, None, -1
     for query in list({q.terms: q for q in testbed.wikipedia_trace}.values())[:60]:
         inputs = policy.budget_inputs(query, view)
-        decision = determine_time_budget(inputs, boost_margin=policy.boost_margin)
+        decision = determine_time_budget(inputs, boost_margin=BOOST_MARGIN)
         score = (
             min(len(decision.cut_zero_quality), 4)
             + min(len(decision.boosted), 2) * 2

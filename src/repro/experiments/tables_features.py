@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.testbed import Testbed
-from repro.predictors.features import feature_table
+from repro.predictors.features import TermFeatureCache, feature_table
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class FeatureTablesResult:
 def run(testbed: Testbed, shard_id: int = 0) -> FeatureTablesResult:
     # Hottest term on the shard = the "Tokyo"/"Toyota" example.
     shard = testbed.cluster.shards[shard_id]
-    stats_index = testbed.bank.stats_indexes[shard_id]
     best_term, best_len = None, 0
     for query in {q.terms: q for q in testbed.wikipedia_trace}.values():
         for term in query.terms:
@@ -32,11 +31,14 @@ def run(testbed: Testbed, shard_id: int = 0) -> FeatureTablesResult:
                 best_term, best_len = term, shard.doc_freq(term)
     assert best_term is not None
     terms = (best_term,)
+    quality_table, latency_table = feature_table(
+        terms, TermFeatureCache(testbed.bank.stats_indexes), shard_id
+    )
     return FeatureTablesResult(
         query_terms=terms,
         shard_id=shard_id,
-        quality_table=feature_table(terms, stats_index, "quality"),
-        latency_table=feature_table(terms, stats_index, "latency"),
+        quality_table=quality_table,
+        latency_table=latency_table,
     )
 
 

@@ -23,6 +23,7 @@ from repro.metrics.quality import GroundTruth
 from repro.metrics.summary import PolicySummary, summarize_run
 from repro.policies.aggregation import AggregationPolicy
 from repro.policies.exhaustive import ExhaustivePolicy
+from repro.policies.oracle import OraclePolicy
 from repro.policies.rank_s import RankSPolicy
 from repro.policies.taily import TailyPolicy
 from repro.predictors.bank import PredictorBank, TrainingReport
@@ -214,6 +215,8 @@ class Testbed:
             )
         if name == "cottage_isn":
             return CottageISNPolicy(self.bank, network=self.cluster.network)
+        if name == "oracle":
+            return OraclePolicy(self.cluster, self._truth)
         raise ValueError(f"unknown policy {name!r}")
 
     BASELINES: tuple[str, ...] = ("exhaustive", "taily", "rank_s", "cottage")

@@ -8,8 +8,9 @@ to the top-K, budgets at the slowest kept ISN's true boosted latency
 coordinated scheme with Cottage's mechanism could achieve.
 
 Not part of the paper's evaluation — the ``beyond.ext_oracle_gap`` claim
-(``experiments/beyond.py``) uses it to measure how much of the
-oracle-vs-exhaustive gap Cottage's learned predictions capture.
+(``experiments/beyond.py``) runs it as ``Testbed.make_policy("oracle")``
+to measure how much of the oracle-vs-exhaustive gap Cottage's learned
+predictions capture.
 """
 
 from __future__ import annotations
@@ -27,31 +28,15 @@ class OraclePolicy(BasePolicy):
 
     name = "oracle"
 
-    def __init__(
-        self,
-        cluster: SearchCluster,
-        truth: GroundTruth,
-        budget_slack: float = 1.0,
-    ) -> None:
-        """
-        Parameters
-        ----------
-        cluster:
-            Supplies the true per-(query, shard) service times.
-        truth:
-            Exhaustive ground truth covering every query it will see.
-        budget_slack:
-            Kept for symmetry with CottagePolicy; the oracle needs none
-            (its latencies are exact up to queue drift after dispatch).
-        """
-        if budget_slack < 1.0:
-            raise ValueError("budget slack cannot shrink the budget")
+    def __init__(self, cluster: SearchCluster, truth: GroundTruth) -> None:
+        """``cluster`` supplies the true per-(query, shard) service times;
+        ``truth`` the exhaustive ground truth, filled per query on demand
+        by the cluster's searcher."""
         self.cluster = cluster
         self.truth = truth
-        self.budget_slack = budget_slack
 
     def decide(self, query: Query, view: ClusterView) -> Decision:
-        contributions = self.truth.get(query).contributions_k
+        contributions = self.truth.ensure(self.cluster.searcher, query).contributions_k
         keep = [sid for sid in range(view.n_shards) if contributions.get(sid, 0) > 0]
         if not keep:
             keep = [0]
@@ -67,7 +52,7 @@ class OraclePolicy(BasePolicy):
             boosted_latency[sid] = equivalent_latency_ms(
                 queue, service, view.default_freq_ghz, view.max_freq_ghz
             )
-        budget = max(boosted_latency.values()) * self.budget_slack
+        budget = max(boosted_latency.values())
         overrides = {
             sid: view.max_freq_ghz
             for sid in keep

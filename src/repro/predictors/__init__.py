@@ -18,10 +18,6 @@ from repro.predictors.features import (
     QUALITY_FEATURE_NAMES,
     TermFeatureCache,
     feature_table,
-    latency_feature_matrix,
-    latency_features,
-    quality_feature_matrix,
-    quality_features,
     trace_feature_tensors,
 )
 from repro.predictors.fused import FusedLatencyModels, FusedQualityModels
@@ -32,10 +28,6 @@ from repro.predictors.quality import QualityPredictor
 __all__ = [
     "QUALITY_FEATURE_NAMES",
     "LATENCY_FEATURE_NAMES",
-    "quality_features",
-    "latency_features",
-    "quality_feature_matrix",
-    "latency_feature_matrix",
     "trace_feature_tensors",
     "TermFeatureCache",
     "FusedQualityModels",

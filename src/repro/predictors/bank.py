@@ -202,8 +202,10 @@ class PredictorBank:
         """Train every per-shard model; the :class:`TrainingReport`.
 
         ``truth`` is built by exhaustive search when not supplied.  Every
-        shard's datasets are built and split here, by a searcher dropped on
-        return; the 3 x n_shards fits are then independent jobs
+        shard's datasets are built and split here: features by the
+        :func:`~repro.predictors.features.trace_feature_tensors` call
+        serving makes, labels by a searcher dropped on return; the
+        3 x n_shards fits are then independent jobs
         (:class:`FitJob`, each carrying its shard's held-out split) that
         :func:`~repro.host.process_map` spreads over the CPUs, and the
         weights they return are loaded into this bank's predictors — bit
@@ -227,10 +229,18 @@ class PredictorBank:
             truth = GroundTruth.build(labeller.searcher, queries, k=self.k)
         report = TrainingReport()
         jobs: list[FitJob] = []
+        # The features serving feeds the models (see _predict_missing),
+        # copied shard-major so each shard's [n_queries, F] slice is
+        # contiguous.
+        quality_t, latency_t = (
+            np.ascontiguousarray(tensor.transpose(1, 0, 2))
+            for tensor in trace_feature_tensors(
+                [query.terms for query in queries], self._feature_cache
+            )
+        )
         for sid in range(self.n_shards):
-            stats = self.stats_indexes[sid]
-            q_data = build_quality_dataset(sid, stats, queries, truth)
-            l_data = build_latency_dataset(sid, stats, labeller, queries)
+            q_data = build_quality_dataset(sid, quality_t[sid], queries, truth)
+            l_data = build_latency_dataset(sid, latency_t[sid], labeller, queries)
             q_train, q_test = q_data.split(holdout, seed=seed)
             l_train, l_test = l_data.split(holdout, seed=seed)
             report.quality_data.append((q_train, q_test))

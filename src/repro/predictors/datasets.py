@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.engine import SearchCluster
-from repro.index.term_stats import TermStatsIndex
 from repro.metrics.quality import GroundTruth
 from repro.predictors.arrays import FloatArray, IntArray
-from repro.predictors.features import latency_features, quality_features
 from repro.retrieval.query import Query
 
 
@@ -67,24 +65,31 @@ def _split_indices(n: int, holdout: float, seed: int) -> tuple[IntArray, IntArra
     return order[n_test:], order[:n_test]
 
 
+def _check_rows(features: FloatArray, queries: list[Query]) -> None:
+    if len(features) != len(queries):
+        raise ValueError(
+            f"{len(features)} feature rows for {len(queries)} queries"
+        )
+
+
 def build_quality_dataset(
     shard_id: int,
-    stats: TermStatsIndex,
+    features: FloatArray,
     queries: list[Query],
     truth: GroundTruth,
 ) -> ShardQualityDataset:
-    """Table-I features + exhaustive contribution labels for one shard."""
-    rows = []
+    """Exhaustive contribution labels for one shard beside its Table-I
+    ``features`` (row ``i`` is ``queries[i]``'s)."""
+    _check_rows(features, queries)
     labels_k = []
     labels_half = []
     for query in queries:
-        rows.append(quality_features(query.terms, stats))
         entry = truth.get(query)
         labels_k.append(entry.contributions_k.get(shard_id, 0))
         labels_half.append(entry.contributions_half_k.get(shard_id, 0))
     return ShardQualityDataset(
         shard_id=shard_id,
-        features=np.stack(rows),
+        features=features,
         labels_k=np.asarray(labels_k, dtype=np.int64),
         labels_half_k=np.asarray(labels_half, dtype=np.int64),
     )
@@ -92,18 +97,16 @@ def build_quality_dataset(
 
 def build_latency_dataset(
     shard_id: int,
-    stats: TermStatsIndex,
+    features: FloatArray,
     cluster: SearchCluster,
     queries: list[Query],
 ) -> ShardLatencyDataset:
-    """Table-II features + default-frequency service times for one shard."""
-    rows = []
-    service = []
-    for query in queries:
-        rows.append(latency_features(query.terms, stats))
-        service.append(cluster.service_time_ms(query, shard_id))
+    """Default-frequency service times for one shard beside its Table-II
+    ``features`` (row ``i`` is ``queries[i]``'s)."""
+    _check_rows(features, queries)
+    service = [cluster.service_time_ms(query, shard_id) for query in queries]
     return ShardLatencyDataset(
         shard_id=shard_id,
-        features=np.stack(rows),
+        features=features,
         service_ms=np.asarray(service, dtype=np.float64),
     )

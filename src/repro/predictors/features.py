@@ -6,6 +6,10 @@ per-term values with the MAX operator, the choice the paper makes for
 phrase features ("In our experiments, we choose the MAX operator to
 calculate the phrase features"), except the query-length feature which is
 the term count itself.
+
+:func:`trace_feature_tensors` is the one place term statistics become
+Table I/II vectors: the bank trains on its output and serves from it,
+and the Tables I/II harness prints a row of it.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def _quality_row(stats: TermStats) -> FloatArray:
     )
 
 
-def _latency_row(stats: TermStats, query_length: int) -> FloatArray:
+def _latency_row(stats: TermStats) -> FloatArray:
     return np.array(
         [
             float(stats.posting_length),
@@ -74,7 +78,7 @@ def _latency_row(stats: TermStats, query_length: int) -> FloatArray:
             float(stats.n_local_maxima),
             float(stats.n_local_maxima_above_mean),
             float(stats.n_max_score),
-            float(query_length),
+            0.0,  # query_length: a per-query value, written by trace_feature_tensors
             float(stats.docs_within_5pct_of_max),
             float(stats.docs_within_5pct_of_kth),
             stats.mean,
@@ -95,10 +99,8 @@ _QUERY_LENGTH_COL = LATENCY_FEATURE_NAMES.index("query_length")
 class TermFeatureCache:
     """Per-cluster cache of per-term feature rows stacked across shards.
 
-    The per-shard extraction path rebuilds a term's Table-I/II rows from
-    the :class:`TermStats` dataclass on every call — 2 x n_shards small
-    ``np.array`` constructions per query term.  This cache does that work
-    once per term, storing the rows stacked shard-major (``[S, F]``), so a
+    Each term's Table-I/II rows are built from its :class:`TermStats` on
+    every shard once, stored stacked shard-major (``[S, F]``), so a
     query's full ``n_shards x n_features`` matrices assemble with one
     stack + segmented max over precomputed arrays.
 
@@ -125,40 +127,13 @@ class TermFeatureCache:
             return cached
         per_shard = [stats.get(term) for stats in self.stats_indexes]
         quality = np.stack([_quality_row(stats) for stats in per_shard])
-        latency = np.stack([_latency_row(stats, 0) for stats in per_shard])
+        latency = np.stack([_latency_row(stats) for stats in per_shard])
         entry = (quality, latency)
         self._rows[term] = entry
         return entry
 
     def __len__(self) -> int:
         return len(self._rows)
-
-
-def quality_feature_matrix(
-    terms: tuple[str, ...] | list[str], cache: TermFeatureCache
-) -> FloatArray:
-    """Table-I features for one query on *every* shard: ``[S, 10]``.
-
-    Row ``s`` is bit-identical to ``quality_features(terms,
-    stats_indexes[s])`` — the MAX aggregation runs over the same values,
-    just stacked shard-major.
-    """
-    if not terms:
-        raise ValueError("query has no terms")
-    rows = np.stack([cache.rows(term)[0] for term in terms])  # [T, S, 10]
-    return np.asarray(rows.max(axis=0))
-
-
-def latency_feature_matrix(
-    terms: tuple[str, ...] | list[str], cache: TermFeatureCache
-) -> FloatArray:
-    """Table-II features for one query on every shard: ``[S, 15]``."""
-    if not terms:
-        raise ValueError("query has no terms")
-    rows = np.stack([cache.rows(term)[1] for term in terms])  # [T, S, 15]
-    matrix: FloatArray = rows.max(axis=0)
-    matrix[:, _QUERY_LENGTH_COL] = float(len(terms))
-    return matrix
 
 
 def trace_feature_tensors(
@@ -168,10 +143,12 @@ def trace_feature_tensors(
 
     One pass over the stacked term-stat arrays: every query's term rows
     are concatenated once and MAX-aggregated per query with a single
-    segmented reduce (``np.maximum.reduceat``) — exact, so slice ``i`` is
-    bit-identical to the per-query matrix functions.  This is the
-    prewarming path: the whole trace's predictor inputs assemble without
-    a per-query python loop over shards.
+    segmented reduce (``np.maximum.reduceat``).  MAX is exact, so slice
+    ``[i, s]`` is bit for bit the MAX over query ``i``'s terms of shard
+    ``s``'s rows, whatever else is in the batch.  Training
+    (:meth:`~repro.predictors.PredictorBank.train`) and serving
+    (:meth:`~repro.predictors.PredictorBank.batch_predict`) both build
+    their inputs here.  An empty term tuple is a ``ValueError``.
     """
     if not term_tuples:
         n = cache.n_shards
@@ -196,33 +173,12 @@ def trace_feature_tensors(
     return quality, latency
 
 
-def quality_features(terms: tuple[str, ...] | list[str], stats: TermStatsIndex) -> FloatArray:
-    """Table-I feature vector for one query on one shard (MAX-aggregated)."""
-    if not terms:
-        raise ValueError("query has no terms")
-    rows = np.stack([_quality_row(stats.get(term)) for term in terms])
-    return np.asarray(rows.max(axis=0))
-
-
-def latency_features(terms: tuple[str, ...] | list[str], stats: TermStatsIndex) -> FloatArray:
-    """Table-II feature vector for one query on one shard (MAX-aggregated,
-    query length passed through untouched)."""
-    if not terms:
-        raise ValueError("query has no terms")
-    rows = np.stack([_latency_row(stats.get(term), len(terms)) for term in terms])
-    return np.asarray(rows.max(axis=0))
-
-
 def feature_table(
-    terms: tuple[str, ...] | list[str], stats: TermStatsIndex, which: str = "quality"
-) -> list[tuple[str, float]]:
-    """Human-readable (name, value) pairs, used by the Table I/II benches."""
-    if which == "quality":
-        vector = quality_features(terms, stats)
-        names = QUALITY_FEATURE_NAMES
-    elif which == "latency":
-        vector = latency_features(terms, stats)
-        names = LATENCY_FEATURE_NAMES
-    else:
-        raise ValueError("which must be 'quality' or 'latency'")
-    return list(zip(names, (float(v) for v in vector)))
+    terms: tuple[str, ...], cache: TermFeatureCache, shard_id: int
+) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
+    """Table I and Table II as (name, value) pairs for one query on one shard."""
+    quality, latency = trace_feature_tensors([terms], cache)
+    return (
+        list(zip(QUALITY_FEATURE_NAMES, quality[0, shard_id].tolist())),
+        list(zip(LATENCY_FEATURE_NAMES, latency[0, shard_id].tolist())),
+    )

@@ -31,16 +31,13 @@ class QualityPredictor:
         hidden_layers: int = 5,
         hidden_units: int = 128,
         seed: int = 0,
-        n_features: int | None = None,
     ) -> None:
-        """``n_features`` defaults to the Table-I vector; extensions (e.g.
-        the personalized feature set) pass their own width."""
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
         self.scaler = StandardScaler()
         self.model: Sequential = mlp_classifier(
-            n_features=n_features or len(QUALITY_FEATURE_NAMES),
+            n_features=len(QUALITY_FEATURE_NAMES),
             n_classes=k + 1,
             hidden_layers=hidden_layers,
             hidden_units=hidden_units,

@@ -67,6 +67,9 @@ class AdmissionController:
         self.config = config or AdmissionConfig()
         self._in_flight: set[int] = set()
         self._service_ewma_ms = SERVICE_ESTIMATE_MS
+        #: Deadline sheds whose service estimate alone busts the SLO: the
+        #: rule would have refused them on an idle cluster.
+        self.shed_at_any_load = 0
 
     @property
     def in_flight(self) -> int:
@@ -84,6 +87,8 @@ class AdmissionController:
         if cfg.deadline_slo_ms is not None:
             worst_backlog = max(view.queued_predicted_ms, default=0.0)
             if worst_backlog + self._service_ewma_ms > cfg.deadline_slo_ms:
+                if self._service_ewma_ms > cfg.deadline_slo_ms:
+                    self.shed_at_any_load += 1
                 return "deadline"
         return None
 

@@ -204,6 +204,11 @@ def run_campaign(
     else:
         grid = tuple(fraction * predicted for fraction in GRID_FRACTIONS)
     points: list[SweepPoint] = []
+    # Per point, the goodput the knee is located on: a query the deadline
+    # rule would have refused on an idle cluster counts as kept up with,
+    # so an SLO no load could meet never reads as saturation.  Deadline
+    # sheds that a backlog caused stay a shortfall, like the queue cap's.
+    capacity_goodput: list[float] = []
     for index, offered in enumerate(grid):
         arrivals = make_arrivals(config.arrival, offered, seed=config.seed + 100 * index)
         stream = QueryStream(
@@ -255,6 +260,8 @@ def run_campaign(
             result_cache_hit_rate=run.result_cache_hit_rate,
         )
         points.append(point)
+        refused_idle = admission.shed_at_any_load if admission is not None else 0
+        capacity_goodput.append((stats.completed + refused_idle) / elapsed_s)
         if on_point is not None:
             on_point(point)
     # Knee on the realized-rate axis: each point's x is the arrival rate
@@ -262,7 +269,7 @@ def run_campaign(
     # against the model's rate axis.
     knee = locate_knee(
         [p.realized_qps for p in points],
-        [p.goodput_qps for p in points],
+        capacity_goodput,
         threshold=GOODPUT_THRESHOLD,
     )
     return CampaignResult(

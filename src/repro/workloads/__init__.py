@@ -5,7 +5,6 @@ traces (see DESIGN.md for the substitution argument).
 """
 
 from repro.workloads.corpus import (
-    CORPUS_PRESETS,
     CorpusConfig,
     SyntheticCorpus,
     term_token,
@@ -20,7 +19,6 @@ from repro.workloads.traces import (
 
 __all__ = [
     "CorpusConfig",
-    "CORPUS_PRESETS",
     "SyntheticCorpus",
     "term_token",
     "TraceConfig",

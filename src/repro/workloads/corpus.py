@@ -53,17 +53,6 @@ class CorpusConfig:
             raise ValueError("topic cores exceed the vocabulary")
 
 
-# Named sizes used across tests and examples.
-CORPUS_PRESETS: dict[str, CorpusConfig] = {
-    "tiny": CorpusConfig(n_docs=600, vocab_size=2000, n_topics=8,
-                         topic_core_size=120, mean_doc_length=60, seed=7),
-    "small": CorpusConfig(n_docs=3000, vocab_size=8000, n_topics=16,
-                          topic_core_size=250, mean_doc_length=90, seed=7),
-    "medium": CorpusConfig(n_docs=8000, vocab_size=16000, n_topics=32,
-                           topic_core_size=300, mean_doc_length=120, seed=7),
-}
-
-
 def term_token(term_index: int) -> str:
     """The surface form of synthetic vocabulary entry ``term_index``."""
     return f"t{term_index}"

@@ -22,11 +22,24 @@ from repro.predictors import (
     LatencyBinning,
     PredictorBank,
     QualityPredictor,
+    ShardLatencyDataset,
+    TermFeatureCache,
     build_latency_dataset,
     build_quality_dataset,
+    trace_feature_tensors,
 )
 from repro.text.analyzer import WhitespaceAnalyzer
 from repro.workloads.corpus import SyntheticCorpus
+from repro.workloads.traces import training_queries
+
+
+def shard_features(testbed, queries, shard_id=0):
+    """One shard's (Table I, Table II) rows for ``queries``, as training
+    builds them."""
+    quality_t, latency_t = trace_feature_tensors(
+        [q.terms for q in queries], TermFeatureCache(testbed.bank.stats_indexes)
+    )
+    return quality_t[:, shard_id], latency_t[:, shard_id]
 
 
 class TestDatasets:
@@ -34,29 +47,33 @@ class TestDatasets:
         truth = GroundTruth.build(
             unit_testbed.cluster.searcher, unit_train_queries, k=unit_testbed.cluster.k
         )
-        ds = build_quality_dataset(
-            0, unit_testbed.bank.stats_indexes[0], unit_train_queries, truth
-        )
+        quality, _ = shard_features(unit_testbed, unit_train_queries)
+        ds = build_quality_dataset(0, quality, unit_train_queries, truth)
         n = len(unit_train_queries)
         assert ds.features.shape == (n, 10)
         assert ds.labels_k.shape == (n,)
         assert (ds.labels_half_k <= ds.labels_k).all()
+        with pytest.raises(ValueError, match="feature rows"):
+            build_quality_dataset(0, quality[1:], unit_train_queries, truth)
 
     def test_latency_dataset_positive_service(self, unit_testbed, unit_train_queries):
+        _, latency = shard_features(unit_testbed, unit_train_queries)
         ds = build_latency_dataset(
-            0, unit_testbed.bank.stats_indexes[0], unit_testbed.cluster,
-            unit_train_queries,
+            0, latency, unit_testbed.cluster, unit_train_queries
         )
         assert (ds.service_ms > 0).all()
         assert ds.features.shape == (len(unit_train_queries), 15)
+        with pytest.raises(ValueError, match="feature rows"):
+            build_latency_dataset(
+                0, latency[1:], unit_testbed.cluster, unit_train_queries
+            )
 
     def test_split_disjoint_and_complete(self, unit_testbed, unit_train_queries):
         truth = GroundTruth.build(
             unit_testbed.cluster.searcher, unit_train_queries, k=unit_testbed.cluster.k
         )
-        ds = build_quality_dataset(
-            0, unit_testbed.bank.stats_indexes[0], unit_train_queries, truth
-        )
+        quality, _ = shard_features(unit_testbed, unit_train_queries)
+        ds = build_quality_dataset(0, quality, unit_train_queries, truth)
         train, test = ds.split(0.25, seed=1)
         assert len(train.labels_k) + len(test.labels_k) == len(ds.labels_k)
         assert len(test.labels_k) == round(0.25 * len(ds.labels_k))
@@ -65,11 +82,39 @@ class TestDatasets:
         truth = GroundTruth.build(
             unit_testbed.cluster.searcher, unit_train_queries, k=unit_testbed.cluster.k
         )
-        ds = build_quality_dataset(
-            0, unit_testbed.bank.stats_indexes[0], unit_train_queries, truth
-        )
+        quality, _ = shard_features(unit_testbed, unit_train_queries)
+        ds = build_quality_dataset(0, quality, unit_train_queries, truth)
         with pytest.raises(ValueError):
             ds.split(1.5)
+
+    def test_trained_rows_are_the_served_rows(self, unit_testbed):
+        """Every shard's train and held-out rows, put back in query order
+        through the split's permutation, are ``trace_feature_tensors`` over
+        the training queries: the rows a model trained on are the rows
+        serving feeds it."""
+        scale = unit_testbed.scale
+        queries = training_queries(
+            unit_testbed.corpus, scale.n_training_queries, seed=scale.seed + 1000
+        )
+        n = len(queries)
+        # Split row numbers the way train splits each shard's datasets.
+        order = ShardLatencyDataset(
+            0, np.arange(n, dtype=np.float64)[:, None], np.zeros(n)
+        ).split(0.2, seed=scale.seed)
+        train_idx, test_idx = (part.features[:, 0].astype(np.int64) for part in order)
+        quality_t, latency_t = trace_feature_tensors(
+            [q.terms for q in queries], TermFeatureCache(unit_testbed.bank.stats_indexes)
+        )
+        report = unit_testbed.training_report
+        for sid, ((q_train, q_test), (l_train, l_test)) in enumerate(
+            zip(report.quality_data, report.latency_data)
+        ):
+            for part, idx in ((q_train, train_idx), (q_test, test_idx)):
+                assert np.array_equal(part.features, quality_t[idx, sid])
+            for part, idx in ((l_train, train_idx), (l_test, test_idx)):
+                assert np.array_equal(part.features, latency_t[idx, sid])
+            assert q_train.features.flags.c_contiguous
+            assert l_train.features.flags.c_contiguous
 
 
 class TestPredictorBank:
@@ -248,7 +293,7 @@ class TestResidentWeights:
         bank.train(unit_train_queries, quality_iterations=1, latency_iterations=1)
         assert [stats.size for stats in cluster.searcher_cache_stats()] == [0] * 8
         for sid, dataset in enumerate(datasets):
-            expected = build(sid, bank.stats_indexes[sid], cluster, unit_train_queries)
+            expected = build(sid, dataset.features, cluster, unit_train_queries)
             assert dataset.service_ms.tobytes() == expected.service_ms.tobytes()
 
     def test_no_gradient_or_activation_cache_after_training(self, unit_testbed):
@@ -322,6 +367,7 @@ class TestTrainingValidation:
             raise AssertionError("training did work before validating")
 
         monkeypatch.setattr(GroundTruth, "build", no_work)
+        monkeypatch.setattr(bank_module, "trace_feature_tensors", no_work)
         monkeypatch.setattr(bank_module, "build_quality_dataset", no_work)
         monkeypatch.setattr(bank_module, "process_map", no_work)
         bank = PredictorBank(unit_testbed.cluster)
@@ -356,12 +402,12 @@ def direct_fits(unit_testbed, unit_train_queries, unit_truth):
     bank = PredictorBank(unit_testbed.cluster)
     accuracies = {"quality": [], "quality_half": [], "latency": []}
     for sid in range(bank.n_shards):
-        stats = bank.stats_indexes[sid]
+        quality, latency = shard_features(unit_testbed, unit_train_queries, sid)
         q_train, q_test = build_quality_dataset(
-            sid, stats, unit_train_queries, unit_truth
+            sid, quality, unit_train_queries, unit_truth
         ).split(0.2, seed=0)
         l_train, l_test = build_latency_dataset(
-            sid, stats, unit_testbed.cluster, unit_train_queries
+            sid, latency, unit_testbed.cluster, unit_train_queries
         ).split(0.2, seed=0)
         for model, labels, test_labels, key in (
             (bank.quality_k_models[sid], q_train.labels_k, q_test.labels_k, "quality"),

@@ -10,8 +10,9 @@ guarantee down at every layer:
 
 * ``StackedSequential.forward_batched`` vs per-model ``Sequential.forward``
   over Hypothesis-generated topologies, stack sizes and batches;
-* vectorized feature extraction (matrix and whole-trace tensor forms) vs
-  the per-shard reference functions, including OOV terms;
+* the whole-trace feature tensors vs the per-shard reference definition
+  of Tables I and II kept here (:func:`quality_features`,
+  :func:`latency_features`), including OOV terms;
 * ``PredictorBank.batch_predict`` / ``predict`` vs the reference
   :func:`predict_loop` on a trained testbed, plus cache/prewarm semantics.
 """
@@ -29,14 +30,7 @@ from repro.nn.layers import Dense, Dropout, Layer, ReLU
 from repro.nn.losses import softmax
 from repro.nn.model import Sequential, StackedSequential, mlp_classifier
 from repro.predictors import ISNPrediction
-from repro.predictors.features import (
-    TermFeatureCache,
-    latency_feature_matrix,
-    latency_features,
-    quality_feature_matrix,
-    quality_features,
-    trace_feature_tensors,
-)
+from repro.predictors.features import TermFeatureCache, trace_feature_tensors
 from repro.retrieval.query import Query
 
 # ---------------------------------------------------------------------------
@@ -210,6 +204,43 @@ def test_forward_batched_rejects_bad_shapes():
 # Vectorized feature extraction vs the per-shard reference
 # ---------------------------------------------------------------------------
 
+#: The per-shard reference definition of Tables I and II: each feature is
+#: the MAX over the query's terms of one ``TermStats`` field, except
+#: ``query_length`` (``None`` here), the term count.
+QUALITY_FIELDS = (
+    "first_quartile", "mean", "median", "geometric_mean", "harmonic_mean",
+    "third_quartile", "kth_score", "max_score", "variance", "posting_length",
+)
+LATENCY_FIELDS = (
+    "posting_length", "docs_ever_in_topk", "n_local_maxima",
+    "n_local_maxima_above_mean", "n_max_score", None, "docs_within_5pct_of_max",
+    "docs_within_5pct_of_kth", "mean", "geometric_mean", "harmonic_mean",
+    "max_score", "estimated_max_score", "variance", "idf",
+)
+
+
+def reference_features(terms, stats, fields):
+    """One query's feature vector on one shard, term by term."""
+    if not terms:
+        raise ValueError("query has no terms")
+    rows = [
+        [float(len(terms)) if name is None else float(getattr(stats.get(term), name))
+         for name in fields]
+        for term in terms
+    ]
+    return np.array(rows).max(axis=0)
+
+
+def quality_features(terms, stats):
+    """Table-I vector for one query on one shard."""
+    return reference_features(terms, stats, QUALITY_FIELDS)
+
+
+def latency_features(terms, stats):
+    """Table-II vector for one query on one shard."""
+    return reference_features(terms, stats, LATENCY_FIELDS)
+
+
 # Real indexed terms (resolved from the testbed inside each test) are mixed
 # with out-of-vocabulary strings: OOV terms exercise the zero-posting
 # TermStats path and must aggregate identically in both pipelines.
@@ -229,45 +260,49 @@ def draw_terms(data, testbed, min_size=1):
     )
 
 
+def draw_batch(data, testbed):
+    return [
+        draw_terms(data, testbed)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6)))
+    ]
+
+
 @settings(deadline=None)
 @given(data=st.data())
 def test_feature_matrices_match_per_shard_reference(data, unit_testbed):
-    terms = draw_terms(data, unit_testbed)
+    """Every (query, shard) slice of a multi-query batch is the reference
+    vector of that query on that shard, bit for bit."""
+    term_tuples = draw_batch(data, unit_testbed)
     stats_indexes = unit_testbed.bank.stats_indexes
-    cache = TermFeatureCache(stats_indexes)
-
-    quality = quality_feature_matrix(terms, cache)
-    latency = latency_feature_matrix(terms, cache)
-    assert quality.shape == (len(stats_indexes), 10)
-    assert latency.shape == (len(stats_indexes), 15)
-    for sid, stats in enumerate(stats_indexes):
-        assert np.array_equal(quality[sid], quality_features(terms, stats))
-        assert np.array_equal(latency[sid], latency_features(terms, stats))
+    quality_t, latency_t = trace_feature_tensors(
+        term_tuples, TermFeatureCache(stats_indexes)
+    )
+    assert quality_t.shape == (len(term_tuples), len(stats_indexes), 10)
+    assert latency_t.shape == (len(term_tuples), len(stats_indexes), 15)
+    for i, terms in enumerate(term_tuples):
+        for sid, stats in enumerate(stats_indexes):
+            assert np.array_equal(quality_t[i, sid], quality_features(terms, stats))
+            assert np.array_equal(latency_t[i, sid], latency_features(terms, stats))
 
 
 @settings(deadline=None)
 @given(data=st.data())
 def test_trace_tensors_match_per_query_matrices(data, unit_testbed):
-    term_tuples = [
-        draw_terms(data, unit_testbed)
-        for _ in range(data.draw(st.integers(min_value=1, max_value=6)))
-    ]
+    """A query's slice of a batch is what the query gets alone."""
+    term_tuples = draw_batch(data, unit_testbed)
     cache = TermFeatureCache(unit_testbed.bank.stats_indexes)
     quality_t, latency_t = trace_feature_tensors(term_tuples, cache)
-    assert quality_t.shape[0] == latency_t.shape[0] == len(term_tuples)
     for i, terms in enumerate(term_tuples):
-        assert np.array_equal(quality_t[i], quality_feature_matrix(terms, cache))
-        assert np.array_equal(latency_t[i], latency_feature_matrix(terms, cache))
+        quality, latency = trace_feature_tensors([terms], cache)
+        assert np.array_equal(quality_t[i], quality[0])
+        assert np.array_equal(latency_t[i], latency[0])
 
 
 def test_feature_functions_reject_empty_queries(unit_testbed):
     cache = TermFeatureCache(unit_testbed.bank.stats_indexes)
-    with pytest.raises(ValueError):
-        quality_feature_matrix((), cache)
-    with pytest.raises(ValueError):
-        latency_feature_matrix((), cache)
-    with pytest.raises(ValueError):
-        trace_feature_tensors([("a",), ()], cache)
+    for batch in ([()], [(), ("a",)], [("a",), ()]):
+        with pytest.raises(ValueError, match="^query has no terms$"):
+            trace_feature_tensors(batch, cache)
 
 
 def test_trace_tensors_empty_trace(unit_testbed):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serving import (
+    AdmissionConfig,
     CampaignConfig,
     ClusterQueueingModel,
     ShardLoadModel,
@@ -172,6 +173,47 @@ class TestRunCampaign:
             result.points[-1].max_core_utilization
             >= result.points[0].max_core_utilization
         )
+
+    def test_deadline_shedding_sets_no_knee(self, unit_testbed):
+        """An SLO below every service time sheds each query at any load.
+
+        The point's goodput is 0 on an idle cluster; that shortfall is the
+        deadline rule's, not saturation, so the sweep measures no knee.
+        """
+        pool = pool_from_corpus(unit_testbed.corpus, n_distinct=20)
+        result = run_campaign(
+            unit_testbed.cluster,
+            lambda: unit_testbed.make_policy("exhaustive"),
+            pool,
+            CampaignConfig(
+                qps_grid=(50.0,), queries_per_point=20,
+                admission=AdmissionConfig(deadline_slo_ms=0.001),
+            ),
+        )
+        (point,) = result.points
+        assert point.completed == 0 and point.shed == 20
+        assert point.max_core_utilization == 0.0
+        assert not result.knee.saturated
+        assert result.knee.knee_qps == point.realized_qps
+
+    def test_backlog_deadline_shedding_sets_the_knee(self, unit_testbed):
+        """Above saturation a meetable SLO sheds what the queues cannot
+        serve in time: that shortfall is the knee, as the queue cap's is."""
+        pool = pool_from_corpus(unit_testbed.corpus, n_distinct=40)
+        result = run_campaign(
+            unit_testbed.cluster,
+            lambda: unit_testbed.make_policy("exhaustive"),
+            pool,
+            CampaignConfig(
+                qps_grid=(50.0, 250.0), queries_per_point=400,
+                admission=AdmissionConfig(deadline_slo_ms=40.0),
+            ),
+        )
+        low, high = result.points
+        assert low.goodput_ratio > 0.95 > high.goodput_ratio
+        assert high.shed > 0
+        assert result.knee.saturated
+        assert low.realized_qps < result.knee.knee_qps < high.realized_qps
 
     def test_explicit_grid_and_snapshot(self, unit_testbed):
         pool = pool_from_corpus(unit_testbed.corpus, n_distinct=20)

@@ -355,10 +355,14 @@ class TestServeCommand:
         lines = capsys.readouterr().out.splitlines()
         row = next(line for line in lines if line.split()[:1] == ["50.0"])
         assert row.split()[4:7] == ["20", "-", "-"]  # shed, p50_ms, p99_ms
-        (point,) = strict_json(out)["points"]
+        payload = strict_json(out)
+        (point,) = payload["points"]
         assert point["completed"] == 0 and point["shed"] == 20
         for field in ("mean_latency_ms", "p50_ms", "p95_ms", "p99_ms", "max_latency_ms"):
             assert point[field] is None
+        # The deadline rule, not the load, emptied the point: no knee.
+        assert payload["knee"]["saturated"] is False
+        assert any(line.endswith("sweep never saturated)") for line in lines)
 
 
 #: ``repro serve`` options and the one line each is rejected with.

@@ -272,6 +272,12 @@ class TestAdmissionController:
             controller.admit(self.query(), self.view(unit_testbed, 6.0), 0.0)
             == "deadline"
         )
+        # A backlog caused that shed; an SLO below the estimate itself
+        # sheds on an idle cluster too, and only that shed is counted.
+        assert controller.shed_at_any_load == 0
+        tight = AdmissionController(AdmissionConfig(deadline_slo_ms=SERVICE_ESTIMATE_MS / 2))
+        assert tight.admit(self.query(), self.view(unit_testbed), 0.0) == "deadline"
+        assert tight.shed_at_any_load == 1
 
     def test_ewma_adapts_from_counted_service(self, unit_testbed):
         controller = AdmissionController(AdmissionConfig(deadline_slo_ms=100.0))

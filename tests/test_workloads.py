@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.workloads import (
-    CORPUS_PRESETS,
     CorpusConfig,
     SyntheticCorpus,
     TraceConfig,
@@ -16,10 +15,6 @@ from repro.workloads import (
 
 
 class TestCorpusConfig:
-    def test_presets_valid(self):
-        for name, config in CORPUS_PRESETS.items():
-            assert config.n_docs > 0, name
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CorpusConfig(n_docs=0)
