@@ -37,10 +37,9 @@ class CottageWithoutMLPolicy(CottagePolicy):
         self,
         bank: PredictorBank,
         estimator: TailyQualityEstimator,
-        budget_slack: float = 1.3,
         network: NetworkModel | None = None,
     ) -> None:
-        super().__init__(bank, budget_slack=budget_slack, network=network)
+        super().__init__(bank, network=network)
         self.estimator = estimator
 
     def _qualities(self, query: Query, telemetry: Telemetry) -> list[tuple[int, int]]:

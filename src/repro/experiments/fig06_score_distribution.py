@@ -14,6 +14,7 @@ import numpy as np
 from repro.experiments.testbed import Testbed
 from repro.retrieval.exhaustive import exhaustive_search
 from repro.scoring.distributions import (
+    expected_above,
     fit_gamma_moments,
     histogram_tail_count,
     score_histogram,
@@ -56,8 +57,8 @@ def run(testbed: Testbed, shard_id: int = 0) -> ScoreDistributionResult:
     kth = result.hits[-1][1] if len(result.hits) >= k else 0.0
 
     stats = stats_index.get(best_term)
-    fit = fit_gamma_moments(stats.mean, stats.variance, stats.posting_length)
-    gamma_above = fit.expected_above(kth)
+    shape, scale = fit_gamma_moments(stats.mean, stats.variance)
+    gamma_above = float(expected_above(shape, scale, stats.posting_length, kth))
     true_above = histogram_tail_count(scores, kth)
     error = abs(gamma_above - true_above) / max(true_above, 1)
     return ScoreDistributionResult(

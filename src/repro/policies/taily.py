@@ -15,48 +15,29 @@ from repro.predictors.gamma_quality import TailyQualityEstimator
 from repro.retrieval.query import Query
 
 
+#: Taily's ``v``: a shard is searched when its expected number of documents
+#: above the global threshold clears this bar.
+MIN_EXPECTED_DOCS = 0.5
+#: Cost of the (cheap, statistics-lookup) estimation round.
+COORDINATION_DELAY_MS = 0.05
+
+
 class TailyPolicy(BasePolicy):
     """Gamma-tail shard selection with Taily's ``v`` cutoff."""
 
     name = "taily"
 
-    def __init__(
-        self,
-        estimator: TailyQualityEstimator,
-        min_expected_docs: float = 0.5,
-        coordination_delay_ms: float = 0.05,
-    ) -> None:
-        """
-        Parameters
-        ----------
-        min_expected_docs:
-            Taily's ``v``: a shard is searched when its expected number of
-            documents above the global threshold clears this bar.
-        coordination_delay_ms:
-            Cost of the (cheap, statistics-lookup) estimation round.
-        """
-        if min_expected_docs < 0:
-            raise ValueError("min_expected_docs must be non-negative")
+    def __init__(self, estimator: TailyQualityEstimator) -> None:
         self.estimator = estimator
-        self.min_expected_docs = min_expected_docs
-        self.coordination_delay_ms = coordination_delay_ms
-        # Selections depend only on immutable index statistics; memoize per
-        # distinct query so trace replay doesn't refit Gammas per arrival.
-        self._cache: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def decide(self, query: Query, view: ClusterView) -> Decision:
-        selected = self._cache.get(query.terms)
-        if selected is None:
-            estimate = self.estimator.estimate(query.terms)
-            selected = tuple(estimate.selected(self.min_expected_docs))
-            if not selected:
-                # Keep the single most promising shard rather than empty.
-                best = max(
-                    range(view.n_shards),
-                    key=lambda sid: estimate.expected_docs[sid],
-                )
-                selected = (best,)
-            self._cache[query.terms] = selected
-        return Decision(
-            shard_ids=selected, coordination_delay_ms=self.coordination_delay_ms
+        # The estimator memoizes per distinct query, so trace replay
+        # doesn't refit Gammas per arrival.
+        expected = self.estimator.estimate(query.terms)
+        selected = tuple(
+            sid for sid, docs in enumerate(expected) if docs >= MIN_EXPECTED_DOCS
         )
+        if not selected:
+            # Keep the single most promising shard rather than empty.
+            selected = (max(range(view.n_shards), key=expected.__getitem__),)
+        return Decision(shard_ids=selected, coordination_delay_ms=COORDINATION_DELAY_MS)

@@ -21,7 +21,7 @@ from repro.predictors.features import (
     trace_feature_tensors,
 )
 from repro.predictors.fused import FusedLatencyModels, FusedQualityModels
-from repro.predictors.gamma_quality import TailyEstimate, TailyQualityEstimator
+from repro.predictors.gamma_quality import TailyQualityEstimator
 from repro.predictors.latency import LatencyBinning, LatencyPredictor
 from repro.predictors.quality import QualityPredictor
 
@@ -37,7 +37,6 @@ __all__ = [
     "LatencyPredictor",
     "LatencyBinning",
     "TailyQualityEstimator",
-    "TailyEstimate",
     "ShardQualityDataset",
     "ShardLatencyDataset",
     "build_quality_dataset",

@@ -178,8 +178,9 @@ class PredictorBank:
         # same object is handed to every caller, and an immutable tuple
         # means one caller's mutation can't corrupt later replays.
         self._prediction_cache: dict[tuple[str, ...], tuple[ISNPrediction, ...]] = {}
-        # Per-term feature rows stacked across shards; term statistics are
-        # immutable, so this cache survives retraining.
+        # Per-term feature rows stacked across shards, for the terms serving
+        # has predicted; term statistics are immutable, so this cache
+        # survives retraining.
         self._feature_cache = TermFeatureCache(self.stats_indexes)
         self._fused: (
             tuple[FusedQualityModels, FusedQualityModels, FusedLatencyModels] | None
@@ -204,7 +205,7 @@ class PredictorBank:
         ``truth`` is built by exhaustive search when not supplied.  Every
         shard's datasets are built and split here: features by the
         :func:`~repro.predictors.features.trace_feature_tensors` call
-        serving makes, labels by a searcher dropped on return; the
+        serving makes, labels by a searcher, both dropped on return; the
         3 x n_shards fits are then independent jobs
         (:class:`FitJob`, each carrying its shard's held-out split) that
         :func:`~repro.host.process_map` spreads over the CPUs, and the
@@ -231,11 +232,12 @@ class PredictorBank:
         jobs: list[FitJob] = []
         # The features serving feeds the models (see _predict_missing),
         # copied shard-major so each shard's [n_queries, F] slice is
-        # contiguous.
+        # contiguous.  Their per-term rows go in a cache dropped on return,
+        # like the labeller: serving never asks for most training terms.
         quality_t, latency_t = (
             np.ascontiguousarray(tensor.transpose(1, 0, 2))
             for tensor in trace_feature_tensors(
-                [query.terms for query in queries], self._feature_cache
+                [query.terms for query in queries], TermFeatureCache(self.stats_indexes)
             )
         )
         for sid in range(self.n_shards):

@@ -11,96 +11,85 @@ its expected document count above ``s_c``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from repro.index.term_stats import TermStatsIndex
-from repro.scoring.distributions import GammaFit, combine_gamma_sum, fit_gamma_moments
-
-
-@dataclass(frozen=True)
-class TailyEstimate:
-    """Per-shard expected contributions for one query."""
-
-    expected_docs: tuple[float, ...]
-    threshold_score: float
-
-    def selected(self, min_docs: float) -> list[int]:
-        """Shards whose expected contribution clears Taily's ``v`` cutoff."""
-        return [
-            sid
-            for sid, expected in enumerate(self.expected_docs)
-            if expected >= min_docs
-        ]
+from repro.predictors.arrays import FloatArray, IntArray
+from repro.scoring.distributions import expected_above, fit_gamma_moments, gamma_quantile
 
 
 class TailyQualityEstimator:
     """Cluster-wide Gamma-based contribution estimator."""
 
-    def __init__(self, stats_indexes: list[TermStatsIndex], n_c: int | None = None) -> None:
+    def __init__(self, stats_indexes: list[TermStatsIndex]) -> None:
         if not stats_indexes:
             raise ValueError("need at least one shard's statistics")
         self.stats_indexes = stats_indexes
         # Taily's n_c: how deep a global pool the threshold models.  The
         # original paper uses hundreds for web-scale shards; 2K keeps the
         # same "a bit deeper than the answer" intent at reproduction scale.
-        self.n_c = n_c if n_c is not None else 2 * stats_indexes[0].k
+        self.n_c = 2 * stats_indexes[0].k
         # Estimates depend only on immutable index statistics; memoized so
         # trace replay doesn't refit Gammas on every arrival.
-        self._estimate_cache: dict[tuple[str, ...], TailyEstimate] = {}
-        self._counts_cache: dict[tuple[tuple[str, ...], int], list[int]] = {}
+        self._expected: dict[tuple[str, ...], tuple[float, ...]] = {}
 
-    def shard_fit(self, shard_id: int, terms: tuple[str, ...] | list[str]) -> GammaFit | None:
-        """Moment-matched Gamma for a query's score sum on one shard.
+    def shard_gammas(
+        self, terms: tuple[str, ...] | list[str]
+    ) -> tuple[FloatArray, FloatArray, IntArray]:
+        """Per shard ``(shape, scale, count)`` of the query's score sum.
 
-        Returns None when no query term occurs on the shard (that shard
-        cannot contribute anything).
+        Each term a shard holds is fitted by moments; the sum of those
+        Gammas is re-fitted to the summed means and variances (a sum of
+        Gammas with different scales is not Gamma), over the shortest of
+        the terms' posting lists — the documents that could contain them
+        all.  A shard holding no query term has count 0 (its shape and
+        scale are the clamped fit of nothing).
         """
-        fits = []
-        for term in terms:
-            stats = self.stats_indexes[shard_id].get(term)
-            if stats.posting_length == 0:
-                continue
-            fits.append(
-                fit_gamma_moments(stats.mean, stats.variance, stats.posting_length)
+        rows: list[tuple[float, float, int]] = []
+        for index in self.stats_indexes:
+            held = [stats for stats in map(index.get, terms) if stats.posting_length]
+            fits = [fit_gamma_moments(stats.mean, stats.variance) for stats in held]
+            shape, scale = fit_gamma_moments(
+                sum(a * theta for a, theta in fits),
+                sum(a * theta**2 for a, theta in fits),
             )
-        if not fits:
-            return None
-        return combine_gamma_sum(fits)
+            rows.append((shape, scale, min((s.posting_length for s in held), default=0)))
+        shape, scale, count = zip(*rows)
+        return np.array(shape), np.array(scale), np.array(count)
 
-    def estimate(self, terms: tuple[str, ...] | list[str]) -> TailyEstimate:
-        """Expected per-shard contributions to the global top-``n_c``."""
+    def estimate(self, terms: tuple[str, ...] | list[str]) -> tuple[float, ...]:
+        """Each shard's expected documents in the global top-``n_c``."""
         key = tuple(terms)
-        cached = self._estimate_cache.get(key)
+        cached = self._expected.get(key)
         if cached is not None:
             return cached
-        fits: list[GammaFit | None] = [
-            self.shard_fit(sid, terms) for sid in range(len(self.stats_indexes))
-        ]
-        live = [fit for fit in fits if fit is not None]
-        if not live:
-            result = TailyEstimate(
-                expected_docs=tuple(0.0 for _ in fits), threshold_score=0.0
-            )
-        else:
-            threshold = self._solve_threshold(live)
-            result = TailyEstimate(
-                expected_docs=tuple(
-                    fit.expected_above(threshold) if fit is not None else 0.0
-                    for fit in fits
-                ),
-                threshold_score=threshold,
-            )
-        self._estimate_cache[key] = result
+        shape, scale, count = self.shard_gammas(key)
+        live = count > 0
+        expected = np.zeros(len(count))
+        if live.any():
+            shape, scale, count = shape[live], scale[live], count[live]
+            threshold = self._solve_threshold(shape, scale, count)
+            expected[live] = expected_above(shape, scale, count, threshold)
+        result = self._expected[key] = tuple(expected.tolist())
         return result
 
-    def _solve_threshold(self, fits: list[GammaFit]) -> float:
+    def _solve_threshold(
+        self, shape: FloatArray, scale: FloatArray, count: IntArray
+    ) -> float:
         """Bisection for s_c with  sum_i E[docs_i above s_c] = n_c.
 
         The tail expectation is monotonically decreasing in the threshold,
         so plain bisection over [0, max plausible score] converges fast.
+        Each step totals the live shards' expectations with the builtin
+        ``sum`` over Python floats in shard order (the interpreter's own
+        float summation, not numpy's pairwise one).
         """
-        total_above = lambda s: sum(fit.expected_above(s) for fit in fits)
-        hi = max(fit.quantile(1.0 - 1e-9) for fit in fits if fit.count > 0)
+        def total_above(s: float) -> float:
+            above: list[float] = expected_above(shape, scale, count, s).tolist()
+            return sum(above)
+
+        tops: list[float] = gamma_quantile(shape, scale, 1.0 - 1e-9).tolist()
+        hi = max(tops)
         lo = 0.0
         if total_above(lo) <= self.n_c:
             return lo  # fewer candidate docs than the pool: keep everything
@@ -121,16 +110,9 @@ class TailyQualityEstimator:
         expected top-n_c counts are scaled down to the top-k pool
         proportionally and rounded.
         """
-        key = (tuple(terms), k)
-        cached = self._counts_cache.get(key)
-        if cached is not None:
-            return cached
-        estimate = self.estimate(terms)
-        total = sum(estimate.expected_docs)
+        expected = self.estimate(terms)
+        total = sum(expected)
         if total <= 0:
-            counts = [0 for _ in estimate.expected_docs]
-        else:
-            scale = min(k / total, 1.0)
-            counts = [int(round(expected * scale)) for expected in estimate.expected_docs]
-        self._counts_cache[key] = counts
-        return counts
+            return [0 for _ in expected]
+        scale = min(k / total, 1.0)
+        return [int(round(docs * scale)) for docs in expected]

@@ -7,9 +7,9 @@ ablation rely on (paper Section III-B / Fig. 6).
 """
 
 from repro.scoring.distributions import (
-    GammaFit,
+    expected_above,
     fit_gamma_moments,
-    gamma_tail_count,
+    gamma_quantile,
     score_histogram,
 )
 from repro.scoring.similarity import (
@@ -24,8 +24,8 @@ __all__ = [
     "BM25Similarity",
     "TFIDFSimilarity",
     "LMDirichletSimilarity",
-    "GammaFit",
     "fit_gamma_moments",
-    "gamma_tail_count",
+    "expected_above",
+    "gamma_quantile",
     "score_histogram",
 ]

@@ -296,6 +296,17 @@ class TestResidentWeights:
             expected = build(sid, dataset.features, cluster, unit_train_queries)
             assert dataset.service_ms.tobytes() == expected.service_ms.tobytes()
 
+    def test_training_leaves_nothing_in_the_feature_cache(
+        self, unit_testbed, unit_train_queries
+    ):
+        """Training rows go through a feature cache dropped on return: the
+        bank's own holds only the terms serving has asked it to predict."""
+        bank = PredictorBank(unit_testbed.cluster)
+        bank.train(unit_train_queries, quality_iterations=1, latency_iterations=1)
+        assert len(bank._feature_cache) == 0
+        bank.predict(unit_train_queries[0])
+        assert len(bank._feature_cache) == len(set(unit_train_queries[0].terms))
+
     def test_no_gradient_or_activation_cache_after_training(self, unit_testbed):
         for model in all_models(unit_testbed.bank):
             for layer in model.model.layers:

@@ -11,6 +11,7 @@ from repro.policies import (
     RankSPolicy,
     TailyPolicy,
 )
+from repro.policies.taily import MIN_EXPECTED_DOCS
 from repro.predictors import TailyQualityEstimator
 from repro.retrieval import Query, SearchResult
 from repro.text import WhitespaceAnalyzer
@@ -87,16 +88,20 @@ def taily_estimator(shards):
 
 class TestTaily:
     def test_selects_shards_with_expected_docs(self, taily_estimator, shards):
-        policy = TailyPolicy(taily_estimator, min_expected_docs=0.1)
+        policy = TailyPolicy(taily_estimator)
         term = max(shards[0].terms(), key=lambda t: shards[0].doc_freq(t))
         decision = policy.decide(Query(query_id=0, terms=(term,)), view())
-        assert decision.shard_ids
+        expected = taily_estimator.estimate((term,))
+        assert decision.shard_ids == tuple(
+            sid for sid, docs in enumerate(expected) if docs >= MIN_EXPECTED_DOCS
+        )
         assert decision.time_budget_ms is None
 
     def test_fallback_keeps_best_shard(self, taily_estimator):
-        policy = TailyPolicy(taily_estimator, min_expected_docs=1e9)
-        decision = policy.decide(Query(query_id=0, terms=("t1",)), view())
-        assert len(decision.shard_ids) == 1
+        # No shard holds the term, so none clears the cutoff.
+        policy = TailyPolicy(taily_estimator)
+        decision = policy.decide(Query(query_id=0, terms=("zzz-missing",)), view())
+        assert decision.shard_ids == (0,)
 
     def test_decisions_cached(self, taily_estimator):
         policy = TailyPolicy(taily_estimator)
@@ -104,11 +109,7 @@ class TestTaily:
         first = policy.decide(query, view())
         second = policy.decide(Query(query_id=9, terms=("t1",)), view())
         assert first.shard_ids == second.shard_ids
-        assert ("t1",) in policy._cache
-
-    def test_validation(self, taily_estimator):
-        with pytest.raises(ValueError):
-            TailyPolicy(taily_estimator, min_expected_docs=-1.0)
+        assert ("t1",) in taily_estimator._expected
 
 
 @pytest.fixture(scope="module")

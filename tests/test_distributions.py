@@ -5,72 +5,71 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.index import Document, IndexBuilder, TermStatsIndex
+from repro.predictors.gamma_quality import TailyQualityEstimator
 from repro.scoring.distributions import (
-    combine_gamma_sum,
+    expected_above,
     fit_gamma_moments,
-    gamma_tail_count,
+    gamma_quantile,
     histogram_tail_count,
     score_histogram,
 )
+from repro.text import WhitespaceAnalyzer
 
 
 class TestMomentsFit:
     def test_recovers_moments(self):
-        fit = fit_gamma_moments(mean=4.0, variance=2.0, count=100)
-        assert fit.mean == pytest.approx(4.0)
-        assert fit.variance == pytest.approx(2.0)
-        assert fit.count == 100
+        shape, scale = fit_gamma_moments(mean=4.0, variance=2.0)
+        assert shape * scale == pytest.approx(4.0)
+        assert shape * scale**2 == pytest.approx(2.0)
 
     def test_degenerate_variance(self):
-        fit = fit_gamma_moments(mean=3.0, variance=0.0, count=10)
+        shape, scale = fit_gamma_moments(mean=3.0, variance=0.0)
         # Collapses to a near-point mass around the mean.
-        assert fit.sf(2.9) > 0.99
-        assert fit.sf(3.1) < 0.01
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            fit_gamma_moments(1.0, 1.0, -1)
+        assert expected_above(shape, scale, 1, 2.9) > 0.99
+        assert expected_above(shape, scale, 1, 3.1) < 0.01
 
     def test_sf_monotone(self):
-        fit = fit_gamma_moments(5.0, 4.0, 50)
+        shape, scale = fit_gamma_moments(5.0, 4.0)
         thresholds = np.linspace(0, 20, 30)
-        values = [fit.sf(t) for t in thresholds]
+        values = [float(expected_above(shape, scale, 1, t)) for t in thresholds]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_sf_at_zero_is_one(self):
-        fit = fit_gamma_moments(5.0, 4.0, 50)
-        assert fit.sf(0.0) == 1.0
+        shape, scale = fit_gamma_moments(5.0, 4.0)
+        assert expected_above(shape, scale, 1, 0.0) == 1.0
 
     def test_expected_above_scales_with_count(self):
-        small = fit_gamma_moments(5.0, 4.0, 10)
-        large = fit_gamma_moments(5.0, 4.0, 1000)
-        assert large.expected_above(5.0) == pytest.approx(
-            100 * small.expected_above(5.0)
-        )
+        shape, scale = fit_gamma_moments(5.0, 4.0)
+        small, large = expected_above([shape] * 2, [scale] * 2, [10, 1000], 5.0)
+        assert large == pytest.approx(100 * small)
 
     def test_quantile_inverts_sf(self):
-        fit = fit_gamma_moments(5.0, 4.0, 10)
-        q = fit.quantile(0.9)
-        assert fit.sf(q) == pytest.approx(0.1, abs=1e-6)
+        shape, scale = fit_gamma_moments(5.0, 4.0)
+        q = gamma_quantile(shape, scale, 0.9)
+        assert expected_above(shape, scale, 1, q) == pytest.approx(0.1, abs=1e-6)
 
     def test_quantile_validation(self):
-        fit = fit_gamma_moments(5.0, 4.0, 10)
+        shape, scale = fit_gamma_moments(5.0, 4.0)
         with pytest.raises(ValueError):
-            fit.quantile(0.0)
+            gamma_quantile(shape, scale, 0.0)
 
 
 class TestCombine:
     def test_sum_moments_add(self):
-        a = fit_gamma_moments(2.0, 1.0, 100)
-        b = fit_gamma_moments(3.0, 2.0, 50)
-        combined = combine_gamma_sum([a, b])
-        assert combined.mean == pytest.approx(5.0)
-        assert combined.variance == pytest.approx(3.0)
-        assert combined.count == 50  # min posting length
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine_gamma_sum([])
+        """Taily's per-shard fit of a query is the moment-matched sum of
+        its terms' fits, over the shorter posting list."""
+        builder = IndexBuilder(0, analyzer=WhitespaceAnalyzer())
+        builder.add_all(
+            Document(doc_id=i, text=text)
+            for i, text in enumerate(["a a b", "a", "a b b b", "a c", "b a a a"])
+        )
+        stats = TermStatsIndex(builder.build(), k=1)
+        shape, scale, count = TailyQualityEstimator([stats]).shard_gammas(["a", "b"])
+        a, b = stats.get("a"), stats.get("b")
+        assert shape[0] * scale[0] == pytest.approx(a.mean + b.mean)
+        assert shape[0] * scale[0] ** 2 == pytest.approx(a.variance + b.variance)
+        assert count[0] == min(a.posting_length, b.posting_length) == 3
 
 
 class TestHistogramHelpers:
@@ -85,7 +84,7 @@ class TestHistogramHelpers:
     def test_tail_count(self):
         scores = np.array([1.0, 2.0, 3.0, 4.0])
         assert histogram_tail_count(scores, 2.5) == 2
-        assert gamma_tail_count(fit_gamma_moments(2.5, 1.0, 4), 0.0) == 4.0
+        assert expected_above(*fit_gamma_moments(2.5, 1.0), 4, 0.0) == 4.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,6 +95,5 @@ class TestHistogramHelpers:
     threshold=st.floats(0.0, 100.0),
 )
 def test_expected_above_bounded_by_count(mean, variance, count, threshold):
-    fit = fit_gamma_moments(mean, variance, count)
-    expected = fit.expected_above(threshold)
+    expected = expected_above(*fit_gamma_moments(mean, variance), count, threshold)
     assert 0.0 <= expected <= count + 1e-9

@@ -123,21 +123,19 @@ class TestTailyEstimator:
     def test_estimates_nonnegative_and_bounded(self, estimator, shards):
         term = shards[0].terms()[0]
         estimate = estimator.estimate([term])
-        assert len(estimate.expected_docs) == len(shards)
-        for sid, expected in enumerate(estimate.expected_docs):
+        assert len(estimate) == len(shards)
+        for sid, expected in enumerate(estimate):
             assert 0.0 <= expected <= shards[sid].n_docs
 
-    def test_unknown_terms_give_zero(self, estimator):
-        estimate = estimator.estimate(["zzz-missing"])
-        assert all(e == 0.0 for e in estimate.expected_docs)
-        assert estimate.selected(0.5) == []
+    def test_unknown_terms_give_zero(self, estimator, shards):
+        assert estimator.estimate(["zzz-missing"]) == (0.0,) * len(shards)
+        assert estimator.quality_counts(["zzz-missing"], k=10) == [0] * len(shards)
 
     def test_total_near_nc(self, estimator, shards):
         # The threshold is solved so total expected docs ≈ n_c (when there
         # are enough candidates).
         term = max(shards[0].terms(), key=lambda t: shards[0].doc_freq(t))
-        estimate = estimator.estimate([term])
-        total = sum(estimate.expected_docs)
+        total = sum(estimator.estimate([term]))
         candidates = sum(s.doc_freq(term) for s in shards)
         if candidates > estimator.n_c:
             assert total == pytest.approx(estimator.n_c, rel=0.1)
@@ -151,8 +149,11 @@ class TestTailyEstimator:
         term = shards[0].terms()[0]
         assert estimator.estimate([term]) is estimator.estimate([term])
 
-    def test_shard_fit_none_when_absent(self, estimator):
-        assert estimator.shard_fit(0, ["zzz-missing"]) is None
+    def test_shard_gammas_count_zero_when_absent(self, estimator, shards):
+        term = shards[0].terms()[0]
+        _, _, count = estimator.shard_gammas([term, "zzz-missing"])
+        assert count.tolist() == [s.doc_freq(term) for s in shards]
+        assert not estimator.shard_gammas(["zzz-missing"])[2].any()
 
     def test_empty_indexes_rejected(self):
         with pytest.raises(ValueError):
