@@ -130,6 +130,10 @@ class Aggregator:
         self.admission = admission
         self._record_sink = record_sink
         self.records: list[QueryRecord] = []
+        # Per term tuple: (sorted response ids, responses, merge); see _merge.
+        self._merges: dict[
+            tuple[str, ...], tuple[list[int], list[SearchResult], SearchResult]
+        ] = {}
         self._net_ms = network.delay_ms()  # one-way hop; the model is frozen
         self._default_freq = self.groups[0][0].freq_scale.default_ghz
         self._max_freq = self.groups[0][0].freq_scale.max_ghz
@@ -165,11 +169,6 @@ class Aggregator:
         self._m_budget = metrics.histogram("aggregator.time_budget_ms")
         self._m_slack = metrics.histogram("aggregator.budget_slack_ms")
         self._m_selected = metrics.histogram("aggregator.selected_isns", lo=0.5, hi=1e4)
-
-    @property
-    def isns(self) -> list[ISNServer]:
-        """Each shard's primary replica (the pre-replication view)."""
-        return [group[0] for group in self.groups]
 
     # ---------------------------------------------------------------- intake
     def view(self) -> ClusterView:
@@ -466,15 +465,20 @@ class Aggregator:
             outcome.counted = True
             self.counted_service_ms += outcome.service_ms
             responses.append(job.result)
+        # Nothing reads a final query's attempts or winners again; dropping
+        # them breaks the query <-> job cycles, so reference counting frees
+        # each job after its last event instead of the cyclic collector.
+        pending.attempts.clear()
+        pending.winners.clear()
         tracer = self._tracer
         if tracer is None:
-            merged = merge_results(responses, self.k)
+            merged = self._merge(pending.query.terms, responses)
         else:
             with tracer.span(
                 "aggregator.merge", track=_TRACK,
                 qid=pending.query.query_id, responses=len(responses),
             ):
-                merged = merge_results(responses, self.k)
+                merged = self._merge(pending.query.terms, responses)
         now = self.sim.now
         if self.cache is not None:
             self.cache.put(pending.query.terms, self.k, merged, now)
@@ -500,6 +504,23 @@ class Aggregator:
                 sorted(pending.outcomes, key=_OUTCOME_ORDER),
             )
         )
+
+    def _merge(self, terms: tuple[str, ...], responses: list[SearchResult]) -> SearchResult:
+        """``merge_results`` over ``responses``, reused per term tuple.
+
+        The merge is a pure function of the response set (hits rank by a
+        total order, costs sum), so a query whose responses are the same
+        objects as the last merge of its terms (each shard's memoized
+        result) reuses it.  The entry holds the responses, so their ids
+        stay theirs; it lives as long as this run's aggregator.
+        """
+        key = sorted(map(id, responses))
+        last = self._merges.get(terms)
+        if last is not None and last[0] == key:
+            return last[2]
+        merged = merge_results(responses, self.k)
+        self._merges[terms] = (key, responses, merged)
+        return merged
 
     def _commit(self, record: QueryRecord) -> None:
         if self._record_sink is None:

@@ -92,15 +92,17 @@ class Simulator:
             gc.freeze()
         heap = self._heap
         pop = heapq.heappop
+        processed = 0  # a local per event; the attribute is set once
         try:
             while heap:
                 if until_ms is not None and heap[0][0] > until_ms:
                     self.now = until_ms
                     return
                 self.now, _, fn, args = pop(heap)
-                self._events_processed += 1
+                processed += 1
                 fn(*args)
         finally:
+            self._events_processed += processed
             if freeze:
                 gc.unfreeze()
 

@@ -225,7 +225,7 @@ class ISNServer:
                 # Will miss the budget: work until the deadline, then abort.
                 busy = deadline - now
                 completed = False
-            self.meter.add_busy(busy, freq_ghz, job.boosted)
+            self.meter.add_busy(busy, freq_ghz)
             sim.schedule(busy, self._finish, job, completed, busy, sim)
             if self._tracer is not None:
                 # The service span opens when the core starts the job and
@@ -269,10 +269,6 @@ class ISNServer:
         self.queued_work_default_ms = left if left >= 0.0 else 0.0
 
     # ------------------------------------------------------------- accounting
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
     @property
     def queue_length(self) -> int:
         return len(self._queue)

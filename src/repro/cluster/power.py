@@ -49,17 +49,19 @@ class EnergyMeter:
     model: PowerModel
     busy_ms: float = 0.0
     busy_energy_mj: float = 0.0  # millijoules (W * ms)
-    boosted_ms: float = 0.0
-    _freq_ms: dict[float, float] = field(default_factory=dict)
+    # Busy core watts per frequency: the model is frozen, so each level's
+    # draw is computed once per meter instead of once per job.
+    _busy_w: dict[float, float] = field(default_factory=dict, repr=False)
 
-    def add_busy(self, duration_ms: float, freq_ghz: float, boosted: bool = False) -> None:
+    def add_busy(self, duration_ms: float, freq_ghz: float) -> None:
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
+        busy_w = self._busy_w.get(freq_ghz)
+        if busy_w is None:
+            busy_w = self.model.core_power_w(freq_ghz, busy=True)
+            self._busy_w[freq_ghz] = busy_w
         self.busy_ms += duration_ms
-        self.busy_energy_mj += duration_ms * self.model.core_power_w(freq_ghz, busy=True)
-        if boosted:
-            self.boosted_ms += duration_ms
-        self._freq_ms[freq_ghz] = self._freq_ms.get(freq_ghz, 0.0) + duration_ms
+        self.busy_energy_mj += duration_ms * busy_w
 
     def total_energy_mj(self, elapsed_ms: float) -> float:
         """Busy energy plus static energy over the full elapsed window."""
@@ -73,10 +75,6 @@ class EnergyMeter:
         if elapsed_ms <= 0:
             return 0.0
         return min(self.busy_ms / elapsed_ms, 1.0)
-
-    def frequency_residency(self) -> dict[float, float]:
-        """Busy milliseconds spent at each frequency level."""
-        return dict(self._freq_ms)
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,6 @@ class PowerReport:
         if self.elapsed_ms <= 0:
             return self.idle_package_w
         return self.package_energy_mj / self.elapsed_ms
-
-    @property
-    def dynamic_power_w(self) -> float:
-        """Power added on top of the idle package draw."""
-        return max(self.average_power_w - self.idle_package_w, 0.0)
 
 
 def package_report(

@@ -10,6 +10,9 @@ Stage 1 (paper lines 3-11): drop every ISN with Q^K = 0.
 Stage 2 (lines 12-21): sort survivors by boosted latency, descending, and
 walk from the slowest: the first ISN with Q^{K/2} != 0 sets the budget;
 every slower ISN ahead of it (all with Q^{K/2} = 0) is sacrificed.
+Stage 1 (:func:`cut_zero_quality`) reads only the predictions; stage 2
+(:func:`assign_budget`) adds the live queues, so a caller that sees one
+query many times runs stage 1 once per query.
 
 Note: the paper's pseudocode keeps assigning ``T`` without a break, which
 would end at the *fastest* K/2-contributor; the prose and the Fig. 9 worked
@@ -23,7 +26,7 @@ implementation follows the prose/example.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 
 class _PredictionTuple(NamedTuple):
@@ -76,10 +79,62 @@ class BudgetDecision:
     cut_too_slow: tuple[int, ...]  # stage-2 cuts (slow and Q^{K/2} = 0)
 
 
+#: A stage-1 survivor ``(shard, Q^{K/2}, L_current, L_boosted)``, queue excluded.
+Survivor = tuple[int, int, float, float]
+
+
+def cut_zero_quality(inputs: list[BudgetInput]) -> tuple[tuple[int, ...], list[Survivor]]:
+    """Stage 1 (lines 3-11): the sorted ids of the Q^K = 0 cuts, and the
+    survivors in input order.  It reads only the predictions."""
+    if not inputs:
+        raise ValueError("need at least one ISN prediction")
+    # Rows are (shard, Q^K, Q^{K/2}, L_current, L_boosted), read by position.
+    cut_zero = tuple(sorted([row[0] for row in inputs if row[1] == 0]))
+    return cut_zero, [(row[0], row[2], row[3], row[4]) for row in inputs if row[1] > 0]
+
+
+def assign_budget(
+    survivors: list[Survivor], queues: Sequence[float] | Mapping[int, float],
+    boost_margin: float = 1.0,
+) -> tuple[tuple[int, ...], float | None, tuple[int, ...], tuple[int, ...]]:
+    """Stage 2 (lines 12-21): the boosted-latency walk over the survivors,
+    with ``queues[shard]`` (>= 0, Eq. 2's queue term) added to both of a
+    survivor's latencies.  Returns ``(selected, time_budget_ms, boosted,
+    cut_too_slow)``; the budget is ``None`` when nothing survived."""
+    if not survivors:
+        return (), None, (), ()
+    # Descending boosted latency; ties broken by shard id for determinism
+    # (the decoration sorts without a key call per ISN).
+    ranked = sorted(
+        [
+            (-(queues[sid] + boosted), sid, q_half, queues[sid] + current)
+            for sid, q_half, current, boosted in survivors
+        ]
+    )
+    # T starts at the slowest survivor's boosted latency (line 13) and
+    # tightens until the first K/2 contributor; everyone slower is cut.
+    # No survivor touching the top-K/2 means the initial budget stands and
+    # every survivor is kept — exactly what the pseudocode does when the
+    # loop never fires.
+    pivot = next((at for at, row in enumerate(ranked) if row[2] != 0), 0)
+    if not 0.0 < boost_margin <= 1.0:
+        raise ValueError("boost_margin must be in (0, 1]")
+    budget = max(-ranked[pivot][0], 1e-6)
+    boost_above = boost_margin * budget + 1e-9
+    kept = ranked[pivot:]
+    return (
+        tuple(sorted([row[1] for row in kept])),
+        budget,
+        tuple(sorted([row[1] for row in kept if row[3] > boost_above])),
+        tuple(sorted([row[1] for row in ranked[:pivot]])),
+    )
+
+
 def determine_time_budget(
     inputs: list[BudgetInput], boost_margin: float = 1.0
 ) -> BudgetDecision:
-    """Run Algorithm 1 over all ISNs' prediction tuples.
+    """Run Algorithm 1 over all ISNs' prediction tuples: stage 2 of stage 1
+    with a zero queue (``0.0 + x == x``, so the latencies stand as given).
 
     ``boost_margin`` scales the boost test: an ISN boosts when its
     current-frequency latency exceeds ``boost_margin * budget``.  1.0 is
@@ -87,43 +142,7 @@ def determine_time_budget(
     be missed); smaller values boost proactively, absorbing latency
     under-prediction at some power cost.
     """
-    if not inputs:
-        raise ValueError("need at least one ISN prediction")
-
-    # Stage 1: cut ISNs with zero predicted contribution to the top-K.
-    # Rows are (shard, Q^K, Q^{K/2}, L_current, L_boosted), read by position.
-    cut_zero = tuple(sorted([row[0] for row in inputs if row[1] == 0]))
-    # Stage 2: descending boosted latency; ties broken by shard id for
-    # determinism (the decoration sorts without a key call per ISN).
-    survivors = sorted([(-row[4], row[0], row) for row in inputs if row[1] > 0])
-    if not survivors:
-        return BudgetDecision(
-            selected=(),
-            time_budget_ms=None,
-            boosted=(),
-            cut_zero_quality=cut_zero,
-            cut_too_slow=(),
-        )
-
-    # T starts at the slowest survivor's boosted latency (line 13) and
-    # tightens until the first K/2 contributor; everyone slower is cut.
-    # No survivor touching the top-K/2 means the initial budget stands and
-    # every survivor is kept — exactly what the pseudocode does when the
-    # loop never fires.
-    pivot = next(
-        (at for at, (_, _, row) in enumerate(survivors) if row[2] != 0), 0
-    )
-    budget = survivors[pivot][2][4]
-    kept = survivors[pivot:]
-
-    if not 0.0 < boost_margin <= 1.0:
-        raise ValueError("boost_margin must be in (0, 1]")
-    budget = max(budget, 1e-6)
-    boost_above = boost_margin * budget + 1e-9
-    return BudgetDecision(
-        selected=tuple(sorted([sid for _, sid, _ in kept])),
-        time_budget_ms=budget,
-        boosted=tuple(sorted([sid for _, sid, row in kept if row[3] > boost_above])),
-        cut_zero_quality=cut_zero,
-        cut_too_slow=tuple(sorted([sid for _, sid, _ in survivors[:pivot]])),
-    )
+    cut_zero, survivors = cut_zero_quality(inputs)
+    zero_queue = {row[0]: 0.0 for row in survivors}
+    selected, budget, boosted, cut_too_slow = assign_budget(survivors, zero_queue, boost_margin)
+    return BudgetDecision(selected, budget, boosted, cut_zero, cut_too_slow)

@@ -10,10 +10,12 @@ CPU frequency of kept ISNs whose current-frequency latency exceeds it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.cluster.cpu import scaled_service_ms
 from repro.cluster.network import NetworkModel
 from repro.cluster.types import ClusterView, Decision
-from repro.core.budget import BudgetInput, determine_time_budget
+from repro.core.budget import BudgetInput, Survivor, assign_budget, cut_zero_quality
 from repro.policies.base import BasePolicy
 from repro.predictors.bank import PredictorBank
 from repro.retrieval.query import Query
@@ -22,11 +24,19 @@ from repro.telemetry import NO_TELEMETRY, Telemetry
 
 #: Boost an ISN already at ``BOOST_MARGIN * budget`` predicted latency
 #: rather than exactly at the budget, absorbing latency under-prediction
-#: (1.0 is the paper's literal rule; ``determine_time_budget`` takes either).
+#: (1.0 is the paper's literal rule; Algorithm 1 takes either).
 BOOST_MARGIN = 0.8
 
-# (per-shard rows (shard, Q^K, Q^{K/2}, S*f_d/f_d, S*f_d/f_max), predicted S by shard)
-_StaticRow = tuple[list[tuple[int, int, int, float, float]], dict[int, float]]
+
+class _StaticRow(NamedTuple):
+    """What one query's decision does not take from the live queues."""
+
+    # Per shard (shard, Q^K, Q^{K/2}, S*f_d/f_d, S*f_d/f_max).
+    rows: list[tuple[int, int, int, float, float]]
+    service_ms: dict[int, float]  # predicted S by shard
+    cut_zero: tuple[int, ...]  # Algorithm 1's stage 1 over ``rows`` ...
+    survivors: list[Survivor]  # ... and what its stage 2 walks
+    coordination_delay_ms: float  # Fig. 5 steps 1-5
 
 
 class CottagePolicy(BasePolicy):
@@ -110,18 +120,13 @@ class CottagePolicy(BasePolicy):
         candidate frequency (Eq. 1).  Only the queue term is live; the
         rest comes from the query-static row.
         """
-        return self._live_inputs(self._static_row(query, view), view)
-
-    @staticmethod
-    def _live_inputs(static: "_StaticRow", view: ClusterView) -> list[BudgetInput]:
-        """Add the live queue vector (Eq. 2's queue term) to a static row."""
         queues = view.queued_predicted_ms
         if min(queues) < 0:
             raise ValueError("latencies cannot be negative")
         new = tuple.__new__  # the static row was validated when it was built
         return [
             new(BudgetInput, (sid, q_k, q_half, queues[sid] + current, queues[sid] + boosted))
-            for sid, q_k, q_half, current, boosted in static[0]
+            for sid, q_k, q_half, current, boosted in self._static_row(query, view).rows
         ]
 
     def _static_row(self, query: Query, view: ClusterView) -> "_StaticRow":
@@ -131,7 +136,8 @@ class CottagePolicy(BasePolicy):
         S*f_d/f_max)`` — the confidence gates and both Eq.-1 scalings
         depend only on the (memoized) predictions, the policy's knobs and
         the cluster's frequency pair — plus the predicted service times
-        by shard that ride along on the :class:`Decision`.  A miss asks
+        by shard that ride along on the :class:`Decision`, Algorithm 1's
+        stage 1 over those rows, and the coordination delay.  A miss asks
         the bank, recording into the run's session (``view.telemetry``).
         """
         freqs = (view.default_freq_ghz, view.max_freq_ghz)
@@ -162,7 +168,13 @@ class CottagePolicy(BasePolicy):
                 BudgetInput(sid, q_k, q_half, current, boosted)
                 rows.append((sid, q_k, q_half, current, boosted))
                 service_ms[sid] = predicted
-            static = self._static_rows[query.terms] = (rows, service_ms)
+            # Steps 1-5 of Fig. 5 (broadcast, parallel inference, report
+            # back): two one-way messages beyond the dispatch the aggregator
+            # already charges, plus the slowest ISN's inference time.
+            delay = 2.0 * self.network.delay_ms() + self.bank.coordination_overhead_ms()
+            static = self._static_rows[query.terms] = _StaticRow(
+                rows, service_ms, *cut_zero_quality(rows), delay
+            )
         return static
 
     def _qualities(self, query: Query, telemetry: Telemetry) -> list[tuple[int, int]]:
@@ -182,14 +194,6 @@ class CottagePolicy(BasePolicy):
             return 1
         return count
 
-    def coordination_delay_ms(self) -> float:
-        """Steps 1-5 of Fig. 5: broadcast, parallel inference, report back.
-
-        Two extra one-way messages beyond the dispatch the aggregator
-        already charges, plus the slowest ISN's inference time.
-        """
-        return 2.0 * self.network.delay_ms() + self.bank.coordination_overhead_ms()
-
     def prewarm(self, queries: list[Query], telemetry: Telemetry = NO_TELEMETRY) -> None:
         """Batch-predict the whole trace through the fused kernels.
 
@@ -201,10 +205,13 @@ class CottagePolicy(BasePolicy):
 
     def decide(self, query: Query, view: ClusterView) -> Decision:
         telemetry = view.telemetry
+        queues = view.queued_predicted_ms
+        if min(queues) < 0:
+            raise ValueError("latencies cannot be negative")
         if not telemetry.enabled:
             static = self._static_row(query, view)
-            decision = determine_time_budget(
-                self._live_inputs(static, view), boost_margin=BOOST_MARGIN
+            selected, budget, boosted, cut_too_slow = assign_budget(
+                static.survivors, queues, BOOST_MARGIN
             )
         else:
             # The two halves of the coordination round (paper Fig. 5 steps
@@ -213,25 +220,22 @@ class CottagePolicy(BasePolicy):
             tracer = telemetry.tracer
             with tracer.span("policy.predict", track="aggregator", qid=query.query_id):
                 static = self._static_row(query, view)
-                inputs = self._live_inputs(static, view)
             with tracer.span(
                 "policy.budget_assign", track="aggregator", qid=query.query_id
             ):
-                decision = determine_time_budget(
-                    inputs, boost_margin=BOOST_MARGIN
+                selected, budget, boosted, cut_too_slow = assign_budget(
+                    static.survivors, queues, BOOST_MARGIN
                 )
             metrics = telemetry.metrics
-            metrics.counter("cottage.cut_zero_quality").add(
-                len(decision.cut_zero_quality)
-            )
-            metrics.counter("cottage.cut_too_slow").add(len(decision.cut_too_slow))
-            metrics.counter("cottage.boosted").add(len(decision.boosted))
-            metrics.counter("cottage.kept").add(len(decision.selected))
+            metrics.counter("cottage.cut_zero_quality").add(len(static.cut_zero))
+            metrics.counter("cottage.cut_too_slow").add(len(cut_too_slow))
+            metrics.counter("cottage.boosted").add(len(boosted))
+            metrics.counter("cottage.kept").add(len(selected))
         # The bank's per-shard service predictions ride along on the
         # decision so the aggregator's hedge planner works from the same
         # estimates Algorithm 1 did.
-        predicted = static[1]
-        if not decision.selected:
+        predicted = static.service_ms
+        if not selected:
             # Predicted zero quality everywhere — run the single most
             # plausible shard instead of answering empty (a pure fallback;
             # with a trained bank this is rare).
@@ -241,23 +245,18 @@ class CottagePolicy(BasePolicy):
             )
             return Decision(
                 shard_ids=(best.shard_id,),
-                coordination_delay_ms=self.coordination_delay_ms(),
+                coordination_delay_ms=static.coordination_delay_ms,
                 predicted_service_ms={best.shard_id: predicted[best.shard_id]},
             )
         # Algorithm 1 always sets a budget when anything is selected.
-        assert decision.time_budget_ms is not None
-        budget = decision.time_budget_ms * self.budget_slack
-        overrides = (
-            {sid: view.max_freq_ghz for sid in decision.boosted}
-            if self.enable_boost
-            else {}
-        )
+        assert budget is not None
+        max_ghz = view.max_freq_ghz
         return Decision(
-            shard_ids=decision.selected,
-            time_budget_ms=budget,
-            frequency_overrides=overrides,
-            coordination_delay_ms=self.coordination_delay_ms(),
-            predicted_service_ms={
-                sid: predicted[sid] for sid in decision.selected
-            },
+            shard_ids=selected,
+            time_budget_ms=budget * self.budget_slack,
+            frequency_overrides=(
+                {sid: max_ghz for sid in boosted} if self.enable_boost else {}
+            ),
+            coordination_delay_ms=static.coordination_delay_ms,
+            predicted_service_ms={sid: predicted[sid] for sid in selected},
         )

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import BudgetInput, determine_time_budget
+from repro.core import BudgetDecision, BudgetInput, determine_time_budget
+from repro.core.budget import assign_budget, cut_zero_quality
 
 
 def isn(sid, q_k, q_half, current, boosted=None):
@@ -204,3 +205,102 @@ def test_algorithm_invariants(inputs):
         for i in inputs:
             if i.quality_k > 0 and i.quality_half_k > 0:
                 assert i.shard_id in decision.selected
+
+
+def one_pass_time_budget(inputs, boost_margin=1.0):
+    """Algorithm 1 in one pass over queue-inclusive tuples: the formulation
+    the two stages replaced, kept as their oracle."""
+    if not inputs:
+        raise ValueError("need at least one ISN prediction")
+    cut_zero = tuple(sorted([row[0] for row in inputs if row[1] == 0]))
+    survivors = sorted([(-row[4], row[0], row) for row in inputs if row[1] > 0])
+    if not survivors:
+        return BudgetDecision((), None, (), cut_zero, ())
+    pivot = next(
+        (at for at, (_, _, row) in enumerate(survivors) if row[2] != 0), 0
+    )
+    budget = survivors[pivot][2][4]
+    kept = survivors[pivot:]
+    if not 0.0 < boost_margin <= 1.0:
+        raise ValueError("boost_margin must be in (0, 1]")
+    budget = max(budget, 1e-6)
+    boost_above = boost_margin * budget + 1e-9
+    return BudgetDecision(
+        selected=tuple(sorted([sid for _, sid, _ in kept])),
+        time_budget_ms=budget,
+        boosted=tuple(sorted([sid for _, sid, row in kept if row[3] > boost_above])),
+        cut_zero_quality=cut_zero,
+        cut_too_slow=tuple(sorted([sid for _, sid, _ in survivors[:pivot]])),
+    )
+
+
+def two_stage(rows, queues, boost_margin):
+    cut_zero, survivors = cut_zero_quality(rows)
+    selected, budget, boosted, cut_too_slow = assign_budget(
+        survivors, queues, boost_margin
+    )
+    return BudgetDecision(selected, budget, boosted, cut_zero, cut_too_slow)
+
+
+def with_queues(rows, queues):
+    """The queue-inclusive tuples the one-pass rule reads (Eq. 2)."""
+    return [
+        BudgetInput(sid, q_k, q_half, queues[sid] + current, queues[sid] + boosted)
+        for sid, q_k, q_half, current, boosted in rows
+    ]
+
+
+# A few latencies recur so that boosted-latency ties (broken by shard id)
+# come up often.
+latencies = st.sampled_from([0.0, 1.0, 2.5, 8.0]) | st.floats(0.0, 60.0)
+margins = st.sampled_from([1.0, 0.8]) | st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def static_rows_and_queues(draw):
+    """Query-static rows (shard ids 0..n-1) and a live queue vector."""
+    n = draw(st.integers(1, 16))
+    rows = []
+    for sid in range(n):
+        q_k = draw(st.integers(0, 4))
+        q_half = draw(st.integers(0, q_k))
+        boosted = draw(latencies)
+        current = boosted * draw(st.sampled_from([1.0, 1.286]) | st.floats(1.0, 3.0))
+        rows.append(isn(sid, q_k, q_half, current, boosted))
+    queues = draw(
+        st.just([0.0] * n) | st.lists(latencies, min_size=n, max_size=n)
+    )
+    return rows, tuple(queues)
+
+
+TIED = [isn(0, 1, 0, 10.0, 8.0), isn(1, 1, 1, 10.0, 8.0), isn(2, 2, 0, 9.0, 8.0)]
+ALL_ZERO = [isn(0, 0, 0, 10.0, 8.0), isn(1, 0, 0, 5.0, 4.0)]
+NO_HALF_K = [isn(0, 1, 0, 10.0, 8.0), isn(1, 2, 0, 20.0, 15.0)]
+
+
+@settings(deadline=None)
+@given(case=static_rows_and_queues(), boost_margin=margins)
+@example(case=(TIED, (0.0, 0.0, 0.0)), boost_margin=1.0)
+@example(case=(TIED, (2.0, 1.0, 1.0)), boost_margin=0.8)
+@example(case=(ALL_ZERO, (3.0, 0.0)), boost_margin=0.8)
+@example(case=(NO_HALF_K, (0.0, 0.0)), boost_margin=1.0)
+@example(case=(NO_HALF_K, (9.0, 0.0)), boost_margin=0.5)
+def test_two_stages_equal_the_one_pass_rule(case, boost_margin):
+    rows, queues = case
+    expected = one_pass_time_budget(with_queues(rows, queues), boost_margin)
+    assert two_stage(rows, queues, boost_margin) == expected
+    if not any(queues):
+        assert determine_time_budget(rows, boost_margin) == expected
+
+
+def test_fig9_inputs_split_like_the_one_pass_rule():
+    inputs = TestPaperExample()._inputs()
+    for boost_margin in (1.0, 0.8):
+        expected = one_pass_time_budget(inputs, boost_margin)
+        assert determine_time_budget(inputs, boost_margin) == expected
+        queues = {row.shard_id: 0.0 for row in inputs}
+        assert two_stage(inputs, queues, boost_margin) == expected
+        busy = {row.shard_id: 0.5 * row.shard_id for row in inputs}
+        assert two_stage(inputs, busy, boost_margin) == one_pass_time_budget(
+            with_queues(inputs, busy), boost_margin
+        )

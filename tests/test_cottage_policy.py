@@ -58,6 +58,35 @@ class TestCottageDecide:
             assert b.latency_current_ms > a.latency_current_ms
             assert b.latency_boosted_ms > a.latency_boosted_ms
 
+    def test_decide_is_algorithm_1_over_budget_inputs(self, unit_testbed, cottage):
+        # decide runs stage 1 once per term tuple and stage 2 per call;
+        # the public one-call path over the same tuples must agree.
+        from repro.core import determine_time_budget
+        from repro.core.cottage import BOOST_MARGIN
+
+        n = unit_testbed.cluster.n_shards
+        queues = [[0.0] * n, [0.5 * sid for sid in range(n)], [7.0] + [0.0] * (n - 1)]
+        for query in list({q.terms: q for q in unit_testbed.wikipedia_trace}.values())[:15]:
+            for queue in queues:
+                view = idle_view(unit_testbed, queue=queue)
+                expected = determine_time_budget(
+                    cottage.budget_inputs(query, view), boost_margin=BOOST_MARGIN
+                )
+                decision = cottage.decide(query, view)
+                if not expected.selected:
+                    continue  # the one-shard fallback
+                assert decision.shard_ids == expected.selected
+                assert decision.time_budget_ms == (
+                    expected.time_budget_ms * cottage.budget_slack
+                )
+                assert set(decision.frequency_overrides) == set(expected.boosted)
+
+    def test_negative_queue_rejected(self, unit_testbed, cottage):
+        n = unit_testbed.cluster.n_shards
+        view = idle_view(unit_testbed, queue=[-1.0] + [0.0] * (n - 1))
+        with pytest.raises(ValueError, match="negative"):
+            cottage.decide(unit_testbed.wikipedia_trace[0], view)
+
     def test_budget_slack_scales_budget(self, unit_testbed):
         query = unit_testbed.wikipedia_trace[0]
         tight = CottagePolicy(unit_testbed.bank, budget_slack=1.0)

@@ -131,7 +131,8 @@ class TestBitIdentity:
         assert replicated.hedges_issued == 0  # the spares stayed idle
 
         def dynamic_mj(run):
-            return run.power.dynamic_power_w * run.power.elapsed_ms
+            power = run.power
+            return (power.average_power_w - power.idle_package_w) * power.elapsed_ms
 
         assert dynamic_mj(replicated) == pytest.approx(dynamic_mj(baseline))
         assert replicated.power.idle_package_w > baseline.power.idle_package_w
