@@ -265,21 +265,6 @@ class SearchCluster:
                 evictions += stats.evictions
         return hits, misses, evictions
 
-    def set_decode_cache(self, cache_bytes: int) -> int:
-        """Re-budget every compressed shard's decode LRU to ``cache_bytes``.
-
-        Applies only to compressed (store-backed) shards — uncompressed
-        shards have no decode cache.  Oversized caches evict down
-        immediately.  Returns the number of arenas re-budgeted.
-        """
-        touched = 0
-        for shard in self.shards:
-            resize = getattr(shard.arena, "set_cache_budget", None)
-            if resize is not None:
-                resize(cache_bytes)
-                touched += 1
-        return touched
-
     def prewarm_trace(self, trace: Iterable[Query]) -> int:
         """Fill every shard searcher's memo cache for ``trace``.
 

@@ -32,6 +32,3 @@ class NetworkModel:
             raise ValueError("payload must be non-negative")
         transfer_ms = payload_bytes * 8 / (self.bandwidth_gbps * 1e6)
         return self.base_delay_ms + transfer_ms
-
-    def rtt_ms(self, payload_bytes: int = 256) -> float:
-        return 2.0 * self.delay_ms(payload_bytes)

@@ -26,7 +26,7 @@ class Layer(ABC):
         """Backpropagate; return dL/d(input), store parameter grads."""
 
     def state(self) -> dict[str, np.ndarray]:
-        """Serializable parameter arrays."""
+        """Parameter arrays by name (how a fit worker returns its weights)."""
         return {}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
@@ -154,28 +154,3 @@ class ReLU(Layer):
     def release(self) -> None:
         self._mask = None
 
-
-class Dropout(Layer):
-    """Inverted dropout; identity at inference time."""
-
-    def __init__(self, rate: float, rng: np.random.Generator | None = None) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng or np.random.default_rng(0)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-    def release(self) -> None:
-        self._mask = None

@@ -1,4 +1,4 @@
-"""Loss functions.
+"""The loss both predictors train with.
 
 The paper trains both predictors with sparse categorical cross-entropy
 (Section III-B); the softmax is fused into the loss for numerical stability,
@@ -6,8 +6,6 @@ so models output raw logits.
 """
 
 from __future__ import annotations
-
-from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -25,18 +23,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-class Loss(ABC):
-    """Loss interface: value plus gradient w.r.t. the model output."""
-
-    @abstractmethod
-    def compute(self, outputs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        """Return (mean loss, dL/d(outputs))."""
-
-
-class SparseCategoricalCrossentropy(Loss):
+class SparseCategoricalCrossentropy:
     """Cross-entropy over integer class targets, with fused softmax."""
 
     def compute(self, outputs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+        """Return (mean loss, dL/d(outputs))."""
         targets = np.asarray(targets, dtype=np.int64)
         n, n_classes = outputs.shape
         if targets.shape != (n,):
@@ -49,20 +40,3 @@ class SparseCategoricalCrossentropy(Loss):
         grad = probs
         grad[np.arange(n), targets] -= 1.0
         return loss, grad / n
-
-    def predict_classes(self, outputs: np.ndarray) -> np.ndarray:
-        return np.argmax(outputs, axis=1)
-
-
-class MeanSquaredError(Loss):
-    """Plain MSE, used by regression-flavoured ablations."""
-
-    def compute(self, outputs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.ndim == 1:
-            targets = targets[:, None]
-        if outputs.shape != targets.shape:
-            raise ValueError("outputs and targets must have the same shape")
-        diff = outputs - targets
-        loss = float(np.mean(diff**2))
-        return loss, 2.0 * diff / diff.size

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from repro.nn.layers import Dense, Dropout, Layer, ReLU, StackedDense
-from repro.nn.losses import Loss, SparseCategoricalCrossentropy, softmax
-from repro.nn.optimizers import Adam, Optimizer
+from repro.nn.layers import Dense, Layer, ReLU, StackedDense
+from repro.nn.losses import SparseCategoricalCrossentropy, softmax
+from repro.nn.optimizers import Adam
+
+#: The one training loss (Section III-B): stateless, so shared.
+LOSS = SparseCategoricalCrossentropy()
+#: Keras's default mini-batch, which both predictors train with.
+BATCH_SIZE = 32
 
 
 @dataclass
@@ -35,7 +39,7 @@ class Sequential:
     """A stack of layers trained with mini-batch gradient descent.
 
     Mirrors the slice of the Keras API the paper uses: construct, ``fit``
-    with a loss and optimizer, ``predict_classes``, save/load.
+    with sparse categorical cross-entropy and Adam, ``predict_classes``.
     """
 
     def __init__(self, layers: list[Layer]) -> None:
@@ -62,9 +66,8 @@ class Sequential:
         x: np.ndarray,
         y: np.ndarray,
         iterations: int = 200,
-        batch_size: int = 64,
-        loss: Loss | None = None,
-        optimizer: Optimizer | None = None,
+        batch_size: int = BATCH_SIZE,
+        optimizer: Adam | None = None,
         seed: int = 0,
         eval_set: tuple[np.ndarray, np.ndarray] | None = None,
         eval_every: int = 0,
@@ -76,6 +79,8 @@ class Sequential:
         epoch-based; batches are sampled with reshuffling each pass.
         Gradients and activation caches exist only inside this call: a
         model that is not training holds its weights and nothing else.
+        The defaults, :data:`BATCH_SIZE` and ``Adam()``, are how both
+        predictors train.
 
         For the length of the call every Dense ``W``/``b`` and ``dW``/``db``
         is a view of one parameter and one gradient buffer, so the
@@ -96,7 +101,6 @@ class Sequential:
             raise ValueError(f"iterations must be positive, got {iterations}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        loss = loss or SparseCategoricalCrossentropy()
         optimizer = optimizer or Adam()
         rng = np.random.default_rng(seed)
         history = TrainingHistory()
@@ -115,7 +119,7 @@ class Sequential:
                 batch = order[cursor : cursor + batch_size]
                 cursor += batch_size
                 outputs = self.forward(x[batch], training=True)
-                value, grad = loss.compute(outputs, y[batch])
+                value, grad = LOSS.compute(outputs, y[batch])
                 self.backward(grad)
                 optimizer.step([(params, grads)])
                 history.loss.append(value)
@@ -168,13 +172,6 @@ class Sequential:
                 {k[len(prefix):]: v for k, v in state.items() if k.startswith(prefix)}
             )
 
-    def save(self, path: str | Path) -> None:
-        np.savez(path, **self.state())
-
-    def load(self, path: str | Path) -> None:
-        with np.load(path) as data:
-            self.load_state({key: data[key] for key in data.files})
-
 
 def _bind_flat(layers: list[Dense]) -> tuple[np.ndarray, np.ndarray]:
     """One parameter buffer holding a copy of every layer's ``W``/``b``,
@@ -213,9 +210,8 @@ class StackedSequential:
     the same 2-D product per stack slice, and ReLU/softmax are elementwise.
     ``tests/test_batched_inference.py`` pins this down with Hypothesis.
 
-    Dropout layers are skipped (identity at inference time, matching
-    ``Sequential.forward(training=False)``).  The source models' Dense
-    ``W``/``b`` become views of the stack (:meth:`StackedDense.adopt`).
+    The source models' Dense ``W``/``b`` become views of the stack
+    (:meth:`StackedDense.adopt`).
     """
 
     def __init__(self, stacked: list[StackedDense | None]) -> None:
@@ -245,16 +241,15 @@ class StackedSequential:
         stack: StackedSequential | None = None
         count = 0
         for count, model in enumerate(models, 1):
-            layers = [layer for layer in model.layers if not isinstance(layer, Dropout)]
             if stack is None:
                 topology = _topology(model)
-                if not all(isinstance(layer, (Dense, ReLU)) for layer in layers):
-                    raise ValueError("only Dense, ReLU and Dropout layers stack")
+                if not all(isinstance(layer, (Dense, ReLU)) for layer in model.layers):
+                    raise ValueError("only Dense and ReLU layers stack")
                 stack = cls([StackedDense.like(layer, n) if isinstance(layer, Dense)
-                             else None for layer in layers])
+                             else None for layer in model.layers])
             if _topology(model) != topology or count > n:
                 raise ValueError(f"need {n} models of one architecture to stack")
-            for op, layer in zip(stack.ops, layers):
+            for op, layer in zip(stack.ops, model.layers):
                 if op is not None and isinstance(layer, Dense):
                     op.adopt(count - 1, layer)
         if stack is None or count < n:
@@ -288,14 +283,6 @@ class StackedSequential:
             else:
                 out = op.forward(out)
         return out
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Per-model softmax probabilities, shape ``[S, B, classes]``."""
-        return softmax(self.forward_batched(x))
-
-    def predict_classes(self, x: np.ndarray) -> np.ndarray:
-        """Per-model argmax classes over logits, shape ``[S, B]``."""
-        return np.argmax(self.forward_batched(x), axis=-1)
 
 
 def mlp_classifier(

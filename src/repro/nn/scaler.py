@@ -36,14 +36,3 @@ class StandardScaler:
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)
 
-    def state(self) -> dict[str, np.ndarray]:
-        if self.mean_ is None or self.std_ is None:
-            raise RuntimeError("scaler is not fitted")
-        return {"mean": self.mean_, "std": self.std_}
-
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> "StandardScaler":
-        scaler = cls()
-        scaler.mean_ = np.asarray(state["mean"], dtype=np.float64)
-        scaler.std_ = np.asarray(state["std"], dtype=np.float64)
-        return scaler

@@ -10,9 +10,7 @@ consumes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterator, NamedTuple, TypeVar
 
 import numpy as np
@@ -32,7 +30,7 @@ from repro.predictors.datasets import (
 )
 from repro.predictors.features import TermFeatureCache, trace_feature_tensors
 from repro.predictors.fused import FusedLatencyModels, FusedQualityModels
-from repro.predictors.latency import LatencyBinning, LatencyPredictor
+from repro.predictors.latency import LatencyPredictor
 from repro.predictors.quality import QualityPredictor
 from repro.retrieval.query import Query
 from repro.telemetry import NO_TELEMETRY, Counter, Telemetry
@@ -59,6 +57,8 @@ class ISNPrediction:
 #: Every fit scores itself on its shard's held-out split once per this many
 #: iterations: the accuracy-vs-iterations curves of Figs. 7(a) and 8(a).
 EVAL_EVERY = 25
+#: The share of each shard's training queries held out from its fits.
+HOLDOUT = 0.2
 
 
 @dataclass
@@ -146,7 +146,6 @@ class PredictorBank:
         self,
         cluster: SearchCluster,
         k: int | None = None,
-        binning: LatencyBinning | None = None,
         hidden_layers: int = 5,
         hidden_units: int = 128,
         seed: int = 0,
@@ -168,10 +167,11 @@ class PredictorBank:
             for sid in range(n)
         ))
         self.latency_models, latency_stack = _made_into_stack(n, (
-            LatencyPredictor(binning, hidden_layers, hidden_units, seed=seed + 200 + sid)
+            LatencyPredictor(hidden_layers=hidden_layers, hidden_units=hidden_units,
+                             seed=seed + 200 + sid)
             for sid in range(n)
         ))
-        # The only storage of every weight; training and loading write into it.
+        # The only storage of every weight; training writes into it.
         self.weight_stacks = (k_stack, half_stack, latency_stack)
         self.trained = False
         # Memoized per-query reports.  Values are tuples on purpose: the
@@ -197,7 +197,6 @@ class PredictorBank:
         truth: GroundTruth | None = None,
         quality_iterations: int = 600,
         latency_iterations: int = 300,
-        holdout: float = 0.2,
         seed: int = 0,
     ) -> TrainingReport:
         """Train every per-shard model; the :class:`TrainingReport`.
@@ -243,8 +242,8 @@ class PredictorBank:
         for sid in range(self.n_shards):
             q_data = build_quality_dataset(sid, quality_t[sid], queries, truth)
             l_data = build_latency_dataset(sid, latency_t[sid], labeller, queries)
-            q_train, q_test = q_data.split(holdout, seed=seed)
-            l_train, l_test = l_data.split(holdout, seed=seed)
+            q_train, q_test = q_data.split(HOLDOUT, seed=seed)
+            l_train, l_test = l_data.split(HOLDOUT, seed=seed)
             report.quality_data.append((q_train, q_test))
             report.latency_data.append((l_train, l_test))
             jobs += [
@@ -400,77 +399,6 @@ class PredictorBank:
         if queries:
             self.batch_predict(list(queries), telemetry)
         return len(self._prediction_cache) - before
-
-    # ------------------------------------------------------------- persistence
-    def save(self, path: str | Path) -> None:
-        """Write every trained per-shard model to one ``.npz`` file."""
-        if not self.trained:
-            raise RuntimeError("cannot save an untrained bank")
-        arrays: dict[str, FloatArray] = {}
-        for prefix, model in self._named_predictors():
-            for key, value in model.state().items():
-                arrays[f"{prefix}.{key}"] = value
-        meta = {
-            "k": self.k,
-            "n_shards": self.n_shards,
-            "hidden_layers": self.hidden_layers,
-            "hidden_units": self.hidden_units,
-            "format_version": 1,
-        }
-        arrays["meta"] = np.asarray(json.dumps(meta))
-        np.savez_compressed(path, **arrays)
-
-    @classmethod
-    def load(cls, path: str | Path, cluster: SearchCluster) -> "PredictorBank":
-        """Reconstruct a trained bank saved by :meth:`save`.
-
-        ``cluster`` must be built from the same shards the bank was
-        trained on (the term-statistics feature source lives there).
-        """
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta.get("format_version") != 1:
-                raise ValueError(f"unsupported bank format in {path}")
-            if meta["n_shards"] != cluster.n_shards:
-                raise ValueError(
-                    f"bank was trained on {meta['n_shards']} shards, cluster has "
-                    f"{cluster.n_shards}"
-                )
-            edges = {tuple(data[key].tolist()) for key in data.files
-                     if key.endswith(".latency.binning.edges")}
-            if len(edges) > 1:
-                raise ValueError(f"{path}: shards disagree on the latency binning")
-            bank = cls(
-                cluster,
-                k=int(meta["k"]),
-                binning=LatencyBinning(edges.pop()) if edges else None,
-                hidden_layers=int(meta["hidden_layers"]),
-                hidden_units=int(meta["hidden_units"]),
-            )
-            states: dict[str, dict[str, FloatArray]] = {}
-            for key in data.files:
-                if key == "meta":
-                    continue
-                shard, kind, rest = key.split(".", 2)
-                states.setdefault(f"{shard}.{kind}", {})[rest] = data[key]
-            for prefix, model in bank._named_predictors():
-                try:
-                    model.load_state(states.pop(prefix, {}))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: {prefix}: {exc}") from None
-            if states:
-                raise ValueError(f"{path}: unexpected predictor {min(states)!r}")
-        bank.trained = True
-        return bank
-
-    def _named_predictors(
-        self,
-    ) -> Iterator[tuple[str, QualityPredictor | LatencyPredictor]]:
-        """Every predictor with the key prefix :meth:`save` files it under."""
-        for sid in range(self.n_shards):
-            yield f"shard{sid}.quality_k", self.quality_k_models[sid]
-            yield f"shard{sid}.quality_half", self.quality_half_models[sid]
-            yield f"shard{sid}.latency", self.latency_models[sid]
 
     def coordination_overhead_ms(self) -> float:
         """Aggregator-visible cost of the predict-and-report round.

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.model import Sequential, TrainingHistory, mlp_classifier
-from repro.nn.optimizers import Adam
 from repro.nn.scaler import StandardScaler
 from repro.predictors.arrays import FloatArray, IndexArray
 from repro.predictors.features import LATENCY_FEATURE_NAMES
@@ -32,14 +31,26 @@ class LatencyBinning:
 
     edges_ms: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        edges = np.asarray(self.edges_ms, dtype=np.float64)
+        # Bin centers extrapolate from the outermost pair of edges.
+        if not (
+            edges.size >= 2 and np.isfinite(edges).all() and edges[0] > 0
+            and (np.diff(edges) > 0).all()
+        ):
+            raise ValueError(
+                "latency bin edges must be at least two finite, positive, strictly "
+                f"increasing ms values, got {self.edges_ms}"
+            )
+
     @classmethod
     def logarithmic(
         cls, lo_ms: float = 0.5, hi_ms: float = 200.0, n_bins: int = 24
     ) -> "LatencyBinning":
         if not 0 < lo_ms < hi_ms:
             raise ValueError("need 0 < lo < hi")
-        if n_bins < 2:
-            raise ValueError("need at least two bins")
+        if n_bins < 3:
+            raise ValueError(f"need at least three bins, got n_bins={n_bins}")
         edges = np.geomspace(lo_ms, hi_ms, n_bins - 1)
         return cls(edges_ms=tuple(float(e) for e in edges))
 
@@ -86,8 +97,6 @@ class LatencyPredictor:
         features: FloatArray,
         service_ms: FloatArray,
         iterations: int = 300,
-        batch_size: int = 32,
-        learning_rate: float = 1e-3,
         seed: int = 0,
         eval_set: tuple[FloatArray, FloatArray] | None = None,
         eval_every: int = 0,
@@ -104,8 +113,6 @@ class LatencyPredictor:
             x,
             labels,
             iterations=iterations,
-            batch_size=batch_size,
-            optimizer=Adam(learning_rate=learning_rate),
             seed=seed,
             eval_set=eval_set,
             eval_every=eval_every,
@@ -143,7 +150,7 @@ class LatencyPredictor:
         return float(np.mean(np.abs(predicted - true_bins) <= tolerance_bins))
 
     def state(self) -> dict[str, FloatArray]:
-        """Serializable weights + scaler + binning edges."""
+        """Trained weights + scaler + binning edges: what a fit worker returns."""
         self._require_trained()
         assert self.scaler.mean_ is not None and self.scaler.std_ is not None
         state = {f"model.{k}": v for k, v in self.model.state().items()}

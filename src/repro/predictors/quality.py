@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.model import Sequential, TrainingHistory, mlp_classifier
-from repro.nn.optimizers import Adam
 from repro.nn.scaler import StandardScaler
 from repro.predictors.arrays import FloatArray, IndexArray, IntArray
 from repro.predictors.features import QUALITY_FEATURE_NAMES
@@ -50,8 +49,6 @@ class QualityPredictor:
         features: FloatArray,
         labels: IntArray,
         iterations: int = 600,
-        batch_size: int = 32,
-        learning_rate: float = 1e-3,
         seed: int = 0,
         eval_set: tuple[FloatArray, IntArray] | None = None,
         eval_every: int = 0,
@@ -66,8 +63,6 @@ class QualityPredictor:
             x,
             labels,
             iterations=iterations,
-            batch_size=batch_size,
-            optimizer=Adam(learning_rate=learning_rate),
             seed=seed,
             eval_set=eval_set,
             eval_every=eval_every,
@@ -100,7 +95,7 @@ class QualityPredictor:
         return float(np.mean(self.predict_counts(features) == labels))
 
     def state(self) -> dict[str, FloatArray]:
-        """Serializable weights + scaler (see :meth:`load_state`)."""
+        """Trained weights + scaler: what a fit worker returns."""
         self._require_trained()
         assert self.scaler.mean_ is not None and self.scaler.std_ is not None
         state = {f"model.{k}": v for k, v in self.model.state().items()}

@@ -45,14 +45,6 @@ class TopKCollector:
             return float("-inf")
         return self._heap[0][0]
 
-    def would_enter(self, score: float) -> bool:
-        """Whether ``score`` could enter regardless of doc id.
-
-        Used by pruning: admissible skipping must keep any candidate whose
-        score *ties* the threshold, because the tie-break could favour it.
-        """
-        return len(self._heap) < self.k or score >= self._heap[0][0]
-
     def results(self) -> list[tuple[int, float]]:
         """Final hits as (doc_id, score), best first."""
         ordered = sorted(self._heap, reverse=True)

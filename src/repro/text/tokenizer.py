@@ -44,18 +44,3 @@ class SimpleTokenizer(Tokenizer):
             if len(match.group(0)) <= self.max_token_length
         ]
 
-
-class NGramTokenizer(Tokenizer):
-    """Character n-gram tokenizer, used by robustness tests as an alternative
-    analysis chain (the index layer must not assume word tokens)."""
-
-    def __init__(self, n: int = 3) -> None:
-        if n < 1:
-            raise ValueError("n must be positive")
-        self.n = n
-
-    def tokenize(self, text: str) -> list[str]:
-        compact = re.sub(r"\s+", " ", text.strip().lower())
-        if len(compact) < self.n:
-            return [compact] if compact else []
-        return [compact[i : i + self.n] for i in range(len(compact) - self.n + 1)]

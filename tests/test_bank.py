@@ -19,7 +19,6 @@ from repro.index.partitioner import partition_topical
 from repro.metrics import GroundTruth
 from repro.nn.layers import StackedDense
 from repro.predictors import (
-    LatencyBinning,
     PredictorBank,
     QualityPredictor,
     ShardLatencyDataset,
@@ -224,18 +223,12 @@ class TestResidentWeights:
     def test_fused_stacks_are_the_weights(self, unit_testbed):
         assert_stacks_are_the_weights(unit_testbed.bank)
 
-    def test_loaded_bank_fuses_into_the_same_storage(self, unit_testbed, tmp_path):
-        unit_testbed.bank.save(tmp_path / "bank.npz")
-        restored = PredictorBank.load(tmp_path / "bank.npz", unit_testbed.cluster)
-        assert restored.predict(unit_testbed.wikipedia_trace[0])
-        assert_stacks_are_the_weights(restored)
-
     def test_weight_stacks_are_allocated_once_at_construction(
-        self, unit_testbed, unit_train_queries, unit_truth, monkeypatch, tmp_path
+        self, unit_testbed, unit_train_queries, unit_truth, monkeypatch
     ):
         """The bank allocates its stacks when it is built, every Dense is a
         view of them from the start, and nothing later replaces them:
-        neither training, nor fusing, nor loading a saved bank."""
+        neither training nor fusing."""
         allocated = []
         like = StackedDense.like.__func__
 
@@ -260,16 +253,6 @@ class TestResidentWeights:
         assert all(f.stack is w for f, w in zip(fused, bank.weight_stacks, strict=True))
         assert all(a is b for a, b in zip(stack_arrays(bank), arrays, strict=True))
         assert_stacks_are_the_weights(bank)
-
-        bank.save(tmp_path / "bank.npz")
-        allocated.clear()
-        restored = PredictorBank.load(tmp_path / "bank.npz", unit_testbed.cluster)
-        assert restored.predict(unit_testbed.wikipedia_trace[0])
-        assert all(
-            a is b for a, b in zip(stack_arrays(restored), allocated, strict=True)
-        )
-        assert_stacks_are_the_weights(restored, restored.weight_stacks)
-        assert_stacks_are_the_weights(restored)
 
     def test_training_leaves_nothing_in_the_cluster_memo(
         self, unit_testbed, unit_train_queries, monkeypatch
@@ -327,45 +310,6 @@ class TestShardBuildBuffer:
         vocabulary = set(tokens)
         assert len(tokens) > 5 * len(vocabulary)
         assert len({id(token) for token in tokens}) == len(vocabulary)
-
-
-class TestBankPersistence:
-    BINNING = LatencyBinning.logarithmic(n_bins=10)
-
-    @pytest.fixture(scope="class")
-    def saved(self, unit_testbed, unit_train_queries, unit_truth, tmp_path_factory):
-        bank = PredictorBank(unit_testbed.cluster, binning=self.BINNING)
-        bank.train(
-            unit_train_queries, truth=unit_truth,
-            quality_iterations=QUALITY_ITERATIONS,
-            latency_iterations=LATENCY_ITERATIONS,
-        )
-        path = tmp_path_factory.mktemp("bank") / "bank.npz"
-        bank.save(path)
-        return bank, path
-
-    def test_load_keeps_a_non_default_latency_binning(self, unit_testbed, saved):
-        bank, path = saved
-        restored = PredictorBank.load(path, unit_testbed.cluster)
-        assert all(p.binning == self.BINNING for p in restored.latency_models)
-        assert restored.weight_stacks[2].ops[-1].W.shape[-1] == 10
-        for query in list(unit_testbed.wikipedia_trace)[:20]:
-            assert restored.predict(query) == bank.predict(query)
-
-    def test_load_refuses_shards_that_disagree_on_the_binning(
-        self, unit_testbed, saved, tmp_path
-    ):
-        _, path = saved
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
-        arrays["shard3.latency.binning.edges"] = np.asarray(
-            LatencyBinning.logarithmic(hi_ms=150.0, n_bins=10).edges_ms
-        )
-        np.savez(tmp_path / "mixed.npz", **arrays)
-        with pytest.raises(
-            ValueError, match=r"^.*mixed\.npz: shards disagree on the latency binning$"
-        ):
-            PredictorBank.load(tmp_path / "mixed.npz", unit_testbed.cluster)
 
 
 class TestTrainingValidation:

@@ -194,11 +194,9 @@ class TestPackageReport:
 
 
 class TestNetworkModel:
-    def test_delay_and_rtt(self):
+    def test_delay_is_base_plus_transfer(self):
         net = NetworkModel(base_delay_ms=0.05, bandwidth_gbps=10.0)
-        delay = net.delay_ms(payload_bytes=1250)
-        assert delay == pytest.approx(0.05 + 0.001)
-        assert net.rtt_ms(1250) == pytest.approx(2 * delay)
+        assert net.delay_ms(payload_bytes=1250) == pytest.approx(0.05 + 0.001)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,11 @@ class TestFaultSchedule:
         assert schedule.is_down(0, 15.0)
         assert not schedule.is_down(0, 30.0)
         assert schedule.is_down(0, 55.0)
-        assert schedule.downtime_ms(0) == 20.0
+        for start, end in ((10.0, 20.0), (50.0, 60.0)):
+            assert not schedule.is_down(0, np.nextafter(start, -np.inf))
+            assert schedule.is_down(0, start)
+            assert schedule.is_down(0, np.nextafter(end, -np.inf))
+            assert not schedule.is_down(0, end)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -111,9 +115,17 @@ class TestPerReplicaFaults:
                 Outage(0, 20.0, 25.0, replica_id=1),
             ]
         )
-        assert schedule.downtime_ms(0) == 15.0
-        assert schedule.downtime_ms(0, replica_id=1) == 15.0
-        assert schedule.downtime_ms(0, replica_id=0) == 10.0
+        before_end = np.nextafter(25.0, -np.inf)
+        for replica_id, down in ((0, False), (1, True)):
+            # The all-replica window covers every replica, edge to edge.
+            assert schedule.is_down(0, 0.0, replica_id)
+            assert schedule.is_down(0, np.nextafter(10.0, -np.inf), replica_id)
+            assert not schedule.is_down(0, 10.0, replica_id)
+            # The replica-1 window covers replica 1 only.
+            assert not schedule.is_down(0, np.nextafter(20.0, -np.inf), replica_id)
+            assert schedule.is_down(0, 20.0, replica_id) is down
+            assert schedule.is_down(0, before_end, replica_id) is down
+            assert not schedule.is_down(0, 25.0, replica_id)
 
 
 class TestRandomTimelines:

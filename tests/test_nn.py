@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from repro.nn import (
     Adam,
     Dense,
-    Dropout,
-    MeanSquaredError,
     ReLU,
-    SGD,
     Sequential,
     SparseCategoricalCrossentropy,
     StackedDense,
     StackedSequential,
     StandardScaler,
-    StepDecay,
     TrainingHistory,
     mlp_classifier,
     softmax,
@@ -58,9 +54,9 @@ class TestDense:
     def test_gradient_check_bias(self):
         rng = np.random.default_rng(2)
         model = Sequential([Dense(3, 2, rng=rng)])
-        loss = MeanSquaredError()
+        loss = SparseCategoricalCrossentropy()
         x = rng.normal(size=(4, 3))
-        y = rng.normal(size=(4, 2))
+        y = rng.integers(0, 2, size=4)
         out = model.forward(x, training=True)
         _, grad = loss.compute(out, y)
         model.backward(grad)
@@ -123,21 +119,6 @@ class TestActivations:
         grad = relu.backward(np.ones_like(x))
         np.testing.assert_array_equal(grad, [[0.0, 0.0, 1.0]])
 
-    def test_dropout_inference_identity(self):
-        drop = Dropout(0.5)
-        x = np.ones((3, 4))
-        np.testing.assert_array_equal(drop.forward(x, training=False), x)
-
-    def test_dropout_preserves_expectation(self):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((2000, 10))
-        out = drop.forward(x, training=True)
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_dropout_validation(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
 
 class TestLosses:
     def test_softmax_rows_sum_to_one(self):
@@ -155,12 +136,6 @@ class TestLosses:
         with pytest.raises(ValueError):
             loss.compute(np.zeros((2, 3)), np.array([0, 5]))
 
-    def test_mse(self):
-        loss = MeanSquaredError()
-        value, grad = loss.compute(np.array([[1.0], [3.0]]), np.array([0.0, 3.0]))
-        assert value == pytest.approx(0.5)
-        assert grad.shape == (2, 1)
-
 
 class TestOptimizers:
     def _quadratic_descends(self, optimizer):
@@ -170,38 +145,14 @@ class TestOptimizers:
             optimizer.step([(param, grad)])
         return abs(float(param[0, 0]))
 
-    def test_sgd_converges(self):
-        assert self._quadratic_descends(SGD(learning_rate=0.1)) < 1e-3
-
-    def test_sgd_momentum_converges(self):
-        assert self._quadratic_descends(SGD(learning_rate=0.05, momentum=0.9)) < 1e-2
-
     def test_adam_converges(self):
         assert self._quadratic_descends(Adam(learning_rate=0.1)) < 1e-2
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            SGD(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            Adam(beta1=1.0)
-        with pytest.raises(ValueError):
-            Adam(weight_decay=-0.1)
+            Adam(learning_rate=0.0)
 
-    def test_weight_decay_shrinks_parameters(self):
-        param_plain = np.array([[5.0]])
-        param_decayed = np.array([[5.0]])
-        plain = Adam(learning_rate=0.01)
-        decayed = Adam(learning_rate=0.01, weight_decay=0.5)
-        zero_grad = np.zeros_like(param_plain)
-        for _ in range(100):
-            plain.step([(param_plain, zero_grad)])
-            decayed.step([(param_decayed, zero_grad)])
-        assert abs(param_decayed[0, 0]) < abs(param_plain[0, 0])
-
-    @pytest.mark.parametrize(
-        "make", [lambda: Adam(learning_rate=0.01), lambda: SGD(0.01, momentum=0.9)]
-    )
-    def test_state_buffers_allocated_on_first_step_only(self, make, monkeypatch):
+    def test_state_buffers_allocated_on_first_step_only(self, monkeypatch):
         import repro.nn.optimizers as optimizers
 
         calls = []
@@ -211,7 +162,7 @@ class TestOptimizers:
         )
         rng = np.random.default_rng(0)
         params = [rng.normal(size=(4, 3)), rng.normal(size=(1, 3))]
-        optimizer = make()
+        optimizer = Adam(learning_rate=0.01)
         optimizer.step([(p, rng.normal(size=p.shape)) for p in params])
         first = len(calls)
         assert first > 0
@@ -226,38 +177,16 @@ class TestOptimizers:
         expected = param.copy()
         m = np.zeros_like(expected)
         v = np.zeros_like(expected)
-        adam = Adam(learning_rate=0.01, weight_decay=0.1)
+        adam = Adam(learning_rate=0.01)
         for t in range(1, 8):
             grad = rng.normal(size=param.shape)
             adam.step([(param, grad)])
             m = m * 0.9 + (1.0 - 0.9) * grad
             v = v * 0.999 + (1.0 - 0.999) * grad**2
-            expected *= 1.0 - 0.01 * 0.1
             expected -= 0.01 * (m / (1.0 - 0.9**t)) / (
-                np.sqrt(v / (1.0 - 0.999**t)) + adam.epsilon
+                np.sqrt(v / (1.0 - 0.999**t)) + 1e-8
             )
         assert np.array_equal(param, expected)
-
-    def test_step_decay_halves_rate(self):
-        schedule = StepDecay(Adam(learning_rate=0.1), every=10, factor=0.5)
-        param = np.array([[1.0]])
-        grad = np.zeros_like(param)
-        for _ in range(10):
-            schedule.step([(param, grad)])
-        assert schedule.learning_rate == pytest.approx(0.05)
-        for _ in range(10):
-            schedule.step([(param, grad)])
-        assert schedule.learning_rate == pytest.approx(0.025)
-
-    def test_step_decay_still_converges(self):
-        schedule = StepDecay(Adam(learning_rate=0.2), every=100, factor=0.5)
-        assert self._quadratic_descends(schedule) < 1e-2
-
-    def test_step_decay_validation(self):
-        with pytest.raises(ValueError):
-            StepDecay(Adam(), every=0)
-        with pytest.raises(ValueError):
-            StepDecay(Adam(), every=5, factor=1.5)
 
 
 class TestSequential:
@@ -328,28 +257,14 @@ class TestSequential:
         model = mlp_classifier(3, 2, hidden_layers=1, hidden_units=4)
         assert model.predict(np.zeros(3)).shape == (1, 2)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(50, 3))
-        y = rng.integers(0, 2, size=50)
-        model = mlp_classifier(3, 2, hidden_layers=1, hidden_units=8)
-        model.fit(x, y, iterations=20)
-        path = tmp_path / "model.npz"
-        model.save(path)
-        clone = mlp_classifier(3, 2, hidden_layers=1, hidden_units=8, seed=99)
-        clone.load(path)
-        np.testing.assert_array_equal(model.predict(x), clone.predict(x))
-
     def test_empty_layers_rejected(self):
         with pytest.raises(ValueError):
             Sequential([])
 
     @staticmethod
-    def _dropout_model():
+    def _small_model():
         rng = np.random.default_rng(0)
-        return Sequential(
-            [Dense(3, 8, rng=rng), ReLU(), Dropout(0.5, rng=rng), Dense(8, 2, rng=rng)]
-        )
+        return Sequential([Dense(3, 8, rng=rng), ReLU(), Dense(8, 2, rng=rng)])
 
     @staticmethod
     def _assert_released(model):
@@ -360,7 +275,7 @@ class TestSequential:
     def test_fit_releases_gradients_and_caches(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(40, 3))
-        model = self._dropout_model()
+        model = self._small_model()
         model.fit(x, rng.integers(0, 2, size=40), iterations=5, batch_size=8)
         self._assert_released(model)
 
@@ -368,7 +283,7 @@ class TestSequential:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(40, 3))
         y = rng.integers(0, 2, size=40)
-        model = self._dropout_model()
+        model = self._small_model()
         with pytest.raises(ValueError):  # the eval set has the wrong width
             model.fit(x, y, iterations=5, eval_set=(x[:, :2], y), eval_every=1)
         self._assert_released(model)
@@ -381,20 +296,20 @@ class TestSequential:
         x = rng.normal(size=(40, 3))
         y = rng.integers(0, 2, size=40)
 
-        class FailsThirdCall(SparseCategoricalCrossentropy):
+        class FailsThirdStep(Adam):
             calls = 0
 
-            def compute(self, outputs, targets):
-                FailsThirdCall.calls += 1
-                if FailsThirdCall.calls == 3:
+            def step(self, params):
+                FailsThirdStep.calls += 1
+                if FailsThirdStep.calls == 3:
                     raise RuntimeError("boom")
-                return super().compute(outputs, targets)
+                super().step(params)
 
-        model, two_steps = self._dropout_model(), self._dropout_model()
+        model, two_steps = self._small_model(), self._small_model()
         dense = [layer for layer in model.layers if isinstance(layer, Dense)]
         own = [(layer.W, layer.b) for layer in dense]
         with pytest.raises(RuntimeError, match="^boom$"):
-            model.fit(x, y, iterations=5, batch_size=8, loss=FailsThirdCall())
+            model.fit(x, y, iterations=5, batch_size=8, optimizer=FailsThirdStep())
         assert all(
             layer.W is W and layer.b is b for layer, (W, b) in zip(dense, own)
         )
@@ -466,12 +381,6 @@ class TestScaler:
         with pytest.raises(ValueError):
             StandardScaler().fit(np.zeros(5))
 
-    def test_state_roundtrip(self):
-        scaler = StandardScaler().fit(np.random.default_rng(0).normal(size=(20, 3)))
-        clone = StandardScaler.from_state(scaler.state())
-        x = np.random.default_rng(1).normal(size=(5, 3))
-        np.testing.assert_allclose(scaler.transform(x), clone.transform(x))
-
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -493,14 +402,14 @@ def test_dense_linearity(batch, n_in, n_out):
 
 # ------------------------------------------------------------------ flat fit
 # ``Sequential.fit`` trains one flat parameter buffer.  The reference below
-# is the per-parameter loop it replaced, with the textbook optimizers (one
+# is the per-parameter loop it replaced, with a textbook Adam (one
 # temporary per operation, one state entry per weight array): the two must
 # agree bit for bit.
 
 
 class TextbookAdam:
-    def __init__(self, learning_rate, weight_decay=0.0):
-        self.learning_rate, self.weight_decay = learning_rate, weight_decay
+    def __init__(self, learning_rate):
+        self.learning_rate = learning_rate
         self.beta1, self.beta2, self.epsilon = 0.9, 0.999, 1e-8
         self.moments, self.t = {}, 0
 
@@ -518,30 +427,13 @@ class TextbookAdam:
             v += (1.0 - self.beta2) * grad**2
             m_hat = m / bias1
             v_hat = v / bias2
-            if self.weight_decay:
-                param *= 1.0 - self.learning_rate * self.weight_decay
             param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
-class TextbookSGD:
-    def __init__(self, learning_rate, momentum=0.0):
-        self.learning_rate, self.momentum = learning_rate, momentum
-        self.velocity = {}
-
-    def step(self, params):
-        for param, grad in params:
-            if self.momentum:
-                vel = self.velocity.setdefault(id(param), np.zeros_like(param))
-                vel *= self.momentum
-                vel -= self.learning_rate * grad
-                param += vel
-            else:
-                param -= self.learning_rate * grad
-
-
-def reference_fit(model, x, y, iterations, batch_size, loss, optimizer, seed,
+def reference_fit(model, x, y, iterations, batch_size, optimizer, seed,
                   eval_set=None, eval_every=0):
     """The per-parameter training loop: one optimizer entry per W and b."""
+    loss = SparseCategoricalCrossentropy()
     rng = np.random.default_rng(seed)
     history = TrainingHistory()
     dense = [layer for layer in model.layers if isinstance(layer, Dense)]
@@ -567,83 +459,51 @@ def reference_fit(model, x, y, iterations, batch_size, loss, optimizer, seed,
     return history
 
 
-OPTIMIZERS = {
-    "adam": (lambda: Adam(learning_rate=0.01), lambda: TextbookAdam(0.01)),
-    "adam-decay": (
-        lambda: Adam(learning_rate=0.01, weight_decay=0.1),
-        lambda: TextbookAdam(0.01, weight_decay=0.1),
-    ),
-    "sgd": (lambda: SGD(learning_rate=0.05), lambda: TextbookSGD(0.05)),
-    "sgd-momentum": (
-        lambda: SGD(learning_rate=0.05, momentum=0.9),
-        lambda: TextbookSGD(0.05, momentum=0.9),
-    ),
-}
-
-
-def layered_model(seed, n_features, widths, dropout, n_out):
+def layered_model(seed, n_features, widths, n_out):
     rng = np.random.default_rng(seed)
     layers, width_in = [], n_features
     for width in widths:
         layers += [Dense(width_in, width, rng=rng), ReLU()]
-        if dropout:
-            layers.append(Dropout(dropout, rng=rng))
         width_in = width
     return Sequential(layers + [Dense(width_in, n_out, rng=rng)])
 
 
-@pytest.mark.parametrize("loss_name", ["xent", "mse"])
-@pytest.mark.parametrize("optimizer_name", sorted(OPTIMIZERS))
-@pytest.mark.parametrize("step_decay", [False, True])
 @pytest.mark.parametrize("full_batch", [False, True])
 @given(
     seed=st.integers(0, 2**16),
     n=st.integers(2, 24),
     n_features=st.integers(1, 4),
     widths=st.lists(st.integers(1, 9), max_size=3),
-    dropout=st.sampled_from([0.0, 0.3]),
     n_classes=st.integers(2, 4),
     iterations=st.integers(1, 12),
     batch_fraction=st.floats(0.0, 1.0),
     eval_every=st.integers(0, 4),
 )
 def test_flat_fit_is_the_per_parameter_fit(
-    loss_name, optimizer_name, step_decay, full_batch, seed, n, n_features,
-    widths, dropout, n_classes, iterations, batch_fraction, eval_every,
+    full_batch, seed, n, n_features, widths, n_classes, iterations,
+    batch_fraction, eval_every,
 ):
     """Weights, ``history.loss`` and ``eval_accuracy`` bit for bit, over
-    Dense/ReLU/Dropout stacks, both losses, both optimizers with and
-    without their extra term, with and without ``StepDecay``, and batches
+    Dense/ReLU stacks trained with Adam and cross-entropy, and batches
     that cover the data (``batch_size >= n``) or do not."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, n_features))
-    if loss_name == "xent":
-        loss, n_out = SparseCategoricalCrossentropy(), n_classes
-        y = rng.integers(0, n_classes, size=n)
-        eval_set = (x, y)
-    else:
-        loss, n_out = MeanSquaredError(), 1
-        y = rng.normal(size=n)
-        eval_set, eval_every = None, 0
+    y = rng.integers(0, n_classes, size=n)
     if full_batch:
         batch_size = n + int(batch_fraction * 8)
     else:
         batch_size = 1 + int(batch_fraction * (n - 2))
-    make, make_reference = OPTIMIZERS[optimizer_name]
-    optimizer, reference_optimizer = make(), make_reference()
-    if step_decay:
-        optimizer = StepDecay(optimizer, every=3, factor=0.5)
-        reference_optimizer = StepDecay(reference_optimizer, every=3, factor=0.5)
-    model = layered_model(seed, n_features, widths, dropout, n_out)
-    reference = layered_model(seed, n_features, widths, dropout, n_out)
+    model = layered_model(seed, n_features, widths, n_classes)
+    reference = layered_model(seed, n_features, widths, n_classes)
 
     history = model.fit(
-        x, y, iterations=iterations, batch_size=batch_size, loss=loss,
-        optimizer=optimizer, seed=seed, eval_set=eval_set, eval_every=eval_every,
+        x, y, iterations=iterations, batch_size=batch_size,
+        optimizer=Adam(learning_rate=0.01), seed=seed, eval_set=(x, y),
+        eval_every=eval_every,
     )
     expected = reference_fit(
-        reference, x, y, iterations, batch_size, loss, reference_optimizer, seed,
-        eval_set=eval_set, eval_every=eval_every,
+        reference, x, y, iterations, batch_size, TextbookAdam(0.01), seed,
+        eval_set=(x, y), eval_every=eval_every,
     )
     assert np.array(history.loss).tobytes() == np.array(expected.loss).tobytes()
     assert history.eval_iterations == expected.eval_iterations

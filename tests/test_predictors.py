@@ -82,6 +82,31 @@ class TestLatencyBinning:
         with pytest.raises(ValueError):
             LatencyBinning.logarithmic(n_bins=1)
 
+    def test_two_bins_rejected(self):
+        """Two bins are one edge, and a bin center needs two: such a
+        predictor used to fit, then raise IndexError on every prediction."""
+        with pytest.raises(ValueError, match=r"^need at least three bins, got n_bins=2$"):
+            LatencyBinning.logarithmic(n_bins=2)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [(), (5.0,), (5.0, 2.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 2.0),
+         (1.0, float("nan")), (1.0, float("inf"))],
+    )
+    def test_unusable_edges_rejected(self, edges):
+        """Empty, single, unordered, repeated, non-positive or non-finite
+        edges used to be accepted, and ``searchsorted`` misbinned."""
+        with pytest.raises(ValueError, match=r"^latency bin edges must be at least two"):
+            LatencyBinning(edges)
+
+    def test_fewest_bins_predict(self):
+        x = np.random.default_rng(0).normal(size=(40, 15))
+        model = LatencyPredictor(
+            LatencyBinning.logarithmic(n_bins=3), hidden_layers=1, hidden_units=4
+        )
+        model.fit(x, np.exp(x[:, 0] + 2.0), iterations=5)
+        assert (model.predict_service_ms(x) > 0).all()
+
 
 class TestLatencyPredictor:
     def _toy(self, n=400, seed=0):

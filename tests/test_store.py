@@ -487,7 +487,8 @@ class TestStoreBackedCluster:
         a wall-clock artifact)."""
         pack_shards(shards, tmp_path)
         cluster = SearchCluster(open_stores(tmp_path), k=10)
-        cluster.set_decode_cache(1)
+        for shard in cluster.shards:
+            shard.arena.set_cache_budget(1)
         squeezed = cluster.run_trace(make_trace(), ExhaustivePolicy())
         assert squeezed.decode_evictions > 0
         reference = SearchCluster(shards, k=10).run_trace(
@@ -495,15 +496,6 @@ class TestStoreBackedCluster:
         )
         assert run_fingerprint(squeezed) == run_fingerprint(reference)
         assert reference.decode_evictions == 0
-
-    def test_set_decode_cache_touches_only_compressed_shards(
-        self, shards, tmp_path
-    ):
-        pack_shards(shards, tmp_path)
-        lazy = open_stores(tmp_path)
-        assert SearchCluster(lazy, k=10).set_decode_cache(4096) == len(shards)
-        # In-memory shards have no decode cache and must not grow one.
-        assert SearchCluster(shards, k=10).set_decode_cache(4096) == 0
 
 
 # -------------------------------------------------- property-based sweep

@@ -10,7 +10,6 @@ from repro.text import (
     StopwordFilter,
     WhitespaceAnalyzer,
 )
-from repro.text.tokenizer import NGramTokenizer
 
 
 class TestSimpleTokenizer:
@@ -39,20 +38,6 @@ class TestSimpleTokenizer:
 
     def test_preserves_duplicates_and_order(self):
         assert SimpleTokenizer().tokenize("a b a") == ["a", "b", "a"]
-
-
-class TestNGramTokenizer:
-    def test_trigrams(self):
-        assert NGramTokenizer(3).tokenize("abcd") == ["abc", "bcd"]
-
-    def test_short_input_returned_whole(self):
-        assert NGramTokenizer(5).tokenize("ab") == ["ab"]
-
-    def test_empty(self):
-        assert NGramTokenizer(3).tokenize("") == []
-
-    def test_normalizes_whitespace(self):
-        assert NGramTokenizer(3).tokenize("a  b") == ["a b"]
 
 
 class TestStopwordFilter:

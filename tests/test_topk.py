@@ -36,15 +36,12 @@ class TestTopK:
         collector = TopKCollector(3)
         collector.offer(1, 5.0)
         assert collector.threshold() == float("-inf")
-        assert collector.would_enter(-100.0)
 
     def test_threshold_after_full(self):
         collector = TopKCollector(2)
         collector.offer(1, 5.0)
         collector.offer(2, 3.0)
         assert collector.threshold() == 3.0
-        assert collector.would_enter(3.0)  # ties may enter
-        assert not collector.would_enter(2.9)
 
     def test_offer_returns_entry_status(self):
         collector = TopKCollector(1)
@@ -138,12 +135,6 @@ class TestThresholdTieSemantics:
         before = collector.threshold()
         assert collector.offer(15, 1.0)
         assert collector.threshold() == before
-
-    def test_would_enter_admits_exact_tie(self):
-        collector = TopKCollector(1)
-        collector.offer(5, 3.0)
-        assert collector.would_enter(3.0)
-        assert not collector.would_enter(3.0 - 1e-12)
 
     def test_threshold_is_minus_inf_until_kth_insert(self):
         collector = TopKCollector(3)
