@@ -34,7 +34,6 @@ from repro.core import (
     BudgetInput,
     CottageISNPolicy,
     CottagePolicy,
-    CottageWithoutMLPolicy,
     determine_time_budget,
 )
 from repro.index import Document, IndexBuilder, IndexShard, build_shards, partition
@@ -68,7 +67,6 @@ __all__ = [
     "BudgetDecision",
     "determine_time_budget",
     "CottagePolicy",
-    "CottageWithoutMLPolicy",
     "CottageISNPolicy",
     "ExhaustivePolicy",
     "AggregationPolicy",

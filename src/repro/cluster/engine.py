@@ -293,8 +293,9 @@ class SearchCluster:
         """Offline service-time oracle (no queueing): one query, one shard.
 
         Used for predictor training labels, for the frequency-sweep
-        experiment (Fig. 4) and by the oracle policy, which passes its
-        run's ``telemetry`` for the searches it causes.
+        experiment (Fig. 4) and by the oracle's exact estimates
+        (:class:`repro.core.sources.ExactEstimates`), which pass their
+        run's ``telemetry`` for the searches they cause.
         """
         freq = freq_ghz if freq_ghz is not None else self.freq_scale.default_ghz
         result = self.searcher.search_shard(shard_id, query, telemetry)

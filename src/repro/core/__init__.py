@@ -1,19 +1,22 @@
 """Cottage — the paper's primary contribution.
 
 ``budget`` implements Algorithm 1 (time budget determination); ``cottage``
-the coordinated policy built on the predictor bank; ``variants`` the two
-ablations of Section V-D.
+the coordinated policy over an estimate source; ``sources`` the Taily and
+exact sources (Cottage-withoutML and the oracle); ``variants`` the
+uncoordinated Cottage-ISN ablation.
 """
 
 from repro.core.budget import BudgetDecision, BudgetInput, determine_time_budget
 from repro.core.cottage import CottagePolicy
-from repro.core.variants import CottageISNPolicy, CottageWithoutMLPolicy
+from repro.core.sources import ExactEstimates, TailyEstimates
+from repro.core.variants import CottageISNPolicy
 
 __all__ = [
     "BudgetInput",
     "BudgetDecision",
     "determine_time_budget",
     "CottagePolicy",
-    "CottageWithoutMLPolicy",
+    "TailyEstimates",
+    "ExactEstimates",
     "CottageISNPolicy",
 ]

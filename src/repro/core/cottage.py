@@ -6,6 +6,8 @@ quality contribution (NN over Table-I features) and its service latency
 Algorithm 1 over the reported tuples, cuts zero-quality and
 slow-zero-K/2-quality ISNs, sets the minimal time budget, and boosts the
 CPU frequency of kept ISNs whose current-frequency latency exceeds it.
+Over another estimate source (:mod:`repro.core.sources`) it is
+Cottage-withoutML or the oracle.
 """
 
 from __future__ import annotations
@@ -16,15 +18,15 @@ from repro.cluster.cpu import scaled_service_ms
 from repro.cluster.network import NetworkModel
 from repro.cluster.types import ClusterView, Decision
 from repro.core.budget import BudgetInput, Survivor, assign_budget, cut_zero_quality
+from repro.core.sources import EstimateSource
 from repro.policies.base import BasePolicy
-from repro.predictors.bank import PredictorBank
 from repro.retrieval.query import Query
 from repro.telemetry import NO_TELEMETRY, Telemetry
 
 
 #: Boost an ISN already at ``BOOST_MARGIN * budget`` predicted latency
 #: rather than exactly at the budget, absorbing latency under-prediction
-#: (1.0 is the paper's literal rule; Algorithm 1 takes either).
+#: (1.0 is the paper's literal rule, and the oracle's).
 BOOST_MARGIN = 0.8
 
 
@@ -36,7 +38,6 @@ class _StaticRow(NamedTuple):
     service_ms: dict[int, float]  # predicted S by shard
     cut_zero: tuple[int, ...]  # Algorithm 1's stage 1 over ``rows`` ...
     survivors: list[Survivor]  # ... and what its stage 2 walks
-    coordination_delay_ms: float  # Fig. 5 steps 1-5
 
 
 class CottagePolicy(BasePolicy):
@@ -46,19 +47,21 @@ class CottagePolicy(BasePolicy):
 
     def __init__(
         self,
-        bank: PredictorBank,
+        source: EstimateSource,
         budget_slack: float = 1.3,
         cut_confidence: float = 0.9,
         half_cut_confidence: float = 0.75,
         enable_boost: bool = True,
         pivot_on_full_k: bool = False,
+        boost_margin: float = BOOST_MARGIN,
         network: NetworkModel | None = None,
     ) -> None:
         """
         Parameters
         ----------
-        bank:
-            Trained per-shard predictor bank.
+        source:
+            Per-shard estimates: a trained predictor bank (Cottage) or a
+            :mod:`repro.core.sources` source, whose ``policy_name`` it takes.
         budget_slack:
             Multiplier applied to Algorithm 1's budget before broadcast.
             The latency predictor is a bin classifier, so roughly half of
@@ -88,22 +91,35 @@ class CottagePolicy(BasePolicy):
             Ablation switch: pivot stage 2 on Q^K instead of Q^{K/2} —
             never sacrifice any top-K contributor, at the cost of a larger
             budget (the ``beyond.ablation_budget_rule`` claim).
+        boost_margin:
+            A kept ISN boosts once its current-frequency latency passes
+            this share of the budget (:data:`BOOST_MARGIN`).
         network:
-            Network model used to charge the predict-and-report round.
+            Network model used to charge the predict-and-report round; a
+            source with no inference overhead asks no ISN, so pays none.
         """
-        if not bank.trained:
+        if not source.trained:
             raise ValueError("predictor bank must be trained first")
         if budget_slack < 1.0:
             raise ValueError("budget slack cannot shrink the budget")
         if not 0.0 <= cut_confidence <= 1.0 or not 0.0 <= half_cut_confidence <= 1.0:
             raise ValueError("confidence gates must be in [0, 1]")
-        self.bank = bank
+        if not 0.0 < boost_margin <= 1.0:
+            raise ValueError("boost_margin must be in (0, 1]")
+        self.source = source
+        self.name = getattr(source, "policy_name", CottagePolicy.name)
         self.budget_slack = budget_slack
         self.cut_confidence = cut_confidence
         self.half_cut_confidence = half_cut_confidence
         self.enable_boost = enable_boost
         self.pivot_on_full_k = pivot_on_full_k
-        self.network = network or NetworkModel()
+        self.boost_margin = boost_margin
+        # Steps 1-5 of Fig. 5 (broadcast, parallel inference, report
+        # back): two one-way messages beyond the dispatch the aggregator
+        # already charges, plus the slowest ISN's inference time.
+        overhead = source.coordination_overhead_ms()
+        network = network or NetworkModel()
+        self.coordination_delay_ms = 2.0 * network.delay_ms() + overhead if overhead > 0 else 0.0
         # Per distinct term tuple, everything about a decision that does
         # not depend on the live queues (see _static_row); valid for the
         # frequency pair it was built with.
@@ -136,9 +152,9 @@ class CottagePolicy(BasePolicy):
         S*f_d/f_max)`` — the confidence gates and both Eq.-1 scalings
         depend only on the (memoized) predictions, the policy's knobs and
         the cluster's frequency pair — plus the predicted service times
-        by shard that ride along on the :class:`Decision`, Algorithm 1's
-        stage 1 over those rows, and the coordination delay.  A miss asks
-        the bank, recording into the run's session (``view.telemetry``).
+        by shard that ride along on the :class:`Decision` and Algorithm
+        1's stage 1 over those rows.  A miss asks the source once,
+        recording into the run's session (``view.telemetry``).
         """
         freqs = (view.default_freq_ghz, view.max_freq_ghz)
         if freqs != self._static_freqs:
@@ -149,11 +165,14 @@ class CottagePolicy(BasePolicy):
             default_ghz, max_ghz = freqs
             rows: list[tuple[int, int, int, float, float]] = []
             service_ms: dict[int, float] = {}
-            telemetry = view.telemetry
-            for prediction, (q_k, q_half) in zip(
-                self.bank.predict(query, telemetry), self._qualities(query, telemetry)
-            ):
+            gated = self._gated
+            for prediction in self.source.predict(query, view.telemetry):
                 sid = prediction.shard_id
+                q_k = gated(prediction.quality_k, prediction.p_zero_k, self.cut_confidence)
+                q_half = gated(
+                    prediction.quality_half_k, prediction.p_zero_half,
+                    self.half_cut_confidence,
+                )
                 predicted = prediction.service_default_ms
                 current = scaled_service_ms(predicted, default_ghz, default_ghz)
                 boosted = (
@@ -168,24 +187,10 @@ class CottagePolicy(BasePolicy):
                 BudgetInput(sid, q_k, q_half, current, boosted)
                 rows.append((sid, q_k, q_half, current, boosted))
                 service_ms[sid] = predicted
-            # Steps 1-5 of Fig. 5 (broadcast, parallel inference, report
-            # back): two one-way messages beyond the dispatch the aggregator
-            # already charges, plus the slowest ISN's inference time.
-            delay = 2.0 * self.network.delay_ms() + self.bank.coordination_overhead_ms()
             static = self._static_rows[query.terms] = _StaticRow(
-                rows, service_ms, *cut_zero_quality(rows), delay
+                rows, service_ms, *cut_zero_quality(rows)
             )
         return static
-
-    def _qualities(self, query: Query, telemetry: Telemetry) -> list[tuple[int, int]]:
-        """Per shard (Q^K, Q^{K/2}) as Algorithm 1 should see them."""
-        return [
-            (
-                self._gated(p.quality_k, p.p_zero_k, self.cut_confidence),
-                self._gated(p.quality_half_k, p.p_zero_half, self.half_cut_confidence),
-            )
-            for p in self.bank.predict(query, telemetry)
-        ]
 
     @staticmethod
     def _gated(count: int, p_zero: float, confidence: float) -> int:
@@ -195,13 +200,13 @@ class CottagePolicy(BasePolicy):
         return count
 
     def prewarm(self, queries: list[Query], telemetry: Telemetry = NO_TELEMETRY) -> None:
-        """Batch-predict the whole trace through the fused kernels.
+        """Let the source batch the whole trace (the bank's fused kernels).
 
         Predictions are pure and memoized per distinct term tuple, so
         every subsequent :meth:`decide` hits the bank's cache; decisions
         are unchanged.
         """
-        self.bank.prewarm(queries, telemetry)
+        self.source.prewarm(queries, telemetry)
 
     def decide(self, query: Query, view: ClusterView) -> Decision:
         telemetry = view.telemetry
@@ -211,7 +216,7 @@ class CottagePolicy(BasePolicy):
         if not telemetry.enabled:
             static = self._static_row(query, view)
             selected, budget, boosted, cut_too_slow = assign_budget(
-                static.survivors, queues, BOOST_MARGIN
+                static.survivors, queues, self.boost_margin
             )
         else:
             # The two halves of the coordination round (paper Fig. 5 steps
@@ -224,29 +229,26 @@ class CottagePolicy(BasePolicy):
                 "policy.budget_assign", track="aggregator", qid=query.query_id
             ):
                 selected, budget, boosted, cut_too_slow = assign_budget(
-                    static.survivors, queues, BOOST_MARGIN
+                    static.survivors, queues, self.boost_margin
                 )
             metrics = telemetry.metrics
             metrics.counter("cottage.cut_zero_quality").add(len(static.cut_zero))
             metrics.counter("cottage.cut_too_slow").add(len(cut_too_slow))
             metrics.counter("cottage.boosted").add(len(boosted))
             metrics.counter("cottage.kept").add(len(selected))
-        # The bank's per-shard service predictions ride along on the
+        # The source's per-shard service estimates ride along on the
         # decision so the aggregator's hedge planner works from the same
         # estimates Algorithm 1 did.
         predicted = static.service_ms
         if not selected:
-            # Predicted zero quality everywhere — run the single most
-            # plausible shard instead of answering empty (a pure fallback;
-            # with a trained bank this is rare).
-            best = max(
-                self.bank.predict(query, telemetry),
-                key=lambda p: (p.quality_k, -p.shard_id),
-            )
+            # Every Q^K is a confident zero (say, a query no shard holds),
+            # so every shard ties: run the lowest id rather than answer
+            # empty.
+            best = min(predicted)
             return Decision(
-                shard_ids=(best.shard_id,),
-                coordination_delay_ms=static.coordination_delay_ms,
-                predicted_service_ms={best.shard_id: predicted[best.shard_id]},
+                shard_ids=(best,),
+                coordination_delay_ms=self.coordination_delay_ms,
+                predicted_service_ms={best: predicted[best]},
             )
         # Algorithm 1 always sets a budget when anything is selected.
         assert budget is not None
@@ -257,6 +259,6 @@ class CottagePolicy(BasePolicy):
             frequency_overrides=(
                 {sid: max_ghz for sid in boosted} if self.enable_boost else {}
             ),
-            coordination_delay_ms=static.coordination_delay_ms,
+            coordination_delay_ms=self.coordination_delay_ms,
             predicted_service_ms={sid: predicted[sid] for sid in selected},
         )

@@ -1,12 +1,11 @@
-"""Cottage ablation variants (paper Section V-D, Fig. 15).
+"""Cottage-ISN, the Fig. 15 ablation that drops coordination (Section V-D).
 
-* **Cottage-withoutML** swaps the NN quality predictors for Taily's Gamma
-  estimator while keeping everything else — quantifying what accurate
-  ML-based quality prediction buys.
-* **Cottage-ISN** removes the aggregator coordination: each ISN decides
-  alone, from purely local information, whether to participate and whether
-  to boost.  There is no global budget, so the aggregator waits for every
-  participating ISN — quantifying what the coordinated design buys.
+Each ISN decides alone, from purely local information, whether to
+participate and whether to boost.  There is no global budget, so the
+aggregator waits for every participating ISN — quantifying what the
+coordinated design buys.  (Cottage-withoutML keeps Algorithm 1 and swaps
+only its quality estimates: ``CottagePolicy`` over
+:class:`~repro.core.sources.TailyEstimates`.)
 """
 
 from __future__ import annotations
@@ -14,42 +13,10 @@ from __future__ import annotations
 from repro.cluster.cpu import equivalent_latency_ms
 from repro.cluster.network import NetworkModel
 from repro.cluster.types import ClusterView, Decision, QueryRecord
-from repro.core.cottage import CottagePolicy
 from repro.policies.base import BasePolicy
 from repro.predictors.bank import PredictorBank
-from repro.predictors.gamma_quality import TailyQualityEstimator
 from repro.retrieval.query import Query
 from repro.telemetry import NO_TELEMETRY, Telemetry
-
-
-class CottageWithoutMLPolicy(CottagePolicy):
-    """Cottage with Gamma-distribution quality estimates (no quality NN).
-
-    Latency prediction stays neural — the ablation isolates the quality
-    model, exactly as the paper describes: "utilizes the Gamma distribution
-    based prediction of Taily to estimate each ISN's quality contribution,
-    instead of using the Machine Learning (ML) model".
-    """
-
-    name = "cottage_without_ml"
-
-    def __init__(
-        self,
-        bank: PredictorBank,
-        estimator: TailyQualityEstimator,
-        network: NetworkModel | None = None,
-    ) -> None:
-        super().__init__(bank, network=network)
-        self.estimator = estimator
-
-    def _qualities(self, query: Query, telemetry: Telemetry) -> list[tuple[int, int]]:
-        k = self.bank.k
-        return list(
-            zip(
-                self.estimator.quality_counts(query.terms, k),
-                self.estimator.quality_counts(query.terms, max(k // 2, 1)),
-            )
-        )
 
 
 class CottageISNPolicy(BasePolicy):

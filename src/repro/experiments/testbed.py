@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from repro.cluster.engine import RunResult, SearchCluster
 from repro.cluster.types import SelectionPolicy
 from repro.core.cottage import CottagePolicy
-from repro.core.variants import CottageISNPolicy, CottageWithoutMLPolicy
+from repro.core.sources import ExactEstimates, TailyEstimates
+from repro.core.variants import CottageISNPolicy
 from repro.index.builder import build_shards
 from repro.index.csi import CentralSampleIndex
 from repro.index.partitioner import partition_topical
@@ -23,7 +24,6 @@ from repro.metrics.quality import GroundTruth
 from repro.metrics.summary import PolicySummary, summarize_run
 from repro.policies.aggregation import AggregationPolicy
 from repro.policies.exhaustive import ExhaustivePolicy
-from repro.policies.oracle import OraclePolicy
 from repro.policies.rank_s import RankSPolicy
 from repro.policies.taily import TailyPolicy
 from repro.predictors.bank import PredictorBank, TrainingReport
@@ -210,13 +210,16 @@ class Testbed:
         if name == "cottage":
             return CottagePolicy(self.bank, network=self.cluster.network)
         if name == "cottage_without_ml":
-            return CottageWithoutMLPolicy(
-                self.bank, self.taily_estimator, network=self.cluster.network
-            )
+            estimates = TailyEstimates(self.bank, self.taily_estimator)
+            return CottagePolicy(estimates, network=self.cluster.network)
         if name == "cottage_isn":
             return CottageISNPolicy(self.bank, network=self.cluster.network)
         if name == "oracle":
-            return OraclePolicy(self.cluster, self._truth)
+            # Keep every top-K contributor; no slack, no early boost.
+            return CottagePolicy(
+                ExactEstimates(self.cluster, self._truth),
+                budget_slack=1.0, boost_margin=1.0, pivot_on_full_k=True,
+            )
         raise ValueError(f"unknown policy {name!r}")
 
     BASELINES: tuple[str, ...] = ("exhaustive", "taily", "rank_s", "cottage")

@@ -3,7 +3,6 @@
 from repro.policies.aggregation import AggregationPolicy
 from repro.policies.base import BasePolicy
 from repro.policies.exhaustive import ExhaustivePolicy
-from repro.policies.oracle import OraclePolicy
 from repro.policies.rank_s import RankSPolicy
 from repro.policies.taily import TailyPolicy
 
@@ -13,5 +12,4 @@ __all__ = [
     "AggregationPolicy",
     "RankSPolicy",
     "TailyPolicy",
-    "OraclePolicy",
 ]

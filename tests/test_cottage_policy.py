@@ -1,4 +1,4 @@
-"""Unit/integration tests for the Cottage policy and its variants.
+"""Unit/integration tests for the Cottage policy, its sources and variants.
 
 These use the session-scoped trained unit testbed: Cottage requires a
 trained predictor bank, and its decisions are only meaningful against the
@@ -8,7 +8,8 @@ real index statistics.
 import pytest
 
 from repro.cluster.types import ClusterView
-from repro.core import CottageISNPolicy, CottagePolicy, CottageWithoutMLPolicy
+from repro.core import CottageISNPolicy, CottagePolicy, TailyEstimates
+from repro.retrieval import Query
 
 
 def idle_view(testbed, queue=None):
@@ -62,7 +63,6 @@ class TestCottageDecide:
         # decide runs stage 1 once per term tuple and stage 2 per call;
         # the public one-call path over the same tuples must agree.
         from repro.core import determine_time_budget
-        from repro.core.cottage import BOOST_MARGIN
 
         n = unit_testbed.cluster.n_shards
         queues = [[0.0] * n, [0.5 * sid for sid in range(n)], [7.0] + [0.0] * (n - 1)]
@@ -70,7 +70,7 @@ class TestCottageDecide:
             for queue in queues:
                 view = idle_view(unit_testbed, queue=queue)
                 expected = determine_time_budget(
-                    cottage.budget_inputs(query, view), boost_margin=BOOST_MARGIN
+                    cottage.budget_inputs(query, view), boost_margin=cottage.boost_margin
                 )
                 decision = cottage.decide(query, view)
                 if not expected.selected:
@@ -136,26 +136,53 @@ class TestCottageDecide:
             CottagePolicy(unit_testbed.bank, budget_slack=0.5)
         with pytest.raises(ValueError):
             CottagePolicy(unit_testbed.bank, cut_confidence=1.5)
+        with pytest.raises(ValueError, match="boost_margin"):
+            CottagePolicy(unit_testbed.bank, boost_margin=0.0)
+
+
+def taily_policy(testbed):
+    return CottagePolicy(TailyEstimates(testbed.bank, testbed.taily_estimator))
 
 
 class TestCottageWithoutML:
     def test_uses_gamma_counts(self, unit_testbed):
-        policy = CottageWithoutMLPolicy(
-            unit_testbed.bank, unit_testbed.taily_estimator
-        )
+        policy = taily_policy(unit_testbed)
+        assert policy.name == "cottage_without_ml"
         query = unit_testbed.wikipedia_trace[0]
         inputs = policy.budget_inputs(query, idle_view(unit_testbed))
-        gamma = unit_testbed.taily_estimator.quality_counts(
-            query.terms, unit_testbed.bank.k
+        estimator, k = unit_testbed.taily_estimator, unit_testbed.bank.k
+        assert [i.quality_k for i in inputs] == estimator.quality_counts(query.terms, k)
+        assert [i.quality_half_k for i in inputs] == estimator.quality_counts(
+            query.terms, k // 2
         )
-        assert [i.quality_k for i in inputs] == gamma
 
     def test_decides(self, unit_testbed):
-        policy = CottageWithoutMLPolicy(
-            unit_testbed.bank, unit_testbed.taily_estimator
-        )
+        policy = taily_policy(unit_testbed)
         decision = policy.decide(unit_testbed.wikipedia_trace[0], idle_view(unit_testbed))
         assert decision.shard_ids
+
+    def test_untrained_bank_rejected(self, unit_testbed):
+        from repro.predictors import PredictorBank
+
+        untrained = PredictorBank(unit_testbed.cluster)
+        with pytest.raises(ValueError):
+            CottagePolicy(TailyEstimates(untrained, unit_testbed.taily_estimator))
+
+
+@pytest.mark.parametrize("name", ["cottage", "cottage_without_ml", "oracle"])
+def test_all_zero_estimates_run_the_lowest_shard(unit_testbed, name):
+    """A query no shard holds: every source's Q^K is a confident zero, and
+    each falls back the same way — shard 0, no budget, no boost."""
+    policy = unit_testbed.make_policy(name)
+    assert policy.name == name
+    query = Query(query_id=10**6, terms=("no_shard_holds_this",))
+    view = idle_view(unit_testbed)
+    assert all(i.quality_k == 0 for i in policy.budget_inputs(query, view))
+    decision = policy.decide(query, view)
+    assert decision.shard_ids == (0,)
+    assert decision.time_budget_ms is None
+    assert decision.frequency_overrides == {}
+    assert set(decision.predicted_service_ms) == {0}
 
 
 class TestCottageISN:

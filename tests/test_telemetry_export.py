@@ -158,11 +158,13 @@ class TestFlamegraph:
 #: run, captured before the telemetry session became a per-run argument:
 #: the Perfetto JSON bytes, the JSONL spans without ``wall_ms`` and the
 #: printed metrics snapshot.  Telemetry plumbing may move; what it records
-#: may not.
+#: may not.  The metrics digest was re-captured once, when Cottage stopped
+#: asking its bank twice per static-row miss: its one moved line is
+#: ``bank.prediction_cache.hits`` 120 -> 60 (60 distinct queries).
 TRACE_PIN = {
     "perfetto": "0fe5c435c19dd890d18e5ea39f5482b58913d828c38aa5dd1bc59ff57e3e9755",
     "jsonl": "9fd0591ff7e00fe487019823efd88e4f6c0dab1abc0d94680110036a099aa7ef",
-    "metrics": "63b2be4089f74654769220df957ea8be4981175db8a3d68e94935180ec31e7e3",
+    "metrics": "94e51e18a1928fe9051746d066bc25f27ae30251c27fb524e3eb8de54e8977d7",
 }
 
 
