@@ -11,7 +11,6 @@ The subcommands cover the common workflows::
     repro trace --policy cottage --export perfetto     # telemetry-traced run
     repro faults --scale unit                          # fault scenario matrix
     repro serve --scale unit --policy cottage          # open-loop QPS sweep
-    repro lint src/repro                               # determinism linter
 
 ``python -m repro ...`` works identically.
 """
@@ -487,44 +486,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run simlint.  Exit-code contract: 0 clean, 1 findings, 2 internal error."""
-    from repro.analysis import LintEngine, get_rules
-
-    try:
-        engine = LintEngine(
-            root=Path(args.root), rules=get_rules(args.rules if args.rules else None)
-        )
-        report = engine.run([Path(p) for p in args.paths])
-    except Exception as exc:  # the contract: *any* analyzer failure is exit 2
-        print(f"simlint: internal error: {exc}", file=sys.stderr)
-        return 2
-
-    for finding in report.findings:
-        print(finding.render())
-        if args.format == "github":
-            print(finding.render_github())
-    for error in report.errors:
-        print(error.render(), file=sys.stderr)
-        if args.format == "github":
-            print(f"::error file={error.path}::{error.message}")
-    for warning in report.warnings:
-        print(warning.render(), file=sys.stderr)
-    summary = (
-        f"simlint: {report.files_scanned} file(s), "
-        f"{len(report.findings)} finding(s), {len(report.errors)} error(s)"
-    )
-    details = []
-    if report.pragma_suppressed:
-        details.append(f"{report.pragma_suppressed} pragma-suppressed")
-    if report.warnings:
-        details.append(f"{len(report.warnings)} warning(s)")
-    if details:
-        summary += " (" + ", ".join(details) + ")"
-    print(summary)
-    return report.exit_code()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -686,27 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tolerance of the model prediction (e.g. 0.25)",
     )
     serve.set_defaults(fn=_cmd_serve)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the simlint determinism analyzer (0 clean, 1 findings, 2 error)",
-    )
-    lint.add_argument(
-        "paths", nargs="+", help="files or directory trees to analyze"
-    )
-    lint.add_argument(
-        "--root", default=".",
-        help="repo root that reported paths are relative to (default: cwd)",
-    )
-    lint.add_argument(
-        "--rules", nargs="*", metavar="RULE",
-        help="run only these rule ids (default: the full registry)",
-    )
-    lint.add_argument(
-        "--format", default="text", choices=("text", "github"),
-        help="'github' additionally emits ::error workflow annotations",
-    )
-    lint.set_defaults(fn=_cmd_lint)
 
     return parser
 

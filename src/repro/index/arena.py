@@ -712,7 +712,7 @@ class CompressedPostingsArena:
     @property
     def packed_nbytes(self) -> int:
         """Bytes of the packed posting columns plus per-term metadata."""
-        return sum(  # simlint: disable=FLOAT-ORDER -- integer byte counts, order-insensitive
+        return sum(
             int(getattr(self, name).nbytes)
             for name in (
                 "offsets", "first_docs",

@@ -157,7 +157,7 @@ def maxscore_search_kernel(
     cost = CostStats(n_terms=len(terms))
     if not runs:
         return SearchResult(hits=[], cost=cost)
-    if min_postings and sum(run.size for run in runs) < min_postings:  # simlint: disable=FLOAT-ORDER -- integer posting count, order-insensitive
+    if min_postings and sum(run.size for run in runs) < min_postings:
         # Tiny workloads are dominated by per-batch numpy overhead; the
         # scalar loop is faster there and bit-identical by contract, so
         # dispatching on size cannot change any observable result.

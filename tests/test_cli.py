@@ -454,59 +454,3 @@ class TestHostileServeKnobs:
 
         found, draws = (int(n) for n in re.findall(r"\d+", err.partition("yields:")[2]))
         assert draws - found == MAX_REPEATED_DRAWS + 1
-
-#: Coordination code importing the serving layer above it: one ARCH-LAYER
-#: finding, line 2.
-UPWARD_IMPORT = '"""Core reaching up."""\nfrom repro.serving import ServingPlane\n'
-
-
-class TestLintCommand:
-    """The `repro lint` exit-code contract: 0 clean, 1 findings, 2 error."""
-
-    def write(self, tmp_path, name, source):
-        target = tmp_path / "repro" / "core" / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source)
-        return target
-
-    def lint(self, tmp_path, *extra):
-        return main(
-            ["lint", str(tmp_path / "repro"), "--root", str(tmp_path), *extra]
-        )
-
-    def test_exit_zero_on_clean_tree(self, tmp_path, capsys):
-        self.write(tmp_path, "clean.py", "def f(x):\n    return x + 1\n")
-        assert self.lint(tmp_path) == 0
-        assert "0 finding(s)" in capsys.readouterr().out
-
-    def test_exit_one_on_findings(self, tmp_path, capsys):
-        self.write(tmp_path, "dirty.py", UPWARD_IMPORT)
-        assert self.lint(tmp_path) == 1
-        out = capsys.readouterr().out
-        assert "ARCH-LAYER" in out and "dirty.py:2" in out
-
-    def test_exit_two_on_syntax_error(self, tmp_path, capsys):
-        self.write(tmp_path, "broken.py", "def broken(:\n")
-        assert self.lint(tmp_path) == 2
-        assert "syntax error" in capsys.readouterr().err
-
-    def test_exit_two_on_missing_path(self, tmp_path, capsys):
-        code = main(["lint", str(tmp_path / "nope"), "--root", str(tmp_path)])
-        assert code == 2
-        assert "internal error" in capsys.readouterr().err
-
-    def test_exit_two_on_unknown_rule(self, tmp_path, capsys):
-        self.write(tmp_path, "clean.py", "x = 1\n")
-        assert self.lint(tmp_path, "--rules", "NO-SUCH-RULE") == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_github_format_emits_annotations(self, tmp_path, capsys):
-        self.write(tmp_path, "dirty.py", UPWARD_IMPORT)
-        assert self.lint(tmp_path, "--format", "github") == 1
-        out = capsys.readouterr().out
-        assert "::error file=" in out and "title=simlint ARCH-LAYER" in out
-
-    def test_rule_subset_filter(self, tmp_path):
-        self.write(tmp_path, "dirty.py", UPWARD_IMPORT)
-        assert self.lint(tmp_path, "--rules", "ARCH-LAYER") == 1
-        assert self.lint(tmp_path, "--rules", "FLOAT-ORDER") == 0
