@@ -36,7 +36,7 @@ from repro.core import (
     CottagePolicy,
     determine_time_budget,
 )
-from repro.index import Document, IndexBuilder, IndexShard, build_shards, partition
+from repro.index import Document, IndexBuilder, IndexShard, build_shards
 from repro.metrics import GroundTruth, PolicySummary, comparison_table, summarize_run
 from repro.policies import (
     AggregationPolicy,
@@ -56,7 +56,6 @@ __all__ = [
     "IndexBuilder",
     "IndexShard",
     "build_shards",
-    "partition",
     "Query",
     "QueryTrace",
     "DistributedSearcher",

@@ -92,7 +92,6 @@ def build_scaled_shards(
                 n_docs=docs_per_shard,
                 avg_doc_length=avg_len,
                 total_tokens=total_tokens,
-                similarity=similarity,
                 arena=PostingsArena(
                     [names[t] for t in order], offsets, doc_ids, scores,
                     upper_bounds,

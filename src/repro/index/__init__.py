@@ -24,12 +24,9 @@ from repro.index.builder import (
     gather_collection_stats,
 )
 from repro.index.csi import CentralSampleIndex, SampledHit
-from repro.index.documents import Document, DocumentStore
+from repro.index.documents import Document
 from repro.index.partitioner import (
-    PARTITIONERS,
-    partition,
     partition_hash,
-    partition_random,
     partition_round_robin,
     partition_topical,
 )
@@ -49,7 +46,6 @@ from repro.index.term_stats import TermStats, TermStatsIndex, compute_term_stats
 
 __all__ = [
     "Document",
-    "DocumentStore",
     "PostingCursor",
     "END_OF_LIST",
     "IndexBuilder",
@@ -76,12 +72,9 @@ __all__ = [
     "TermStats",
     "TermStatsIndex",
     "compute_term_stats",
-    "partition",
     "partition_round_robin",
-    "partition_random",
     "partition_hash",
     "partition_topical",
-    "PARTITIONERS",
     "CentralSampleIndex",
     "SampledHit",
 ]

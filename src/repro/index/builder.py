@@ -12,7 +12,7 @@ import numpy as np
 from repro.index.arena import PostingsArena, doc_id_dtype
 from repro.index.documents import Document
 from repro.index.shard import IndexShard
-from repro.scoring.similarity import BM25Similarity, Similarity
+from repro.scoring.similarity import BM25Similarity
 from repro.text.analyzer import Analyzer, StandardAnalyzer
 
 
@@ -56,15 +56,9 @@ class IndexBuilder:
     strings the allocator could not hand back after the build).
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        analyzer: Analyzer | None = None,
-        similarity: Similarity | None = None,
-    ) -> None:
+    def __init__(self, shard_id: int, analyzer: Analyzer | None = None) -> None:
         self.shard_id = shard_id
         self.analyzer = analyzer or StandardAnalyzer()
-        self.similarity = similarity or BM25Similarity()
         self._docs: dict[int, list[str]] = {}
 
     def add(self, doc: Document) -> None:
@@ -145,10 +139,10 @@ class IndexBuilder:
             if stats is not None:
                 global_dfs[tid] = stats.doc_freq.get(term, hi - lo)
             df = int(global_dfs[tid])
-            scores[lo:hi] = self.similarity.scores(
+            scores[lo:hi] = BM25Similarity.scores(
                 tfs[lo:hi], lengths[lo:hi], df, score_n_docs, score_avg_dl
             )
-            upper = self.similarity.upper_bound(
+            upper = BM25Similarity.upper_bound(
                 int(tfs[lo:hi].max()), df, score_n_docs, score_avg_dl
             )
             # Precomputed scores can exceed the analytic bound only through
@@ -160,7 +154,6 @@ class IndexBuilder:
             n_docs=n_docs,
             avg_doc_length=avg_dl_local,
             total_tokens=total_tokens,
-            similarity=self.similarity,
             arena=PostingsArena(terms, offsets, post_doc_ids, scores, upper_bounds),
             global_dfs=global_dfs,
             n_docs_global=score_n_docs,
@@ -182,7 +175,6 @@ def gather_collection_stats(builders: list[IndexBuilder]) -> CollectionStats:
 def build_shards(
     doc_groups: list[list[Document]],
     analyzer: Analyzer | None = None,
-    similarity: Similarity | None = None,
     global_stats: bool = True,
 ) -> list[IndexShard]:
     """Build one shard per document group (the output of a partitioner).
@@ -194,7 +186,7 @@ def build_shards(
     """
     builders = []
     for shard_id, group in enumerate(doc_groups):
-        builder = IndexBuilder(shard_id, analyzer=analyzer, similarity=similarity)
+        builder = IndexBuilder(shard_id, analyzer=analyzer)
         builder.add_all(group)
         builders.append(builder)
     stats = gather_collection_stats(builders) if global_stats else None

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from repro.index.builder import IndexBuilder
 from repro.index.documents import Document
 from repro.index.shard import IndexShard
-from repro.scoring.similarity import Similarity
 from repro.text.analyzer import Analyzer
 
 
@@ -55,7 +54,6 @@ class CentralSampleIndex:
         min_per_shard: int = 5,
         seed: int = 0,
         analyzer: Analyzer | None = None,
-        similarity: Similarity | None = None,
     ) -> "CentralSampleIndex":
         """Sample ``sample_rate`` of each shard's documents and index them.
 
@@ -67,7 +65,7 @@ class CentralSampleIndex:
         if not 0.0 < sample_rate <= 1.0:
             raise ValueError("sample_rate must be in (0, 1]")
         rng = random.Random(seed)
-        builder = IndexBuilder(shard_id=-1, analyzer=analyzer, similarity=similarity)
+        builder = IndexBuilder(shard_id=-1, analyzer=analyzer)
         doc_to_shard: dict[int, int] = {}
         for shard_id, docs in enumerate(shard_docs):
             if not docs:

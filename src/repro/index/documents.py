@@ -1,9 +1,8 @@
-"""Document model and in-memory document store."""
+"""The document model."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -36,38 +35,3 @@ class Document:
             return f"{self.title} {self.text}"
         return self.text
 
-
-@dataclass
-class DocumentStore:
-    """Append-only collection of documents with id lookup.
-
-    The store is shared infrastructure: the corpus generator fills it, the
-    partitioner splits it into shard-sized slices, and the Central Sample
-    Index samples from it.
-    """
-
-    _docs: dict[int, Document] = field(default_factory=dict)
-
-    def add(self, doc: Document) -> None:
-        if doc.doc_id in self._docs:
-            raise ValueError(f"duplicate doc_id {doc.doc_id}")
-        self._docs[doc.doc_id] = doc
-
-    def add_all(self, docs: Iterator[Document] | list[Document]) -> None:
-        for doc in docs:
-            self.add(doc)
-
-    def get(self, doc_id: int) -> Document:
-        return self._docs[doc_id]
-
-    def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self._docs
-
-    def __len__(self) -> int:
-        return len(self._docs)
-
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self._docs.values())
-
-    def doc_ids(self) -> list[int]:
-        return list(self._docs.keys())

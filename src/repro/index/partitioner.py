@@ -2,14 +2,13 @@
 
 How documents are allocated to ISNs determines how much per-shard quality
 variance exists for selective search to exploit (Kulkarni & Callan, CIKM'10).
-Random allocation spreads every topic over every shard (little to cut);
+Hash allocation spreads every topic over every shard (little to cut);
 topical allocation concentrates topics, reproducing the paper's Fig. 2(b)
 where many ISNs contribute nothing to a given query.
 """
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 
 from repro.index.documents import Document
@@ -29,16 +28,14 @@ def partition_round_robin(docs: list[Document], n_shards: int) -> list[list[Docu
     return groups
 
 
-def partition_random(
-    docs: list[Document], n_shards: int, seed: int = 0
-) -> list[list[Document]]:
-    """Uniform random allocation."""
-    _validate(n_shards)
-    rng = random.Random(seed)
-    groups: list[list[Document]] = [[] for _ in range(n_shards)]
-    for doc in docs:
-        groups[rng.randrange(n_shards)].append(doc)
-    return groups
+def _hash_shard(doc_id: int, n_shards: int) -> int:
+    """Knuth's multiplicative hash of ``doc_id``, scaled onto ``n_shards``.
+
+    The shard comes from the product's high bits: its low bits would be
+    ``doc_id % n_shards`` whenever ``n_shards`` divides 16 (the multiplier
+    is 1 mod 16), i.e. round-robin on the paper's 16 ISNs.
+    """
+    return ((doc_id * 2654435761) % 2**32) * n_shards >> 32
 
 
 def partition_hash(docs: list[Document], n_shards: int) -> list[list[Document]]:
@@ -47,7 +44,7 @@ def partition_hash(docs: list[Document], n_shards: int) -> list[list[Document]]:
     _validate(n_shards)
     groups: list[list[Document]] = [[] for _ in range(n_shards)]
     for doc in docs:
-        groups[(doc.doc_id * 2654435761) % n_shards].append(doc)
+        groups[_hash_shard(doc.doc_id, n_shards)].append(doc)
     return groups
 
 
@@ -87,29 +84,6 @@ def partition_topical(
             sizes[target] += 1
 
     for doc in unlabelled:
-        target = (doc.doc_id * 2654435761) % n_shards
-        groups[target].append(doc)
+        groups[_hash_shard(doc.doc_id, n_shards)].append(doc)
     return groups
 
-
-PARTITIONERS = {
-    "round_robin": partition_round_robin,
-    "random": partition_random,
-    "hash": partition_hash,
-    "topical": partition_topical,
-}
-
-
-def partition(
-    docs: list[Document], n_shards: int, policy: str = "topical", seed: int = 0
-) -> list[list[Document]]:
-    """Dispatch to a named allocation policy."""
-    try:
-        fn = PARTITIONERS[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown partition policy {policy!r}; options: {sorted(PARTITIONERS)}"
-        ) from None
-    if fn in (partition_random, partition_topical):
-        return fn(docs, n_shards, seed=seed)
-    return fn(docs, n_shards)

@@ -2,7 +2,7 @@
 
 A shard is the complete, immutable index an Index Serving Node searches:
 term dictionary, posting lists, precomputed per-posting scores, per-term
-upper bounds, and the collection statistics every similarity needs.  The
+upper bounds, and the collection statistics BM25 needs.  The
 postings live once, as the columns of the shard's arena.  Scores
 are precomputed at build time (they depend only on shard-static quantities),
 which is both faster and exactly what impact-ordered production indexes do.
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.index.arena import CompressedPostingsArena, PostingsArena
-from repro.scoring.similarity import Similarity
+from repro.scoring.similarity import BM25Similarity
 
 
 @dataclass(eq=False)
@@ -34,8 +34,6 @@ class IndexShard:
         Position of this shard in the cluster (the paper's "ISN-j").
     n_docs, avg_doc_length, total_tokens:
         Collection statistics, fixed at build time.
-    similarity:
-        The ranking function the stored scores were computed with.
     arena:
         The posting columns, in sorted-term order.
     global_dfs:
@@ -48,7 +46,6 @@ class IndexShard:
     n_docs: int
     avg_doc_length: float
     total_tokens: int
-    similarity: Similarity
     arena: PostingsArena | CompressedPostingsArena
     global_dfs: np.ndarray = field(repr=False)
     n_docs_global: int = 0
@@ -83,7 +80,7 @@ class IndexShard:
         distributed stats were used, local otherwise)."""
         tid = self._tid(term)
         df = int(self.global_dfs[tid]) if tid is not None else 0
-        return self.similarity.idf(df, max(self.n_docs_global, 1))
+        return BM25Similarity.idf(df, max(self.n_docs_global, 1))
 
     def scores(self, term: str) -> np.ndarray | None:
         run = self.arena.run(term)

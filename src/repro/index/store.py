@@ -6,7 +6,7 @@ One shard serializes to a single ``.store`` file::
     | raw array sections, each 64-byte aligned |
 
 The header JSON carries the format version, the shard metadata (ids,
-collection statistics, similarity config) and a table of contents: one
+collection statistics, the BM25 record) and a table of contents: one
 ``{name, dtype, count, offset}`` entry per array, in the fixed order of
 ``_ARRAY_DTYPES``, each section starting at the 64-byte boundary after
 the previous one's end.  The arrays are the *packed* columns of
@@ -51,18 +51,11 @@ from repro.index.arena import (
     packed_words,
 )
 from repro.index.shard import IndexShard
-from repro.scoring.similarity import (
-    BM25Similarity,
-    LMDirichletSimilarity,
-    Similarity,
-    TFIDFSimilarity,
-)
+from repro.scoring.similarity import B, K1
 
-_SIMILARITIES = {
-    "BM25Similarity": BM25Similarity,
-    "TFIDFSimilarity": TFIDFSimilarity,
-    "LMDirichletSimilarity": LMDirichletSimilarity,
-}
+#: ``meta.similarity``: the ranking function the stored scores came from.
+#: Every store carries exactly this record; any other is refused at open.
+SIMILARITY = {"name": "BM25Similarity", "params": {"k1": K1, "b": B}}
 
 MAGIC = b"RPROSTOR"
 FORMAT_VERSION = 2
@@ -107,26 +100,6 @@ _META_RANGES: dict[str, tuple[int, int]] = {
     "n_terms": _COUNT,
     "n_postings": _COUNT,
 }
-
-
-def _similarity_config(similarity: Similarity) -> dict:
-    name = type(similarity).__name__
-    if name not in _SIMILARITIES:
-        raise ValueError(f"cannot serialize similarity {name!r}")
-    params = {
-        key: value
-        for key, value in vars(similarity).items()
-        if isinstance(value, (int, float))
-    }
-    return {"name": name, "params": params}
-
-
-def _similarity_from_config(config: dict) -> Similarity:
-    try:
-        cls = _SIMILARITIES[config["name"]]
-    except KeyError:
-        raise ValueError(f"unknown similarity {config['name']!r}") from None
-    return cls(**config["params"])
 
 
 def _align(offset: int) -> int:
@@ -175,7 +148,7 @@ def serialize_shard(shard: IndexShard) -> bytes:
         "avg_doc_length": shard.avg_doc_length,
         "total_tokens": shard.total_tokens,
         "n_docs_global": shard.n_docs_global,
-        "similarity": _similarity_config(shard.similarity),
+        "similarity": SIMILARITY,
         "n_terms": carena.n_terms,
         "n_postings": carena.n_postings,
     }
@@ -458,16 +431,19 @@ def _build_shard(
         upper_bounds=arrays["upper_bounds"],
         cache_bytes=cache_bytes,
     )
-    try:
-        similarity = _similarity_from_config(meta.get("similarity"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _bad(origin, "meta.similarity", f"cannot rebuild ({exc!r})") from None
+    record = meta.get("similarity")
+    if record != SIMILARITY:
+        name = record.get("name") if isinstance(record, dict) else record
+        if name == SIMILARITY["name"]:
+            problem = f"params {record.get('params')!r}, expected {SIMILARITY['params']!r}"
+        else:
+            problem = f"unknown similarity {name!r}"
+        raise _bad(origin, "meta.similarity", problem)
     return LazyIndexShard(
         shard_id=meta["shard_id"],
         n_docs=meta["n_docs"],
         avg_doc_length=float(meta["avg_doc_length"]),
         total_tokens=meta["total_tokens"],
-        similarity=similarity,
         arena=arena,
         global_dfs=arrays["global_dfs"],
         n_docs_global=meta["n_docs_global"],

@@ -206,10 +206,5 @@ class TermStatsIndex:
         self._cache[term] = stats
         return stats
 
-    def warm(self, terms: list[str]) -> None:
-        """Precompute statistics for a known query vocabulary."""
-        for term in terms:
-            self.get(term)
-
     def __len__(self) -> int:
         return len(self._cache)

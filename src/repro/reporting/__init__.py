@@ -1,17 +1,5 @@
 """Terminal reporting: ASCII charts for the experiment harnesses."""
 
-from repro.reporting.charts import (
-    bar_chart,
-    histogram_chart,
-    scatter_plot,
-    series_chart,
-    sparkline,
-)
+from repro.reporting.charts import scatter_plot, series_chart
 
-__all__ = [
-    "bar_chart",
-    "histogram_chart",
-    "sparkline",
-    "scatter_plot",
-    "series_chart",
-]
+__all__ = ["scatter_plot", "series_chart"]

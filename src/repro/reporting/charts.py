@@ -1,8 +1,8 @@
 """Terminal chart rendering.
 
 The experiment harnesses print their figures; these helpers render the
-paper's bar charts, histograms, time series and scatter plots as aligned
-ASCII so `repro figure NAME` output reads like the evaluation section.
+paper's time series and scatter plots as aligned ASCII so
+`repro figure NAME` output reads like the evaluation section.
 """
 
 from __future__ import annotations
@@ -11,59 +11,6 @@ import math
 
 _BLOCKS = " .:-=+*#%@"
 _SPARKS = "▁▂▃▄▅▆▇█"
-
-
-def bar_chart(
-    rows: list[tuple[str, float]],
-    width: int = 40,
-    unit: str = "",
-    precision: int = 2,
-) -> str:
-    """Horizontal bar chart: one (label, value) per row."""
-    if not rows:
-        raise ValueError("nothing to chart")
-    if width < 1:
-        raise ValueError("width must be positive")
-    top = max(value for _, value in rows)
-    label_width = max(len(label) for label, _ in rows)
-    lines = []
-    for label, value in rows:
-        filled = int(round(width * value / top)) if top > 0 else 0
-        lines.append(
-            f"  {label:<{label_width}}  {value:>{precision + 6}.{precision}f}{unit} "
-            f"|{'#' * filled}"
-        )
-    return "\n".join(lines)
-
-
-def histogram_chart(
-    bins: list[tuple[float, float, int]], width: int = 40, unit: str = "ms"
-) -> str:
-    """Histogram from (lo, hi, count) bins."""
-    if not bins:
-        return "  (empty histogram)"
-    peak = max(count for _, _, count in bins)
-    lines = []
-    for lo, hi, count in bins:
-        filled = int(round(width * count / peak)) if peak > 0 else 0
-        lines.append(
-            f"  [{lo:7.1f},{hi:7.1f}) {unit}  {count:6d} |{'#' * filled}"
-        )
-    return "\n".join(lines)
-
-
-def sparkline(values: list[float]) -> str:
-    """One-line trend: values mapped onto eight block heights."""
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span <= 0:
-        return _SPARKS[0] * len(values)
-    return "".join(
-        _SPARKS[min(int((v - lo) / span * len(_SPARKS)), len(_SPARKS) - 1)]
-        for v in values
-    )
 
 
 def scatter_plot(
@@ -122,7 +69,21 @@ def series_chart(
         lo = min(values) if values else 0.0
         hi = max(values) if values else 0.0
         lines.append(
-            f"  {name:<{label_width}} {sparkline(values)}  "
+            f"  {name:<{label_width}} {_sparkline(values)}  "
             f"[{lo:.1f} .. {hi:.1f}]"
         )
     return "\n".join(lines)
+
+
+def _sparkline(values: list[float]) -> str:
+    """One-line trend: values mapped onto eight block heights."""
+    if not values:
+        return ""
+    lo, hi = min(values), max(values)
+    span = hi - lo
+    if span <= 0:
+        return _SPARKS[0] * len(values)
+    return "".join(
+        _SPARKS[min(int((v - lo) / span * len(_SPARKS)), len(_SPARKS) - 1)]
+        for v in values
+    )

@@ -1,7 +1,7 @@
-"""Scoring substrate: ranking functions and score-distribution tools.
+"""Scoring substrate: the ranking function and score-distribution tools.
 
-``similarity`` provides the ranking functions (BM25 et al.) used by the
-retrieval engine and by the index-time term statistics; ``distributions``
+``similarity`` provides the ranking function, BM25, that the index-time
+scoring pass and the term statistics use; ``distributions``
 provides the Gamma-fitting machinery that Taily and the Cottage-withoutML
 ablation rely on (paper Section III-B / Fig. 6).
 """
@@ -12,18 +12,12 @@ from repro.scoring.distributions import (
     gamma_quantile,
     score_histogram,
 )
-from repro.scoring.similarity import (
-    BM25Similarity,
-    LMDirichletSimilarity,
-    Similarity,
-    TFIDFSimilarity,
-)
+from repro.scoring.similarity import B, K1, BM25Similarity
 
 __all__ = [
-    "Similarity",
     "BM25Similarity",
-    "TFIDFSimilarity",
-    "LMDirichletSimilarity",
+    "K1",
+    "B",
     "fit_gamma_moments",
     "expected_above",
     "gamma_quantile",

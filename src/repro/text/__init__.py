@@ -8,7 +8,7 @@ consumed by :mod:`repro.index`.
 from repro.text.analyzer import Analyzer, StandardAnalyzer, WhitespaceAnalyzer
 from repro.text.stemmer import LightStemmer
 from repro.text.stopwords import ENGLISH_STOPWORDS, StopwordFilter
-from repro.text.tokenizer import SimpleTokenizer, Tokenizer
+from repro.text.tokenizer import SimpleTokenizer
 
 __all__ = [
     "Analyzer",
@@ -18,5 +18,4 @@ __all__ = [
     "ENGLISH_STOPWORDS",
     "StopwordFilter",
     "SimpleTokenizer",
-    "Tokenizer",
 ]

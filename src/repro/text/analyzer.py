@@ -5,8 +5,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.text.stemmer import LightStemmer
-from repro.text.stopwords import ENGLISH_STOPWORDS, StopwordFilter
-from repro.text.tokenizer import SimpleTokenizer, Tokenizer
+from repro.text.stopwords import StopwordFilter
+from repro.text.tokenizer import SimpleTokenizer
 
 
 class Analyzer(ABC):
@@ -22,7 +22,8 @@ class Analyzer(ABC):
 
 
 class StandardAnalyzer(Analyzer):
-    """Lowercase -> stopword removal -> light stemming.
+    """Simple tokenizer -> lowercase -> English stopword removal -> light
+    stemming.
 
     This mirrors the default Solr ``text_general``-style chain used by the
     paper's testbed closely enough for term statistics to behave the same
@@ -30,22 +31,14 @@ class StandardAnalyzer(Analyzer):
     variants share posting lists.
     """
 
-    def __init__(
-        self,
-        tokenizer: Tokenizer | None = None,
-        stopwords: frozenset[str] = ENGLISH_STOPWORDS,
-        stem: bool = True,
-    ) -> None:
-        self._tokenizer = tokenizer or SimpleTokenizer()
-        self._stopword_filter = StopwordFilter(stopwords)
-        self._stemmer = LightStemmer() if stem else None
+    def __init__(self) -> None:
+        self._tokenizer = SimpleTokenizer()
+        self._stopword_filter = StopwordFilter()
+        self._stemmer = LightStemmer()
 
     def analyze(self, text: str) -> list[str]:
         tokens = [token.lower() for token in self._tokenizer.tokenize(text)]
-        tokens = self._stopword_filter.filter(tokens)
-        if self._stemmer is not None:
-            tokens = self._stemmer.filter(tokens)
-        return tokens
+        return self._stemmer.filter(self._stopword_filter.filter(tokens))
 
 
 class WhitespaceAnalyzer(Analyzer):

@@ -9,7 +9,6 @@ from repro.workloads.corpus import (
     SyntheticCorpus,
     term_token,
 )
-from repro.workloads.io import load_trace, save_trace
 from repro.workloads.traces import (
     TraceConfig,
     build_query_pool,
@@ -25,6 +24,4 @@ __all__ = [
     "build_query_pool",
     "generate_trace",
     "training_queries",
-    "save_trace",
-    "load_trace",
 ]

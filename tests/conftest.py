@@ -34,7 +34,6 @@ from repro.index import (
     build_shards,
     partition_topical,
 )
-from repro.scoring import BM25Similarity
 from repro.text import WhitespaceAnalyzer
 from repro.workloads import CorpusConfig, SyntheticCorpus, training_queries
 
@@ -75,7 +74,6 @@ def hand_built_shard(columns, **fields) -> IndexShard:
         "n_docs": n_docs,
         "avg_doc_length": 10.0,
         "total_tokens": 10 * n_docs,
-        "similarity": BM25Similarity(),
         "arena": arena,
         "global_dfs": np.diff(offsets),
     }

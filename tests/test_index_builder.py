@@ -10,6 +10,7 @@ from repro.index import (
     build_shards,
     gather_collection_stats,
 )
+from repro.scoring import BM25Similarity
 from repro.text import WhitespaceAnalyzer
 
 
@@ -29,7 +30,7 @@ class TestIndexBuilder:
         run = shard.arena.run("apple")
         assert run.doc_ids.tolist() == [0]
         # tf 2 in a 3-token document, under the shard's own statistics.
-        want = shard.similarity.scores(np.array([2]), np.array([3.0]), 1, 2, 2.5)
+        want = BM25Similarity.scores(np.array([2]), np.array([3.0]), 1, 2, 2.5)
         assert run.scores.tolist() == want.tolist()
 
     def test_duplicate_doc_rejected(self):

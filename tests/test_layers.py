@@ -99,13 +99,30 @@ def _layer_of_import(target):
 
 
 def _runtime_imports(body):
-    """Module-body imports, skipping ``if TYPE_CHECKING:`` blocks."""
+    """Every import statement that runs when the module is imported.
+
+    That is every block nested in the module body — ``try`` bodies,
+    handlers, ``else`` and ``finally``; both branches of an ``if``; loop,
+    ``with``, ``match`` and class bodies — except ``if TYPE_CHECKING:``
+    bodies and function bodies, which do not run at import.
+    """
     for stmt in body:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             yield stmt
-        elif isinstance(stmt, ast.If):
-            if ast.unparse(stmt.test).split(".")[-1] == "TYPE_CHECKING":
-                yield from _runtime_imports(stmt.orelse)
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(stmt, ast.If) and (
+            ast.unparse(stmt.test).split(".")[-1] == "TYPE_CHECKING"
+        ):
+            yield from _runtime_imports(stmt.orelse)
+        else:
+            for block in ("body", "handlers", "cases", "orelse", "finalbody"):
+                for child in getattr(stmt, block, ()):
+                    yield from _runtime_imports(
+                        child.body
+                        if isinstance(child, (ast.ExceptHandler, ast.match_case))
+                        else [child]
+                    )
 
 
 def _import_targets(node, package):
@@ -212,6 +229,31 @@ def rescore(x):
     return score(x)
 """
 
+TRY_WRAPPED = """\
+try:
+    from repro.serving import ServingPlane
+except ImportError:
+    from repro.serving.stream import QueryStream
+else:
+    import repro.experiments
+finally:
+    pass
+"""
+
+IF_WRAPPED = """\
+import sys
+
+if sys.version_info >= (3, 11):
+    from repro.serving import ServingPlane
+else:
+    with open(__file__):
+        from repro.experiments import testbed
+
+
+class Plane:
+    from repro.cli import main
+"""
+
 EXPLICIT_LOOP = """\
 def upper_bound(scores):
     acc = 0.0
@@ -236,6 +278,13 @@ def upper_bound(scores):
     pytest.param(
         "cluster/engine.py", "from repro.cluster import scenarios\n",
         ["repro.cluster.scenarios"], id="promoted-submodule-back-edge"),
+    pytest.param(
+        "core/budget.py", TRY_WRAPPED,
+        ["repro.serving", "repro.experiments"], id="try-wrapped-back-edges"),
+    pytest.param(
+        "core/budget.py", IF_WRAPPED,
+        ["repro.serving", "repro.experiments", "repro.cli"],
+        id="if-with-and-class-wrapped-back-edges"),
     pytest.param(
         "retrieval/kernels.py", "from repro.index.store import load\n",
         [], id="downward-import"),

@@ -112,7 +112,6 @@ def with_far_document(shard, doc_id: int):
     return hand_built_shard(
         columns, shard_id=shard.shard_id, n_docs=shard.n_docs,
         avg_doc_length=shard.avg_doc_length, total_tokens=shard.total_tokens,
-        similarity=shard.similarity,
         n_docs_global=shard.n_docs_global,
     )
 

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 from repro.index import (
     Document,
-    PARTITIONERS,
-    partition,
     partition_hash,
-    partition_random,
     partition_round_robin,
     partition_topical,
 )
+
+PARTITIONERS = {
+    "round_robin": partition_round_robin,
+    "hash": partition_hash,
+    "topical": partition_topical,
+}
 
 
 def docs_with_topics(n, n_topics=4):
@@ -29,24 +32,21 @@ class TestRoundRobin:
         assert len(groups[0]) == 5
 
 
-class TestRandom:
-    def test_deterministic_by_seed(self):
-        docs = docs_with_topics(50)
-        a = partition_random(docs, 4, seed=1)
-        b = partition_random(docs, 4, seed=1)
-        assert [[d.doc_id for d in g] for g in a] == [[d.doc_id for d in g] for g in b]
-
-    def test_different_seeds_differ(self):
-        docs = docs_with_topics(50)
-        a = partition_random(docs, 4, seed=1)
-        b = partition_random(docs, 4, seed=2)
-        assert [[d.doc_id for d in g] for g in a] != [[d.doc_id for d in g] for g in b]
-
-
 class TestHash:
     def test_deterministic(self):
         docs = docs_with_topics(30)
         assert partition_hash(docs, 4) == partition_hash(docs, 4)
+
+    def test_sixteen_shards_are_hashed_not_dealt(self):
+        """On the paper's 16 ISNs the allocation is neither round-robin
+        (the low bits of a multiplier that is 1 mod 16) nor lopsided."""
+        docs = [Document(doc_id=i, text="x") for i in range(1600)]
+        groups = partition_hash(docs, 16)
+        ids = [[d.doc_id for d in g] for g in groups]
+        dealt = [[d.doc_id for d in g] for g in partition_round_robin(docs, 16)]
+        assert ids != dealt
+        assert all(abs(len(group) - 1600 // 16) <= 2 for group in groups)
+        assert sorted(i for group in ids for i in group) == list(range(1600))
 
 
 class TestTopical:
@@ -82,20 +82,11 @@ class TestTopical:
             partition_topical(docs_with_topics(4), 2, spread=0)
 
 
-class TestDispatch:
-    def test_named_policies(self):
-        docs = docs_with_topics(12)
-        for name in PARTITIONERS:
-            groups = partition(docs, 3, policy=name)
-            assert sum(len(g) for g in groups) == 12
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            partition(docs_with_topics(4), 2, policy="nope")
-
+class TestValidation:
     def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            partition_round_robin(docs_with_topics(4), 0)
+        for partitioner in PARTITIONERS.values():
+            with pytest.raises(ValueError):
+                partitioner(docs_with_topics(4), 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,7 +98,7 @@ class TestDispatch:
 def test_partition_is_exact_cover(n_docs, n_shards, policy):
     """Every document lands on exactly one shard, none invented or lost."""
     docs = docs_with_topics(n_docs)
-    groups = partition(docs, n_shards, policy=policy)
+    groups = PARTITIONERS[policy](docs, n_shards)
     assert len(groups) == n_shards
     all_ids = [d.doc_id for g in groups for d in g]
     assert sorted(all_ids) == list(range(n_docs))

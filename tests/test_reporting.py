@@ -2,47 +2,13 @@
 
 import pytest
 
-from repro.reporting import (
-    bar_chart,
-    histogram_chart,
-    scatter_plot,
-    series_chart,
-    sparkline,
-)
+from repro.reporting import scatter_plot, series_chart
 
 
-class TestBarChart:
-    def test_scales_to_max(self):
-        chart = bar_chart([("a", 10.0), ("b", 5.0)], width=10)
-        lines = chart.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_labels_aligned(self):
-        chart = bar_chart([("short", 1.0), ("a-longer-label", 2.0)])
-        starts = [line.index("|") for line in chart.splitlines()]
-        assert len(set(starts)) == 1
-
-    def test_zero_values(self):
-        chart = bar_chart([("a", 0.0), ("b", 0.0)])
-        assert "#" not in chart
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bar_chart([])
-        with pytest.raises(ValueError):
-            bar_chart([("a", 1.0)], width=0)
-
-
-class TestHistogramChart:
-    def test_renders_bins(self):
-        chart = histogram_chart([(0.0, 5.0, 4), (5.0, 10.0, 2)], width=8)
-        lines = chart.splitlines()
-        assert lines[0].count("#") == 8
-        assert lines[1].count("#") == 4
-
-    def test_empty(self):
-        assert "empty" in histogram_chart([])
+def sparkline(values):
+    """The trend ``series_chart`` draws for one series of ``values``."""
+    chart = series_chart({"s": [(float(i), v) for i, v in enumerate(values)]})
+    return chart[len("  s "):chart.rindex("  [")]
 
 
 class TestSparkline:

@@ -16,6 +16,7 @@ Three layers under test, bottom up:
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.engine import RunResult, SearchCluster
 from repro.experiments.bench_storage import build_scaled_shards
+from repro.experiments.testbed import Scale
 from repro.index import (
     CompressedPostingsArena,
     Document,
@@ -33,11 +35,13 @@ from repro.index import (
     IndexShard,
     PostingsArena,
     bits_for,
+    build_shards,
     open_store,
     open_store_buffer,
     open_stores,
     pack_bits,
     pack_shards,
+    partition_topical,
     serialize_shard,
     store_info,
     unpack_bits,
@@ -53,6 +57,7 @@ from repro.retrieval import (
 )
 from repro.scoring.similarity import BM25Similarity
 from repro.text import WhitespaceAnalyzer
+from repro.workloads import SyntheticCorpus
 
 VOCAB = [f"w{i}" for i in range(12)]
 
@@ -67,12 +72,11 @@ def build_shard(word_lists: list[list[str]]) -> IndexShard:
 def make_shard(term_columns: dict[str, tuple[list[int], list[int]]]) -> IndexShard:
     """A hand-built shard from ``{term: (doc_ids, tfs)}``, BM25-scored
     over documents of length 10."""
-    similarity = BM25Similarity()
     return hand_built_shard({
         name: (
             doc_ids,
-            similarity.scores(np.asarray(tfs), np.full(len(doc_ids), 10.0),
-                              len(doc_ids), 100, 10.0),
+            BM25Similarity.scores(np.asarray(tfs), np.full(len(doc_ids), 10.0),
+                                  len(doc_ids), 100, 10.0),
         )
         for name, (doc_ids, tfs) in term_columns.items()
     })
@@ -294,8 +298,6 @@ class TestStoreRoundTrip:
         assert reopened.n_docs_global == shard.n_docs_global
         assert reopened.avg_doc_length == shard.avg_doc_length
         assert reopened.total_tokens == shard.total_tokens
-        assert type(reopened.similarity) is type(shard.similarity)
-        assert vars(reopened.similarity) == vars(shard.similarity)
 
     def test_buffer_is_same_bytes_as_file(self, shard, tmp_path):
         path = write_store(shard, tmp_path / "s.store")
@@ -401,17 +403,22 @@ class TestStoreRoundTrip:
         assert "\n" not in message and "shard id 0 is given twice" in message
         assert not (tmp_path / "packed").exists()  # nothing written
 
-    def test_unknown_similarity_rejected_on_write_and_open(self, shard, tmp_path):
-        class HomeGrown(BM25Similarity):
-            pass
-
-        odd = make_shard({"a": ([1], [1])})
-        odd.similarity = HomeGrown()
-        with pytest.raises(ValueError, match="cannot serialize similarity 'HomeGrown'"):
-            write_store(odd, tmp_path / "odd.store")
+    def test_unknown_similarity_rejected_on_open(self, shard):
         blob = serialize_shard(shard).replace(b"BM25Similarity", b"BM52Similarity")
         with pytest.raises(ValueError, match="unknown similarity 'BM52Similarity'"):
             open_store_buffer(blob)
+
+    def test_other_bm25_parameters_rejected_on_open(self, shard):
+        """The stored scores are BM25 at ``K1``/``B``: a record naming BM25
+        with another parameter is refused, in one line."""
+        blob = serialize_shard(shard)
+        assert blob.count(b'"k1":0.9') == 1
+        with pytest.raises(ValueError) as caught:
+            open_store_buffer(blob.replace(b'"k1":0.9', b'"k1":1.2'))
+        message = str(caught.value)
+        assert "\n" not in message
+        assert message.startswith("buffer: meta.similarity: ")
+        assert "'k1': 1.2" in message
 
     def test_stray_file_name_in_directory_is_a_named_error(self, shard, tmp_path):
         pack_shards([shard], tmp_path)
@@ -436,6 +443,34 @@ class TestStoreRoundTrip:
         assert info["raw_column_bytes"] == info["meta"]["n_postings"] * 16
         assert info["raw_column_bytes"] == open_store(path).arena.raw_nbytes
         assert info["compression_ratio"] > 0
+
+
+# --------------------------------------------------------------- byte pins
+#: sha-256 of ``serialize_shard(build_scaled_shards(1, 20000, 48, 0)[0])``.
+SCALED_STORE_SHA256 = "51527658c0b1dbcd8e78f9bd2b912e3f453d2eb4f61fb3f154c0574c58b1d76f"
+#: sha-256 of the eight ``Scale.unit`` stores, concatenated in shard-id order.
+UNIT_STORES_SHA256 = "1bbf6adf813c37bde657b701102ac7c5381007a6900ca75880bdf7016cd79846"
+
+
+class TestStoreBytes:
+    """The ``.store`` image is pinned: a change to the header writer, the
+    packer or the scores that moves one byte fails here."""
+
+    def test_scaled_shard_store_is_pinned(self):
+        blob = serialize_shard(build_scaled_shards(1, 20000, 48, 0)[0])
+        assert hashlib.sha256(blob).hexdigest() == SCALED_STORE_SHA256
+
+    def test_unit_stores_are_pinned(self):
+        scale = Scale.unit()
+        corpus = SyntheticCorpus(scale.corpus)
+        shards = build_shards(
+            partition_topical(corpus.documents, scale.n_shards, seed=scale.seed),
+            analyzer=WhitespaceAnalyzer(),
+        )
+        digest = hashlib.sha256()
+        for shard in sorted(shards, key=lambda shard: shard.shard_id):
+            digest.update(serialize_shard(shard))
+        assert digest.hexdigest() == UNIT_STORES_SHA256
 
 
 # ------------------------------------------------- store-backed cluster runs

@@ -80,7 +80,7 @@ def build_blob() -> bytes:
     columns["empty"] = ([], [])
     columns["single"] = ([41], [0.75])
     fields = ("shard_id", "n_docs", "avg_doc_length", "total_tokens",
-              "similarity", "n_docs_global")
+              "n_docs_global")
     return serialize_shard(hand_built_shard(
         columns, **{name: getattr(shard, name) for name in fields}
     ))

@@ -115,12 +115,6 @@ class TestTermStatsIndex:
         stats = index.get("never-seen-term")
         assert stats.posting_length == 0
 
-    def test_warm(self, shards):
-        index = TermStatsIndex(shards[0], k=5)
-        terms = shards[0].terms()[:5]
-        index.warm(terms)
-        assert len(index) == len(terms)
-
     def test_rejects_bad_k(self, shards):
         with pytest.raises(ValueError):
             TermStatsIndex(shards[0], k=0)

@@ -10,6 +10,7 @@ from repro.text import (
     StopwordFilter,
     WhitespaceAnalyzer,
 )
+from repro.text.tokenizer import MAX_TOKEN_LENGTH
 
 
 class TestSimpleTokenizer:
@@ -29,12 +30,10 @@ class TestSimpleTokenizer:
         assert SimpleTokenizer().tokenize("   \t\n") == []
 
     def test_drops_over_long_tokens(self):
-        tok = SimpleTokenizer(max_token_length=5)
-        assert tok.tokenize("short waytoolongtoken ok") == ["short", "ok"]
-
-    def test_rejects_bad_max_length(self):
-        with pytest.raises(ValueError):
-            SimpleTokenizer(max_token_length=0)
+        assert MAX_TOKEN_LENGTH == 64  # Lucene's default
+        longest, too_long = "y" * 64, "x" * 65
+        text = f"short {too_long} {longest} ok"
+        assert SimpleTokenizer().tokenize(text) == ["short", longest, "ok"]
 
     def test_preserves_duplicates_and_order(self):
         assert SimpleTokenizer().tokenize("a b a") == ["a", "b", "a"]
@@ -91,10 +90,6 @@ class TestAnalyzers:
         assert "the" not in terms and "were" not in terms
         assert "quick" in terms
         assert "fox" in terms  # stemmed plural
-
-    def test_standard_without_stemming(self):
-        analyzer = StandardAnalyzer(stem=False)
-        assert "foxes" in analyzer.analyze("the foxes")
 
     def test_whitespace_analyzer_is_verbatim(self):
         analyzer = WhitespaceAnalyzer()
