@@ -316,7 +316,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     """Run the faults x replication x budget scenario matrix."""
-    from repro.cluster.scenarios import SCENARIOS, default_matrix, run_matrix
+    from repro.experiments.scenarios import SCENARIOS, default_matrix, run_matrix
 
     for flag, names in (
         ("--policies", args.policies), ("--scenarios", args.scenarios),

@@ -18,15 +18,6 @@ from repro.cluster.engine import RunResult, SearchCluster
 from repro.cluster.events import Simulator
 from repro.cluster.faults import FaultSchedule, Outage, Slowdown
 from repro.cluster.replicas import hedge_delay_ms
-from repro.cluster.scenarios import (
-    SCENARIOS,
-    CellResult,
-    MatrixCase,
-    ScenarioContext,
-    default_matrix,
-    run_matrix,
-    scenario_schedule,
-)
 from repro.cluster.isn import ISNServer, Job
 from repro.cluster.network import NetworkModel
 from repro.cluster.power import EnergyMeter, PowerModel, PowerReport, package_report
@@ -57,13 +48,6 @@ __all__ = [
     "Outage",
     "Slowdown",
     "hedge_delay_ms",
-    "SCENARIOS",
-    "ScenarioContext",
-    "MatrixCase",
-    "CellResult",
-    "scenario_schedule",
-    "default_matrix",
-    "run_matrix",
     "Aggregator",
     "SearchCluster",
     "RunResult",

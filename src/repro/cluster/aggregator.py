@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
+from repro.cluster.admission import AdmissionController
 from repro.cluster.cache import ResultCache
 from repro.cluster.events import Simulator
 from repro.cluster.isn import ISNServer, Job
@@ -43,9 +44,6 @@ from repro.cluster.types import (
 from repro.retrieval.query import Query
 from repro.retrieval.result import SearchResult, merge_results
 from repro.telemetry import NO_TELEMETRY, Telemetry
-
-if TYPE_CHECKING:  # avoids a runtime cluster <-> serving import cycle
-    from repro.serving.admission import AdmissionController
 
 _TRACK = "aggregator"
 _OUTCOME_ORDER = attrgetter("shard_id", "replica_id")
@@ -82,7 +80,7 @@ class Aggregator:
 
     def __init__(
         self,
-        isns: list[ISNServer] | list[list[ISNServer]],
+        isns: list[list[ISNServer]],
         policy: SelectionPolicy,
         network: NetworkModel,
         sim: Simulator,
@@ -93,29 +91,24 @@ class Aggregator:
         admission: AdmissionController | None = None,
         record_sink: Callable[[QueryRecord], None] | None = None,
     ) -> None:
-        """``isns`` is one entry per shard: either a bare :class:`ISNServer`
-        (single replica, the pre-replication form) or that shard's replica
-        group.  ``response_timeout_ms`` is the safety net for unbudgeted
+        """``isns`` is one replica group per shard, replica 0 first.
+        ``response_timeout_ms`` is the safety net for unbudgeted
         policies: with fail-silent ISNs in play, exhaustive-style "wait for
         everyone" would otherwise never answer.  A group of two or more
         replicas hedges each request to its replica 1.
 
         ``admission`` gates every cache-missing query before the policy
-        runs (see :mod:`repro.serving.admission`): a rejected query is
+        runs (see :mod:`repro.cluster.admission`): a rejected query is
         answered empty after the controller's fast-reject delay and
         committed with ``shed=True`` — and is *not* shown to the policy's
         ``observe``.  ``record_sink`` replaces the ``records`` list with a
         streaming consumer, so million-query open-loop campaigns retain
-        no per-query state.  Both default to ``None``, which is
-        bit-identical to the pre-serving-plane aggregator."""
+        no per-query state.  Both default to ``None``."""
         if not isns:
             raise ValueError("cluster needs at least one ISN")
         if response_timeout_ms is not None and response_timeout_ms <= 0:
             raise ValueError("response timeout must be positive")
-        self.groups: list[list[ISNServer]] = [
-            list(entry) if isinstance(entry, (list, tuple)) else [entry]
-            for entry in isns
-        ]
+        self.groups = isns
         for sid, group in enumerate(self.groups):
             for rid, isn in enumerate(group):
                 # Jobs carry the ids their ISN was built with.
@@ -168,7 +161,7 @@ class Aggregator:
         self._m_latency = metrics.histogram("aggregator.latency_ms")
         self._m_budget = metrics.histogram("aggregator.time_budget_ms")
         self._m_slack = metrics.histogram("aggregator.budget_slack_ms")
-        self._m_selected = metrics.histogram("aggregator.selected_isns", lo=0.5, hi=1e4)
+        self._m_selected = metrics.histogram("aggregator.selected_isns")
 
     # ---------------------------------------------------------------- intake
     def view(self) -> ClusterView:

@@ -106,7 +106,7 @@ class ISNServer:
             f"isn.{shard_id}" if replica_id == 0 else f"isn.{shard_id}.r{replica_id}"
         )
         self._metrics = telemetry.metrics
-        self._m_queue_depth = self._metrics.histogram("isn.queue_depth", lo=0.5, hi=1e4)
+        self._m_queue_depth = self._metrics.histogram("isn.queue_depth")
         self._m_queued_work = self._metrics.histogram("isn.queued_work_ms")
         self._queue: deque[Job] = deque()
         self._busy = False

@@ -23,7 +23,7 @@ from repro.index.builder import (
     build_shards,
     gather_collection_stats,
 )
-from repro.index.csi import CentralSampleIndex, SampledHit
+from repro.index.csi import CentralSampleIndex
 from repro.index.documents import Document
 from repro.index.partitioner import (
     partition_hash,
@@ -76,5 +76,4 @@ __all__ = [
     "partition_hash",
     "partition_topical",
     "CentralSampleIndex",
-    "SampledHit",
 ]

@@ -175,19 +175,16 @@ def gather_collection_stats(builders: list[IndexBuilder]) -> CollectionStats:
 def build_shards(
     doc_groups: list[list[Document]],
     analyzer: Analyzer | None = None,
-    global_stats: bool = True,
 ) -> list[IndexShard]:
     """Build one shard per document group (the output of a partitioner).
 
-    ``global_stats=True`` (default) scores every shard against collection-
-    wide statistics — Solr's distributed-IDF mode — so the aggregator's
-    score-based merge is exact.  Disable to reproduce per-shard (local-IDF)
-    scoring.
+    Every shard is scored against collection-wide statistics — Solr's
+    distributed-IDF mode — so the aggregator's score-based merge is exact.
     """
     builders = []
     for shard_id, group in enumerate(doc_groups):
         builder = IndexBuilder(shard_id, analyzer=analyzer)
         builder.add_all(group)
         builders.append(builder)
-    stats = gather_collection_stats(builders) if global_stats else None
+    stats = gather_collection_stats(builders)
     return [builder.build(stats) for builder in builders]

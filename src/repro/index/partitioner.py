@@ -13,6 +13,9 @@ from collections import defaultdict
 
 from repro.index.documents import Document
 
+#: Shards each topic's documents are dealt over by ``partition_topical``.
+TOPIC_SPREAD = 3
+
 
 def _validate(n_shards: int) -> None:
     if n_shards < 1:
@@ -49,21 +52,20 @@ def partition_hash(docs: list[Document], n_shards: int) -> list[list[Document]]:
 
 
 def partition_topical(
-    docs: list[Document], n_shards: int, seed: int = 0, spread: int = 3
+    docs: list[Document], n_shards: int, seed: int = 0
 ) -> list[list[Document]]:
     """Topic-concentrating allocation.
 
-    Each topic's documents are spread round-robin over ``spread`` shards
-    (anchored greedily at the currently smallest shard), so a topical
-    query's top-K documents live on a handful of shards rather than one or
-    all — the regime of the paper's Fig. 2(b), where most queries draw
-    their top-10 from roughly half the ISNs.  Documents without a topic
-    label fall back to hash allocation.
+    Each topic's documents are spread round-robin over :data:`TOPIC_SPREAD`
+    shards, or all of them when there are fewer (anchored greedily at the
+    currently smallest shard), so a topical query's top-K documents live
+    on a handful of shards rather than one or all — the regime of the
+    paper's Fig. 2(b), where most queries draw their top-10 from roughly
+    half the ISNs.  Documents without a topic label fall back to hash
+    allocation.
     """
     _validate(n_shards)
-    if spread < 1:
-        raise ValueError("spread must be positive")
-    spread = min(spread, n_shards)
+    spread = min(TOPIC_SPREAD, n_shards)
     by_topic: dict[int, list[Document]] = defaultdict(list)
     unlabelled: list[Document] = []
     for doc in docs:

@@ -14,6 +14,7 @@ from repro.cluster.cpu import CostModel
 from repro.cluster.types import ClusterView, Decision
 from repro.index.csi import CentralSampleIndex
 from repro.policies.base import BasePolicy
+from repro.retrieval.exhaustive import exhaustive_search
 from repro.retrieval.query import Query
 
 
@@ -64,8 +65,6 @@ class RankSPolicy(BasePolicy):
 
     def shard_votes(self, query: Query) -> tuple[dict[int, float], float]:
         """Vote mass per shard and the CSI search's simulated cost (ms)."""
-        from repro.retrieval.exhaustive import exhaustive_search
-
         cached = self._cache.get(query.terms)
         if cached is not None:
             return cached

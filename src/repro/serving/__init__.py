@@ -1,26 +1,23 @@
-"""The open-loop serving plane: load generation, admission, campaigns.
+"""The open-loop serving drivers: load generation, queueing model, campaigns.
 
-Layer map (the executor/orchestrator/processor split):
+The drivers feed :meth:`repro.cluster.engine.SearchCluster.serve`, which
+runs on the same engine as closed-loop ``run_trace``; admission control
+(:mod:`repro.cluster.admission`) and the streaming ``ServingStats`` sink
+are cluster code, re-exported here.
 
 * :mod:`repro.serving.arrivals` — seeded Poisson and modulated-Poisson
   arrival processes: the three kinds ``make_arrivals`` builds (poisson,
   diurnal, burst);
 * :mod:`repro.serving.stream` — lazy :class:`QueryStream` workloads over
   Zipf-popular query pools (bounded memory at any length);
-* :mod:`repro.serving.admission` — in-flight-cap and deadline shedding;
-* :mod:`repro.serving.orchestrator` — :class:`ServingPlane`, the run
-  lifecycle shared by closed-loop ``run_trace`` (its degenerate,
-  bit-identical configuration) and open-loop ``SearchCluster.serve``;
 * :mod:`repro.serving.queueing` — the closed M/G/1 fork-join model and
   the measured-knee locator;
 * :mod:`repro.serving.campaign` — QPS sweeps producing
   throughput–latency–power curves and the knee-vs-model verdict.
 """
 
-from repro.serving.admission import (
-    AdmissionConfig,
-    AdmissionController,
-)
+from repro.cluster.admission import AdmissionConfig, AdmissionController
+from repro.cluster.engine import ServingStats
 from repro.serving.arrivals import (
     ArrivalProcess,
     BurstProfile,
@@ -36,7 +33,6 @@ from repro.serving.campaign import (
     run_campaign,
     zipf_weights,
 )
-from repro.serving.orchestrator import ServingPlane, ServingStats
 from repro.serving.queueing import (
     ClusterQueueingModel,
     KneeEstimate,
@@ -59,7 +55,6 @@ __all__ = [
     "ModulatedPoissonProcess",
     "PoissonProcess",
     "QueryStream",
-    "ServingPlane",
     "ServingStats",
     "ShardLoadModel",
     "SweepPoint",

@@ -3,9 +3,12 @@
 A campaign drives one cluster + policy through a grid of offered arrival
 rates, open-loop, collecting a throughput–latency–power point per rate
 from the streaming sinks (no per-query retention, so the grid can total
-millions of queries).  The measured goodput knee is then compared to the
+millions of queries).  The measured capacity knee — where the busiest
+core's utilization reaches ``KNEE_UTILIZATION`` — is then compared to the
 closed queueing model's predicted saturation (:mod:`repro.serving.
-queueing`); ``tests/test_campaign.py`` holds the two within 25 %.
+queueing`); ``tests/test_campaign.py`` holds the two within 25 %.  Each
+point's goodput and goodput ratio are the SLO outcome beside it: an SLO
+sheds queries without moving the knee.
 
 Each sweep point gets fresh arrival/popularity seeds derived from the
 campaign seed, a fresh policy instance (adaptive policies must not leak
@@ -17,14 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.cluster.admission import AdmissionConfig, AdmissionController
 from repro.cluster.cache import ResultCache
+from repro.cluster.engine import SearchCluster
 from repro.cluster.types import SelectionPolicy
-from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.arrivals import ARRIVAL_KINDS, make_arrivals
 from repro.serving.queueing import (
     ClusterQueueingModel,
@@ -35,13 +39,10 @@ from repro.serving.queueing import (
 from repro.serving.stream import POPULARITY_EXPONENT, QueryStream
 from repro.telemetry import Telemetry
 
-if TYPE_CHECKING:
-    from repro.cluster.engine import SearchCluster
-
 #: The default sweep, as fractions of the model's predicted saturation.
 GRID_FRACTIONS = (0.3, 0.5, 0.7, 0.85, 1.0, 1.2, 1.5)
-#: The knee is the last rate served at this share of the offered load.
-GOODPUT_THRESHOLD = 0.95
+#: The knee is the first rate at which the busiest core is this busy.
+KNEE_UTILIZATION = 0.95
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,11 @@ class SweepPoint:
 
     @property
     def goodput_ratio(self) -> float:
-        """Goodput over the *realized* offered rate.
+        """Goodput over the *realized* offered rate: the point's SLO outcome.
 
         Ratioing against the nominal grid rate would fold the Poisson
-        realization of a finite window (±1/sqrt(n)) into the knee; the
-        realized rate cancels it, leaving only real saturation signals —
-        shed queries and post-window drain time.
+        realization of a finite window (±1/sqrt(n)) into it; the realized
+        rate cancels that, leaving shed queries and post-window drain time.
         """
         return self.goodput_qps / self.realized_qps if self.realized_qps else 0.0
 
@@ -204,11 +204,6 @@ def run_campaign(
     else:
         grid = tuple(fraction * predicted for fraction in GRID_FRACTIONS)
     points: list[SweepPoint] = []
-    # Per point, the goodput the knee is located on: a query the deadline
-    # rule would have refused on an idle cluster counts as kept up with,
-    # so an SLO no load could meet never reads as saturation.  Deadline
-    # sheds that a backlog caused stay a shortfall, like the queue cap's.
-    capacity_goodput: list[float] = []
     for index, offered in enumerate(grid):
         arrivals = make_arrivals(config.arrival, offered, seed=config.seed + 100 * index)
         stream = QueryStream(
@@ -260,8 +255,6 @@ def run_campaign(
             result_cache_hit_rate=run.result_cache_hit_rate,
         )
         points.append(point)
-        refused_idle = admission.shed_at_any_load if admission is not None else 0
-        capacity_goodput.append((stats.completed + refused_idle) / elapsed_s)
         if on_point is not None:
             on_point(point)
     # Knee on the realized-rate axis: each point's x is the arrival rate
@@ -269,8 +262,8 @@ def run_campaign(
     # against the model's rate axis.
     knee = locate_knee(
         [p.realized_qps for p in points],
-        capacity_goodput,
-        threshold=GOODPUT_THRESHOLD,
+        [p.max_core_utilization for p in points],
+        threshold=KNEE_UTILIZATION,
     )
     return CampaignResult(
         policy_name=model_policy.name,

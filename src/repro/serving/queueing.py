@@ -16,21 +16,19 @@ That closes two predictions the campaign validates against measurement:
 * **waiting**: below saturation, shard *i*'s mean FIFO wait follows
   Pollaczek–Khinchine, ``W_i = lambda_i * E[S_i^2] / (2 (1 - rho_i))``.
 
-The measured knee comes from the sweep's goodput curve: the last offered
-rate the cluster still serves at >= ``threshold`` of the offered load,
-interpolated at the crossing.
+The measured knee is where the same quantity saturates in the sweep: the
+first offered rate at which the busiest core's measured utilization
+reaches ``threshold``, interpolated at the crossing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from repro.cluster.engine import SearchCluster
 from repro.cluster.types import ClusterView, SelectionPolicy
 from repro.retrieval.query import Query
-
-if TYPE_CHECKING:
-    from repro.cluster.engine import SearchCluster
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,7 @@ def model_from_policy(
 
 @dataclass(frozen=True)
 class KneeEstimate:
-    """Where the measured goodput curve stops tracking the offered load."""
+    """Where the busiest core's measured utilization reaches the threshold."""
 
     knee_qps: float
     threshold: float
@@ -204,35 +202,38 @@ class KneeEstimate:
 
 def locate_knee(
     offered_qps: Sequence[float],
-    goodput_qps: Sequence[float],
+    utilization: Sequence[float],
     threshold: float = 0.95,
 ) -> KneeEstimate:
-    """The goodput knee: last offered rate served at >= ``threshold``.
+    """The capacity knee: the first rate whose busiest core is >= ``threshold`` busy.
 
-    Points must be sorted by offered rate.  The knee interpolates the
-    goodput/offered ratio linearly at the threshold crossing; if the
-    sweep never crosses, the top of the grid is returned un-saturated
-    (callers should widen the grid), and if even the first point is
-    below threshold, that point is returned saturated.
+    ``utilization`` is each point's ``max_core_utilization``, the
+    bottleneck shard's rho that the queueing model's saturation sends to
+    1.  Points must be sorted by offered rate.  The knee interpolates
+    utilization linearly at the threshold crossing; if the sweep never
+    crosses, the top of the grid is returned un-saturated (callers should
+    widen the grid), and if even the first point is at or above the
+    threshold, that point is returned saturated.  Shedding moves neither
+    axis the wrong way: a query no load could serve in time keeps no core
+    busy, and a backlog that sheds does so because its core is.
     """
-    if len(offered_qps) != len(goodput_qps) or not offered_qps:
-        raise ValueError("need matching, non-empty offered/goodput vectors")
+    if len(offered_qps) != len(utilization) or not offered_qps:
+        raise ValueError("need matching, non-empty offered/utilization vectors")
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    ratios = [g / o for g, o in zip(goodput_qps, offered_qps)]
-    below = [i for i, r in enumerate(ratios) if r < threshold]
-    if not below:
+    above = [i for i, u in enumerate(utilization) if u >= threshold]
+    if not above:
         return KneeEstimate(
             knee_qps=float(offered_qps[-1]), threshold=threshold, saturated=False
         )
-    first_below = below[0]
-    if first_below == 0:
+    first_above = above[0]
+    if first_above == 0:
         return KneeEstimate(
             knee_qps=float(offered_qps[0]), threshold=threshold, saturated=True
         )
-    i, j = first_below - 1, first_below
-    ri, rj = ratios[i], ratios[j]
-    # Linear interpolation of the ratio curve at the threshold crossing.
-    frac = (ri - threshold) / (ri - rj) if ri > rj else 0.0
+    i, j = first_above - 1, first_above
+    ui, uj = utilization[i], utilization[j]
+    # Linear interpolation of the utilization curve at the crossing.
+    frac = (threshold - ui) / (uj - ui)
     knee = offered_qps[i] + frac * (offered_qps[j] - offered_qps[i])
     return KneeEstimate(knee_qps=float(knee), threshold=threshold, saturated=True)

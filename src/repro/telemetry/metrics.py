@@ -1,11 +1,10 @@
-"""Streaming metrics: counters, gauges, log-bucket histograms, P² quantiles.
+"""Streaming metrics: counters, gauges, histograms, P² quantiles.
 
 Everything here is **O(1) memory per instrument** — no sample retention.
-A histogram keeps fixed logarithmic buckets (coarse distribution shape,
-exact counts) plus three P² percentile estimators (Jain & Chlamtac 1985)
-for p50/p95/p99, which converge on the true quantiles with five markers
-each.  That combination covers what the cluster telemetry needs: queue
-depths, budget slack, per-frequency residency, cache hit rates, and
+A histogram keeps exact count, sum, min and max plus three P² percentile
+estimators (Jain & Chlamtac 1985) for p50/p95/p99, which converge on the
+true quantiles with five markers each.  That covers what the cluster
+telemetry needs: queue depths, budget slack, latency tails and
 Algorithm-1 pruning statistics, all streamed during a trace replay.
 
 Disabled mode: a :class:`MetricsRegistry` built with ``enabled=False``
@@ -161,48 +160,20 @@ def _linear(q: list[float], n: list[float], i: int, sign: float) -> float:
 
 
 class StreamingHistogram:
-    """Fixed log-bucket histogram plus P² p50/p95/p99 — no samples kept.
+    """Exact count/sum/min/max plus P² p50/p95/p99 — no samples kept."""
 
-    Buckets span ``[lo, hi)`` with ``per_decade`` logarithmic buckets per
-    factor of 10; observations below ``lo`` (including zero and
-    negatives) land in an underflow bucket, above ``hi`` in an overflow
-    bucket.  Count, sum, min and max are exact; ``percentile`` comes from
-    the embedded P² estimators (p50/p95/p99) or log-linear bucket
-    interpolation for other quantiles.
-    """
+    __slots__ = ("name", "count", "sum", "min", "max", "_p2")
 
-    __slots__ = (
-        "name", "lo", "hi", "per_decade", "counts", "count", "sum",
-        "min", "max", "_log_lo", "_scale", "_p2",
-    )
+    #: The percentiles ``percentile`` answers, each from its P² estimator.
+    PERCENTILES = (50, 95, 99)
 
-    P2_QUANTILES = (0.5, 0.95, 0.99)
-
-    def __init__(
-        self,
-        name: str,
-        lo: float = 1e-3,
-        hi: float = 1e5,
-        per_decade: int = 8,
-    ) -> None:
-        if not 0 < lo < hi:
-            raise ValueError("need 0 < lo < hi")
-        if per_decade < 1:
-            raise ValueError("per_decade must be positive")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.lo = lo
-        self.hi = hi
-        self.per_decade = per_decade
-        self._log_lo = math.log10(lo)
-        self._scale = per_decade
-        n_buckets = int(math.ceil((math.log10(hi) - self._log_lo) * per_decade))
-        # +2: underflow (index 0) and overflow (index -1).
-        self.counts = [0] * (n_buckets + 2)
         self.count = 0
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._p2 = {p: P2Quantile(p) for p in self.P2_QUANTILES}
+        self._p2 = {p: P2Quantile(p / 100.0) for p in self.PERCENTILES}
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -211,55 +182,20 @@ class StreamingHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-        self.counts[self._bucket(value)] += 1
         for estimator in self._p2.values():
             estimator.observe(value)
-
-    def _bucket(self, value: float) -> int:
-        if value < self.lo:
-            return 0
-        if value >= self.hi:
-            return len(self.counts) - 1
-        return 1 + int((math.log10(value) - self._log_lo) * self._scale)
 
     # -------------------------------------------------------------- queries
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else math.nan
 
-    def bucket_bounds(self, index: int) -> tuple[float, float]:
-        """(low, high) value bounds of bucket ``index``."""
-        if index == 0:
-            return (0.0, self.lo)
-        if index == len(self.counts) - 1:
-            return (self.hi, math.inf)
-        exp = self._log_lo + (index - 1) / self._scale
-        return (10.0 ** exp, 10.0 ** (exp + 1.0 / self._scale))
-
     def percentile(self, p: float) -> float:
-        """Quantile estimate: P² for p50/p95/p99, buckets otherwise."""
-        fraction = p / 100.0 if p > 1.0 else p
-        estimator = self._p2.get(fraction)
-        if estimator is not None:
-            return estimator.value
-        return self._bucket_percentile(fraction)
-
-    def _bucket_percentile(self, fraction: float) -> float:
-        if self.count == 0:
-            return math.nan
-        target = fraction * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            if bucket_count == 0:
-                continue
-            if seen + bucket_count >= target:
-                low, high = self.bucket_bounds(index)
-                low = max(low, self.min)
-                high = min(high, self.max) if math.isfinite(high) else self.max
-                within = (target - seen) / bucket_count
-                return low + (high - low) * within
-            seen += bucket_count
-        return self.max
+        """The P² estimate of the ``p``-th percentile, ``p`` in 50/95/99."""
+        estimator = self._p2.get(p)
+        if estimator is None:
+            raise ValueError(f"percentile must be one of {self.PERCENTILES}, got {p!r}")
+        return estimator.value
 
     def snapshot(self) -> dict:
         out = {
@@ -342,15 +278,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge, _NULL_GAUGE)
 
-    def histogram(self, name: str, **kwargs: float) -> StreamingHistogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM  # type: ignore[return-value]
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = self._instruments[name] = StreamingHistogram(name, **kwargs)
-        elif not isinstance(instrument, StreamingHistogram):
-            raise TypeError(f"{name!r} already registered as {type(instrument).__name__}")
-        return instrument
+    def histogram(self, name: str) -> StreamingHistogram:
+        return self._get(name, StreamingHistogram, _NULL_HISTOGRAM)
 
     def _get(self, name: str, cls: type, null: object):
         if not self.enabled:

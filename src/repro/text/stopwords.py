@@ -17,18 +17,12 @@ ENGLISH_STOPWORDS: frozenset[str] = frozenset(
 
 
 class StopwordFilter:
-    """Removes stopwords from a token stream.
+    """Removes :data:`ENGLISH_STOPWORDS` from a token stream.
 
-    Parameters
-    ----------
-    stopwords:
-        The set of terms to drop.  Matching is done on the token as given;
-        place the filter after lowercasing in the analyzer chain.
+    Matching is done on the token as given; place the filter after
+    lowercasing in the analyzer chain.
     """
-
-    def __init__(self, stopwords: frozenset[str] | set[str] = ENGLISH_STOPWORDS) -> None:
-        self.stopwords = frozenset(stopwords)
 
     def filter(self, tokens: list[str]) -> list[str]:
         """Return ``tokens`` with stopwords removed, order preserved."""
-        return [token for token in tokens if token not in self.stopwords]
+        return [token for token in tokens if token not in ENGLISH_STOPWORDS]

@@ -118,8 +118,7 @@ def csi():
         Document(doc_id=i, text=f"shared topic{i % 4} extra{i}") for i in range(80)
     ]
     return CentralSampleIndex.build(
-        partition_round_robin(docs, 4), min_per_shard=10,
-        analyzer=WhitespaceAnalyzer(),
+        partition_round_robin(docs, 4), analyzer=WhitespaceAnalyzer(),
     )
 
 

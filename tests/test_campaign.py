@@ -30,20 +30,19 @@ class TestZipfWeights:
 class TestLocateKnee:
     def test_interpolates_threshold_crossing(self):
         offered = [100.0, 200.0, 300.0]
-        goodput = [100.0, 200.0, 240.0]  # ratios 1.0, 1.0, 0.8
-        knee = locate_knee(offered, goodput, threshold=0.9)
+        utilization = [0.3, 0.8, 1.0]
+        knee = locate_knee(offered, utilization, threshold=0.9)
         assert knee.saturated
-        assert 200.0 < knee.knee_qps < 300.0
-        # ratio drops 1.0 -> 0.8 between 200 and 300; 0.9 is halfway.
+        # utilization rises 0.8 -> 1.0 between 200 and 300; 0.9 is halfway.
         assert knee.knee_qps == pytest.approx(250.0)
 
     def test_never_crossing_returns_top_unsaturated(self):
-        knee = locate_knee([10.0, 20.0], [10.0, 19.9], threshold=0.9)
+        knee = locate_knee([10.0, 20.0], [0.5, 0.89], threshold=0.9)
         assert not knee.saturated
         assert knee.knee_qps == 20.0
 
     def test_first_point_already_saturated(self):
-        knee = locate_knee([10.0, 20.0], [5.0, 6.0], threshold=0.9)
+        knee = locate_knee([10.0, 20.0], [0.9, 1.0], threshold=0.9)
         assert knee.saturated
         assert knee.knee_qps == 10.0
 
@@ -214,6 +213,26 @@ class TestRunCampaign:
         assert high.shed > 0
         assert result.knee.saturated
         assert low.realized_qps < result.knee.knee_qps < high.realized_qps
+
+    def test_meetable_slo_sets_no_knee(self, unit_testbed):
+        """A tight SLO that queueing jitter busts sheds at every load, but
+        no core saturates: the sweep measures no knee, and the shortfall
+        shows as goodput.  (Reproduces ``repro serve --scale unit --policy
+        exhaustive --queries 400 --distinct 40 --deadline-slo-ms 15``.)"""
+        pool = pool_from_corpus(unit_testbed.corpus, n_distinct=40)
+        result = run_campaign(
+            unit_testbed.cluster,
+            lambda: unit_testbed.make_policy("exhaustive"),
+            pool,
+            CampaignConfig(
+                queries_per_point=400,
+                admission=AdmissionConfig(max_in_flight=512, deadline_slo_ms=15.0),
+            ),
+        )
+        assert all(point.shed > 0 for point in result.points)
+        assert max(p.max_core_utilization for p in result.points) < 0.95
+        assert not result.knee.saturated
+        assert result.points[-1].goodput_ratio < 0.95
 
     def test_explicit_grid_and_snapshot(self, unit_testbed):
         pool = pool_from_corpus(unit_testbed.corpus, n_distinct=20)

@@ -107,29 +107,33 @@ class TestCollectionStats:
         assert CollectionStats().avg_doc_length == 0.0
 
 
+DOCS0 = [Document(doc_id=0, text="rare common"),
+         Document(doc_id=1, text="common common filler")]
+DOCS1 = [Document(doc_id=2, text="common filler"),
+         Document(doc_id=3, text="common other")]
+
+
 class TestGlobalStatsScoring:
-    def _two_shards(self, global_stats):
-        docs0 = [Document(doc_id=0, text="rare common"),
-                 Document(doc_id=1, text="common common filler")]
-        docs1 = [Document(doc_id=2, text="common filler"),
-                 Document(doc_id=3, text="common other")]
-        return build_shards(
-            [docs0, docs1], analyzer=WhitespaceAnalyzer(), global_stats=global_stats
-        )
+    def _two_shards(self):
+        return build_shards([DOCS0, DOCS1], analyzer=WhitespaceAnalyzer())
 
     def test_global_idf_shared_across_shards(self):
-        s0, s1 = self._two_shards(global_stats=True)
+        s0, s1 = self._two_shards()
         assert s0.idf("common") == pytest.approx(s1.idf("common"))
         assert s0.global_dfs[s0.terms().index("common")] == 4
         assert s0.n_docs_global == 4
 
     def test_local_idf_differs(self):
-        s0, s1 = self._two_shards(global_stats=False)
+        # A builder given no collection statistics (the CSI's) scores
+        # against its own documents only.
+        builder = make_builder()
+        builder.add_all(DOCS0)
+        s0 = builder.build()
         assert s0.global_dfs[s0.terms().index("common")] == 2
         assert s0.n_docs_global == s0.n_docs
 
     def test_global_idf_makes_rare_terms_score_higher(self):
-        s0, _ = self._two_shards(global_stats=True)
+        s0, _ = self._two_shards()
         rare = float(np.max(s0.scores("rare")))
         common = float(np.max(s0.scores("common")))
         assert rare > common

@@ -132,13 +132,15 @@ class TestISNServer:
 def make_cluster(shards, policy, k=5):
     sim = Simulator()
     isns = [
-        ISNServer(
-            shard_id=i,
-            searcher=ShardSearcher(shard, k=k),
-            cost_model=CostModel(),
-            freq_scale=FrequencyScale(),
-            meter=EnergyMeter(PowerModel()),
-        )
+        [
+            ISNServer(
+                shard_id=i,
+                searcher=ShardSearcher(shard, k=k),
+                cost_model=CostModel(),
+                freq_scale=FrequencyScale(),
+                meter=EnergyMeter(PowerModel()),
+            )
+        ]
         for i, shard in enumerate(shards)
     ]
     aggregator = Aggregator(
@@ -167,7 +169,7 @@ class TestAggregator:
     def test_isn_ids_must_match_their_position(self, shards):
         # Jobs carry the shard/replica ids of the ISN that made them.
         sim, aggregator = make_cluster(shards, StaticPolicy(Decision(shard_ids=(0,))))
-        swapped = [aggregator.groups[1][0], aggregator.groups[0][0]]
+        swapped = [aggregator.groups[1], aggregator.groups[0]]
         with pytest.raises(ValueError):
             Aggregator(
                 isns=swapped, policy=aggregator.policy, network=NetworkModel(),

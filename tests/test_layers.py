@@ -2,10 +2,12 @@
 
 Every claim here is measured on a simulated clock, which holds only while
 
-* the layer stack holds: a module imports, at top level and at runtime,
-  only modules of its own layer or below (``LAYERS``, the table in
-  ``docs/architecture.md``'s "Layer contract"), so the sim core stays
-  importable without the serving plane and the side-cars free of sim code;
+* the layer stack holds: every import in a module, at every scope —
+  module body, function bodies, ``if TYPE_CHECKING:`` blocks, package
+  facades included — names only modules of its own layer or below
+  (``LAYERS``, the table in ``docs/architecture.md``'s "Layer contract"),
+  so the sim core stays importable without the serving plane and the
+  side-cars free of sim code;
 * the bit-identity kernels keep their accumulation order: in
   ``retrieval/kernels.py`` and ``index/arena.py`` float addition is part of
   the kernel-vs-scalar-reference contract, and ``sum``/``np.sum``/``.sum()``
@@ -14,18 +16,22 @@ Every claim here is measured on a simulated clock, which holds only while
   eight terms, so no run-twice test sees such a slip on 3.11.
 
 Both checks are syntactic and local: no type inference, nothing followed
-across files.
+across files.  One runtime test backs the first: a closed-loop replay, in
+a fresh interpreter, loads no ``repro.serving`` module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-#: (rank, layer name, module-path prefixes) — longest prefix wins, so the
-#: ``cluster/scenarios.py`` override beats the ``cluster/`` band.
+#: (rank, layer name, module-path prefixes): a module's layer is its
+#: package's, and the package root's own modules are ranked one by one.
 LAYERS = (
     (0, "foundation", (
         "telemetry/", "reporting/", "text/", "scoring/", "nn/", "host.py",
@@ -36,12 +42,7 @@ LAYERS = (
     (4, "cluster", ("cluster/",)),
     (5, "coordination", ("core/", "policies/", "predictors/", "metrics/")),
     (6, "serving", ("serving/",)),
-    (7, "app", (
-        "experiments/", "cli.py", "__main__.py", "__init__.py",
-        # scenarios wire cluster runs to metrics ground truth; they are
-        # drivers living in cluster/ for discoverability, not sim code.
-        "cluster/scenarios.py",
-    )),
+    (7, "app", ("experiments/", "cli.py", "__main__.py", "__init__.py")),
 )
 
 #: The modules whose float reductions must be explicit ordered loops.
@@ -77,15 +78,13 @@ EXEMPT = {
 
 def layer_of(module_path):
     """``(rank, name)`` of a path inside ``repro``; ``None`` if unassigned."""
-    best = None
     for rank, name, prefixes in LAYERS:
         for prefix in prefixes:
             if module_path == prefix or (
                 prefix.endswith("/") and module_path.startswith(prefix)
             ):
-                if best is None or len(prefix) > best[0]:
-                    best = (len(prefix), (rank, name))
-    return best[1] if best is not None else None
+                return rank, name
+    return None
 
 
 def _layer_of_import(target):
@@ -98,69 +97,41 @@ def _layer_of_import(target):
     return layer_of(inner + ".py") or layer_of(inner + "/")
 
 
-def _runtime_imports(body):
-    """Every import statement that runs when the module is imported.
-
-    That is every block nested in the module body — ``try`` bodies,
-    handlers, ``else`` and ``finally``; both branches of an ``if``; loop,
-    ``with``, ``match`` and class bodies — except ``if TYPE_CHECKING:``
-    bodies and function bodies, which do not run at import.
-    """
-    for stmt in body:
-        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            yield stmt
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        elif isinstance(stmt, ast.If) and (
-            ast.unparse(stmt.test).split(".")[-1] == "TYPE_CHECKING"
-        ):
-            yield from _runtime_imports(stmt.orelse)
-        else:
-            for block in ("body", "handlers", "cases", "orelse", "finalbody"):
-                for child in getattr(stmt, block, ()):
-                    yield from _runtime_imports(
-                        child.body
-                        if isinstance(child, (ast.ExceptHandler, ast.match_case))
-                        else [child]
-                    )
-
-
 def _import_targets(node, package):
-    """The dotted modules one import may load.
-
-    ``from pkg import name`` yields both ``pkg`` and ``pkg.name``: the file
-    alone cannot tell a submodule from a member, and the table may rank a
-    submodule above its package.
-    """
+    """The dotted modules one import names (``from pkg import name``: ``pkg``)."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     base = node.module or ""
     if node.level:
         anchor = package[: len(package) - (node.level - 1)]
         base = ".".join(anchor + ([base] if base else []))
-    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return [base]
 
 
 def upward_imports(module_path, source):
-    """Import targets of ``module_path`` that sit in a higher layer."""
+    """Import targets of ``module_path``, at any scope, in a higher layer."""
     source_layer = layer_of(module_path)
     if source_layer is None:
         return []  # test_every_module_has_a_layer reports it
     rank = source_layer[0]
     package = ["repro", *module_path.split("/")[:-1]]
-    # a package facade re-exports its own submodules, including ones the
-    # table promotes (cluster/scenarios.py -> app)
-    own = ".".join(package) + "." if module_path.endswith("__init__.py") else None
+    imports = sorted(
+        (
+            node for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
     flagged = []
-    for node in _runtime_imports(ast.parse(source).body):
+    for node in imports:
         for target in _import_targets(node, package):
-            if own is not None and target.startswith(own):
-                continue
             target_layer = _layer_of_import(target)
             if target_layer is None or target_layer[0] <= rank:
                 continue
             # a name under an already-flagged package adds nothing
-            if not any(target.startswith(seen + ".") for seen in flagged):
+            if not any(
+                target == seen or target.startswith(seen + ".") for seen in flagged
+            ):
                 flagged.append(target)
     return flagged
 
@@ -209,6 +180,23 @@ def test_no_module_imports_up_the_stack():
     assert upward == {}
 
 
+def test_closed_loop_run_loads_no_serving_module():
+    code = (
+        "import sys; "
+        "from repro.experiments import Scale, Testbed; "
+        "bed = Testbed.build(Scale.unit()); "
+        "bed.cluster.run_trace(bed.wikipedia_trace, bed.make_policy('cottage')); "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.serving')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_kernel_sums_are_explicit():
     found = {
         path: order_hiding_sums(path, (PACKAGE / path).read_text(encoding="utf-8"))
@@ -221,7 +209,7 @@ TYPE_CHECKING_AND_LOCAL = """\
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.retrieval.kernels import score
+    from repro.retrieval.result import SearchResult
 
 
 def rescore(x):
@@ -231,7 +219,7 @@ def rescore(x):
 
 TRY_WRAPPED = """\
 try:
-    from repro.serving import ServingPlane
+    from repro.serving import run_campaign
 except ImportError:
     from repro.serving.stream import QueryStream
 else:
@@ -244,7 +232,7 @@ IF_WRAPPED = """\
 import sys
 
 if sys.version_info >= (3, 11):
-    from repro.serving import ServingPlane
+    from repro.serving import run_campaign
 else:
     with open(__file__):
         from repro.experiments import testbed
@@ -268,16 +256,11 @@ def upper_bound(scores):
         "index/store.py", "from repro.retrieval.kernels import score\n",
         ["repro.retrieval.kernels"], id="absolute-back-edge"),
     pytest.param(
-        "core/budget.py", "from repro.serving import ServingPlane\n",
+        "core/budget.py", "from repro.serving import run_campaign\n",
         ["repro.serving"], id="coordination-imports-serving"),
     pytest.param(
         "index/store.py", "from ..retrieval import kernels\n",
         ["repro.retrieval"], id="relative-back-edge"),
-    # cluster/scenarios.py is ranked above its package: only the
-    # ``pkg.name`` reading of ``from pkg import name`` sees it.
-    pytest.param(
-        "cluster/engine.py", "from repro.cluster import scenarios\n",
-        ["repro.cluster.scenarios"], id="promoted-submodule-back-edge"),
     pytest.param(
         "core/budget.py", TRY_WRAPPED,
         ["repro.serving", "repro.experiments"], id="try-wrapped-back-edges"),
@@ -290,7 +273,8 @@ def upper_bound(scores):
         [], id="downward-import"),
     pytest.param(
         "index/store.py", TYPE_CHECKING_AND_LOCAL,
-        [], id="type-checking-and-function-local"),
+        ["repro.retrieval.result", "repro.retrieval.kernels"],
+        id="type-checking-and-function-local"),
     pytest.param(
         "cluster/__init__.py", "from repro.cluster import scenarios\n",
         [], id="facade-self-import"),

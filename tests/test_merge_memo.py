@@ -10,7 +10,7 @@ entries.
 import pytest
 
 import repro.cluster.aggregator as aggregator_module
-from repro.cluster.scenarios import ScenarioContext, scenario_schedule
+from repro.experiments.scenarios import ScenarioContext, scenario_schedule
 from repro.retrieval.result import merge_results
 
 

@@ -10,6 +10,7 @@ from repro.index import (
     partition_round_robin,
     partition_topical,
 )
+from repro.index.partitioner import TOPIC_SPREAD
 
 PARTITIONERS = {
     "round_robin": partition_round_robin,
@@ -52,18 +53,18 @@ class TestHash:
 class TestTopical:
     def test_topic_stays_within_spread_shards(self):
         docs = docs_with_topics(120, n_topics=6)
-        groups = partition_topical(docs, 8, spread=2)
+        groups = partition_topical(docs, 8)
         for topic in range(6):
             shards_for_topic = {
                 sid
                 for sid, group in enumerate(groups)
                 if any(d.topic == topic for d in group)
             }
-            assert len(shards_for_topic) <= 2
+            assert len(shards_for_topic) == TOPIC_SPREAD
 
     def test_balanced_sizes(self):
         docs = docs_with_topics(160, n_topics=8)
-        groups = partition_topical(docs, 8, spread=2)
+        groups = partition_topical(docs, 8)
         sizes = [len(g) for g in groups]
         assert max(sizes) - min(sizes) <= len(docs) // 4
 
@@ -74,12 +75,9 @@ class TestTopical:
 
     def test_spread_capped_at_n_shards(self):
         docs = docs_with_topics(20, n_topics=2)
-        groups = partition_topical(docs, 2, spread=10)
+        assert TOPIC_SPREAD > 2
+        groups = partition_topical(docs, 2)
         assert sum(len(g) for g in groups) == 20
-
-    def test_rejects_bad_spread(self):
-        with pytest.raises(ValueError):
-            partition_topical(docs_with_topics(4), 2, spread=0)
 
 
 class TestValidation:

@@ -17,13 +17,12 @@ Four regression families:
 
 import pytest
 
-from repro.cluster import (
+from repro.cluster import FaultSchedule, SearchCluster
+from repro.experiments.scenarios import (
+    SCENARIOS,
     CellResult,
-    FaultSchedule,
     MatrixCase,
     ScenarioContext,
-    SCENARIOS,
-    SearchCluster,
     default_matrix,
     run_matrix,
     scenario_schedule,

@@ -59,9 +59,12 @@ SERVE_DEADLINE: tuple[int, int, int, str] = (
 
 CAMPAIGN_QUERIES_PER_POINT = 400
 
-#: (total_queries, sha-256 of the snapshot's sorted-key JSON)
+#: (total_queries, sha-256 of the snapshot's sorted-key JSON).  Re-pinned
+#: when the knee moved onto the busiest core's utilization: against the
+#: capture, only ``knee.knee_qps``, ``knee_ratio`` and ``measured_knee_qps``
+#: changed (173.11 -> 171.79 qps); every point and the model are equal.
 CAMPAIGN: tuple[int, str] = (
-    2800, "c3510b88233142c264c6e0ed42c9fa5d6d6cf4bddde5db1ec78b3705dfc0671a",
+    2800, "90c5a1dd8e371200056f9a837f53bdcb2d7fdb8c49dada2a86261d06478a6de9",
 )
 
 

@@ -9,16 +9,15 @@ from repro.cluster.engine import RunResult
 from repro.cluster.types import Decision, QueryRecord, ShardOutcome
 from repro.retrieval.result import SearchResult
 from repro.retrieval.query import Query
+from repro.cluster.admission import EWMA_ALPHA, REJECT_MS, SERVICE_ESTIMATE_MS
 from repro.serving import (
     AdmissionConfig,
     AdmissionController,
     PoissonProcess,
     QueryStream,
-    ServingPlane,
     ServingStats,
     pool_from_corpus,
 )
-from repro.serving.admission import EWMA_ALPHA, REJECT_MS, SERVICE_ESTIMATE_MS
 
 
 def run_fingerprint(run: RunResult) -> str:
@@ -42,16 +41,17 @@ def open_loop_stream(testbed, rate_qps=400.0, n=300, seed=0):
 
 
 class TestClosedLoopBitIdentity:
-    """run_trace must be the serving plane's degenerate configuration."""
+    """run_trace and serve share one engine: a trace replays closed-loop
+    through either entry point."""
 
     @pytest.mark.parametrize("policy_name", ["exhaustive", "cottage"])
-    def test_serving_plane_matches_run_trace(self, unit_testbed, policy_name):
+    def test_serve_of_a_trace_matches_run_trace(self, unit_testbed, policy_name):
         trace = unit_testbed.wikipedia_trace
         baseline = unit_testbed.cluster.run_trace(
             trace, unit_testbed.make_policy(policy_name)
         )
-        replayed = ServingPlane(unit_testbed.cluster).run(
-            trace, unit_testbed.make_policy(policy_name)
+        replayed = unit_testbed.cluster.serve(
+            trace, unit_testbed.make_policy(policy_name), retain_records=True
         )
         assert run_fingerprint(baseline) == run_fingerprint(replayed)
 
@@ -272,12 +272,9 @@ class TestAdmissionController:
             controller.admit(self.query(), self.view(unit_testbed, 6.0), 0.0)
             == "deadline"
         )
-        # A backlog caused that shed; an SLO below the estimate itself
-        # sheds on an idle cluster too, and only that shed is counted.
-        assert controller.shed_at_any_load == 0
+        # An SLO below the estimate itself sheds on an idle cluster too.
         tight = AdmissionController(AdmissionConfig(deadline_slo_ms=SERVICE_ESTIMATE_MS / 2))
         assert tight.admit(self.query(), self.view(unit_testbed), 0.0) == "deadline"
-        assert tight.shed_at_any_load == 1
 
     def test_ewma_adapts_from_counted_service(self, unit_testbed):
         controller = AdmissionController(AdmissionConfig(deadline_slo_ms=100.0))

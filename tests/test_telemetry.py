@@ -156,24 +156,31 @@ class TestP2Quantile:
         assert hist.count == 100
         assert hist.sum == pytest.approx(5050.0)
         assert hist.mean == pytest.approx(50.5)
-        # Both the 0-1 and 0-100 spellings are accepted.
-        assert hist.percentile(50) == hist.percentile(0.5)
+        # p50/p95/p99 are the P² estimators' answers; nothing else is.
+        assert hist.percentile(50) == pytest.approx(50.0, rel=0.1)
         assert hist.percentile(95) == pytest.approx(95.0, rel=0.1)
+        for p in (0.5, 90, 99.9):
+            with pytest.raises(ValueError, match="percentile must be one of"):
+                hist.percentile(p)
 
     def test_histogram_no_sample_retention(self):
         hist = StreamingHistogram("h")
         for value in range(10_000):
             hist.observe(float(value + 1))
-        # Streaming: state is buckets + P-squared markers, not samples.
+        # Streaming: state is exact moments + P-squared markers, not samples.
         assert not hasattr(hist, "samples")
         snapshot = hist.snapshot()
         assert snapshot["count"] == 10_000
 
     def test_histogram_out_of_range(self):
-        hist = StreamingHistogram("h", lo=1.0, hi=100.0)
-        hist.observe(0.001)   # underflow bucket
-        hist.observe(1e6)     # overflow bucket
-        assert hist.count == 2
+        # No value range to fall outside: any magnitude, zero and negatives
+        # included, keeps count, min and max exact.
+        hist = StreamingHistogram("h")
+        for value in (0.001, 1e6, 0.0, -1.0):
+            hist.observe(value)
+        assert hist.count == 4
+        assert (hist.min, hist.max) == (-1.0, 1e6)
+        assert hist.percentile(50) == 0.0
 
 
 class TestTelemetrySession:

@@ -44,10 +44,6 @@ class TestStopwordFilter:
         filt = StopwordFilter()
         assert filt.filter(["the", "quick", "fox"]) == ["quick", "fox"]
 
-    def test_custom_set(self):
-        filt = StopwordFilter({"quick"})
-        assert filt.filter(["the", "quick", "fox"]) == ["the", "fox"]
-
     def test_common_words_present(self):
         for word in ("the", "and", "of", "is"):
             assert word in ENGLISH_STOPWORDS
